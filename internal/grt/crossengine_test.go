@@ -16,6 +16,7 @@ import (
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
+	"dfdeques/internal/rtrace"
 	"dfdeques/internal/sched"
 )
 
@@ -108,12 +109,18 @@ func TestCrossEngineInvariants(t *testing.T) {
 					}
 
 					for _, eng := range crossEngines() {
+						rec := rtrace.NewRecorder(workers, 1<<16)
 						st, err := grt.RunSpec(grt.Config{
-							Workers: workers, Sched: pol.kind, K: pol.k,
+							Workers: workers, Sched: pol.kind, K: pol.k, Probe: rec,
 							Seed: 42, CoarseLock: eng.coarse, ChannelFrames: eng.channel,
 						}, spec, 1)
 						if err != nil {
 							t.Fatalf("runtime %s: %v", eng.name, err)
+						}
+						if rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
+							t.Errorf("%s: replay verification failed: %v", eng.name, err)
+						} else if !rep.OrderingExact {
+							t.Errorf("%s: ordering checks degraded on a lock-free spec: %v", eng.name, rep.Notes)
 						}
 						if st.TotalThreads != sm.TotalThreads {
 							t.Errorf("%s: total threads: runtime=%d sim=%d",

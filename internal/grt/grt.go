@@ -674,7 +674,14 @@ func releaseT(t *T) {
 // noteFork does the bookkeeping common to both modes when child is forked
 // by curr: priority insertion, trace id, and thread counters.
 func (rt *Runtime) noteFork(curr, child *T) {
-	child.prio = rt.prioInsertBefore(curr.prio)
+	if rt.cont {
+		// Parent-first: the forking thread keeps running (it plays the
+		// paper's child) and the forked closure is what the paper calls the
+		// pushed parent, so it takes the priority immediately *after* curr.
+		child.prio = rt.prioInsertAfter(curr.prio)
+	} else {
+		child.prio = rt.prioInsertBefore(curr.prio)
+	}
 	child.tid = rt.tids.Add(1)
 	rt.live.Add(1)
 	j := curr.job
@@ -719,6 +726,12 @@ func (rt *Runtime) prioInsertBefore(r *om.Record) *om.Record {
 	rt.prioMu.Lock()
 	defer rt.prioMu.Unlock()
 	return rt.prios.InsertBefore(r)
+}
+
+func (rt *Runtime) prioInsertAfter(r *om.Record) *om.Record {
+	rt.prioMu.Lock()
+	defer rt.prioMu.Unlock()
+	return rt.prios.InsertAfter(r)
 }
 
 func (rt *Runtime) prioDelete(r *om.Record) {

@@ -254,9 +254,17 @@ func (v *verifier) step(e *Event) error {
 		if _, dup := v.threads[e.B]; dup {
 			return v.fail(e, "forked thread t%d already exists", e.B)
 		}
+		// The continuation engine runs the parent first, so the forked
+		// thread is the 1DF successor of its parent; the channel engine
+		// runs the child first.
+		rec := v.prios.InsertBefore(parent.rec)
+		if v.cont {
+			v.prios.Delete(rec)
+			rec = v.prios.InsertAfter(parent.rec)
+		}
 		v.threads[e.B] = &vthread{
 			state: tNew, on: -1, waitee: -1, dummy: e.C == 1, job: parent.job,
-			rec: v.prios.InsertBefore(parent.rec),
+			rec: rec,
 		}
 		v.rep.Threads++
 		if e.C == 1 {
@@ -628,14 +636,7 @@ func (v *verifier) step(e *Event) error {
 		}
 		if v.ordered && len(d.items) > 0 {
 			top := d.items[len(d.items)-1]
-			if v.cont {
-				// Mirrored geometry: each push must be *lower* priority
-				// than the top (children are forked in priority order,
-				// later forks are later in the 1DF order).
-				if !v.before(top, e.A) {
-					return v.fail(e, "push of t%d over-prioritizes deque %d's top t%d", e.A, e.B, top)
-				}
-			} else if !v.before(e.A, top) {
+			if !v.before(e.A, top) {
 				return v.fail(e, "push of t%d under-prioritizes deque %d's top t%d", e.A, e.B, top)
 			}
 		}
@@ -750,11 +751,7 @@ func (v *verifier) checkOrdering(e *Event) error {
 	// thread while the owner's top pop takes the deepest.
 	for did, d := range v.deques {
 		for i := 0; i+1 < len(d.items); i++ {
-			if v.cont {
-				if !v.before(d.items[i], d.items[i+1]) {
-					return v.fail(e, "deque %d not internally sorted (mirrored): t%d above t%d", did, d.items[i], d.items[i+1])
-				}
-			} else if !v.before(d.items[i+1], d.items[i]) {
+			if !v.before(d.items[i+1], d.items[i]) {
 				return v.fail(e, "deque %d not internally sorted: t%d above t%d", did, d.items[i+1], d.items[i])
 			}
 		}
@@ -772,9 +769,6 @@ func (v *verifier) checkOrdering(e *Event) error {
 				continue
 			}
 			highest, lowest := d.items[len(d.items)-1], d.items[0]
-			if v.cont {
-				highest, lowest = lowest, highest
-			}
 			if prevLowest >= 0 && !v.before(prevLowest, highest) {
 				return v.fail(e, "R out of order: t%d (left) does not precede t%d (right)", prevLowest, highest)
 			}
@@ -794,11 +788,7 @@ func (v *verifier) checkOrdering(e *Event) error {
 				continue
 			}
 			top := d.items[len(d.items)-1]
-			if v.cont {
-				if !v.before(top, tid) {
-					return v.fail(e, "running t%d on w%d over-prioritizes its deque top t%d (mirrored)", tid, w, top)
-				}
-			} else if !v.before(tid, top) {
+			if !v.before(tid, top) {
 				return v.fail(e, "running t%d on w%d under-prioritizes its deque top t%d", tid, w, top)
 			}
 		}

@@ -126,6 +126,43 @@ func TestVerifyRealRuns(t *testing.T) {
 	}
 }
 
+// TestVerifyForkThenContinueTree is the fork-then-continue shape — allocate,
+// fork one half, descend into the other half inline, join, free — whose
+// steals land on deques whose owner is mid inline fork/join chain. Under a
+// child-first fork priority the thief took the victim's highest-priority
+// thread and parked it to the right, and most of these runs failed Lemma
+// 3.1's order on R; every run must replay with the ordering checks exact.
+func TestVerifyForkThenContinueTree(t *testing.T) {
+	var node func(t *grt.T, d int)
+	node = func(t *grt.T, d int) {
+		if d == 0 {
+			return
+		}
+		t.Alloc(64)
+		h := t.Fork(func(c *grt.T) { node(c, d-1) })
+		node(t, d-1)
+		t.Join(h)
+		t.Free(64)
+	}
+	for _, eng := range []struct{ coarse, channel bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+		for _, workers := range []int{2, 4} {
+			for seed := int64(1); seed <= 10; seed++ {
+				rec := record(t, grt.Config{
+					Workers: workers, Sched: grt.DFDeques, K: 4096, Seed: seed,
+					CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+				}, func(t *grt.T) { node(t, 10) })
+				rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped())
+				if err != nil {
+					t.Fatalf("%+v p%d seed %d: replay verification failed: %v", eng, workers, seed, err)
+				}
+				if !rep.OrderingExact {
+					t.Fatalf("%+v p%d seed %d: ordering checks degraded: %v", eng, workers, seed, rep.Notes)
+				}
+			}
+		}
+	}
+}
+
 // TestVerifyCoarseLock replays the paper's serialized §5 protocol: the
 // same invariants must hold under the global scheduler lock.
 func TestVerifyCoarseLock(t *testing.T) {
