@@ -269,7 +269,6 @@ func BenchmarkGrtSpeedup(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if _, err := dfdeques.Run(dfdeques.RuntimeConfig{
 							Workers: workers, Sched: k, K: kbytes, Seed: int64(i),
-							ChannelFrames: eng.channel,
 						}, func(r *dfdeques.Thread) {
 							rec(r, depth, 1)
 						}); err != nil {
@@ -305,7 +304,6 @@ func BenchmarkGrtForkJoinCost(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/p%d%s", k, workers, eng.suffix), func(b *testing.B) {
 					rt, err := dfdeques.NewRuntime(dfdeques.RuntimeConfig{
 						Workers: workers, Sched: k, K: kbytes, Seed: 1,
-						ChannelFrames: eng.channel,
 					})
 					if err != nil {
 						b.Fatal(err)

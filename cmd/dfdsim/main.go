@@ -29,10 +29,6 @@
 //	-workers N    real mode: worker count (default: -procs)
 //	-coarselock   real mode: use the single global scheduler lock (§5
 //	              verbatim) instead of the fine-grained engine
-//	-engine E     real mode: execution engine: cont (default; work-first
-//	              continuation-passing fork, frames promoted to goroutines
-//	              only when stolen or blocked) | channel (legacy
-//	              goroutine-per-thread channel frames)
 //	-measure      real mode: time lock holds and steal waits
 //	-trace FILE   real mode: record every scheduling event and write a
 //	              Chrome trace_event JSON file (loadable in Perfetto /
@@ -82,7 +78,6 @@ func main() {
 	real := flag.Bool("real", false, "run on the real runtime instead of the simulator")
 	workers := flag.Int("workers", 0, "real mode: workers (default -procs)")
 	coarse := flag.Bool("coarselock", false, "real mode: single global scheduler lock")
-	engineFlag := flag.String("engine", "cont", "real mode: execution engine: cont (work-first continuations) | channel (goroutine-per-thread frames)")
 	measure := flag.Bool("measure", false, "real mode: time lock holds and steal waits")
 	traceFile := flag.String("trace", "", "real mode: write Chrome trace_event JSON to FILE")
 	tracebuf := flag.Int("tracebuf", 1<<17, "real mode: per-worker trace ring capacity (events)")
@@ -90,16 +85,6 @@ func main() {
 	scenario := flag.String("scenario", "", "real mode: irregular scenario (pipeline|stream|taskgraph) instead of -bench")
 	scale := flag.Int("scale", 1, "scenario size multiplier")
 	flag.Parse()
-
-	var channelFrames bool
-	switch *engineFlag {
-	case "cont":
-	case "channel":
-		channelFrames = true
-	default:
-		fmt.Fprintf(os.Stderr, "dfdsim: unknown -engine %q (want cont or channel)\n", *engineFlag)
-		os.Exit(2)
-	}
 
 	// Scheduler names are case-insensitive; canonicalize to the printed
 	// spellings.
@@ -129,8 +114,7 @@ func main() {
 		runScenario(*scenario, *scale, realCfg{
 			sched: *schedName, procs: *procs, workers: *workers, k: *k,
 			seed: *seed, coarse: *coarse, measure: *measure,
-			channel: channelFrames,
-			trace:   *traceFile, tracebuf: *tracebuf, json: *jsonOut,
+			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
 			grain: g, bench: *bench, timeout: *timeout,
 		})
 		return
@@ -155,8 +139,7 @@ func main() {
 		runReal(spec, realCfg{
 			sched: *schedName, procs: *procs, workers: *workers, k: *k,
 			seed: *seed, coarse: *coarse, measure: *measure,
-			channel: channelFrames,
-			trace:   *traceFile, tracebuf: *tracebuf, json: *jsonOut,
+			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
 			grain: g, bench: *bench, timeout: *timeout,
 		})
 		return
@@ -292,7 +275,6 @@ type realCfg struct {
 	procs, workers  int
 	k, seed         int64
 	coarse, measure bool
-	channel         bool
 	trace           string
 	tracebuf        int
 	json            bool
@@ -319,7 +301,7 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 
 	cfg := grt.Config{
 		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		CoarseLock: rc.coarse, ChannelFrames: rc.channel,
+		CoarseLock:        rc.coarse,
 		MeasureContention: rc.measure,
 	}
 	var rec *rtrace.Recorder
@@ -385,16 +367,11 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 	if rc.coarse {
 		engine = "coarse"
 	}
-	frames := "cont"
-	if rc.channel {
-		frames = "channel"
-	}
 	if rc.json {
 		obj := map[string]any{
 			"op":               fmt.Sprintf("dfdsim/%s/%v", rc.bench, kind),
 			"workers":          workers,
 			"engine":           engine,
-			"frames":           frames,
 			"k":                k,
 			"seed":             rc.seed,
 			"total_threads":    st.TotalThreads,
@@ -423,11 +400,6 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 	if rc.coarse {
 		engineName = "coarse (global lock)"
 	}
-	if rc.channel {
-		engineName += ", channel frames"
-	} else {
-		engineName += ", work-first continuations"
-	}
 	fmt.Printf("runtime:   %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
 		kind, workers, k, rc.seed, engineName)
 	fmt.Printf("total threads:       %d (%d dummy)\n", st.TotalThreads, st.DummyThreads)
@@ -449,10 +421,8 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 		fmt.Printf("  steal success:     %.1f%%\n", 100*sum.StealSuccessRate)
 		fmt.Printf("  sched granularity: %.2f dispatches/shared-acquire\n", sum.SchedGranularity)
 		fmt.Printf("  deque high-water:  %d\n", sum.DequeHighWater)
-		if !rc.channel {
-			fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
-				sum.Promotions, sum.Threads)
-		}
+		fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
+			sum.Promotions, sum.Threads)
 		for _, w := range sum.PerWorker {
 			fmt.Printf("  worker %d: busy %.1f%%, %d steals\n", w.Worker, 100*w.BusyFrac, w.Steals)
 		}
@@ -495,7 +465,7 @@ func runScenario(name string, scale int, rc realCfg) {
 
 	cfg := grt.Config{
 		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		CoarseLock: rc.coarse, ChannelFrames: rc.channel,
+		CoarseLock:        rc.coarse,
 		MeasureContention: rc.measure,
 	}
 	var rec *rtrace.Recorder
@@ -553,16 +523,11 @@ func runScenario(name string, scale int, rc realCfg) {
 	if rc.coarse {
 		engine = "coarse"
 	}
-	frames := "cont"
-	if rc.channel {
-		frames = "channel"
-	}
 	if rc.json {
 		obj := map[string]any{
 			"op":          fmt.Sprintf("dfdsim/scenario/%s/%v", sc.Name, kind),
 			"workers":     workers,
 			"engine":      engine,
-			"frames":      frames,
 			"k":           k,
 			"seed":        rc.seed,
 			"scale":       scfg.Scale,
@@ -581,11 +546,6 @@ func runScenario(name string, scale int, rc realCfg) {
 	if rc.coarse {
 		engineName = "coarse (global lock)"
 	}
-	if rc.channel {
-		engineName += ", channel frames"
-	} else {
-		engineName += ", work-first continuations"
-	}
 	fmt.Printf("scenario: %s (scale %d)  jobs=%d threads=%d\n",
 		sc.Name, scfg.Scale, sc.Jobs(scfg), sc.Threads(scfg))
 	fmt.Printf("runtime:  %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
@@ -594,10 +554,8 @@ func runScenario(name string, scale int, rc realCfg) {
 	if sum != nil {
 		fmt.Printf("\ntrace: %d events (%d dropped) → %s\n", sum.Events, sum.Dropped, rc.trace)
 		fmt.Printf("  threads:           %d\n", sum.Threads)
-		if !rc.channel {
-			fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
-				sum.Promotions, sum.Threads)
-		}
+		fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
+			sum.Promotions, sum.Threads)
 		fmt.Printf("  steal success:     %.1f%%\n", 100*sum.StealSuccessRate)
 		fmt.Printf("  sched granularity: %.2f dispatches/shared-acquire\n", sum.SchedGranularity)
 		printCache(sum)

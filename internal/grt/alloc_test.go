@@ -30,7 +30,7 @@ func chainAllocs(t *testing.T, links, rounds int, channel bool) float64 {
 	body := func(c *grt.T) { atomic.AddInt64(&x, 1) }
 	return testing.AllocsPerRun(rounds, func() {
 		_, err := grt.Run(grt.Config{
-			Workers: 1, Sched: grt.DFDeques, Seed: 5, ChannelFrames: channel,
+			Workers: 1, Sched: grt.DFDeques, Seed: 5,
 		}, func(r *grt.T) {
 			for i := 0; i < links; i++ {
 				h := r.Fork(body)

@@ -112,7 +112,7 @@ func TestCrossEngineInvariants(t *testing.T) {
 						rec := rtrace.NewRecorder(workers, 1<<16)
 						st, err := grt.RunSpec(grt.Config{
 							Workers: workers, Sched: pol.kind, K: pol.k, Probe: rec,
-							Seed: 42, CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+							Seed: 42, CoarseLock: eng.coarse,
 						}, spec, 1)
 						if err != nil {
 							t.Fatalf("runtime %s: %v", eng.name, err)

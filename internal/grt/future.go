@@ -30,8 +30,7 @@ type Future struct {
 	waiters []*T
 }
 
-// put writes the value and returns the readers to wake. Called by
-// workers, not threads. Emptying the waiter list under f.mu is what
+// put writes the value and returns the readers to wake. Emptying the waiter list under f.mu is what
 // arbitrates against the cancel sweep: whichever side removes a reader
 // owns its republication.
 func (f *Future) put(v any) ([]*T, error) {
@@ -87,36 +86,32 @@ func (f *Future) cancelWait(t *T) bool {
 }
 
 // Set writes the future's value and wakes all readers. Calling Set twice
-// is an error, reported through the runtime. Under the continuation
-// engine the write and the wakes run inline — they publish the *readers'*
-// frames, never the running one, so no yield is needed.
+// is an error, reported through the runtime. The write and the wakes run
+// inline — they publish the *readers'* frames, never the running one, so
+// no yield is needed.
 func (f *Future) Set(t *T, v any) {
 	rt := t.rt
-	if rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := rt.beginEvent()
-		woken, err := f.put(v)
-		if err != nil {
-			rt.endEvent(gl)
-			t.job.fail(err)
-			return
-		}
-		for _, wt := range woken {
-			rt.pol.Wake(t.w, wt)
-		}
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
+	}
+	gl := rt.beginEvent()
+	woken, err := f.put(v)
+	if err != nil {
 		rt.endEvent(gl)
-		if len(woken) > 0 {
-			rt.wakeIdlers()
-		}
+		t.job.fail(err)
 		return
 	}
-	t.do(event{kind: evFutureSet, fut: f, val: v})
+	for _, wt := range woken {
+		rt.pol.Wake(t.w, wt)
+	}
+	rt.endEvent(gl)
+	if len(woken) > 0 {
+		rt.wakeIdlers()
+	}
 }
 
-// tryGet reports whether the value is already set — the continuation
-// engine's inline fast path. Like Mutex.tryAcquire it never queues the
+// tryGet reports whether the value is already set — Get's inline fast
+// path. Like Mutex.tryAcquire it never queues the
 // running frame as a reader; the unset case parks and the pump queues it.
 func (f *Future) tryGet() bool {
 	f.mu.Lock()
@@ -126,26 +121,19 @@ func (f *Future) tryGet() bool {
 
 // Get returns the future's value, suspending t until it is set.
 func (f *Future) Get(t *T) any {
-	if t.rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := t.rt.beginEvent()
-		ok := f.tryGet()
-		t.rt.endEvent(gl)
-		if !ok {
-			// Unset: park; the pump re-checks under f.mu (a concurrent
-			// Set may have landed) and queues the frame as a reader.
-			t.park(event{kind: evFutureGet, fut: f})
-		}
-		// Either way f.set now holds, and the set happened-before this
-		// read through f.mu (fast path) or the wake handoff (parked path).
-		return f.value
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
 	}
-	t.do(event{kind: evFutureGet, fut: f})
-	// Resumption implies the value is set (the worker only continues or
-	// wakes this thread once f.set holds), and the set happened-before
-	// the wake through f.mu.
+	gl := t.rt.beginEvent()
+	ok := f.tryGet()
+	t.rt.endEvent(gl)
+	if !ok {
+		// Unset: park; the pump re-checks under f.mu (a concurrent Set
+		// may have landed) and queues the frame as a reader.
+		t.park(event{kind: evFutureGet, fut: f})
+	}
+	// Either way f.set now holds, and the set happened-before this read
+	// through f.mu (fast path) or the wake handoff (parked path).
 	return f.value
 }
 

@@ -25,26 +25,21 @@
 // fork, join on a live child, quota-checked allocation, lock block, dummy
 // execution, and termination.
 //
-// Execution engines. The runtime has two ways to give a thread a stack:
-//
-//   - The continuation engine (default) is work-first: Fork publishes the
-//     *child* and the parent keeps running inline; Join claims the child
-//     back with a conditional pop and runs its body inline in the
-//     parent's own frame when nothing — a thief, a woken thread — has
-//     displaced it. A goroutine (stack + channel pair) is promoted lazily,
-//     only when a thread is actually dispatched by a worker (it was stolen
-//     or woken) or blocks mid-inline-run, so a never-stolen fork+join
-//     costs two deque operations and zero allocations in steady state —
-//     the "pay synchronization only on steals" discipline.
-//   - The channel-frame engine (Config.ChannelFrames) is the legacy
-//     scheduler-first core: every thread gets a goroutine at first
-//     dispatch and every scheduling event is a channel round-trip to the
-//     worker. It is kept behind the flag for differential testing, the
-//     way CoarseLock keeps the paper's §5 locking protocol.
-//
-// Both engines drive the same policies through the same worker loop and
-// produce identical schedules up to the inline/parked distinction; the
-// trace verifier (internal/rtrace) checks both against Lemma 3.1.
+// Execution is work-first: Fork publishes the forked closure and the
+// forking thread keeps running inline; Join claims the closure back with a
+// conditional pop and runs its body inline in the joiner's own frame when
+// nothing — a thief, a woken thread — has displaced it. A goroutine (stack
+// + channel pair) is promoted lazily, only when a thread is actually
+// dispatched by a worker (it was stolen or woken) or blocks mid-inline-run,
+// so a never-stolen fork+join costs two deque operations and zero
+// allocations in steady state. The serial order this executes is
+// parent-first — the forking thread continues, the forked closure runs at
+// the join — so the forking thread plays the paper's child and the pushed
+// closure the paper's parent: the closure takes the 1DF priority
+// immediately after its forker, and the runtime is DFDeques(K) in the
+// paper's own geometry (Lemma 3.1 as stated) on the dag with each fork's
+// two branches swapped. The trace verifier (internal/rtrace) checks that
+// on the real runtime's history.
 //
 // Workers hand threads off synchronously: a worker resumes a thread's
 // goroutine and sleeps until the thread reports its next scheduling event,
@@ -127,15 +122,6 @@ type Config struct {
 	// other; CoarseLock exists for that comparison and for measuring the
 	// contention the paper describes.
 	CoarseLock bool
-	// ChannelFrames selects the legacy channel-frame execution engine:
-	// every thread is a goroutine from its first dispatch and every
-	// scheduling event is a yield/resume channel round-trip. The default
-	// (false) is the work-first continuation engine — forks run inline and
-	// goroutine frames are promoted only on steal or block. The two
-	// engines produce the same results on the same workloads and are
-	// differentially tested against each other; ChannelFrames exists for
-	// that comparison and for measuring what the work-first refactor buys.
-	ChannelFrames bool
 	// MeasureContention enables the wall-clock contention counters in
 	// Stats (StealWaitNs, SchedLockNs). Off by default: timing every
 	// critical section costs two clock reads per scheduling event, which
@@ -173,35 +159,28 @@ type Stats struct {
 
 type evKind uint8
 
+// The events a thread yields to its worker: the blocking scheduling
+// points, plus termination. Everything else (fork, alloc, free, unlock,
+// future set, touch, dummy) runs inline on the thread's own goroutine as
+// agent of its worker.
 const (
-	evFork evKind = iota
-	evJoin
-	evAlloc
-	evAllocExempt
-	evFree
+	evJoin evKind = iota
 	evLock
-	evUnlock
-	evFutureSet
 	evFutureGet
-	evDummy
-	evTouch
-	evDone
-	// evPreempt is the continuation engine's quota-exhaustion park: the
-	// thread found Charge vetoing its allocation inline and suspends so
-	// the worker can republish it (§3.3, "memory quota exhausted"). The
-	// channel engine expresses the same transition worker-side in evAlloc.
+	// evPreempt is the quota-exhaustion park: the thread found Charge
+	// vetoing its allocation inline and suspends so the worker can
+	// republish it (§3.3, "memory quota exhausted").
 	evPreempt
+	evDone
 )
 
 type event struct {
 	kind  evKind
-	self  *T      // the thread that yielded the event: under the continuation engine an inline frame, not necessarily the one the worker dispatched
-	child *T      // evFork
-	n     int64   // evAlloc/evFree/evTouch/evPreempt bytes
-	blk   int32   // evTouch block
-	mu    *Mutex  // evLock/evUnlock
-	fut   *Future // evFutureSet/evFutureGet
-	val   any     // evFutureSet
+	self  *T      // the thread that yielded the event: an inline frame, not necessarily the one the worker dispatched
+	child *T      // evJoin
+	n     int64   // evPreempt bytes
+	mu    *Mutex  // evLock
+	fut   *Future // evFutureGet
 }
 
 // T is a user-level thread handle, passed to every thread body. Methods on
@@ -214,8 +193,8 @@ type T struct {
 	resume chan struct{}
 	yield  chan event
 	// started flips once, when the thread first gets a stack: the worker
-	// dispatch that spawns its goroutine (both engines), or the first
-	// blocking park of a frame running inline (continuation engine). It is
+	// dispatch that spawns its goroutine, or the first blocking park of a
+	// frame running inline. It is
 	// atomic because the inline-join guard reads it while a thief may be
 	// concurrently dispatching the thread; the reading side never trusts
 	// it alone — the conditional pop (policy.JoinPop) arbitrates.
@@ -224,7 +203,7 @@ type T struct {
 	root    bool  // job root: released by evDone (nothing ever joins it)
 	tid     int64 // stable trace id: first root is 1, then submit/fork order
 
-	// Continuation-engine frame state. w is the worker currently driving
+	// Frame state. w is the worker currently driving
 	// the thread (set by the dispatching worker before resuming, and
 	// propagated chain-upward when an inline join returns): inline code
 	// traces and consults per-worker policy state as agent of worker w
@@ -241,18 +220,12 @@ type T struct {
 	// Owned by the thread goroutine:
 	unjoined []*T
 
-	// retryAlloc is set by the worker when a quota veto preempted the
-	// thread's allocation: Alloc must re-attempt after resumption. Written
-	// by the worker before the thread is re-published; read by the thread
-	// after its resume (the channel handoff orders the accesses).
-	retryAlloc bool
-
 	// stateMu guards the done/waiter arbitration. It is the join
 	// protocol's only synchronization in fine-grained mode and is also
 	// taken (as a leaf lock) under the global lock in coarse mode, so
-	// both modes share one protocol. done itself is atomic so the
-	// continuation engine's join fast path can poll it without paying a
-	// lock cycle; the waiter handoff still arbitrates under stateMu.
+	// both modes share one protocol. done itself is atomic so the join
+	// fast path can poll it without paying a lock cycle; the waiter
+	// handoff still arbitrates under stateMu.
 	stateMu sync.Mutex
 	done    atomic.Bool
 	waiter  *T
@@ -303,11 +276,6 @@ func (t *T) isDone() bool {
 // and stop it with Shutdown. The one-shot Run wraps that whole lifecycle.
 type Runtime struct {
 	cfg Config
-
-	// cont caches !cfg.ChannelFrames for the fork/join hot paths: true is
-	// the work-first continuation engine, false the legacy channel-frame
-	// engine.
-	cont bool
 
 	// pol is the scheduling policy: it owns every ready-thread decision.
 	// The policies are internally synchronized (fine-grained); threshold
@@ -390,7 +358,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	rt := &Runtime{cfg: cfg, cont: !cfg.ChannelFrames, jobs: make(map[int64]*Job)}
+	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
 	rt.cond = sync.NewCond(&rt.mu)
 	less := func(a, b *T) bool { return rt.prioLess(a, b) }
 	switch cfg.Sched {
@@ -413,13 +381,9 @@ func New(cfg Config) (*Runtime, error) {
 		// *rtrace.Recorder directly, or an rtrace.Tee that forwards to the
 		// recorders inside it.
 		if rec, ok := cfg.Probe.(interface{ SetMeta(rtrace.Meta) }); ok {
-			engine := "channel"
-			if rt.cont {
-				engine = "cont"
-			}
 			rec.SetMeta(rtrace.Meta{
 				Policy: rt.pol.Name(), Workers: cfg.Workers,
-				K: rt.threshold, Seed: cfg.Seed, Engine: engine,
+				K: rt.threshold, Seed: cfg.Seed, Engine: rtrace.EngineCont,
 			})
 		}
 		// Every policy implements Instrument; the interface assertion
@@ -624,10 +588,9 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 // goes back to the pool once the last reference lets go — the joining
 // parent for ordinary threads (Join), the terminating worker for job
 // roots (evDone) — so the fork hot path allocates nothing in steady
-// state. Under the continuation engine a frame is born bare (the common
-// inline fork+join never needs a channel pair); the channel engine
-// allocates the pair at newT, and a promoted frame keeps its own pair
-// across recycling. At release the goroutine has fully drained both
+// state. A frame is born bare (the common inline fork+join never needs a
+// channel pair), and a promoted frame keeps its own pair across
+// recycling. At release the goroutine has fully drained both
 // channels (death always passes through the evDone handoff), so a
 // recycled frame starts from the same quiescent channel state as a fresh
 // one; borrowed pairs (an inline frame promoted mid-run borrows its
@@ -638,10 +601,6 @@ func (rt *Runtime) newT(body func(*T)) *T {
 	t := tPool.Get().(*T)
 	t.rt = rt
 	t.body = body
-	if !rt.cont && t.resume == nil {
-		t.resume = make(chan struct{}, 1)
-		t.yield = make(chan event)
-	}
 	return t
 }
 
@@ -661,7 +620,6 @@ func releaseT(t *T) {
 	t.w = 0
 	t.base = nil
 	t.unjoined = t.unjoined[:0]
-	t.retryAlloc = false
 	t.done.Store(false)
 	t.waiter = nil
 	if t.borrowed {
@@ -671,17 +629,13 @@ func releaseT(t *T) {
 	tPool.Put(t)
 }
 
-// noteFork does the bookkeeping common to both modes when child is forked
-// by curr: priority insertion, trace id, and thread counters.
+// noteFork does the bookkeeping of child being forked by curr: priority
+// insertion, trace id, and thread counters. The forking thread keeps
+// running (it plays the paper's child) and the forked closure is what the
+// paper calls the pushed parent, so it takes the 1DF priority immediately
+// *after* curr.
 func (rt *Runtime) noteFork(curr, child *T) {
-	if rt.cont {
-		// Parent-first: the forking thread keeps running (it plays the
-		// paper's child) and the forked closure is what the paper calls the
-		// pushed parent, so it takes the priority immediately *after* curr.
-		child.prio = rt.prioInsertAfter(curr.prio)
-	} else {
-		child.prio = rt.prioInsertBefore(curr.prio)
-	}
+	child.prio = rt.prioInsertAfter(curr.prio)
 	child.tid = rt.tids.Add(1)
 	rt.live.Add(1)
 	j := curr.job
@@ -722,12 +676,6 @@ func (rt *Runtime) prioPushBack() *om.Record {
 	return rt.prios.PushBack()
 }
 
-func (rt *Runtime) prioInsertBefore(r *om.Record) *om.Record {
-	rt.prioMu.Lock()
-	defer rt.prioMu.Unlock()
-	return rt.prios.InsertBefore(r)
-}
-
 func (rt *Runtime) prioInsertAfter(r *om.Record) *om.Record {
 	rt.prioMu.Lock()
 	defer rt.prioMu.Unlock()
@@ -750,7 +698,7 @@ func (rt *Runtime) prioLess(a, b *T) bool {
 
 // step resumes t on worker w and waits for its next scheduling event.
 // Only the worker currently responsible for t may call it. This is the
-// continuation engine's promotion point for dispatched threads: a thread
+// promotion point for dispatched threads: a thread
 // reaches a worker only by being stolen, woken, or injected, and only
 // then does it get a goroutine (and, if it never had one, a channel
 // pair). Setting t.w first is what lets the resumed thread's inline code
@@ -759,14 +707,12 @@ func (rt *Runtime) prioLess(a, b *T) bool {
 func (rt *Runtime) step(w int, t *T) event {
 	t.w = w
 	if !t.started.Load() {
-		if rt.cont {
-			if t.resume == nil {
-				t.resume = make(chan struct{}, 1)
-				t.yield = make(chan event)
-			}
-			t.base = t
-			rt.trace(w, rtrace.EvPromote, t.tid, 0, 0)
+		if t.resume == nil {
+			t.resume = make(chan struct{}, 1)
+			t.yield = make(chan event)
 		}
+		t.base = t
+		rt.trace(w, rtrace.EvPromote, t.tid, 0, 0)
 		t.started.Store(true)
 		go t.main()
 	}
@@ -780,12 +726,14 @@ func (rt *Runtime) step(w int, t *T) event {
 	return <-yield
 }
 
-// park suspends an inline-running thread to its chain's worker: the
-// continuation engine's blocking path (join on a live child, contended
-// lock, unset future, exhausted quota). The first park promotes the frame
-// — it borrows the chain base's channel pair and counts as started, so no
-// later join can claim it inline — and from then on the frame parks and
-// resumes like a channel-engine thread. The worker publishing/queuing of
+// park suspends a running thread to its chain's worker: the blocking path
+// (join on a live child, contended lock, unset future, exhausted quota).
+// A frame running inline is promoted by its first park — it borrows the
+// chain base's channel pair and counts as started, so no later join can
+// claim it inline. If the job was poisoned meanwhile, resumption kills the
+// thread instead of returning to user code: the sentinel panic unwinds
+// the goroutine (running user defers on the way) and main reports the
+// termination. The worker publishing/queuing of
 // the frame happens pump-side after the yield is received: the thread
 // must never publish its own frame while still running, or a second
 // worker could dispatch it and the base's channels would have two
@@ -807,7 +755,7 @@ func (t *T) park(ev event) {
 }
 
 // poisonSentinel is the panic value that unwinds a poisoned thread's
-// goroutine: when a canceled job's thread is resumed, do panics with it,
+// goroutine: when a canceled job's thread is resumed, park panics with it,
 // user frames unwind (their defers run), and main's recover swallows it —
 // a poison unwind is the cancellation working, not a failure.
 type poisonUnwind struct{}
@@ -840,22 +788,9 @@ func (t *T) main() {
 	}
 }
 
-// do yields an event to the current worker and blocks until resumed. If
-// the job was poisoned, resumption kills the thread instead of returning
-// to user code: the sentinel panic unwinds the goroutine (running user
-// defers on the way) and main reports the termination.
-func (t *T) do(ev event) {
-	ev.self = t
-	t.yield <- ev
-	<-t.resume
-	if t.job.poisoned.Load() {
-		panic(poisonSentinel)
-	}
-}
-
-// Fork creates a child thread running body. The child preempts the parent
-// under the depth-first schedulers; under FIFO the parent continues. The
-// returned handle must be passed to Join before the parent returns.
+// Fork creates a child thread running body and keeps running the parent;
+// the child runs when a worker steals it or, at the latest, at its Join.
+// The returned handle must be passed to Join before the parent returns.
 func (t *T) Fork(body func(*T)) *T {
 	return t.fork(body, false)
 }
@@ -865,34 +800,25 @@ func (t *T) fork(body func(*T), dummy bool) *T {
 	child.job = t.job
 	child.dummy = dummy
 	t.unjoined = append(t.unjoined, child)
-	if t.rt.cont {
-		t.forkCont(child)
-	} else {
-		t.do(event{kind: evFork, child: child})
-	}
-	return child
-}
-
-// forkCont is the continuation engine's fork: publish the child, keep
-// running the parent — no yield, no channel handoff, no goroutine. The
-// bookkeeping is exactly the worker pump's evFork handler, run by the
-// forking thread as agent of its worker (which is parked in step while
-// the thread runs, so per-worker policy state has a single toucher).
-func (t *T) forkCont(child *T) {
+	// Publish the child, keep running the parent — no yield, no channel
+	// handoff, no goroutine. The forking thread acts as agent of its worker
+	// (which is parked in step while the thread runs, so per-worker policy
+	// state has a single toucher).
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
 	rt := t.rt
 	gl := rt.beginEvent()
 	rt.noteFork(t, child)
-	var dummy int64
-	if child.dummy {
-		dummy = 1
+	var isDummy int64
+	if dummy {
+		isDummy = 1
 	}
-	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, dummy)
+	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
 	rt.pol.ForkCont(t.w, t, child)
 	rt.endEvent(gl)
 	rt.wakeIdlers()
+	return child
 }
 
 // Join waits for the most recent unjoined child (which must equal h) to
@@ -902,35 +828,20 @@ func (t *T) forkCont(child *T) {
 // joining parent holds the last reference (the terminating worker stops
 // touching the frame before finish publishes done), so the frame goes
 // back to the pool here. h must not be used after Join returns.
+//
+// The work-first payoff is the inline claim: if the child is still exactly
+// where Fork put it — the top of this worker's own deque, untouched by
+// thieves, undisplaced by woken threads — the conditional pop removes it
+// there and the parent runs the child's body in its own frame, paying no
+// channel handoff and no goroutine. Otherwise the child is live elsewhere
+// (stolen, or a global-queue policy owns it) and the parent parks. Dummy
+// children are never claimed inline: the §3.3 dummy-termination give-up
+// must run pump-side (Terminate), so they always promote.
 func (t *T) Join(h *T) {
 	if len(t.unjoined) == 0 || t.unjoined[len(t.unjoined)-1] != h {
 		panic("grt: Join order must be LIFO with the thread's own children")
 	}
 	t.unjoined = t.unjoined[:len(t.unjoined)-1]
-	if t.rt.cont {
-		t.joinCont(h)
-		return
-	}
-	for {
-		if h.isDone() {
-			releaseT(h)
-			return
-		}
-		t.do(event{kind: evJoin, child: h})
-	}
-}
-
-// joinCont is the continuation engine's join. The work-first payoff is
-// the inline claim: if the child is still exactly where forkCont put it —
-// the top of this worker's own deque, untouched by thieves, undisplaced
-// by woken threads — the conditional pop removes it there and the parent
-// runs the child's body in its own frame, paying no channel handoff and
-// no goroutine. Otherwise the child is live elsewhere (stolen, or a
-// global-queue policy owns it) and the parent parks like a
-// channel-engine thread. Dummy children are never claimed inline: the
-// §3.3 dummy-termination give-up must run pump-side (Terminate), so they
-// always promote.
-func (t *T) joinCont(h *T) {
 	rt := t.rt
 	for {
 		if h.isDone() {
@@ -943,8 +854,8 @@ func (t *T) joinCont(h *T) {
 		gl := rt.beginEvent()
 		if !h.dummy && !h.started.Load() && rt.pol.JoinPop(t.w, h) {
 			// The parent logically suspends and the child is dispatched
-			// in its place — the same block/dispatch pair the pump emits,
-			// so dispatch conservation holds identically in both engines.
+			// in its place — the same block/dispatch pair the pump emits
+			// for a parked join, so dispatch conservation holds.
 			rt.trace(t.w, rtrace.EvBlock, t.tid, rtrace.BlockJoin, h.tid)
 			rt.trace(t.w, rtrace.EvDispatch, h.tid, rtrace.SrcInline, 0)
 			rt.endEvent(gl)
@@ -1014,10 +925,6 @@ func (t *T) Alloc(n int64) {
 	rt := t.rt
 	if k := rt.threshold; k > 0 && n > k {
 		t.forkDummies(policy.DummyLeaves(n, k))
-		if !rt.cont {
-			t.do(event{kind: evAllocExempt, n: n})
-			return
-		}
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
@@ -1031,20 +938,9 @@ func (t *T) Alloc(n int64) {
 		}
 		return
 	}
-	if !rt.cont {
-		for {
-			t.do(event{kind: evAlloc, n: n})
-			if !t.retryAlloc {
-				return
-			}
-			// The worker vetoed the allocation (quota exhausted) and this
-			// thread has just been redispatched with a fresh quota: retry.
-			t.retryAlloc = false
-		}
-	}
-	// Continuation engine: charge the quota inline; a veto parks the
-	// thread (the pump republishes it, §3.3) and the loop retries after
-	// redispatch refills the quota.
+	// Charge the quota inline; a veto parks the thread (the pump
+	// republishes it, §3.3) and the loop retries after redispatch refills
+	// the quota.
 	for {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
@@ -1074,16 +970,12 @@ func (t *T) Touch(blk int32, bytes int64) {
 	if !rtrace.Enabled || t.rt.probe == nil || blk == 0 || bytes <= 0 {
 		return
 	}
-	if t.rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := t.rt.beginEvent()
-		t.rt.trace(t.w, rtrace.EvTouch, t.tid, int64(blk), bytes)
-		t.rt.endEvent(gl)
-		return
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
 	}
-	t.do(event{kind: evTouch, blk: blk, n: bytes})
+	gl := t.rt.beginEvent()
+	t.rt.trace(t.w, rtrace.EvTouch, t.tid, int64(blk), bytes)
+	t.rt.endEvent(gl)
 }
 
 // Free returns n bytes to the heap accounting (and the quota, which
@@ -1093,23 +985,19 @@ func (t *T) Free(n int64) {
 		return
 	}
 	rt := t.rt
-	if rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := rt.beginEvent()
-		rt.trace(t.w, rtrace.EvFree, t.tid, n, 0)
-		rt.pol.Credit(t.w, n)
-		rt.endEvent(gl)
-		t.job.charge(-n)
-		return
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
 	}
-	t.do(event{kind: evFree, n: n})
+	gl := rt.beginEvent()
+	rt.trace(t.w, rtrace.EvFree, t.tid, n, 0)
+	rt.pol.Credit(t.w, n)
+	rt.endEvent(gl)
+	t.job.charge(-n)
 }
 
 // forkDummies forks a binary tree with n dummy leaves and joins it — the
 // same shape policy.SplitDummies gives the simulator's transformation, so
-// thread and dummy counts agree across engines.
+// thread and dummy counts agree with the simulator's.
 func (t *T) forkDummies(n int64) {
 	if n == 1 {
 		h := t.fork(func(c *T) {
@@ -1126,17 +1014,11 @@ func (t *T) forkDummies(n int64) {
 	t.Join(h)
 }
 
-// dummyPoint is a dummy leaf's one scheduling event (§3.3). Under the
-// channel engine it is a pump round-trip; under the continuation engine
-// the dummy is always goroutine-backed (joinCont never claims a dummy
-// inline), so the give-up mark is set inline as agent of the dispatching
-// worker and consumed by that worker's Terminate right after the dummy's
-// evDone.
+// dummyPoint is a dummy leaf's one scheduling event (§3.3). A dummy is
+// always goroutine-backed (Join never claims one inline), so the give-up
+// mark is set inline as agent of the dispatching worker and consumed by
+// that worker's Terminate right after the dummy's evDone.
 func (t *T) dummyPoint() {
-	if !t.rt.cont {
-		t.do(event{kind: evDummy})
-		return
-	}
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}

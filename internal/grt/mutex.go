@@ -56,7 +56,7 @@ func (m *Mutex) acquire(w int, t *T) bool {
 
 // release drops t's hold on m and hands the lock to the longest waiter,
 // returning that waiter for re-publication to the scheduler (nil if none).
-// Called by workers, not threads. Removing the waiter from the list under
+// Removing the waiter from the list under
 // m.mu is what arbitrates against the cancel sweep: whichever side
 // removes it owns its republication.
 func (m *Mutex) release(t *T) (*T, error) {
@@ -91,8 +91,8 @@ func (m *Mutex) cancelWait(t *T) bool {
 	return false
 }
 
-// tryAcquire takes m for t iff it is free — the continuation engine's
-// inline fast path. It never queues a waiter: queuing would publish the
+// tryAcquire takes m for t iff it is free — Lock's inline fast path. It
+// never queues a waiter: queuing would publish the
 // running frame to other workers while the thread is still executing,
 // which the promotion protocol forbids; the contended case parks and the
 // pump queues the frame instead.
@@ -108,50 +108,42 @@ func (m *Mutex) tryAcquire(t *T) bool {
 
 // Lock acquires m, suspending t until it is available.
 func (m *Mutex) Lock(t *T) {
-	if t.rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := t.rt.beginEvent()
-		ok := m.tryAcquire(t)
-		t.rt.endEvent(gl)
-		if ok {
-			return
-		}
-		// Contended: park; the pump re-runs the full acquire (the holder
-		// may have released in between) and queues the frame on failure.
-		t.park(event{kind: evLock, mu: m})
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
+	}
+	gl := t.rt.beginEvent()
+	ok := m.tryAcquire(t)
+	t.rt.endEvent(gl)
+	if ok {
 		return
 	}
-	t.do(event{kind: evLock, mu: m})
-	// Resumption implies the worker either acquired the lock immediately
-	// or a releasing thread handed it to us.
+	// Contended: park; the pump re-runs the full acquire (the holder may
+	// have released in between) and queues the frame on failure.
+	// Resumption implies the worker either acquired the lock or a
+	// releasing thread handed it to us.
+	t.park(event{kind: evLock, mu: m})
 }
 
-// Unlock releases m, waking the longest-waiting thread if any. Under the
-// continuation engine the release and wake run inline — they publish the
-// *waiter's* frame, never the running one, so no yield is needed.
+// Unlock releases m, waking the longest-waiting thread if any. The release
+// and wake run inline — they publish the *waiter's* frame, never the
+// running one, so no yield is needed.
 func (m *Mutex) Unlock(t *T) {
 	rt := t.rt
-	if rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := rt.beginEvent()
-		next, err := m.release(t)
-		if err != nil {
-			rt.endEvent(gl)
-			t.job.fail(err)
-			return
-		}
-		if next != nil {
-			rt.pol.Wake(t.w, next)
-		}
+	if t.job.poisoned.Load() {
+		panic(poisonSentinel)
+	}
+	gl := rt.beginEvent()
+	next, err := m.release(t)
+	if err != nil {
 		rt.endEvent(gl)
-		if next != nil {
-			rt.wakeIdlers()
-		}
+		t.job.fail(err)
 		return
 	}
-	t.do(event{kind: evUnlock, mu: m})
+	if next != nil {
+		rt.pol.Wake(t.w, next)
+	}
+	rt.endEvent(gl)
+	if next != nil {
+		rt.wakeIdlers()
+	}
 }

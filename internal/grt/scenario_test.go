@@ -97,7 +97,7 @@ func TestScenarioCrossEngine(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					sum, rec := runScenario(t, sc, grt.Config{
 						Workers: eng.workers, Sched: pol.kind, K: pol.k,
-						Seed: 17, CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+						Seed: 17, CoarseLock: eng.coarse,
 					}, scfg)
 					if sum != want {
 						t.Errorf("checksum %#x, want %#x", sum, want)
@@ -188,7 +188,7 @@ func TestScenarioRaceStress(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v/coarse=%v/channel=%v", sc.Name, mode.kind, mode.coarse, mode.channel), func(t *testing.T) {
 				rt, err := grt.New(grt.Config{
 					Workers: 8, Sched: mode.kind, K: scenarioK, Seed: 13,
-					CoarseLock: mode.coarse, ChannelFrames: mode.channel,
+					CoarseLock: mode.coarse,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -234,7 +234,6 @@ func TestGrtStealHammer(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			rt, err := grt.New(grt.Config{
 				Workers: 8, Sched: grt.DFDeques, K: 64, Seed: 9,
-				ChannelFrames: eng.channel,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"dfdeques/internal/policy"
 	"dfdeques/internal/rtrace"
 )
 
@@ -83,18 +82,17 @@ func (rt *Runtime) worker(w int) {
 			}
 		}
 		ev := rt.step(w, curr)
-		// Under the continuation engine the event may come from a frame
-		// running inline deeper in curr's chain — a child claimed by an
-		// inline join that then blocked. The yielding frame is the one
-		// every handler below must act on (and the one to redispatch to
-		// resume the chain); under the channel engine self is always curr.
+		// The event may come from a frame running inline deeper in curr's
+		// chain — a child claimed by an inline join that then blocked. The
+		// yielding frame is the one every handler below must act on (and
+		// the one to redispatch to resume the chain).
 		curr = ev.self
 
 		// Cancellation check: one atomic load per scheduling event, the
 		// lifecycle's entire cost on the hot path. A poisoned thread's
 		// event has no effects — no child is created, no waiter queued,
-		// no quota charged — and the thread dies at its next resume (do
-		// and park panic with the poison sentinel), which yields the
+		// no quota charged — and the thread dies at its next resume (park
+		// panics with the poison sentinel), which yields the
 		// evDone handled normally below. Threads already in deques or
 		// queues drain the same way: dispatch, poison check, death — so
 		// the ready structures purge themselves through ordinary pops and
@@ -109,25 +107,7 @@ func (rt *Runtime) worker(w int) {
 		// ready state is raised before the idlers check (the park
 		// protocol's ordering requirement — see acquire).
 		wake := false
-		// overBudget defers a budget kill until after endEvent — cancel
-		// takes extMu, which must not nest inside the coarse-mode global
-		// lock this loop may hold.
-		var overBudget *Job
 		switch ev.kind {
-		case evFork:
-			rt.noteFork(curr, ev.child)
-			var dummy int64
-			if ev.child.dummy {
-				dummy = 1
-			}
-			rt.trace(w, rtrace.EvFork, curr.tid, ev.child.tid, dummy)
-			nxt := rt.pol.Fork(w, curr, ev.child)
-			if nxt != curr {
-				rt.trace(w, rtrace.EvDispatch, nxt.tid, rtrace.SrcFork, 0)
-			}
-			curr = nxt
-			wake = true
-
 		case evJoin:
 			if ev.child.registerWaiter(w, curr) {
 				// Lost race resolved: the child finished before we could
@@ -136,68 +116,11 @@ func (rt *Runtime) worker(w int) {
 			}
 			curr = rt.next(w)
 
-		case evAlloc:
-			if !rt.pol.Charge(w, ev.n) {
-				// Quota exhausted: preempt without performing the
-				// allocation; it will be retried after a fresh dispatch
-				// (§3.3, "memory quota exhausted").
-				curr.job.preempts.Add(1)
-				rt.trace(w, rtrace.EvQuotaExhaust, curr.tid, ev.n, 0)
-				curr.retryAlloc = true
-				rt.pol.Preempt(w, curr)
-				wake = true
-				curr = nil
-				break
-			}
-			rt.trace(w, rtrace.EvAlloc, curr.tid, ev.n, 0)
-			if curr.job.charge(ev.n) {
-				overBudget = curr.job
-			}
-
-		case evAllocExempt:
-			if rtrace.Enabled && rt.probe != nil {
-				var leaves int64
-				if rt.threshold > 0 {
-					leaves = policy.DummyLeaves(ev.n, rt.threshold)
-				}
-				rt.trace(w, rtrace.EvAllocExempt, curr.tid, ev.n, leaves)
-			}
-			if curr.job.charge(ev.n) {
-				overBudget = curr.job
-			}
-
-		case evFree:
-			rt.trace(w, rtrace.EvFree, curr.tid, ev.n, 0)
-			curr.job.charge(-ev.n)
-			rt.pol.Credit(w, ev.n)
-
 		case evLock:
 			if ev.mu.acquire(w, curr) {
 				break // lock acquired; keep running
 			}
 			curr = rt.next(w)
-
-		case evUnlock:
-			next, err := ev.mu.release(curr)
-			if err != nil {
-				curr.job.fail(err)
-				break
-			}
-			if next != nil {
-				rt.pol.Wake(w, next)
-				wake = true
-			}
-
-		case evFutureSet:
-			woken, err := ev.fut.put(ev.val)
-			if err != nil {
-				curr.job.fail(err)
-				break
-			}
-			for _, wt := range woken {
-				rt.pol.Wake(w, wt)
-			}
-			wake = len(woken) > 0
 
 		case evFutureGet:
 			if ev.fut.getOrWait(w, curr) {
@@ -206,27 +129,14 @@ func (rt *Runtime) worker(w int) {
 			curr = rt.next(w)
 
 		case evPreempt:
-			// Continuation engine only: the thread found the quota
-			// exhausted inline and parked; republish it (§3.3). The
-			// retryAlloc handshake is unnecessary — the thread's own
-			// Alloc loop retries when the chain resumes.
+			// The thread found the quota exhausted inline and parked;
+			// republish it (§3.3). Its own Alloc loop retries when the
+			// chain resumes.
 			curr.job.preempts.Add(1)
 			rt.trace(w, rtrace.EvQuotaExhaust, curr.tid, ev.n, 0)
 			rt.pol.Preempt(w, curr)
 			wake = true
 			curr = nil
-
-		case evTouch:
-			// Pure observation: the touch is recorded on this worker's lane
-			// (the thread only yields evTouch while a probe is installed).
-			rt.trace(w, rtrace.EvTouch, curr.tid, int64(ev.blk), ev.n)
-
-		case evDummy:
-			// §3.3: after executing a dummy thread the processor must give
-			// up its deque and steal. The dummy terminates right after
-			// this event; the policy acts at Terminate.
-			rt.trace(w, rtrace.EvDummy, curr.tid, 0, 0)
-			rt.pol.Dummy(w)
 
 		case evDone:
 			dying := curr
@@ -261,9 +171,6 @@ func (rt *Runtime) worker(w int) {
 			}
 		}
 		rt.endEvent(gl)
-		if overBudget != nil {
-			overBudget.budgetKill()
-		}
 		if wake {
 			rt.wakeIdlers()
 		}

@@ -99,16 +99,8 @@ func (a *ADF[T]) Seed(t T) { a.insert(-1, t) }
 // mid-run injection.
 func (a *ADF[T]) Inject(t T) { a.insert(-1, t) }
 
-// Fork implements Policy: the parent re-enters the queue at its priority
-// position; the child runs next with a fresh quota.
-func (a *ADF[T]) Fork(w int, parent, child T) T {
-	a.insert(w, parent)
-	a.quota.Reset(w, a.k)
-	return child
-}
-
-// ForkCont implements Policy: under the continuation engine the child
-// enters the queue at its priority position and the parent keeps running.
+// ForkCont implements Policy: the child enters the queue at its priority
+// position and the parent keeps running.
 // The quota is NOT reset — the parent's dispatch continues; only a real
 // dispatch out of the queue refills it (footnote 14 charges per
 // scheduled thread, and the running parent was already charged).

@@ -50,20 +50,11 @@ func (d *DFD[T]) Seed(t T) { d.pool.Seed(t) }
 // the Lemma 3.1 left-to-right order.
 func (d *DFD[T]) Inject(t T) { d.pool.PushWoken(-1, t) }
 
-// Fork implements Policy: push the parent on the owned deque, run the
-// child (depth-first order); the quota spans steals, not dispatches.
-func (d *DFD[T]) Fork(w int, parent, child T) T {
-	d.pool.PushOwn(w, parent)
-	return child
-}
-
-// ForkCont implements Policy: under the continuation engine the parent
-// keeps running inline and the child takes the deque slot the parent used
-// to occupy. The deque's internal order inverts — top is the deepest
-// (highest-priority) thread — but the steal end is unchanged: PopBottom
-// still takes the coarsest work, which is now the oldest continuation,
-// exactly the §3.3 steal the channel engine expresses as the shallowest
-// parent. Quota is untouched: it spans steals, not forks.
+// ForkCont implements Policy: the parent keeps running inline and the
+// child — the paper's pushed parent, lower in priority than everything
+// forked after it — goes on top of the owned deque. PopBottom therefore
+// still takes the deque's lowest-priority, coarsest thread (§3.3). Quota
+// is untouched: it spans steals, not forks.
 func (d *DFD[T]) ForkCont(w int, parent, child T) { d.pool.PushOwn(w, child) }
 
 // JoinPop implements Policy: claim child for an inline join iff it is

@@ -86,15 +86,8 @@ func (f *FIFO[T]) Seed(t T) { f.push(-1, t) }
 // runnable thread.
 func (f *FIFO[T]) Inject(t T) { f.push(-1, t) }
 
-// Fork implements Policy: the child is enqueued, the parent continues
-// (breadth-first — no child preemption).
-func (f *FIFO[T]) Fork(w int, parent, child T) T {
-	f.push(w, child)
-	return parent
-}
-
-// ForkCont implements Policy: identical to Fork — FIFO already keeps the
-// parent running and enqueues the child, so both engines share one path.
+// ForkCont implements Policy: the child is enqueued, the parent continues
+// (breadth-first).
 func (f *FIFO[T]) ForkCont(w int, parent, child T) { f.push(w, child) }
 
 // JoinPop implements Policy: the global FIFO has no owner-local claim;

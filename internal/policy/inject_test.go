@@ -69,10 +69,10 @@ func TestDFDInjectMidRun(t *testing.T) {
 		t.Fatal("worker could not acquire the seeded root")
 	}
 
-	// Fork: child takes the priority slot just above the parent's
-	// continuation and runs; the parent goes on the worker's deque.
-	child := l.InsertBefore(curr)
-	curr = d.Fork(0, curr, child)
+	// Fork: the root keeps running and the child — its 1DF successor —
+	// goes on the worker's deque.
+	child := l.InsertAfter(curr)
+	d.ForkCont(0, curr, child)
 
 	// A job arrives mid-run: its root priority is the back of the om list
 	// (lower than everything live, matching the runtime's submit rule).
@@ -84,9 +84,9 @@ func TestDFDInjectMidRun(t *testing.T) {
 		t.Fatalf("after mid-run injection: %v", err)
 	}
 
-	// The worker drains its own deque (child, then parent) before the
+	// The worker drains its own deque (root, then child) before the
 	// injected root is reachable.
-	for _, want := range []*om.Record{root, late} {
+	for _, want := range []*om.Record{child, late} {
 		dead := curr
 		next, ok := d.Terminate(0, nil, false)
 		if !ok {

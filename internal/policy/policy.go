@@ -72,15 +72,12 @@ type Policy[T any] interface {
 	// scheduling purely by choosing its Inject order, with no policy
 	// cooperation needed.
 	Inject(t T)
-	// Fork handles a fork event on worker w and returns the thread the
-	// worker runs next (the child under depth-first policies, the parent
-	// under FIFO). Policies with a per-dispatch quota reset w's here.
-	Fork(w int, parent, child T) T
-	// ForkCont handles a fork event on worker w under the continuation
-	// engine: the parent keeps running inline and the child is published
-	// in the slot the parent occupies under Fork. Deque policies push the
-	// child on w's own deque — the deque's internal order inverts (top =
-	// deepest thread) but the steal end is unchanged; global-queue
+	// ForkCont handles a fork event on worker w: the parent keeps running
+	// inline and the child is published. The runtime forks parent-first,
+	// so child is the 1DF successor of parent — what the paper calls the
+	// pushed parent — and the deque policies push it on top of w's own
+	// deque exactly as §3.3 pushes the parent: the top stays the deque's
+	// highest priority and the steal end its lowest. Global-queue
 	// policies insert the child at its priority position. Per-dispatch
 	// quotas are NOT reset: the parent's dispatch continues.
 	ForkCont(w int, parent, child T)

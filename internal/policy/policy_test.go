@@ -176,87 +176,132 @@ func TestWSPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestDFDPolicyInvariants drives the DFD policy serially with om.Record
-// priorities — the real 1DF oracle — through a randomized fork/terminate
-// workload across 4 virtual workers, checking the Lemma 3.1 ordering
-// invariants at every step. This is the policy-layer version of the
-// simulator's -check mode, without an engine in the loop.
-func TestDFDPolicyInvariants(t *testing.T) {
-	const (
-		workers = 4
-		steps   = 4000
-	)
-	rng := rand.New(rand.NewSource(99))
-	var l om.List
-	d := policy.NewDFD(workers, 0, om.Less, 1)
+// dfdThread is one thread of the deterministic DFD driver below: its 1DF
+// priority, its fork/join bookkeeping, and how it is currently running.
+type dfdThread struct {
+	rec      *om.Record
+	unjoined []*dfdThread // forked, not yet joined (LIFO)
+	waiter   *dfdThread   // parent parked on this thread's termination
+	inlineOf *dfdThread   // parent whose frame runs this thread after a JoinPop claim
+	started  bool         // dispatched by a worker at least once: no longer claimable inline
+	done     bool
+}
 
-	root := l.PushFront()
+// TestDFDPolicyInvariants drives the DFD policy from a single goroutine
+// through the event sequence the runtime's workers issue — ForkCont with
+// the child the 1DF successor of its parent, JoinPop inline claims, parked
+// joins handed off at Terminate, Preempt give-ups, Acquire steals — as a
+// seeded random walk over 2–4 workers, and checks Lemma 3.1 in the paper's
+// polarity (om.Record priorities are the real 1DF oracle) after every
+// step. No runtime, no goroutines, no locks: a fork-priority or
+// deque-geometry mistake fails here deterministically.
+func TestDFDPolicyInvariants(t *testing.T) {
+	for workers := 2; workers <= 4; workers++ {
+		for seed := int64(1); seed <= 8; seed++ {
+			driveDFD(t, workers, seed)
+		}
+	}
+}
+
+func driveDFD(t *testing.T, workers int, seed int64) {
+	const steps, maxLive = 4000, 64
+	rng := rand.New(rand.NewSource(seed))
+	var l om.List
+	less := func(a, b *dfdThread) bool { return om.Less(a.rec, b.rec) }
+	d := policy.NewDFD(workers, 0, less, seed)
+	root := &dfdThread{rec: l.PushFront()}
 	d.Seed(root)
 
-	curr := make([]*om.Record, workers)
-	running := func(w int) (*om.Record, bool) { return curr[w], curr[w] != nil }
-
-	live := 1 // records in play (pool + running)
-	for i := 0; i < steps && live > 0; i++ {
-		w := rng.Intn(workers)
-		if curr[w] == nil {
-			if x, ok := d.Acquire(w); ok {
-				curr[w] = x
-			}
-		} else if rng.Intn(3) > 0 && live < 64 {
-			// Fork: the child receives the priority immediately higher
-			// than its parent (it precedes the parent's continuation in
-			// the 1DF order).
-			child := l.InsertBefore(curr[w])
-			curr[w] = d.Fork(w, curr[w], child)
-			live++
-		} else {
-			dead := curr[w]
-			next, ok := d.Terminate(w, nil, false)
-			if ok {
-				curr[w] = next
-			} else {
-				curr[w] = nil
-			}
-			l.Delete(dead)
-			live--
+	curr := make([]*dfdThread, workers)
+	running := func(w int) (*dfdThread, bool) { return curr[w], curr[w] != nil }
+	dispatch := func(w int, x *dfdThread, ok bool) {
+		curr[w] = nil
+		if ok {
+			x.started = true
+			curr[w] = x
 		}
-		if err := d.CheckInvariants(running); err != nil {
-			t.Fatalf("step %d: %v", i, err)
+	}
+	live, steals, claims := 1, 0, 0
+
+	// terminate retires curr[w] (which has joined all its children) and
+	// picks the worker's next thread the way the runtime does.
+	terminate := func(w int) {
+		x := curr[w]
+		x.done = true
+		l.Delete(x.rec)
+		live--
+		if p := x.inlineOf; p != nil {
+			curr[w] = p // the claiming parent resumes in its own frame
+			return
+		}
+		dispatch(w, nil, false)
+		next, ok := d.Terminate(w, x.waiter, x.waiter != nil)
+		if ok {
+			dispatch(w, next, true)
+		}
+	}
+	// join joins curr[w]'s most recent child: reap it if done, claim it
+	// inline if it is still on top of w's deque, otherwise park.
+	join := func(w int) {
+		x := curr[w]
+		h := x.unjoined[len(x.unjoined)-1]
+		x.unjoined = x.unjoined[:len(x.unjoined)-1]
+		switch {
+		case h.done:
+		case !h.started && d.JoinPop(w, h):
+			h.inlineOf = x
+			curr[w] = h
+			claims++
+		default:
+			h.waiter = x
+			dispatch(w, nil, false)
+			if next, ok := d.Next(w); ok {
+				dispatch(w, next, true)
+			}
 		}
 	}
 
-	// Drain: terminate everything that remains.
-	for guard := 0; live > 0; guard++ {
-		if guard > 100000 {
-			t.Fatal("drain did not converge")
+	for i := 0; live > 0; i++ {
+		w := rng.Intn(workers)
+		x := curr[w]
+		draining := i >= steps
+		switch op := rng.Intn(8); {
+		case x == nil:
+			if y, ok := d.Acquire(w); ok {
+				dispatch(w, y, true)
+				steals++
+			}
+		case !draining && live < maxLive && (op < 4 || x == root && len(x.unjoined) == 0):
+			// (The root forks rather than ending the walk early.)
+			child := &dfdThread{rec: l.InsertAfter(x.rec)}
+			x.unjoined = append(x.unjoined, child)
+			d.ForkCont(w, x, child)
+			live++
+		case op == 4 && !draining:
+			// Quota exhaustion: back on top of the deque, deque given up.
+			// Parking promotes a frame that was running inline.
+			x.started = true
+			d.Preempt(w, x)
+			curr[w] = nil
+		case len(x.unjoined) > 0:
+			join(w)
+		default:
+			terminate(w)
 		}
-		for w := 0; w < workers; w++ {
-			if curr[w] == nil {
-				if x, ok := d.Acquire(w); ok {
-					curr[w] = x
-				}
-				continue
-			}
-			dead := curr[w]
-			next, ok := d.Terminate(w, nil, false)
-			if ok {
-				curr[w] = next
-			} else {
-				curr[w] = nil
-			}
-			l.Delete(dead)
-			live--
+		if err := d.CheckInvariants(running); err != nil {
+			t.Fatalf("p=%d seed=%d step %d: %v", workers, seed, i, err)
+		}
+		if i > 100*steps {
+			t.Fatalf("p=%d seed=%d: drain did not converge", workers, seed)
 		}
 	}
 	if d.HasWork() {
-		t.Error("pool reports work after drain")
+		t.Errorf("p=%d seed=%d: pool reports work after drain", workers, seed)
 	}
-	st := d.Stats()
-	if st.Steals < 1 {
-		t.Errorf("steals = %d, want ≥ 1 (the root acquisition)", st.Steals)
+	if steals < 2 || claims == 0 {
+		t.Errorf("p=%d seed=%d: walk too tame to mean anything: %d steals, %d inline claims", workers, seed, steals, claims)
 	}
-	if st.MaxDeques < 1 {
-		t.Errorf("max deques = %d", st.MaxDeques)
+	if st := d.Stats(); st.Steals != int64(steals) || st.MaxDeques < 1 {
+		t.Errorf("p=%d seed=%d: policy stats %+v after %d driver steals", workers, seed, st, steals)
 	}
 }

@@ -276,16 +276,9 @@ func (s *WS[T]) Seed(t T) { s.pool.inject(-1, t) }
 // Acquire and thieves spread the resulting work.
 func (s *WS[T]) Inject(t T) { s.pool.inject(-1, t) }
 
-// Fork implements Policy: push the parent, run the child.
-func (s *WS[T]) Fork(w int, parent, child T) T {
-	s.pool.Push(w, parent)
-	return child
-}
-
-// ForkCont implements Policy: under the continuation engine the parent
-// keeps running and the child is pushed — same deque top, inverted
-// occupant, so steals still take the oldest (now coarsest-continuation)
-// end.
+// ForkCont implements Policy: the parent keeps running and the child is
+// pushed on top of w's deque; steals take the oldest, coarsest thread
+// from the other end.
 func (s *WS[T]) ForkCont(w int, parent, child T) { s.pool.Push(w, child) }
 
 // JoinPop implements Policy: claim child for an inline join iff it is

@@ -40,12 +40,9 @@ type Summary struct {
 	DummySplits      int64   `json:"dummy_splits"`
 
 	// Promotions counts EvPromote events: inline continuation frames
-	// that had to grow a goroutine + channel pair because their
-	// continuation was stolen or they blocked. Always 0 on the
-	// channel-frame engine (every thread starts promoted, nothing is
-	// recorded); on the work-first engine Threads − Promotions is the
-	// number of forks that ran to completion without ever paying for a
-	// frame.
+	// that had to grow a goroutine + channel pair because they were
+	// stolen or they blocked. Threads − Promotions is the number of forks
+	// that ran to completion without ever paying for a frame.
 	Promotions     int64           `json:"promotions,omitempty"`
 	DequeHighWater int             `json:"deque_high_water"`
 	PerWorker      []WorkerSummary `json:"per_worker"`

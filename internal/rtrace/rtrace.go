@@ -37,9 +37,9 @@ const (
 	// leaf of the §3.3 big-allocation transformation.
 	EvFork Kind = iota
 	// EvDispatch: worker W began executing thread A. B is the dispatch
-	// source: SrcFork (fork handoff to the child), SrcNext (after the
-	// previous thread suspended), SrcTerminate (join-woken parent handed
-	// off), SrcAcquire (after an idle acquire).
+	// source: SrcNext (after the previous thread suspended), SrcTerminate
+	// (join-woken parent handed off), SrcAcquire (after an idle acquire),
+	// SrcInline (claimed at its parent's Join).
 	EvDispatch
 	// EvBlock: thread A suspended on worker W. B is the reason (Block*);
 	// for BlockJoin, C is the tid of the child being joined.
@@ -109,12 +109,10 @@ const (
 	// keep loading unchanged.
 	EvTouch
 	// EvPromote: thread A was promoted to a goroutine-backed frame on
-	// worker W under the continuation engine — its first dispatch out of a
-	// ready structure (B=0), or its first blocking suspension while
-	// executing inline in a parent's frame (B=1). The channel engine never
-	// records it (every thread is goroutine-backed from birth); the
-	// verifier rejects it in channel-engine streams. Appended after EvTouch
-	// so older trace files keep loading unchanged.
+	// worker W — its first dispatch out of a ready structure (B=0), or its
+	// first blocking suspension while executing inline in a parent's frame
+	// (B=1). Appended after EvTouch so older trace files keep loading
+	// unchanged.
 	EvPromote
 	// EvJobAnnotate: job A carries the submitter's annotation — B is an
 	// opaque tenant tag and C an opaque per-submitter job tag (the serving
@@ -132,11 +130,14 @@ const (
 
 // Dispatch sources (EvDispatch payload B).
 const (
+	// SrcFork was the removed channel-frame engine's fork hand-off to the
+	// child; nothing records it, and the value stays reserved so the
+	// other sources keep their serialized numbers.
 	SrcFork int64 = iota
 	SrcNext
 	SrcTerminate
 	SrcAcquire
-	// SrcInline: the continuation engine ran the thread inline in its
+	// SrcInline: the thread ran inline in its
 	// parent's frame after conditionally popping it off the own-deque top
 	// at the parent's Join (the work-first fast path — no goroutine, no
 	// channel hand-off).
@@ -202,12 +203,15 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	K       int64  `json:"k"`
 	Seed    int64  `json:"seed"`
-	// Engine identifies the execution core the stream was recorded from:
-	// "cont" (continuation-passing work-first engine) or "channel" (the
-	// legacy goroutine-per-thread engine). Empty means channel — streams
-	// recorded before the engine split predate the field.
+	// Engine identifies the execution core the stream was recorded from.
+	// The runtime stamps EngineCont; Verify rejects anything else ("" or
+	// "channel": streams of the removed goroutine-per-thread engine, whose
+	// forks were child-first).
 	Engine string `json:"engine,omitempty"`
 }
+
+// EngineCont is Meta.Engine for the work-first continuation engine.
+const EngineCont = "cont"
 
 // exactTS is the set of kinds that read the monotonic clock when
 // recorded. Reading the clock costs ~4× the rest of the hot path, so only

@@ -48,7 +48,7 @@ func TestRecorderRingWrapDrops(t *testing.T) {
 		t.Fatalf("newest retained payload = %d, want 19", evs[len(evs)-1].B)
 	}
 	// A wrapped stream must be refused by the verifier.
-	if _, err := Verify(Meta{Policy: "DFDeques", Workers: 1, K: 0}, evs, r.Dropped()); err == nil {
+	if _, err := Verify(Meta{Policy: "DFDeques", Workers: 1, Engine: EngineCont}, evs, r.Dropped()); err == nil {
 		t.Fatal("Verify accepted a stream with ring drops")
 	}
 }

@@ -14,15 +14,16 @@ import (
 //     right, every deque is internally sorted (top = highest 1DF
 //     priority), and a worker's executing thread has higher priority than
 //     everything in its own deque. The 1DF order itself is reconstructed
-//     from the fork events (child immediately before parent, exactly the
-//     runtime's om-list discipline).
+//     from the fork events: the runtime runs the parent first, so a forked
+//     thread is the immediate 1DF successor of its forker (it is what the
+//     paper calls the pushed parent) — exactly the runtime's om-list
+//     discipline.
 //   - Dispatch conservation: every thread is dispatched exactly
-//     1 + suspensions times (a suspension is a join/lock/future block, a
-//     quota preemption, or a fork pushing the running parent back into
-//     its deque), threads only run from a legal
-//     source (fork handoff, own-deque pop, steal, queue take, join
-//     wake-up of a completed child's waiter), never on two workers at
-//     once, and every thread completes exactly once.
+//     1 + suspensions times (a suspension is a join/lock/future block or
+//     a quota preemption), threads only run from a legal source (own-deque
+//     pop or inline claim, steal, queue take, join wake-up of a completed
+//     child's waiter), never on two workers at once, and every thread
+//     completes exactly once.
 //   - Quota accounting: replaying the per-worker K-byte quota (reset on
 //     steal for DFDeques, on dispatch for ADF; credits clamped to K),
 //     every recorded allocation must fit the modeled remainder and every
@@ -52,29 +53,18 @@ import (
 // regardless of priority (WS has no priority order to keep), so multi-job
 // WS streams disable the ordering checks like lock programs do.
 //
-// Engines. Meta.Engine selects the execution-engine model ("channel", or
-// "" for pre-engine streams: the legacy channel-frame core; "cont": the
-// work-first continuation engine). The engines differ in which thread a
-// fork publishes — the channel engine pushes the running parent and
-// dispatches the child, the continuation engine keeps the parent running
-// and pushes the never-dispatched child — so every deque-geometry check
-// has a mirrored polarity under "cont": deques sort ascending bottom-to-
-// top (bottom is the highest 1DF priority, the steal end still takes the
-// coarsest thread), R's left-to-right order compares the mirrored
-// endpoints, and a running thread has *lower* priority than its own
-// deque's contents. The continuation engine additionally records
-// EvPromote — a thread's unique transition to a goroutine-backed frame —
-// and dispatches inline-claimed children with SrcInline; dispatch
-// conservation (1 + suspensions) is engine-independent and is checked
-// identically on both.
+// Engine. The model is the work-first continuation engine's, the only
+// one this runtime has: a fork pushes the never-dispatched child while the
+// parent keeps running, EvPromote marks a thread's unique transition to a
+// goroutine-backed frame, and inline-claimed children are dispatched with
+// SrcInline. Meta.Engine must say so (EngineCont); a stream stamped by any
+// other engine — including the unstamped streams of the removed
+// channel-frame engine, which forked child-first — is rejected rather than
+// replayed under the wrong model.
 func Verify(meta Meta, evs []Event, dropped uint64) (Report, error) {
 	v := &verifier{meta: meta, rep: Report{Events: len(evs), OrderingExact: true}}
-	switch meta.Engine {
-	case "", "channel":
-	case "cont":
-		v.cont = true
-	default:
-		return v.rep, fmt.Errorf("rtrace: unknown engine %q in trace metadata", meta.Engine)
+	if meta.Engine != EngineCont {
+		return v.rep, fmt.Errorf("rtrace: stream was recorded by engine %q, which this build no longer models (only %q streams can be replayed)", meta.Engine, EngineCont)
 	}
 	if dropped > 0 {
 		return v.rep, fmt.Errorf("rtrace: %d events dropped by ring wrap-around; raise the trace buffer to verify this run", dropped)
@@ -138,11 +128,11 @@ type vthread struct {
 	on         int   // worker (tRunning/tInflight)
 	job        int64 // owning job id (0 on pre-lifecycle streams)
 	dummy      bool
-	promoted   bool  // continuation engine: goroutine frame exists
+	promoted   bool  // goroutine frame exists
 	waitee     int64 // tid being joined (tBlocked on join), else -1
 	rec        *om.Record
 	dispatches int64
-	suspends   int64 // blocks + preemptions + fork pushes of the parent
+	suspends   int64 // blocks + preemptions
 }
 
 // vjob tracks one submitted job's lifecycle through the replay.
@@ -176,7 +166,6 @@ type verifier struct {
 	quota   []int64 // modeled remaining quota per worker
 
 	ordered bool // ordering checks active
-	cont    bool // continuation engine: mirrored deque geometry, promotions
 }
 
 // meta2 aliases Meta so verifier literals stay short.
@@ -254,17 +243,9 @@ func (v *verifier) step(e *Event) error {
 		if _, dup := v.threads[e.B]; dup {
 			return v.fail(e, "forked thread t%d already exists", e.B)
 		}
-		// The continuation engine runs the parent first, so the forked
-		// thread is the 1DF successor of its parent; the channel engine
-		// runs the child first.
-		rec := v.prios.InsertBefore(parent.rec)
-		if v.cont {
-			v.prios.Delete(rec)
-			rec = v.prios.InsertAfter(parent.rec)
-		}
 		v.threads[e.B] = &vthread{
 			state: tNew, on: -1, waitee: -1, dummy: e.C == 1, job: parent.job,
-			rec: rec,
+			rec: v.prios.InsertAfter(parent.rec),
 		}
 		v.rep.Threads++
 		if e.C == 1 {
@@ -284,7 +265,6 @@ func (v *verifier) step(e *Event) error {
 		}
 		switch {
 		case t.state == tInflight && t.on == w:
-		case e.B == SrcFork && t.state == tNew:
 		case e.B == SrcTerminate && t.state == tBlocked:
 			// Join hand-off: the waitee must have terminated.
 			if t.waitee >= 0 && v.threads[t.waitee].state != tDone {
@@ -421,9 +401,6 @@ func (v *verifier) step(e *Event) error {
 		if err != nil {
 			return err
 		}
-		if !v.cont {
-			return v.fail(e, "promotion under the channel-frame engine")
-		}
 		if t.promoted {
 			return v.fail(e, "t%d promoted twice", e.A)
 		}
@@ -470,14 +447,6 @@ func (v *verifier) step(e *Event) error {
 			v.rep.Notes = append(v.rep.Notes,
 				"multiple jobs under WS: late roots join the shared inbox regardless of priority; ordering checks disabled from "+e.String())
 		}
-		// Mid-run roots are safe under both engines' DFDeques geometry:
-		// a new root is the global 1DF tail, so the woken-thread
-		// insertion's scan (which compares against deque tops) never
-		// fires and the root's deque is appended rightmost — correct in
-		// the mirrored order too. Woken threads with mid-range
-		// priorities, whose placement the mirrored scan could misjudge,
-		// only exist downstream of a lock/future block, which already
-		// disabled the ordering checks above.
 
 	case EvJobAnnotate:
 		if w != -1 {
@@ -616,21 +585,9 @@ func (v *verifier) step(e *Event) error {
 			return v.fail(e, "push into deque %d owned by %d from w%d", e.B, d.owner, w)
 		}
 		switch t.state {
-		case tRunning:
-			if t.on != w {
-				return v.fail(e, "push of t%d running on another worker", e.A)
-			}
-			v.running[w] = -1 // the fork path: the parent's segment ends here
-			t.suspends++
-		case tPreempt, tBlocked:
-		case tNew:
-			if w != -1 && !v.cont {
-				// The continuation engine's fork pushes the
-				// never-dispatched child from a worker lane (the parent
-				// keeps running — no suspension); the channel engine only
-				// pushes tNew threads in the pre-run seed.
-				return v.fail(e, "push of never-dispatched t%d outside the pre-run seed", e.A)
-			}
+		case tNew, tPreempt, tBlocked:
+			// tNew: a fork pushing the never-dispatched child (the parent
+			// keeps running — no suspension), or a root's injection.
 		default:
 			return v.fail(e, "push of t%d from illegal state %d", e.A, t.state)
 		}
@@ -671,12 +628,6 @@ func (v *verifier) step(e *Event) error {
 			return err
 		}
 		switch t.state {
-		case tRunning:
-			if t.on != w {
-				return v.fail(e, "queue push of t%d running on another worker", e.A)
-			}
-			v.running[w] = -1
-			t.suspends++
 		case tNew, tPreempt, tBlocked:
 		default:
 			return v.fail(e, "queue push of t%d from illegal state %d", e.A, t.state)
@@ -745,10 +696,8 @@ func (v *verifier) checkOrdering(e *Event) error {
 		return nil
 	}
 	v.rep.Checks++
-	// Each deque internally sorted. Channel engine: top (last) is the
-	// highest priority. Continuation engine: mirrored — bottom (first) is
-	// the highest priority, so a bottom-steal still takes the coarsest
-	// thread while the owner's top pop takes the deepest.
+	// Each deque internally sorted: top (last) is the highest priority, so
+	// a bottom-steal takes the lowest.
 	for did, d := range v.deques {
 		for i := 0; i+1 < len(d.items); i++ {
 			if !v.before(d.items[i+1], d.items[i]) {
@@ -759,9 +708,8 @@ func (v *verifier) checkOrdering(e *Event) error {
 	if v.meta.Policy == "DFDeques" {
 		// R sorted left to right: everything in a deque has higher
 		// priority than everything right of it. Comparing each deque's
-		// lowest-priority item with the next non-empty deque's
-		// highest-priority item covers all pairs; which end is which
-		// depends on the engine's deque polarity.
+		// lowest-priority item (its bottom) with the next non-empty
+		// deque's highest-priority item (its top) covers all pairs.
 		prevLowest := int64(-1)
 		for _, did := range v.r {
 			d := v.deques[did]
@@ -774,11 +722,9 @@ func (v *verifier) checkOrdering(e *Event) error {
 			}
 			prevLowest = lowest
 		}
-		// Channel engine: an executing thread has higher priority than
-		// everything in its worker's deque (the deque holds its
-		// ancestors' continuations-as-parents). Continuation engine: the
-		// executing thread IS the ancestor — it has *lower* priority than
-		// everything in its deque (its forked children).
+		// An executing thread has higher priority than everything in its
+		// worker's deque (the deque holds the closures it and its
+		// ancestors forked, each the 1DF successor of its forker).
 		for w, tid := range v.running {
 			if tid < 0 || v.owned[w] < 0 {
 				continue

@@ -149,7 +149,7 @@ func TestVerifyForkThenContinueTree(t *testing.T) {
 			for seed := int64(1); seed <= 10; seed++ {
 				rec := record(t, grt.Config{
 					Workers: workers, Sched: grt.DFDeques, K: 4096, Seed: seed,
-					CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+					CoarseLock: eng.coarse,
 				}, func(t *grt.T) { node(t, 10) })
 				rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped())
 				if err != nil {
@@ -270,6 +270,16 @@ func TestVerifyRejectsCorruptedStreams(t *testing.T) {
 	}
 	if _, err := rtrace.Verify(meta, good, 1); err == nil {
 		t.Fatal("verifier accepted a stream with drops")
+	}
+	// Streams of the removed channel-frame engine ("channel", or unstamped)
+	// forked child-first; replaying them under this model would be wrong,
+	// so the metadata alone must get them refused.
+	for _, engine := range []string{"", "channel"} {
+		foreign := meta
+		foreign.Engine = engine
+		if _, err := rtrace.Verify(foreign, good, 0); err == nil || !strings.Contains(err.Error(), "no longer models") {
+			t.Fatalf("engine %q: want a no-longer-modelled rejection, got %v", engine, err)
+		}
 	}
 }
 

@@ -29,14 +29,6 @@ type RuntimeConfig struct {
 	// contention measurement. The default (false) is the fine-grained
 	// runtime.
 	CoarseLock bool
-	// ChannelFrames selects the legacy channel-frame execution engine:
-	// every thread gets a goroutine and a channel pair at creation, and
-	// every scheduling action is a channel round-trip to its worker. The
-	// default (false) is the work-first continuation engine, where a fork
-	// runs inline on the current worker and a frame is promoted to a
-	// goroutine only when stolen or blocked. Kept for differential
-	// testing and as the reference for the promotion protocol.
-	ChannelFrames bool
 	// MeasureContention enables the wall-clock contention counters in
 	// RunStats (StealWaitNs, SchedLockNs). Off by default — timing every
 	// critical section would distort the benchmarks the counters explain.
@@ -84,7 +76,7 @@ func (c RuntimeConfig) Validate() error {
 func (c RuntimeConfig) grtConfig() grt.Config {
 	return grt.Config{
 		Workers: c.Workers, Sched: c.Sched, K: c.K, Seed: c.Seed,
-		CoarseLock: c.CoarseLock, ChannelFrames: c.ChannelFrames,
+		CoarseLock:        c.CoarseLock,
 		MeasureContention: c.MeasureContention,
 		Probe:             c.Probe,
 	}
