@@ -10,12 +10,10 @@ package dfdeques_test
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"dfdeques"
 	"dfdeques/internal/lab"
-	"dfdeques/internal/rtrace"
 	"dfdeques/internal/workload"
 )
 
@@ -170,203 +168,6 @@ func BenchmarkSimulatorPerScheduler(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkGrtContention compares the runtime's two synchronization
-// engines (fine-grained default vs CoarseLock) across worker counts on a
-// steal-heavy workload: a long chain of fork-joins of trivial children
-// with a quota-stressed alloc/free pattern, so deques stay near-empty and
-// nearly every dispatch goes through the shared structures. lockops/op is
-// the number of exclusive serializing-lock acquisitions per run — the
-// direct measure of how much scheduling the engine serializes.
-func BenchmarkGrtContention(b *testing.B) {
-	const links = 256
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, mode := range []struct {
-			name   string
-			coarse bool
-		}{{"fine", false}, {"coarse", true}} {
-			b.Run(fmt.Sprintf("p%d/%s", workers, mode.name), func(b *testing.B) {
-				var lockOps, steals int64
-				for i := 0; i < b.N; i++ {
-					st, err := dfdeques.Run(dfdeques.RuntimeConfig{
-						Workers: workers, Sched: dfdeques.SchedDFDeques, K: 128,
-						Seed: int64(i), CoarseLock: mode.coarse,
-					}, func(r *dfdeques.Thread) {
-						for j := 0; j < links; j++ {
-							h := r.Fork(func(c *dfdeques.Thread) {
-								c.Alloc(96)
-								c.Free(96)
-							})
-							r.Alloc(96)
-							r.Free(96)
-							r.Join(h)
-						}
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					lockOps += st.SchedLockOps
-					steals += st.Steals
-				}
-				b.ReportMetric(float64(lockOps)/float64(b.N), "lockops/op")
-				b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-			})
-		}
-	}
-}
-
-// BenchmarkGrtSpeedup runs one fixed CPU-bound fork-join workload — a
-// binary tree of depth 6 whose 64 leaves each burn a fixed arithmetic
-// spin — across worker counts and the three depth-first schedulers, so
-// the recorded perf trajectory (BENCH_*.json) captures parallel
-// efficiency (ns/op falling, or at least flat, as p grows) rather than
-// only per-op scheduling latency. The leaf spin feeds a package-level
-// sink so the compiler cannot elide the work.
-var speedupSink atomic.Int64
-
-func BenchmarkGrtSpeedup(b *testing.B) {
-	const (
-		depth     = 6    // 2^6 = 64 leaves
-		leafIters = 4000 // ~tens of µs of integer mixing per leaf
-	)
-	leafWork := func(seed int64) int64 {
-		x := uint64(seed)*0x9E3779B97F4A7C15 + 1
-		for i := 0; i < leafIters; i++ {
-			x ^= x >> 12
-			x ^= x << 25
-			x ^= x >> 27
-			x *= 0x2545F4914F6CDD1D
-		}
-		return int64(x)
-	}
-	var rec func(t *dfdeques.Thread, d int, seed int64)
-	rec = func(t *dfdeques.Thread, d int, seed int64) {
-		if d == 0 {
-			speedupSink.Add(leafWork(seed))
-			return
-		}
-		h := t.Fork(func(c *dfdeques.Thread) { rec(c, d-1, 2*seed) })
-		rec(t, d-1, 2*seed+1)
-		t.Join(h)
-	}
-	for _, k := range []dfdeques.SchedKind{dfdeques.SchedDFDeques, dfdeques.SchedWS, dfdeques.SchedADF} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			var kbytes int64 = 1 << 20
-			if k == dfdeques.SchedWS {
-				kbytes = 0 // WS is DFDeques(∞): no memory threshold
-			}
-			// The continuation engine keeps the historical benchmark name
-			// (it is the default engine, so old snapshots compare against
-			// it directly); the legacy channel-frame engine rides along
-			// under a /channel suffix for the engine-vs-engine delta.
-			for _, eng := range []struct {
-				suffix  string
-				channel bool
-			}{{"", false}, {"/channel", true}} {
-				b.Run(fmt.Sprintf("%s/p%d%s", k, workers, eng.suffix), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := dfdeques.Run(dfdeques.RuntimeConfig{
-							Workers: workers, Sched: k, K: kbytes, Seed: int64(i),
-						}, func(r *dfdeques.Thread) {
-							rec(r, depth, 1)
-						}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkGrtForkJoinCost measures the bare cost of one fork+join pair
-// with nothing else in the system: a warm persistent runtime, one job per
-// measurement, and a root thread running b.N fork+joins of an empty
-// child. This is the work-first tentpole number — on the continuation
-// engine an unstolen fork+join is an inline call (deque push, conditional
-// pop, direct body call: no goroutine, no channel, no allocation), while
-// the channel-frame engine pays a goroutine spawn and two channel
-// round-trips per pair. At p>1 the same loop runs under live thieves, so
-// the cost includes the promote-on-steal protocol's occasional hits.
-func BenchmarkGrtForkJoinCost(b *testing.B) {
-	for _, k := range []dfdeques.SchedKind{dfdeques.SchedDFDeques, dfdeques.SchedWS, dfdeques.SchedADF} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			var kbytes int64 = 1 << 20
-			if k == dfdeques.SchedWS {
-				kbytes = 0
-			}
-			for _, eng := range []struct {
-				suffix  string
-				channel bool
-			}{{"", false}, {"/channel", true}} {
-				b.Run(fmt.Sprintf("%s/p%d%s", k, workers, eng.suffix), func(b *testing.B) {
-					rt, err := dfdeques.NewRuntime(dfdeques.RuntimeConfig{
-						Workers: workers, Sched: k, K: kbytes, Seed: 1,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer rt.Shutdown(context.Background())
-					b.ReportAllocs()
-					b.ResetTimer()
-					j, err := rt.Submit(context.Background(), func(t *dfdeques.Thread) {
-						for i := 0; i < b.N; i++ {
-							h := t.Fork(func(*dfdeques.Thread) {})
-							t.Join(h)
-						}
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := j.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkGrtTrace measures the rtrace recording overhead on the
-// contention workload: the same run with no probe ("off") and with a live
-// recorder ("on"). Building with -tags grtnotrace turns the no-probe
-// variant into "compiledout" — every hook site folded away by the
-// constant — which scripts/bench.sh captures in a second pass.
-func BenchmarkGrtTrace(b *testing.B) {
-	const links, workers = 256, 4
-	body := func(r *dfdeques.Thread) {
-		for j := 0; j < links; j++ {
-			h := r.Fork(func(c *dfdeques.Thread) {
-				c.Alloc(96)
-				c.Free(96)
-			})
-			r.Alloc(96)
-			r.Free(96)
-			r.Join(h)
-		}
-	}
-	run := func(b *testing.B, probe rtrace.Probe) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dfdeques.Run(dfdeques.RuntimeConfig{
-				Workers: workers, Sched: dfdeques.SchedDFDeques, K: 128,
-				Seed: int64(i), Probe: probe,
-			}, body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	off := "off"
-	if !rtrace.Enabled {
-		off = "compiledout"
-	}
-	b.Run(fmt.Sprintf("p%d/%s", workers, off), func(b *testing.B) { run(b, nil) })
-	if rtrace.Enabled {
-		// One recorder reused across iterations: rings wrap, but the
-		// per-event cost being measured is identical.
-		rec := rtrace.NewRecorder(workers, 1<<14)
-		b.Run(fmt.Sprintf("p%d/on", workers), func(b *testing.B) { run(b, rec) })
 	}
 }
 

@@ -235,22 +235,3 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkStealCycle(b *testing.B) {
-	pl := intPool(4, 1)
-	pl.Seed(1)
-	stealUntil2(pl, 0)
-	for i := 0; i < b.N; i++ {
-		pl.PushOwn(0, i)
-		pl.GiveUp(0)
-		stealUntil2(pl, 0)
-	}
-}
-
-func stealUntil2(pl *Pool[int], w int) int {
-	for {
-		if x, ok := pl.Steal(w); ok {
-			return x
-		}
-	}
-}

@@ -2,8 +2,6 @@ package deque
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -218,62 +216,6 @@ func BenchmarkPushPopTop(b *testing.B) {
 			d.PopTop()
 		}
 	}
-}
-
-func BenchmarkStealPattern(b *testing.B) {
-	// Owner pushes, thief steals from the bottom: the deque stays shallow
-	// as in steady-state work stealing.
-	d := NewDeque[int]()
-	for i := 0; i < 8; i++ {
-		d.PushTop(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PushTop(i)
-		d.PopBottom()
-	}
-}
-
-// BenchmarkOwnerUnderStealStorm is the steal-latency benchmark: ns/op is
-// the owner's push/pop cost while three unthrottled thieves hammer the
-// bottom word of the same deque. Under the old biased protocol every
-// owner op in this regime went through the deque mutex (the thieves'
-// Share marks never stopped arriving); under the lock-free protocol the
-// owner pays at most one conflict CAS, so this number is the direct
-// measure of what killing the Mu fallback bought. steals/op reports how
-// much thief throughput the owner sustained alongside.
-func BenchmarkOwnerUnderStealStorm(b *testing.B) {
-	d := NewDeque[int]()
-	stop := make(chan struct{})
-	var stolen atomic.Int64
-	var thieves sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		thieves.Add(1)
-		go func() {
-			defer thieves.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, ok := d.PopBottom(); ok {
-					stolen.Add(1)
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PushTop(i)
-		if i&1 == 1 {
-			d.PopTop()
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	thieves.Wait()
-	b.ReportMetric(float64(stolen.Load())/float64(b.N), "steals/op")
 }
 
 // liveSlots counts slots in d's backing array that still hold a non-zero
