@@ -20,16 +20,14 @@
 //	-realism      enable the §5 cost-model extensions (cache, latencies)
 //	-check        verify Lemma 3.1 invariants per timestep
 //	-json         emit the run's metrics as one JSON object on stdout
-//	              (bench.sh-snapshot field style: op/workers/engine plus
-//	              snake_case metrics), suppressing the text report
+//	              (op/workers/engine plus snake_case metrics; engine is
+//	              "sim" or "real"), suppressing the text report
 //	-real         run on the real runtime (goroutine workers) instead of
 //	              the simulator; prints grt.Stats with the contention
 //	              counters. DFD-inf maps to DFDeques with K=∞; WS runs the
 //	              per-worker-deque work stealer.
 //	-workers N    real mode: worker count (default: -procs)
-//	-coarselock   real mode: use the single global scheduler lock (§5
-//	              verbatim) instead of the fine-grained engine
-//	-measure      real mode: time lock holds and steal waits
+//	-measure      real mode: time scheduler-lock waits and steal waits
 //	-trace FILE   real mode: record every scheduling event and write a
 //	              Chrome trace_event JSON file (loadable in Perfetto /
 //	              chrome://tracing; also replayable by dfdtrace -verify)
@@ -77,8 +75,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit metrics as a single JSON object")
 	real := flag.Bool("real", false, "run on the real runtime instead of the simulator")
 	workers := flag.Int("workers", 0, "real mode: workers (default -procs)")
-	coarse := flag.Bool("coarselock", false, "real mode: single global scheduler lock")
-	measure := flag.Bool("measure", false, "real mode: time lock holds and steal waits")
+	measure := flag.Bool("measure", false, "real mode: time scheduler-lock waits and steal waits")
 	traceFile := flag.String("trace", "", "real mode: write Chrome trace_event JSON to FILE")
 	tracebuf := flag.Int("tracebuf", 1<<17, "real mode: per-worker trace ring capacity (events)")
 	timeout := flag.Duration("timeout", 0, "real mode: cancel the run after this duration (0 = none)")
@@ -113,7 +110,7 @@ func main() {
 		}
 		runScenario(*scenario, *scale, realCfg{
 			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, coarse: *coarse, measure: *measure,
+			seed: *seed, measure: *measure,
 			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
 			grain: g, bench: *bench, timeout: *timeout,
 		})
@@ -138,7 +135,7 @@ func main() {
 	if *real {
 		runReal(spec, realCfg{
 			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, coarse: *coarse, measure: *measure,
+			seed: *seed, measure: *measure,
 			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
 			grain: g, bench: *bench, timeout: *timeout,
 		})
@@ -241,7 +238,7 @@ func max(a, b float64) float64 {
 }
 
 // emitJSON writes one object on stdout — the machine-readable twin of the
-// text report, field-styled after scripts/bench.sh snapshots.
+// text report.
 func emitJSON(obj map[string]any) {
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(obj); err != nil {
@@ -271,16 +268,16 @@ func realKind(rc realCfg) (grt.Kind, int64) {
 }
 
 type realCfg struct {
-	sched           string
-	procs, workers  int
-	k, seed         int64
-	coarse, measure bool
-	trace           string
-	tracebuf        int
-	json            bool
-	grain           workload.Grain
-	bench           string
-	timeout         time.Duration
+	sched          string
+	procs, workers int
+	k, seed        int64
+	measure        bool
+	trace          string
+	tracebuf       int
+	json           bool
+	grain          workload.Grain
+	bench          string
+	timeout        time.Duration
 }
 
 // runReal executes the workload on the real goroutine-backed runtime and
@@ -301,7 +298,6 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 
 	cfg := grt.Config{
 		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		CoarseLock:        rc.coarse,
 		MeasureContention: rc.measure,
 	}
 	var rec *rtrace.Recorder
@@ -363,15 +359,11 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 		sum = &s
 	}
 
-	engine := "fine"
-	if rc.coarse {
-		engine = "coarse"
-	}
 	if rc.json {
 		obj := map[string]any{
 			"op":               fmt.Sprintf("dfdsim/%s/%v", rc.bench, kind),
 			"workers":          workers,
-			"engine":           engine,
+			"engine":           "real",
 			"k":                k,
 			"seed":             rc.seed,
 			"total_threads":    st.TotalThreads,
@@ -396,12 +388,8 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 		emitJSON(obj)
 		return
 	}
-	engineName := "fine-grained"
-	if rc.coarse {
-		engineName = "coarse (global lock)"
-	}
-	fmt.Printf("runtime:   %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
-		kind, workers, k, rc.seed, engineName)
+	fmt.Printf("runtime:   %v  workers=%d  K=%d  seed=%d\n\n",
+		kind, workers, k, rc.seed)
 	fmt.Printf("total threads:       %d (%d dummy)\n", st.TotalThreads, st.DummyThreads)
 	fmt.Printf("max live threads:    %d\n", st.MaxLiveThreads)
 	fmt.Printf("heap high-water:     %d bytes (%.2f × S1)\n",
@@ -413,7 +401,7 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 	fmt.Printf("max deques:          %d\n", st.MaxDeques)
 	fmt.Printf("sched lock acquires: %d\n", st.SchedLockOps)
 	if rc.measure {
-		fmt.Printf("sched lock held:     %s\n", stats.Ns(st.SchedLockNs))
+		fmt.Printf("sched lock wait:     %s\n", stats.Ns(st.SchedLockNs))
 		fmt.Printf("steal wait:          %s\n", stats.Ns(st.StealWaitNs))
 	}
 	if sum != nil {
@@ -465,7 +453,6 @@ func runScenario(name string, scale int, rc realCfg) {
 
 	cfg := grt.Config{
 		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		CoarseLock:        rc.coarse,
 		MeasureContention: rc.measure,
 	}
 	var rec *rtrace.Recorder
@@ -519,15 +506,11 @@ func runScenario(name string, scale int, rc realCfg) {
 		sum = &s
 	}
 
-	engine := "fine"
-	if rc.coarse {
-		engine = "coarse"
-	}
 	if rc.json {
 		obj := map[string]any{
 			"op":          fmt.Sprintf("dfdsim/scenario/%s/%v", sc.Name, kind),
 			"workers":     workers,
-			"engine":      engine,
+			"engine":      "real",
 			"k":           k,
 			"seed":        rc.seed,
 			"scale":       scfg.Scale,
@@ -542,14 +525,10 @@ func runScenario(name string, scale int, rc realCfg) {
 		emitJSON(obj)
 		return
 	}
-	engineName := "fine-grained"
-	if rc.coarse {
-		engineName = "coarse (global lock)"
-	}
 	fmt.Printf("scenario: %s (scale %d)  jobs=%d threads=%d\n",
 		sc.Name, scfg.Scale, sc.Jobs(scfg), sc.Threads(scfg))
-	fmt.Printf("runtime:  %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
-		kind, workers, k, rc.seed, engineName)
+	fmt.Printf("runtime:  %v  workers=%d  K=%d  seed=%d\n\n",
+		kind, workers, k, rc.seed)
 	fmt.Printf("checksum: %#x (matches the serial reference)\n", checksum)
 	if sum != nil {
 		fmt.Printf("\ntrace: %d events (%d dropped) → %s\n", sum.Events, sum.Dropped, rc.trace)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dfdeques/internal/deque"
 	"dfdeques/internal/rtrace"
@@ -90,6 +91,12 @@ type SharedPool[T comparable] struct {
 	failed  atomic.Int64
 	local   atomic.Int64
 	listOps atomic.Int64 // exclusive acquisitions of the R spine lock
+
+	// timeWait makes lockList time each exclusive acquisition's wait into
+	// listWaitNs (MeasureLockWait; off by default — two clock reads per
+	// steal would distort what the counter exists to explain).
+	timeWait   bool
+	listWaitNs atomic.Int64
 }
 
 // NewSharedPool builds a concurrent pool for p workers; the parameters
@@ -151,10 +158,21 @@ func (pl *SharedPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
 	}
 }
 
-// lockList acquires the spine exclusively, counting the acquisition for
-// the contention stats.
+// MeasureLockWait turns on timing of how long callers wait to acquire the
+// spine exclusively (ListLockWaitNs). Call before the pool is shared.
+func (pl *SharedPool[T]) MeasureLockWait() { pl.timeWait = true }
+
+// lockList acquires the spine exclusively, counting the acquisition — and,
+// when measurement is on, the time spent waiting for it — for the
+// contention stats.
 func (pl *SharedPool[T]) lockList() {
-	pl.listMu.Lock()
+	if pl.timeWait {
+		start := time.Now()
+		pl.listMu.Lock()
+		pl.listWaitNs.Add(time.Since(start).Nanoseconds())
+	} else {
+		pl.listMu.Lock()
+	}
 	pl.listOps.Add(1)
 }
 
@@ -434,9 +452,12 @@ func (pl *SharedPool[T]) Stats() (steals, failed, local int64) {
 	return pl.steals.Load(), pl.failed.Load(), pl.local.Load()
 }
 
-// ListLockOps returns the number of exclusive spine-lock acquisitions —
-// the fine-grained analogue of the coarse runtime's scheduler-lock count.
+// ListLockOps returns the number of exclusive spine-lock acquisitions.
 func (pl *SharedPool[T]) ListLockOps() int64 { return pl.listOps.Load() }
+
+// ListLockWaitNs returns the total time callers spent waiting to acquire
+// the spine exclusively; 0 unless MeasureLockWait was called.
+func (pl *SharedPool[T]) ListLockWaitNs() int64 { return pl.listWaitNs.Load() }
 
 // noteR records the R-length high-water mark. Must hold the spine lock.
 func (pl *SharedPool[T]) noteR() {

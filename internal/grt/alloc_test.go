@@ -6,11 +6,8 @@ package grt_test
 // pins it by differencing two chain lengths so the fixed cost of
 // constructing a runtime (workers, deques, conds) cancels out.
 //
-// The two engines have different floors. On the continuation engine an
-// unstolen fork+join is an inline call — no goroutine, no channel, no
+// An unstolen fork+join is an inline call — no goroutine, no channel, no
 // frame beyond the pooled T — so the marginal cost is zero allocations.
-// The channel-frame engine spawns a goroutine per thread and parks the
-// parent through the pump, which costs a small constant per link.
 
 import (
 	"sync/atomic"
@@ -21,7 +18,7 @@ import (
 
 var allocSink atomic.Int64
 
-func chainAllocs(t *testing.T, links, rounds int, channel bool) float64 {
+func chainAllocs(t *testing.T, links, rounds int) float64 {
 	t.Helper()
 	var x int64
 	// One closure shared by every link: the body must not allocate per
@@ -49,27 +46,19 @@ func TestForkPathMarginalAllocs(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	const lo, hi, rounds = 16, 144, 10
-	for _, eng := range []struct {
-		name    string
-		channel bool
-		limit   float64
-	}{
-		// Zero-alloc unstolen fork+join is the work-first tentpole
-		// property; the 0.1 headroom only absorbs AllocsPerRun jitter.
-		{"cont", false, 0.1},
-		{"channel", true, 2.0},
-	} {
-		t.Run(eng.name, func(t *testing.T) {
-			base := chainAllocs(t, lo, rounds, eng.channel)
-			long := chainAllocs(t, hi, rounds, eng.channel)
-			perLink := (long - base) / float64(hi-lo)
-			t.Logf("allocs: %d links = %.0f, %d links = %.0f, marginal = %.2f/link",
-				lo, base, hi, long, perLink)
-			if perLink > eng.limit {
-				t.Errorf("fork+join link costs %.2f allocs, want <= %.1f "+
-					"(frame pool, deque freelist, or om freelist regressed)",
-					perLink, eng.limit)
-			}
-		})
-	}
+	// Zero-alloc unstolen fork+join is the work-first tentpole property;
+	// the 0.1 headroom only absorbs AllocsPerRun jitter.
+	const limit = 0.1
+	t.Run("cont", func(t *testing.T) {
+		base := chainAllocs(t, lo, rounds)
+		long := chainAllocs(t, hi, rounds)
+		perLink := (long - base) / float64(hi-lo)
+		t.Logf("allocs: %d links = %.0f, %d links = %.0f, marginal = %.2f/link",
+			lo, base, hi, long, perLink)
+		if perLink > limit {
+			t.Errorf("fork+join link costs %.2f allocs, want <= %.1f "+
+				"(frame pool, deque freelist, or om freelist regressed)",
+				perLink, limit)
+		}
+	})
 }

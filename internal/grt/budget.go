@@ -85,10 +85,8 @@ func (b *Budget) Remaining() int64 {
 }
 
 // charge moves the group balance by n bytes and reports whether a
-// positive charge landed past the limit. It only accounts — enforcement
-// (Job.budgetKill) happens at the call site, outside the scheduling-event
-// critical section, because cancel takes extMu and the channel engine
-// charges from inside beginEvent/endEvent.
+// positive charge landed past the limit. It only accounts; Job.charge
+// enforces.
 func (b *Budget) charge(n int64) (exceeded bool) {
 	v := b.live.Add(n)
 	if n <= 0 {
@@ -100,8 +98,8 @@ func (b *Budget) charge(n int64) (exceeded bool) {
 }
 
 // kill cancels j with ErrBudget, counting each job at most once (cancel
-// is a CAS; only the winner increments Kills). Must be called outside
-// beginEvent/endEvent and without extMu held.
+// is a CAS; only the winner increments Kills). Must be called without
+// extMu held.
 func (b *Budget) kill(j *Job) {
 	if j.cancel(ErrBudget) {
 		b.kills.Add(1)

@@ -7,7 +7,8 @@ package grt_test
 // invariant — thread and dummy populations, a balanced heap, the serial
 // space floor, the dispatch-conservation bound, the structural deque
 // limits — must agree across engines even though the schedules themselves
-// are unrelated.
+// are unrelated. Every runtime run is also replayed through the trace
+// verifier with the Lemma 3.1 ordering checks exact.
 
 import (
 	"fmt"
@@ -30,25 +31,6 @@ type crossPolicy struct {
 	sim  func() machine.Scheduler
 	kind grt.Kind
 	k    int64
-}
-
-// crossEngine is one real-runtime execution configuration: the lock
-// engine (fine-grained vs the §5 coarse global lock) crossed with the
-// frame engine (work-first continuations vs legacy channel frames). The
-// policy layer underneath is shared, so every invariant checked here
-// must hold on all four.
-type crossEngine struct {
-	name            string
-	coarse, channel bool
-}
-
-func crossEngines() []crossEngine {
-	return []crossEngine{
-		{"fine/cont", false, false},
-		{"fine/channel", false, true},
-		{"coarse/cont", true, false},
-		{"coarse/channel", true, true},
-	}
 }
 
 func crossPolicies() []crossPolicy {
@@ -108,47 +90,39 @@ func TestCrossEngineInvariants(t *testing.T) {
 						}
 					}
 
-					for _, eng := range crossEngines() {
-						rec := rtrace.NewRecorder(workers, 1<<16)
-						st, err := grt.RunSpec(grt.Config{
-							Workers: workers, Sched: pol.kind, K: pol.k, Probe: rec,
-							Seed: 42, CoarseLock: eng.coarse,
-						}, spec, 1)
-						if err != nil {
-							t.Fatalf("runtime %s: %v", eng.name, err)
-						}
-						if rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
-							t.Errorf("%s: replay verification failed: %v", eng.name, err)
-						} else if !rep.OrderingExact {
-							t.Errorf("%s: ordering checks degraded on a lock-free spec: %v", eng.name, rep.Notes)
-						}
-						if st.TotalThreads != sm.TotalThreads {
-							t.Errorf("%s: total threads: runtime=%d sim=%d",
-								eng.name, st.TotalThreads, sm.TotalThreads)
-						}
-						if st.DummyThreads != sm.DummyThreads {
-							t.Errorf("%s: dummy threads: runtime=%d sim=%d",
-								eng.name, st.DummyThreads, sm.DummyThreads)
-						}
-						if st.HeapLive != 0 {
-							t.Errorf("%s: runtime heap leaked %d bytes", eng.name, st.HeapLive)
-						}
-						if st.HeapHW < want.HeapHW {
-							t.Errorf("%s: runtime heap HW %d below serial floor S1=%d",
-								eng.name, st.HeapHW, want.HeapHW)
-						}
-						if st.Steals+st.LocalDispatches > 2*st.TotalThreads+st.Preemptions {
-							t.Errorf("%s: runtime dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",
-								eng.name, st.Steals, st.LocalDispatches, st.TotalThreads, st.Preemptions)
-						}
-						if pol.kind == grt.DFDeques && pol.k == 0 && st.MaxDeques > int64(workers) {
-							t.Errorf("%s: runtime DFD-inf max deques = %d > p = %d",
-								eng.name, st.MaxDeques, workers)
-						}
-						if pol.kind == grt.WS && st.MaxDeques != int64(workers) {
-							t.Errorf("%s: WS max deques = %d, structurally must be %d",
-								eng.name, st.MaxDeques, workers)
-						}
+					rec := rtrace.NewRecorder(workers, 1<<16)
+					st, err := grt.RunSpec(grt.Config{
+						Workers: workers, Sched: pol.kind, K: pol.k, Seed: 42, Probe: rec,
+					}, spec, 1)
+					if err != nil {
+						t.Fatalf("runtime: %v", err)
+					}
+					if rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
+						t.Errorf("replay verification failed: %v", err)
+					} else if !rep.OrderingExact {
+						t.Errorf("ordering checks degraded on a lock-free spec: %v", rep.Notes)
+					}
+					if st.TotalThreads != sm.TotalThreads {
+						t.Errorf("total threads: runtime=%d sim=%d", st.TotalThreads, sm.TotalThreads)
+					}
+					if st.DummyThreads != sm.DummyThreads {
+						t.Errorf("dummy threads: runtime=%d sim=%d", st.DummyThreads, sm.DummyThreads)
+					}
+					if st.HeapLive != 0 {
+						t.Errorf("runtime heap leaked %d bytes", st.HeapLive)
+					}
+					if st.HeapHW < want.HeapHW {
+						t.Errorf("runtime heap HW %d below serial floor S1=%d", st.HeapHW, want.HeapHW)
+					}
+					if st.Steals+st.LocalDispatches > 2*st.TotalThreads+st.Preemptions {
+						t.Errorf("runtime dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",
+							st.Steals, st.LocalDispatches, st.TotalThreads, st.Preemptions)
+					}
+					if pol.kind == grt.DFDeques && pol.k == 0 && st.MaxDeques > int64(workers) {
+						t.Errorf("runtime DFD-inf max deques = %d > p = %d", st.MaxDeques, workers)
+					}
+					if pol.kind == grt.WS && st.MaxDeques != int64(workers) {
+						t.Errorf("WS max deques = %d, structurally must be %d", st.MaxDeques, workers)
 					}
 				})
 			}

@@ -94,17 +94,14 @@ func (f *Future) Set(t *T, v any) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := rt.beginEvent()
 	woken, err := f.put(v)
 	if err != nil {
-		rt.endEvent(gl)
 		t.job.fail(err)
 		return
 	}
 	for _, wt := range woken {
 		rt.pol.Wake(t.w, wt)
 	}
-	rt.endEvent(gl)
 	if len(woken) > 0 {
 		rt.wakeIdlers()
 	}
@@ -124,9 +121,7 @@ func (f *Future) Get(t *T) any {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := t.rt.beginEvent()
 	ok := f.tryGet()
-	t.rt.endEvent(gl)
 	if !ok {
 		// Unset: park; the pump re-checks under f.mu (a concurrent Set
 		// may have landed) and queues the frame as a reader.

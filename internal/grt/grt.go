@@ -12,11 +12,8 @@
 // list R, the global queue, thread priorities — behind a single lock (§5:
 // "R is implemented as a linked list of deques protected by a shared
 // scheduler lock") and names that serialization as its scalability limit.
-// This runtime keeps that protocol available behind Config.CoarseLock for
-// differential testing — the same worker loop, with every scheduling
-// event additionally serialized behind one global mutex — but defaults to
-// the policies' fine-grained synchronization: a per-deque lock for owner
-// push/pop, a spine lock on R taken only by steals and membership
+// This runtime synchronizes fine-grained instead: lock-free deque item
+// operations, a spine lock on R taken only by steals and membership
 // changes, a dedicated read-write lock for the priority order, per-thread
 // locks for the join protocol, and atomic heap-quota accounting so the
 // Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the paper").
@@ -115,13 +112,6 @@ type Config struct {
 	K int64
 	// Seed drives steal-victim randomness.
 	Seed int64
-	// CoarseLock serializes every scheduling decision behind one global
-	// mutex — the paper's §5 protocol, verbatim. The default (false) is
-	// the fine-grained runtime. The two modes produce the same results on
-	// the same workloads and are differentially tested against each
-	// other; CoarseLock exists for that comparison and for measuring the
-	// contention the paper describes.
-	CoarseLock bool
 	// MeasureContention enables the wall-clock contention counters in
 	// Stats (StealWaitNs, SchedLockNs). Off by default: timing every
 	// critical section costs two clock reads per scheduling event, which
@@ -149,11 +139,11 @@ type Stats struct {
 	MaxDeques       int64 // high-water of the ready structure (len(R); p for WS; 1 for queues)
 
 	// Contention counters. SchedLockOps counts exclusive acquisitions of
-	// the serializing lock: the global scheduler lock under CoarseLock,
-	// and the much rarer R-spine/queue lock in fine-grained mode. The
-	// *Ns counters are populated only under MeasureContention.
+	// the policy's serializing lock: the R spine for DFDeques, the queue
+	// mutex for ADF and FIFO, the injectors' inbox lock for WS. The *Ns
+	// counters are populated only under MeasureContention.
 	SchedLockOps int64
-	SchedLockNs  int64 // total ns the serializing lock was held
+	SchedLockNs  int64 // total ns workers spent waiting to acquire that lock
 	StealWaitNs  int64 // total ns idle workers spent acquiring a thread
 }
 
@@ -220,10 +210,8 @@ type T struct {
 	// Owned by the thread goroutine:
 	unjoined []*T
 
-	// stateMu guards the done/waiter arbitration. It is the join
-	// protocol's only synchronization in fine-grained mode and is also
-	// taken (as a leaf lock) under the global lock in coarse mode, so
-	// both modes share one protocol. done itself is atomic so the join
+	// stateMu guards the done/waiter arbitration — the join protocol's
+	// only synchronization. done itself is atomic so the join
 	// fast path can poll it without paying a lock cycle; the waiter
 	// handoff still arbitrates under stateMu.
 	stateMu sync.Mutex
@@ -290,11 +278,8 @@ type Runtime struct {
 	// serialized by extMu.
 	probe rtrace.Probe
 
-	// gmu is the paper's single global scheduler lock, taken around every
-	// scheduling event under Config.CoarseLock and never otherwise. mu
-	// only parks and wakes idle workers (with cond) and arbitrates the
+	// mu only parks and wakes idle workers (with cond) and arbitrates the
 	// deadlock check — it is never held while consulting the policy.
-	gmu  sync.Mutex
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -303,7 +288,7 @@ type Runtime struct {
 	// republications, and the deadlock confirmation. It gives lane -1 of
 	// the trace a single writer mid-run, and it is what makes a Submit
 	// atomic against the deadlock detector (counters and publication
-	// become visible together). Order: extMu → gmu → rt.mu.
+	// become visible together). Order: extMu → rt.mu.
 	extMu sync.Mutex
 
 	// jobsMu guards the job registry and the draining flag; it is a leaf
@@ -320,11 +305,10 @@ type Runtime struct {
 	// lock for bookkeeping. Per-job counters live on Job; the runtime
 	// keeps only what scheduling itself needs — the global live-thread
 	// count (deadlock detection), the trace id and job id wells, and the
-	// contention counters.
-	live            atomic.Int64
-	tids, jobIDs    atomic.Int64
-	lockOps, lockNs atomic.Int64
-	stealWaitNs     atomic.Int64
+	// steal-wait clock.
+	live         atomic.Int64
+	tids, jobIDs atomic.Int64
+	stealWaitNs  atomic.Int64
 
 	// Idle parking (guarded by mu) plus a lock-free mirror of the waiter
 	// count so publishers can skip the wake-up lock when nobody sleeps.
@@ -374,6 +358,13 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("grt: unknown scheduler kind %d", cfg.Sched)
 	}
 	rt.threshold = rt.pol.Threshold()
+	if cfg.MeasureContention {
+		// DFDeques, ADF and FIFO time the waits on their serializing lock;
+		// WS has no lock a worker ever takes.
+		if mp, ok := rt.pol.(interface{ MeasureLockWait() }); ok {
+			mp.MeasureLockWait()
+		}
+	}
 
 	if rtrace.Enabled && cfg.Probe != nil {
 		rt.probe = cfg.Probe
@@ -453,9 +444,7 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	if opts.TenantTag != 0 || opts.JobTag != 0 {
 		rt.trace(-1, rtrace.EvJobAnnotate, j.id, opts.TenantTag, opts.JobTag)
 	}
-	gl := rt.beginEvent()
 	rt.pol.Inject(rootT)
-	rt.endEvent(gl)
 	rt.extMu.Unlock()
 	rt.forceWake()
 
@@ -578,8 +567,8 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 		HeapHW:          js.HeapHW,
 		HeapLive:        js.HeapLive,
 		MaxDeques:       int64(ps.MaxDeques),
-		SchedLockOps:    rt.lockOps.Load() + ps.LockOps,
-		SchedLockNs:     rt.lockNs.Load(),
+		SchedLockOps:    ps.LockOps,
+		SchedLockNs:     ps.LockWaitNs,
 		StealWaitNs:     rt.stealWaitNs.Load(),
 	}
 }
@@ -668,7 +657,7 @@ func atomicMax(a *atomic.Int64, v int64) {
 //
 // The om list is not safe for concurrent use, and its relabeling moves
 // tags of records other than the one being inserted, so even Less needs
-// protection. prioMu is a leaf lock in both modes.
+// protection. prioMu is a leaf lock.
 
 func (rt *Runtime) prioPushBack() *om.Record {
 	rt.prioMu.Lock()
@@ -808,7 +797,6 @@ func (t *T) fork(body func(*T), dummy bool) *T {
 		panic(poisonSentinel)
 	}
 	rt := t.rt
-	gl := rt.beginEvent()
 	rt.noteFork(t, child)
 	var isDummy int64
 	if dummy {
@@ -816,7 +804,6 @@ func (t *T) fork(body func(*T), dummy bool) *T {
 	}
 	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
 	rt.pol.ForkCont(t.w, t, child)
-	rt.endEvent(gl)
 	rt.wakeIdlers()
 	return child
 }
@@ -851,21 +838,18 @@ func (t *T) Join(h *T) {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
-		gl := rt.beginEvent()
 		if !h.dummy && !h.started.Load() && rt.pol.JoinPop(t.w, h) {
 			// The parent logically suspends and the child is dispatched
 			// in its place — the same block/dispatch pair the pump emits
 			// for a parked join, so dispatch conservation holds.
 			rt.trace(t.w, rtrace.EvBlock, t.tid, rtrace.BlockJoin, h.tid)
 			rt.trace(t.w, rtrace.EvDispatch, h.tid, rtrace.SrcInline, 0)
-			rt.endEvent(gl)
 			t.joinInline(h)
 			// The child ran to completion in this frame; skip the
 			// loop-top re-check and release it directly.
 			releaseT(h)
 			return
 		}
-		rt.endEvent(gl)
 		t.park(event{kind: evJoin, child: h})
 	}
 }
@@ -888,9 +872,7 @@ func (t *T) joinInline(c *T) {
 		// worker mid-body; its w is then the chain's current worker, and
 		// the parent inherits it.
 		t.w = c.w
-		gl := rt.beginEvent()
 		rt.trace(c.w, rtrace.EvComplete, c.tid, 0, 0)
-		rt.endEvent(gl)
 		rt.prioDelete(c.prio)
 		c.prio = nil
 		// finish() reduced to its atomic half: an inline child can have
@@ -899,9 +881,7 @@ func (t *T) joinInline(c *T) {
 		c.done.Store(true)
 		rt.live.Add(-1)
 		c.job.live.Add(-1)
-		gl = rt.beginEvent()
 		rt.trace(c.w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
-		rt.endEvent(gl)
 	}()
 	c.body(c)
 	if len(c.unjoined) > 0 {
@@ -929,13 +909,9 @@ func (t *T) Alloc(n int64) {
 			panic(poisonSentinel)
 		}
 		if rtrace.Enabled && rt.probe != nil {
-			gl := rt.beginEvent()
 			rt.trace(t.w, rtrace.EvAllocExempt, t.tid, n, policy.DummyLeaves(n, k))
-			rt.endEvent(gl)
 		}
-		if t.job.charge(n) {
-			t.job.budgetKill()
-		}
+		t.job.charge(n)
 		return
 	}
 	// Charge the quota inline; a veto parks the thread (the pump
@@ -945,16 +921,11 @@ func (t *T) Alloc(n int64) {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
-		gl := rt.beginEvent()
 		if rt.pol.Charge(t.w, n) {
 			rt.trace(t.w, rtrace.EvAlloc, t.tid, n, 0)
-			rt.endEvent(gl)
-			if t.job.charge(n) {
-				t.job.budgetKill()
-			}
+			t.job.charge(n)
 			return
 		}
-		rt.endEvent(gl)
 		t.park(event{kind: evPreempt, n: n})
 	}
 }
@@ -973,9 +944,7 @@ func (t *T) Touch(blk int32, bytes int64) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := t.rt.beginEvent()
 	t.rt.trace(t.w, rtrace.EvTouch, t.tid, int64(blk), bytes)
-	t.rt.endEvent(gl)
 }
 
 // Free returns n bytes to the heap accounting (and the quota, which
@@ -988,10 +957,8 @@ func (t *T) Free(n int64) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := rt.beginEvent()
 	rt.trace(t.w, rtrace.EvFree, t.tid, n, 0)
 	rt.pol.Credit(t.w, n)
-	rt.endEvent(gl)
 	t.job.charge(-n)
 }
 
@@ -1022,8 +989,6 @@ func (t *T) dummyPoint() {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := t.rt.beginEvent()
 	t.rt.trace(t.w, rtrace.EvDummy, t.tid, 0, 0)
 	t.rt.pol.Dummy(t.w)
-	t.rt.endEvent(gl)
 }

@@ -122,24 +122,17 @@ func (j *Job) fail(err error) {
 }
 
 // charge adjusts the job's heap accounting, and its budget's when it has
-// one. Lock-free; safe from any path. It reports whether the charge
-// overran the budget — the caller must then invoke budgetKill from
-// outside the scheduling-event critical section (cancel takes extMu,
-// which orders before the coarse-mode global lock).
-func (j *Job) charge(n int64) (overBudget bool) {
+// one; a charge that overruns the budget cancels the job with ErrBudget.
+// Lock-free unless it kills (cancel takes extMu); callers hold no lock.
+func (j *Job) charge(n int64) {
 	v := j.heapLive.Add(n)
 	if n > 0 {
 		atomicMax(&j.heapHW, v)
 	}
-	if j.budget != nil {
-		return j.budget.charge(n)
+	if j.budget != nil && j.budget.charge(n) {
+		j.budget.kill(j)
 	}
-	return false
 }
-
-// budgetKill enforces an overBudget charge: cancels the job with
-// ErrBudget. Outside-event-window only; see charge.
-func (j *Job) budgetKill() { j.budget.kill(j) }
 
 // registerBlocked records t as parked on b for the cancel sweep. Called
 // with b's lock held (the m.mu → j.mu order), right after t joined b's
@@ -218,9 +211,7 @@ func (j *Job) cancel(reason error) bool {
 			// and owns its republication.
 			continue
 		}
-		gl := rt.beginEvent()
 		rt.pol.Inject(t)
-		rt.endEvent(gl)
 	}
 	rt.extMu.Unlock()
 	rt.forceWake()

@@ -111,9 +111,7 @@ func (m *Mutex) Lock(t *T) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := t.rt.beginEvent()
 	ok := m.tryAcquire(t)
-	t.rt.endEvent(gl)
 	if ok {
 		return
 	}
@@ -132,17 +130,14 @@ func (m *Mutex) Unlock(t *T) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	gl := rt.beginEvent()
 	next, err := m.release(t)
 	if err != nil {
-		rt.endEvent(gl)
 		t.job.fail(err)
 		return
 	}
 	if next != nil {
 		rt.pol.Wake(t.w, next)
 	}
-	rt.endEvent(gl)
 	if next != nil {
 		rt.wakeIdlers()
 	}

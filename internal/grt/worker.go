@@ -15,59 +15,19 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // parking, heap accounting, priorities and the join protocol; every
 // ready-thread decision is the policy's.
 //
-// The two synchronization modes share this loop:
-//
-//   - fine-grained (default): each event takes only the locks the policy
-//     internally needs (the R spine on steal, queue mutex on a queue
-//     take, nothing at all for fork, own-deque pops, or alloc/free —
-//     deque item operations are lock-free end to end);
-//   - CoarseLock: the paper's §5 protocol — beginEvent wraps every
-//     scheduling event and every acquisition attempt in one global mutex.
+// Each event takes only the locks the policy internally needs (the R
+// spine on steal, the queue mutex on a queue take, nothing at all for
+// fork, own-deque pops, or alloc/free — deque item operations are
+// lock-free end to end).
 //
 // Locking map (acquisition order left to right; every lock is a leaf to
 // everything on its right):
 //
-//	rt.gmu  →  policy internals  →  rt.prioMu
-//	rt.gmu  →  rt.mu (wakeIdlers under a coarse event)
+//	policy internals  →  rt.prioMu
 //	policy: R spine → rt.prioMu (see core.SharedPool; deques carry no lock)
 //
 // rt.mu is only ever held to park or wake idle workers, never while
 // consulting the policy.
-
-// glock witnesses the coarse-mode critical section around one scheduling
-// event, carrying the acquisition time when contention measurement is on.
-// In fine-grained mode it is a no-op token.
-type glock struct {
-	held  bool
-	since time.Time
-}
-
-// beginEvent enters a scheduling event: under CoarseLock it takes the
-// global scheduler lock (the §5 serialization, counted in SchedLockOps);
-// in fine-grained mode it does nothing.
-func (rt *Runtime) beginEvent() glock {
-	if !rt.cfg.CoarseLock {
-		return glock{}
-	}
-	rt.gmu.Lock()
-	rt.lockOps.Add(1)
-	if rt.cfg.MeasureContention {
-		return glock{held: true, since: time.Now()}
-	}
-	return glock{held: true}
-}
-
-// endEvent leaves the scheduling event, accounting the global lock's hold
-// time when measurement is on.
-func (rt *Runtime) endEvent(gl glock) {
-	if !gl.held {
-		return
-	}
-	if !gl.since.IsZero() {
-		rt.lockNs.Add(time.Since(gl.since).Nanoseconds())
-	}
-	rt.gmu.Unlock()
-}
 
 // worker is one virtual processor: it acquires a thread, drives it from
 // scheduling event to scheduling event, and consults the policy at each
@@ -101,7 +61,6 @@ func (rt *Runtime) worker(w int) {
 			continue
 		}
 
-		gl := rt.beginEvent()
 		// wake is set by the branches that publish work a parked worker
 		// could run; wakeIdlers runs after the policy call so the policy's
 		// ready state is raised before the idlers check (the park
@@ -170,7 +129,6 @@ func (rt *Runtime) worker(w int) {
 				wake = true
 			}
 		}
-		rt.endEvent(gl)
 		if wake {
 			rt.wakeIdlers()
 		}
@@ -229,9 +187,7 @@ func (rt *Runtime) acquire(w int) *T {
 			rt.spinning.Add(-1)
 			return nil
 		}
-		gl := rt.beginEvent()
 		x, ok := rt.pol.Acquire(w)
-		rt.endEvent(gl)
 		if ok {
 			rt.spinning.Add(-1)
 			if woken {

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dfdeques/internal/rtrace"
@@ -60,7 +59,7 @@ func (q *PrioQueue[T]) Take() (T, bool) {
 // a single thread, which is exactly the contention DFDeques exists to
 // avoid; the LockOps counter makes that visible.
 type ADF[T any] struct {
-	mu    sync.Mutex
+	mu    queueLock
 	q     *PrioQueue[T]
 	quota *Quota
 	k     int64
@@ -69,9 +68,8 @@ type ADF[T any] struct {
 	probe rtrace.Probe
 	tidOf func(T) int64
 
-	ready   atomic.Int64 // queue length mirror: HasWork without the lock
-	steals  atomic.Int64
-	lockOps atomic.Int64
+	ready  atomic.Int64 // queue length mirror: HasWork without the lock
+	steals atomic.Int64
 }
 
 // NewADF builds an ADF(K) policy for p workers ordered by less.
@@ -85,6 +83,10 @@ func (a *ADF[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	a.probe = p
 	a.tidOf = tid
 }
+
+// MeasureLockWait turns on timing of the waits for the queue mutex
+// (Stats.LockWaitNs). Call before the policy is shared.
+func (a *ADF[T]) MeasureLockWait() { a.mu.timeWait = true }
 
 // Name implements Policy.
 func (a *ADF[T]) Name() string { return "ADF" }
@@ -148,20 +150,19 @@ func (a *ADF[T]) HasWork() bool { return a.ready.Load() > 0 }
 
 // Stats implements Policy.
 func (a *ADF[T]) Stats() Stats {
-	return Stats{Steals: a.steals.Load(), LockOps: a.lockOps.Load(), MaxDeques: 1}
+	return Stats{Steals: a.steals.Load(), LockOps: a.mu.ops.Load(), LockWaitNs: a.mu.waitNs.Load(), MaxDeques: 1}
 }
 
 // insert publishes t on behalf of worker w (-1: pre-run seed). The ready
 // mirror is raised before the caller checks for idle workers, so the park
 // protocol cannot lose the wake-up.
 func (a *ADF[T]) insert(w int, t T) {
-	a.mu.Lock()
-	a.lockOps.Add(1)
+	a.mu.lock()
 	a.q.Insert(t)
 	if rtrace.Enabled && a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueuePush, a.tidOf(t), 0, 0)
 	}
-	a.mu.Unlock()
+	a.mu.unlock()
 	a.ready.Add(1)
 }
 
@@ -176,13 +177,12 @@ func (a *ADF[T]) adfPop(w int) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	a.mu.Lock()
-	a.lockOps.Add(1)
+	a.mu.lock()
 	x, ok := a.q.Take()
 	if ok && rtrace.Enabled && a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueueTake, a.tidOf(x), 0, 0)
 	}
-	a.mu.Unlock()
+	a.mu.unlock()
 	if !ok {
 		return x, false
 	}

@@ -35,6 +35,10 @@ func (d *DFD[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	d.pool.Instrument(p, tid)
 }
 
+// MeasureLockWait turns on timing of the waits for R's spine lock
+// (Stats.LockWaitNs). Call before the policy is shared.
+func (d *DFD[T]) MeasureLockWait() { d.pool.MeasureLockWait() }
+
 // Name implements Policy.
 func (d *DFD[T]) Name() string { return "DFDeques" }
 
@@ -127,6 +131,7 @@ func (d *DFD[T]) Stats() Stats {
 		FailedSteals:    f,
 		LocalDispatches: l,
 		LockOps:         d.pool.ListLockOps(),
+		LockWaitNs:      d.pool.ListLockWaitNs(),
 		MaxDeques:       d.pool.MaxDeques(),
 	}
 }

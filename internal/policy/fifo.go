@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dfdeques/internal/rtrace"
@@ -50,7 +49,7 @@ func (q *FIFOQueue[T]) Pop() (T, bool) {
 // transformation still delays large allocations uniformly across
 // policies.
 type FIFO[T any] struct {
-	mu sync.Mutex
+	mu queueLock
 	q  FIFOQueue[T]
 	k  int64
 
@@ -58,9 +57,8 @@ type FIFO[T any] struct {
 	probe rtrace.Probe
 	tidOf func(T) int64
 
-	ready   atomic.Int64
-	steals  atomic.Int64
-	lockOps atomic.Int64
+	ready  atomic.Int64
+	steals atomic.Int64
 }
 
 // NewFIFO builds a FIFO policy with dummy-thread threshold k.
@@ -72,6 +70,10 @@ func (f *FIFO[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	f.probe = p
 	f.tidOf = tid
 }
+
+// MeasureLockWait turns on timing of the waits for the queue mutex
+// (Stats.LockWaitNs). Call before the policy is shared.
+func (f *FIFO[T]) MeasureLockWait() { f.mu.timeWait = true }
 
 // Name implements Policy.
 func (f *FIFO[T]) Name() string { return "FIFO" }
@@ -115,15 +117,14 @@ func (f *FIFO[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
 	if !hasWoke {
 		return f.fifoPop(w)
 	}
-	f.mu.Lock()
-	f.lockOps.Add(1)
+	f.mu.lock()
 	f.q.Push(woke)
 	f.traceLocked(w, rtrace.EvQueuePush, woke)
 	x, ok := f.q.Pop() // never fails: woke was just pushed
 	if ok {
 		f.traceLocked(w, rtrace.EvQueueTake, x)
 	}
-	f.mu.Unlock()
+	f.mu.unlock()
 	f.steals.Add(1)
 	return x, ok
 }
@@ -139,15 +140,14 @@ func (f *FIFO[T]) HasWork() bool { return f.ready.Load() > 0 }
 
 // Stats implements Policy.
 func (f *FIFO[T]) Stats() Stats {
-	return Stats{Steals: f.steals.Load(), LockOps: f.lockOps.Load(), MaxDeques: 1}
+	return Stats{Steals: f.steals.Load(), LockOps: f.mu.ops.Load(), LockWaitNs: f.mu.waitNs.Load(), MaxDeques: 1}
 }
 
 func (f *FIFO[T]) push(w int, t T) {
-	f.mu.Lock()
-	f.lockOps.Add(1)
+	f.mu.lock()
 	f.q.Push(t)
 	f.traceLocked(w, rtrace.EvQueuePush, t)
-	f.mu.Unlock()
+	f.mu.unlock()
 	f.ready.Add(1)
 }
 
@@ -160,13 +160,12 @@ func (f *FIFO[T]) fifoPop(w int) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	f.mu.Lock()
-	f.lockOps.Add(1)
+	f.mu.lock()
 	x, ok := f.q.Pop()
 	if ok {
 		f.traceLocked(w, rtrace.EvQueueTake, x)
 	}
-	f.mu.Unlock()
+	f.mu.unlock()
 	if !ok {
 		return x, false
 	}

@@ -28,6 +28,12 @@
 // which less may take inside it. See DESIGN.md §5.
 package policy
 
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
 // Stats is the counter set every runtime policy reports.
 type Stats struct {
 	// Steals counts successful shared acquisitions: deque steals for
@@ -41,6 +47,10 @@ type Stats struct {
 	// lock: the R spine for the deque policies, the queue mutex for the
 	// global-queue policies.
 	LockOps int64
+	// LockWaitNs is the total time workers spent waiting to acquire that
+	// lock; 0 unless the policy's MeasureLockWait was called (WS has no
+	// lock a worker takes, and no such method).
+	LockWaitNs int64
 	// MaxDeques is the high-water mark of the ready structure: len(R) for
 	// DFDeques, the (fixed) per-worker deque count for WS, 1 for the
 	// global-queue policies.
@@ -123,6 +133,29 @@ type Policy[T any] interface {
 	// Stats returns the policy's counters; called once, after the run.
 	Stats() Stats
 }
+
+// queueLock is the global-queue policies' one mutex together with its
+// contention counters: every acquisition is counted, and once timeWait is
+// set the time spent waiting to acquire it is accumulated too.
+type queueLock struct {
+	mu       sync.Mutex
+	ops      atomic.Int64
+	waitNs   atomic.Int64
+	timeWait bool
+}
+
+func (l *queueLock) lock() {
+	if l.timeWait {
+		start := time.Now()
+		l.mu.Lock()
+		l.waitNs.Add(time.Since(start).Nanoseconds())
+	} else {
+		l.mu.Lock()
+	}
+	l.ops.Add(1)
+}
+
+func (l *queueLock) unlock() { l.mu.Unlock() }
 
 // Quota is the per-worker memory-quota vector shared by every K-bounded
 // policy in both engines: DFDeques' per-steal quota and ADF's per-dispatch

@@ -144,33 +144,19 @@ func TestVerifyForkThenContinueTree(t *testing.T) {
 		t.Join(h)
 		t.Free(64)
 	}
-	for _, eng := range []struct{ coarse, channel bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
-		for _, workers := range []int{2, 4} {
-			for seed := int64(1); seed <= 10; seed++ {
-				rec := record(t, grt.Config{
-					Workers: workers, Sched: grt.DFDeques, K: 4096, Seed: seed,
-					CoarseLock: eng.coarse,
-				}, func(t *grt.T) { node(t, 10) })
-				rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped())
-				if err != nil {
-					t.Fatalf("%+v p%d seed %d: replay verification failed: %v", eng, workers, seed, err)
-				}
-				if !rep.OrderingExact {
-					t.Fatalf("%+v p%d seed %d: ordering checks degraded: %v", eng, workers, seed, rep.Notes)
-				}
+	for _, workers := range []int{2, 4} {
+		for seed := int64(1); seed <= 10; seed++ {
+			rec := record(t, grt.Config{
+				Workers: workers, Sched: grt.DFDeques, K: 4096, Seed: seed,
+			}, func(t *grt.T) { node(t, 10) })
+			rep, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped())
+			if err != nil {
+				t.Fatalf("p%d seed %d: replay verification failed: %v", workers, seed, err)
+			}
+			if !rep.OrderingExact {
+				t.Fatalf("p%d seed %d: ordering checks degraded: %v", workers, seed, rep.Notes)
 			}
 		}
-	}
-}
-
-// TestVerifyCoarseLock replays the paper's serialized §5 protocol: the
-// same invariants must hold under the global scheduler lock.
-func TestVerifyCoarseLock(t *testing.T) {
-	rec := record(t, grt.Config{
-		Workers: 4, Sched: grt.DFDeques, K: 256, Seed: 3, CoarseLock: true,
-	}, tree(6))
-	if _, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
-		t.Fatalf("replay verification failed under CoarseLock: %v", err)
 	}
 }
 
@@ -315,9 +301,9 @@ func TestVerifyMultiJobStreamWithCancellation(t *testing.T) {
 	spin := func(t *grt.T) {
 		for {
 			t.ForkJoin(func(*grt.T) {})
-			// Throttle: a fork+join on the continuation engine costs
-			// nanoseconds, and an unthrottled spinner would overflow the
-			// recorder ring before the cancel lands. The sleep bounds the
+			// Throttle: an unstolen fork+join costs nanoseconds, and an
+			// unthrottled spinner would overflow the recorder ring before
+			// the cancel lands. The sleep bounds the
 			// event rate, not the iteration count — the job still only
 			// ends by poisoning.
 			time.Sleep(20 * time.Microsecond)

@@ -24,14 +24,11 @@ type RuntimeConfig struct {
 	K int64
 	// Seed drives steal-victim randomness.
 	Seed int64
-	// CoarseLock serializes every scheduling decision behind one global
-	// mutex — the paper's §5 protocol, kept for differential testing and
-	// contention measurement. The default (false) is the fine-grained
-	// runtime.
-	CoarseLock bool
 	// MeasureContention enables the wall-clock contention counters in
-	// RunStats (StealWaitNs, SchedLockNs). Off by default — timing every
-	// critical section would distort the benchmarks the counters explain.
+	// RunStats: StealWaitNs (idle workers acquiring a thread) and
+	// SchedLockNs (workers waiting for the policy's serializing lock).
+	// Off by default — the clock reads would distort the benchmarks the
+	// counters explain.
 	MeasureContention bool
 	// Probe receives one event per scheduling action; nil disables
 	// recording. Pass a *TraceRecorder (see NewTraceRecorder) to capture
@@ -76,7 +73,6 @@ func (c RuntimeConfig) Validate() error {
 func (c RuntimeConfig) grtConfig() grt.Config {
 	return grt.Config{
 		Workers: c.Workers, Sched: c.Sched, K: c.K, Seed: c.Seed,
-		CoarseLock:        c.CoarseLock,
 		MeasureContention: c.MeasureContention,
 		Probe:             c.Probe,
 	}
