@@ -184,10 +184,19 @@ func (j *Job) Cancel() bool {
 // death wakes its waiter through the normal join protocol. Idempotent;
 // reports whether this call was the one that poisoned the job.
 func (j *Job) cancel(reason error) bool {
-	if !j.poisoned.CompareAndSwap(false, true) {
+	// Cancels serialize on extMu (which also makes them lane -1's single
+	// writer), and the record is drawn before the flag becomes visible, so
+	// everything the poison causes — thread deaths, the job's EvJobEnd —
+	// is sequenced after its EvJobCancel.
+	rt := j.rt
+	rt.extMu.Lock()
+	if j.poisoned.Load() {
+		rt.extMu.Unlock()
 		return false
 	}
 	j.fail(reason)
+	rt.trace(-1, rtrace.EvJobCancel, j.id, 0, 0)
+	j.poisoned.Store(true)
 
 	// Snapshot the parked threads under j.mu, then republish outside it:
 	// cancelWait takes the synchronization object's lock, which is
@@ -202,9 +211,6 @@ func (j *Job) cancel(reason error) bool {
 	j.blocked = nil
 	j.mu.Unlock()
 
-	rt := j.rt
-	rt.extMu.Lock()
-	rt.trace(-1, rtrace.EvJobCancel, j.id, 0, 0)
 	for i, t := range swept {
 		if !objs[i].cancelWait(t) {
 			// A concurrent wake already removed t from the waiter list

@@ -40,15 +40,19 @@ type WSPool[T comparable] struct {
 
 	// Tracing (nil probe: disabled). Deque i's trace id is i and the
 	// inbox's is len(dq) — the structure is fixed, so ids need no
-	// allocation protocol.
-	probe rtrace.Probe
-	tidOf func(T) int64
+	// allocation protocol. stealMu[id] is taken by thieves only while a
+	// probe is attached: it makes a steal's claim and its record one
+	// critical section per victim, so two thieves on one deque are
+	// recorded in the order they claimed. Untraced steals never touch it.
+	probe   rtrace.Probe
+	tidOf   func(T) int64
+	stealMu []sync.Mutex
 
 	ready   atomic.Int64 // total queued threads: lock-free has-work checks
 	steals  atomic.Int64
 	failed  atomic.Int64
 	local   atomic.Int64
-	lockOps atomic.Int64 // injectMu acquisitions (the pool's only lock)
+	lockOps atomic.Int64 // injectMu acquisitions (the pool's only lock when untraced)
 }
 
 // NewWSPool builds a pool of p per-worker deques plus the shared inbox.
@@ -72,6 +76,22 @@ func NewWSPool[T comparable](p int) *WSPool[T] {
 func (pl *WSPool[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	pl.probe = p
 	pl.tidOf = tid
+	pl.stealMu = make([]sync.Mutex, len(pl.dq)+1)
+}
+
+// stealBottom claims the bottom of d for thief w and records the steal.
+func (pl *WSPool[T]) stealBottom(w int, d *deque.Deque[T]) (T, bool) {
+	if pl.tidOf == nil {
+		return d.PopBottom()
+	}
+	mu := &pl.stealMu[d.ID]
+	mu.Lock()
+	defer mu.Unlock()
+	x, ok := d.PopBottom()
+	if ok {
+		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), d.ID, -1)
+	}
+	return x, ok
 }
 
 // trace records one event when a probe is attached. Pushes are recorded
@@ -123,12 +143,9 @@ func (pl *WSPool[T]) popInbox(w int) (T, bool) {
 	if pl.inbox.SizeHint() == 0 {
 		return zero, false
 	}
-	x, ok := pl.inbox.PopBottom()
+	x, ok := pl.stealBottom(w, pl.inbox)
 	if !ok {
 		return zero, false
-	}
-	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), pl.inbox.ID, -1)
 	}
 	pl.ready.Add(-1)
 	pl.steals.Add(1)
@@ -182,11 +199,8 @@ func (pl *WSPool[T]) StealFrom(w, v int) (T, bool) {
 		return zero, false
 	}
 	pl.trace(w, rtrace.EvStealAttempt, d.ID, 0, 0)
-	x, ok := d.PopBottom()
+	x, ok := pl.stealBottom(w, d)
 	if ok {
-		if pl.tidOf != nil {
-			pl.trace(w, rtrace.EvSteal, pl.tidOf(x), d.ID, -1)
-		}
 		pl.ready.Add(-1)
 		pl.steals.Add(1)
 	} else {
@@ -213,8 +227,8 @@ func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
 func (pl *WSPool[T]) Inbox() *deque.Deque[T] { return pl.inbox }
 
 // Stats returns (steals, failed attempts, local dispatches, and injectMu
-// acquisitions — the pool's only remaining lock, taken exclusively by
-// injectors; the worker hot paths are mutex-free).
+// acquisitions — the pool's only lock outside tracing, taken exclusively
+// by injectors; the untraced worker hot paths are mutex-free).
 func (pl *WSPool[T]) Stats() (steals, failed, local, lockOps int64) {
 	return pl.steals.Load(), pl.failed.Load(), pl.local.Load(), pl.lockOps.Load()
 }

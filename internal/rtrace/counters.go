@@ -11,17 +11,17 @@ import "sync/atomic"
 // for long-lived serving processes (cmd/dfdserve's /metrics endpoint)
 // where a run never "completes" and a scrape must not stop the world.
 //
-// LiveSummary projects the counters onto the same Summary schema
-// Summarize derives from a recorded stream, so downstream consumers
-// (metric exporters, dashboards) read one shape regardless of source;
-// the stream-only fields (WallNs, PerWorker, Cache) stay zero. Use Tee to
-// feed one runtime's events to both a Counters and a Recorder.
+// LiveSummary projects the counters onto the Summary schema, and
+// Summarize is the same fold driven by a recorded stream (it feeds the
+// stream through a Counters), so downstream consumers (metric exporters,
+// dashboards) read one shape regardless of source; the stream-only fields
+// (WallNs, PerWorker, Cache) stay zero here. Use Tee to feed one runtime's
+// events to both a Counters and a Recorder.
 type Counters struct {
 	counts  [numKinds]atomic.Int64
 	dummies atomic.Int64 // EvFork with C=1: dummy leaves
-	// liveDeques/maxDeques mirror Summarize's deque-population replay:
-	// EvSteal with a new deque (C>=0) and EvDequeCreate raise it,
-	// EvDequeRetire lowers it.
+	// liveDeques/maxDeques replay the deque population: EvSteal with a
+	// new deque (C>=0) and EvDequeCreate raise it, EvDequeRetire lowers it.
 	liveDeques atomic.Int64
 	maxDeques  atomic.Int64
 }
@@ -81,9 +81,7 @@ func (c *Counters) LiveSummary() Summary {
 	for k := Kind(0); k < numKinds; k++ {
 		s.Events += int(c.counts[k].Load())
 	}
-	// Threads: every fork plus every job root (Summarize pre-counts one
-	// root and adds late ones at EvJobBegin; with the live view we count
-	// all roots the same way).
+	// Threads: every fork plus every job root.
 	s.Jobs = c.Count(EvJobBegin)
 	s.Threads = c.Count(EvFork) + s.Jobs
 	s.DummyThreads = c.dummies.Load()

@@ -54,121 +54,75 @@ type Summary struct {
 	Cache *CacheSummary `json:"cache,omitempty"`
 }
 
-// Summarize derives the metrics summary from a merged stream.
+// Summarize derives the metrics summary from a merged stream. The counter
+// fields come from the same fold that serves live scrapes — the stream is
+// fed through a Counters and projected with LiveSummary — and this pass
+// adds only what needs the stream itself: wall clock, per-worker busy
+// time, the cache replay, and the run metadata.
 func Summarize(meta Meta, evs []Event, dropped uint64) Summary {
-	s := Summary{
-		Policy: meta.Policy, Workers: meta.Workers, K: meta.K,
-		Events: len(evs), Dropped: dropped,
-		Threads: 1, // the root exists before any fork event
-	}
+	var c Counters
 	perW := make([]WorkerSummary, meta.Workers)
 	for i := range perW {
 		perW[i].Worker = i
 	}
-	type wstate struct {
-		running bool
-		since   int64
+	since := make([]int64, meta.Workers) // start of w's open execution segment, -1 if none
+	for i := range since {
+		since[i] = -1
 	}
-	ws := make([]wstate, meta.Workers)
-	liveDeques, maxDeques := 0, 0
-	sharedTakes := int64(0) // steals + queue takes: dispatches through shared structures
+	var wallNs int64
 	touches := false
 	for _, e := range evs {
-		if e.TS > s.WallNs {
-			s.WallNs = e.TS
+		c.Event(int(e.W), e.Kind, e.A, e.B, e.C)
+		if e.TS > wallNs {
+			wallNs = e.TS
 		}
 		w := int(e.W)
+		if e.Kind == EvTouch {
+			touches = true
+		}
+		if w < 0 || w >= meta.Workers {
+			continue
+		}
 		switch e.Kind {
-		case EvFork:
-			s.Threads++
-			if e.C == 1 {
-				s.DummyThreads++
-			}
-		case EvJobBegin:
-			s.Jobs++
-			if s.Jobs > 1 {
-				s.Threads++ // a late root; the first is the pre-counted 1
-			}
-		case EvJobCancel:
-			s.CanceledJobs++
-		case EvComplete:
-			s.Completed++
-			fallthrough
-		case EvBlock, EvQuotaExhaust:
-			if e.Kind == EvQuotaExhaust {
-				s.QuotaExhausts++
-			}
-			if w >= 0 && ws[w].running {
-				perW[w].BusyNs += e.TS - ws[w].since
-				ws[w].running = false
+		case EvComplete, EvBlock, EvQuotaExhaust:
+			if since[w] >= 0 {
+				perW[w].BusyNs += e.TS - since[w]
+				since[w] = -1
 			}
 		case EvDispatch:
-			s.Dispatches++
-			if w >= 0 && !ws[w].running {
-				ws[w].running = true
-				ws[w].since = e.TS
+			if since[w] < 0 {
+				since[w] = e.TS
 			}
-		case EvPop:
-			s.LocalDispatches++
-		case EvStealAttempt:
-			s.StealAttempts++
 		case EvSteal:
-			s.Steals++
-			sharedTakes++
-			if w >= 0 {
-				perW[w].Steals++
-			}
-			if e.C >= 0 {
-				liveDeques++
-				if liveDeques > maxDeques {
-					maxDeques = liveDeques
-				}
-			}
-		case EvQueueTake:
-			sharedTakes++
-		case EvAllocExempt:
-			s.DummySplits++
-		case EvDequeCreate:
-			liveDeques++
-			if liveDeques > maxDeques {
-				maxDeques = liveDeques
-			}
-		case EvDequeRetire:
-			liveDeques--
-		case EvTouch:
-			touches = true
-		case EvPromote:
-			s.Promotions++
+			perW[w].Steals++
 		}
+	}
+	s := c.LiveSummary()
+	s.Policy, s.Workers, s.K = meta.Policy, meta.Workers, meta.K
+	s.Dropped, s.WallNs = dropped, wallNs
+	if s.Jobs == 0 && len(evs) > 0 {
+		s.Threads++ // a stream predating job events has one implicit root
 	}
 	if touches {
 		s.Cache = CacheComplexity(meta, evs, cacheConfig{})
 	}
-	for w := range ws {
-		if ws[w].running { // close at end of run
-			perW[w].BusyNs += s.WallNs - ws[w].since
+	for w := range perW {
+		if since[w] >= 0 { // close at end of run
+			perW[w].BusyNs += wallNs - since[w]
 		}
-	}
-	for i := range perW {
-		perW[i].IdleNs = s.WallNs - perW[i].BusyNs
-		if s.WallNs > 0 {
-			perW[i].BusyFrac = float64(perW[i].BusyNs) / float64(s.WallNs)
+		perW[w].IdleNs = wallNs - perW[w].BusyNs
+		if wallNs > 0 {
+			perW[w].BusyFrac = float64(perW[w].BusyNs) / float64(wallNs)
 		}
 	}
 	s.PerWorker = perW
+	// Only DFDeques creates and retires deques; the other policies'
+	// ready structures have a fixed size the stream does not spell out.
 	switch meta.Policy {
 	case "WS":
 		s.DequeHighWater = meta.Workers
 	case "ADF", "FIFO":
 		s.DequeHighWater = 1
-	default:
-		s.DequeHighWater = maxDeques
-	}
-	if s.StealAttempts > 0 {
-		s.StealSuccessRate = float64(s.Steals) / float64(s.StealAttempts)
-	}
-	if sharedTakes > 0 {
-		s.SchedGranularity = float64(s.Dispatches) / float64(sharedTakes)
 	}
 	return s
 }

@@ -13,9 +13,10 @@ import "dfdeques/internal/dag"
 //	S1 + K·D
 //
 // where S1 is the serial (1DF) space of the declared tree — the peak of
-// the live counter over the child-first serial walk, exactly the order
-// the work-first engine executes an unstolen program — and D its maximum
-// fork-nesting depth. S1 is what the job needs on one processor; K·D is
+// the live counter over the child-first serial walk, dag.Measure's order.
+// The runtime executes an unstolen program parent-first, which reaches the
+// same peak whenever a fork's two branches are symmetric — and D its
+// maximum fork-nesting depth. S1 is what the job needs on one processor; K·D is
 // the per-branch slice of the paper's S1 + O(K·p·D) bound: each nesting
 // level can contribute up to one stolen thread's K-byte allocation burst
 // beyond the serial footprint. The price deliberately ignores p — it

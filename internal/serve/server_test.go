@@ -200,7 +200,13 @@ func TestSubmitErrors(t *testing.T) {
 // mid-run with ErrBudget. The cost gate sheds what it can predict; the
 // in-run kill polices the rest.
 func TestCostShedAndBudgetKill(t *testing.T) {
-	s := newTestServer(t, testConfig())
+	// One worker: the price S1 + K·D is exact for the unstolen schedule,
+	// which is what the priced-parallel case below asserts. With a second
+	// worker a steal can overlap its two 6000-byte siblings (12000 B) and
+	// the in-run kill fires — the overshoot cost.go says the kill is for.
+	cfg := testConfig()
+	cfg.Runtime.Workers = 1
+	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -215,11 +221,11 @@ func TestCostShedAndBudgetKill(t *testing.T) {
 		t.Fatalf("cost shed not counted")
 	}
 
-	// A declared-parallel version of the same footprint is ALSO safe to
-	// admit: two forked siblings each holding 6000 price at 6000 + K·1 =
-	// 7024 (inside the 7372-byte band), and the scheduler's space bound
-	// keeps their actual overlap near S1 — the job completes inside the
-	// budget rather than overrunning it.
+	// A declared-parallel version of the same footprint clears the gate:
+	// two forked siblings each holding 6000 price at 6000 + K·1 = 7024
+	// (inside the 7372-byte band). Unstolen they never overlap, so on this
+	// one-worker server the job completes inside the budget; at p ≥ 2 the
+	// same job is admitted and may still be killed mid-run.
 	child := func() *SpecNode {
 		return &SpecNode{Label: "side", Instrs: []SpecInstr{
 			{Op: "alloc", N: 6000}, {Op: "work", N: 20000}, {Op: "free", N: 6000},

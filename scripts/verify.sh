@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tier-1 verification (see ROADMAP.md): build, vet, full test suite, and
 # a race-detector pass over the concurrency-bearing packages. The -race
-# pass is not optional — the runtime's fine-grained engine is exactly the
-# kind of code whose bugs only the race detector and the stress tests in
-# internal/grt/race_test.go surface.
+# pass is not optional — the runtime's fine-grained synchronization is
+# exactly the kind of code whose bugs only the race detector and the
+# stress tests in internal/grt/race_test.go surface.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -25,6 +25,11 @@ go test -race -short -run TestServeSoak -count=1 ./internal/serve/
 # the race detector — the park/wake, poison-sweep and job-retirement
 # races only show up across many runs.
 go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
+# Oversubscription: more Ps than cores, so workers are preempted mid
+# scheduling event. That is what exposed the fork-priority bug the replay
+# verifier now guards (steals landing on a deque whose owner was mid
+# inline fork/join chain); 20 runs of every traced, verified test.
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario' ./internal/rtrace/ ./internal/grt/
 # The tracing hooks must also compile out cleanly (-tags grtnotrace folds
 # every hook site away behind the rtrace.Enabled constant).
 go build -tags grtnotrace ./...
