@@ -904,13 +904,12 @@ func (t *T) Alloc(n int64) {
 	}
 	rt := t.rt
 	if k := rt.threshold; k > 0 && n > k {
-		t.forkDummies(policy.DummyLeaves(n, k))
+		leaves := policy.DummyLeaves(n, k)
+		t.forkDummies(leaves)
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
-		if rtrace.Enabled && rt.probe != nil {
-			rt.trace(t.w, rtrace.EvAllocExempt, t.tid, n, policy.DummyLeaves(n, k))
-		}
+		rt.trace(t.w, rtrace.EvAllocExempt, t.tid, n, leaves)
 		t.job.charge(n)
 		return
 	}

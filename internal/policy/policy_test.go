@@ -214,11 +214,14 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 
 	curr := make([]*dfdThread, workers)
 	running := func(w int) (*dfdThread, bool) { return curr[w], curr[w] != nil }
-	dispatch := func(w int, x *dfdThread, ok bool) {
-		curr[w] = nil
-		if ok {
-			x.started = true
-			curr[w] = x
+	// dispatch(w) hands worker w the thread a policy call returned, if any.
+	dispatch := func(w int) func(*dfdThread, bool) {
+		return func(x *dfdThread, ok bool) {
+			curr[w] = nil
+			if ok {
+				x.started = true
+				curr[w] = x
+			}
 		}
 	}
 	live, steals, claims := 1, 0, 0
@@ -234,11 +237,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 			curr[w] = p // the claiming parent resumes in its own frame
 			return
 		}
-		dispatch(w, nil, false)
-		next, ok := d.Terminate(w, x.waiter, x.waiter != nil)
-		if ok {
-			dispatch(w, next, true)
-		}
+		dispatch(w)(d.Terminate(w, x.waiter, x.waiter != nil))
 	}
 	// join joins curr[w]'s most recent child: reap it if done, claim it
 	// inline if it is still on top of w's deque, otherwise park.
@@ -254,10 +253,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 			claims++
 		default:
 			h.waiter = x
-			dispatch(w, nil, false)
-			if next, ok := d.Next(w); ok {
-				dispatch(w, next, true)
-			}
+			dispatch(w)(d.Next(w))
 		}
 	}
 
@@ -267,8 +263,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 		draining := i >= steps
 		switch op := rng.Intn(8); {
 		case x == nil:
-			if y, ok := d.Acquire(w); ok {
-				dispatch(w, y, true)
+			if dispatch(w)(d.Acquire(w)); curr[w] != nil {
 				steals++
 			}
 		case !draining && live < maxLive && (op < 4 || x == root && len(x.unjoined) == 0):
