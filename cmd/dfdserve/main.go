@@ -111,7 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 
@@ -148,6 +148,26 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("dfdserve: drained cleanly")
+}
+
+// Slow-client bounds. A client gets readHeaderTimeout to deliver a
+// request's line and headers, and an idle keep-alive connection is closed
+// after idleTimeout. There is deliberately no WriteTimeout (and no
+// ReadTimeout, whose deadline stays armed while the handler runs and
+// would cancel the request context): POST /v1/jobs?wait=1 long-polls for
+// as long as the job takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildConfig assembles the serve.Config from either a JSON file or the

@@ -262,13 +262,15 @@ func (pl *Pool[T]) noteR() {
 // left to right by decreasing priority. curr gives each worker's currently
 // executing thread (ok=false when idle) for clause (2).
 func (pl *Pool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
-	for i := 0; i < pl.r.Len(); i++ {
+	snap := make([][]T, pl.r.Len()) // bottom to top, per deque of R
+	for i := range snap {
 		items := pl.r.Kth(i).Items()
 		for j := 1; j < len(items); j++ {
 			if !pl.less(items[j], items[j-1]) {
 				return fmt.Errorf("core: lemma 3.1(1): deque %d unsorted at %d", i, j)
 			}
 		}
+		snap[i] = items
 	}
 	for w := 0; w < pl.p; w++ {
 		d := pl.own[w]
@@ -279,29 +281,26 @@ func (pl *Pool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 		if !running {
 			continue
 		}
-		if top, ok := d.PeekTop(); ok && !pl.less(x, top) {
+		if items := snap[d.Pos()]; len(items) > 0 && !pl.less(x, items[len(items)-1]) {
 			return fmt.Errorf("core: lemma 3.1(2): worker %d below its deque top", w)
 		}
 	}
 	var havePrev bool
 	var prevBottom T
-	for i := 0; i < pl.r.Len(); i++ {
-		d := pl.r.Kth(i)
-		top, ok := d.PeekTop()
-		if !ok {
+	for i, items := range snap {
+		if len(items) == 0 {
 			// Every operation deletes a deque it empties unless the owner
 			// keeps it; an empty unowned deque would be unstealable dead
 			// weight in R.
-			if d.Owner == -1 {
+			if pl.r.Kth(i).Owner == -1 {
 				return fmt.Errorf("core: empty deque %d in R is unowned", i)
 			}
 			continue
 		}
-		if havePrev && !pl.less(prevBottom, top) {
+		if havePrev && !pl.less(prevBottom, items[len(items)-1]) {
 			return fmt.Errorf("core: lemma 3.1(3): deque %d out of order", i)
 		}
-		prevBottom, _ = d.PeekBottom()
-		havePrev = true
+		prevBottom, havePrev = items[0], true
 	}
 	return nil
 }

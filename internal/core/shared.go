@@ -22,19 +22,22 @@ import (
 //     PushTop/PopTop and thieves a single-CAS PopBottom, with a
 //     generation tag defeating ABA across the freelist recycling below.
 //     There is no per-deque mutex at all — a preempted thief can never
-//     wedge an owner, and owners never block thieves. (This replaces the
-//     PR 5 biased protocol, whose Share bit degraded every owner op to a
-//     plain Mu the moment a thief touched the deque.)
+//     wedge an owner, and owners never block thieves.
 //   - R's spine (membership and left-to-right order) is guarded by an
 //     RWMutex. Only operations that change membership take it exclusively:
 //     Steal (pop-bottom + insert-right must be one linearization point, or
 //     two thieves hitting one victim could insert their deques in inverted
-//     priority order), deque deletion, and the woken-thread insert. The
-//     read side covers cheap observations — including Steal's screening
-//     phase, which rejects an empty victim via SizeHint without ever
-//     taking the spine exclusively. The spine serializes thieves against
-//     each other and against membership changes, never against an owner's
-//     push/pop: the steady-state owner hot path acquires zero mutexes.
+//     priority order), deque deletion, and publish (Seed, Append and the
+//     woken-thread insert). The read side covers cheap observations —
+//     including Steal's screening phase, which rejects an empty victim via
+//     Len without ever taking the spine exclusively. The spine serializes
+//     thieves against each other and against membership changes, never
+//     against an owner's push/pop: the steady-state owner hot path
+//     acquires zero mutexes.
+//   - The exclusive spine FREEZES unowned deques (Owner == -1): no owner
+//     pushes and thieves are excluded, so the contents are exact and every
+//     item is a ready thread. Placement in R compares only against those;
+//     nothing but a thief's PopBottom CAS reads a deque its owner is working.
 //   - A pool-wide atomic counter of ready threads makes HasWork lock-free,
 //     so idle workers can poll for work without touching any lock.
 //   - Deques deleted from R are Reset onto a freelist (guarded by the
@@ -50,13 +53,14 @@ import (
 // makes it visible, which is after the record, so EvPush always carries
 // an earlier global sequence number than the EvSteal of the same thread);
 // pops and steals are recorded AFTER the claim succeeds. Steal and
-// membership events are still recorded under the exclusive spine, which
-// linearizes R's structural history exactly as before.
+// membership events are recorded under the exclusive spine, which
+// linearizes R's structural history.
 //
 // Lock order, here and in internal/grt: R spine → (the runtime's
-// priority-list lock, taken inside the less callback). All pool methods
-// are safe for concurrent use; methods taking a worker index w must only
-// be called by worker w.
+// priority-list lock, taken inside the less callback). less is called
+// only by PushWoken — on frozen tops and the woken thread, both live —
+// and by the test-time CheckInvariants. All pool methods are safe for
+// concurrent use; methods taking a worker index w are worker w's alone.
 type SharedPool[T comparable] struct {
 	p    int
 	less func(a, b T) bool
@@ -101,8 +105,8 @@ type SharedPool[T comparable] struct {
 
 // NewSharedPool builds a concurrent pool for p workers; the parameters
 // mirror NewPool. less may acquire the caller's priority lock (it is
-// invoked with the spine lock held, never with any deque lock — there are
-// none). seed determines every worker's private victim-selection stream.
+// invoked with the spine lock held). seed determines every worker's
+// private victim-selection stream.
 func NewSharedPool[T comparable](p int, less func(a, b T) bool, seed int64) *SharedPool[T] {
 	if p < 1 {
 		panic("core: pool needs at least one worker")
@@ -147,11 +151,8 @@ func (pl *SharedPool[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	pl.tidOf = tid
 }
 
-// trace records one event when a probe is attached. Structural events are
-// recorded while the spine lock is held, so their global sequence numbers
-// linearize R's history; item events follow the record-before-publish /
-// record-after-claim discipline described on SharedPool (see
-// internal/rtrace).
+// trace records one event when a probe is attached, under the ordering
+// discipline described on SharedPool (see internal/rtrace).
 func (pl *SharedPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
 	if rtrace.Enabled && pl.probe != nil {
 		pl.probe.Event(w, k, a, b, c)
@@ -205,20 +206,44 @@ func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 	pl.free = append(pl.free, d)
 }
 
+// publish puts x alone in a fresh unowned deque at index i of R and
+// releases the spine, which the caller must hold exclusively: the one way
+// a thread enters R from outside a worker's own deque. Seed, Append and
+// PushWoken differ only in i and in midRun, the EvDequeCreate flag.
+func (pl *SharedPool[T]) publish(w, i int, midRun int64, x T) {
+	nd := pl.takeFree()
+	var after int64 = -1
+	if i == 0 {
+		pl.r.PushLeftReuse(nd)
+	} else {
+		left := pl.r.Kth(i - 1)
+		after = left.ID
+		pl.r.InsertRightReuse(left, nd)
+	}
+	pl.trace(w, rtrace.EvDequeCreate, nd.ID, after, midRun)
+	if pl.tidOf != nil {
+		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)
+	}
+	nd.PushTop(x)
+	pl.noteR()
+	pl.listMu.Unlock()
+	pl.ready.Add(1)
+}
+
 // Seed places the root thread into a fresh, unowned deque at the left end
 // of R, ready to be stolen by the first idle worker.
 func (pl *SharedPool[T]) Seed(root T) {
 	pl.lockList()
-	d := pl.takeFree()
-	pl.r.PushLeftReuse(d)
-	pl.trace(-1, rtrace.EvDequeCreate, d.ID, -1, 0)
-	if pl.tidOf != nil {
-		pl.trace(-1, rtrace.EvPush, pl.tidOf(root), d.ID, 0)
-	}
-	d.PushTop(root)
-	pl.noteR()
-	pl.listMu.Unlock()
-	pl.ready.Add(1)
+	pl.publish(-1, 0, 0, root)
+}
+
+// Append places x into a fresh, unowned deque at the right end of R, from
+// outside any worker: O(1), no scan, no less. For a thread that ranks
+// below everything in R (a job root minted at the back of the priority
+// order) or whose position is moot (a canceled job's swept thread).
+func (pl *SharedPool[T]) Append(x T) {
+	pl.lockList()
+	pl.publish(-1, pl.r.Len(), 1, x)
 }
 
 // PushOwn pushes x onto worker w's deque top (the fork and preemption
@@ -326,7 +351,7 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 // owner of a new deque placed immediately to the victim's right.
 //
 // The attempt runs in two phases. A screening phase under the read lock
-// checks the pick exists and its SizeHint is nonzero; the common failed
+// checks the pick exists and is non-empty; the common failed
 // attempt — an out-of-range pick or a provably empty victim — costs no
 // exclusive spine acquisition at all, so a storm of unlucky thieves never
 // serializes the owners' membership changes. Only a promising pick takes
@@ -346,7 +371,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	}
 	c := pl.rng(w).Intn(pl.p)
 	pl.listMu.RLock()
-	promising := c < pl.r.Len() && pl.r.Kth(c).SizeHint() > 0
+	promising := c < pl.r.Len() && pl.r.Kth(c).Len() > 0
 	pl.listMu.RUnlock()
 	if !promising {
 		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
@@ -390,43 +415,23 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 
 // PushWoken places a thread woken by a blocking synchronization into a
 // new deque at its priority position in R (§5's extension beyond the
-// nested-parallel model), on behalf of the waking worker w. It scans R
-// under the spine lock with validated racy PeekTops: each observed top
-// was that deque's top at some instant during the scan, which is the
-// strongest claim any priority placement can make while owners keep
-// running — the paper's R order is itself only instantaneous. A peek that
-// cannot stabilize (its owner is mid-op) is skipped, biasing the insert
-// rightward, which is the safe direction for the space bound.
+// nested-parallel model), on behalf of the waking worker w. It compares x
+// only against frozen tops (see SharedPool); owned deques are skipped,
+// never peeked into — their owner may be popping and recycling the top
+// this instant. Tops decrease left to right, so the first frozen top x
+// outranks is the rightmost position consistent with Lemma 3.1, and
+// rightward is the safe direction for the space bound.
 func (pl *SharedPool[T]) PushWoken(w int, x T) {
 	pl.lockList()
-	insertAt := pl.r.Len()
-	for i := 0; i < pl.r.Len(); i++ {
-		top, ok := pl.r.Kth(i).PeekTop()
-		if !ok {
-			continue
-		}
-		if pl.less(x, top) {
-			insertAt = i
-			break
+	at := 0
+	for ; at < pl.r.Len(); at++ {
+		if d := pl.r.Kth(at); d.Owner == -1 {
+			if top, ok := d.PeekTop(); ok && pl.less(x, top) {
+				break
+			}
 		}
 	}
-	nd := pl.takeFree()
-	var after int64 = -1
-	if insertAt == 0 {
-		pl.r.PushLeftReuse(nd)
-	} else {
-		left := pl.r.Kth(insertAt - 1)
-		after = left.ID
-		pl.r.InsertRightReuse(left, nd)
-	}
-	pl.trace(w, rtrace.EvDequeCreate, nd.ID, after, 1)
-	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)
-	}
-	nd.PushTop(x)
-	pl.noteR()
-	pl.listMu.Unlock()
-	pl.ready.Add(1)
+	pl.publish(w, at, 1, x)
 }
 
 // HasWork reports whether any deque in R holds a stealable thread. It is
@@ -459,27 +464,22 @@ func (pl *SharedPool[T]) ListLockOps() int64 { return pl.listOps.Load() }
 // the spine exclusively; 0 unless MeasureLockWait was called.
 func (pl *SharedPool[T]) ListLockWaitNs() int64 { return pl.listWaitNs.Load() }
 
-// noteR records the R-length high-water mark. Must hold the spine lock.
+// noteR records the R-length high-water mark. The caller must hold the
+// spine exclusively, so it is maxR's only writer.
 func (pl *SharedPool[T]) noteR() {
-	n := int64(pl.r.Len())
-	for {
-		old := pl.maxR.Load()
-		if n <= old || pl.maxR.CompareAndSwap(old, n) {
-			return
-		}
+	if n := int64(pl.r.Len()); n > pl.maxR.Load() {
+		pl.maxR.Store(n)
 	}
 }
 
 // CheckInvariants verifies the Lemma 3.1 ordering over the pool's deques,
-// exactly as Pool.CheckInvariants does. The spine lock freezes R's
-// membership and blocks all thieves, and each deque's contents are read
-// through Items' consistent-snapshot loop — but with no per-deque mutex
-// there is nothing left that can freeze a running OWNER. The check is
-// therefore exact when owners are quiescent or push-only (a pushed
-// continuation ranks above its own deque's previous top but below
-// everything in deques to the left, so a concurrent push keeps the pool
-// order the scan reads); concurrent owner POPS can yield transient false
-// positives, so call it from tests and quiescent moments, as before.
+// exactly as Pool.CheckInvariants does, from one Items snapshot per deque.
+// The spine lock freezes R's membership, every unowned deque and all
+// thieves, but nothing can freeze a running OWNER: the check is exact when
+// owners are quiescent or push-only (a pushed continuation ranks above its
+// own deque's previous top but below everything in deques to the left);
+// concurrent owner POPS can yield transient false positives, so call it
+// from tests and quiescent moments.
 func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 	pl.lockList()
 	defer pl.listMu.Unlock()

@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,19 +112,26 @@ func TestSharedStealFromBottom(t *testing.T) {
 	}
 }
 
+// sharedLayout returns R as the test sees it: each deque's items, bottom
+// to top, left to right. Quiescent callers only.
+func sharedLayout(pl *SharedPool[int]) [][]int {
+	out := make([][]int, pl.r.Len())
+	for i := range out {
+		out[i] = pl.r.Kth(i).Items()
+	}
+	return out
+}
+
 func TestSharedPushWokenOrdering(t *testing.T) {
 	pl := intSharedPool(4, 6)
 	pl.Seed(5)
 	sharedStealUntil(t, pl, 0)
 	pl.PushOwn(0, 6)
+	pl.GiveUp(0)       // unowned: the spine freezes it, so PushWoken may compare
 	pl.PushWoken(0, 2) // higher priority than 6 → left of the deque holding 6
 	pl.PushWoken(0, 9) // lower priority → right end
-	if err := pl.CheckInvariants(func(w int) (int, bool) {
-		if w == 0 {
-			return 5, true
-		}
-		return 0, false
-	}); err != nil {
+	idle := func(int) (int, bool) { return 0, false }
+	if err := pl.CheckInvariants(idle); err != nil {
 		t.Fatalf("invariants violated after PushWoken: %v", err)
 	}
 	// Highest priority must be at the left: a 1-worker window steal (p
@@ -131,6 +139,70 @@ func TestSharedPushWokenOrdering(t *testing.T) {
 	if got := sharedStealUntil(t, pl, 1); got != 2 {
 		t.Fatalf("leftmost steal got %d, want 2", got)
 	}
+
+	// An OWNED deque is skipped, not peeked into: worker 1 now owns the
+	// leftmost deque and pushes 3 on it. A woken 1 outranks that 3, but the
+	// first frozen top it outranks is 6, so it lands between the two —
+	// right of where Lemma 3.1 would put it, the safe direction.
+	pl.PushOwn(1, 3)
+	pl.PushWoken(0, 1)
+	if got, want := sharedLayout(pl), [][]int{{3}, {1}, {6}, {9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("R = %v, want %v", got, want)
+	}
+}
+
+// TestSharedPlacementReadsOnlyFrozenDeques freezes by hand the window
+// behind the Submit crash: worker 0 owns a deque whose top a foreign
+// reader must not trust — the owner popped it, it finished, its frame was
+// recycled — modeled as a value the priority order panics on. Append and
+// PushWoken from elsewhere must place their thread without ever calling
+// less on it. The second case is the other half of the rule: a given-up
+// deque is frozen by the spine, so it IS compared.
+func TestSharedPlacementReadsOnlyFrozenDeques(t *testing.T) {
+	const recycled = -1
+	var calls int
+	less := func(a, b int) bool {
+		if a == recycled || b == recycled {
+			panic("less called on a recycled thread")
+		}
+		calls++
+		return a < b
+	}
+
+	t.Run("owned deque is never read", func(t *testing.T) {
+		calls = 0
+		pl := NewSharedPool(2, less, 12)
+		pl.Seed(5)
+		sharedStealUntil(t, pl, 0)
+		pl.PushOwn(0, recycled)
+		pl.Append(7)
+		if calls != 0 {
+			t.Fatalf("Append called less %d times, want 0", calls)
+		}
+		pl.PushWoken(1, 3) // compares with the appended 7 only, lands left of it
+		if got, want := sharedLayout(pl), [][]int{{recycled}, {3}, {7}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("R = %v, want %v", got, want)
+		}
+		if calls != 1 {
+			t.Fatalf("PushWoken called less %d times, want 1 (the frozen top 7)", calls)
+		}
+	})
+
+	t.Run("given-up deque is compared", func(t *testing.T) {
+		calls = 0
+		pl := NewSharedPool(2, less, 13)
+		pl.Seed(5)
+		sharedStealUntil(t, pl, 0)
+		pl.PushOwn(0, 6)
+		pl.GiveUp(0)
+		pl.PushWoken(1, 2)
+		if got, want := sharedLayout(pl), [][]int{{2}, {6}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("R = %v, want %v", got, want)
+		}
+		if calls != 1 {
+			t.Fatalf("PushWoken called less %d times, want 1", calls)
+		}
+	})
 }
 
 func TestSharedStealPanicsWhileOwning(t *testing.T) {

@@ -105,18 +105,15 @@ func unpack(w uint64) (tag, bot uint32) { return uint32(w >> 32), uint32(w) }
 // replaces the old always-zero-under-Mu rule.
 //
 // A Deque is safe for one owner goroutine plus any number of concurrent
-// PopBottom/PeekTop/PeekBottom/Len callers, with no locks anywhere.
-// PushTop/PopTop/PopTopIf/Reset/Items are owner-only (Reset and Items
-// additionally require that the owner role is quiescent or transferred
-// with external happens-before, e.g. a pool's spine lock). PopBottom may
-// spuriously fail under contention — callers treat that as a failed
-// steal. T must be a non-interface comparable type (atomic.Value cannot
-// store nil interfaces), and the zero value of T must never be pushed:
-// it is reserved as the scrub sentinel for vacated slots, which foreign
-// PeekTop relies on to reject ABA-on-top reads (top, unlike the bottom
-// word, carries no generation tag). Every scheduler instantiates deques
-// with pointer element types and pushes non-nil pointers, satisfying
-// all three trivially.
+// PopBottom/Len callers, with no locks anywhere: the tagged bottom word
+// is the only thing a foreigner may act on. PushTop/PopTop/PopTopIf/
+// PeekTop/Reset/Items are owner-side (PeekTop, Reset and Items may also
+// be called while the owner role is quiescent or transferred with
+// external happens-before, e.g. on an unowned deque under a pool's spine
+// lock). PopBottom may spuriously fail under contention — callers treat
+// that as a failed steal. T must be a non-interface comparable type
+// (atomic.Value cannot store nil interfaces); every scheduler
+// instantiates deques with pointer element types.
 type Deque[T comparable] struct {
 	bottom atomic.Uint64                  // (tag << 32) | bot — the thief word
 	top    atomic.Int64                   // owner-written; live window is [bot, top)
@@ -211,12 +208,6 @@ func (d *Deque[T]) Len() int {
 // Empty reports whether the deque holds no items (same snapshot caveat as
 // Len).
 func (d *Deque[T]) Empty() bool { return d.Len() == 0 }
-
-// SizeHint reports the number of items without any locking — two atomic
-// loads. By the time the caller acts on it a concurrent owner or thief
-// may have changed it — use it for heuristics (has-work checks, victim
-// screening), never for correctness.
-func (d *Deque[T]) SizeHint() int { return d.Len() }
 
 // PushTop pushes an item onto the top of the deque (owner operation).
 // On the way it lazily scrubs slots vacated by thieves, and runs claim-all
@@ -360,36 +351,18 @@ func (d *Deque[T]) PopTopIf(want T) bool {
 	return ok
 }
 
-// PeekTop returns the top item without removing it. Exact for the owner;
-// for foreign readers it is a validated racy read (bounded retries, false
-// on instability) — the value was the top at some instant, which is all a
-// priority screen can use it for anyway.
+// PeekTop returns the top item without removing it. Owner-side: only the
+// owner writes top and the top slots, so a single read is exact; thieves
+// may race it from the bottom end, in which case the value was the top at
+// the instant of the read.
 func (d *Deque[T]) PeekTop() (T, bool) {
-	var zero T
-	for tries := 0; tries < 4; tries++ {
-		t := d.top.Load()
-		_, bot := unpack(d.bottom.Load())
-		if t <= int64(bot) {
-			return zero, false
-		}
-		ap := d.arr.Load()
-		if ap == nil || int(t) > len(*ap) {
-			continue // stale geometry: the owner is mid-claim-all
-		}
-		x, ok := (*ap)[t-1].Load().(T)
-		// Only the owner writes top slots, but top itself carries no
-		// generation tag, so "top unchanged" is not ABA-proof: a pop
-		// (store top=t-1, scrub slot t-1) followed by a push (rewrite
-		// slot, restore top=t) can sandwich this reader's slot load so
-		// it holds the scrub zero yet passes the revalidation. The zero
-		// value of T is reserved as the scrub sentinel (see the type
-		// comment), so a zero read is indistinguishable from that
-		// interference and is treated as instability, never credited.
-		if ok && x != zero && d.top.Load() == t {
-			return x, true
-		}
+	t := d.top.Load()
+	if _, bot := unpack(d.bottom.Load()); t <= int64(bot) {
+		var zero T
+		return zero, false
 	}
-	return zero, false
+	x, ok := (*d.arr.Load())[t-1].Load().(T)
+	return x, ok
 }
 
 // PopBottom removes and returns the bottom item — the thief operation,
@@ -415,30 +388,6 @@ func (d *Deque[T]) PopBottom() (T, bool) {
 		// Same tag ⇒ same epoch ⇒ same array and a slot the owner
 		// published before top first exceeded bot: x is the live bottom.
 		return x, true
-	}
-	return zero, false
-}
-
-// PeekBottom returns the bottom item without removing it — a validated
-// racy read like foreign PeekTop (the word must be unchanged across the
-// slot load for the value to be credited).
-func (d *Deque[T]) PeekBottom() (T, bool) {
-	var zero T
-	for tries := 0; tries < 4; tries++ {
-		w := d.bottom.Load()
-		_, bot := unpack(w)
-		t := d.top.Load()
-		if t <= int64(bot) {
-			return zero, false
-		}
-		ap := d.arr.Load()
-		if ap == nil || int(bot) >= len(*ap) {
-			continue
-		}
-		x, ok := (*ap)[bot].Load().(T)
-		if ok && d.bottom.Load() == w {
-			return x, true
-		}
 	}
 	return zero, false
 }

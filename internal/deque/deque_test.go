@@ -34,8 +34,8 @@ func TestDequeBottomIsOldest(t *testing.T) {
 	if top, _ := d.PeekTop(); top != "newest" {
 		t.Fatalf("PeekTop = %q, want newest", top)
 	}
-	if bot, _ := d.PeekBottom(); bot != "middle" {
-		t.Fatalf("PeekBottom = %q, want middle", bot)
+	if bot := d.Items()[0]; bot != "middle" {
+		t.Fatalf("bottom = %q, want middle", bot)
 	}
 }
 
@@ -49,9 +49,6 @@ func TestDequeEmptyOps(t *testing.T) {
 	}
 	if _, ok := d.PeekTop(); ok {
 		t.Fatal("PeekTop on empty succeeded")
-	}
-	if _, ok := d.PeekBottom(); ok {
-		t.Fatal("PeekBottom on empty succeeded")
 	}
 	if d.InList() || d.Pos() != -1 {
 		t.Fatal("stand-alone deque claims list membership")
@@ -298,10 +295,9 @@ func TestResetClearsState(t *testing.T) {
 	tagBefore, _ := unpack(d.bottom.Load())
 	l.Delete(d)
 	d.Reset()
-	if d.Len() != 0 || d.SizeHint() != 0 || d.Owner != -1 || d.ID != 0 ||
-		d.InList() || d.Pos() != -1 {
-		t.Fatalf("Reset left state behind: len=%d hint=%d owner=%d id=%d inlist=%v pos=%d",
-			d.Len(), d.SizeHint(), d.Owner, d.ID, d.InList(), d.Pos())
+	if d.Len() != 0 || d.Owner != -1 || d.ID != 0 || d.InList() || d.Pos() != -1 {
+		t.Fatalf("Reset left state behind: len=%d owner=%d id=%d inlist=%v pos=%d",
+			d.Len(), d.Owner, d.ID, d.InList(), d.Pos())
 	}
 	if got := liveSlots(d); got != 0 {
 		t.Fatalf("Reset left %d live slots behind", got)

@@ -424,8 +424,9 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	// under the same lock, so it can never observe the raised live count
 	// without the published root (or vice versa). Job roots take the
 	// lowest 1DF priority — they come after everything already running —
-	// and enter the ready structure through the policy's
-	// priority-positioned injection, preserving Lemma 3.1.
+	// so the policy's Inject can publish them where its order expects
+	// the lowest-priority thread without comparing (DFDeques: the right
+	// end of R), preserving Lemma 3.1.
 	rt.extMu.Lock()
 	rt.jobsMu.Lock()
 	if rt.draining {

@@ -48,11 +48,11 @@ func (d *DFD[T]) Threshold() int64 { return d.k }
 // Seed implements Policy.
 func (d *DFD[T]) Seed(t T) { d.pool.Seed(t) }
 
-// Inject implements Policy: the thread gets a new deque at its priority
-// position in R (the woken-thread insertion path), so mid-run injection —
-// a submitted job root, a canceled job's republished thread — preserves
-// the Lemma 3.1 left-to-right order.
-func (d *DFD[T]) Inject(t T) { d.pool.PushWoken(-1, t) }
+// Inject implements Policy: the thread gets a new deque at the right end
+// of R — O(1), no scan, no priority comparison. A submitted job root is
+// minted at the back of the order, so that is its Lemma 3.1 position; a
+// canceled job's swept thread only needs a dispatch to die.
+func (d *DFD[T]) Inject(t T) { d.pool.Append(t) }
 
 // ForkCont implements Policy: the parent keeps running inline and the
 // child — the paper's pushed parent, lower in priority than everything

@@ -3,8 +3,9 @@ package policy_test
 // Inject places a thread into a policy's ready structure from outside any
 // worker — the path a submitted job root or a canceled job's republished
 // thread takes (PR 4). These tests pin down the placement contract per
-// policy: priority-positioned for DFD and ADF (Lemma 3.1 survives mid-run
-// injection), arrival-ordered for FIFO, the shared FIFO inbox for WS.
+// policy: appended at the right end of R for DFD (where a root minted at
+// the back of the order belongs), priority-positioned for ADF,
+// arrival-ordered for FIFO, the shared FIFO inbox for WS.
 
 import (
 	"testing"
@@ -13,36 +14,44 @@ import (
 	"dfdeques/internal/policy"
 )
 
-// TestDFDInjectPriorityOrder injects three roots in scrambled order and
-// checks a single worker acquires them in 1DF priority order: each Inject
-// opened a fresh deque at the record's priority position in R, so the
-// leftmost-p steal always finds the highest-priority root first.
+// TestDFDInjectPriorityOrder pins the contract the runtime relies on:
+// roots are minted at the back of the priority order and injected in that
+// order, each Inject appends a fresh deque at the right end of R, so R
+// stays Lemma 3.1-ordered with no comparison and a single worker acquires
+// the roots in 1DF priority order.
 func TestDFDInjectPriorityOrder(t *testing.T) {
 	var l om.List
 	// One worker: the leftmost-p steal window has width 1, so the victim
 	// choice is deterministic and the acquire order is exactly R's order.
-	d := policy.NewDFD(1, 0, om.Less, 1)
+	injecting := false
+	d := policy.NewDFD(1, 0, func(a, b *om.Record) bool {
+		if injecting {
+			t.Error("Inject reached the priority order")
+		}
+		return om.Less(a, b)
+	}, 1)
 
-	r1 := l.PushBack() // highest priority of the three
-	r2 := l.PushBack()
-	r3 := l.PushBack() // lowest
-
-	d.Inject(r2)
-	d.Inject(r3)
-	d.Inject(r1) // injected last, must still be acquired first
+	var roots []*om.Record
+	injecting = true
+	for i := 0; i < 3; i++ {
+		r := l.PushBack() // grt.Submit: each root lower than everything minted before
+		roots = append(roots, r)
+		d.Inject(r)
+	}
+	injecting = false
 
 	idle := func(int) (*om.Record, bool) { return nil, false }
 	if err := d.CheckInvariants(idle); err != nil {
 		t.Fatalf("after injection: %v", err)
 	}
 
-	for i, want := range []*om.Record{r1, r2, r3} {
+	for i, want := range roots {
 		got, ok := d.Acquire(0)
 		if !ok {
 			t.Fatalf("acquire %d failed with %d roots outstanding", i, 3-i)
 		}
 		if got != want {
-			t.Fatalf("acquire %d: got record with wrong priority (injection order leaked into R)", i)
+			t.Fatalf("acquire %d: roots came back out of injection order", i)
 		}
 		if _, ok := d.Terminate(0, nil, false); ok {
 			t.Fatalf("acquire %d: unexpected local work after a lone injected root", i)

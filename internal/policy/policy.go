@@ -72,15 +72,18 @@ type Policy[T any] interface {
 	Seed(t T)
 	// Inject publishes a thread from outside any worker while workers may
 	// be running: a newly submitted job's root, or a canceled job's
-	// blocked thread being republished so a worker can retire it. The
-	// thread enters the ready structure at its priority position (a new
-	// deque for DFDeques, the priority slot for ADF), so Lemma 3.1
-	// ordering survives mid-run injection. Because later-submitted roots
-	// enter at back-of-priority, the order a serving layer injects
-	// admitted jobs IS their execution-priority order among roots — an
-	// admission controller (internal/serve) implements weighted-fair
-	// scheduling purely by choosing its Inject order, with no policy
-	// cooperation needed.
+	// blocked thread being republished so a worker can retire it. Under
+	// DFDeques the thread is appended in a new deque at the right end of
+	// R: roots are minted at the back of the priority order, so that IS
+	// their priority position and Lemma 3.1 survives mid-run injection
+	// with no comparison at all; swept threads only need a dispatch to
+	// die (their streams are ordering-inexact anyway, §5). ADF inserts at
+	// the priority slot of its queue. Because later-submitted roots enter
+	// at back-of-priority, the order a serving layer injects admitted
+	// jobs IS their execution-priority order among roots — an admission
+	// controller (internal/serve) implements weighted-fair scheduling
+	// purely by choosing its Inject order, with no policy cooperation
+	// needed.
 	Inject(t T)
 	// ForkCont handles a fork event on worker w: the parent keeps running
 	// inline and the child is published. The runtime forks parent-first,

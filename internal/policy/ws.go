@@ -140,7 +140,7 @@ func (pl *WSPool[T]) inject(recorder int, x T) {
 // as a steal from the inbox deque.
 func (pl *WSPool[T]) popInbox(w int) (T, bool) {
 	var zero T
-	if pl.inbox.SizeHint() == 0 {
+	if pl.inbox.Len() == 0 {
 		return zero, false
 	}
 	x, ok := pl.stealBottom(w, pl.inbox)
@@ -186,14 +186,14 @@ func (pl *WSPool[T]) PopIf(w int, want T) bool {
 }
 
 // StealFrom pops the bottom of victim v's deque on behalf of thief w. An
-// empty victim is screened out by SizeHint before anything else, and the
+// empty victim is screened out by Len before anything else, and the
 // steal itself is the lock-free bottom-word CAS: the victim's owner is
 // never blocked, and a CAS lost to the owner or another thief is just a
 // failed attempt.
 func (pl *WSPool[T]) StealFrom(w, v int) (T, bool) {
 	d := pl.dq[v]
 	var zero T
-	if d.SizeHint() == 0 {
+	if d.Len() == 0 {
 		pl.trace(w, rtrace.EvStealAttempt, d.ID, 0, 0)
 		pl.failed.Add(1)
 		return zero, false
@@ -220,7 +220,8 @@ func (pl *WSPool[T]) NoteFailed(w int) {
 func (pl *WSPool[T]) HasWork() bool { return pl.ready.Load() > 0 }
 
 // At returns worker i's deque for serial drivers and invariant checkers;
-// concurrent callers get only the deque's nonblocking foreign reads.
+// concurrent callers may only use what the deque offers foreigners
+// (PopBottom, Len).
 func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
 
 // Inbox returns the shared injection deque (trace id Workers()).

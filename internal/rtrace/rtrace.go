@@ -71,8 +71,9 @@ const (
 	// with fixed deques, i.e. WS).
 	EvSteal
 	// EvDequeCreate: deque A entered R immediately right of deque B (B=-1:
-	// at the left end). C=1 when the deque was created to hold a woken
-	// thread at its priority position.
+	// at the left end). C=1 when the deque was created mid-run, to hold a
+	// woken thread at its priority position or an injected one at the
+	// right end; C=0 for the seed.
 	EvDequeCreate
 	// EvDequeRelease: worker W gave up ownership of deque A, leaving it in
 	// R unowned and stealable.

@@ -291,8 +291,9 @@ func TestExportRealRunLoadsBack(t *testing.T) {
 // requires the replay to track each job's lifecycle: every thread
 // attributed to its job, the canceled job drained through ordinary
 // dispatches and completions, and all three jobs ended. Under DFDeques
-// the late roots enter through priority-positioned injection, so the
-// Lemma 3.1 ordering checks stay at full strength; under WS a late root
+// the late roots are appended at the right end of R — their priority
+// position — so the Lemma 3.1 ordering checks stay at full strength
+// (the canceled spinner never blocks on a lock); under WS a late root
 // joins deque 0 regardless of priority, and the verifier must degrade
 // ordering the way it does for lock programs. The exported file must
 // round-trip through Load and verify identically (the dfdtrace -verify

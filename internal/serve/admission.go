@@ -87,16 +87,22 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
+// finish classifies the job's outcome, counts it against its tenant and
+// only then releases the waiters: a client that has seen the job finish
+// must find it in its tenant's accounting.
 func (j *job) finish(res jobResult, err error) {
 	j.mu.Lock()
 	j.finishAt = time.Now()
 	switch {
 	case err == nil:
 		j.state, j.result = "done", res
+		j.tenant.completed.Add(1)
 	case errors.Is(err, errJobCanceled) || errors.Is(err, context.Canceled):
 		j.state, j.err = "canceled", err
+		j.tenant.canceled.Add(1)
 	default:
 		j.state, j.err = "failed", err
+		j.tenant.failed.Add(1)
 	}
 	j.mu.Unlock()
 	close(j.done)
@@ -338,7 +344,6 @@ func (a *admission) removeTenant(name string) *tenant {
 	a.mu.Unlock()
 	for _, j := range orphans {
 		j.finish(jobResult{}, errTenantDeleted)
-		t.failed.Add(1)
 	}
 	return t
 }
@@ -402,7 +407,6 @@ func (a *admission) cancelJob(j *job) bool {
 			a.cond.Broadcast()
 			a.mu.Unlock()
 			j.finish(jobResult{}, errJobCanceled)
-			t.canceled.Add(1)
 			return true
 		}
 	}
@@ -474,14 +478,6 @@ func (a *admission) runJob(j *job) {
 	})
 	cancel()
 	j.finish(res, err)
-	switch j.stateNow() {
-	case "canceled":
-		t.canceled.Add(1)
-	case "failed":
-		t.failed.Add(1)
-	default:
-		t.completed.Add(1)
-	}
 	t.lat.record(time.Since(j.submitAt))
 
 	a.mu.Lock()
@@ -521,7 +517,6 @@ func (a *admission) drain(ctx context.Context) error {
 			for _, j := range t.pending {
 				t.reserved -= j.cost
 				j.finish(jobResult{}, grt.ErrShutdown)
-				t.failed.Add(1)
 			}
 			t.pending = nil
 		}

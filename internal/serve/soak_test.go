@@ -24,7 +24,7 @@ package serve
 //     no goroutine survives Close.
 //
 // Durations: ~1s under -short, ~3s by default, DFDSERVE_SOAK_SECS
-// overrides for the minutes-long acceptance run:
+// overrides for the minutes-long acceptance run (soakDuration):
 //
 //	DFDSERVE_SOAK_SECS=120 go test ./internal/serve/ -race -run TestServeSoak -v
 import (
@@ -48,18 +48,25 @@ import (
 	"dfdeques/internal/serve/client"
 )
 
-func TestServeSoak(t *testing.T) {
-	dur := 3 * time.Second
-	if testing.Short() {
-		dur = 1 * time.Second
-	}
+// soakDuration is short under -short, def otherwise, and whatever
+// DFDSERVE_SOAK_SECS says when it is set.
+func soakDuration(t *testing.T, short, def time.Duration) time.Duration {
+	t.Helper()
 	if v := os.Getenv("DFDSERVE_SOAK_SECS"); v != "" {
 		secs, err := strconv.Atoi(v)
 		if err != nil || secs < 1 {
 			t.Fatalf("bad DFDSERVE_SOAK_SECS=%q", v)
 		}
-		dur = time.Duration(secs) * time.Second
+		return time.Duration(secs) * time.Second
 	}
+	if testing.Short() {
+		return short
+	}
+	return def
+}
+
+func TestServeSoak(t *testing.T) {
+	dur := soakDuration(t, 1*time.Second, 3*time.Second)
 
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -377,5 +384,62 @@ func TestServeSoak(t *testing.T) {
 			t.Fatalf("goroutine leak: base %d, now %d", baseGoroutines, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeSoakSubmitMix is the request mix that used to kill the process
+// (ROADMAP 1a), at the DEFAULT MaxInflight: 2 workers, K=4096, four
+// unbudgeted keyless tenants, two closed-loop clients posting depth-4
+// alloc:128 trees with ?wait=1, so nearly every Submit injects a root
+// into an R whose deques another job's owner is working. Every job must
+// come back done. The acceptance run is ten minutes under the race
+// detector:
+//
+//	DFDSERVE_SOAK_SECS=600 go test ./internal/serve/ -race -run TestServeSoakSubmitMix -v
+func TestServeSoakSubmitMix(t *testing.T) {
+	dur := soakDuration(t, 2*time.Second, 4*time.Second)
+	cfg := Config{
+		Runtime: dfdeques.RuntimeConfig{Workers: 2, Sched: dfdeques.SchedDFDeques, K: 4096, Seed: 1},
+		Tenants: map[string]TenantConfig{"t0": {Weight: 1}, "t1": {Weight: 1}, "t2": {Weight: 1}, "t3": {Weight: 1}},
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ctx := context.Background()
+	deadline := time.Now().Add(dur)
+	var jobs atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := client.New(ts.URL)
+			for i := c; time.Now().Before(deadline); i++ {
+				st, err := cl.SubmitWait(ctx, api.JobRequest{
+					Tenant: "t" + strconv.Itoa(i%4),
+					Tree:   &api.TreeSpec{Depth: 4, Alloc: 128, Work: 2},
+				})
+				if err != nil || st.Status != "done" {
+					t.Errorf("client %d job %d: err %v status %q (%s)", c, i, err, st.Status, st.Error)
+					return
+				}
+				jobs.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := s.Close(cctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	t.Logf("submit mix %v at default MaxInflight: %d jobs, all done", dur, jobs.Load())
+	if jobs.Load() < 100 {
+		t.Fatalf("mix too quiet: only %d jobs", jobs.Load())
 	}
 }

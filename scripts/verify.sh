@@ -19,17 +19,26 @@ go test ./...
 go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
 # Serving-layer soak (short mode): 8 tenants over HTTP with one
 # over-budget hog, asserting isolation (429s + budget kills for the hog
-# only) and a leak-free drain. DFDSERVE_SOAK_SECS=120 runs the long one.
+# only) and a leak-free drain; then the Submit-into-a-busy-R request mix
+# at the default MaxInflight. DFDSERVE_SOAK_SECS=120 runs the long ones
+# (600 with -run TestServeSoakSubmitMix is ROADMAP 1a's acceptance run).
 go test -race -short -run TestServeSoak -count=1 ./internal/serve/
 # Lifecycle stress: cancellation, shutdown and drain paths repeated under
 # the race detector — the park/wake, poison-sweep and job-retirement
 # races only show up across many runs.
 go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
-# Oversubscription: more Ps than cores, so workers are preempted mid
-# scheduling event. That is what exposed the fork-priority bug the replay
-# verifier now guards (steals landing on a deque whose owner was mid
-# inline fork/join chain); 20 runs of every traced, verified test.
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario' ./internal/rtrace/ ./internal/grt/
+# Oversubscription: more Ps than cores and two busy-loop hogs alongside,
+# so workers are preempted mid scheduling event. That is what exposed the
+# fork-priority bug the replay verifier now guards (steals landing on a
+# deque whose owner was mid inline fork/join chain); 20 runs of every
+# traced, verified test, and of the Submit-into-a-busy-R mix.
+hogs=
+trap 'kill $hogs' EXIT
+for i in 1 2; do
+    sh -c 'while :; do :; done' &
+    hogs="$hogs $!"
+done
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob' ./internal/rtrace/ ./internal/grt/
 # The tracing hooks must also compile out cleanly (-tags grtnotrace folds
 # every hook site away behind the rtrace.Enabled constant).
 go build -tags grtnotrace ./...
