@@ -56,8 +56,8 @@ import (
 // membership events are recorded under the exclusive spine, which
 // linearizes R's structural history.
 //
-// Lock order, here and in internal/grt: R spine → (the runtime's
-// priority-list lock, taken inside the less callback). less is called
+// The spine is a leaf lock: the less callback runs under it and takes
+// none (internal/grt reads the order off its fork tree). less is called
 // only by PushWoken — on frozen tops and the woken thread, both live —
 // and by the test-time CheckInvariants. All pool methods are safe for
 // concurrent use; methods taking a worker index w are worker w's alone.
@@ -104,8 +104,8 @@ type SharedPool[T comparable] struct {
 }
 
 // NewSharedPool builds a concurrent pool for p workers; the parameters
-// mirror NewPool. less may acquire the caller's priority lock (it is
-// invoked with the spine lock held). seed determines every worker's
+// mirror NewPool. less is invoked with the spine lock held and must not
+// block on anything a spine holder waits for. seed determines every worker's
 // private victim-selection stream.
 func NewSharedPool[T comparable](p int, less func(a, b T) bool, seed int64) *SharedPool[T] {
 	if p < 1 {

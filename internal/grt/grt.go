@@ -14,9 +14,10 @@
 // scheduler lock") and names that serialization as its scalability limit.
 // This runtime synchronizes fine-grained instead: lock-free deque item
 // operations, a spine lock on R taken only by steals and membership
-// changes, a dedicated read-write lock for the priority order, per-thread
-// locks for the join protocol, and atomic heap-quota accounting so the
-// Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the paper").
+// changes, a priority order read lock-free off the fork tree (prioLess),
+// per-thread locks for the join protocol, and atomic heap-quota accounting
+// so the Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the
+// paper").
 //
 // Threads yield to their worker at exactly the paper's scheduling points:
 // fork, join on a live child, quota-checked allocation, lock block, dummy
@@ -63,7 +64,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dfdeques/internal/om"
 	"dfdeques/internal/policy"
 	"dfdeques/internal/rtrace"
 )
@@ -179,7 +179,6 @@ type T struct {
 	rt     *Runtime
 	job    *Job
 	body   func(*T)
-	prio   *om.Record
 	resume chan struct{}
 	yield  chan event
 	// started flips once, when the thread first gets a stack: the worker
@@ -191,7 +190,15 @@ type T struct {
 	started atomic.Bool
 	dummy   bool
 	root    bool  // job root: released by evDone (nothing ever joins it)
-	tid     int64 // stable trace id: first root is 1, then submit/fork order
+	tid     int64 // stable trace id: first root is 1, then submit/fork order; 0 with no probe
+
+	// The 1DF position, read by prioLess: the forking thread (nil for a job
+	// root), the nesting depth, and the index among the parent's forks (a
+	// root: its job id). Written once by the forker before the thread is
+	// published; forks counts the thread's own forks and only it touches it.
+	parent       *T
+	depth        int
+	index, forks int64
 
 	// Frame state. w is the worker currently driving
 	// the thread (set by the dispatching worker before resuming, and
@@ -297,15 +304,11 @@ type Runtime struct {
 	jobs     map[int64]*Job
 	draining bool
 
-	// prioMu guards the om priority list for every policy (leaf lock).
-	prioMu sync.RWMutex
-	prios  om.List
-
 	// Accounting: atomics, so the hot paths (fork, alloc) never need a
 	// lock for bookkeeping. Per-job counters live on Job; the runtime
 	// keeps only what scheduling itself needs — the global live-thread
-	// count (deadlock detection), the trace id and job id wells, and the
-	// steal-wait clock.
+	// count (deadlock detection), the trace id (drawn only when a probe is
+	// attached) and job id wells, and the steal-wait clock.
 	live         atomic.Int64
 	tids, jobIDs atomic.Int64
 	stealWaitNs  atomic.Int64
@@ -344,12 +347,11 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
 	rt.cond = sync.NewCond(&rt.mu)
-	less := func(a, b *T) bool { return rt.prioLess(a, b) }
 	switch cfg.Sched {
 	case DFDeques:
-		rt.pol = policy.NewDFD(cfg.Workers, cfg.K, less, cfg.Seed)
+		rt.pol = policy.NewDFD(cfg.Workers, cfg.K, prioLess, cfg.Seed)
 	case ADF:
-		rt.pol = policy.NewADF(cfg.Workers, cfg.K, less)
+		rt.pol = policy.NewADF(cfg.Workers, cfg.K, prioLess)
 	case FIFO:
 		rt.pol = policy.NewFIFO[*T](cfg.K)
 	case WS:
@@ -423,8 +425,9 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	// Publication is atomic under extMu: the deadlock detector confirms
 	// under the same lock, so it can never observe the raised live count
 	// without the published root (or vice versa). Job roots take the
-	// lowest 1DF priority — they come after everything already running —
-	// so the policy's Inject can publish them where its order expects
+	// lowest 1DF priority — the job id, drawn here in injection order, is
+	// the root's index, so it comes after everything already running —
+	// and the policy's Inject can publish them where its order expects
 	// the lowest-priority thread without comparing (DFDeques: the right
 	// end of R), preserving Lemma 3.1.
 	rt.extMu.Lock()
@@ -438,8 +441,10 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	rt.jobs[j.id] = j
 	rt.jobsMu.Unlock()
 
-	rootT.prio = rt.prioPushBack()
-	rootT.tid = rt.tids.Add(1)
+	rootT.index = j.id
+	if rt.probe != nil {
+		rootT.tid = rt.tids.Add(1)
+	}
 	rt.live.Add(1)
 	rt.trace(-1, rtrace.EvJobBegin, j.id, rootT.tid, 0)
 	if opts.TenantTag != 0 || opts.JobTag != 0 {
@@ -596,13 +601,18 @@ func (rt *Runtime) newT(body func(*T)) *T {
 
 // releaseT returns a dead thread's frame to the pool. The caller must be
 // the frame's last referent: the parent after Join observed isDone, or
-// the evDone handler for a job root. Threads of a canceled job whose
-// parents unwound without joining are simply never released — the
-// garbage collector reclaims them, as before pooling.
+// the evDone handler for a job root. No frame of a poisoned job is pooled:
+// its parents unwind without joining, so a dead frame may still be the
+// ancestor prioLess walks through from a live descendant — the garbage
+// collector reclaims the whole tree instead. (Poison is set before any
+// such unwinding starts, so the check cannot miss.)
 func releaseT(t *T) {
+	if t.job.poisoned.Load() {
+		return
+	}
 	t.job = nil
 	t.body = nil
-	t.prio = nil
+	t.parent, t.depth, t.index, t.forks = nil, 0, 0, 0
 	t.started.Store(false)
 	t.dummy = false
 	t.root = false
@@ -619,14 +629,17 @@ func releaseT(t *T) {
 	tPool.Put(t)
 }
 
-// noteFork does the bookkeeping of child being forked by curr: priority
-// insertion, trace id, and thread counters. The forking thread keeps
+// noteFork does the bookkeeping of child being forked by curr: 1DF
+// position, trace id, and thread counters. The forking thread keeps
 // running (it plays the paper's child) and the forked closure is what the
 // paper calls the pushed parent, so it takes the 1DF priority immediately
-// *after* curr.
+// *after* curr — which prioLess reads off these three words.
 func (rt *Runtime) noteFork(curr, child *T) {
-	child.prio = rt.prioInsertAfter(curr.prio)
-	child.tid = rt.tids.Add(1)
+	child.parent, child.depth, child.index = curr, curr.depth+1, curr.forks
+	curr.forks++
+	if rt.probe != nil {
+		child.tid = rt.tids.Add(1)
+	}
 	rt.live.Add(1)
 	j := curr.job
 	j.tot.Add(1)
@@ -654,34 +667,40 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// ---- Priority order (om list) wrappers -----------------------------------
-//
-// The om list is not safe for concurrent use, and its relabeling moves
-// tags of records other than the one being inserted, so even Less needs
-// protection. prioMu is a leaf lock.
-
-func (rt *Runtime) prioPushBack() *om.Record {
-	rt.prioMu.Lock()
-	defer rt.prioMu.Unlock()
-	return rt.prios.PushBack()
+// prioLess reports whether a precedes b in the 1DF order, reading it off
+// the fork tree with no lock: an ancestor precedes its descendants, of two
+// siblings the later-forked comes first (each fork lands immediately after
+// its forker), and of two job roots the earlier job. O(nesting depth). Every
+// frame the walk reaches is live or, in a poisoned job, held by the GC —
+// an ancestor cannot terminate before its descendants are joined, and
+// releaseT pools nothing of a job whose parents unwind without joining.
+func prioLess(a, b *T) bool {
+	x, y := a, b
+	for x.depth > y.depth {
+		x = x.up()
+	}
+	for y.depth > x.depth {
+		y = y.up()
+	}
+	if x == y {
+		return a.depth < b.depth // one is the other's ancestor (or a == b)
+	}
+	for x.parent != y.parent {
+		x, y = x.up(), y.up()
+	}
+	if x.parent == nil {
+		return x.index < y.index
+	}
+	return x.index > y.index
 }
 
-func (rt *Runtime) prioInsertAfter(r *om.Record) *om.Record {
-	rt.prioMu.Lock()
-	defer rt.prioMu.Unlock()
-	return rt.prios.InsertAfter(r)
-}
-
-func (rt *Runtime) prioDelete(r *om.Record) {
-	rt.prioMu.Lock()
-	defer rt.prioMu.Unlock()
-	rt.prios.Delete(r)
-}
-
-func (rt *Runtime) prioLess(a, b *T) bool {
-	rt.prioMu.RLock()
-	defer rt.prioMu.RUnlock()
-	return om.Less(a.prio, b.prio)
+// up is one step of prioLess's walk; it names a broken tree rather than
+// dereferencing a recycled ancestor.
+func (t *T) up() *T {
+	if t.parent == nil || t.parent.job != t.job {
+		panic("grt: prioLess reached a recycled ancestor (frame pooled while a descendant was live)")
+	}
+	return t.parent
 }
 
 // ---- Thread-side API -----------------------------------------------------
@@ -874,8 +893,6 @@ func (t *T) joinInline(c *T) {
 		// the parent inherits it.
 		t.w = c.w
 		rt.trace(c.w, rtrace.EvComplete, c.tid, 0, 0)
-		rt.prioDelete(c.prio)
-		c.prio = nil
 		// finish() reduced to its atomic half: an inline child can have
 		// no registered waiter (only its parent joins it, and the parent
 		// is running this call), so there is no handoff to arbitrate.

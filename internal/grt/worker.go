@@ -20,12 +20,9 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // fork, own-deque pops, or alloc/free — deque item operations are
 // lock-free end to end).
 //
-// Locking map (acquisition order left to right; every lock is a leaf to
-// everything on its right):
-//
-//	policy internals  →  rt.prioMu
-//	policy: R spine → rt.prioMu (see core.SharedPool; deques carry no lock)
-//
+// Locking map: the policy's internal locks (the R spine — see
+// core.SharedPool; deques carry no lock — or the queue mutex) are leaves;
+// the priority comparison they call under them (prioLess) takes no lock.
 // rt.mu is only ever held to park or wake idle workers, never while
 // consulting the policy.
 
@@ -100,8 +97,6 @@ func (rt *Runtime) worker(w int) {
 		case evDone:
 			dying := curr
 			rt.trace(w, rtrace.EvComplete, dying.tid, 0, 0)
-			rt.prioDelete(dying.prio)
-			dying.prio = nil
 			// Everything this handler needs from the dying frame is read
 			// before finish: the moment finish publishes done, a joining
 			// parent on another worker may observe it, release the frame

@@ -18,7 +18,7 @@ type DFD[T comparable] struct {
 }
 
 // NewDFD builds a DFDeques(K) policy for p workers. less is the 1DF
-// priority order (it may take the caller's priority lock); seed derives
+// priority order (called under the R spine; it must take no lock); seed derives
 // each worker's private victim-selection stream (core.WorkerSeed).
 func NewDFD[T comparable](p int, k int64, less func(a, b T) bool, seed int64) *DFD[T] {
 	return &DFD[T]{

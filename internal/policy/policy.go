@@ -15,17 +15,16 @@
 // exactly once; a new scheduler lands in one file here instead of one per
 // engine.
 //
-// Lock-order contract (shared with core.SharedPool and internal/grt):
-//
-//	R spine → the caller's priority lock (inside less)
+// Lock-order contract (shared with core.SharedPool and internal/grt): the
+// R spine is a leaf — the less callback runs under it and takes no lock.
 //
 // Deques themselves carry no lock: every item operation is nonblocking
 // (the ABP-style tag/bottom protocol in internal/deque), so owners and
 // thieves never serialize on anything but the spine for membership
 // changes — WS adds only the tiny injector-side inbox mutex, which no
 // worker path touches. The queue policies (ADF, FIFO) use a single
-// internal mutex that is a leaf to everything except the priority lock,
-// which less may take inside it. See DESIGN.md §5.
+// internal mutex that is likewise a leaf (less runs inside it). See
+// DESIGN.md §5.
 package policy
 
 import (

@@ -10,6 +10,13 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The runtime reads the 1DF order off its fork tree; the om-list is the
+# simulator's and the replay verifier's. An import creeping back means a
+# global structure is back on the fork path.
+if go list -f '{{join .Imports "\n"}}' ./internal/grt | grep -q 'internal/om$'; then
+    echo "internal/grt imports internal/om" >&2
+    exit 1
+fi
 # staticcheck when available (CI installs it; local runs skip silently so
 # the script stays dependency-free).
 if command -v staticcheck >/dev/null 2>&1; then
@@ -31,14 +38,16 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # so workers are preempted mid scheduling event. That is what exposed the
 # fork-priority bug the replay verifier now guards (steals landing on a
 # deque whose owner was mid inline fork/join chain); 20 runs of every
-# traced, verified test, and of the Submit-into-a-busy-R mix.
+# traced, verified test, of the Submit-into-a-busy-R mix, and of the two
+# fork-tree-order tests (no contended lock on the fork path; no frame of
+# a canceled job recycled under a live descendant's priority walk).
 hogs=
 trap 'kill $hogs' EXIT
 for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob' ./internal/rtrace/ ./internal/grt/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames' ./internal/rtrace/ ./internal/grt/
 # The tracing hooks must also compile out cleanly (-tags grtnotrace folds
 # every hook site away behind the rtrace.Enabled constant).
 go build -tags grtnotrace ./...
