@@ -113,14 +113,6 @@ func BenchmarkExt_AdaptiveK(b *testing.B) {
 	}
 }
 
-// BenchmarkExt_Clustered regenerates the §7 multi-level (cluster of SMPs)
-// scheduling experiment.
-func BenchmarkExt_Clustered(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab.Clustered(quickOpts())
-	}
-}
-
 // BenchmarkExt_CrossCheck regenerates the simulator-vs-real-runtime
 // agreement table.
 func BenchmarkExt_CrossCheck(b *testing.B) {

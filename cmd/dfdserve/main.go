@@ -36,8 +36,6 @@
 //	                 specs; budget 0 means no quota (default "default:1:0")
 //	-admin-key KEY   management credential; empty = open (default "")
 //	-ctl-interval D  adaptive controller tick period; <0 disables
-//	-ctl-floor F     lowest effective-headroom fraction (0 = default)
-//	-ctl-step F      headroom fraction moved per tick (0 = default)
 //	-config FILE     JSON serve.Config (overrides the flags above except -addr)
 //	-drain D         max graceful-drain duration on SIGTERM (default 30s)
 //	-smoke URL       run the client-driven smoke sequence against a
@@ -77,8 +75,6 @@ func main() {
 		tenants     = flag.String("tenants", "default:1:0", "name:weight:budget[:pending[:key]],... tenant specs")
 		adminKey    = flag.String("admin-key", "", "management credential (empty = open)")
 		ctlInterval = flag.Duration("ctl-interval", 0, "adaptive controller tick period (0 = default, <0 disables)")
-		ctlFloor    = flag.Float64("ctl-floor", 0, "controller headroom floor fraction (0 = default)")
-		ctlStep     = flag.Float64("ctl-step", 0, "controller step fraction per tick (0 = default)")
 		cfgPath     = flag.String("config", "", "JSON config file (overrides scheduler/tenant flags)")
 		drain       = flag.Duration("drain", 30*time.Second, "max graceful-drain duration")
 		smoke       = flag.String("smoke", "", "run the smoke sequence against a dfdserve at this URL and exit")
@@ -102,8 +98,6 @@ func main() {
 	if *cfgPath == "" {
 		cfg.AdminKey = *adminKey
 		cfg.ControllerInterval = *ctlInterval
-		cfg.ControllerFloor = *ctlFloor
-		cfg.ControllerStep = *ctlStep
 	}
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -152,7 +146,8 @@ func main() {
 
 // Slow-client bounds. A client gets readHeaderTimeout to deliver a
 // request's line and headers, and an idle keep-alive connection is closed
-// after idleTimeout. There is deliberately no WriteTimeout (and no
+// after idleTimeout; a request body gets the serving layer's own deadline
+// (serve.decodeBody). There is deliberately no WriteTimeout (and no
 // ReadTimeout, whose deadline stays armed while the handler runs and
 // would cancel the request context): POST /v1/jobs?wait=1 long-polls for
 // as long as the job takes.
@@ -212,8 +207,6 @@ type fileConfig struct {
 	RetainJobs         int                           `json:"retain_jobs"`
 	AdminKey           string                        `json:"admin_key"`
 	ControllerInterval time.Duration                 `json:"controller_interval"`
-	ControllerFloor    float64                       `json:"controller_floor"`
-	ControllerStep     float64                       `json:"controller_step"`
 }
 
 func (fc fileConfig) toConfig() (serve.Config, error) {
@@ -234,8 +227,6 @@ func (fc fileConfig) toConfig() (serve.Config, error) {
 		RetainJobs:         fc.RetainJobs,
 		AdminKey:           fc.AdminKey,
 		ControllerInterval: fc.ControllerInterval,
-		ControllerFloor:    fc.ControllerFloor,
-		ControllerStep:     fc.ControllerStep,
 	}, nil
 }
 

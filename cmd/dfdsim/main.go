@@ -302,10 +302,6 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 	}
 	var rec *rtrace.Recorder
 	if rc.trace != "" {
-		if !rtrace.Enabled {
-			fmt.Fprintln(os.Stderr, "dfdsim: built with -tags grtnotrace; tracing is compiled out")
-			os.Exit(2)
-		}
 		rec = rtrace.NewRecorder(workers, rc.tracebuf)
 		cfg.Probe = rec
 	}
@@ -457,10 +453,6 @@ func runScenario(name string, scale int, rc realCfg) {
 	}
 	var rec *rtrace.Recorder
 	if rc.trace != "" {
-		if !rtrace.Enabled {
-			fmt.Fprintln(os.Stderr, "dfdsim: built with -tags grtnotrace; tracing is compiled out")
-			os.Exit(2)
-		}
 		rec = rtrace.NewRecorder(workers, rc.tracebuf)
 		cfg.Probe = rec
 	}

@@ -144,10 +144,6 @@ func main() {
 // recorded stream, and replay-verifies it — the concurrent counterpart of
 // the simulator's per-timestep checking.
 func runReal(procs int, k, seed int64, depth int, alloc int64, maxLines int, outFile string) {
-	if !rtrace.Enabled {
-		fmt.Fprintln(os.Stderr, "dfdtrace: built with -tags grtnotrace; tracing is compiled out")
-		os.Exit(2)
-	}
 	spec := tree(depth, alloc)
 	sm := dag.Measure(spec)
 	fmt.Printf("program: fork tree depth %d, alloc %d/node: W=%d D=%d S1=%d\n",

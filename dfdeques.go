@@ -149,11 +149,6 @@ type SimConfig struct {
 	// (§7 future work): K doubles/halves to keep the live heap near this
 	// byte budget.
 	AdaptiveTarget int64
-	// ClusterGroups > 1 selects the multi-level cluster scheduler (§7):
-	// DFDeques per SMP node with affinity-first cross-node stealing.
-	ClusterGroups int
-	// ClusterCrossLatency is the extra stall per cross-node steal.
-	ClusterCrossLatency int64
 	// StealFromTop and FullWindow are the design-choice ablations (see
 	// EXPERIMENTS.md); production use wants both false.
 	StealFromTop bool
@@ -172,12 +167,6 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	var s machine.Scheduler
 	switch cfg.Scheduler {
 	case "DFD":
-		if cfg.ClusterGroups > 1 {
-			cl := sched.NewClustered(cfg.K, cfg.ClusterGroups)
-			cl.CrossLatency = cfg.ClusterCrossLatency
-			s = cl
-			break
-		}
 		d := sched.NewDFDeques(cfg.K)
 		d.TargetSpace = cfg.AdaptiveTarget
 		d.StealFromTop = cfg.StealFromTop

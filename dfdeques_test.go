@@ -117,12 +117,6 @@ func TestFacadeVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, err := dfdeques.Simulate(prog, dfdeques.SimConfig{
-		Procs: 8, Scheduler: "DFD", K: 1000, Seed: 4, ClusterGroups: 2, ClusterCrossLatency: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	adaptive, err := dfdeques.Simulate(prog, dfdeques.SimConfig{
 		Procs: 8, Scheduler: "DFD", K: 1000, Seed: 4, AdaptiveTarget: 64 << 10,
 	})
@@ -131,7 +125,7 @@ func TestFacadeVariants(t *testing.T) {
 	}
 	want := dfdeques.MeasureProgram(prog)
 	for name, met := range map[string]dfdeques.SimMetrics{
-		"base": base, "clustered": clustered, "adaptive": adaptive,
+		"base": base, "adaptive": adaptive,
 	} {
 		if met.Actions < want.W {
 			t.Errorf("%s: actions %d below W %d", name, met.Actions, want.W)

@@ -32,10 +32,7 @@ type Pool[T comparable] struct {
 	rng  *rand.Rand
 	less func(a, b T) bool // 1DF priority: less = higher priority
 
-	steals    int64
-	failed    int64
-	localDisp int64
-	maxR      int
+	maxR int
 
 	// stolen arbitrates steals within one timestep of the simulator's cost
 	// model (§4.1): at most one steal per deque per round succeeds. Only
@@ -86,7 +83,6 @@ func (pl *Pool[T]) PopOwn(w int) (x T, ok bool) {
 		return x, false
 	}
 	if x, ok = d.PopTop(); ok {
-		pl.localDisp++
 		return x, true
 	}
 	pl.r.Delete(d)
@@ -121,13 +117,11 @@ func (pl *Pool[T]) Steal(w int) (x T, ok bool) {
 	}
 	c := pl.rng.Intn(pl.p)
 	if c >= pl.r.Len() {
-		pl.failed++
 		return x, false
 	}
 	victim := pl.r.Kth(c)
 	x, ok = victim.PopBottom()
 	if !ok {
-		pl.failed++
 		return x, false
 	}
 	nd := pl.r.InsertRight(victim)
@@ -137,7 +131,6 @@ func (pl *Pool[T]) Steal(w int) (x T, ok bool) {
 		pl.r.Delete(victim)
 	}
 	pl.noteR()
-	pl.steals++
 	return x, true
 }
 
@@ -164,12 +157,10 @@ func (pl *Pool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
 		panic("core: StealFrom while owning a deque")
 	}
 	if c >= pl.r.Len() {
-		pl.failed++
 		return x, false
 	}
 	victim := pl.r.Kth(c)
 	if victim.Empty() || pl.stolen[victim] {
-		pl.failed++
 		return x, false
 	}
 	if pl.stolen == nil {
@@ -194,7 +185,6 @@ func (pl *Pool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
 		pl.r.Delete(victim)
 	}
 	pl.noteR()
-	pl.steals++
 	return x, true
 }
 
@@ -244,12 +234,6 @@ func (pl *Pool[T]) Deques() int { return pl.r.Len() }
 
 // MaxDeques returns the high-water mark of len(R).
 func (pl *Pool[T]) MaxDeques() int { return pl.maxR }
-
-// Stats returns (successful steals, failed steal attempts, local
-// dispatches).
-func (pl *Pool[T]) Stats() (steals, failed, local int64) {
-	return pl.steals, pl.failed, pl.localDisp
-}
 
 func (pl *Pool[T]) noteR() {
 	if n := pl.r.Len(); n > pl.maxR {

@@ -154,7 +154,7 @@ func (pl *SharedPool[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 // trace records one event when a probe is attached, under the ordering
 // discipline described on SharedPool (see internal/rtrace).
 func (pl *SharedPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
-	if rtrace.Enabled && pl.probe != nil {
+	if pl.probe != nil {
 		pl.probe.Event(w, k, a, b, c)
 	}
 }

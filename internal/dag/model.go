@@ -94,16 +94,6 @@ type Instr struct {
 	DummyFork bool
 }
 
-// Actions returns the number of unit actions the instruction contributes
-// to the computation's work W. Every instruction is at least one action;
-// OpWork contributes N.
-func (in Instr) Actions() int64 {
-	if in.Op == OpWork {
-		return in.N
-	}
-	return 1
-}
-
 // ThreadSpec is the program of a single thread: a straight-line
 // instruction list. Specs are immutable once built and may be shared
 // between multiple OpFork sites (the engines never mutate them).

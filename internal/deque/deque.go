@@ -101,8 +101,7 @@ func unpack(w uint64) (tag, bot uint32) { return uint32(w >> 32), uint32(w) }
 // Slots vacated by thieves are scrubbed lazily — by the owner's next
 // PushTop (everything below the current bottom is dead), by the next
 // empty transition, and by Reset — so popped thread frames never linger
-// reachable past the owner's next touch of the deque. This bounded lag
-// replaces the old always-zero-under-Mu rule.
+// reachable past the owner's next touch of the deque.
 //
 // A Deque is safe for one owner goroutine plus any number of concurrent
 // PopBottom/Len callers, with no locks anywhere: the tagged bottom word
@@ -396,8 +395,8 @@ func (d *Deque[T]) PopBottom() (T, bool) {
 // retries until it reads a consistent (word, top) snapshot, so it must
 // only be called while the owner role is quiescent (invariant checkers
 // under a pool's spine lock, serial engines); concurrent thieves only
-// make it retry finitely. It replaces the old UnsafeItems aliasing view —
-// with per-slot atomics there is no stable backing slice to alias.
+// make it retry finitely. It copies because, with per-slot atomics,
+// there is no stable backing slice to alias.
 func (d *Deque[T]) Items() []T {
 	for tries := 0; ; tries++ {
 		w := d.bottom.Load()

@@ -120,8 +120,7 @@ type Config struct {
 	// Probe receives one event per scheduling action (see internal/rtrace
 	// for the event model); nil disables recording. Pass an
 	// *rtrace.Recorder to capture a run for export or replay verification
-	// — Run stamps the recorder's metadata automatically. Building with
-	// -tags grtnotrace compiles every hook site out regardless.
+	// — Run stamps the recorder's metadata automatically.
 	Probe rtrace.Probe
 }
 
@@ -306,10 +305,9 @@ type Runtime struct {
 
 	// Accounting: atomics, so the hot paths (fork, alloc) never need a
 	// lock for bookkeeping. Per-job counters live on Job; the runtime
-	// keeps only what scheduling itself needs — the global live-thread
-	// count (deadlock detection), the trace id (drawn only when a probe is
-	// attached) and job id wells, and the steal-wait clock.
-	live         atomic.Int64
+	// keeps only what scheduling itself needs — the trace id (drawn only
+	// when a probe is attached) and job id wells, and the steal-wait
+	// clock.
 	tids, jobIDs atomic.Int64
 	stealWaitNs  atomic.Int64
 
@@ -368,7 +366,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 
-	if rtrace.Enabled && cfg.Probe != nil {
+	if cfg.Probe != nil {
 		rt.probe = cfg.Probe
 		// Anything that can carry run metadata gets it stamped: a
 		// *rtrace.Recorder directly, or an rtrace.Tee that forwards to the
@@ -423,7 +421,7 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	j.maxLive.Store(1)
 
 	// Publication is atomic under extMu: the deadlock detector confirms
-	// under the same lock, so it can never observe the raised live count
+	// under the same lock, so it can never observe the registered job
 	// without the published root (or vice versa). Job roots take the
 	// lowest 1DF priority — the job id, drawn here in injection order, is
 	// the root's index, so it comes after everything already running —
@@ -445,7 +443,6 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	if rt.probe != nil {
 		rootT.tid = rt.tids.Add(1)
 	}
-	rt.live.Add(1)
 	rt.trace(-1, rtrace.EvJobBegin, j.id, rootT.tid, 0)
 	if opts.TenantTag != 0 || opts.JobTag != 0 {
 		rt.trace(-1, rtrace.EvJobAnnotate, j.id, opts.TenantTag, opts.JobTag)
@@ -557,9 +554,8 @@ func Run(cfg Config, root func(*T)) (Stats, error) {
 }
 
 // Stats merges a job's accounting with the runtime's scheduler-wide
-// counters into the flat one-shot report Run returns. For a single-job
-// runtime the result is exactly the historical Run stats; with several
-// jobs the scheduler counters span all of them.
+// counters into the flat one-shot report Run returns. With several jobs
+// the scheduler counters span all of them.
 func (rt *Runtime) Stats(js JobStats) Stats {
 	ps := rt.pol.Stats()
 	return Stats{
@@ -640,7 +636,6 @@ func (rt *Runtime) noteFork(curr, child *T) {
 	if rt.probe != nil {
 		child.tid = rt.tids.Add(1)
 	}
-	rt.live.Add(1)
 	j := curr.job
 	j.tot.Add(1)
 	atomicMax(&j.maxLive, j.live.Add(1))
@@ -649,10 +644,9 @@ func (rt *Runtime) noteFork(curr, child *T) {
 	}
 }
 
-// trace records one engine-side event when tracing is on. With the
-// grtnotrace build tag the whole call compiles away.
+// trace records one engine-side event when tracing is on.
 func (rt *Runtime) trace(w int, k rtrace.Kind, a, b, c int64) {
-	if rtrace.Enabled && rt.probe != nil {
+	if rt.probe != nil {
 		rt.probe.Event(w, k, a, b, c)
 	}
 }
@@ -897,7 +891,6 @@ func (t *T) joinInline(c *T) {
 		// no registered waiter (only its parent joins it, and the parent
 		// is running this call), so there is no handoff to arbitrate.
 		c.done.Store(true)
-		rt.live.Add(-1)
 		c.job.live.Add(-1)
 		rt.trace(c.w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
 	}()
@@ -955,7 +948,7 @@ func (t *T) Alloc(n int64) {
 // Cache report). Without a probe Touch returns immediately — no yield,
 // no scheduling point — so untraced runs schedule exactly as before.
 func (t *T) Touch(blk int32, bytes int64) {
-	if !rtrace.Enabled || t.rt.probe == nil || blk == 0 || bytes <= 0 {
+	if t.rt.probe == nil || blk == 0 || bytes <= 0 {
 		return
 	}
 	if t.job.poisoned.Load() {

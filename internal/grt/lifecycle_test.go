@@ -495,3 +495,39 @@ func TestGrtParkBackoffBursts(t *testing.T) {
 		t.Errorf("leaves = %d, want %d", total.Load(), want)
 	}
 }
+
+// TestDeadlockIdleRuntimeNeverCancels is the detector's negative case. A
+// deadlock is "every worker parked, nothing published, a job in flight";
+// a runtime with no job in flight parks all its workers and is merely
+// idle, and a Submit that races the last worker's park publishes its job
+// and its root together, so it is never caught with one and not the
+// other. Tiny jobs back to back put every Submit in that window; the
+// pauses let all workers park for real in between. A false positive
+// would cancel the job with the deadlock error.
+func TestDeadlockIdleRuntimeNeverCancels(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			rt, err := grt.New(grt.Config{Workers: 4, Sched: k, K: 4096, Seed: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 400; i++ {
+				if i%50 == 0 {
+					time.Sleep(2 * time.Millisecond)
+				}
+				j, err := rt.Submit(context.Background(), func(r *grt.T) { r.ForkJoin(func(*grt.T) {}) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, werr := j.Wait(); werr != nil {
+					t.Fatalf("job %d on an otherwise idle runtime: %v", i, werr)
+				}
+			}
+			if err := rt.Shutdown(context.Background()); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			waitNoLeaks(t, base)
+		})
+	}
+}

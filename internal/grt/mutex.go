@@ -18,9 +18,8 @@ var errUnlockNotHeld = errors.New("grt: Unlock of a mutex the thread does not ho
 // paper's space bound no longer applies (§3.1) — but the scheduler still
 // executes them correctly, which is what the Fig. 17 experiment exercises.
 //
-// The holder/waiter state carries its own lock, so the fine-grained
-// runtime can arbitrate contended Locks without any global serialization;
-// the coarse runtime takes it (as a leaf) under the scheduler lock.
+// The holder/waiter state carries its own lock, so the runtime arbitrates
+// contended Locks without any global serialization.
 //
 // The zero value is an unlocked mutex. Lock and Unlock must be called with
 // the calling thread's *T.
@@ -137,8 +136,6 @@ func (m *Mutex) Unlock(t *T) {
 	}
 	if next != nil {
 		rt.pol.Wake(t.w, next)
-	}
-	if next != nil {
 		rt.wakeIdlers()
 	}
 }

@@ -104,7 +104,6 @@ func (rt *Runtime) worker(w int) {
 			j := dying.job
 			isRoot := dying.root
 			woke := dying.finish()
-			rt.live.Add(-1)
 			if isRoot {
 				// Nothing ever joins a job root, so the terminating worker
 				// is its last referent and recycles the frame itself.
@@ -251,9 +250,9 @@ func (rt *Runtime) acquire(w int) *T {
 			rt.spinning.Add(1)
 			rt.mu.Unlock()
 			continue
-		} else if rt.idleWaiters == rt.cfg.Workers && rt.live.Load() > 0 {
+		} else if rt.idleWaiters == rt.cfg.Workers && rt.jobsInFlight() {
 			// Deadlock candidate: every worker is parked, nothing is
-			// published, and threads remain live. Confirm before acting.
+			// published, and a job is unfinished. Confirm before acting.
 			rt.idleWaiters--
 			rt.idlers.Add(-1)
 			rt.mu.Unlock()
@@ -278,11 +277,21 @@ func (rt *Runtime) acquire(w int) *T {
 	}
 }
 
+// jobsInFlight reports whether any job is registered. A job enters the
+// table under extMu before its root is injected and leaves it only after
+// its last thread completed, on the worker that ran that thread — so with
+// every worker idle, "some job in flight" is "some thread live".
+func (rt *Runtime) jobsInFlight() bool {
+	rt.jobsMu.Lock()
+	defer rt.jobsMu.Unlock()
+	return len(rt.jobs) > 0
+}
+
 // confirmDeadlock re-checks a deadlock candidate under extMu — Submit
-// publishes a job's live count and its root atomically under the same
+// registers a job and publishes its root atomically under the same
 // lock, so a Submit racing the candidate either already published work
 // (the re-check sees it: no deadlock) or has not started (its job is not
-// in the live count). On confirmation every in-flight job is canceled
+// in the table). On confirmation every in-flight job is canceled
 // with errDeadlock: the poison sweep republishes the lock/future-blocked
 // threads, workers retire them, and the jobs drain — the runtime survives
 // a deadlocked program (possible only outside the nested-parallel model,
@@ -292,7 +301,7 @@ func (rt *Runtime) confirmDeadlock() bool {
 	rt.extMu.Lock()
 	rt.mu.Lock()
 	confirmed := rt.idleWaiters == rt.cfg.Workers-1 && !rt.pol.HasWork() &&
-		rt.live.Load() > 0 && !rt.stopped.Load()
+		rt.jobsInFlight() && !rt.stopped.Load()
 	rt.mu.Unlock()
 	rt.extMu.Unlock()
 	if !confirmed {

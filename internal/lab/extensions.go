@@ -82,44 +82,6 @@ func Ablations(o Options) *stats.Table {
 	return t
 }
 
-// Clustered evaluates the §7 multi-level scheduling sketch — DFDeques
-// within each SMP node, affinity-first stealing across nodes — on a
-// machine where cross-node steals cost extra (remote memory). It sweeps
-// the node count at two cross-steal latencies and reports how much
-// traffic stays local.
-func Clustered(o Options) *stats.Table {
-	t := stats.NewTable(
-		"Clustered DFDeques (§7 extension): 16 procs, dense MM fine",
-		"Groups", "CrossLat", "Time", "Space (MB)", "Steals", "Cross", "Cross%",
-	)
-	grain := workload.Fine
-	procs := 16
-	if o.Quick {
-		grain = workload.Medium
-		procs = 8
-	}
-	spec := workload.DenseMM(grain)
-	for _, groups := range []int{1, 2, 4} {
-		for _, lat := range []int64{0, 100} {
-			s := sched.NewClustered(o.K, groups)
-			s.CrossLatency = lat
-			m := machine.New(pure(procs, o.Seed), s)
-			met, err := m.Run(spec)
-			if err != nil {
-				panic("lab: clustered: " + err.Error())
-			}
-			pct := 0.0
-			if met.Steals > 0 {
-				pct = 100 * float64(s.CrossSteals()) / float64(met.Steals)
-			}
-			t.Add(stats.I(groups), stats.I(lat), stats.I(met.Steps),
-				stats.MB(met.HeapHW), stats.I(met.Steals),
-				stats.I(s.CrossSteals()), stats.F(pct, 1))
-		}
-	}
-	return t
-}
-
 // SpaceProfile renders live-space-over-time curves (thesis-style space
 // profiles) for the four schedulers on the temporary-heavy dense MM dag:
 // the depth-first schedulers hold a low plateau near S1, work stealing

@@ -267,7 +267,6 @@ func Experiments() map[string]func(Options) *stats.Table {
 		"thm45":     Thm45LowerBound,
 		"ablation":  Ablations,
 		"adaptive":  AdaptiveK,
-		"cluster":   Clustered,
 		"xcheck":    CrossCheck,
 		"profile":   SpaceProfile,
 		"scenarios": ScenarioCache,
@@ -278,7 +277,7 @@ func Experiments() map[string]func(Options) *stats.Table {
 func Order() []string {
 	return []string{
 		"fig1", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"fig17", "thm45", "ablation", "adaptive", "cluster", "xcheck",
+		"fig17", "thm45", "ablation", "adaptive", "xcheck",
 		"profile", "scenarios",
 	}
 }

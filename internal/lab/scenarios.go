@@ -23,13 +23,6 @@ func ScenarioCache(o Options) *stats.Table {
 		"Irregular scenarios: parallel cache complexity (real runtime, 4 workers)",
 		"Scenario", "Sched", "Threads", "Deviations", "Steals", "Par miss", "Seq miss", "Extra",
 	)
-	if !rtrace.Enabled {
-		// A grtnotrace build has no event stream to replay; keep the table
-		// renderable instead of panicking inside a report run.
-		t.Add("(tracing compiled out: rebuild without -tags grtnotrace)",
-			"", "", "", "", "", "", "")
-		return t
-	}
 	type pol struct {
 		name string
 		kind grt.Kind

@@ -314,9 +314,6 @@ func (m *Machine) fastForward() {
 	}
 }
 
-// Metrics returns the metrics collected so far.
-func (m *Machine) Metrics() Metrics { return m.met }
-
 func (m *Machine) newThread(spec *dag.ThreadSpec, parent *Thread, dummy bool) *Thread {
 	m.nextID++
 	t := &Thread{ID: m.nextID, Spec: spec, Parent: parent, Dummy: dummy}
@@ -424,14 +421,8 @@ func (m *Machine) Stall(p int, n int64) {
 // deque (for the §5.3 granularity ratio).
 func (m *Machine) NoteLocalDispatch() { m.met.LocalDispatches++ }
 
-// NotePreemption records a quota-exhaustion preemption.
-func (m *Machine) NotePreemption() { m.met.Preemptions++ }
-
 // Procs returns the number of processors.
 func (m *Machine) Procs() int { return m.Cfg.Procs }
-
-// ReadyCount returns the number of threads in the Ready state.
-func (m *Machine) ReadyCount() int64 { return m.readyCount }
 
 // HeapLive returns the current net heap allocation in bytes (for the
 // adaptive-threshold controller).

@@ -5,83 +5,8 @@ import (
 	"dfdeques/internal/policy"
 )
 
-// TransformLargeAllocs implements the paper's big-allocation
-// transformation (§3.3, §4.2): every allocation of m > K bytes is preceded
-// by a binary fork tree with ⌈m/K⌉ dummy threads at its leaves. Each dummy
-// thread executes a single no-op, after which the executing processor must
-// give up its deque and steal (OpDummy semantics). Once the whole tree has
-// joined, the allocation proceeds quota-exempt — it has already been
-// delayed by ⌈m/K⌉ "virtual" allocations of K, giving higher-priority
-// threads the chance to be scheduled first.
-//
-// The transformation is applied statically here because allocation sizes
-// in a ThreadSpec are static; the resulting dag is identical to the one
-// the paper's runtime transformation would unfold. Shared sub-specs are
-// rewritten once. Specs without large allocations are returned unchanged
-// (no copying).
-func TransformLargeAllocs(spec *dag.ThreadSpec, k int64) *dag.ThreadSpec {
-	if k <= 0 {
-		return spec
-	}
-	tr := &transformer{k: k, memo: make(map[*dag.ThreadSpec]*dag.ThreadSpec)}
-	return tr.rewrite(spec)
-}
-
-type transformer struct {
-	k     int64
-	memo  map[*dag.ThreadSpec]*dag.ThreadSpec
-	trees map[int64]*dag.ThreadSpec
-}
-
-func (tr *transformer) rewrite(s *dag.ThreadSpec) *dag.ThreadSpec {
-	if out, ok := tr.memo[s]; ok {
-		return out
-	}
-	changed := false
-	var instrs []dag.Instr
-	for _, in := range s.Instrs {
-		switch {
-		case in.Op == dag.OpFork:
-			child := tr.rewrite(in.Child)
-			if child != in.Child {
-				changed = true
-				in.Child = child
-			}
-			instrs = append(instrs, in)
-		case in.Op == dag.OpAlloc && in.N > tr.k && !in.Exempt:
-			changed = true
-			leaves := policy.DummyLeaves(in.N, tr.k)
-			tree := tr.dummyTree(leaves)
-			instrs = append(instrs,
-				dag.Instr{Op: dag.OpFork, Child: tree, DummyFork: leaves == 1},
-				dag.Instr{Op: dag.OpJoin},
-				dag.Instr{Op: dag.OpAlloc, N: in.N, Exempt: true},
-			)
-		default:
-			instrs = append(instrs, in)
-		}
-	}
-	if !changed {
-		tr.memo[s] = s
-		return s
-	}
-	out := &dag.ThreadSpec{Instrs: instrs, Label: s.Label}
-	tr.memo[s] = out
-	return out
-}
-
-// dummyTree returns a thread spec that is the root of a binary fork tree
-// with n dummy leaves. For n == 1 it is the dummy leaf itself.
-func (tr *transformer) dummyTree(n int64) *dag.ThreadSpec {
-	if tr.trees == nil {
-		tr.trees = make(map[int64]*dag.ThreadSpec)
-	}
-	return dummyTreeCached(tr.trees, n)
-}
-
 // dummyTreeCached builds (and memoizes in cache) the binary fork tree with
-// n dummy leaves. Shared by the static pre-transformer above and the
-// machine's runtime transformation.
+// n dummy leaves; for n == 1 it is the dummy leaf itself.
 func dummyTreeCached(cache map[int64]*dag.ThreadSpec, n int64) *dag.ThreadSpec {
 	if t, ok := cache[n]; ok {
 		return t

@@ -6,16 +6,11 @@ import (
 	"dfdeques/internal/dag"
 )
 
-func TestTransformNoLargeAllocsReturnsSameSpec(t *testing.T) {
-	spec := dag.NewThread("small").Alloc(50).Work(3).Free(50).Spec()
-	if got := TransformLargeAllocs(spec, 100); got != spec {
-		t.Fatal("spec without large allocations must be returned unchanged")
-	}
-}
-
 func TestTransformRewritesLargeAlloc(t *testing.T) {
 	spec := dag.NewThread("big").Alloc(1000).Free(1000).Spec()
-	got := TransformLargeAllocs(spec, 100)
+	th := &Thread{Spec: spec}
+	new(Machine).spliceDummies(th, 1000, 100)
+	got := th.Spec
 	if got == spec {
 		t.Fatal("expected a rewritten spec")
 	}
@@ -41,34 +36,15 @@ func TestTransformRewritesLargeAlloc(t *testing.T) {
 	}
 }
 
-func TestTransformSharedSubtreeRewrittenOnce(t *testing.T) {
-	shared := dag.NewThread("shared").Alloc(500).Free(500).Spec()
-	root := dag.NewThread("root").Fork(shared).Fork(shared).Join().Join().Spec()
-	got := TransformLargeAllocs(root, 100)
-	if got.Instrs[0].Child != got.Instrs[1].Child {
-		t.Fatal("shared child must map to one rewritten spec")
-	}
-}
-
 func TestTransformDepthLogarithmic(t *testing.T) {
-	// ⌈2^16 / 1⌉ dummies in a binary tree: depth grows by O(log), not O(n).
-	spec := dag.NewThread("big").Alloc(1 << 10).Free(1 << 10).Spec()
-	base := dag.Measure(spec)
-	got := dag.Measure(TransformLargeAllocs(spec, 1))
-	// A binary tree of 1024 leaves adds ~4–5 actions of depth per level
+	// 1024 dummies in a binary tree add ~4–5 actions of depth per level
 	// (two forks and two joins), i.e. O(log n), not O(n).
-	if got.D > base.D+6*10+10 {
-		t.Errorf("transformed depth %d too large (base %d)", got.D, base.D)
+	got := dag.Measure(dummyTreeCached(map[int64]*dag.ThreadSpec{}, 1<<10))
+	if got.D > 6*10+10 {
+		t.Errorf("dummy tree depth %d too large", got.D)
 	}
 	if got.TotalThreads < 1024 {
 		t.Errorf("threads = %d, want ≥ 1024 dummies", got.TotalThreads)
-	}
-}
-
-func TestTransformKZeroIsIdentity(t *testing.T) {
-	spec := dag.NewThread("big").Alloc(1000).Free(1000).Spec()
-	if got := TransformLargeAllocs(spec, 0); got != spec {
-		t.Fatal("K=0 must be the identity")
 	}
 }
 

@@ -159,7 +159,7 @@ func (a *ADF[T]) Stats() Stats {
 func (a *ADF[T]) insert(w int, t T) {
 	a.mu.lock()
 	a.q.Insert(t)
-	if rtrace.Enabled && a.probe != nil {
+	if a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueuePush, a.tidOf(t), 0, 0)
 	}
 	a.mu.unlock()
@@ -179,7 +179,7 @@ func (a *ADF[T]) adfPop(w int) (T, bool) {
 	}
 	a.mu.lock()
 	x, ok := a.q.Take()
-	if ok && rtrace.Enabled && a.probe != nil {
+	if ok && a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueueTake, a.tidOf(x), 0, 0)
 	}
 	a.mu.unlock()

@@ -177,7 +177,7 @@ func (f *FIFO[T]) fifoPop(w int) (T, bool) {
 // traceLocked records a queue event; the caller holds f.mu, which is what
 // makes the sequence a linearization of the queue's history.
 func (f *FIFO[T]) traceLocked(w int, k rtrace.Kind, t T) {
-	if rtrace.Enabled && f.probe != nil {
+	if f.probe != nil {
 		f.probe.Event(w, k, f.tidOf(t), 0, 0)
 	}
 }

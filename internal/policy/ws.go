@@ -20,12 +20,11 @@ import (
 // never touch it.
 //
 // The inbox exists because the lock-free deque admits exactly one
-// owner-side writer: under the old per-deque Mu, an injector could push
-// straight into worker 0's deque by taking its lock, but now a foreign
-// PushTop would race the owner's. Injectors instead play the owner role
-// of the inbox (serialized by injectMu), and every worker drains it
-// thief-side (PopBottom — FIFO, so injection order is preserved) in
-// Acquire before trying a random steal.
+// owner-side writer: a foreign PushTop into a worker's deque would race
+// the owner's. Injectors instead play the owner role of the inbox
+// (serialized by injectMu), and every worker drains it thief-side
+// (PopBottom — FIFO, so injection order is preserved) in Acquire before
+// trying a random steal.
 //
 // All methods are safe for concurrent use; methods taking an owner index
 // must only be called by that owner. The serial simulator drives the same
@@ -100,7 +99,7 @@ func (pl *WSPool[T]) stealBottom(w int, d *deque.Deque[T]) (T, bool) {
 // lock (a thief can only claim x after the publish, which is after the
 // push's record).
 func (pl *WSPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
-	if rtrace.Enabled && pl.probe != nil {
+	if pl.probe != nil {
 		pl.probe.Event(w, k, a, b, c)
 	}
 }
@@ -223,9 +222,6 @@ func (pl *WSPool[T]) HasWork() bool { return pl.ready.Load() > 0 }
 // concurrent callers may only use what the deque offers foreigners
 // (PopBottom, Len).
 func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
-
-// Inbox returns the shared injection deque (trace id Workers()).
-func (pl *WSPool[T]) Inbox() *deque.Deque[T] { return pl.inbox }
 
 // Stats returns (steals, failed attempts, local dispatches, and injectMu
 // acquisitions — the pool's only lock outside tracing, taken exclusively

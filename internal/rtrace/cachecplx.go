@@ -133,10 +133,6 @@ func CacheComplexity(meta Meta, evs []Event, cfg cache.Config) *CacheSummary {
 	if cs.Touches == 0 {
 		return nil
 	}
-	if len(roots) == 0 {
-		// Pre-lifecycle stream: the root is tid 1.
-		roots = append(roots, 1)
-	}
 	cs.Deviations = cs.Steals + cs.QueueTakes + cs.Migrations
 
 	// Pass 2: the 1DF serial replay — walk each job's fork tree with the

@@ -100,9 +100,6 @@ func Summarize(meta Meta, evs []Event, dropped uint64) Summary {
 	s := c.LiveSummary()
 	s.Policy, s.Workers, s.K = meta.Policy, meta.Workers, meta.K
 	s.Dropped, s.WallNs = dropped, wallNs
-	if s.Jobs == 0 && len(evs) > 0 {
-		s.Threads++ // a stream predating job events has one implicit root
-	}
 	if touches {
 		s.Cache = CacheComplexity(meta, evs, cacheConfig{})
 	}

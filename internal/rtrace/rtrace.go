@@ -15,9 +15,8 @@
 // runs. The exporter (export.go) turns the same stream into Chrome
 // trace_event JSON (chrome://tracing, Perfetto) plus a metrics summary.
 //
-// Recording is gated twice: at runtime by a nil Probe (one predictable
-// branch per scheduling event), and at build time by the Enabled constant
-// — building with -tags grtnotrace compiles every hook site out entirely.
+// Recording is gated by a nil Probe: one predictable branch per
+// scheduling event.
 package rtrace
 
 import (
@@ -92,9 +91,7 @@ const (
 	// EvJobBegin: job A was submitted with root thread B. Recorded on the
 	// scheduler lane (W = -1) under the runtime's submission lock, before
 	// the root is published, so replay always learns a root tid before its
-	// first push. Appears once per Submit; single-job streams recorded
-	// before the persistent-runtime API predate this kind and the verifier
-	// pre-registers their root (tid 1) instead.
+	// first push. Appears once per Submit.
 	EvJobBegin
 	// EvJobCancel: job A was canceled (context cancellation, deadline,
 	// shutdown abort, or deadlock recovery); its threads die at their next
@@ -131,10 +128,7 @@ const (
 
 // Dispatch sources (EvDispatch payload B).
 const (
-	// SrcFork was the removed channel-frame engine's fork hand-off to the
-	// child; nothing records it, and the value stays reserved so the
-	// other sources keep their serialized numbers.
-	SrcFork int64 = iota
+	_ int64 = iota // reserved: exported traces carry the numbers below
 	SrcNext
 	SrcTerminate
 	SrcAcquire
@@ -205,9 +199,7 @@ type Meta struct {
 	K       int64  `json:"k"`
 	Seed    int64  `json:"seed"`
 	// Engine identifies the execution core the stream was recorded from.
-	// The runtime stamps EngineCont; Verify rejects anything else ("" or
-	// "channel": streams of the removed goroutine-per-thread engine, whose
-	// forks were child-first).
+	// The runtime stamps EngineCont; Verify rejects anything else.
 	Engine string `json:"engine,omitempty"`
 }
 

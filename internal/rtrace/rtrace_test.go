@@ -173,6 +173,7 @@ func TestLoadRejectsForeignJSON(t *testing.T) {
 func TestSummarizeCounts(t *testing.T) {
 	meta := Meta{Policy: "DFDeques", Workers: 1, K: 128}
 	r := NewRecorder(1, 64)
+	r.Event(-1, EvJobBegin, 1, 1, 0)
 	r.Event(-1, EvDequeCreate, 1, -1, 0)
 	r.Event(-1, EvPush, 1, 1, 0)
 	r.Event(0, EvStealAttempt, 1, 0, 0)
@@ -180,7 +181,7 @@ func TestSummarizeCounts(t *testing.T) {
 	r.Event(0, EvDequeRetire, 1, 0, 0)
 	r.Event(0, EvDispatch, 1, SrcAcquire, 0)
 	r.Event(0, EvFork, 1, 2, 0)
-	r.Event(0, EvDispatch, 2, SrcFork, 0)
+	r.Event(0, EvDispatch, 2, SrcInline, 0)
 	r.Event(0, EvComplete, 2, 0, 0)
 	r.Event(0, EvPop, 1, 2, 0)
 	r.Event(0, EvDispatch, 1, SrcNext, 0)

@@ -48,19 +48,17 @@ import (
 // thread of that job completed, and EvJobCancel marks a poison-canceled
 // job — canceled threads still drain through ordinary dispatches and
 // completions, so conservation and quota checks hold for them unchanged.
-// Streams predating job events (a single pre-registered root, tid 1)
-// still verify. Under WS a second job's root is appended to deque 0
-// regardless of priority (WS has no priority order to keep), so multi-job
-// WS streams disable the ordering checks like lock programs do.
+// Under WS a second job's root is appended to deque 0 regardless of
+// priority (WS has no priority order to keep), so multi-job WS streams
+// disable the ordering checks like lock programs do.
 //
 // Engine. The model is the work-first continuation engine's, the only
 // one this runtime has: a fork pushes the never-dispatched child while the
 // parent keeps running, EvPromote marks a thread's unique transition to a
 // goroutine-backed frame, and inline-claimed children are dispatched with
-// SrcInline. Meta.Engine must say so (EngineCont); a stream stamped by any
-// other engine — including the unstamped streams of the removed
-// channel-frame engine, which forked child-first — is rejected rather than
-// replayed under the wrong model.
+// SrcInline. Meta.Engine must say so (EngineCont); a stream stamped
+// otherwise, or not at all, is rejected rather than replayed under the
+// wrong model.
 func Verify(meta Meta, evs []Event, dropped uint64) (Report, error) {
 	v := &verifier{meta: meta, rep: Report{Events: len(evs), OrderingExact: true}}
 	if meta.Engine != EngineCont {
@@ -100,7 +98,7 @@ type Report struct {
 	Events        int
 	Threads       int64
 	DummyThreads  int64
-	Jobs          int64 // job-begin events (0 on pre-lifecycle streams)
+	Jobs          int64 // job-begin events
 	CanceledJobs  int64 // jobs poison-canceled before completion
 	Dispatches    int64
 	Steals        int64
@@ -126,7 +124,7 @@ const (
 type vthread struct {
 	state      tstate
 	on         int   // worker (tRunning/tInflight)
-	job        int64 // owning job id (0 on pre-lifecycle streams)
+	job        int64 // owning job id
 	dummy      bool
 	promoted   bool  // goroutine frame exists
 	waitee     int64 // tid being joined (tBlocked on join), else -1
@@ -182,9 +180,6 @@ func (v *verifier) init() {
 		v.running[i], v.owned[i] = -1, -1
 	}
 	v.ordered = true
-	// The root thread (tid 1) exists before any event.
-	v.threads[1] = &vthread{state: tNew, on: -1, waitee: -1, rec: v.prios.PushBack()}
-	v.rep.Threads = 1
 	if v.meta.Policy == "WS" {
 		for i := 0; i < v.meta.Workers; i++ {
 			v.deques[int64(i)] = &vdeque{owner: i}
@@ -225,10 +220,19 @@ func (v *verifier) hasQuota() bool {
 	return v.meta.K > 0 && (v.meta.Policy == "DFDeques" || v.meta.Policy == "ADF")
 }
 
+// offWorker is the set of kinds the runtime records on lane -1, outside
+// any worker: submission and cancellation (under the submission lock) and
+// the injectors' publishes. Every other kind indexes per-worker state.
+const offWorker = 1<<EvJobBegin | 1<<EvJobAnnotate | 1<<EvJobCancel |
+	1<<EvDequeCreate | 1<<EvPush | 1<<EvQueuePush
+
 func (v *verifier) step(e *Event) error {
 	w := int(e.W)
 	if w < -1 || w >= v.meta.Workers {
 		return v.fail(e, "worker index out of range")
+	}
+	if w == -1 && offWorker&(1<<e.Kind) == 0 {
+		return v.fail(e, "%s recorded outside a worker", e.Kind)
 	}
 	v.rep.Checks++
 	switch e.Kind {
@@ -256,9 +260,6 @@ func (v *verifier) step(e *Event) error {
 		t, err := v.thread(e, e.A)
 		if err != nil {
 			return err
-		}
-		if w < 0 {
-			return v.fail(e, "dispatch outside a worker")
 		}
 		if v.running[w] != -1 {
 			return v.fail(e, "dispatch on w%d which is already running t%d", w, v.running[w])
@@ -424,21 +425,14 @@ func (v *verifier) step(e *Event) error {
 		if _, dup := v.jobs[e.A]; dup {
 			return v.fail(e, "job %d already begun", e.A)
 		}
-		if t, ok := v.threads[e.B]; ok {
-			// The verifier pre-registers tid 1 so pre-lifecycle streams
-			// still replay; the first job adopts it as its root.
-			if len(v.jobs) > 0 || e.B != 1 || t.state != tNew || t.dispatches != 0 {
-				return v.fail(e, "job %d root t%d already exists", e.A, e.B)
-			}
-			t.job = e.A
-		} else {
-			// Late roots are appended at the tail of the runtime's
-			// order-maintenance list: lowest 1DF priority.
-			v.threads[e.B] = &vthread{
-				state: tNew, on: -1, waitee: -1, job: e.A, rec: v.prios.PushBack(),
-			}
-			v.rep.Threads++
+		if _, dup := v.threads[e.B]; dup {
+			return v.fail(e, "job %d root t%d already exists", e.A, e.B)
 		}
+		// A root is minted at the back of the 1DF order: lowest priority.
+		v.threads[e.B] = &vthread{
+			state: tNew, on: -1, waitee: -1, job: e.A, rec: v.prios.PushBack(),
+		}
+		v.rep.Threads++
 		v.jobs[e.A] = &vjob{root: e.B}
 		v.rep.Jobs++
 		if len(v.jobs) > 1 && v.meta.Policy == "WS" && v.ordered {
@@ -745,6 +739,9 @@ func (v *verifier) checkOrdering(e *Event) error {
 // final checks end-of-run conservation: everything completed, nothing
 // left in any structure, and the per-thread dispatch count identity.
 func (v *verifier) final() error {
+	if len(v.jobs) == 0 {
+		return fmt.Errorf("rtrace: stream has no job-begin record: truncated, or not recorded by this runtime")
+	}
 	for tid, t := range v.threads {
 		if t.state != tDone {
 			return fmt.Errorf("rtrace: thread t%d never completed (final state %d): truncated or corrupt stream", tid, t.state)

@@ -244,15 +244,44 @@ func TestVerifyRejectsCorruptedStreams(t *testing.T) {
 			evs[i].B = meta.K * 100
 			return evs
 		}},
+		{"missing-job-begin", func(evs []rtrace.Event) []rtrace.Event {
+			i := idxOf(rtrace.EvJobBegin)
+			return append(evs[:i], evs[i+1:]...)
+		}},
+		{"no-job-at-all", func([]rtrace.Event) []rtrace.Event {
+			return []rtrace.Event{{Seq: 1, W: 0, Kind: rtrace.EvIdle}}
+		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := rtrace.Verify(meta, tc.mutate(clone()), 0); err == nil {
+	reject := func(name string, evs []rtrace.Event) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := rtrace.Verify(meta, evs, 0); err == nil {
 				t.Fatal("verifier accepted a corrupted stream")
 			} else if !strings.Contains(err.Error(), "rtrace:") {
 				t.Fatalf("unexpected error shape: %v", err)
 			}
 		})
+	}
+	for _, tc := range cases {
+		reject(tc.name, tc.mutate(clone()))
+	}
+	// Lane -1 carries only what the runtime records outside a worker; any
+	// other kind stamped there must come back as an error, not as an index
+	// panic in the per-worker model — both in place of a real record and
+	// alone, where no thread lookup runs before the per-worker state.
+	offWorker := map[rtrace.Kind]bool{
+		rtrace.EvJobBegin: true, rtrace.EvJobAnnotate: true, rtrace.EvJobCancel: true,
+		rtrace.EvDequeCreate: true, rtrace.EvPush: true, rtrace.EvQueuePush: true,
+	}
+	for k := rtrace.Kind(0); k <= rtrace.EvJobAnnotate; k++ {
+		reject("lane-minus-one/"+k.String()+"/alone", []rtrace.Event{{Seq: 1, W: -1, Kind: k, A: 1, B: 8}})
+		for i := len(good) - 1; i >= 0 && !offWorker[k]; i-- {
+			if good[i].Kind == k {
+				evs := clone()
+				evs[i].W = -1
+				reject("lane-minus-one/"+k.String()+"/in-place", evs)
+				break
+			}
+		}
 	}
 	if _, err := rtrace.Verify(meta, good, 1); err == nil {
 		t.Fatal("verifier accepted a stream with drops")

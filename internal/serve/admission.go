@@ -34,7 +34,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -630,11 +629,4 @@ func quantiles(ns []int64, qs []float64) []int64 {
 		out[i] = ns[idx]
 	}
 	return out
-}
-
-// String implements fmt.Stringer for debugging.
-func (j *job) String() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return fmt.Sprintf("%s[%s:%s %s]", j.id, j.tenant.name, j.kind, j.state)
 }

@@ -39,8 +39,6 @@ const (
 	DefaultBudgetHeadroom     = 0.9
 	DefaultRetainJobs         = 4096
 	DefaultControllerInterval = 250 * time.Millisecond
-	DefaultControllerFloor    = 0.25
-	DefaultControllerStep     = 0.10
 )
 
 // TenantConfig is one tenant's isolation contract — the api wire type,
@@ -79,14 +77,6 @@ type Config struct {
 	// period. 0 means DefaultControllerInterval; negative disables the
 	// controller loop (ticks can still be driven manually in tests).
 	ControllerInterval time.Duration
-	// ControllerFloor is the lowest the controller will pull a tenant's
-	// effective admission headroom, as a fraction of its MemBudget.
-	// 0 means DefaultControllerFloor; must be in [0, 1].
-	ControllerFloor float64
-	// ControllerStep is the fraction of a tenant's base headroom the
-	// controller moves per tick. 0 means DefaultControllerStep; must be
-	// in [0, 1].
-	ControllerStep float64
 }
 
 // ConfigError describes an invalid serving configuration field.
@@ -129,12 +119,6 @@ func (c Config) Validate() error {
 	}
 	if c.RetainJobs < 0 {
 		return &ConfigError{Field: "RetainJobs", Reason: fmt.Sprintf("must be >= 0, got %d", c.RetainJobs)}
-	}
-	if c.ControllerFloor < 0 || c.ControllerFloor > 1 {
-		return &ConfigError{Field: "ControllerFloor", Reason: fmt.Sprintf("must be in [0, 1] (0 means %.2f), got %g", DefaultControllerFloor, c.ControllerFloor)}
-	}
-	if c.ControllerStep < 0 || c.ControllerStep > 1 {
-		return &ConfigError{Field: "ControllerStep", Reason: fmt.Sprintf("must be in [0, 1] (0 means %.2f), got %g", DefaultControllerStep, c.ControllerStep)}
 	}
 	return nil
 }
@@ -185,12 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ControllerInterval == 0 {
 		c.ControllerInterval = DefaultControllerInterval
-	}
-	if c.ControllerFloor == 0 {
-		c.ControllerFloor = DefaultControllerFloor
-	}
-	if c.ControllerStep == 0 {
-		c.ControllerStep = DefaultControllerStep
 	}
 	return c
 }

@@ -94,8 +94,6 @@ func TestConfigFieldErrors(t *testing.T) {
 		{"negative body bytes", func(c *Config) { c.MaxBodyBytes = -1 }, "", "MaxBodyBytes"},
 		{"headroom over one", func(c *Config) { c.BudgetHeadroom = 1.5 }, "", "BudgetHeadroom"},
 		{"negative retain", func(c *Config) { c.RetainJobs = -1 }, "", "RetainJobs"},
-		{"controller floor over one", func(c *Config) { c.ControllerFloor = 1.5 }, "", "ControllerFloor"},
-		{"negative controller step", func(c *Config) { c.ControllerStep = -0.1 }, "", "ControllerStep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,10 +124,8 @@ func TestConfigDefaults(t *testing.T) {
 	if got.MaxBodyBytes != DefaultMaxBodyBytes || got.BudgetHeadroom != DefaultBudgetHeadroom || got.RetainJobs != DefaultRetainJobs {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
-	if got.ControllerInterval != DefaultControllerInterval ||
-		got.ControllerFloor != DefaultControllerFloor ||
-		got.ControllerStep != DefaultControllerStep {
-		t.Fatalf("controller defaults not applied: %+v", got)
+	if got.ControllerInterval != DefaultControllerInterval {
+		t.Fatalf("controller default not applied: %+v", got)
 	}
 	// A negative interval (loop disabled) must survive withDefaults.
 	cfg.ControllerInterval = -1

@@ -26,6 +26,15 @@ import (
 	"time"
 )
 
+const (
+	// controllerFloor is the lowest the controller will pull a tenant's
+	// effective admission headroom, as a fraction of its MemBudget.
+	controllerFloor = 0.25
+	// controllerStep is the fraction of a tenant's base headroom the
+	// controller moves per tick.
+	controllerStep = 0.10
+)
+
 type controller struct {
 	s    *Server
 	stop chan struct{}
@@ -83,14 +92,14 @@ func (c *controller) tick() {
 		if base <= 0 {
 			continue // unbudgeted tenant: nothing to adapt
 		}
-		floor := int64(c.s.cfg.ControllerFloor * float64(t.budget.Limit()))
+		floor := int64(controllerFloor * float64(t.budget.Limit()))
 		if floor < 1 {
 			floor = 1
 		}
 		if floor > base {
 			floor = base
 		}
-		step := int64(c.s.cfg.ControllerStep * float64(base))
+		step := int64(controllerStep * float64(base))
 		if step < 1 {
 			step = 1
 		}

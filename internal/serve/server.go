@@ -55,6 +55,8 @@ type Server struct {
 	mux      *http.ServeMux
 	start    time.Time
 
+	bodyTimeout time.Duration // bodyReadTimeout; a field so tests run at their own scale
+
 	cancelJobs context.CancelFunc // aborts in-flight jobs on expired drain
 	draining   atomic.Bool
 	closeOnce  sync.Once
@@ -82,6 +84,8 @@ func New(cfg Config) (*Server, error) {
 		counters: rtrace.NewCounters(),
 		jobs:     make(map[string]*job),
 		start:    time.Now(),
+
+		bodyTimeout: bodyReadTimeout,
 	}
 	// The runtime probe is the server's live counters teed with whatever
 	// recorder the caller configured.
@@ -119,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the server's HTTP handler (for http.Server or tests).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Runtime exposes the shared runtime (for tests and embedding).
-func (s *Server) Runtime() *grt.Runtime { return s.rt }
 
 // Close gracefully drains the server: /healthz flips to draining, the
 // controller stops, new submissions are refused, pending and in-flight
@@ -184,6 +185,30 @@ func (j *job) status() JobStatus {
 	return st
 }
 
+// bodyReadTimeout bounds how long a client may take to deliver a request
+// body (dfdserve bounds the request line and idle connections itself).
+const bodyReadTimeout = 10 * time.Second
+
+// decodeBody reads one JSON request body, bounded in size by MaxBodyBytes
+// and in time by a read deadline. The deadline is cleared once the value
+// is in, so it bounds neither a ?wait=1 long poll nor net/http's read of
+// what trails the value (a chunked body's terminator) when the handler
+// returns — failing that read would cost the connection its keep-alive
+// reuse. On failure it stays armed: the drain of whatever a stalled
+// client still owes then fails at once and the connection closes instead
+// of pinning the handler.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	// SetReadDeadline fails only on a ResponseWriter without deadlines
+	// (httptest's recorder), which is then served unbounded as before.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v)
+	if err == nil {
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	return err
+}
+
 // ---- job handlers ---------------------------------------------------------
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -192,8 +217,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error(), "", "")
 		return
 	}

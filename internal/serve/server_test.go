@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,6 +18,12 @@ import (
 	"dfdeques/internal/grt"
 	"dfdeques/internal/serve/api"
 	"dfdeques/internal/workload"
+)
+
+// The two wire types only the tests spell out, under the package's names.
+type (
+	TreeSpec  = api.TreeSpec
+	SpecInstr = api.SpecInstr
 )
 
 func testConfig() Config {
@@ -618,4 +626,56 @@ func TestRetention(t *testing.T) {
 		t.Fatalf("newest job evicted: %v %v", err, resp)
 	}
 	resp.Body.Close()
+}
+
+// TestStalledBodyIsClosed is the body-side twin of cmd/dfdserve's
+// TestStalledRequestLineIsClosed: a client that sends its headers and
+// half a body, then stalls, is hung up on once the body deadline passes,
+// while a ?wait=1 long poll that outlives the same deadline still answers
+// "done".
+func TestStalledBodyIsClosed(t *testing.T) {
+	const slow = 300 * time.Millisecond
+	s := newTestServer(t, testConfig())
+	if s.bodyTimeout != bodyReadTimeout {
+		t.Fatalf("bodyTimeout = %v, want the package constant", s.bodyTimeout)
+	}
+	s.bodyTimeout = slow // the production mechanism at test scale
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"tenant\":"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	// The server says why (a 400) and hangs up: ReadAll returns only at
+	// EOF or at our own deadline.
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled connection still open after %v: %v (read %q)", time.Since(start), err, reply)
+	}
+	if d := time.Since(start); d < slow/2 {
+		t.Fatalf("connection closed after %v, before the body deadline %v", d, slow)
+	}
+	if !strings.Contains(string(reply), "400 Bad Request") {
+		t.Fatalf("reply to a stalled body = %q, want a 400", reply)
+	}
+
+	// The long poll: double the job's work until one run outlives the
+	// deadline, so the assertion holds on any host speed.
+	for scale := 64; ; scale *= 2 {
+		t0 := time.Now()
+		code, st, ae := postJob(t, ts, JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 2, Work: maxWorkUnits}, WorkScale: scale}, true)
+		if code != http.StatusOK || st.Status != "done" {
+			t.Fatalf("long poll after %v: status %d, job %+v (%+v); want 200 done", time.Since(t0), code, st, ae)
+		}
+		if time.Since(t0) > 2*slow {
+			break
+		}
+	}
 }

@@ -34,12 +34,8 @@ const (
 type (
 	// JobRequest is the wire format of one submission (POST /v1/jobs).
 	JobRequest = api.JobRequest
-	// TreeSpec describes a uniform binary fork tree.
-	TreeSpec = api.TreeSpec
 	// SpecNode is one thread of a declarative program.
 	SpecNode = api.SpecNode
-	// SpecInstr is one instruction of a SpecNode.
-	SpecInstr = api.SpecInstr
 )
 
 // jobResult is what a completed job reports back.

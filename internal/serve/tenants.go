@@ -9,7 +9,6 @@ package serve
 // its own row with its own key.
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"dfdeques/internal/serve/api"
@@ -60,8 +59,7 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("id")
 	var tc TenantConfig
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&tc); err != nil {
+	if err := s.decodeBody(w, r, &tc); err != nil {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: "+err.Error(), name, "")
 		return
 	}

@@ -385,7 +385,7 @@ func TestControllerConvergence(t *testing.T) {
 	alice, _ := s.adm.lookup("alice")
 
 	base := hog.baseHead.Load()
-	headFrac, floorFrac := float64(DefaultBudgetHeadroom), float64(DefaultControllerFloor)
+	headFrac, floorFrac := float64(DefaultBudgetHeadroom), float64(controllerFloor)
 	if want := int64(headFrac * 8192); base != want {
 		t.Fatalf("base headroom: want %d, got %d", want, base)
 	}

@@ -116,9 +116,6 @@ func Ns(ns int64) string {
 	}
 }
 
-// Pct formats a ratio as a percentage with one decimal.
-func Pct(ratio float64) string { return fmt.Sprintf("%.1f", 100*ratio) }
-
 // Spark renders values as a unicode sparkline of the given width,
 // downsampling by max within each bucket and scaling to the series peak.
 func Spark(vals []int64, width int) string {

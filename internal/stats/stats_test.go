@@ -60,9 +60,6 @@ func TestFormatters(t *testing.T) {
 	if MB(3<<20) != "3.00" {
 		t.Error("MB")
 	}
-	if Pct(0.125) != "12.5" {
-		t.Error("Pct")
-	}
 }
 
 func TestNoHeaderTable(t *testing.T) {

@@ -33,8 +33,7 @@ type RuntimeConfig struct {
 	// Probe receives one event per scheduling action; nil disables
 	// recording. Pass a *TraceRecorder (see NewTraceRecorder) to capture
 	// the run for ExportTrace, SummarizeTrace, or VerifyTrace — the
-	// runtime stamps the recorder's metadata automatically. Building with
-	// -tags grtnotrace compiles every hook site out regardless.
+	// runtime stamps the recorder's metadata automatically.
 	Probe TraceProbe
 }
 

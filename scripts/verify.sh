@@ -38,16 +38,17 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # so workers are preempted mid scheduling event. That is what exposed the
 # fork-priority bug the replay verifier now guards (steals landing on a
 # deque whose owner was mid inline fork/join chain); 20 runs of every
-# traced, verified test, of the Submit-into-a-busy-R mix, and of the two
+# traced, verified test, of the Submit-into-a-busy-R mix, of the two
 # fork-tree-order tests (no contended lock on the fork path; no frame of
-# a canceled job recycled under a live descendant's priority walk).
+# a canceled job recycled under a live descendant's priority walk), and
+# of the deadlock detector's three (two real deadlocks found; a Submit
+# racing the last worker's park never mistaken for one).
 hogs=
 trap 'kill $hogs' EXIT
 for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames' ./internal/rtrace/ ./internal/grt/
-# The tracing hooks must also compile out cleanly (-tags grtnotrace folds
-# every hook site away behind the rtrace.Enabled constant).
-go build -tags grtnotrace ./...
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock' ./internal/rtrace/ ./internal/grt/
+# Size gate (ROADMAP item 6): non-test Go outside bench/.
+echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
