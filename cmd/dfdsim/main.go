@@ -371,6 +371,7 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 			"failed_steals":    st.FailedSteals,
 			"local_dispatches": st.LocalDispatches,
 			"preemptions":      st.Preemptions,
+			"handoffs":         st.Handoffs,
 			"max_deques":       st.MaxDeques,
 			"sched_lock_ops":   st.SchedLockOps,
 		}
@@ -394,6 +395,7 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 	fmt.Printf("steals / failed:     %d / %d\n", st.Steals, st.FailedSteals)
 	fmt.Printf("own-deque dispatch:  %d\n", st.LocalDispatches)
 	fmt.Printf("preemptions:         %d\n", st.Preemptions)
+	fmt.Printf("goroutine handoffs:  %d\n", st.Handoffs)
 	fmt.Printf("max deques:          %d\n", st.MaxDeques)
 	fmt.Printf("sched lock acquires: %d\n", st.SchedLockOps)
 	if rc.measure {

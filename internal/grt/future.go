@@ -125,7 +125,7 @@ func (f *Future) Get(t *T) any {
 	if !ok {
 		// Unset: park; the pump re-checks under f.mu (a concurrent Set
 		// may have landed) and queues the frame as a reader.
-		t.park(event{kind: evFutureGet, fut: f})
+		t.park(t.w, event{kind: evFutureGet, fut: f})
 	}
 	// Either way f.set now holds, and the set happened-before this read
 	// through f.mu (fast path) or the wake handoff (parked path).

@@ -19,15 +19,17 @@
 // so the Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the
 // paper").
 //
-// Threads yield to their worker at exactly the paper's scheduling points:
-// fork, join on a live child, quota-checked allocation, lock block, dummy
-// execution, and termination.
+// The policy is consulted at exactly the paper's scheduling points: fork,
+// join on a live child, quota-checked allocation, lock block, dummy
+// execution, and termination. A thread runs most of them on its own
+// goroutine as agent of its worker — at the two give-ups (quota, dummy) it
+// makes the steal itself (§5) — and yields only to block or to terminate.
 //
 // Execution is work-first: Fork publishes the forked closure and the
 // forking thread keeps running inline; Join claims the closure back with a
 // conditional pop and runs its body inline in the joiner's own frame when
 // nothing — a thief, a woken thread — has displaced it. A goroutine (stack
-// + channel pair) is promoted lazily, only when a thread is actually
+// + resume channel) is promoted lazily, only when a thread is actually
 // dispatched by a worker (it was stolen or woken) or blocks mid-inline-run,
 // so a never-stolen fork+join costs two deque operations and zero
 // allocations in steady state. The serial order this executes is
@@ -40,9 +42,9 @@
 // on the real runtime's history.
 //
 // Workers hand threads off synchronously: a worker resumes a thread's
-// goroutine and sleeps until the thread reports its next scheduling event,
-// so at most Workers user goroutines execute user code at any instant —
-// the runtime schedules threads, not the Go scheduler.
+// goroutine and sleeps on its yield channel until the next event arrives
+// (Stats.Handoffs), so at most Workers user goroutines execute user code at
+// any instant — the runtime schedules threads, not the Go scheduler.
 //
 // The runtime is a long-lived service: New starts the worker pool once,
 // Submit runs any number of root computations (concurrently and
@@ -136,6 +138,7 @@ type Stats struct {
 	HeapHW          int64 // high-water of Alloc−Free bytes
 	HeapLive        int64 // final Alloc−Free balance (0 when frees match)
 	MaxDeques       int64 // high-water of the ready structure (len(R); p for WS; 1 for queues)
+	Handoffs        int64 // times a worker resumed a thread's goroutine and slept until its next event
 
 	// Contention counters. SchedLockOps counts exclusive acquisitions of
 	// the policy's serializing lock: the R spine for DFDeques, the queue
@@ -143,23 +146,23 @@ type Stats struct {
 	// counters are populated only under MeasureContention.
 	SchedLockOps int64
 	SchedLockNs  int64 // total ns workers spent waiting to acquire that lock
-	StealWaitNs  int64 // total ns idle workers spent acquiring a thread
+	StealWaitNs  int64 // total ns spent acquiring a thread: idle workers, and threads re-stealing after a give-up
 }
 
 type evKind uint8
 
 // The events a thread yields to its worker: the blocking scheduling
 // points, plus termination. Everything else (fork, alloc, free, unlock,
-// future set, touch, dummy) runs inline on the thread's own goroutine as
-// agent of its worker.
+// future set, touch, dummy, the give-ups) runs inline on the thread's own
+// goroutine as agent of its worker.
 const (
 	evJoin evKind = iota
 	evLock
 	evFutureGet
-	// evPreempt is the quota-exhaustion park: the thread found Charge
-	// vetoing its allocation inline and suspends so the worker can
-	// republish it (§3.3, "memory quota exhausted").
-	evPreempt
+	// evReleased hands the worker role back after a give-up (§3.3) whose
+	// re-steal did not take the published frame back: self is no longer the
+	// worker's to resume, next is what the steal took instead (nil: none).
+	evReleased
 	evDone
 )
 
@@ -167,7 +170,7 @@ type event struct {
 	kind  evKind
 	self  *T      // the thread that yielded the event: an inline frame, not necessarily the one the worker dispatched
 	child *T      // evJoin
-	n     int64   // evPreempt bytes
+	next  *T      // evReleased
 	mu    *Mutex  // evLock
 	fut   *Future // evFutureGet
 }
@@ -179,15 +182,14 @@ type T struct {
 	job    *Job
 	body   func(*T)
 	resume chan struct{}
-	yield  chan event
 	// started flips once, when the thread first gets a stack: the worker
-	// dispatch that spawns its goroutine, or the first blocking park of a
-	// frame running inline. It is
-	// atomic because the inline-join guard reads it while a thief may be
-	// concurrently dispatching the thread; the reading side never trusts
-	// it alone — the conditional pop (policy.JoinPop) arbitrates.
+	// dispatch that spawns its goroutine, or the promotion of a frame
+	// running inline. It is atomic because the inline-join guard reads it
+	// while a thief may be concurrently dispatching the thread; the reading
+	// side never trusts it alone — the conditional pop (policy.JoinPop)
+	// arbitrates.
 	started atomic.Bool
-	dummy   bool
+	leaves  int64 // dummy leaves under this node of a §3.3 dummy tree: 1 is a dummy, 0 an ordinary thread
 	root    bool  // job root: released by evDone (nothing ever joins it)
 	tid     int64 // stable trace id: first root is 1, then submit/fork order; 0 with no probe
 
@@ -199,19 +201,11 @@ type T struct {
 	depth        int
 	index, forks int64
 
-	// Frame state. w is the worker currently driving
-	// the thread (set by the dispatching worker before resuming, and
-	// propagated chain-upward when an inline join returns): inline code
-	// traces and consults per-worker policy state as agent of worker w
-	// while that worker is parked in step. base is the goroutine-backed
-	// root of the thread's inline chain — the frame whose channel pair a
-	// blocking inline frame borrows (borrowed marks that loan, so release
-	// returns the channels to nil rather than to the pool). At most one
-	// frame of a chain can be parked at a time (the chain is one carrier
-	// goroutine), so the shared pair never has two receivers.
-	w        int
-	base     *T
-	borrowed bool
+	// w is the worker currently driving the thread (set by the dispatching
+	// worker before resuming, and propagated chain-upward when an inline
+	// join returns): inline code traces and consults per-worker policy state
+	// as agent of worker w while that worker is parked in step.
+	w int
 
 	// Owned by the thread goroutine:
 	unjoined []*T
@@ -306,10 +300,14 @@ type Runtime struct {
 	// Accounting: atomics, so the hot paths (fork, alloc) never need a
 	// lock for bookkeeping. Per-job counters live on Job; the runtime
 	// keeps only what scheduling itself needs — the trace id (drawn only
-	// when a probe is attached) and job id wells, and the steal-wait
-	// clock.
+	// when a probe is attached) and job id wells, the steal-wait clock,
+	// and each worker's hand-off count.
 	tids, jobIDs atomic.Int64
 	stealWaitNs  atomic.Int64
+	handoffs     []paddedCount
+	// yield[w] carries thread events to worker w: unbuffered, and w is its
+	// only receiver, whichever worker the reporting thread came from.
+	yield []chan event
 
 	// Idle parking (guarded by mu) plus a lock-free mirror of the waiter
 	// count so publishers can skip the wake-up lock when nobody sleeps.
@@ -332,6 +330,12 @@ type Runtime struct {
 	shutdown bool
 }
 
+// paddedCount is a counter on a cache line of its own.
+type paddedCount struct {
+	atomic.Int64
+	_ [56]byte
+}
+
 // ErrShutdown is returned by Submit after Shutdown has begun, and is the
 // error of jobs aborted by a shutdown whose context expired.
 var ErrShutdown = errors.New("grt: runtime is shut down")
@@ -345,6 +349,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
 	rt.cond = sync.NewCond(&rt.mu)
+	rt.handoffs = make([]paddedCount, cfg.Workers)
+	rt.yield = make([]chan event, cfg.Workers)
 	switch cfg.Sched {
 	case DFDeques:
 		rt.pol = policy.NewDFD(cfg.Workers, cfg.K, prioLess, cfg.Seed)
@@ -387,6 +393,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 
 	for w := 0; w < cfg.Workers; w++ {
+		rt.yield[w] = make(chan event)
 		rt.wg.Add(1)
 		go func(w int) {
 			defer rt.wg.Done()
@@ -558,6 +565,10 @@ func Run(cfg Config, root func(*T)) (Stats, error) {
 // the scheduler counters span all of them.
 func (rt *Runtime) Stats(js JobStats) Stats {
 	ps := rt.pol.Stats()
+	var handoffs int64
+	for w := range rt.handoffs {
+		handoffs += rt.handoffs[w].Load()
+	}
 	return Stats{
 		TotalThreads:    js.TotalThreads,
 		MaxLiveThreads:  js.MaxLiveThreads,
@@ -572,6 +583,7 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 		SchedLockOps:    ps.LockOps,
 		SchedLockNs:     ps.LockWaitNs,
 		StealWaitNs:     rt.stealWaitNs.Load(),
+		Handoffs:        handoffs,
 	}
 }
 
@@ -580,12 +592,9 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 // parent for ordinary threads (Join), the terminating worker for job
 // roots (evDone) — so the fork hot path allocates nothing in steady
 // state. A frame is born bare (the common inline fork+join never needs a
-// channel pair), and a promoted frame keeps its own pair across
-// recycling. At release the goroutine has fully drained both
-// channels (death always passes through the evDone handoff), so a
-// recycled frame starts from the same quiescent channel state as a fresh
-// one; borrowed pairs (an inline frame promoted mid-run borrows its
-// chain base's channels) are returned to nil instead.
+// channel) and keeps the resume channel its first promotion gave it across
+// recycling: at release every token sent on it has been consumed (each
+// step's by the park, or the main, that waited for it).
 var tPool = sync.Pool{New: func() any { return &T{} }}
 
 func (rt *Runtime) newT(body func(*T)) *T {
@@ -610,18 +619,13 @@ func releaseT(t *T) {
 	t.body = nil
 	t.parent, t.depth, t.index, t.forks = nil, 0, 0, 0
 	t.started.Store(false)
-	t.dummy = false
+	t.leaves = 0
 	t.root = false
 	t.tid = 0
 	t.w = 0
-	t.base = nil
 	t.unjoined = t.unjoined[:0]
 	t.done.Store(false)
 	t.waiter = nil
-	if t.borrowed {
-		t.resume, t.yield = nil, nil
-		t.borrowed = false
-	}
 	tPool.Put(t)
 }
 
@@ -639,7 +643,7 @@ func (rt *Runtime) noteFork(curr, child *T) {
 	j := curr.job
 	j.tot.Add(1)
 	atomicMax(&j.maxLive, j.live.Add(1))
-	if child.dummy {
+	if child.leaves == 1 {
 		j.dummies.Add(1)
 	}
 }
@@ -699,58 +703,55 @@ func (t *T) up() *T {
 
 // ---- Thread-side API -----------------------------------------------------
 
-// step resumes t on worker w and waits for its next scheduling event.
-// Only the worker currently responsible for t may call it. This is the
-// promotion point for dispatched threads: a thread
-// reaches a worker only by being stolen, woken, or injected, and only
-// then does it get a goroutine (and, if it never had one, a channel
-// pair). Setting t.w first is what lets the resumed thread's inline code
-// act as agent of worker w — the channel handoff orders the write against
-// every thread-side read.
+// step resumes t on worker w and waits for the next event on w's yield
+// channel. Only the worker currently responsible for t may call it. This is
+// the promotion point for dispatched threads: a thread reaches a worker only
+// by being stolen, woken, or injected, and only then does it get a goroutine
+// (and, if it never had one, a resume channel). Setting t.w first is what
+// lets the resumed thread's inline code act as agent of worker w — the
+// channel handoff orders the write against every thread-side read. t may
+// still be running (it published itself and lost the race for its own
+// deque, see resteal): resume's one-slot buffer takes the token regardless.
 func (rt *Runtime) step(w int, t *T) event {
 	t.w = w
-	if !t.started.Load() {
-		if t.resume == nil {
-			t.resume = make(chan struct{}, 1)
-			t.yield = make(chan event)
-		}
-		t.base = t
-		rt.trace(w, rtrace.EvPromote, t.tid, 0, 0)
-		t.started.Store(true)
+	if t.promote(0) {
 		go t.main()
 	}
-	// Read the channel fields before the resume-send: the moment the send
-	// lands, the chain is running and may complete t — if t is a borrowed
-	// inline frame, its joining parent then releases it, nilling these very
-	// fields concurrently. The locals still name the right channels (a
-	// borrowed frame shares its base's pair, which outlives the frame).
-	resume, yield := t.resume, t.yield
-	resume <- struct{}{}
-	return <-yield
+	rt.handoffs[w].Add(1)
+	// The send is the last touch of t: the moment it lands the chain is
+	// running and may complete t, and a joining parent then recycles it.
+	t.resume <- struct{}{}
+	return <-rt.yield[w]
 }
 
-// park suspends a running thread to its chain's worker: the blocking path
-// (join on a live child, contended lock, unset future, exhausted quota).
-// A frame running inline is promoted by its first park — it borrows the
-// chain base's channel pair and counts as started, so no later join can
-// claim it inline. If the job was poisoned meanwhile, resumption kills the
-// thread instead of returning to user code: the sentinel panic unwinds
-// the goroutine (running user defers on the way) and main reports the
-// termination. The worker publishing/queuing of
-// the frame happens pump-side after the yield is received: the thread
-// must never publish its own frame while still running, or a second
-// worker could dispatch it and the base's channels would have two
-// receivers.
-func (t *T) park(ev event) {
-	if !t.started.Load() {
-		t.resume = t.base.resume
-		t.yield = t.base.yield
-		t.borrowed = true
-		t.started.Store(true)
-		t.rt.trace(t.w, rtrace.EvPromote, t.tid, 1, 0)
+// promote makes a thread dispatchable by step: a worker about to start its
+// goroutine (flavor 0), or a frame running inline, on its chain's
+// goroutine, before it first parks or publishes itself (flavor 1). It gets a
+// resume channel if no earlier life left it one and counts as started, so no
+// later join can claim it inline. It reports whether this call did that.
+func (t *T) promote(flavor int64) bool {
+	if t.started.Load() {
+		return false
 	}
+	if t.resume == nil {
+		t.resume = make(chan struct{}, 1)
+	}
+	t.rt.trace(t.w, rtrace.EvPromote, t.tid, flavor, 0)
+	t.started.Store(true)
+	return true
+}
+
+// park suspends a running thread to worker w — t.w, unless t has published
+// itself (resteal): the blocking path (join on a live child, contended
+// lock, unset future) and the return of the worker role. If the job was
+// poisoned meanwhile, resumption kills the thread instead of returning to
+// user code: the sentinel panic unwinds the goroutine (running user defers
+// on the way) and main reports the termination. The queuing of the frame
+// as a waiter happens worker-side after the yield is received.
+func (t *T) park(w int, ev event) {
+	t.promote(1)
 	ev.self = t
-	t.yield <- ev
+	t.rt.yield[w] <- ev
 	<-t.resume
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
@@ -780,7 +781,7 @@ func (t *T) main() {
 				t.job.cancel(err)
 			}
 		}
-		t.yield <- event{kind: evDone, self: t}
+		t.rt.yield[t.w] <- event{kind: evDone, self: t}
 	}()
 	if t.job.poisoned.Load() {
 		return // canceled before its first dispatch: die without running
@@ -795,13 +796,15 @@ func (t *T) main() {
 // the child runs when a worker steals it or, at the latest, at its Join.
 // The returned handle must be passed to Join before the parent returns.
 func (t *T) Fork(body func(*T)) *T {
-	return t.fork(body, false)
+	return t.fork(body, 0)
 }
 
-func (t *T) fork(body func(*T), dummy bool) *T {
+// fork is Fork with the child's count of dummy leaves (1: it is a dummy),
+// which has to be written before ForkCont publishes the child to thieves.
+func (t *T) fork(body func(*T), leaves int64) *T {
 	child := t.rt.newT(body)
 	child.job = t.job
-	child.dummy = dummy
+	child.leaves = leaves
 	t.unjoined = append(t.unjoined, child)
 	// Publish the child, keep running the parent — no yield, no channel
 	// handoff, no goroutine. The forking thread acts as agent of its worker
@@ -813,7 +816,7 @@ func (t *T) fork(body func(*T), dummy bool) *T {
 	rt := t.rt
 	rt.noteFork(t, child)
 	var isDummy int64
-	if dummy {
+	if leaves == 1 {
 		isDummy = 1
 	}
 	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
@@ -835,9 +838,9 @@ func (t *T) fork(body func(*T), dummy bool) *T {
 // thieves, undisplaced by woken threads — the conditional pop removes it
 // there and the parent runs the child's body in its own frame, paying no
 // channel handoff and no goroutine. Otherwise the child is live elsewhere
-// (stolen, or a global-queue policy owns it) and the parent parks. Dummy
-// children are never claimed inline: the §3.3 dummy-termination give-up
-// must run pump-side (Terminate), so they always promote.
+// (stolen, or a global-queue policy owns it) and the parent parks. A dummy
+// is claimed like any other child (and republishes its joiner when it
+// terminates: joinInline).
 func (t *T) Join(h *T) {
 	if len(t.unjoined) == 0 || t.unjoined[len(t.unjoined)-1] != h {
 		panic("grt: Join order must be LIFO with the thread's own children")
@@ -852,7 +855,7 @@ func (t *T) Join(h *T) {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
-		if !h.dummy && !h.started.Load() && rt.pol.JoinPop(t.w, h) {
+		if !h.started.Load() && rt.pol.JoinPop(t.w, h) {
 			// The parent logically suspends and the child is dispatched
 			// in its place — the same block/dispatch pair the pump emits
 			// for a parked join, so dispatch conservation holds.
@@ -864,7 +867,7 @@ func (t *T) Join(h *T) {
 			releaseT(h)
 			return
 		}
-		t.park(event{kind: evJoin, child: h})
+		t.park(t.w, event{kind: evJoin, child: h})
 	}
 }
 
@@ -876,23 +879,32 @@ func (t *T) Join(h *T) {
 // The deferred half runs on panic unwinds too — user panics and poison
 // both propagate to the chain's base, and every inline frame they unwind
 // through is completed on the way — so thread accounting and the trace's
-// dispatch conservation survive cancellation mid-chain.
+// dispatch conservation survive cancellation mid-chain. After a dummy the
+// policy picks what runs next (§3.3's give-up, Terminate): the joiner
+// itself only if the dummy died poisoned, before its Dummy call.
 func (t *T) joinInline(c *T) {
 	rt := t.rt
 	c.w = t.w
-	c.base = t.base
 	defer func() {
 		// The child may have parked and been redispatched on another
 		// worker mid-body; its w is then the chain's current worker, and
 		// the parent inherits it.
 		t.w = c.w
 		rt.trace(c.w, rtrace.EvComplete, c.tid, 0, 0)
-		// finish() reduced to its atomic half: an inline child can have
-		// no registered waiter (only its parent joins it, and the parent
-		// is running this call), so there is no handoff to arbitrate.
+		// finish() minus the waiter hand-off: an inline child has none.
 		c.done.Store(true)
 		c.job.live.Add(-1)
-		rt.trace(c.w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
+		w := t.w
+		if c.leaves != 1 {
+			rt.trace(w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
+		} else if next, ok := rt.pol.Terminate(w, t, true); !ok {
+			t.resteal(w) // DFDeques: t is pushed, the deque given up
+		} else {
+			rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
+			if next != t {
+				t.park(w, event{kind: evReleased, next: next})
+			}
+		}
 	}()
 	c.body(c)
 	if len(c.unjoined) > 0 {
@@ -924,9 +936,10 @@ func (t *T) Alloc(n int64) {
 		t.job.charge(n)
 		return
 	}
-	// Charge the quota inline; a veto parks the thread (the pump
-	// republishes it, §3.3) and the loop retries after redispatch refills
-	// the quota.
+	// Charge the quota inline; on a veto the thread goes back on its deque,
+	// gives the deque up and steals (§3.3), and the loop retries once a
+	// dispatch — its own re-steal, most often — has refilled the quota.
+	// From Preempt on t is any worker's to dispatch: use w, not t.w.
 	for {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
@@ -936,7 +949,12 @@ func (t *T) Alloc(n int64) {
 			t.job.charge(n)
 			return
 		}
-		t.park(event{kind: evPreempt, n: n})
+		w := t.w
+		t.promote(1)
+		t.job.preempts.Add(1)
+		rt.trace(w, rtrace.EvQuotaExhaust, t.tid, n, 0)
+		rt.pol.Preempt(w, t)
+		t.resteal(w)
 	}
 }
 
@@ -976,25 +994,26 @@ func (t *T) Free(n int64) {
 // same shape policy.SplitDummies gives the simulator's transformation, so
 // thread and dummy counts agree with the simulator's.
 func (t *T) forkDummies(n int64) {
+	body := (*T).dummyNode
 	if n == 1 {
-		h := t.fork(func(c *T) {
-			c.dummyPoint()
-		}, true)
-		t.Join(h)
-		return
+		body = (*T).dummyPoint
+		t.promote(1) // the dummy's termination republishes t (joinInline): promote it while it still runs
 	}
-	l, r := policy.SplitDummies(n)
-	h := t.Fork(func(c *T) {
-		c.forkDummies(l)
-		c.forkDummies(r)
-	})
-	t.Join(h)
+	t.Join(t.fork(body, n))
 }
 
-// dummyPoint is a dummy leaf's one scheduling event (§3.3). A dummy is
-// always goroutine-backed (Join never claims one inline), so the give-up
-// mark is set inline as agent of the dispatching worker and consumed by
-// that worker's Terminate right after the dummy's evDone.
+// dummyNode is the body of an interior node of the dummy tree.
+func (t *T) dummyNode() {
+	l, r := policy.SplitDummies(t.leaves)
+	t.forkDummies(l)
+	t.forkDummies(r)
+}
+
+// dummyPoint is a dummy leaf's one scheduling event (§3.3). The give-up
+// mark is set inline as agent of the running worker and consumed by the
+// Terminate that follows the dummy's completion: the joiner's when it
+// claimed the dummy inline (joinInline), the worker's after evDone when a
+// thief took it first.
 func (t *T) dummyPoint() {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)

@@ -91,10 +91,11 @@ func (m *Mutex) cancelWait(t *T) bool {
 }
 
 // tryAcquire takes m for t iff it is free — Lock's inline fast path. It
-// never queues a waiter: queuing would publish the
-// running frame to other workers while the thread is still executing,
-// which the promotion protocol forbids; the contended case parks and the
-// pump queues the frame instead.
+// never queues a waiter: that would publish the running frame while the
+// thread is still executing. A give-up may do that (T.resteal) because the
+// frame can race for its own deque and take itself back; a waiter list is
+// drained by another thread's Unlock, so there is nothing to take back —
+// the contended case parks and the worker queues the frame instead.
 func (m *Mutex) tryAcquire(t *T) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -118,7 +119,7 @@ func (m *Mutex) Lock(t *T) {
 	// have released in between) and queues the frame on failure.
 	// Resumption implies the worker either acquired the lock or a
 	// releasing thread handed it to us.
-	t.park(event{kind: evLock, mu: m})
+	t.park(t.w, event{kind: evLock, mu: m})
 }
 
 // Unlock releases m, waking the longest-waiting thread if any. The release

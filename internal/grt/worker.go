@@ -39,6 +39,12 @@ func (rt *Runtime) worker(w int) {
 			}
 		}
 		ev := rt.step(w, curr)
+		if ev.kind == evReleased {
+			// ev.self is published (resteal), not this worker's to resume,
+			// poisoned or not; what it stole instead is dispatched already.
+			curr = ev.next
+			continue
+		}
 		// The event may come from a frame running inline deeper in curr's
 		// chain — a child claimed by an inline join that then blocked. The
 		// yielding frame is the one every handler below must act on (and
@@ -58,11 +64,6 @@ func (rt *Runtime) worker(w int) {
 			continue
 		}
 
-		// wake is set by the branches that publish work a parked worker
-		// could run; wakeIdlers runs after the policy call so the policy's
-		// ready state is raised before the idlers check (the park
-		// protocol's ordering requirement — see acquire).
-		wake := false
 		switch ev.kind {
 		case evJoin:
 			if ev.child.registerWaiter(w, curr) {
@@ -84,16 +85,6 @@ func (rt *Runtime) worker(w int) {
 			}
 			curr = rt.next(w)
 
-		case evPreempt:
-			// The thread found the quota exhausted inline and parked;
-			// republish it (§3.3). Its own Alloc loop retries when the
-			// chain resumes.
-			curr.job.preempts.Add(1)
-			rt.trace(w, rtrace.EvQuotaExhaust, curr.tid, ev.n, 0)
-			rt.pol.Preempt(w, curr)
-			wake = true
-			curr = nil
-
 		case evDone:
 			dying := curr
 			rt.trace(w, rtrace.EvComplete, dying.tid, 0, 0)
@@ -101,15 +92,18 @@ func (rt *Runtime) worker(w int) {
 			// before finish: the moment finish publishes done, a joining
 			// parent on another worker may observe it, release the frame
 			// to the pool, and a third worker may already be reusing it.
+			// The live count drops before done is published, or a joiner
+			// polling isDone could fork while the dead thread still counts.
 			j := dying.job
 			isRoot := dying.root
+			last := j.live.Add(-1) == 0
 			woke := dying.finish()
 			if isRoot {
 				// Nothing ever joins a job root, so the terminating worker
 				// is its last referent and recycles the frame itself.
 				releaseT(dying)
 			}
-			if j.live.Add(-1) == 0 {
+			if last {
 				rt.finishJob(w, j)
 			}
 			next, ok := rt.pol.Terminate(w, woke, woke != nil)
@@ -118,13 +112,11 @@ func (rt *Runtime) worker(w int) {
 				curr = next
 			} else {
 				// The policy may have republished work (the dummy-thread
-				// give-up leaves the deque stealable); wake conservatively.
+				// give-up leaves the deque stealable); wake conservatively,
+				// now that the ready state the idlers re-check is raised.
 				curr = nil
-				wake = true
+				rt.wakeIdlers()
 			}
-		}
-		if wake {
-			rt.wakeIdlers()
 		}
 	}
 }
@@ -188,15 +180,7 @@ func (rt *Runtime) acquire(w int) *T {
 				// The wake produced work: wakes are useful again.
 				rt.futileWakes.Store(0)
 			}
-			if rt.pol.HasWork() {
-				// Hand off spinner duty: more work is published and this
-				// worker is about to get busy, so wake a successor.
-				rt.wakeIdlers()
-			}
-			if !start.IsZero() {
-				rt.stealWaitNs.Add(time.Since(start).Nanoseconds())
-			}
-			rt.trace(w, rtrace.EvDispatch, x.tid, rtrace.SrcAcquire, 0)
+			rt.acquired(w, x, start)
 			return x
 		}
 		hadWork := rt.pol.HasWork()
@@ -274,6 +258,50 @@ func (rt *Runtime) acquire(w int) *T {
 		rt.spinning.Add(1)
 		rt.mu.Unlock()
 		spins = 0
+	}
+}
+
+// acquired is the epilogue of a successful Acquire on worker w, the
+// worker's own (acquire) or a frame's (resteal).
+func (rt *Runtime) acquired(w int, x *T, start time.Time) {
+	if rt.pol.HasWork() {
+		// Hand off spinner duty: more work is published and this worker is
+		// about to get busy, so wake a successor.
+		rt.wakeIdlers()
+	}
+	if !start.IsZero() {
+		rt.stealWaitNs.Add(time.Since(start).Nanoseconds())
+	}
+	rt.trace(w, rtrace.EvDispatch, x.tid, rtrace.SrcAcquire, 0)
+}
+
+// resteal is the steal after a give-up (§3.3), made by the thread that gave
+// up (§5: the scheduler runs on the thread that gives up the processor). t,
+// promoted, has just been published on a deque worker w no longer owns. If
+// one of a few attempts — acquire's hot-spin phase — takes t back, it just
+// goes on: no channel operation, no goroutine switch. Otherwise it returns
+// the worker role with whatever it stole (nil sends the worker to acquire,
+// where backoff, parking and deadlock detection stay) and waits for its own
+// dispatch. From the publishing store until t has taken itself back or
+// received on resume another worker may step t, so t reads nothing step
+// writes — t.w above all, hence w.
+func (t *T) resteal(w int) {
+	rt := t.rt
+	rt.wakeIdlers()
+	var start time.Time
+	if rt.cfg.MeasureContention {
+		start = time.Now()
+	}
+	rt.trace(w, rtrace.EvIdle, 0, 0, 0)
+	var next *T
+	for i := 0; i < 8 && next == nil && (i == 0 || rt.pol.HasWork()); i++ { // t is there: try before asking
+		if x, ok := rt.pol.Acquire(w); ok {
+			next = x
+			rt.acquired(w, x, start)
+		}
+	}
+	if next != t {
+		t.park(w, event{kind: evReleased, next: next})
 	}
 }
 

@@ -40,15 +40,17 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # deque whose owner was mid inline fork/join chain); 20 runs of every
 # traced, verified test, of the Submit-into-a-busy-R mix, of the two
 # fork-tree-order tests (no contended lock on the fork path; no frame of
-# a canceled job recycled under a live descendant's priority walk), and
-# of the deadlock detector's three (two real deadlocks found; a Submit
-# racing the last worker's park never mistaken for one).
+# a canceled job recycled under a live descendant's priority walk), of
+# the deadlock detector's three (two real deadlocks found; a Submit
+# racing the last worker's park never mistaken for one), and of the
+# give-up tests (a thread that published itself racing thieves for its
+# own deque, with and without a cancel landing in that window).
 hogs=
 trap 'kill $hogs' EXIT
 for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock' ./internal/rtrace/ ./internal/grt/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp' ./internal/rtrace/ ./internal/grt/
 # Size gate (ROADMAP item 6): non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
