@@ -27,7 +27,8 @@ import (
 //     RWMutex. Only operations that change membership take it exclusively:
 //     Steal (pop-bottom + insert-right must be one linearization point, or
 //     two thieves hitting one victim could insert their deques in inverted
-//     priority order), deque deletion, and publish (Seed, Append and the
+//     priority order), a give-up together with the steal that follows it
+//     (GiveUpSteal), deque deletion, and publish (Seed, Append and the
 //     woken-thread insert). The read side covers cheap observations —
 //     including Steal's screening phase, which rejects an empty victim via
 //     Len without ever taking the spine exclusively. The spine serializes
@@ -226,8 +227,10 @@ func (pl *SharedPool[T]) publish(w, i int, midRun int64, x T) {
 	}
 	nd.PushTop(x)
 	pl.noteR()
-	pl.listMu.Unlock()
+	// Raised before the spine unlocks, or a thief that takes x first drives
+	// the count to -1 and HasWork reads false while other work is published.
 	pl.ready.Add(1)
+	pl.listMu.Unlock()
 }
 
 // Seed places the root thread into a fresh, unowned deque at the left end
@@ -324,16 +327,24 @@ func (pl *SharedPool[T]) PopOwnIf(w int, want T) bool {
 
 // GiveUp releases ownership of w's deque without popping (the
 // quota-exhaustion and dummy-thread paths): the deque stays in R, unowned
-// and stealable. An empty deque is deleted instead. The emptiness read is
-// stable under the exclusive spine lock: thieves pop bottoms only inside
-// Steal's spine-held section, and the one goroutine that pushes without
-// the spine — the owner — is the caller itself.
+// and stealable. An empty deque is deleted instead. The runtime's give-ups
+// go through GiveUpSteal, which is this and the steal that follows in one
+// spine section.
 func (pl *SharedPool[T]) GiveUp(w int) {
 	d := pl.own[w].Load()
 	if d == nil {
 		return
 	}
 	pl.lockList()
+	pl.release(w, d)
+	pl.listMu.Unlock()
+}
+
+// release is the give-up proper; the caller holds the spine exclusively and
+// d is w's deque. The emptiness read is stable: thieves pop bottoms only
+// inside a spine-held section, and the one goroutine that pushes without
+// the spine — the owner — is the caller itself.
+func (pl *SharedPool[T]) release(w int, d *deque.Deque[T]) {
 	pl.own[w].Store(nil)
 	if d.Empty() {
 		if d.InList() {
@@ -343,7 +354,39 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 		d.Owner = -1
 		pl.trace(w, rtrace.EvDequeRelease, d.ID, 0, 0)
 	}
-	pl.listMu.Unlock()
+}
+
+// giveUpRedraws bounds GiveUpSteal's redraws: each costs a random number,
+// not a lock, and with R shorter than p a single draw misses R with
+// probability 1 - len(R)/p — every second give-up of a chain on two workers.
+const giveUpRedraws = 3
+
+// GiveUpSteal is GiveUp and the steal attempt that §3.3 has follow it, in
+// one exclusive spine section instead of two (plus a screening read). The
+// release and the steal stay two linearization points, adjacent in the
+// spine's order: every other membership change falls before both or after
+// both, so R passes through the same states as under GiveUp then Steal with
+// nothing scheduled in between, and Lemma 3.1 cannot tell the difference.
+// No screening: the released deque is in R and non-empty, so the section
+// would be taken anyway. A draw that names a position R does not have is a
+// failed attempt, counted and traced like Steal's, and is redrawn in place,
+// at most giveUpRedraws times; an existing victim is one attempt, as in
+// Steal. w need not own a deque (then this is an unscreened Steal).
+func (pl *SharedPool[T]) GiveUpSteal(w int) (x T, ok bool) {
+	d := pl.own[w].Load()
+	pl.lockList()
+	defer pl.listMu.Unlock()
+	if d != nil {
+		pl.release(w, d)
+	}
+	for i := 0; i <= giveUpRedraws; i++ {
+		if c := pl.rng(w).Intn(pl.p); c < pl.r.Len() {
+			return pl.take(w, c)
+		}
+		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
+		pl.failed.Add(1)
+	}
+	return x, false
 }
 
 // Steal performs one steal attempt for worker w: pick a uniformly random
@@ -355,13 +398,7 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 // attempt — an out-of-range pick or a provably empty victim — costs no
 // exclusive spine acquisition at all, so a storm of unlucky thieves never
 // serializes the owners' membership changes. Only a promising pick takes
-// the spine exclusively and re-validates: pop-bottom and insert-right
-// form the steal's single linearization point, which is what keeps Lemma
-// 3.1's left-to-right order intact when two thieves race on one victim.
-// The pop itself is the lock-free bottom-word CAS — the victim's owner is
-// never blocked, not even for the duration of this critical section, and
-// can race the thief for the last item (the deque's conflict arbitration
-// decides; a CAS loss here is just a failed attempt).
+// the spine exclusively and re-validates (take).
 //
 // ok is false if the attempt failed (nonexistent or empty victim, or the
 // CAS lost a race). The worker must not own a deque.
@@ -373,27 +410,39 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	pl.listMu.RLock()
 	promising := c < pl.r.Len() && pl.r.Kth(c).Len() > 0
 	pl.listMu.RUnlock()
-	if !promising {
-		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
-		pl.failed.Add(1)
-		return x, false
-	}
-	pl.lockList()
-	if c >= pl.r.Len() { // R shrank between the phases
-		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
+	if promising {
+		pl.lockList()
+		if c < pl.r.Len() { // else R shrank between the phases
+			x, ok = pl.take(w, c)
+			pl.listMu.Unlock()
+			return x, ok
+		}
 		pl.listMu.Unlock()
-		pl.failed.Add(1)
-		return x, false
 	}
+	pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
+	pl.failed.Add(1)
+	return x, false
+}
+
+// take is the steal proper, on position c of R, which must exist; the
+// caller holds the spine exclusively and w owns no deque. It counts its
+// own outcome (the counters share ready's cache line). Pop-bottom and
+// insert-right form the steal's single linearization point, which is what
+// keeps Lemma 3.1's left-to-right order intact when two thieves race on
+// one victim. The pop itself is the lock-free bottom-word CAS — the
+// victim's owner is never blocked, not even for the duration of this
+// critical section, and can race the thief for the last item (the deque's
+// conflict arbitration decides; a CAS loss here is just a failed attempt).
+func (pl *SharedPool[T]) take(w, c int) (x T, ok bool) {
 	victim := pl.r.Kth(c)
 	pl.trace(w, rtrace.EvStealAttempt, victim.ID, 0, 0)
 	x, ok = victim.PopBottom()
 	if !ok {
-		pl.listMu.Unlock()
 		pl.failed.Add(1)
 		return x, false
 	}
 	pl.ready.Add(-1)
+	pl.steals.Add(1)
 	nd := pl.takeFree()
 	pl.r.InsertRightReuse(victim, nd)
 	nd.Owner = w
@@ -408,8 +457,6 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	}
 	pl.noteR()
 	pl.own[w].Store(nd)
-	pl.listMu.Unlock()
-	pl.steals.Add(1)
 	return x, true
 }
 

@@ -8,9 +8,12 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dfdeques/internal/rtrace"
 )
 
 // intSharedPool builds a shared pool over ints, smaller = higher priority.
@@ -97,6 +100,107 @@ func TestSharedGiveUpEmptyDequeDeletes(t *testing.T) {
 	pl.GiveUp(0)
 	if pl.Deques() != 0 {
 		t.Fatalf("empty given-up deque should be deleted; R has %d", pl.Deques())
+	}
+}
+
+// TestSharedGiveUpStealIsOneSection pins the fused give-up: release and
+// steal cost one exclusive spine acquisition, are traced release-first, and
+// leave the pool exactly where GiveUp followed by a successful Steal would
+// — the thief owns a fresh deque right of its victim, and a victim it
+// drained is gone. With one worker the draw cannot miss.
+func TestSharedGiveUpStealIsOneSection(t *testing.T) {
+	rec := rtrace.NewRecorder(1, 64)
+	pl := intSharedPool(1, 3)
+	pl.Instrument(rec, func(x int) int64 { return int64(x) })
+	pl.Seed(1)
+	sharedStealUntil(t, pl, 0)
+	pl.PushOwn(0, 7)
+	pl.PushOwn(0, 6)
+	locks, mark := pl.ListLockOps(), rec.Len()
+
+	if x, ok := pl.GiveUpSteal(0); !ok || x != 7 {
+		t.Fatalf("GiveUpSteal = %d,%v, want the released deque's bottom 7", x, ok)
+	}
+	if got := pl.ListLockOps() - locks; got != 1 {
+		t.Errorf("give-up and steal took the spine %d times, want 1", got)
+	}
+	if !pl.Owns(0) || !pl.HasWork() {
+		t.Errorf("after the steal: Owns = %v, HasWork = %v, want true, true (6 stays behind)", pl.Owns(0), pl.HasWork())
+	}
+	if got, want := sharedLayout(pl), [][]int{{6}, nil}; !reflect.DeepEqual(got, want) {
+		t.Errorf("R = %v, want %v", got, want)
+	}
+	var kinds []rtrace.Kind
+	for _, e := range rec.Events()[mark:] {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []rtrace.Kind{rtrace.EvDequeRelease, rtrace.EvStealAttempt, rtrace.EvSteal}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("traced %v, want %v", kinds, want)
+	}
+
+	// The thief's deque is empty: this give-up retires it, and the steal
+	// drains and retires the victim.
+	if x, ok := pl.GiveUpSteal(0); !ok || x != 6 {
+		t.Fatalf("second GiveUpSteal = %d,%v, want 6", x, ok)
+	}
+	if pl.Deques() != 1 || pl.HasWork() {
+		t.Errorf("Deques = %d, HasWork = %v, want the thief's deque alone and no work", pl.Deques(), pl.HasWork())
+	}
+	if steals, failed, _ := pl.Stats(); steals != 3 || failed != 0 {
+		t.Errorf("steals = %d, failed = %d, want 3, 0", steals, failed)
+	}
+}
+
+// TestSharedGiveUpStealRedraws: with R shorter than p a draw can name a
+// position R does not have. Each such draw is a counted, traced failed
+// attempt, redrawn inside the same section, giveUpRedraws times at most;
+// the deque is released either way and the next Steal finds it.
+func TestSharedGiveUpStealRedraws(t *testing.T) {
+	const p, rounds = 4, 400
+	pl := intSharedPool(p, 5)
+	pl.Seed(1)
+	x := sharedStealUntil(t, pl, 0)
+	var missedAll, redrewAndHit int
+	for i := 0; i < rounds; i++ {
+		pl.PushOwn(0, x)
+		locks := pl.ListLockOps()
+		_, failed0, _ := pl.Stats()
+		y, ok := pl.GiveUpSteal(0)
+		_, failed1, _ := pl.Stats()
+		if got := pl.ListLockOps() - locks; got != 1 {
+			t.Fatalf("round %d: %d spine acquisitions, want 1", i, got)
+		}
+		switch misses := failed1 - failed0; {
+		case ok && (y != x || misses > giveUpRedraws):
+			t.Fatalf("round %d: stole %d after %d misses, want %d after at most %d", i, y, misses, x, giveUpRedraws)
+		case ok && misses > 0:
+			redrewAndHit++
+		case !ok && misses != giveUpRedraws+1:
+			t.Fatalf("round %d: gave up drawing after %d misses, want %d", i, misses, giveUpRedraws+1)
+		case !ok:
+			missedAll++
+			if pl.Owns(0) || !pl.HasWork() || pl.Deques() != 1 {
+				t.Fatalf("round %d: a missed steal must leave the deque released in R", i)
+			}
+			x = sharedStealUntil(t, pl, 0)
+		}
+	}
+	// One deque among p = 4 positions: a draw misses with probability 3/4.
+	if missedAll == 0 || redrewAndHit == 0 {
+		t.Errorf("over %d rounds %d give-ups missed every draw and %d hit on a redraw: both must occur", rounds, missedAll, redrewAndHit)
+	}
+}
+
+// TestSharedGiveUpStealWithoutADeque: a worker that owns nothing releases
+// nothing and just steals, unscreened.
+func TestSharedGiveUpStealWithoutADeque(t *testing.T) {
+	pl := intSharedPool(1, 6)
+	if _, ok := pl.GiveUpSteal(0); ok {
+		t.Fatal("stole from an empty R")
+	}
+	pl.Seed(4)
+	if x, ok := pl.GiveUpSteal(0); !ok || x != 4 {
+		t.Fatalf("GiveUpSteal = %d,%v, want 4", x, ok)
 	}
 }
 
@@ -313,6 +417,32 @@ func TestSharedPoolConcurrentHammer(t *testing.T) {
 	}
 }
 
+// checkWhileRunning calls CheckInvariants in a loop from a goroutine of its
+// own until the returned stop is called, which reports the first violation.
+// The workers' running threads are not frozen, so none is passed.
+func checkWhileRunning(pl *SharedPool[int]) (stop func() error) {
+	done := make(chan struct{})
+	result := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				result <- nil
+				return
+			default:
+			}
+			if err := pl.CheckInvariants(func(int) (int, bool) { return 0, false }); err != nil {
+				result <- err
+				return
+			}
+		}
+	}()
+	return func() error {
+		close(done)
+		return <-result
+	}
+}
+
 // TestSharedPoolConcurrentInvariants interleaves protocol traffic with
 // CheckInvariants calls from a separate goroutine: the spine lock blocks
 // thieves and membership changes, Items reads each deque through its
@@ -334,26 +464,7 @@ func TestSharedPoolConcurrentInvariants(t *testing.T) {
 		pl.PushWoken(0, v<<10)
 	}
 
-	stop := make(chan struct{})
-	var checkerErr error
-	var checkerWg sync.WaitGroup
-	checkerWg.Add(1)
-	go func() {
-		defer checkerWg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := pl.CheckInvariants(func(int) (int, bool) {
-				return 0, false // workers' running threads are not frozen
-			}); err != nil {
-				checkerErr = err
-				return
-			}
-		}
-	}()
+	stopChecker := checkWhileRunning(pl)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -381,10 +492,113 @@ func TestSharedPoolConcurrentInvariants(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	checkerWg.Wait()
-	if checkerErr != nil {
-		t.Fatalf("concurrent invariant check failed: %v", checkerErr)
+	if err := stopChecker(); err != nil {
+		t.Fatalf("concurrent invariant check failed: %v", err)
+	}
+}
+
+// TestSharedGiveUpStealRacesThieves is the storm above with the owners on
+// the fused path — steal, re-push, GiveUpSteal, and on with whatever that
+// took — racing plain thieves (Steal, re-push, GiveUp) for the deques they
+// release, under the same concurrent Lemma 3.1 checker. The released deque
+// and the steal that follows are adjacent in the spine's order, so the
+// checker, which takes the spine itself, can never see one without the
+// other. Items are conserved: nothing a fused steal took is dropped.
+func TestSharedGiveUpStealRacesThieves(t *testing.T) {
+	const fused, thieves, items = 2, 2, 8
+	pl := intSharedPool(fused+thieves, 14)
+	pl.Seed(1 << 30)
+	for v := 1; v < items; v++ {
+		pl.PushWoken(0, v<<10)
+	}
+
+	stopChecker := checkWhileRunning(pl)
+
+	var wg sync.WaitGroup
+	var fusedSteals atomic.Int64
+	for w := 0; w < fused+thieves; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			x, have := 0, false
+			for r := 0; r < 300; r++ {
+				for tries := 0; !have; tries++ {
+					if x, have = pl.Steal(w); !have && tries > 1<<16 {
+						return // the others hold everything
+					}
+				}
+				pl.PushOwn(w, x)
+				if w < fused {
+					if x, have = pl.GiveUpSteal(w); have {
+						fusedSteals.Add(1)
+					}
+				} else {
+					pl.GiveUp(w)
+					have = false
+				}
+			}
+			if have {
+				pl.PushOwn(w, x)
+				pl.GiveUp(w)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := stopChecker(); err != nil {
+		t.Fatalf("concurrent invariant check failed: %v", err)
+	}
+	if fusedSteals.Load() == 0 {
+		t.Error("no fused give-up ever stole")
+	}
+	seen := map[int]bool{}
+	for _, d := range sharedLayout(pl) {
+		for _, x := range d {
+			seen[x] = true
+		}
+	}
+	if len(seen) != items {
+		t.Errorf("%d distinct items left in R, want %d: %v", len(seen), items, sharedLayout(pl))
+	}
+}
+
+// TestSharedPublishRaisesReadyUnderTheSpine: the ready count is raised
+// before publish releases the spine, so a thief that takes an injected
+// thread the moment it can never decrements first. With the add after the
+// unlock the count read -1 in that window, and HasWork false while other
+// work was published (a thread re-stealing after a give-up then handed its
+// worker back for nothing). Only Append and Steal run here: the owner's
+// lock-free PushOwn still publishes before it counts.
+func TestSharedPublishRaisesReadyUnderTheSpine(t *testing.T) {
+	const thieves, items = 3, 3000
+	pl := intSharedPool(thieves, 15)
+	var taken, negative atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < thieves; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for taken.Load() < items {
+				if _, ok := pl.Steal(w); !ok {
+					runtime.Gosched()
+					continue
+				}
+				if pl.ready.Load() < 0 {
+					negative.Add(1)
+				}
+				taken.Add(1)
+				pl.PopOwn(w) // empty: retires the thief's deque
+			}
+		}(w)
+	}
+	for i := 0; i < items; i++ {
+		pl.Append(i)
+	}
+	wg.Wait()
+	if n := negative.Load(); n != 0 {
+		t.Errorf("the ready count was negative after %d of %d steals", n, items)
+	}
+	if pl.HasWork() || pl.Deques() != 0 {
+		t.Errorf("HasWork = %v, Deques = %d after every item was taken", pl.HasWork(), pl.Deques())
 	}
 }
 

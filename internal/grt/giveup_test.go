@@ -68,7 +68,66 @@ func verifyExact(t *testing.T, rec *rtrace.Recorder) rtrace.Report {
 	if !rep.OrderingExact {
 		t.Fatalf("ordering checks were disabled: %v", rep.Notes)
 	}
+	checkGiveUpSections(t, rec.Events())
 	return rep
+}
+
+// checkGiveUpSections reads the fused give-up off a DFDeques stream. On a
+// lane, the record after a quota exhaustion is the idle mark, ahead of the
+// steal the give-up makes; and from a lane's deque-release record to the
+// end of the steal attempt that follows it — up to four draws that miss R,
+// or a victim and, if the pop succeeded, the steal — no other lane changes
+// R's membership: release and steal are one spine section.
+func checkGiveUpSections(t *testing.T, evs []rtrace.Event) {
+	t.Helper()
+	lanes := map[int32][]rtrace.Event{}
+	for _, e := range evs {
+		lanes[e.W] = append(lanes[e.W], e)
+	}
+	end := map[uint64]uint64{} // release record's Seq → its section's last Seq
+	for _, ln := range lanes {
+		for i, e := range ln {
+			if e.Kind == rtrace.EvQuotaExhaust && (i+1 == len(ln) || ln[i+1].Kind != rtrace.EvIdle) {
+				t.Errorf("no idle record after %v", e)
+			}
+			if e.Kind != rtrace.EvDequeRelease {
+				continue
+			}
+			last, rest := e.Seq, ln[i+1:]
+			for k := 0; k < len(rest) && rest[k].Kind == rtrace.EvStealAttempt; k++ {
+				last = rest[k].Seq
+				if rest[k].A >= 0 { // a victim: the steal, if the pop succeeded, is the lane's next record
+					if k+1 < len(rest) && rest[k+1].Kind == rtrace.EvSteal {
+						last = rest[k+1].Seq
+					}
+					break
+				}
+				if k == 3 {
+					break // the last redraw missed too
+				}
+			}
+			if last == e.Seq {
+				t.Errorf("no steal attempt after %v", e)
+			}
+			end[e.Seq] = last
+		}
+	}
+	open := map[int32]uint64{} // lane inside a give-up section → the section's last Seq
+	for _, e := range evs {
+		switch e.Kind {
+		case rtrace.EvSteal, rtrace.EvDequeCreate, rtrace.EvDequeRelease, rtrace.EvDequeRetire:
+			for w, last := range open {
+				if e.Seq > last {
+					delete(open, w)
+				} else if w != e.W {
+					t.Errorf("%v falls inside w%d's give-up section (ends at #%d)", e, w, last)
+				}
+			}
+		}
+		if last, ok := end[e.Seq]; ok {
+			open[e.W] = last
+		}
+	}
 }
 
 // giveUpCounts reads off a trace how the give-ups went. A thread gives its
@@ -185,10 +244,16 @@ func TestGiveUpWithoutHandoff(t *testing.T) {
 				// more to get each handed-back joiner again.
 				Steals:   1 + tc.preempts + dummies + tc.handBacks,
 				Handoffs: 1 + 2*tc.handBacks,
+				// One spine section per give-up, release and steal together
+				// (they were two). Beyond those: the root's injection, its
+				// first steal and its deque's retirement; per hand-back, the
+				// finished child's deque retired and the joiner stolen again.
+				SchedLockOps: 3 + tc.preempts + dummies + 2*tc.handBacks,
 			}
 			got := Stats{
 				TotalThreads: st.TotalThreads, DummyThreads: st.DummyThreads,
 				Preemptions: st.Preemptions, Steals: st.Steals, Handoffs: st.Handoffs,
+				SchedLockOps: st.SchedLockOps,
 			}
 			if got != want {
 				t.Errorf("stats = %+v\nwant    %+v", got, want)
@@ -279,8 +344,9 @@ func TestGiveUpLosesTheRace(t *testing.T) {
 // that poison lands while threads sit between publishing themselves and
 // their re-steal, on either side of a lost race. Every job must drain, a
 // link whose Join did not return when its job was canceled must not have
-// been pooled (a pooled frame has its job cleared), and Shutdown must
-// leave no goroutine behind.
+// been pooled (a pooled frame has its job cleared), a Shutdown that aborts
+// running chains must drain them too, no worker may be left holding a
+// thread its last give-up stole, and no goroutine may stay behind.
 func TestGiveUpCancelInsideWindow(t *testing.T) {
 	jobs := 300
 	if testing.Short() {
@@ -332,8 +398,36 @@ func TestGiveUpCancelInsideWindow(t *testing.T) {
 	if canceled == 0 {
 		t.Error("no cancel landed inside a running job")
 	}
-	if err := rt.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
+	// Shutdown with an expired context aborts what is still running: the
+	// same poison, landing in the same windows, on several jobs at once.
+	var aborted []*Job
+	for i := 0; i < 4; i++ {
+		var sum atomic.Int64
+		j, err := rt.Submit(context.Background(), func(r *T) { quotaChain(r, 1<<20, &sum, nil) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		aborted = append(aborted, j)
+	}
+	time.Sleep(time.Duration(rng.Intn(150)) * time.Microsecond)
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := rt.Shutdown(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown = %v, want context.Canceled", err)
+	}
+	for i, j := range aborted {
+		if _, werr := j.Wait(); !errors.Is(werr, ErrShutdown) {
+			t.Fatalf("aborted job %d: Wait = %v, want ErrShutdown", i, werr)
+		}
+	}
+	// A give-up remembers the steal it made until the worker's next Acquire
+	// (policy.DFD). Every job drained, so no route out of a give-up —
+	// resteal, the worker's acquire, a poisoned thread's unwinding — left a
+	// stolen thread behind in a worker's slot.
+	for w := 0; w < 2; w++ {
+		if x, ok := rt.pol.Acquire(w); ok {
+			t.Fatalf("worker %d still held a stolen thread (job %d) after Shutdown", w, x.job.id)
+		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base {
@@ -374,5 +468,27 @@ func TestMaxLiveThreadsOnTheChain(t *testing.T) {
 		if js.MaxLiveThreads > 6 {
 			t.Fatalf("job %d: MaxLiveThreads = %d, want <= 6", i, js.MaxLiveThreads)
 		}
+	}
+}
+
+// TestGiveUpOneSpineSectionPerSteal is the fused give-up's count at two
+// workers, where R is often shorter than p: the chain's give-up finds its
+// own deque alone in R, a draw misses it every second time, and a give-up
+// whose redraws all miss (one in sixteen) pays for a second section in the
+// unfused Steal. Exclusive spine acquisitions per steal were 2.0 with the
+// release and the steal in a section each; the gate is 1.2.
+func TestGiveUpOneSpineSectionPerSteal(t *testing.T) {
+	const links = 64 * chainBigEvery
+	var sum atomic.Int64
+	st, err := Run(Config{Workers: 2, Sched: DFDeques, K: chainK, Seed: 5},
+		func(r *T) { quotaChain(r, links, &sum, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Preemptions < links/2 {
+		t.Fatalf("%d preemptions over %d links: the chain is not on the give-up path", st.Preemptions, links)
+	}
+	if ratio := float64(st.SchedLockOps) / float64(st.Steals); ratio > 1.2 {
+		t.Errorf("%d exclusive spine acquisitions for %d steals: %.3f per steal, want <= 1.2", st.SchedLockOps, st.Steals, ratio)
 	}
 }

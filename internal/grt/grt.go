@@ -15,9 +15,8 @@
 // This runtime synchronizes fine-grained instead: lock-free deque item
 // operations, a spine lock on R taken only by steals and membership
 // changes, a priority order read lock-free off the fork tree (prioLess),
-// per-thread locks for the join protocol, and atomic heap-quota accounting
-// so the Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the
-// paper").
+// per-thread locks for the join protocol, and atomic heap-quota accounting:
+// Alloc takes no lock at all. See DESIGN.md §5 ("beyond the paper").
 //
 // The policy is consulted at exactly the paper's scheduling points: fork,
 // join on a live child, quota-checked allocation, lock block, dummy
@@ -340,9 +339,8 @@ type paddedCount struct {
 // error of jobs aborted by a shutdown whose context expired.
 var ErrShutdown = errors.New("grt: runtime is shut down")
 
-// New builds a runtime and starts its worker pool. The workers idle
-// (parked, not spinning) until Submit gives them work; call Shutdown to
-// join them.
+// New builds a runtime and starts its worker pool. The workers idle (parked,
+// not spinning) until Submit gives them work; call Shutdown to join them.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -838,9 +836,8 @@ func (t *T) fork(body func(*T), leaves int64) *T {
 // thieves, undisplaced by woken threads — the conditional pop removes it
 // there and the parent runs the child's body in its own frame, paying no
 // channel handoff and no goroutine. Otherwise the child is live elsewhere
-// (stolen, or a global-queue policy owns it) and the parent parks. A dummy
-// is claimed like any other child (and republishes its joiner when it
-// terminates: joinInline).
+// (stolen, or a global-queue policy owns it) and the parent parks. A dummy is
+// claimed like any other child (its end republishes the joiner: joinInline).
 func (t *T) Join(h *T) {
 	if len(t.unjoined) == 0 || t.unjoined[len(t.unjoined)-1] != h {
 		panic("grt: Join order must be LIFO with the thread's own children")
@@ -897,8 +894,11 @@ func (t *T) joinInline(c *T) {
 		w := t.w
 		if c.leaves != 1 {
 			rt.trace(w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
-		} else if next, ok := rt.pol.Terminate(w, t, true); !ok {
-			t.resteal(w) // DFDeques: t is pushed, the deque given up
+			return
+		}
+		rt.trace(w, rtrace.EvIdle, 0, 0, 0) // ahead of the steal the give-up makes
+		if next, ok := rt.pol.Terminate(w, t, true); !ok {
+			t.resteal(w) // DFDeques: t is pushed, the deque given up, a steal tried
 		} else {
 			rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
 			if next != t {
@@ -953,6 +953,7 @@ func (t *T) Alloc(n int64) {
 		t.promote(1)
 		t.job.preempts.Add(1)
 		rt.trace(w, rtrace.EvQuotaExhaust, t.tid, n, 0)
+		rt.trace(w, rtrace.EvIdle, 0, 0, 0) // ahead of the steal Preempt makes
 		rt.pol.Preempt(w, t)
 		t.resteal(w)
 	}
@@ -1009,11 +1010,10 @@ func (t *T) dummyNode() {
 	t.forkDummies(r)
 }
 
-// dummyPoint is a dummy leaf's one scheduling event (§3.3). The give-up
-// mark is set inline as agent of the running worker and consumed by the
-// Terminate that follows the dummy's completion: the joiner's when it
-// claimed the dummy inline (joinInline), the worker's after evDone when a
-// thief took it first.
+// dummyPoint is a dummy leaf's one scheduling event (§3.3): the give-up mark,
+// set inline as agent of the running worker and consumed by the Terminate
+// after the dummy's completion — the joiner's when it claimed the dummy
+// inline (joinInline), the worker's after evDone when a thief took it first.
 func (t *T) dummyPoint() {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)

@@ -44,7 +44,7 @@ type interp struct {
 	mu    sync.Mutex
 	locks map[dag.LockID]*Mutex
 
-	sink uint64 // defeats dead-code elimination of the work loops
+	sink uint64 // keeps the work loops' result live without ever being stored to (spin)
 }
 
 func (in *interp) lock(id dag.LockID) *Mutex {
@@ -59,7 +59,8 @@ func (in *interp) lock(id dag.LockID) *Mutex {
 }
 
 func (in *interp) thread(t *T, spec *dag.ThreadSpec) {
-	var joinStack []*T
+	var few [4]*T // on the stack: most threads have few forks outstanding
+	joinStack := few[:0]
 	for _, instr := range spec.Instrs {
 		switch instr.Op {
 		case dag.OpWork:
@@ -101,8 +102,10 @@ func (in *interp) spin(n int64) {
 		acc ^= acc >> 7
 		acc ^= acc << 17
 	}
-	// One racy-but-benign store would trip the race detector; guard it.
-	in.mu.Lock()
-	in.sink += acc
-	in.mu.Unlock()
+	// The loop must not be dead code, and its result must go nowhere shared:
+	// every leaf of every job ends here. A xorshift state that starts
+	// non-zero never becomes zero, which the compiler cannot know.
+	if acc == 0 {
+		in.sink = acc
+	}
 }

@@ -15,16 +15,13 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // parking, heap accounting, priorities and the join protocol; every
 // ready-thread decision is the policy's.
 //
-// Each event takes only the locks the policy internally needs (the R
-// spine on steal, the queue mutex on a queue take, nothing at all for
-// fork, own-deque pops, or alloc/free — deque item operations are
-// lock-free end to end).
-//
-// Locking map: the policy's internal locks (the R spine — see
-// core.SharedPool; deques carry no lock — or the queue mutex) are leaves;
-// the priority comparison they call under them (prioLess) takes no lock.
-// rt.mu is only ever held to park or wake idle workers, never while
-// consulting the policy.
+// Each event takes only the locks the policy internally needs: the R spine
+// on a steal or a give-up (one section for a give-up and its steal), the
+// queue mutex on a queue take, nothing at all for fork, own-deque pops, or
+// alloc/free — deque item operations are lock-free end to end. Those locks
+// are leaves (see core.SharedPool; deques carry no lock): the priority
+// comparison called under them (prioLess) takes no lock. rt.mu is only ever
+// held to park or wake idle workers, never while consulting the policy.
 
 // worker is one virtual processor: it acquires a thread, drives it from
 // scheduling event to scheduling event, and consults the policy at each
@@ -277,14 +274,16 @@ func (rt *Runtime) acquired(w int, x *T, start time.Time) {
 
 // resteal is the steal after a give-up (§3.3), made by the thread that gave
 // up (§5: the scheduler runs on the thread that gives up the processor). t,
-// promoted, has just been published on a deque worker w no longer owns. If
-// one of a few attempts — acquire's hot-spin phase — takes t back, it just
-// goes on: no channel operation, no goroutine switch. Otherwise it returns
-// the worker role with whatever it stole (nil sends the worker to acquire,
-// where backoff, parking and deadlock detection stay) and waits for its own
-// dispatch. From the publishing store until t has taken itself back or
-// received on resume another worker may step t, so t reads nothing step
-// writes — t.w above all, hence w.
+// promoted, has just been published on a deque worker w no longer owns. The
+// first attempt is the one the give-up made inside its own spine section —
+// Acquire hands it over — so it is taken before asking HasWork, which reads
+// false after a steal of the only ready thread. If one of a few attempts
+// (acquire's hot-spin phase) takes t back, it just goes on: no channel
+// operation, no goroutine switch. Otherwise it returns the worker role with
+// what it stole (nil sends the worker to acquire, where backoff, parking and
+// deadlock detection stay) and waits for its own dispatch. From the publishing
+// store until it took itself back or received on resume another worker may
+// step t, so t reads nothing step writes — t.w above all, hence w.
 func (t *T) resteal(w int) {
 	rt := t.rt
 	rt.wakeIdlers()
@@ -292,9 +291,8 @@ func (t *T) resteal(w int) {
 	if rt.cfg.MeasureContention {
 		start = time.Now()
 	}
-	rt.trace(w, rtrace.EvIdle, 0, 0, 0)
 	var next *T
-	for i := 0; i < 8 && next == nil && (i == 0 || rt.pol.HasWork()); i++ { // t is there: try before asking
+	for i := 0; i < 8 && next == nil && (i == 0 || rt.pol.HasWork()); i++ {
 		if x, ok := rt.pol.Acquire(w); ok {
 			next = x
 			rt.acquired(w, x, start)

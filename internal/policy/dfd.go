@@ -15,6 +15,16 @@ type DFD[T comparable] struct {
 	quota  *Quota
 	k      int64
 	giveUp []bool // set by Dummy, consumed by Terminate; [w] touched only by worker w
+	// tried[w] is the steal attempt w's last give-up made inside its own
+	// spine section, until Acquire(w) hands it over; same single toucher.
+	tried []attempt[T]
+}
+
+// attempt is the outcome of one steal attempt, x valid iff ok; made tells
+// the zero value (nothing remembered) from a remembered failure.
+type attempt[T any] struct {
+	x        T
+	ok, made bool
 }
 
 // NewDFD builds a DFDeques(K) policy for p workers. less is the 1DF
@@ -26,6 +36,7 @@ func NewDFD[T comparable](p int, k int64, less func(a, b T) bool, seed int64) *D
 		quota:  NewQuota(p),
 		k:      k,
 		giveUp: make([]bool, p),
+		tried:  make([]attempt[T], p),
 	}
 }
 
@@ -74,10 +85,20 @@ func (d *DFD[T]) Credit(w int, n int64) { d.quota.Credit(w, n, d.k) }
 
 // Preempt implements Policy: the preempted thread goes back on top of w's
 // deque, which is then given up — left in R, unowned and stealable — and
-// w steals with a fresh quota (§3.3, "memory quota exhausted").
+// w steals with a fresh quota (§3.3, "memory quota exhausted"). The steal
+// is attempted here, inside the give-up's spine section; the next
+// Acquire(w) reports how it went.
 func (d *DFD[T]) Preempt(w int, t T) {
 	d.pool.PushOwn(w, t)
-	d.pool.GiveUp(w)
+	d.giveUpSteal(w)
+}
+
+// giveUpSteal gives w's deque up, attempts the steal that follows in the
+// same spine section, and remembers the outcome — possibly a stolen thread,
+// w owning its new deque — for the Acquire(w) the engine calls next.
+func (d *DFD[T]) giveUpSteal(w int) {
+	x, ok := d.pool.GiveUpSteal(w)
+	d.tried[w] = attempt[T]{x, ok, true}
 }
 
 // Wake implements Policy.
@@ -88,16 +109,18 @@ func (d *DFD[T]) Next(w int) (T, bool) { return d.pool.PopOwn(w) }
 
 // Terminate implements Policy. After a dummy thread the worker must give
 // up its deque and steal (§3.3); a woken parent is pushed first so it
-// stays stealable at its priority position. Otherwise the woken parent is
-// handed off directly (its deque is empty here for nested-parallel
-// programs — Lemma 3.1), or the deque top runs next.
+// stays stealable at its priority position, and ok is false even when the
+// give-up's own steal attempt succeeded: Acquire hands that over.
+// Otherwise the woken parent is handed off directly (its deque is empty
+// here for nested-parallel programs — Lemma 3.1), or the deque top runs
+// next.
 func (d *DFD[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
 	if d.giveUp[w] {
 		d.giveUp[w] = false
 		if hasWoke {
 			d.pool.PushOwn(w, woke)
 		}
-		d.pool.GiveUp(w)
+		d.giveUpSteal(w)
 		var zero T
 		return zero, false
 	}
@@ -111,13 +134,19 @@ func (d *DFD[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
 func (d *DFD[T]) Dummy(w int) { d.giveUp[w] = true }
 
 // Acquire implements Policy: one steal attempt (random deque among the
-// leftmost p, pop its bottom); the quota refills on success.
+// leftmost p, pop its bottom) — the one w's give-up already made, if it
+// has not been reported yet; the quota refills on success.
 func (d *DFD[T]) Acquire(w int) (T, bool) {
-	x, ok := d.pool.Steal(w)
-	if ok {
+	a := d.tried[w]
+	if a.made {
+		d.tried[w] = attempt[T]{}
+	} else {
+		a.x, a.ok = d.pool.Steal(w)
+	}
+	if a.ok {
 		d.quota.Reset(w, d.k)
 	}
-	return x, ok
+	return a.x, a.ok
 }
 
 // HasWork implements Policy.

@@ -109,7 +109,9 @@ type Policy[T any] interface {
 	// allocation).
 	Credit(w int, n int64)
 	// Preempt republishes a thread the engine preempted after a Charge
-	// veto. Only reachable on policies whose Charge can return false.
+	// veto. Only reachable on policies whose Charge can return false. The
+	// engine's next call on w is Acquire; a policy may make that attempt
+	// here, in the section that republishes t, and have Acquire report it.
 	Preempt(w int, t T)
 	// Wake publishes a thread woken by a lock release or future write at
 	// its priority position (§5's extension beyond nested parallelism).
@@ -120,14 +122,18 @@ type Policy[T any] interface {
 	Next(w int) (T, bool)
 	// Terminate picks w's next thread after its current one terminated,
 	// waking woke (the joined parent) if hasWoke. It owns the §3.3
-	// dummy-termination give-up and FIFO's requeue-the-parent rule.
+	// dummy-termination give-up and FIFO's requeue-the-parent rule. On
+	// false the engine's next call on w is Acquire, as after Preempt.
 	Terminate(w int, woke T, hasWoke bool) (T, bool)
 	// Dummy records that w executed a dummy thread; DFDeques gives up the
 	// deque at the dummy's termination (§3.3).
 	Dummy(w int)
 	// Acquire makes one non-blocking attempt to get a thread for an idle
-	// worker (a steal, or a queue take). On success the policy resets w's
-	// quota. The engine loops, spins and parks around it.
+	// worker (a steal, or a queue take) — or reports, exactly once, the
+	// attempt w's last give-up already made: every route out of a give-up
+	// leads here, for canceled jobs too, so a thread taken there is never
+	// stranded. On success the policy resets w's quota. The engine loops,
+	// spins and parks around it.
 	Acquire(w int) (T, bool)
 	// HasWork reports (lock-free where possible) whether any thread is
 	// published; the engine's park protocol re-checks it.

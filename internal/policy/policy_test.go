@@ -300,3 +300,113 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 		t.Errorf("p=%d seed=%d: policy stats %+v after %d driver steals", workers, seed, st, steals)
 	}
 }
+
+// TestDFDGiveUpRemembersItsSteal pins the contract between DFD's give-ups
+// and Acquire: the give-up makes the steal attempt inside its own spine
+// section, and the next Acquire on that worker reports it — exactly once,
+// a success or a failure, without touching the pool again — on the
+// quota-exhaustion route and on the dummy-termination route.
+func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
+	acquire := func(d *policy.DFD[int], w int) int {
+		for i := 0; i < 1000; i++ {
+			if x, ok := d.Acquire(w); ok {
+				return x
+			}
+		}
+		t.Fatal("Acquire never succeeded")
+		return 0
+	}
+
+	t.Run("preempt", func(t *testing.T) {
+		const k = 100
+		d := policy.NewDFD(1, k, less, 1)
+		d.Seed(7)
+		acquire(d, 0)
+		if !d.Charge(0, k) || d.Charge(0, 1) {
+			t.Fatal("quota did not run out as scripted")
+		}
+		before := d.Stats()
+		d.Preempt(0, 7)
+		mid := d.Stats()
+		if mid.LockOps-before.LockOps != 1 || mid.Steals-before.Steals != 1 {
+			t.Fatalf("Preempt took the spine %d times and stole %d, want 1 and 1",
+				mid.LockOps-before.LockOps, mid.Steals-before.Steals)
+		}
+		if d.HasWork() {
+			t.Fatal("the preempted thread is still published after the give-up stole it back")
+		}
+		if x, ok := d.Acquire(0); !ok || x != 7 {
+			t.Fatalf("Acquire = %d,%v, want the give-up's steal: 7", x, ok)
+		}
+		if after := d.Stats(); after != mid {
+			t.Fatalf("handing the attempt over touched the pool: %+v, then %+v", mid, after)
+		}
+		if !d.Charge(0, k) {
+			t.Fatal("the handed-over steal did not refill the quota")
+		}
+	})
+
+	t.Run("failure is reported once", func(t *testing.T) {
+		// One deque among p = 4 positions: some give-up misses all its draws.
+		d := policy.NewDFD(4, 0, less, 2)
+		d.Seed(7)
+		acquire(d, 0)
+		for i := 0; ; i++ {
+			if i == 1000 {
+				t.Fatal("no give-up ever missed")
+			}
+			d.Preempt(0, 7)
+			mid := d.Stats()
+			if _, ok := d.Acquire(0); ok {
+				continue
+			}
+			if after := d.Stats(); after != mid {
+				t.Fatalf("reporting the failed attempt touched the pool: %+v, then %+v", mid, after)
+			}
+			d.Acquire(0) // nothing remembered any more: a real attempt
+			if after := d.Stats(); after.Steals+after.FailedSteals != mid.Steals+mid.FailedSteals+1 {
+				t.Fatalf("the Acquire after the report made no attempt of its own: %+v, then %+v", mid, after)
+			}
+			break
+		}
+	})
+
+	t.Run("dummy", func(t *testing.T) {
+		// Worker 0 runs 5, which forked 9 and then the dummy 6; worker 1
+		// stole 9 and forked 10 from it. Worker 0 claims the dummy at its
+		// join and runs it; at its end Terminate — the same call from the
+		// joiner (joinInline) and from a worker that ran a stolen dummy
+		// (evDone) — pushes the joiner 5, gives the deque up and steals 5
+		// back or 10 from worker 1, and Acquire must hand that over.
+		d := policy.NewDFD(2, 0, less, 3)
+		d.Seed(5)
+		acquire(d, 0)
+		d.ForkCont(0, 5, 9)
+		d.ForkCont(0, 5, 6)
+		if x := acquire(d, 1); x != 9 {
+			t.Fatalf("worker 1 stole %d, want the bottom 9", x)
+		}
+		d.ForkCont(1, 9, 10)
+		if !d.JoinPop(0, 6) {
+			t.Fatal("worker 0 could not claim the dummy at its join")
+		}
+		d.Dummy(0)
+		before := d.Stats()
+		if _, ok := d.Terminate(0, 5, true); ok {
+			t.Fatal("Terminate after a dummy handed a thread over: the give-up must send the worker to Acquire")
+		}
+		mid := d.Stats()
+		if mid.LockOps-before.LockOps != 1 || mid.Steals-before.Steals != 1 {
+			t.Fatalf("the dummy's give-up took the spine %d times and stole %d, want 1 and 1",
+				mid.LockOps-before.LockOps, mid.Steals-before.Steals)
+		}
+		x, ok := d.Acquire(0)
+		if !ok || (x != 5 && x != 10) {
+			t.Fatalf("Acquire = %d,%v, want the give-up's steal: 5 or 10", x, ok)
+		}
+		if after := d.Stats(); after != mid {
+			t.Fatalf("handing the attempt over touched the pool: %+v, then %+v", mid, after)
+		}
+	})
+}

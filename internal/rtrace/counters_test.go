@@ -6,6 +6,8 @@ package rtrace_test
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dfdeques/internal/grt"
@@ -105,5 +107,41 @@ func TestTeeCompaction(t *testing.T) {
 	}
 	if got := rec.Len(); got != 2 {
 		t.Errorf("recorder retained %d events, want 2", got)
+	}
+}
+
+// TestCountersSumTheirLanes drives one Counters from more recording workers
+// than it has lanes, concurrently, next to the scheduler side: every lane
+// is written, the high worker indices wrap onto lanes the low ones use, and
+// Count and LiveSummary must still report exact sums.
+func TestCountersSumTheirLanes(t *testing.T) {
+	const workers, each = 40, 500
+	ctr := rtrace.NewCounters()
+	var wg sync.WaitGroup
+	for w := -1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if w == -1 {
+					ctr.Event(w, rtrace.EvJobBegin, int64(i), 0, 0)
+					continue
+				}
+				ctr.Event(w, rtrace.EvFork, 1, 2, int64(i&1)) // every second one a dummy
+				ctr.Event(w, rtrace.EvDispatch, 1, rtrace.SrcInline, 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := ctr.Count(rtrace.EvFork); got != workers*each {
+		t.Errorf("Count(EvFork) = %d, want %d", got, workers*each)
+	}
+	s := ctr.LiveSummary()
+	want := rtrace.Summary{
+		Events: (2*workers + 1) * each, Jobs: each, Threads: (workers + 1) * each,
+		DummyThreads: workers * each / 2, Dispatches: workers * each,
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Errorf("LiveSummary = %+v\nwant          %+v", s, want)
 	}
 }

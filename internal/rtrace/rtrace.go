@@ -59,8 +59,11 @@ const (
 	// EvDummy: thread A, a dummy, executed on worker W (the worker must
 	// give up its deque at the dummy's termination).
 	EvDummy
-	// EvIdle: worker W ran out of local work and entered the acquire
-	// (steal) loop.
+	// EvIdle: worker W ran out of local work and turned to stealing: drawn
+	// at the head of the worker's acquire loop, and — the give-up's spine
+	// section contains its steal attempt — ahead of a give-up a thread makes
+	// inline (quota exhaustion, a dummy claimed at the join), so it precedes
+	// the steal's records there. It reads no clock (see exactTS).
 	EvIdle
 	// EvStealAttempt: worker W made one steal attempt; A is the victim
 	// deque id, or -1 if the pick found no deque.
@@ -209,13 +212,15 @@ const EngineCont = "cont"
 // exactTS is the set of kinds that read the monotonic clock when
 // recorded. Reading the clock costs ~4× the rest of the hot path, so only
 // the kinds that *end* an interval pay for it: the events that close an
-// execution segment (block, complete, quota-exhaust), the idle/steal
-// transitions, and the rare dummy split. Every other kind — including
-// dispatch, which follows the previous segment's close or a steal within
-// the same scheduling burst — reuses the lane's most recent timestamp.
-// Replay verification orders by Seq, never TS.
+// execution segment (block, complete, quota-exhaust), the steal that ends
+// an idle stretch, and the rare dummy split. Every other kind reuses the
+// lane's most recent timestamp — dispatch, which follows the previous
+// segment's close or a steal within the same scheduling burst, and idle,
+// which follows a segment's close the same way, so an idle stretch still
+// runs from a clock read to a clock read. Replay verification orders by
+// Seq, never TS.
 const exactTS = 1<<EvBlock | 1<<EvComplete |
-	1<<EvQuotaExhaust | 1<<EvIdle | 1<<EvSteal | 1<<EvAllocExempt |
+	1<<EvQuotaExhaust | 1<<EvSteal | 1<<EvAllocExempt |
 	1<<EvJobBegin | 1<<EvJobCancel | 1<<EvJobEnd | 1<<EvJobAnnotate
 
 // lane is one worker's private ring buffer. Only that worker writes it;

@@ -8,6 +8,7 @@ package rtrace_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -312,6 +313,86 @@ func TestExportRealRunLoadsBack(t *testing.T) {
 	}
 	if _, err := rtrace.Verify(meta, evs, dropped); err != nil {
 		t.Fatalf("replay of exported file failed: %v", err)
+	}
+}
+
+// TestExportIdleSpansNeverNegative: the idle record reads no clock — it
+// takes the stamp of the record that closed the segment before it — so an
+// idle stretch, from the idle record to the lane's next dispatch, must
+// still come out non-negative, as must every execution slice of the
+// exported file. The run gives its deque up at every link and at every
+// dummy, so the fused give-up's order is in the stream: quota-exhaust,
+// idle, then the steal's records ahead of the dispatch.
+func TestExportIdleSpansNeverNegative(t *testing.T) {
+	rec := record(t, grt.Config{Workers: 2, Sched: grt.DFDeques, K: 128, Seed: 5}, func(r *grt.T) {
+		chain(24)(r)
+		bigAllocs(3)(r)
+	})
+	type laneState struct {
+		ts                int64
+		idleAt            int64 // stamp of the open idle stretch, -1 if none
+		exhausted, stolen bool  // since the last dispatch: a quota-exhaust, then an idle and a steal
+	}
+	lanes := map[int32]*laneState{}
+	var idles, fused int
+	for _, e := range rec.Events() {
+		ln := lanes[e.W]
+		if ln == nil {
+			ln = &laneState{idleAt: -1}
+			lanes[e.W] = ln
+		}
+		if e.TS < ln.ts {
+			t.Fatalf("lane %d runs backwards at %v (previous stamp %d)", e.W, e, ln.ts)
+		}
+		ln.ts = e.TS
+		switch e.Kind {
+		case rtrace.EvQuotaExhaust:
+			ln.exhausted = true
+		case rtrace.EvIdle:
+			ln.idleAt = e.TS
+			idles++
+		case rtrace.EvSteal:
+			ln.stolen = ln.exhausted && ln.idleAt >= 0
+		case rtrace.EvDispatch:
+			if ln.idleAt >= 0 && e.TS < ln.idleAt {
+				t.Fatalf("idle stretch of %d ns ends at %v", e.TS-ln.idleAt, e)
+			}
+			if ln.stolen {
+				fused++
+			}
+			*ln = laneState{ts: e.TS, idleAt: -1}
+		}
+	}
+	if idles == 0 || fused == 0 {
+		t.Fatalf("%d idle records, %d give-ups in the order quota-exhaust, idle, steal, dispatch: the stream does not exercise what it checks", idles, fused)
+	}
+
+	var buf bytes.Buffer
+	if err := rtrace.Export(&buf, rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
+		t.Fatalf("Export: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string   `json:"name"`
+			Ph   string   `json:"ph"`
+			Dur  *float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	slices := 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		slices++
+		if e.Dur == nil || *e.Dur < 0 {
+			t.Fatalf("slice %q has duration %v", e.Name, e.Dur)
+		}
+	}
+	if slices == 0 {
+		t.Fatal("no execution slices exported")
 	}
 }
 

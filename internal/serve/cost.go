@@ -6,7 +6,11 @@ package serve
 // scheduled, and killed mid-run — the paper's space bound turned into an
 // admission predicate.
 
-import "dfdeques/internal/dag"
+import (
+	"math"
+
+	"dfdeques/internal/dag"
+)
 
 // price predicts the live-memory cost of a lowered program as
 //
@@ -28,30 +32,43 @@ import "dfdeques/internal/dag"
 // to internal/workload, tiny by construction, and not declared in the
 // request.
 func price(spec *dag.ThreadSpec, k int64) int64 {
-	var live, peak int64
-	depth := walkCost(spec, &live, &peak, 0)
-	return peak + k*depth
+	c := costOf(spec, map[*dag.ThreadSpec]specCost{})
+	return max(c.peak, 0) + k*c.depth
 }
 
-// walkCost runs the child-first serial walk of spec, threading one live
-// byte counter (and its peak = S1) through the whole program, and
-// returns the maximum fork-nesting depth reached at or below spec.
-func walkCost(spec *dag.ThreadSpec, live, peak *int64, d int64) int64 {
-	maxD := d
+// specCost is what the child-first serial walk of one thread spec does to
+// the live byte counter, relative to its value on entry: the net change, the
+// highest value right after an allocation (noAlloc if the walk allocates
+// nothing — a free moves no peak), and the fork-nesting depth below.
+type specCost struct{ net, peak, depth int64 }
+
+const noAlloc = math.MinInt64
+
+// costOf computes spec's cost once per distinct *ThreadSpec: lowered trees
+// share their subtrees (compileTree builds depth+1 specs for 2^depth
+// leaves), and a walk that visits them as a tree is exponential in what the
+// request paid for.
+func costOf(spec *dag.ThreadSpec, memo map[*dag.ThreadSpec]specCost) specCost {
+	if c, ok := memo[spec]; ok {
+		return c
+	}
+	c := specCost{peak: noAlloc}
 	for _, in := range spec.Instrs {
 		switch in.Op {
 		case dag.OpAlloc:
-			*live += in.N
-			if *live > *peak {
-				*peak = *live
-			}
+			c.net += in.N
+			c.peak = max(c.peak, c.net)
 		case dag.OpFree:
-			*live -= in.N
+			c.net -= in.N
 		case dag.OpFork:
-			if cd := walkCost(in.Child, live, peak, d+1); cd > maxD {
-				maxD = cd
+			ch := costOf(in.Child, memo)
+			if ch.peak != noAlloc {
+				c.peak = max(c.peak, c.net+ch.peak)
 			}
+			c.net += ch.net
+			c.depth = max(c.depth, 1+ch.depth)
 		}
 	}
-	return maxD
+	memo[spec] = c
+	return c
 }
