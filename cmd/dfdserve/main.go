@@ -1,7 +1,8 @@
 // Command dfdserve runs the multi-tenant job service: an HTTP/JSON
 // facade over one shared DFDeques runtime, with per-tenant API keys,
-// memory budgets, cost-based admission, weighted-fair queueing, an
-// adaptive budget controller, and live Prometheus metrics.
+// memory budgets (admission and the in-run kill both read the budget),
+// cost-based admission, weighted-fair queueing, and live Prometheus
+// metrics.
 //
 // Usage:
 //
@@ -35,8 +36,8 @@
 //	-tenants T       comma-separated name:weight:budget[:pending[:key]]
 //	                 specs; budget 0 means no quota (default "default:1:0")
 //	-admin-key KEY   management credential; empty = open (default "")
-//	-ctl-interval D  adaptive controller tick period; <0 disables
-//	-config FILE     JSON serve.Config (overrides the flags above except -addr)
+//	-config FILE     JSON serve.Config (overrides the flags above except
+//	                 -addr); an unknown key is an error
 //	-drain D         max graceful-drain duration on SIGTERM (default 30s)
 //	-smoke URL       run the client-driven smoke sequence against a
 //	                 running dfdserve at URL and exit (uses -admin-key)
@@ -67,17 +68,16 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler workers")
-		schedN      = flag.String("sched", "dfd", "scheduler: dfd | ws | adf | fifo")
-		k           = flag.Int64("k", 4096, "memory threshold K in bytes (0 = no quota)")
-		seed        = flag.Int64("seed", 1, "steal-victim seed")
-		tenants     = flag.String("tenants", "default:1:0", "name:weight:budget[:pending[:key]],... tenant specs")
-		adminKey    = flag.String("admin-key", "", "management credential (empty = open)")
-		ctlInterval = flag.Duration("ctl-interval", 0, "adaptive controller tick period (0 = default, <0 disables)")
-		cfgPath     = flag.String("config", "", "JSON config file (overrides scheduler/tenant flags)")
-		drain       = flag.Duration("drain", 30*time.Second, "max graceful-drain duration")
-		smoke       = flag.String("smoke", "", "run the smoke sequence against a dfdserve at this URL and exit")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler workers")
+		schedN   = flag.String("sched", "dfd", "scheduler: dfd | ws | adf | fifo")
+		k        = flag.Int64("k", 4096, "memory threshold K in bytes (0 = no quota)")
+		seed     = flag.Int64("seed", 1, "steal-victim seed")
+		tenants  = flag.String("tenants", "default:1:0", "name:weight:budget[:pending[:key]],... tenant specs")
+		adminKey = flag.String("admin-key", "", "management credential (empty = open)")
+		cfgPath  = flag.String("config", "", "JSON config file (overrides scheduler/tenant flags)")
+		drain    = flag.Duration("drain", 30*time.Second, "max graceful-drain duration")
+		smoke    = flag.String("smoke", "", "run the smoke sequence against a dfdserve at this URL and exit")
 	)
 	flag.Parse()
 
@@ -97,7 +97,6 @@ func main() {
 	}
 	if *cfgPath == "" {
 		cfg.AdminKey = *adminKey
-		cfg.ControllerInterval = *ctlInterval
 	}
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -166,15 +165,24 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 // buildConfig assembles the serve.Config from either a JSON file or the
-// scheduler/tenant flags.
+// scheduler/tenant flags. A key the file format does not know — a typo,
+// or a setting that no longer exists — fails the start instead of being
+// ignored.
 func buildConfig(path string, workers int, schedName string, k, seed int64, tenantSpec string) (serve.Config, error) {
 	if path != "" {
-		raw, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return serve.Config{}, err
 		}
+		defer f.Close()
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
 		var fc fileConfig
-		if err := json.Unmarshal(raw, &fc); err != nil {
+		err = dec.Decode(&fc)
+		if err == nil && dec.More() {
+			err = errors.New("trailing data after the config object")
+		}
+		if err != nil {
 			return serve.Config{}, fmt.Errorf("%s: %w", path, err)
 		}
 		return fc.toConfig()
@@ -194,19 +202,17 @@ func buildConfig(path string, workers int, schedName string, k, seed int64, tena
 }
 
 // fileConfig is the JSON projection of serve.Config (the scheduler kind
-// by name instead of enum value, the controller interval in ns).
+// by name instead of enum value).
 type fileConfig struct {
-	Workers            int                           `json:"workers"`
-	Sched              string                        `json:"sched"`
-	K                  int64                         `json:"k"`
-	Seed               int64                         `json:"seed"`
-	Tenants            map[string]serve.TenantConfig `json:"tenants"`
-	MaxInflight        int                           `json:"max_inflight"`
-	MaxBodyBytes       int64                         `json:"max_body_bytes"`
-	BudgetHeadroom     float64                       `json:"budget_headroom"`
-	RetainJobs         int                           `json:"retain_jobs"`
-	AdminKey           string                        `json:"admin_key"`
-	ControllerInterval time.Duration                 `json:"controller_interval"`
+	Workers      int                           `json:"workers"`
+	Sched        string                        `json:"sched"`
+	K            int64                         `json:"k"`
+	Seed         int64                         `json:"seed"`
+	Tenants      map[string]serve.TenantConfig `json:"tenants"`
+	MaxInflight  int                           `json:"max_inflight"`
+	MaxBodyBytes int64                         `json:"max_body_bytes"`
+	RetainJobs   int                           `json:"retain_jobs"`
+	AdminKey     string                        `json:"admin_key"`
 }
 
 func (fc fileConfig) toConfig() (serve.Config, error) {
@@ -219,14 +225,12 @@ func (fc fileConfig) toConfig() (serve.Config, error) {
 		return serve.Config{}, err
 	}
 	return serve.Config{
-		Runtime:            dfdeques.RuntimeConfig{Workers: fc.Workers, Sched: sched, K: fc.K, Seed: fc.Seed},
-		Tenants:            fc.Tenants,
-		MaxInflight:        fc.MaxInflight,
-		MaxBodyBytes:       fc.MaxBodyBytes,
-		BudgetHeadroom:     fc.BudgetHeadroom,
-		RetainJobs:         fc.RetainJobs,
-		AdminKey:           fc.AdminKey,
-		ControllerInterval: fc.ControllerInterval,
+		Runtime:      dfdeques.RuntimeConfig{Workers: fc.Workers, Sched: sched, K: fc.K, Seed: fc.Seed},
+		Tenants:      fc.Tenants,
+		MaxInflight:  fc.MaxInflight,
+		MaxBodyBytes: fc.MaxBodyBytes,
+		RetainJobs:   fc.RetainJobs,
+		AdminKey:     fc.AdminKey,
 	}, nil
 }
 
@@ -244,7 +248,9 @@ func parseSched(name string) (dfdeques.SchedKind, error) {
 	return 0, fmt.Errorf("unknown scheduler %q (want dfd, ws, adf, fifo)", name)
 }
 
-// parseTenants parses "name:weight:budget[:pending[:key]],..." specs.
+// parseTenants parses "name:weight:budget[:pending[:key]],..." specs. A
+// name given twice is an error: keeping either contract would silently
+// drop the other.
 func parseTenants(spec string) (map[string]serve.TenantConfig, error) {
 	out := make(map[string]serve.TenantConfig)
 	for _, field := range strings.Split(spec, ",") {
@@ -257,6 +263,9 @@ func parseTenants(spec string) (map[string]serve.TenantConfig, error) {
 			return nil, fmt.Errorf("tenant spec %q: want name:weight:budget[:pending[:key]]", field)
 		}
 		name := parts[0]
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("tenant %s: named twice in %q", name, spec)
+		}
 		weight, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: bad weight %q", name, parts[1])

@@ -4,6 +4,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,5 +62,51 @@ func TestStalledRequestLineIsClosed(t *testing.T) {
 	defer resp.Body.Close()
 	if body, err := io.ReadAll(resp.Body); err != nil || string(body) != "done" {
 		t.Fatalf("long-poll body = %q, err %v; want done", body, err)
+	}
+}
+
+// TestConfigFileRejectsUnknownKeys: the -config file decodes strictly. A
+// file with only known keys — the shape a benchmark harness writes —
+// loads; a key the format does not know, whether a setting that no longer
+// exists or a typo, fails the start instead of being dropped.
+func TestConfigFileRejectsUnknownKeys(t *testing.T) {
+	write := func(body string) string {
+		path := filepath.Join(t.TempDir(), "config.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	known := `{"workers": 2, "sched": "dfd", "k": 1024, "seed": 3,
+		"tenants": {"t0": {"weight": 1, "max_pending": 512, "mem_budget": 8192}},
+		"retain_jobs": 1048576, "max_inflight": 1}`
+	cfg, err := buildConfig(write(known), 0, "", 0, 0, "")
+	if err != nil {
+		t.Fatalf("known keys refused: %v", err)
+	}
+	if cfg.Runtime.K != 1024 || cfg.MaxInflight != 1 || cfg.Tenants["t0"].MemBudget != 8192 {
+		t.Fatalf("config not loaded: %+v", cfg)
+	}
+	for _, key := range []string{"budget_headroom", "controller_interval", "max_inflght"} {
+		body := `{"tenants": {"t0": {"weight": 1}}, "` + key + `": 1}`
+		if _, err := buildConfig(write(body), 0, "", 0, 0, ""); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("key %q: want an error naming it, got %v", key, err)
+		}
+	}
+	if _, err := buildConfig(write(known+`{}`), 0, "", 0, 0, ""); err == nil {
+		t.Fatal("trailing data after the config object accepted")
+	}
+}
+
+// TestTenantSpecRejectsRepeatedName: a tenant named twice in -tenants is
+// an error — keeping either contract would silently drop the other (here,
+// a budget).
+func TestTenantSpecRejectsRepeatedName(t *testing.T) {
+	if _, err := parseTenants("a:1:4096,a:1:0"); err == nil || !strings.Contains(err.Error(), "named twice") {
+		t.Fatalf("repeated tenant: want a named-twice error, got %v", err)
+	}
+	tens, err := parseTenants("a:1:4096,b:1:0")
+	if err != nil || len(tens) != 2 || tens["a"].MemBudget != 4096 {
+		t.Fatalf("distinct tenants: %v %+v", err, tens)
 	}
 }

@@ -138,7 +138,7 @@ func runSmoke(base, adminKey string) error {
 			for _, want := range []string{
 				`dfdserve_jobs_canceled_total{tenant="smoke"} 1`,
 				`dfdserve_jobs_rejected_total{tenant="smoke",reason="cost_shed"} 1`,
-				`dfdserve_effective_headroom_bytes{tenant="smoke"}`,
+				`dfdserve_budget_live_bytes{tenant="smoke"}`,
 				`dfdserve_auth_failures_total`,
 			} {
 				if !strings.Contains(text, want) {

@@ -2,17 +2,15 @@
 // per-event tracing and per-timestep Lemma 3.1 invariant checking, and
 // dumps the schedule — a debugging lens on the algorithm.
 //
-// Three modes:
+// Two modes:
 //
 //	default        simulator: per-event trace + per-timestep invariant
 //	               checks (the machine's deterministic lens)
-//	-real          real runtime: record the same fork tree on the
-//	               goroutine-backed engine, dump the event stream, and
-//	               replay-verify it (Lemma 3.1 ordering, dispatch
-//	               conservation, quota accounting)
-//	-verify FILE   replay-verify a trace file written by
-//	               `dfdsim -real -trace FILE` (or -real -out here);
+//	-verify FILE   replay-verify a real-runtime trace file (Lemma 3.1
+//	               ordering, dispatch conservation, quota accounting);
 //	               exits nonzero if any invariant fails
+//
+// Real runs are recorded by `dfdsim -real -trace FILE`.
 //
 // Usage:
 //
@@ -28,10 +26,7 @@
 //	            the dummy-thread transformation)
 //	-max N      print at most N trace lines (default 200)
 //	-gantt      render an ASCII Gantt chart of processor occupancy
-//	            (simulator mode only)
 //	-width N    Gantt chart width in columns (default 100)
-//	-real       trace the real runtime instead of the simulator
-//	-out FILE   real mode: also write the Chrome trace_event JSON
 //	-verify F   replay-verify an existing trace file and exit
 package main
 
@@ -44,7 +39,6 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/gantt"
-	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/rtrace"
 	"dfdeques/internal/sched"
@@ -91,17 +85,11 @@ func main() {
 	maxLines := flag.Int("max", 200, "max trace lines")
 	wantGantt := flag.Bool("gantt", false, "render processor-occupancy Gantt chart")
 	width := flag.Int("width", 100, "Gantt chart width")
-	real := flag.Bool("real", false, "trace the real runtime instead of the simulator")
-	outFile := flag.String("out", "", "real mode: write Chrome trace_event JSON to FILE")
 	verifyFile := flag.String("verify", "", "replay-verify a trace file and exit")
 	flag.Parse()
 
 	if *verifyFile != "" {
 		verifyTrace(*verifyFile)
-		return
-	}
-	if *real {
-		runReal(*procs, *k, *seed, *depth, *alloc, *maxLines, *outFile)
 		return
 	}
 
@@ -138,58 +126,6 @@ func main() {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, gb.Render(*width))
 	}
-}
-
-// runReal traces the fork tree on the goroutine-backed runtime, dumps the
-// recorded stream, and replay-verifies it — the concurrent counterpart of
-// the simulator's per-timestep checking.
-func runReal(procs int, k, seed int64, depth int, alloc int64, maxLines int, outFile string) {
-	spec := tree(depth, alloc)
-	sm := dag.Measure(spec)
-	fmt.Printf("program: fork tree depth %d, alloc %d/node: W=%d D=%d S1=%d\n",
-		depth, alloc, sm.W, sm.D, sm.HeapHW)
-
-	rec := rtrace.NewRecorder(procs, 0)
-	cfg := grt.Config{
-		Workers: procs, Sched: grt.DFDeques, K: k, Seed: seed, Probe: rec,
-	}
-	if _, err := grt.RunSpec(cfg, spec, 1); err != nil {
-		fmt.Fprintf(os.Stderr, "dfdtrace: %v\n", err)
-		os.Exit(1)
-	}
-	meta, evs := rec.Meta(), rec.Events()
-	fmt.Printf("runtime: %d workers, K=%d, seed=%d: %d events recorded (%d dropped)\n\n",
-		procs, k, seed, len(evs), rec.Dropped())
-
-	out := bufio.NewWriter(os.Stdout)
-	for i, e := range evs {
-		if i >= maxLines {
-			fmt.Fprintln(out, "... (trace truncated; raise -max)")
-			break
-		}
-		fmt.Fprintln(out, e)
-	}
-	out.Flush()
-
-	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdtrace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Export(f, meta, evs, rec.Dropped()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdtrace: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", outFile)
-	}
-
-	sum := rtrace.Summarize(meta, evs, rec.Dropped())
-	printSummary(&sum)
-	report(rtrace.Verify(meta, evs, rec.Dropped()))
 }
 
 // printSummary renders the trace-summary lens on a recorded stream: the

@@ -22,10 +22,9 @@ import (
 func TestNoUnreferencedInternalDefinitions(t *testing.T) {
 	// "dfdeques/internal/pkg.Name" → why it stays although nothing uses it.
 	allow := map[string]string{
-		"dfdeques/internal/dag.CompletionOrder":    "the 1DF oracle machine's conformance tests compare against",
-		"dfdeques/internal/dag.SerialFor":          "builder pinned by TestSerialForIsFlat",
-		"dfdeques/internal/workload.Quicksort":     "the paper's §2.1 example, pinned by TestQuicksort*",
-		"dfdeques/internal/rtrace.SummarizeTenant": "ROADMAP 5d's per-job trace endpoint is its first caller: wire it or cut it there",
+		"dfdeques/internal/dag.CompletionOrder": "the 1DF oracle machine's conformance tests compare against",
+		"dfdeques/internal/dag.SerialFor":       "builder pinned by TestSerialForIsFlat",
+		"dfdeques/internal/workload.Quicksort":  "the paper's §2.1 example, pinned by TestQuicksort*",
 	}
 
 	fset := token.NewFileSet()

@@ -70,20 +70,6 @@ func (b *Budget) HeapHW() int64 { return b.hw.Load() }
 // Kills returns how many jobs this budget has canceled with ErrBudget.
 func (b *Budget) Kills() int64 { return b.kills.Load() }
 
-// Remaining returns limit − HeapLive, the headroom an admission
-// controller gates on; it returns 0 when over and is meaningless (always
-// 0) for an unlimited budget.
-func (b *Budget) Remaining() int64 {
-	limit := b.limit.Load()
-	if limit <= 0 {
-		return 0
-	}
-	if r := limit - b.live.Load(); r > 0 {
-		return r
-	}
-	return 0
-}
-
 // charge moves the group balance by n bytes and reports whether a
 // positive charge landed past the limit. It only accounts; Job.charge
 // enforces.
@@ -127,8 +113,9 @@ type SubmitOpts struct {
 	// EvJobAnnotate trace event right after the job's EvJobBegin — under
 	// the same submission lock, so replay learns the job's owner before
 	// any of its threads run. Both are opaque to the runtime; the serving
-	// layer stamps its tenant id and request sequence so a recorded trace
-	// can be filtered per tenant (rtrace.FilterTenant).
+	// layer stamps its tenant id and request sequence, which the exported
+	// trace shows on each job (rtrace.Export) and rtrace.Verify replays
+	// unchanged.
 	TenantTag int64
 	JobTag    int64
 }

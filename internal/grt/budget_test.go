@@ -94,24 +94,6 @@ func TestBudgetSettlesOnJobEnd(t *testing.T) {
 	}
 }
 
-func TestBudgetRemaining(t *testing.T) {
-	b := NewBudget(100)
-	if got := b.Remaining(); got != 100 {
-		t.Errorf("Remaining = %d, want 100", got)
-	}
-	b.charge(40)
-	if got := b.Remaining(); got != 60 {
-		t.Errorf("Remaining after 40 = %d, want 60", got)
-	}
-	b.charge(100)
-	if got := b.Remaining(); got != 0 {
-		t.Errorf("Remaining when over = %d, want 0", got)
-	}
-	if got := NewBudget(0).Remaining(); got != 0 {
-		t.Errorf("unlimited Remaining = %d, want 0", got)
-	}
-}
-
 // TestJobHeapHWConcurrent pins the atomicMax high-water accounting under
 // racing allocations: many threads of one job allocate and free
 // concurrently, and HeapHW must land between one thread's peak and the

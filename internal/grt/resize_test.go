@@ -2,8 +2,8 @@ package grt
 
 // Online budget resizing (Budget.SetLimit) and the exported job kill
 // switch (Job.Cancel) — the two runtime hooks the serving layer's v1
-// surface leans on: the adaptive controller resizes quotas while jobs
-// are in flight, and DELETE /v1/jobs/{id} poisons a running job.
+// surface leans on: PUT /v1/tenants/{id} resizes a tenant's budget while
+// its jobs are in flight, and DELETE /v1/jobs/{id} poisons a running job.
 //
 // The in-flight jobs here idle by spinning on fork-join scheduling
 // points rather than parking on a Future: a lone job blocked on a

@@ -120,10 +120,10 @@ const (
 	// layer stamps its tenant id and request sequence). Recorded on the
 	// scheduler lane (W = -1) immediately after the job's EvJobBegin,
 	// under the same submission lock, so replay always learns a job's
-	// owner before any of its threads run. Purely informational to the
-	// verifier; FilterTenant/SummarizeTenant use it to slice a recorded
-	// stream per tenant. Appended after EvPromote so older trace files
-	// keep loading unchanged.
+	// owner before any of its threads run. The verifier checks only that
+	// it rides the scheduler lane; the exporter draws it as a
+	// job-annotate instant carrying the tenant and job tags. Appended
+	// after EvPromote so older trace files keep loading unchanged.
 	EvJobAnnotate
 
 	numKinds

@@ -1,11 +1,10 @@
 package rtrace_test
 
-// Per-tenant trace slicing end to end: real multi-tenant runs stamped
-// with EvJobAnnotate via grt.SubmitOpts, replayed through the verifier
-// (annotations must not break Lemma 3.1 checking), cut down with
-// FilterTenant, and summarized with SummarizeTenant. The slice has to
-// account for exactly the annotated tenant's threads — nothing from the
-// neighbor tenant, nothing from untagged jobs.
+// Tenant annotations end to end: real multi-tenant runs stamped with
+// EvJobAnnotate via grt.SubmitOpts replay through the verifier
+// (annotations must not break Lemma 3.1 checking), carry exactly one
+// (tenant, job tag) record per tagged submission — none for the untagged
+// job — and come out of the Chrome export with their tags.
 
 import (
 	"bytes"
@@ -28,7 +27,7 @@ func TestTenantAnnotateFilterSummarize(t *testing.T) {
 	ctx := context.Background()
 
 	// Tenant 7 runs two tree jobs, tenant 9 one chain, plus one untagged
-	// job that must never leak into either tenant's slice.
+	// job that must carry no annotation.
 	j1, err := rt.SubmitWith(ctx, tree(4), grt.SubmitOpts{TenantTag: 7, JobTag: 101})
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +44,8 @@ func TestTenantAnnotateFilterSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats [3]grt.JobStats
 	for i, j := range []*grt.Job{j1, j2, j3} {
-		if stats[i], err = j.Wait(); err != nil {
+		if _, err := j.Wait(); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
@@ -89,47 +87,6 @@ func TestTenantAnnotateFilterSummarize(t *testing.T) {
 		if !jobTags[want] {
 			t.Fatalf("job tag %d missing from annotations (got %v)", want, jobTags)
 		}
-	}
-
-	// FilterTenant keeps exactly the tenant's jobs: 2 roots for tenant
-	// 7, 1 for tenant 9, nothing for a tag nobody used.
-	for _, tc := range []struct {
-		tenant int64
-		roots  int
-	}{{7, 2}, {9, 1}, {42, 0}} {
-		sub := rtrace.FilterTenant(evs, tc.tenant)
-		begins := 0
-		for _, e := range sub {
-			if e.Kind == rtrace.EvJobBegin {
-				begins++
-			}
-		}
-		if begins != tc.roots {
-			t.Fatalf("tenant %d slice has %d job roots, want %d", tc.tenant, begins, tc.roots)
-		}
-		if tc.roots == 0 && len(sub) != 0 {
-			t.Fatalf("unknown tenant slice not empty: %d events", len(sub))
-		}
-	}
-
-	// SummarizeTenant's thread count is exact: it must equal the sum of
-	// the tenant's own JobStats, and the two tenants plus the untagged
-	// job partition the full stream's threads.
-	sum7 := rtrace.SummarizeTenant(rec.Meta(), evs, 7)
-	sum9 := rtrace.SummarizeTenant(rec.Meta(), evs, 9)
-	full := rtrace.Summarize(rec.Meta(), evs, rec.Dropped())
-	if want := stats[0].TotalThreads + stats[1].TotalThreads; sum7.Threads != want {
-		t.Fatalf("tenant 7 threads = %d, want %d (sum of its JobStats)", sum7.Threads, want)
-	}
-	if want := stats[2].TotalThreads; sum9.Threads != want {
-		t.Fatalf("tenant 9 threads = %d, want %d", sum9.Threads, want)
-	}
-	if sum7.Threads+sum9.Threads >= full.Threads {
-		t.Fatalf("tenant slices (%d+%d) should undercount the full stream (%d): the untagged job is unattributed",
-			sum7.Threads, sum9.Threads, full.Threads)
-	}
-	if sum7.Jobs != 2 || sum9.Jobs != 1 {
-		t.Fatalf("slice job counts = %d/%d, want 2/1", sum7.Jobs, sum9.Jobs)
 	}
 
 	// The Chrome export names the annotation so tenant lanes are

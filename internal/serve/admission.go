@@ -22,14 +22,14 @@ package serve
 // never a torn mix. Deleting a tenant fails its pending jobs and leaves
 // its running jobs to finish against the (now orphaned) budget.
 //
-// Backpressure is three-layered: enqueue refuses (429) when the tenant's
-// live heap is inside the effective headroom band (over_budget), when
-// the job's predicted cost cannot fit the remaining headroom (cost_shed
-// — see cost.go), or when the queue is full (queue_full); the dispatcher
-// skips over-headroom tenants until completions free budget. The hard
-// layer — the in-run ErrBudget kill — lives in grt. The effective
-// headroom itself is moved inside [floor, base] by the adaptive
-// controller (controller.go).
+// A tenant has one memory line, its MemBudget, and every check reads it.
+// Enqueue refuses (429) a priced job whose predicted cost does not fit
+// what is left of the budget after the live heap and the reservations of
+// its admitted jobs (cost_shed — see cost.go), any other job while the
+// live heap has reached the budget (over_budget), and any job when the
+// queue is full (queue_full); the dispatcher skips a tenant at its budget
+// until completions free some. The backstop — the in-run ErrBudget kill
+// of the job whose allocation crosses the same line — lives in grt.
 
 import (
 	"context"
@@ -45,8 +45,8 @@ import (
 // Enqueue refusals, mapped to HTTP statuses by the handler layer.
 var (
 	errQueueFull     = errors.New("serve: tenant pending queue is full")
-	errOverBudget    = errors.New("serve: tenant memory budget has no admission headroom")
-	errOverCost      = errors.New("serve: predicted job cost exceeds tenant headroom")
+	errOverBudget    = errors.New("serve: tenant live heap has reached its memory budget")
+	errOverCost      = errors.New("serve: predicted job cost exceeds what is left of the tenant budget")
 	errDraining      = errors.New("serve: server is draining")
 	errTenantGone    = errors.New("serve: tenant was deleted")
 	errJobCanceled   = errors.New("serve: job canceled by request")
@@ -147,20 +147,14 @@ func (j *job) requestCancel() bool {
 
 // tenant is the server-side state of one tenant. Rows live in the
 // admission table; weight, maxPending, pending, finishTag, reserved and
-// gone are guarded by admission.mu. The budget limit and the headroom
-// thresholds are atomics — read on every enqueue, moved by tenant CRUD
-// and the adaptive controller without stalling admission.
+// gone are guarded by admission.mu. The budget limit is an atomic inside
+// grt.Budget — read on every enqueue, moved by tenant CRUD without
+// stalling admission.
 type tenant struct {
 	name   string
 	tag    int64 // rtrace tenant tag (stable for the tenant's lifetime)
 	budget *grt.Budget
 	apiKey atomic.Pointer[string]
-
-	// baseHead is the configured admission threshold (BudgetHeadroom ×
-	// MemBudget; 0 = none); effHead is the controller-adjusted effective
-	// threshold actually enforced, always in [floor, baseHead].
-	baseHead atomic.Int64
-	effHead  atomic.Int64
 
 	weight     float64 // admission.mu
 	maxPending int     // admission.mu
@@ -182,10 +176,6 @@ type tenant struct {
 	rejectedCost   atomic.Int64
 	rejectedAuth   atomic.Int64
 
-	// ctlLast is the controller's pressure snapshot at its previous
-	// tick; touched only by the (single-threaded) controller.
-	ctlLast int64
-
 	lat latencyRing
 }
 
@@ -199,7 +189,7 @@ func (t *tenant) key() string {
 
 // setContract applies the mutable parts of a TenantConfig. Callers hold
 // admission.mu (creation runs before the tenant is published).
-func (t *tenant) setContract(tc TenantConfig, headroom float64) {
+func (t *tenant) setContract(tc TenantConfig) {
 	w := tc.Weight
 	if w < 1 {
 		w = 1
@@ -213,29 +203,18 @@ func (t *tenant) setContract(tc TenantConfig, headroom float64) {
 	key := tc.APIKey
 	t.apiKey.Store(&key)
 	t.budget.SetLimit(tc.MemBudget)
-	var h int64
-	if tc.MemBudget > 0 {
-		h = int64(headroom * float64(tc.MemBudget))
-		if h < 1 {
-			h = 1
-		}
-	}
-	t.baseHead.Store(h)
-	t.effHead.Store(h)
 }
 
-// overHeadroom reports whether the tenant's live heap leaves no
-// admission headroom under the effective (controller-adjusted) limit.
-func (t *tenant) overHeadroom() bool {
-	lim := t.effHead.Load()
+// atLimit reports whether the tenant's live heap has reached its budget.
+func (t *tenant) atLimit() bool {
+	lim := t.budget.Limit()
 	return lim > 0 && t.budget.HeapLive() >= lim
 }
 
 // admission is the dispatcher: tenant queues in, running jobs out.
 type admission struct {
-	rt       *grt.Runtime
-	baseCtx  context.Context
-	headroom float64 // BudgetHeadroom fraction, for dynamically added tenants
+	rt      *grt.Runtime
+	baseCtx context.Context
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -254,7 +233,6 @@ type admission struct {
 func newAdmission(rt *grt.Runtime, baseCtx context.Context, cfg Config) *admission {
 	a := &admission{
 		rt: rt, baseCtx: baseCtx,
-		headroom:    cfg.BudgetHeadroom,
 		tenants:     make(map[string]*tenant, len(cfg.Tenants)),
 		maxInflight: cfg.MaxInflight,
 	}
@@ -266,7 +244,7 @@ func newAdmission(rt *grt.Runtime, baseCtx context.Context, cfg Config) *admissi
 	for _, name := range a.names {
 		a.tagSeq++
 		t := &tenant{name: name, tag: a.tagSeq, budget: grt.NewBudget(0)}
-		t.setContract(cfg.Tenants[name], a.headroom)
+		t.setContract(cfg.Tenants[name])
 		a.tenants[name] = t
 	}
 	a.wg.Add(1)
@@ -295,20 +273,20 @@ func (a *admission) snapshot() []*tenant {
 
 // upsertTenant creates or replaces a tenant contract atomically with
 // respect to concurrent submits: queued jobs and counters survive an
-// update; budget limit, headroom, weight, queue bound and API key switch
-// in one critical section. Reports whether the tenant was created.
+// update; budget limit, weight, queue bound and API key switch in one
+// critical section. Reports whether the tenant was created.
 func (a *admission) upsertTenant(name string, tc TenantConfig) (*tenant, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if t, ok := a.tenants[name]; ok {
-		t.setContract(tc, a.headroom)
+		t.setContract(tc)
 		// A raised budget or queue bound can unblock the dispatcher.
 		a.cond.Broadcast()
 		return t, false
 	}
 	a.tagSeq++
 	t := &tenant{name: name, tag: a.tagSeq, budget: grt.NewBudget(0)}
-	t.setContract(tc, a.headroom)
+	t.setContract(tc)
 	a.tenants[name] = t
 	a.names = append(a.names, name)
 	sort.Strings(a.names)
@@ -348,9 +326,11 @@ func (a *admission) removeTenant(name string) *tenant {
 }
 
 // enqueue admits j into its tenant's pending queue, or refuses with one
-// of the sentinel errors above. The whole decision — headroom band, cost
-// gate against live+reserved, queue bound, tag assignment — is one
-// critical section, so it is atomic against tenant CRUD.
+// of the sentinel errors above. The whole decision — cost gate against
+// live+reserved, the budget line, queue bound, tag assignment — is one
+// critical section, so it is atomic against tenant CRUD. The cost gate
+// goes first: it refuses a priced job whenever the line would, so
+// over_budget is what an unpriced job gets.
 func (a *admission) enqueue(j *job) error {
 	t := j.tenant
 	t.submitted.Add(1)
@@ -363,16 +343,16 @@ func (a *admission) enqueue(j *job) error {
 		a.mu.Unlock()
 		return errTenantGone
 	}
-	if t.overHeadroom() {
-		a.mu.Unlock()
-		t.rejectedBudget.Add(1)
-		return errOverBudget
-	}
-	if lim := t.effHead.Load(); lim > 0 && j.cost > 0 &&
+	if lim := t.budget.Limit(); lim > 0 && j.cost > 0 &&
 		t.budget.HeapLive()+t.reserved+j.cost > lim {
 		a.mu.Unlock()
 		t.rejectedCost.Add(1)
 		return errOverCost
+	}
+	if t.atLimit() {
+		a.mu.Unlock()
+		t.rejectedBudget.Add(1)
+		return errOverBudget
 	}
 	if len(t.pending) >= t.maxPending {
 		a.mu.Unlock()
@@ -415,14 +395,14 @@ func (a *admission) cancelJob(j *job) bool {
 
 // pickLocked returns the eligible tenant whose head-of-queue job has the
 // smallest frozen finish tag (ties broken by name order), or nil.
-// Over-headroom tenants are skipped — their queues stall without
+// Tenants at their budget are skipped — their queues stall without
 // blocking anyone else.
 func (a *admission) pickLocked() *tenant {
 	var best *tenant
 	var bestTag float64
 	for _, name := range a.names {
 		t := a.tenants[name]
-		if len(t.pending) == 0 || t.overHeadroom() {
+		if len(t.pending) == 0 || t.atLimit() {
 			continue
 		}
 		if tag := t.pending[0].finishTag; best == nil || tag < bestTag {
@@ -482,8 +462,8 @@ func (a *admission) runJob(j *job) {
 	a.mu.Lock()
 	a.inflight--
 	t.reserved -= j.cost
-	// Completions free budget headroom, reservations and an inflight
-	// slot; all three gate the dispatcher and the drain waiter.
+	// Completions free budget, reservations and an inflight slot; all
+	// three gate the dispatcher and the drain waiter.
 	a.cond.Broadcast()
 	a.mu.Unlock()
 }

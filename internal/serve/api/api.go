@@ -36,11 +36,12 @@ const (
 	CodeUnknownJob ErrorCode = "unknown_job"
 	// CodeQueueFull (429): the tenant's pending queue is at MaxPending.
 	CodeQueueFull ErrorCode = "queue_full"
-	// CodeOverBudget (429): the tenant's live heap is inside the
-	// admission headroom band of its budget.
+	// CodeOverBudget (429): the tenant's live heap has reached its
+	// memory budget; given to jobs the cost gate does not price.
 	CodeOverBudget ErrorCode = "over_budget"
 	// CodeCostShed (429): cost-based shedding — the job's predicted
-	// live-memory cost exceeds the tenant's remaining headroom.
+	// live-memory cost exceeds what its tenant's live heap and admitted
+	// jobs leave of the memory budget.
 	CodeCostShed ErrorCode = "cost_shed"
 	// CodeDraining (503): the server is shutting down.
 	CodeDraining ErrorCode = "draining"
@@ -134,7 +135,7 @@ type JobStatus struct {
 	// Status is "pending" → "running" → "done" | "failed" | "canceled".
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
-	// Cost is the admission controller's predicted live-memory price of
+	// Cost is the admission cost gate's predicted live-memory price of
 	// the job (S1 + K·D from the declared bounds; 0 for scenario jobs,
 	// which are cost-exempt).
 	Cost      int64         `json:"cost,omitempty"`
@@ -170,12 +171,10 @@ type TenantStatus struct {
 	Weight    int    `json:"weight"`
 	MemBudget int64  `json:"mem_budget"`
 	// TraceTag is the opaque tenant tag stamped into rtrace job
-	// annotations (EvJobAnnotate) for every job the tenant runs; feed it
-	// to rtrace.FilterTenant to slice a recorded trace.
-	TraceTag int64 `json:"trace_tag,omitempty"`
-	// EffHeadroom is the adaptive controller's current admission
-	// threshold in bytes (≤ BudgetHeadroom × MemBudget; 0 = none).
-	EffHeadroom    int64 `json:"eff_headroom,omitempty"`
+	// annotations (EvJobAnnotate) for every job the tenant runs; the
+	// exporter shows it on each job's job-annotate instant, and
+	// rtrace.Verify replays annotated streams unchanged.
+	TraceTag       int64 `json:"trace_tag,omitempty"`
 	ReservedCost   int64 `json:"reserved_cost,omitempty"`
 	HeapLive       int64 `json:"heap_live"`
 	HeapHW         int64 `json:"heap_hw"`

@@ -13,9 +13,10 @@
 //     finish tags); admitted roots enter the scheduler through
 //     policy.Inject at back-of-priority order, so admission order is
 //     execution-priority order among job roots (Lemma 3.1 survives).
-//   - Backpressure: a tenant whose pending queue is full, or whose
-//     live heap is within BudgetHeadroom of its budget, gets HTTP 429;
-//     other tenants are unaffected.
+//   - Backpressure: a tenant whose pending queue is full, whose live
+//     heap has reached its budget, or whose job's predicted cost does
+//     not fit what is left of the budget, gets HTTP 429; other tenants
+//     are unaffected.
 //
 // Live metrics come from an rtrace.Counters probe (the Summarize schema,
 // scrapeable mid-run) exposed in Prometheus text form at /metrics, and
@@ -26,7 +27,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"dfdeques"
 	"dfdeques/internal/serve/api"
@@ -34,11 +34,9 @@ import (
 
 // Defaults for the zero values of Config fields.
 const (
-	DefaultMaxPending         = 64
-	DefaultMaxBodyBytes       = 1 << 20
-	DefaultBudgetHeadroom     = 0.9
-	DefaultRetainJobs         = 4096
-	DefaultControllerInterval = 250 * time.Millisecond
+	DefaultMaxPending   = 64
+	DefaultMaxBodyBytes = 1 << 20
+	DefaultRetainJobs   = 4096
 )
 
 // TenantConfig is one tenant's isolation contract — the api wire type,
@@ -61,10 +59,6 @@ type Config struct {
 	MaxInflight int
 	// MaxBodyBytes bounds a submission's JSON body; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// BudgetHeadroom is the fraction of a tenant's MemBudget at which
-	// admission starts refusing (429) new submissions — enforcement
-	// before the hard in-run kill. 0 means 0.9; must be in (0, 1].
-	BudgetHeadroom float64
 	// RetainJobs bounds how many completed jobs stay pollable at
 	// /v1/jobs/{id}; the oldest are evicted first. 0 means 4096.
 	RetainJobs int
@@ -73,10 +67,6 @@ type Config struct {
 	// tenant listings) and is accepted anywhere a tenant key is. Empty
 	// leaves management open — dev mode only.
 	AdminKey string
-	// ControllerInterval is the adaptive budget controller's tick
-	// period. 0 means DefaultControllerInterval; negative disables the
-	// controller loop (ticks can still be driven manually in tests).
-	ControllerInterval time.Duration
 }
 
 // ConfigError describes an invalid serving configuration field.
@@ -113,9 +103,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxBodyBytes < 0 {
 		return &ConfigError{Field: "MaxBodyBytes", Reason: fmt.Sprintf("must be >= 0, got %d", c.MaxBodyBytes)}
-	}
-	if c.BudgetHeadroom < 0 || c.BudgetHeadroom > 1 {
-		return &ConfigError{Field: "BudgetHeadroom", Reason: fmt.Sprintf("must be in [0, 1] (0 means %.2f), got %g", DefaultBudgetHeadroom, c.BudgetHeadroom)}
 	}
 	if c.RetainJobs < 0 {
 		return &ConfigError{Field: "RetainJobs", Reason: fmt.Sprintf("must be >= 0, got %d", c.RetainJobs)}
@@ -161,14 +148,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if c.BudgetHeadroom == 0 {
-		c.BudgetHeadroom = DefaultBudgetHeadroom
-	}
 	if c.RetainJobs == 0 {
 		c.RetainJobs = DefaultRetainJobs
-	}
-	if c.ControllerInterval == 0 {
-		c.ControllerInterval = DefaultControllerInterval
 	}
 	return c
 }

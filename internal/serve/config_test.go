@@ -92,7 +92,6 @@ func TestConfigFieldErrors(t *testing.T) {
 		{"negative max pending", func(c *Config) { c.Tenants["bob"] = TenantConfig{MaxPending: -1} }, "bob", "MaxPending"},
 		{"negative inflight", func(c *Config) { c.MaxInflight = -1 }, "", "MaxInflight"},
 		{"negative body bytes", func(c *Config) { c.MaxBodyBytes = -1 }, "", "MaxBodyBytes"},
-		{"headroom over one", func(c *Config) { c.BudgetHeadroom = 1.5 }, "", "BudgetHeadroom"},
 		{"negative retain", func(c *Config) { c.RetainJobs = -1 }, "", "RetainJobs"},
 	}
 	for _, tc := range cases {
@@ -121,15 +120,7 @@ func TestConfigDefaults(t *testing.T) {
 	if got.MaxInflight != 12 {
 		t.Fatalf("MaxInflight default: want 4x workers = 12, got %d", got.MaxInflight)
 	}
-	if got.MaxBodyBytes != DefaultMaxBodyBytes || got.BudgetHeadroom != DefaultBudgetHeadroom || got.RetainJobs != DefaultRetainJobs {
+	if got.MaxBodyBytes != DefaultMaxBodyBytes || got.RetainJobs != DefaultRetainJobs {
 		t.Fatalf("defaults not applied: %+v", got)
-	}
-	if got.ControllerInterval != DefaultControllerInterval {
-		t.Fatalf("controller default not applied: %+v", got)
-	}
-	// A negative interval (loop disabled) must survive withDefaults.
-	cfg.ControllerInterval = -1
-	if got := cfg.withDefaults(); got.ControllerInterval != -1 {
-		t.Fatalf("disabled controller overridden: %v", got.ControllerInterval)
 	}
 }

@@ -1,7 +1,7 @@
 package serve
 
 // Cost-based load shedding prices a declared job shape before it touches
-// the runtime, so a job that could never fit its tenant's headroom is
+// the runtime, so a job that could never fit its tenant's budget is
 // refused at submit time (429 cost_shed) instead of being admitted,
 // scheduled, and killed mid-run — the paper's space bound turned into an
 // admission predicate.

@@ -1,6 +1,6 @@
 package serve
 
-// Prometheus text exposition (/metrics). Three families:
+// Prometheus text exposition (/metrics). Two families:
 //
 //   - dfd_*: the shared runtime's scheduling counters, projected from
 //     the live rtrace.Counters probe through the same Summary schema
@@ -8,11 +8,9 @@ package serve
 //     quota exhausts, dispatches — plus steals-per-second over the
 //     server's uptime.
 //   - dfdserve_*: the serving layer — per-tenant submission/admission/
-//     rejection/cancel counters, budget and effective-headroom gauges,
-//     reserved admission cost, queue depths, auth failures, and
+//     rejection/cancel counters, budget gauges (limit, live heap, high
+//     water), reserved admission cost, queue depths, auth failures, and
 //     job-latency quantile summaries from each tenant's recent ring.
-//   - dfdserve_controller_*: the adaptive budget controller's tick,
-//     shrink and grow counters plus its last quota-exhaust window.
 //
 // Per-tenant rows iterate a snapshot of the live tenant table, so
 // scrapes are consistent under concurrent tenant CRUD. Hand-rolled
@@ -126,8 +124,6 @@ func (s *Server) writeServeMetrics(b *strings.Builder) {
 		func(t *tenant) string { return fmt.Sprint(t.budget.HeapLive()) })
 	perTenant("dfdserve_budget_hw_bytes", "gauge", "Tenant live-heap high water.",
 		func(t *tenant) string { return fmt.Sprint(t.budget.HeapHW()) })
-	perTenant("dfdserve_effective_headroom_bytes", "gauge", "Controller-adjusted admission threshold (0 = none).",
-		func(t *tenant) string { return fmt.Sprint(t.effHead.Load()) })
 	perTenant("dfdserve_reserved_cost_bytes", "gauge", "Predicted cost reserved by admitted unfinished jobs.",
 		func(t *tenant) string { _, _, res := s.adm.tenantShape(t); return fmt.Sprint(res) })
 
@@ -139,20 +135,6 @@ func (s *Server) writeServeMetrics(b *strings.Builder) {
 			fmt.Fprintf(b, "dfdserve_jobs_rejected_total{tenant=%q,reason=\"cost_shed\"} %d\n", t.name, t.rejectedCost.Load())
 			fmt.Fprintf(b, "dfdserve_jobs_rejected_total{tenant=%q,reason=\"unauthorized\"} %d\n", t.name, t.rejectedAuth.Load())
 		}
-	})
-
-	// The adaptive budget controller.
-	metric(b, "dfdserve_controller_ticks_total", "counter", "Adaptive-controller control steps.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_controller_ticks_total %d\n", s.ctl.ticks.Load())
-	})
-	metric(b, "dfdserve_controller_shrinks_total", "counter", "Controller steps that lowered a tenant's effective headroom.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_controller_shrinks_total %d\n", s.ctl.shrinks.Load())
-	})
-	metric(b, "dfdserve_controller_grows_total", "counter", "Controller steps that raised a tenant's effective headroom.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_controller_grows_total %d\n", s.ctl.grows.Load())
-	})
-	metric(b, "dfdserve_controller_quota_window", "gauge", "Runtime quota exhausts observed in the controller's last window.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_controller_quota_window %d\n", s.ctl.quotaDelta.Load())
 	})
 
 	// Latency summaries: quantiles over each tenant's recent ring plus

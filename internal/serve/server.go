@@ -16,10 +16,9 @@ package serve
 // envelope with a typed code. Job routes authenticate with the tenant's
 // API key (X-API-Key or bearer); tenant management with the admin key.
 //
-// Close is the SIGTERM path: flip /healthz, stop the controller, stop
-// admission, run pending and in-flight jobs down (or abort them when the
-// context expires), then Shutdown the runtime — afterwards no server
-// goroutine survives.
+// Close is the SIGTERM path: flip /healthz, stop admission, run pending
+// and in-flight jobs down (or abort them when the context expires), then
+// Shutdown the runtime — afterwards no server goroutine survives.
 
 import (
 	"context"
@@ -51,7 +50,6 @@ type Server struct {
 	rt       *grt.Runtime
 	counters *rtrace.Counters
 	adm      *admission
-	ctl      *controller
 	mux      *http.ServeMux
 	start    time.Time
 
@@ -71,9 +69,8 @@ type Server struct {
 	jobIDs atomic.Int64
 }
 
-// New validates cfg, starts the shared runtime (warm workers), the
-// admission dispatcher, and the adaptive budget controller. Callers must
-// eventually Close.
+// New validates cfg and starts the shared runtime (warm workers) and the
+// admission dispatcher. Callers must eventually Close.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -102,12 +99,6 @@ func New(cfg Config) (*Server, error) {
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s.cancelJobs = cancel
 	s.adm = newAdmission(rt, baseCtx, cfg)
-	s.ctl = newController(s)
-	if cfg.ControllerInterval > 0 {
-		s.ctl.start(cfg.ControllerInterval)
-	} else {
-		close(s.ctl.done) // nothing to join on close
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -124,16 +115,14 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler (for http.Server or tests).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close gracefully drains the server: /healthz flips to draining, the
-// controller stops, new submissions are refused, pending and in-flight
-// jobs run to completion — unless ctx expires first, in which case they
+// Close gracefully drains the server: /healthz flips to draining, new
+// submissions are refused, pending and in-flight jobs run to completion — unless ctx expires first, in which case they
 // are aborted (pending fail with ErrShutdown, running jobs are poisoned)
 // — and the runtime is shut down with zero goroutines left. Idempotent;
 // returns ctx's error when the drain was aborted.
 func (s *Server) Close(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
-		s.ctl.close()
 		err := s.adm.drain(ctx)
 		if err != nil {
 			// Expired: abort whatever is still running, then drain the
@@ -264,10 +253,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusTooManyRequests, api.CodeQueueFull, "pending queue full", req.Tenant, "")
 		case errors.Is(err, errOverBudget):
 			writeErr(w, http.StatusTooManyRequests, api.CodeOverBudget,
-				"memory budget has no admission headroom", req.Tenant, "")
+				"live heap has reached the memory budget", req.Tenant, "")
 		case errors.Is(err, errOverCost):
 			writeErr(w, http.StatusTooManyRequests, api.CodeCostShed,
-				fmt.Sprintf("predicted job cost %d exceeds remaining headroom", j.cost), req.Tenant, "")
+				fmt.Sprintf("predicted job cost %d exceeds what is left of the memory budget", j.cost), req.Tenant, "")
 		default:
 			writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error(), req.Tenant, "")
 		}
@@ -332,8 +321,7 @@ func (s *Server) tenantStatus(t *tenant) TenantStatus {
 	weight, pending, reserved := s.adm.tenantShape(t)
 	return TenantStatus{
 		Name: t.name, Weight: weight, MemBudget: t.budget.Limit(),
-		TraceTag:    t.tag,
-		EffHeadroom: t.effHead.Load(), ReservedCost: reserved,
+		TraceTag: t.tag, ReservedCost: reserved,
 		HeapLive: t.budget.HeapLive(), HeapHW: t.budget.HeapHW(),
 		Pending:   pending,
 		Submitted: t.submitted.Load(), Admitted: t.admitted.Load(),

@@ -34,10 +34,6 @@ func testConfig() Config {
 			"bob":   {Weight: 1},
 			"hog":   {MemBudget: 8192, Weight: 1},
 		},
-		// The adaptive controller gets its own tests (driven tick by
-		// tick); a live loop here would move admission thresholds under
-		// the deterministic backpressure assertions.
-		ControllerInterval: -1,
 	}
 }
 
@@ -202,7 +198,7 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 // TestCostShedAndBudgetKill: a whale whose declared footprint can never
-// fit its tenant's headroom is refused up front with 429 cost_shed —
+// fit its tenant's budget is refused up front with 429 cost_shed —
 // never admitted, never killed — while work the gate cannot price
 // (cost-exempt, scenario-class) that overruns the budget still dies
 // mid-run with ErrBudget. The cost gate sheds what it can predict; the
@@ -231,7 +227,7 @@ func TestCostShedAndBudgetKill(t *testing.T) {
 
 	// A declared-parallel version of the same footprint clears the gate:
 	// two forked siblings each holding 6000 price at 6000 + K·1 = 7024
-	// (inside the 7372-byte band). Unstolen they never overlap, so on this
+	// (inside the 8192-byte budget). Unstolen they never overlap, so on this
 	// one-worker server the job completes inside the budget; at p ≥ 2 the
 	// same job is admitted and may still be killed mid-run.
 	child := func() *SpecNode {
@@ -353,17 +349,18 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// TestOverBudgetBackpressure: while a tenant's live heap sits inside the
-// headroom band, new submissions bounce with errOverBudget and the
-// dispatcher stalls its queue; once the job frees, admission resumes.
+// TestOverBudgetBackpressure: the budget is the one line admission reads.
+// While a tenant's live heap sits at its budget — reached, not crossed,
+// so no kill — an unpriced submission bounces with errOverBudget and a
+// priced one with errOverCost, other tenants flow, and once the job
+// frees, admission resumes.
 func TestOverBudgetBackpressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.BudgetHeadroom = 0.5 // refuse at 4096 of hog's 8192
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	hog := s.adm.tenants["hog"]
+	limit := hog.budget.Limit()
 	gate := make(chan struct{})
 	holding := make(chan struct{})
 	j := &job{
@@ -371,10 +368,10 @@ func TestOverBudgetBackpressure(t *testing.T) {
 		submitAt: time.Now(),
 		run: runnable{kind: "test", run: func(ctx context.Context, sub workload.Submitter) (jobResult, error) {
 			gj, err := sub.Submit(ctx, func(tt *grt.T) {
-				tt.Alloc(6000)
+				tt.Alloc(limit)
 				close(holding)
 				<-gate
-				tt.Free(6000)
+				tt.Free(limit)
 			})
 			if err != nil {
 				return jobResult{}, err
@@ -386,14 +383,24 @@ func TestOverBudgetBackpressure(t *testing.T) {
 	if err := s.adm.enqueue(j); err != nil {
 		t.Fatalf("holder: %v", err)
 	}
-	<-holding // 6000 live ≥ 4096 headroom limit
-
-	code, _, ae := postJob(t, ts, JobRequest{Tenant: "hog", Tree: &TreeSpec{Depth: 1}}, false)
-	if code != http.StatusTooManyRequests || ae.Code != api.CodeOverBudget {
-		t.Fatalf("want over-budget 429, got %d (%+v)", code, ae)
+	<-holding // live = budget: at the line, not past it
+	if live := hog.budget.HeapLive(); live != limit {
+		t.Fatalf("holder live heap %d, want the %d-byte budget", live, limit)
 	}
-	if hog.rejectedBudget.Load() != 1 {
-		t.Fatalf("rejectedBudget not counted")
+
+	// A scenario job is unpriced (cost 0): the line itself refuses it.
+	code, _, ae := postJob(t, ts, JobRequest{Tenant: "hog", Scenario: "pipeline", Seed: 1, Scale: 1}, false)
+	if code != http.StatusTooManyRequests || ae.Code != api.CodeOverBudget {
+		t.Fatalf("unpriced job: want 429 over_budget, got %d (%+v)", code, ae)
+	}
+	// A tree job is priced (K·D = 1024 here), and nothing is left to fit it.
+	code, _, ae = postJob(t, ts, JobRequest{Tenant: "hog", Tree: &TreeSpec{Depth: 1}}, false)
+	if code != http.StatusTooManyRequests || ae.Code != api.CodeCostShed {
+		t.Fatalf("priced job: want 429 cost_shed, got %d (%+v)", code, ae)
+	}
+	if hog.rejectedBudget.Load() != 1 || hog.rejectedCost.Load() != 1 {
+		t.Fatalf("refusals miscounted: over_budget %d, cost_shed %d",
+			hog.rejectedBudget.Load(), hog.rejectedCost.Load())
 	}
 	// Unrelated tenants keep flowing while hog is parked.
 	code, st, _ := postJob(t, ts, JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 2, Alloc: 64}}, true)

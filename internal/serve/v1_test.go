@@ -2,9 +2,9 @@ package serve
 
 // Tests of the v1 production surface: API-key authentication, dynamic
 // tenant CRUD (including racing active submits), job cancellation, and
-// the adaptive budget controller's convergence. HTTP paths go through
-// the typed client (internal/serve/client) so the client's envelope
-// decoding is exercised against the real server.
+// cost pricing. HTTP paths go through the typed client
+// (internal/serve/client) so the client's envelope decoding is exercised
+// against the real server.
 
 import (
 	"context"
@@ -30,8 +30,7 @@ func authedConfig() Config {
 			"alice": {Weight: 2, APIKey: "alice-key"},
 			"open":  {Weight: 1}, // no key: dev-mode tenant
 		},
-		AdminKey:           "root-key",
-		ControllerInterval: -1,
+		AdminKey: "root-key",
 	}
 }
 
@@ -370,58 +369,6 @@ func TestCancelJob(t *testing.T) {
 	waitIdle(t, s)
 	if alicet.canceled.Load() != 2 {
 		t.Fatalf("canceled count: want 2, got %d", alicet.canceled.Load())
-	}
-}
-
-// TestControllerConvergence drives the adaptive controller tick by tick:
-// under sustained rejection pressure a tenant's effective headroom walks
-// down to the floor; calm ticks walk it back to base; an unbudgeted
-// tenant is never touched.
-func TestControllerConvergence(t *testing.T) {
-	cfg := authedConfig()
-	cfg.Tenants["hog"] = TenantConfig{MemBudget: 8192, Weight: 1, APIKey: "hog-key"}
-	s := newTestServer(t, cfg) // ControllerInterval -1: loop off, ticks manual
-	hog, _ := s.adm.lookup("hog")
-	alice, _ := s.adm.lookup("alice")
-
-	base := hog.baseHead.Load()
-	headFrac, floorFrac := float64(DefaultBudgetHeadroom), float64(controllerFloor)
-	if want := int64(headFrac * 8192); base != want {
-		t.Fatalf("base headroom: want %d, got %d", want, base)
-	}
-	floor := int64(floorFrac * 8192)
-
-	// Sustained pressure: every window sees new rejections, so each tick
-	// shrinks until the floor holds.
-	for i := 0; i < 40; i++ {
-		hog.rejectedCost.Add(1)
-		s.ctl.tick()
-	}
-	if got := hog.effHead.Load(); got != floor {
-		t.Fatalf("under pressure: want floor %d, got %d", floor, got)
-	}
-	if s.ctl.shrinks.Load() == 0 || s.ctl.ticks.Load() != 40 {
-		t.Fatalf("controller accounting: shrinks=%d ticks=%d", s.ctl.shrinks.Load(), s.ctl.ticks.Load())
-	}
-	// The shrunken threshold is what admission actually enforces.
-	if lim := hog.effHead.Load(); lim >= base {
-		t.Fatalf("effective limit never moved")
-	}
-
-	// Calm: pressure flat, headroom recovers to base and stays there.
-	for i := 0; i < 40; i++ {
-		s.ctl.tick()
-	}
-	if got := hog.effHead.Load(); got != base {
-		t.Fatalf("after calm: want base %d, got %d", base, got)
-	}
-	if s.ctl.grows.Load() == 0 {
-		t.Fatalf("grows not counted")
-	}
-
-	// An unbudgeted tenant has no thresholds to adapt.
-	if alice.baseHead.Load() != 0 || alice.effHead.Load() != 0 {
-		t.Fatalf("unbudgeted tenant acquired a threshold")
 	}
 }
 

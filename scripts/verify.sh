@@ -24,9 +24,11 @@ if command -v staticcheck >/dev/null 2>&1; then
 fi
 go test ./...
 go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
-# Serving-layer soak (short mode): 8 tenants over HTTP with one
-# over-budget hog, asserting isolation (429s + budget kills for the hog
-# only) and a leak-free drain; then the Submit-into-a-busy-R request mix
+# Serving-layer soak (short mode): 8 tenants over HTTP with one hog that
+# mixes never-fitting whales with jobs that fit its budget, asserting
+# isolation (cost-shed 429s for the hog only, its fitting jobs still
+# admitted and never budget-killed) and a leak-free drain; then the
+# Submit-into-a-busy-R request mix
 # at the default MaxInflight. DFDSERVE_SOAK_SECS=120 runs the long ones
 # (600 with -run TestServeSoakSubmitMix is ROADMAP 1a's acceptance run).
 go test -race -short -run TestServeSoak -count=1 ./internal/serve/
