@@ -53,7 +53,6 @@ import (
 	"strings"
 	"time"
 
-	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
@@ -85,17 +84,10 @@ func main() {
 
 	// Scheduler names are case-insensitive; canonicalize to the printed
 	// spellings.
-	switch strings.ToUpper(*schedName) {
-	case "DFD":
-		*schedName = "DFD"
-	case "DFD-INF":
-		*schedName = "DFD-inf"
-	case "WS":
-		*schedName = "WS"
-	case "ADF":
-		*schedName = "ADF"
-	case "FIFO":
-		*schedName = "FIFO"
+	for _, name := range sched.Names {
+		if strings.EqualFold(*schedName, name) {
+			*schedName = name
+		}
 	}
 
 	g := workload.Fine
@@ -103,17 +95,18 @@ func main() {
 		g = workload.Medium
 	}
 
+	rc := realCfg{
+		sched: *schedName, procs: *procs, workers: *workers, k: *k,
+		seed: *seed, measure: *measure,
+		trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
+		grain: g, bench: *bench, timeout: *timeout,
+	}
 	if *scenario != "" {
 		if !*real {
 			fmt.Fprintln(os.Stderr, "dfdsim: -scenario runs on the real runtime; add -real")
 			os.Exit(2)
 		}
-		runScenario(*scenario, *scale, realCfg{
-			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, measure: *measure,
-			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
-			grain: g, bench: *bench, timeout: *timeout,
-		})
+		runScenario(*scenario, *scale, rc)
 		return
 	}
 
@@ -133,12 +126,7 @@ func main() {
 	}
 
 	if *real {
-		runReal(spec, realCfg{
-			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, measure: *measure,
-			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
-			grain: g, bench: *bench, timeout: *timeout,
-		})
+		runReal(spec, rc)
 		return
 	}
 	if *traceFile != "" {
@@ -150,33 +138,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	var s machine.Scheduler
-	switch *schedName {
-	case "DFD":
-		s = sched.NewDFDeques(*k)
-	case "DFD-inf":
-		s = sched.NewDFDeques(0)
-	case "WS":
-		s = sched.NewWS()
-	case "ADF":
-		s = sched.NewADF(*k)
-	case "FIFO":
-		s = sched.NewFIFO()
-	default:
+	s, ok := sched.New(*schedName, *k)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "dfdsim: unknown scheduler %q\n", *schedName)
 		os.Exit(2)
 	}
 
-	cfg := machine.Config{Procs: *procs, Seed: *seed, CheckInvariants: *check}
+	cfg := machine.Config{Procs: *procs, Seed: *seed}
 	if *realism {
-		cfg.MissPenalty = 20
-		cfg.Cache = cache.Config{CapacityBytes: 32 << 10, LineBytes: 64}
-		cfg.StackBytes = 8192
-		cfg.StealLatency = 6
-		cfg.QueueLatency = 3
-		cfg.MemPressureBytes = 2 << 20
-		cfg.MemPressurePenalty = 60
+		cfg = machine.Realism(*procs, *seed)
 	}
+	cfg.CheckInvariants = *check
 
 	sm := dag.Measure(spec)
 	if !*jsonOut {
@@ -280,80 +252,102 @@ type realCfg struct {
 	timeout        time.Duration
 }
 
-// runReal executes the workload on the real goroutine-backed runtime and
-// prints its stats, including the contention counters; with -trace it
-// records every scheduling event and writes a Chrome trace_event file.
-func runReal(spec *dag.ThreadSpec, rc realCfg) {
-	kind, k := realKind(rc)
-	workers := rc.workers
-	if workers <= 0 {
-		workers = rc.procs
-	}
+// realRun is the set-up runReal and runScenario share: the runtime built
+// from the flags, its trace recorder (nil without -trace), and the
+// context that carries -timeout.
+type realRun struct {
+	rt      *grt.Runtime
+	rec     *rtrace.Recorder
+	ctx     context.Context
+	cancel  context.CancelFunc
+	kind    grt.Kind
+	k       int64
+	workers int
+}
 
-	sm := dag.Measure(spec)
-	if !rc.json {
-		fmt.Printf("benchmark: %s (%s grain)  W=%d D=%d S1=%d threads=%d\n",
-			rc.bench, rc.grain, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)
+// startReal builds the runtime for rc. The lifecycle API: a deadline
+// context cancels a job mid-flight — its threads are poisoned at their
+// next scheduling points and the runtime drains before Shutdown returns.
+func startReal(rc realCfg) realRun {
+	r := realRun{workers: rc.workers}
+	r.kind, r.k = realKind(rc)
+	if r.workers <= 0 {
+		r.workers = rc.procs
 	}
-
 	cfg := grt.Config{
-		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
+		Workers: r.workers, Sched: r.kind, K: r.k, Seed: rc.seed,
 		MeasureContention: rc.measure,
 	}
-	var rec *rtrace.Recorder
 	if rc.trace != "" {
-		rec = rtrace.NewRecorder(workers, rc.tracebuf)
-		cfg.Probe = rec
+		r.rec = rtrace.NewRecorder(r.workers, rc.tracebuf)
+		cfg.Probe = r.rec
 	}
-	// The lifecycle API: a deadline context cancels the job mid-flight —
-	// its threads are poisoned at their next scheduling points and the
-	// runtime drains before Shutdown returns.
-	root, err := grt.SpecBody(spec, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
-	}
-	ctx := context.Background()
 	if rc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.timeout)
-		defer cancel()
+		r.ctx, r.cancel = context.WithTimeout(context.Background(), rc.timeout)
+	} else {
+		r.ctx, r.cancel = context.WithCancel(context.Background())
 	}
 	rt, err := grt.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
 		os.Exit(1)
 	}
-	job, err := rt.Submit(ctx, root)
+	r.rt = rt
+	return r
+}
+
+// writeTrace, with -trace, writes the Chrome trace_event file of the
+// finished run and returns its summary (nil without -trace).
+func (r realRun) writeTrace(path string) *rtrace.Summary {
+	if r.rec == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
+		os.Exit(1)
+	}
+	if err := rtrace.Export(f, r.rec.Meta(), r.rec.Events(), r.rec.Dropped()); err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dfdsim: writing trace: %v\n", err)
+		os.Exit(1)
+	}
+	s := rtrace.Summarize(r.rec.Meta(), r.rec.Events(), r.rec.Dropped())
+	return &s
+}
+
+// runReal executes the workload on the real goroutine-backed runtime and
+// prints its stats, including the contention counters; with -trace it
+// records every scheduling event and writes a Chrome trace_event file.
+func runReal(spec *dag.ThreadSpec, rc realCfg) {
+	sm := dag.Measure(spec)
+	if !rc.json {
+		fmt.Printf("benchmark: %s (%s grain)  W=%d D=%d S1=%d threads=%d\n",
+			rc.bench, rc.grain, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)
+	}
+	root, err := grt.SpecBody(spec, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
+		os.Exit(1)
+	}
+	r := startReal(rc)
+	defer r.cancel()
+	kind, k, workers := r.kind, r.k, r.workers
+	job, err := r.rt.Submit(r.ctx, root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
 		os.Exit(1)
 	}
 	js, jerr := job.Wait()
-	rt.Shutdown(context.Background())
+	r.rt.Shutdown(context.Background())
 	if jerr != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", jerr)
 		os.Exit(1)
 	}
-	st := rt.Stats(js)
-
-	var sum *rtrace.Summary
-	if rec != nil {
-		f, err := os.Create(rc.trace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Export(f, rec.Meta(), rec.Events(), rec.Dropped()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		s := rtrace.Summarize(rec.Meta(), rec.Events(), rec.Dropped())
-		sum = &s
-	}
+	st := r.rt.Stats(js)
+	sum := r.writeTrace(rc.trace)
 
 	if rc.json {
 		obj := map[string]any{
@@ -442,35 +436,12 @@ func runScenario(name string, scale int, rc realCfg) {
 		fmt.Fprintf(os.Stderr, "dfdsim: unknown scenario %q (pipeline|stream|taskgraph)\n", name)
 		os.Exit(2)
 	}
-	kind, k := realKind(rc)
-	workers := rc.workers
-	if workers <= 0 {
-		workers = rc.procs
-	}
 	scfg := workload.ScenarioConfig{Seed: rc.seed, Scale: scale}
-
-	cfg := grt.Config{
-		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		MeasureContention: rc.measure,
-	}
-	var rec *rtrace.Recorder
-	if rc.trace != "" {
-		rec = rtrace.NewRecorder(workers, rc.tracebuf)
-		cfg.Probe = rec
-	}
-	ctx := context.Background()
-	if rc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.timeout)
-		defer cancel()
-	}
-	rt, err := grt.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
-	}
-	checksum, err := sc.Run(ctx, rt, scfg)
-	rt.Shutdown(context.Background())
+	r := startReal(rc)
+	defer r.cancel()
+	kind, k, workers := r.kind, r.k, r.workers
+	checksum, err := sc.Run(r.ctx, r.rt, scfg)
+	r.rt.Shutdown(context.Background())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %s: %v\n", sc.Name, err)
 		os.Exit(1)
@@ -481,24 +452,7 @@ func runScenario(name string, scale int, rc realCfg) {
 			sc.Name, checksum, want)
 		os.Exit(1)
 	}
-
-	var sum *rtrace.Summary
-	if rec != nil {
-		f, err := os.Create(rc.trace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Export(f, rec.Meta(), rec.Events(), rec.Dropped()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		s := rtrace.Summarize(rec.Meta(), rec.Events(), rec.Dropped())
-		sum = &s
-	}
+	sum := r.writeTrace(rc.trace)
 
 	if rc.json {
 		obj := map[string]any{

@@ -164,24 +164,15 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "DFD"
 	}
-	var s machine.Scheduler
-	switch cfg.Scheduler {
-	case "DFD":
-		d := sched.NewDFDeques(cfg.K)
+	s, ok := sched.New(cfg.Scheduler, cfg.K)
+	if !ok {
+		return SimMetrics{}, fmt.Errorf("dfdeques: unknown scheduler %q", cfg.Scheduler)
+	}
+	if cfg.Scheduler == "DFD" {
+		d := s.(*sched.DFDeques)
 		d.TargetSpace = cfg.AdaptiveTarget
 		d.StealFromTop = cfg.StealFromTop
 		d.FullWindow = cfg.FullWindow
-		s = d
-	case "DFD-inf":
-		s = sched.NewDFDeques(0)
-	case "WS":
-		s = sched.NewWS()
-	case "ADF":
-		s = sched.NewADF(cfg.K)
-	case "FIFO":
-		s = sched.NewFIFO()
-	default:
-		return SimMetrics{}, fmt.Errorf("dfdeques: unknown scheduler %q", cfg.Scheduler)
 	}
 	m := machine.New(machine.Config{
 		Procs:           cfg.Procs,

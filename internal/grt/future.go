@@ -2,7 +2,6 @@ package grt
 
 import (
 	"errors"
-	"sync"
 
 	"dfdeques/internal/rtrace"
 )
@@ -24,10 +23,9 @@ var errFutureReset = errors.New("grt: Future set twice")
 //
 // The zero value is an unset Future. Set must be called at most once.
 type Future struct {
-	mu      sync.Mutex
-	set     bool
-	value   any
-	waiters []*T
+	blocker
+	set   bool
+	value any
 }
 
 // put writes the value and returns the readers to wake. Emptying the waiter list under f.mu is what
@@ -49,46 +47,23 @@ func (f *Future) put(v any) ([]*T, error) {
 	return woken, nil
 }
 
-// getOrWait reports whether the value is already set; if not, t is queued
-// as a reader to wake and its worker (w) must pick other work. Called by
-// workers, not threads. The block event is recorded under f.mu so it is
-// sequenced before the setting worker's wake of t; the reader is also
-// registered with its job for the cancel sweep (see Mutex.acquire for the
-// poisoning race this resolves).
+// getOrWait reports whether the value is already set; if not, t is
+// promoted and queued as a reader (blocker.block), as agent of worker w,
+// and must suspend. A set future promotes nothing.
 func (f *Future) getOrWait(w int, t *T) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.set {
 		return true
 	}
-	f.waiters = append(f.waiters, t)
-	if !t.job.registerBlocked(t, f) {
-		f.waiters = f.waiters[:len(f.waiters)-1]
-		return true // poisoned: keep "running"; the next resume kills t
-	}
-	t.rt.trace(w, rtrace.EvBlock, t.tid, rtrace.BlockFuture, 0)
-	return false
-}
-
-// cancelWait implements blocker: the job cancel sweep removes t from the
-// reader list so it can be republished to die. False means a concurrent
-// put already claimed (and is waking) t.
-func (f *Future) cancelWait(t *T) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, wt := range f.waiters {
-		if wt == t {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return true
-		}
-	}
+	f.block(w, t, rtrace.BlockFuture)
 	return false
 }
 
 // Set writes the future's value and wakes all readers. Calling Set twice
 // is an error, reported through the runtime. The write and the wakes run
 // inline — they publish the *readers'* frames, never the running one, so
-// no yield is needed.
+// the thread keeps the processor.
 func (f *Future) Set(t *T, v any) {
 	rt := t.rt
 	if t.job.poisoned.Load() {
@@ -107,28 +82,16 @@ func (f *Future) Set(t *T, v any) {
 	}
 }
 
-// tryGet reports whether the value is already set — Get's inline fast
-// path. Like Mutex.tryAcquire it never queues the
-// running frame as a reader; the unset case parks and the pump queues it.
-func (f *Future) tryGet() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
-}
-
 // Get returns the future's value, suspending t until it is set.
 func (f *Future) Get(t *T) any {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	ok := f.tryGet()
-	if !ok {
-		// Unset: park; the pump re-checks under f.mu (a concurrent Set
-		// may have landed) and queues the frame as a reader.
-		t.park(t.w, event{kind: evFutureGet, fut: f})
+	if w := t.w; !f.getOrWait(w, t) {
+		t.suspend(w)
 	}
 	// Either way f.set now holds, and the set happened-before this read
-	// through f.mu (fast path) or the wake handoff (parked path).
+	// through f.mu (set already) or the wake handoff (suspended).
 	return f.value
 }
 

@@ -4,8 +4,8 @@
 // pluggable scheduling policy (internal/policy): DFDeques(K) (the paper's
 // algorithm, §3), WS (the Blumofe & Leiserson work stealer — DFDeques(∞),
 // §3.3), ADF(K) (the depth-first baseline), or FIFO (the original library
-// scheduler). The worker loop is policy-agnostic — one event loop drives
-// whatever policy Config selects; the same policies, through thin
+// scheduler). The engine is policy-agnostic — one engine drives whatever
+// policy Config selects; the same policies, through thin
 // adapters, also drive the machine simulator (internal/sched).
 //
 // The paper's implementation serializes all scheduling state — the deque
@@ -20,9 +20,12 @@
 //
 // The policy is consulted at exactly the paper's scheduling points: fork,
 // join on a live child, quota-checked allocation, lock block, dummy
-// execution, and termination. A thread runs most of them on its own
-// goroutine as agent of its worker — at the two give-ups (quota, dummy) it
-// makes the steal itself (§5) — and yields only to block or to terminate.
+// execution, and termination. A thread runs every one of them on its own
+// goroutine as agent of its worker (§5: the scheduler runs on the thread
+// that gives up the processor): at a give-up (quota, dummy) it makes the
+// steal itself, at a block it queues itself and takes the worker's next
+// thread, at its exit it runs Terminate — and it hands the worker role back
+// with that choice.
 //
 // Execution is work-first: Fork publishes the forked closure and the
 // forking thread keeps running inline; Join claims the closure back with a
@@ -41,9 +44,10 @@
 // on the real runtime's history.
 //
 // Workers hand threads off synchronously: a worker resumes a thread's
-// goroutine and sleeps on its yield channel until the next event arrives
-// (Stats.Handoffs), so at most Workers user goroutines execute user code at
-// any instant — the runtime schedules threads, not the Go scheduler.
+// goroutine and sleeps on its yield channel until the thread hands the role
+// back with the next thread to run (Stats.Handoffs), so at most Workers
+// user goroutines execute user code at any instant — the runtime schedules
+// threads, not the Go scheduler.
 //
 // The runtime is a long-lived service: New starts the worker pool once,
 // Submit runs any number of root computations (concurrently and
@@ -137,7 +141,7 @@ type Stats struct {
 	HeapHW          int64 // high-water of Alloc−Free bytes
 	HeapLive        int64 // final Alloc−Free balance (0 when frees match)
 	MaxDeques       int64 // high-water of the ready structure (len(R); p for WS; 1 for queues)
-	Handoffs        int64 // times a worker resumed a thread's goroutine and slept until its next event
+	Handoffs        int64 // times a worker resumed a thread's goroutine and slept until the role came back
 
 	// Contention counters. SchedLockOps counts exclusive acquisitions of
 	// the policy's serializing lock: the R spine for DFDeques, the queue
@@ -146,32 +150,6 @@ type Stats struct {
 	SchedLockOps int64
 	SchedLockNs  int64 // total ns workers spent waiting to acquire that lock
 	StealWaitNs  int64 // total ns spent acquiring a thread: idle workers, and threads re-stealing after a give-up
-}
-
-type evKind uint8
-
-// The events a thread yields to its worker: the blocking scheduling
-// points, plus termination. Everything else (fork, alloc, free, unlock,
-// future set, touch, dummy, the give-ups) runs inline on the thread's own
-// goroutine as agent of its worker.
-const (
-	evJoin evKind = iota
-	evLock
-	evFutureGet
-	// evReleased hands the worker role back after a give-up (§3.3) whose
-	// re-steal did not take the published frame back: self is no longer the
-	// worker's to resume, next is what the steal took instead (nil: none).
-	evReleased
-	evDone
-)
-
-type event struct {
-	kind  evKind
-	self  *T      // the thread that yielded the event: an inline frame, not necessarily the one the worker dispatched
-	child *T      // evJoin
-	next  *T      // evReleased
-	mu    *Mutex  // evLock
-	fut   *Future // evFutureGet
 }
 
 // T is a user-level thread handle, passed to every thread body. Methods on
@@ -189,7 +167,7 @@ type T struct {
 	// arbitrates.
 	started atomic.Bool
 	leaves  int64 // dummy leaves under this node of a §3.3 dummy tree: 1 is a dummy, 0 an ordinary thread
-	root    bool  // job root: released by evDone (nothing ever joins it)
+	root    bool  // job root: released by its own exit (nothing ever joins it)
 	tid     int64 // stable trace id: first root is 1, then submit/fork order; 0 with no probe
 
 	// The 1DF position, read by prioLess: the forking thread (nil for a job
@@ -235,7 +213,8 @@ func (t *T) finish() (woke *T) {
 
 // registerWaiter records waiter as the thread to wake when t terminates,
 // unless t is already done (reported as true: the parent keeps running).
-// The parent side of the join protocol, called by worker w. The block
+// The parent side of the join protocol, called by the promoted joiner as
+// agent of worker w; from true on, t's exit may dispatch it. The block
 // event is recorded under stateMu: the child's finish acquires the same
 // lock before its Terminate can dispatch the waiter, so the block's
 // sequence number always precedes the hand-off dispatch's.
@@ -252,8 +231,8 @@ func (t *T) registerWaiter(w int, waiter *T) (alreadyDone bool) {
 
 // isDone reports whether t has terminated. The atomic load is ordered
 // after every write of t's body: finish stores done on the thread's own
-// goroutine (or, for promoted frames, on the worker that received its
-// terminal yield), so an observer of true inherits the body's effects.
+// goroutine (an inline frame's in joinInline, a dispatched thread's in
+// exit), so an observer of true inherits the body's effects.
 func (t *T) isDone() bool {
 	return t.done.Load()
 }
@@ -304,9 +283,10 @@ type Runtime struct {
 	tids, jobIDs atomic.Int64
 	stealWaitNs  atomic.Int64
 	handoffs     []paddedCount
-	// yield[w] carries thread events to worker w: unbuffered, and w is its
-	// only receiver, whichever worker the reporting thread came from.
-	yield []chan event
+	// yield[w] hands worker w back its role from the thread that stopped
+	// running on it: the thread w runs next, nil to acquire. Unbuffered, and
+	// w is its only receiver.
+	yield []chan *T
 
 	// Idle parking (guarded by mu) plus a lock-free mirror of the waiter
 	// count so publishers can skip the wake-up lock when nobody sleeps.
@@ -348,7 +328,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.handoffs = make([]paddedCount, cfg.Workers)
-	rt.yield = make([]chan event, cfg.Workers)
+	rt.yield = make([]chan *T, cfg.Workers)
 	switch cfg.Sched {
 	case DFDeques:
 		rt.pol = policy.NewDFD(cfg.Workers, cfg.K, prioLess, cfg.Seed)
@@ -391,7 +371,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 
 	for w := 0; w < cfg.Workers; w++ {
-		rt.yield[w] = make(chan event)
+		rt.yield[w] = make(chan *T)
 		rt.wg.Add(1)
 		go func(w int) {
 			defer rt.wg.Done()
@@ -587,12 +567,12 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 
 // tPool recycles thread frames across forks. A terminated thread's frame
 // goes back to the pool once the last reference lets go — the joining
-// parent for ordinary threads (Join), the terminating worker for job
-// roots (evDone) — so the fork hot path allocates nothing in steady
+// parent for ordinary threads (Join), the root's own exit for job roots
+// — so the fork hot path allocates nothing in steady
 // state. A frame is born bare (the common inline fork+join never needs a
 // channel) and keeps the resume channel its first promotion gave it across
 // recycling: at release every token sent on it has been consumed (each
-// step's by the park, or the main, that waited for it).
+// step's by the handBack, or the main, that waited for it).
 var tPool = sync.Pool{New: func() any { return &T{} }}
 
 func (rt *Runtime) newT(body func(*T)) *T {
@@ -604,7 +584,7 @@ func (rt *Runtime) newT(body func(*T)) *T {
 
 // releaseT returns a dead thread's frame to the pool. The caller must be
 // the frame's last referent: the parent after Join observed isDone, or
-// the evDone handler for a job root. No frame of a poisoned job is pooled:
+// a job root's exit. No frame of a poisoned job is pooled:
 // its parents unwind without joining, so a dead frame may still be the
 // ancestor prioLess walks through from a live descendant — the garbage
 // collector reclaims the whole tree instead. (Poison is set before any
@@ -701,16 +681,19 @@ func (t *T) up() *T {
 
 // ---- Thread-side API -----------------------------------------------------
 
-// step resumes t on worker w and waits for the next event on w's yield
-// channel. Only the worker currently responsible for t may call it. This is
-// the promotion point for dispatched threads: a thread reaches a worker only
-// by being stolen, woken, or injected, and only then does it get a goroutine
-// (and, if it never had one, a resume channel). Setting t.w first is what
-// lets the resumed thread's inline code act as agent of worker w — the
-// channel handoff orders the write against every thread-side read. t may
-// still be running (it published itself and lost the race for its own
-// deque, see resteal): resume's one-slot buffer takes the token regardless.
-func (rt *Runtime) step(w int, t *T) event {
+// step resumes t on worker w and waits on w's yield channel until the
+// thread that stops running on w — t, or a frame of its chain — hands the
+// role back with the thread w runs next. Only the worker currently
+// responsible for t may call it. This is the promotion point for dispatched
+// threads: a thread reaches a worker only by being stolen, woken, or
+// injected, and only then does it get a goroutine (and, if it never had
+// one, a resume channel). Setting t.w first is what lets the resumed
+// thread's inline code act as agent of worker w — the channel handoff
+// orders the write against every thread-side read. t may still be running
+// (it published itself — queued as a waiter, or on a deque it gave up —
+// and has not yet handed its old worker back): resume's one-slot buffer
+// takes the token regardless.
+func (rt *Runtime) step(w int, t *T) *T {
 	t.w = w
 	if t.promote(0) {
 		go t.main()
@@ -724,7 +707,7 @@ func (rt *Runtime) step(w int, t *T) event {
 
 // promote makes a thread dispatchable by step: a worker about to start its
 // goroutine (flavor 0), or a frame running inline, on its chain's
-// goroutine, before it first parks or publishes itself (flavor 1). It gets a
+// goroutine, before it first publishes itself — blocks or gives up (flavor 1). It gets a
 // resume channel if no earlier life left it one and counts as started, so no
 // later join can claim it inline. It reports whether this call did that.
 func (t *T) promote(flavor int64) bool {
@@ -739,25 +722,34 @@ func (t *T) promote(flavor int64) bool {
 	return true
 }
 
-// park suspends a running thread to worker w — t.w, unless t has published
-// itself (resteal): the blocking path (join on a live child, contended
-// lock, unset future) and the return of the worker role. If the job was
-// poisoned meanwhile, resumption kills the thread instead of returning to
-// user code: the sentinel panic unwinds the goroutine (running user defers
-// on the way) and main reports the termination. The queuing of the frame
-// as a waiter happens worker-side after the yield is received.
-func (t *T) park(w int, ev event) {
-	t.promote(1)
-	ev.self = t
-	t.rt.yield[w] <- ev
-	<-t.resume
+// handBack returns worker w's role to it with next, the thread w runs
+// instead of t (nil: w acquires), and waits for t's own dispatch — unless
+// next is t, which just goes on. It ends every stop but termination: a
+// block (suspend) and a give-up (resteal, joinInline after a dummy).
+// t is published by then, so it uses w, never t.w, until resume. If the job
+// was poisoned meanwhile, the thread dies instead of returning to user code:
+// the sentinel panic unwinds the goroutine (running user defers on the way)
+// and main reports the termination. That holds when next is t too: the
+// cancel sweep may have republished a blocked t, and the pick took it back —
+// no wake, so no lock held and no value set.
+func (t *T) handBack(w int, next *T) {
+	if next != t {
+		t.rt.yield[w] <- next
+		<-t.resume
+	}
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
 }
 
+// suspend ends a block: t, promoted and queued as a waiter as agent of
+// worker w, picks w's next thread and hands the role back.
+func (t *T) suspend(w int) {
+	t.handBack(w, t.rt.next(w))
+}
+
 // poisonSentinel is the panic value that unwinds a poisoned thread's
-// goroutine: when a canceled job's thread is resumed, park panics with it,
+// goroutine: when a canceled job's thread is resumed, handBack panics with it,
 // user frames unwind (their defers run), and main's recover swallows it —
 // a poison unwind is the cancellation working, not a failure.
 type poisonUnwind struct{}
@@ -779,7 +771,7 @@ func (t *T) main() {
 				t.job.cancel(err)
 			}
 		}
-		t.rt.yield[t.w] <- event{kind: evDone, self: t}
+		t.exit()
 	}()
 	if t.job.poisoned.Load() {
 		return // canceled before its first dispatch: die without running
@@ -788,6 +780,40 @@ func (t *T) main() {
 	if len(t.unjoined) > 0 {
 		panic(fmt.Sprintf("nested-parallel violation: %d forked children not joined", len(t.unjoined)))
 	}
+}
+
+// exit is a dispatched thread's termination, run on its own goroutine as
+// agent of its worker: the completion bookkeeping, the policy's Terminate,
+// and the hand-back of what that picked. Everything it needs from the frame
+// is read before finish: the moment finish publishes done, a joining parent
+// on another worker may observe it, release the frame to the pool, and a
+// third worker may already be reusing it. The live count drops before done
+// is published, or a joiner polling isDone could fork while the dead thread
+// still counts.
+func (t *T) exit() {
+	rt, w, j, isRoot := t.rt, t.w, t.job, t.root
+	rt.trace(w, rtrace.EvComplete, t.tid, 0, 0)
+	last := j.live.Add(-1) == 0
+	woke := t.finish()
+	if isRoot {
+		// Nothing ever joins a job root, so its exit is its last referent
+		// and recycles the frame itself.
+		releaseT(t)
+	}
+	if last {
+		rt.finishJob(w, j)
+	}
+	next, ok := rt.pol.Terminate(w, woke, woke != nil)
+	if ok {
+		rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
+	} else {
+		// The policy may have republished work (the dummy-thread give-up
+		// leaves the deque stealable); wake conservatively, now that the
+		// ready state the idlers re-check is raised.
+		next = nil
+		rt.wakeIdlers()
+	}
+	rt.yield[w] <- next
 }
 
 // Fork creates a child thread running body and keeps running the parent;
@@ -836,8 +862,10 @@ func (t *T) fork(body func(*T), leaves int64) *T {
 // thieves, undisplaced by woken threads — the conditional pop removes it
 // there and the parent runs the child's body in its own frame, paying no
 // channel handoff and no goroutine. Otherwise the child is live elsewhere
-// (stolen, or a global-queue policy owns it) and the parent parks. A dummy is
-// claimed like any other child (its end republishes the joiner: joinInline).
+// (stolen, or a global-queue policy owns it) and the parent, promoted,
+// registers as its waiter and suspends — unless the registration finds it
+// done. A dummy is claimed like any other child (its end republishes the
+// joiner: joinInline).
 func (t *T) Join(h *T) {
 	if len(t.unjoined) == 0 || t.unjoined[len(t.unjoined)-1] != h {
 		panic("grt: Join order must be LIFO with the thread's own children")
@@ -854,8 +882,8 @@ func (t *T) Join(h *T) {
 		}
 		if !h.started.Load() && rt.pol.JoinPop(t.w, h) {
 			// The parent logically suspends and the child is dispatched
-			// in its place — the same block/dispatch pair the pump emits
-			// for a parked join, so dispatch conservation holds.
+			// in its place — the same block/dispatch pair a suspended
+			// join emits, so dispatch conservation holds.
 			rt.trace(t.w, rtrace.EvBlock, t.tid, rtrace.BlockJoin, h.tid)
 			rt.trace(t.w, rtrace.EvDispatch, h.tid, rtrace.SrcInline, 0)
 			t.joinInline(h)
@@ -864,12 +892,16 @@ func (t *T) Join(h *T) {
 			releaseT(h)
 			return
 		}
-		t.park(t.w, event{kind: evJoin, child: h})
+		w := t.w
+		t.promote(1) // before registering: h's exit may dispatch t at once
+		if !h.registerWaiter(w, t) {
+			t.suspend(w)
+		}
 	}
 }
 
 // joinInline runs the claimed child's body in the parent's goroutine. The
-// completion bookkeeping mirrors the pump's evDone handler minus the
+// completion bookkeeping mirrors exit minus the
 // impossible cases: an inline child cannot be a job root, cannot have a
 // registered waiter (only its parent joins it, and the parent is here),
 // and cannot be its job's last live thread (the parent is still live).
@@ -901,9 +933,7 @@ func (t *T) joinInline(c *T) {
 			t.resteal(w) // DFDeques: t is pushed, the deque given up, a steal tried
 		} else {
 			rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
-			if next != t {
-				t.park(w, event{kind: evReleased, next: next})
-			}
+			t.handBack(w, next)
 		}
 	}()
 	c.body(c)
@@ -1013,7 +1043,7 @@ func (t *T) dummyNode() {
 // dummyPoint is a dummy leaf's one scheduling event (§3.3): the give-up mark,
 // set inline as agent of the running worker and consumed by the Terminate
 // after the dummy's completion — the joiner's when it claimed the dummy
-// inline (joinInline), the worker's after evDone when a thief took it first.
+// inline (joinInline), its own exit's when a thief took it first.
 func (t *T) dummyPoint() {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)

@@ -36,7 +36,7 @@ type Job struct {
 	// holds it while taking a synchronization object's lock.
 	mu      sync.Mutex
 	err     error
-	blocked map[*T]blocker // lock/future-parked threads, for the cancel sweep
+	blocked map[*T]*blocker // lock/future-blocked threads, for the cancel sweep
 
 	// Per-job accounting (the runtime keeps only global counters needed
 	// for scheduling itself).
@@ -59,12 +59,44 @@ type JobStats struct {
 	HeapLive       int64 // final Alloc−Free balance (0 when frees match)
 }
 
-// blocker is a synchronization object a thread can park on (Mutex,
-// Future). cancelWait removes t from the object's waiter list, reporting
-// false if a concurrent wake already claimed it — whoever removes the
-// thread from the waiter list owns its republication.
-type blocker interface {
-	cancelWait(t *T) bool
+// blocker is the wait queue of a synchronization object a thread can block
+// on, embedded in Mutex and Future: mu guards the object's whole state.
+type blocker struct {
+	mu      sync.Mutex
+	waiters []*T
+}
+
+// block queues the running thread t as a waiter, as agent of worker w; the
+// caller holds b.mu, and suspends t once it lets go. t is promoted first: a
+// wake, from the queuing on, dispatches it. The waiter is also registered
+// with its job for the cancel sweep — under b.mu, so registration and
+// queuing are atomic against the sweep: if the job was poisoned first, the
+// registration is refused, the queuing rolled back, and t unwinds instead
+// of waiting beyond the sweep's reach. The block event is recorded under
+// b.mu so it is sequenced before the waker's dispatch of t.
+func (b *blocker) block(w int, t *T, why int64) {
+	t.promote(1)
+	b.waiters = append(b.waiters, t)
+	if !t.job.registerBlocked(t, b) {
+		b.waiters = b.waiters[:len(b.waiters)-1]
+		panic(poisonSentinel) // b.mu is released by the caller's deferred unlock
+	}
+	t.rt.trace(w, rtrace.EvBlock, t.tid, why, 0)
+}
+
+// cancelWait removes t from the waiter list for the job cancel sweep,
+// reporting false if a concurrent wake already claimed it — whoever removes
+// the thread from the waiter list owns its republication.
+func (b *blocker) cancelWait(t *T) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, wt := range b.waiters {
+		if wt == t {
+			b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Wait blocks until the job completes or its submission context is
@@ -134,19 +166,19 @@ func (j *Job) charge(n int64) {
 	}
 }
 
-// registerBlocked records t as parked on b for the cancel sweep. Called
+// registerBlocked records t as blocked on b for the cancel sweep. Called
 // with b's lock held (the m.mu → j.mu order), right after t joined b's
 // waiter list. It refuses (false) if the job was poisoned concurrently —
-// the caller must then remove t from the waiter list and let it run to
-// its death instead of parking it beyond the sweep's reach.
-func (j *Job) registerBlocked(t *T, b blocker) bool {
+// the caller must then remove t from the waiter list and unwind it instead
+// of suspending it beyond the sweep's reach.
+func (j *Job) registerBlocked(t *T, b *blocker) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.poisoned.Load() {
 		return false
 	}
 	if j.blocked == nil {
-		j.blocked = make(map[*T]blocker)
+		j.blocked = make(map[*T]*blocker)
 	}
 	j.blocked[t] = b
 	return true
@@ -203,7 +235,7 @@ func (j *Job) cancel(reason error) bool {
 	// ordered *before* j.mu.
 	j.mu.Lock()
 	swept := make([]*T, 0, len(j.blocked))
-	objs := make([]blocker, 0, len(j.blocked))
+	objs := make([]*blocker, 0, len(j.blocked))
 	for t, b := range j.blocked {
 		swept = append(swept, t)
 		objs = append(objs, b)

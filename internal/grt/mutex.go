@@ -2,7 +2,6 @@ package grt
 
 import (
 	"errors"
-	"sync"
 
 	"dfdeques/internal/rtrace"
 )
@@ -24,19 +23,13 @@ var errUnlockNotHeld = errors.New("grt: Unlock of a mutex the thread does not ho
 // The zero value is an unlocked mutex. Lock and Unlock must be called with
 // the calling thread's *T.
 type Mutex struct {
-	mu      sync.Mutex
-	holder  *T
-	waiters []*T
+	blocker
+	holder *T
 }
 
-// acquire attempts to take m for t on worker w, reporting success; on
-// failure t is queued as a waiter and its worker must pick other work.
-// Called by workers, not threads. The block event is recorded under m.mu
-// so it is sequenced before the releasing worker's wake of t. The waiter
-// is also registered with its job for the cancel sweep — under m.mu, so
-// registration and parking are atomic against the sweep: if the job was
-// poisoned first, the park is rolled back and t runs on to its death at
-// the next resume instead of waiting beyond the sweep's reach.
+// acquire takes m for t, as agent of worker w, reporting success; if m is
+// held, t is promoted and queued as a waiter (blocker.block) and must
+// suspend. An uncontended acquire promotes nothing and allocates nothing.
 func (m *Mutex) acquire(w int, t *T) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -44,12 +37,7 @@ func (m *Mutex) acquire(w int, t *T) bool {
 		m.holder = t
 		return true
 	}
-	m.waiters = append(m.waiters, t)
-	if !t.job.registerBlocked(t, m) {
-		m.waiters = m.waiters[:len(m.waiters)-1]
-		return true // poisoned: keep "running"; the next resume kills t
-	}
-	t.rt.trace(w, rtrace.EvBlock, t.tid, rtrace.BlockLock, 0)
+	m.block(w, t, rtrace.BlockLock)
 	return false
 }
 
@@ -75,56 +63,20 @@ func (m *Mutex) release(t *T) (*T, error) {
 	return next, nil
 }
 
-// cancelWait implements blocker: the job cancel sweep removes t from the
-// waiter list so it can be republished to die. False means a concurrent
-// release already claimed (and is waking) t.
-func (m *Mutex) cancelWait(t *T) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, wt := range m.waiters {
-		if wt == t {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// tryAcquire takes m for t iff it is free — Lock's inline fast path. It
-// never queues a waiter: that would publish the running frame while the
-// thread is still executing. A give-up may do that (T.resteal) because the
-// frame can race for its own deque and take itself back; a waiter list is
-// drained by another thread's Unlock, so there is nothing to take back —
-// the contended case parks and the worker queues the frame instead.
-func (m *Mutex) tryAcquire(t *T) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.holder == nil {
-		m.holder = t
-		return true
-	}
-	return false
-}
-
-// Lock acquires m, suspending t until it is available.
+// Lock acquires m, suspending t until it is available. Resumption after a
+// suspend implies a releasing thread handed the lock to t.
 func (m *Mutex) Lock(t *T) {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
-	ok := m.tryAcquire(t)
-	if ok {
-		return
+	if w := t.w; !m.acquire(w, t) {
+		t.suspend(w)
 	}
-	// Contended: park; the pump re-runs the full acquire (the holder may
-	// have released in between) and queues the frame on failure.
-	// Resumption implies the worker either acquired the lock or a
-	// releasing thread handed it to us.
-	t.park(t.w, event{kind: evLock, mu: m})
 }
 
 // Unlock releases m, waking the longest-waiting thread if any. The release
 // and wake run inline — they publish the *waiter's* frame, never the
-// running one, so no yield is needed.
+// running one, so the thread keeps the processor.
 func (m *Mutex) Unlock(t *T) {
 	rt := t.rt
 	if t.job.poisoned.Load() {

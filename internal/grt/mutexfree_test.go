@@ -15,11 +15,11 @@ import (
 // TestForkPathMutexFree pins the fork path the way
 // policy.TestStealPathMutexFree pins the steal path: depth-12 fork trees
 // on 4 workers under a 1-in-1 mutex profile, and no contended acquisition
-// may be reached from a thread's fork, its inline join, or the worker
-// loop's own termination handling — the paths that used to take the
-// global priority lock twice per thread. The profile only samples
-// contended acquisitions, and the locks those paths still legitimately
-// reach are named below and are not runtime-global per-fork locks.
+// may be reached from a thread's fork, its inline join, its exit or its
+// suspension at a join — the paths that used to take the global priority
+// lock twice per thread. The profile only samples contended acquisitions,
+// and the locks those paths still legitimately reach are named below and
+// are not runtime-global per-fork locks.
 func TestForkPathMutexFree(t *testing.T) {
 	old := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(old)
@@ -83,15 +83,21 @@ func forkPathLock(stack []string) string {
 			// nobody spins) and the frame pool re-registering with the Go
 			// runtime after a GC: neither is per fork.
 			return ""
+		case has(frame, "grt.(*T).registerWaiter") && i+1 < len(stack) && has(stack[i+1], "grt.(*T).Join"):
+			// The join protocol's per-thread lock, contended by a finishing
+			// child, taken by a joiner that found the child live elsewhere
+			// (under joinInline too, when the joiner runs inline).
+			return ""
 		case has(frame, "grt.(*T).fork", "grt.(*Runtime).noteFork", "grt.(*T).joinInline"):
 			return "on the fork path (" + frame + ")"
-		case has(frame, "grt.(*Runtime).worker"):
-			// The loop itself may block only in what it calls by name: the
-			// join protocol's per-thread lock, job retirement (once a job),
-			// the policy's own locks, and idle parking.
+		case has(frame, "grt.(*Runtime).worker", "grt.(*T).exit", "grt.(*T).suspend"):
+			// The worker loop, a thread's exit and a join's suspension may
+			// block only in what they call by name: the join protocol's
+			// per-thread lock, job retirement (once a job), the policy's own
+			// locks, and idle parking.
 			if i > 0 && !has(stack[i-1], "grt.(*T).finish", "grt.(*T).registerWaiter",
 				"grt.(*Runtime).finishJob", "grt.(*Runtime).acquire", "grt.(*Runtime).next", "internal/policy.") {
-				return "in the worker loop, via " + stack[i-1]
+				return "in " + frame + ", via " + stack[i-1]
 			}
 			return ""
 		}

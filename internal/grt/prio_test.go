@@ -66,7 +66,7 @@ func (s *orderScript) fork(t *T) {
 }
 
 // die terminates a thread with no unjoined children: a root's frame is
-// released on the spot (evDone), any other waits for its parent's join.
+// released on the spot (its exit), any other waits for its parent's join.
 func (s *orderScript) die(t *T) {
 	i := s.indexOf(t)
 	s.list.Delete(s.rec[i])

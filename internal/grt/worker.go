@@ -13,108 +13,37 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // This file is the runtime's one worker loop — the Figure 5 scheduling
 // loop, driving whatever policy.Policy Config selected. The engine owns
 // parking, heap accounting, priorities and the join protocol; every
-// ready-thread decision is the policy's.
+// ready-thread decision is the policy's, and the thread that stops running
+// asks for it as agent of its worker: at a give-up (resteal), a block
+// (suspend) or its exit (exit). The worker only acquires and resumes.
 //
-// Each event takes only the locks the policy internally needs: the R spine
-// on a steal or a give-up (one section for a give-up and its steal), the
-// queue mutex on a queue take, nothing at all for fork, own-deque pops, or
-// alloc/free — deque item operations are lock-free end to end. Those locks
-// are leaves (see core.SharedPool; deques carry no lock): the priority
-// comparison called under them (prioLess) takes no lock. rt.mu is only ever
-// held to park or wake idle workers, never while consulting the policy.
+// Each decision takes only the locks the policy internally needs: the R
+// spine on a steal or a give-up (one section for a give-up and its steal),
+// the queue mutex on a queue take, nothing at all for fork, own-deque pops,
+// or alloc/free — deque item operations are lock-free end to end. Those
+// locks are leaves (see core.SharedPool; deques carry no lock): the
+// priority comparison called under them (prioLess) takes no lock. rt.mu is
+// only ever held to park or wake idle workers, never while consulting the
+// policy.
+//
+// Cancellation costs one atomic load at each scheduling point, on the
+// thread: a poisoned thread has no further effects — no child is created,
+// no lock or future waiter queued (blocker.block), no quota charged — and
+// unwinds with the poison sentinel. Threads already in deques or queues drain the same way:
+// dispatch, poison check, death — so the ready structures purge themselves
+// through ordinary pops and steals, never violating the Lemma 3.1 order.
 
-// worker is one virtual processor: it acquires a thread, drives it from
-// scheduling event to scheduling event, and consults the policy at each
-// event.
+// worker is one virtual processor: it acquires a thread and resumes it
+// until the role comes back empty-handed.
 func (rt *Runtime) worker(w int) {
 	var curr *T
 	for {
 		if curr == nil {
-			curr = rt.acquire(w)
-			if curr == nil {
+			if curr = rt.acquire(w); curr == nil {
 				return // runtime shut down
 			}
 		}
-		ev := rt.step(w, curr)
-		if ev.kind == evReleased {
-			// ev.self is published (resteal), not this worker's to resume,
-			// poisoned or not; what it stole instead is dispatched already.
-			curr = ev.next
-			continue
-		}
-		// The event may come from a frame running inline deeper in curr's
-		// chain — a child claimed by an inline join that then blocked. The
-		// yielding frame is the one every handler below must act on (and
-		// the one to redispatch to resume the chain).
-		curr = ev.self
-
-		// Cancellation check: one atomic load per scheduling event, the
-		// lifecycle's entire cost on the hot path. A poisoned thread's
-		// event has no effects — no child is created, no waiter queued,
-		// no quota charged — and the thread dies at its next resume (park
-		// panics with the poison sentinel), which yields the
-		// evDone handled normally below. Threads already in deques or
-		// queues drain the same way: dispatch, poison check, death — so
-		// the ready structures purge themselves through ordinary pops and
-		// steals, never violating the Lemma 3.1 order.
-		if ev.kind != evDone && curr.job.poisoned.Load() {
-			continue
-		}
-
-		switch ev.kind {
-		case evJoin:
-			if ev.child.registerWaiter(w, curr) {
-				// Lost race resolved: the child finished before we could
-				// register; keep running the parent.
-				break
-			}
-			curr = rt.next(w)
-
-		case evLock:
-			if ev.mu.acquire(w, curr) {
-				break // lock acquired; keep running
-			}
-			curr = rt.next(w)
-
-		case evFutureGet:
-			if ev.fut.getOrWait(w, curr) {
-				break // value available; keep running
-			}
-			curr = rt.next(w)
-
-		case evDone:
-			dying := curr
-			rt.trace(w, rtrace.EvComplete, dying.tid, 0, 0)
-			// Everything this handler needs from the dying frame is read
-			// before finish: the moment finish publishes done, a joining
-			// parent on another worker may observe it, release the frame
-			// to the pool, and a third worker may already be reusing it.
-			// The live count drops before done is published, or a joiner
-			// polling isDone could fork while the dead thread still counts.
-			j := dying.job
-			isRoot := dying.root
-			last := j.live.Add(-1) == 0
-			woke := dying.finish()
-			if isRoot {
-				// Nothing ever joins a job root, so the terminating worker
-				// is its last referent and recycles the frame itself.
-				releaseT(dying)
-			}
-			if last {
-				rt.finishJob(w, j)
-			}
-			next, ok := rt.pol.Terminate(w, woke, woke != nil)
-			if ok {
-				rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
-				curr = next
-			} else {
-				// The policy may have republished work (the dummy-thread
-				// give-up leaves the deque stealable); wake conservatively,
-				// now that the ready state the idlers re-check is raised.
-				curr = nil
-				rt.wakeIdlers()
-			}
-		}
+		curr = rt.step(w, curr)
 	}
 }
 
@@ -298,9 +227,7 @@ func (t *T) resteal(w int) {
 			rt.acquired(w, x, start)
 		}
 	}
-	if next != t {
-		t.park(w, event{kind: evReleased, next: next})
-	}
+	t.handBack(w, next)
 }
 
 // jobsInFlight reports whether any job is registered. A job enters the

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"dfdeques/internal/dag"
+	"dfdeques/internal/machine"
 	"dfdeques/internal/stats"
 	"dfdeques/internal/workload"
 )
@@ -27,7 +28,7 @@ func Fig01Summary(o Options) *stats.Table {
 		spec := w.Build(grain)
 		var thr, miss, spd []string
 		for _, s := range scheds {
-			met := run(spec, s, o.K, realism(o.Procs, o.Seed))
+			met := run(spec, s, o.K, machine.Realism(o.Procs, o.Seed))
 			thr = append(thr, stats.I(met.MaxLiveThreads))
 			miss = append(miss, stats.F(met.MissRate(), 1))
 			spd = append(spd, stats.F(speedup(spec, s, o.K, o.Procs, o.Seed, false), 2))
@@ -51,7 +52,7 @@ func Fig11ThreadCounts(o Options) *stats.Table {
 			total := dag.CountThreads(spec)
 			row := []string{w.Name, g.String(), stats.I(total)}
 			for _, s := range []string{"FIFO", "ADF", "DFD", "DFD-inf"} {
-				met := run(spec, s, o.K, realism(o.Procs, o.Seed))
+				met := run(spec, s, o.K, machine.Realism(o.Procs, o.Seed))
 				row = append(row, stats.I(met.MaxLiveThreads))
 			}
 			t.Add(row...)
@@ -98,7 +99,7 @@ func Fig13MemVsProcs(o Options) *stats.Table {
 	for _, p := range procs {
 		row := []string{stats.I(p)}
 		for _, s := range []string{"ADF", "DFD", "Cilk"} {
-			met := run(spec, s, o.K, realism(p, o.Seed))
+			met := run(spec, s, o.K, machine.Realism(p, o.Seed))
 			row = append(row, stats.MB(met.HeapHW))
 		}
 		t.Add(row...)
@@ -126,7 +127,7 @@ func Fig14HeapHW(o Options) *stats.Table {
 			spec := w.Build(g)
 			row := []string{w.Name, g.String()}
 			for _, s := range []string{"FIFO", "ADF", "DFD", "DFD-inf"} {
-				met := run(spec, s, o.K, realism(o.Procs, o.Seed))
+				met := run(spec, s, o.K, machine.Realism(o.Procs, o.Seed))
 				row = append(row, stats.MB(met.HeapHW))
 			}
 			t.Add(row...)
@@ -152,7 +153,7 @@ func Fig15KTradeoff(o Options) *stats.Table {
 	}
 	spec := workload.DenseMM(grain)
 	for _, k := range ks {
-		met := run(spec, "DFD", k, realism(o.Procs, o.Seed))
+		met := run(spec, "DFD", k, machine.Realism(o.Procs, o.Seed))
 		gran := float64(met.LocalDispatches)
 		if met.Steals > 0 {
 			gran /= float64(met.Steals)

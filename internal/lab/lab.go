@@ -6,7 +6,6 @@
 package lab
 
 import (
-	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/sched"
@@ -35,47 +34,23 @@ func DefaultOptions() Options {
 	return Options{Procs: 8, K: 3_000, Seed: 1}
 }
 
-// realism is the §5 cost model: per-processor caches with a miss penalty
-// (locality → time), a lock-protected deque list (steal latency), a
-// contended global queue (queue latency), and 8 kB thread stacks. The
-// rates are identical for every scheduler, so between-scheduler
-// comparisons depend only on scheduling behaviour. DESIGN.md §3 documents
-// the substitution.
-func realism(procs int, seed int64) machine.Config {
-	return machine.Config{
-		Procs:              procs,
-		Seed:               seed,
-		MissPenalty:        20,
-		Cache:              cache.Config{CapacityBytes: 32 << 10, LineBytes: 64},
-		StackBytes:         8192,
-		StealLatency:       6,
-		QueueLatency:       3,
-		MemPressureBytes:   2 << 20,
-		MemPressurePenalty: 60,
-	}
-}
-
 // pure is the §4.1 cost model with no extensions, used for the §6
 // simulator experiments and the theorem checks.
 func pure(procs int, seed int64) machine.Config {
 	return machine.Config{Procs: procs, Seed: seed}
 }
 
-// mkSched builds a fresh scheduler by report name.
+// mkSched builds a fresh scheduler by report name (sched.New); "Cilk", the
+// paper's figure name for work stealing, is WS.
 func mkSched(name string, k int64) machine.Scheduler {
-	switch name {
-	case "FIFO":
-		return sched.NewFIFO()
-	case "ADF":
-		return sched.NewADF(k)
-	case "DFD":
-		return sched.NewDFDeques(k)
-	case "DFD-inf":
-		return sched.NewDFDeques(0)
-	case "WS", "Cilk":
-		return sched.NewWS()
+	if name == "Cilk" {
+		name = "WS"
 	}
-	panic("lab: unknown scheduler " + name)
+	s, ok := sched.New(name, k)
+	if !ok {
+		panic("lab: unknown scheduler " + name)
+	}
+	return s
 }
 
 // run executes spec under the named scheduler and config.
@@ -92,8 +67,8 @@ func run(spec *dag.ThreadSpec, name string, k int64, cfg machine.Config) machine
 // model, the paper's definition (§5.2: speedups are relative to the
 // single-processor multithreaded execution).
 func speedup(spec *dag.ThreadSpec, name string, k int64, procs int, seed int64, spin bool) float64 {
-	c1 := realism(1, seed)
-	cp := realism(procs, seed)
+	c1 := machine.Realism(1, seed)
+	cp := machine.Realism(procs, seed)
 	c1.SpinLocks, cp.SpinLocks = spin, spin
 	t1 := run(spec, name, k, c1).Steps
 	tp := run(spec, name, k, cp).Steps

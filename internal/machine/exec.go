@@ -103,7 +103,7 @@ func (m *Machine) stepProc(p *proc) {
 		child.Waiter = t
 		m.setSuspended(t)
 		p.curr = nil
-		next := m.Sched.OnJoinSuspend(p.id, t)
+		next := m.Sched.OnSuspend(p.id)
 		m.resume(p, next)
 
 	case dag.OpAcquire:
@@ -125,7 +125,7 @@ func (m *Machine) stepProc(p *proc) {
 		l.waiters = append(l.waiters, t)
 		m.setBlocked(t)
 		p.curr = nil
-		next := m.Sched.OnBlocked(p.id, t)
+		next := m.Sched.OnSuspend(p.id)
 		m.resume(p, next)
 
 	case dag.OpRelease:

@@ -27,6 +27,26 @@ import (
 	"dfdeques/internal/om"
 )
 
+// Realism is the §5 cost model: per-processor caches with a miss penalty
+// (locality → time), a lock-protected deque list (steal latency), a
+// contended global queue (queue latency), and 8 kB thread stacks. The
+// rates are identical for every scheduler, so between-scheduler
+// comparisons depend only on scheduling behaviour. DESIGN.md §3 documents
+// the substitution.
+func Realism(procs int, seed int64) Config {
+	return Config{
+		Procs:              procs,
+		Seed:               seed,
+		MissPenalty:        20,
+		Cache:              cache.Config{CapacityBytes: 32 << 10, LineBytes: 64},
+		StackBytes:         8192,
+		StealLatency:       6,
+		QueueLatency:       3,
+		MemPressureBytes:   2 << 20,
+		MemPressurePenalty: 60,
+	}
+}
+
 // Config parameterizes a simulation.
 type Config struct {
 	Procs int   // number of processors (p ≥ 1)

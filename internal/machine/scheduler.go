@@ -32,15 +32,14 @@ type Scheduler interface {
 	// OnFork: processor p, running parent, executed a fork of child.
 	OnFork(p int, parent, child *Thread) *Thread
 
-	// OnJoinSuspend: p's thread t suspended at a join.
-	OnJoinSuspend(p int, t *Thread) *Thread
+	// OnSuspend: p's thread stopped running at a join on a live child or
+	// on a held lock; the machine has already recorded it as a waiter.
+	// It returns p's next thread (nil: p goes idle) — policy.Next's twin.
+	OnSuspend(p int) *Thread
 
 	// OnTerminate: p's thread t terminated. If t's termination woke t's
 	// suspended parent, woke is that parent (now runnable), else nil.
 	OnTerminate(p int, t *Thread, woke *Thread) *Thread
-
-	// OnBlocked: p's thread t blocked on a lock.
-	OnBlocked(p int, t *Thread) *Thread
 
 	// OnWake: thread t became runnable because processor p released the
 	// lock t was waiting on. The scheduler must store t; p keeps running

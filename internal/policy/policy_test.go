@@ -376,8 +376,8 @@ func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
 		// Worker 0 runs 5, which forked 9 and then the dummy 6; worker 1
 		// stole 9 and forked 10 from it. Worker 0 claims the dummy at its
 		// join and runs it; at its end Terminate — the same call from the
-		// joiner (joinInline) and from a worker that ran a stolen dummy
-		// (evDone) — pushes the joiner 5, gives the deque up and steals 5
+		// joiner (joinInline) and from a stolen dummy's own exit — pushes
+		// the joiner 5, gives the deque up and steals 5
 		// back or 10 from worker 1, and Acquire must hand that over.
 		d := policy.NewDFD(2, 0, less, 3)
 		d.Seed(5)

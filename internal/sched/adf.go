@@ -68,15 +68,8 @@ func (s *ADF) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *ADF) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *ADF) OnBlocked(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
+// OnSuspend implements machine.Scheduler.
+func (s *ADF) OnSuspend(p int) *machine.Thread { return s.dispatch(p) }
 
 // OnTerminate implements machine.Scheduler: a woken parent continues on
 // the same processor (it is the highest-priority ready thread the

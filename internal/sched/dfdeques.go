@@ -27,6 +27,27 @@ import (
 	"dfdeques/internal/policy"
 )
 
+// Names lists the report names New accepts.
+var Names = []string{"DFD", "DFD-inf", "WS", "ADF", "FIFO"}
+
+// New builds a fresh scheduler by report name (one of Names) with memory
+// threshold k where the scheduler takes one; false for an unknown name.
+func New(name string, k int64) (machine.Scheduler, bool) {
+	switch name {
+	case "DFD":
+		return NewDFDeques(k), true
+	case "DFD-inf":
+		return NewDFDeques(0), true
+	case "WS":
+		return NewWS(), true
+	case "ADF":
+		return NewADF(k), true
+	case "FIFO":
+		return NewFIFO(), true
+	}
+	return nil, false
+}
+
 // DFDeques is algorithm DFDeques(K) of §3.3. K is the memory threshold in
 // bytes; K = 0 means infinity, which makes the algorithm equivalent to the
 // WS work stealer for nested-parallel programs (§3.3).
@@ -161,15 +182,8 @@ func (s *DFDeques) OnFork(p int, parent, child *machine.Thread) *machine.Thread 
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *DFDeques) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *DFDeques) OnBlocked(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
+// OnSuspend implements machine.Scheduler.
+func (s *DFDeques) OnSuspend(p int) *machine.Thread { return s.popOwn(p) }
 
 // OnTerminate implements machine.Scheduler: if the dying thread woke its
 // suspended parent, the processor executes the parent next (for

@@ -51,15 +51,8 @@ func (s *FIFO) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return parent
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *FIFO) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *FIFO) OnBlocked(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
+// OnSuspend implements machine.Scheduler.
+func (s *FIFO) OnSuspend(p int) *machine.Thread { return s.dispatch(p) }
 
 // OnTerminate implements machine.Scheduler: a woken parent goes to the
 // back of the queue like any other runnable thread; the processor takes

@@ -73,15 +73,8 @@ func (s *WS) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *WS) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *WS) OnBlocked(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
+// OnSuspend implements machine.Scheduler.
+func (s *WS) OnSuspend(p int) *machine.Thread { return s.popOwn(p) }
 
 // OnTerminate implements machine.Scheduler: a woken parent is executed
 // immediately (footnote 5 of the paper: for nested-parallel programs the

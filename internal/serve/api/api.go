@@ -94,7 +94,8 @@ type JobRequest struct {
 	Spec *SpecNode `json:"spec,omitempty"`
 
 	// WorkScale sets spin iterations per unit work action for Tree/Spec
-	// jobs (0 = interpreter default).
+	// jobs, in [0, 4096] (0 = interpreter default, 8); a value outside
+	// the range is refused with 400.
 	WorkScale int `json:"work_scale,omitempty"`
 }
 

@@ -172,6 +172,8 @@ func TestSubmitErrors(t *testing.T) {
 		{"two shapes", JobRequest{Tenant: "alice", Scenario: "pipeline", Tree: &TreeSpec{Depth: 1}}, http.StatusBadRequest},
 		{"unknown scenario", JobRequest{Tenant: "alice", Scenario: "nope"}, http.StatusBadRequest},
 		{"tree too deep", JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: maxTreeDepth + 1}}, http.StatusBadRequest},
+		{"work scale negative", JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 1}, WorkScale: -1}, http.StatusBadRequest},
+		{"work scale too large", JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 1}, WorkScale: maxWorkScale + 1}, http.StatusBadRequest},
 		{"spec bad op", JobRequest{Tenant: "alice", Spec: &SpecNode{Instrs: []SpecInstr{{Op: "frob"}}}}, http.StatusBadRequest},
 		{"spec join without fork", JobRequest{Tenant: "alice", Spec: &SpecNode{Instrs: []SpecInstr{{Op: "join"}}}}, http.StatusBadRequest},
 	}

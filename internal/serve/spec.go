@@ -27,6 +27,7 @@ const (
 	maxScale      = 64
 	maxAllocBytes = 1 << 30
 	maxWorkUnits  = 1 << 20
+	maxWorkScale  = 4096 // spin iterations per work unit
 )
 
 // The wire types live in internal/serve/api (shared with the typed
@@ -69,6 +70,9 @@ func compile(req JobRequest, k int64) (runnable, error) {
 	}
 	if set != 1 {
 		return runnable{}, fmt.Errorf("exactly one of scenario, tree, spec must be set (got %d)", set)
+	}
+	if req.WorkScale < 0 || req.WorkScale > maxWorkScale {
+		return runnable{}, fmt.Errorf("work_scale must be in [0, %d], got %d", maxWorkScale, req.WorkScale)
 	}
 	switch {
 	case req.Scenario != "":
