@@ -1,26 +1,53 @@
 package core
 
+// Tests for SharedPool's serial-engine entries, BeginRound and StealFrom,
+// as the simulator drives them: one caller, rounds of arbitrated steals.
+
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dfdeques/internal/om"
 )
 
-// intPool builds a pool over ints where smaller = higher priority.
-func intPool(p int, seed int64) *Pool[int] {
-	return NewPool(p, func(a, b int) bool { return a < b }, rand.New(rand.NewSource(seed)))
+// stealAt starts a new round and has worker w steal from position c of R,
+// failing the test if the steal does not succeed.
+func stealAt(t *testing.T, pl *SharedPool[int], w, c int, fromTop bool) int {
+	t.Helper()
+	pl.BeginRound()
+	x, ok := pl.StealFrom(w, c, fromTop)
+	if !ok {
+		t.Fatalf("StealFrom(%d, %d, %v) failed on R = %v", w, c, fromTop, sharedLayout(pl))
+	}
+	return x
+}
+
+// census counts the threads in R and reports whether R holds an empty
+// unowned deque. Quiescent callers only.
+func census(pl *SharedPool[*om.Record]) (n int, emptyUnowned bool) {
+	for i := 0; i < pl.r.Len(); i++ {
+		d := pl.r.Kth(i)
+		k := len(d.Items())
+		n += k
+		emptyUnowned = emptyUnowned || (k == 0 && d.Owner == -1)
+	}
+	return n, emptyUnowned
 }
 
 func TestSeedAndFirstSteal(t *testing.T) {
-	pl := intPool(4, 1)
+	pl := intSharedPool(4, 1)
 	pl.Seed(10)
 	if !pl.HasWork() {
 		t.Fatal("seeded pool reports no work")
 	}
-	got := stealUntil(t, pl, 0)
-	if got != 10 {
+	pl.BeginRound()
+	if _, ok := pl.StealFrom(0, 1, false); ok {
+		t.Fatal("StealFrom past the end of R succeeded")
+	}
+	if got := stealAt(t, pl, 0, 0, false); got != 10 {
 		t.Fatalf("stole %d, want 10", got)
 	}
 	if !pl.Owns(0) {
@@ -31,22 +58,10 @@ func TestSeedAndFirstSteal(t *testing.T) {
 	}
 }
 
-// stealUntil retries until the random victim pick succeeds.
-func stealUntil(t *testing.T, pl *Pool[int], w int) int {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		if x, ok := pl.Steal(w); ok {
-			return x
-		}
-	}
-	t.Fatal("steal never succeeded")
-	return 0
-}
-
 func TestPushPopOwnLIFO(t *testing.T) {
-	pl := intPool(2, 2)
+	pl := intSharedPool(2, 2)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	pl.PushOwn(0, 5)
 	pl.PushOwn(0, 4) // higher priority pushed later (deeper fork)
 	if x, ok := pl.PopOwn(0); !ok || x != 4 {
@@ -68,9 +83,9 @@ func TestPushPopOwnLIFO(t *testing.T) {
 }
 
 func TestGiveUpLeavesDequeStealable(t *testing.T) {
-	pl := intPool(2, 3)
+	pl := intSharedPool(2, 3)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	pl.PushOwn(0, 7)
 	pl.GiveUp(0)
 	if pl.Owns(0) {
@@ -81,8 +96,7 @@ func TestGiveUpLeavesDequeStealable(t *testing.T) {
 	}
 	// Worker 1 steals the abandoned thread; the emptied unowned deque is
 	// deleted.
-	got := stealUntil(t, pl, 1)
-	if got != 7 {
+	if got := stealAt(t, pl, 1, 0, false); got != 7 {
 		t.Fatalf("stole %d, want 7", got)
 	}
 	if pl.Deques() != 1 { // only worker 1's new deque remains
@@ -91,42 +105,86 @@ func TestGiveUpLeavesDequeStealable(t *testing.T) {
 }
 
 func TestGiveUpEmptyDequeDeletes(t *testing.T) {
-	pl := intPool(2, 4)
+	pl := intSharedPool(2, 4)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	pl.GiveUp(0) // empty deque: must be deleted, not left in R
 	if pl.Deques() != 0 {
 		t.Fatalf("deques = %d, want 0", pl.Deques())
 	}
 }
 
+// TestStealFromBottom pins the §4.1 arbitration: a thief takes the
+// victim's bottom thread, at most one StealFrom per deque succeeds in a
+// round, and the next round re-arms the deque.
 func TestStealFromBottom(t *testing.T) {
-	pl := intPool(2, 5)
+	pl := intSharedPool(3, 5)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	pl.PushOwn(0, 3)
 	pl.PushOwn(0, 2)
 	// Worker 1 steals: must get the bottom (lowest-priority) thread, 3.
-	got := stealUntil(t, pl, 1)
-	if got != 3 {
+	if got := stealAt(t, pl, 1, 0, false); got != 3 {
 		t.Fatalf("thief got %d, want bottom thread 3", got)
+	}
+	if x, ok := pl.StealFrom(2, 0, false); ok {
+		t.Fatalf("a second steal from deque 0 in one round took %d", x)
+	}
+	if got := stealAt(t, pl, 2, 0, false); got != 2 {
+		t.Fatalf("after BeginRound the thief got %d, want 2", got)
+	}
+	// Each thief's deque sits right of its victim: worker 2's, then
+	// worker 1's.
+	if pl.r.Kth(1) != pl.own[2].Load() || pl.r.Kth(2) != pl.own[1].Load() {
+		t.Fatal("thieves' deques are not right of the victim, latest first")
+	}
+}
+
+// TestStealFromTopLandsLeft pins the steal-from-top ablation: the thief
+// takes the victim's newest thread, its deque goes to the victim's left,
+// and the ready count, hence HasWork, stays exact.
+func TestStealFromTopLandsLeft(t *testing.T) {
+	pl := intSharedPool(3, 6)
+	pl.Seed(1)
+	stealAt(t, pl, 0, 0, false)
+	pl.PushOwn(0, 3)
+	pl.PushOwn(0, 2)
+	if got := stealAt(t, pl, 1, 0, true); got != 2 {
+		t.Fatalf("top thief got %d, want the newest thread 2", got)
+	}
+	if pl.r.Kth(0) != pl.own[1].Load() || pl.r.Kth(1) != pl.own[0].Load() {
+		t.Fatal("the thief's deque is not left of its victim")
+	}
+	if got, want := sharedLayout(pl), [][]int{nil, {3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("R = %v, want %v", got, want)
+	}
+	pl.GiveUp(0)
+	if !pl.HasWork() {
+		t.Fatal("the given-up 3 is not counted as ready")
+	}
+	if got := stealAt(t, pl, 2, 1, true); got != 3 {
+		t.Fatalf("top thief got %d, want 3", got)
+	}
+	// The drained, given-up victim is retired; nothing is left to steal.
+	if pl.HasWork() || pl.Deques() != 2 {
+		t.Fatalf("HasWork = %v, Deques = %d, want false, 2", pl.HasWork(), pl.Deques())
 	}
 }
 
 func TestStealPanicsWhileOwning(t *testing.T) {
-	pl := intPool(2, 6)
+	pl := intSharedPool(2, 6)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	pl.Steal(0)
+	pl.StealFrom(0, 0, false)
 }
 
 func TestPushOwnWithoutDequePanics(t *testing.T) {
-	pl := intPool(2, 7)
+	pl := intSharedPool(2, 7)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -135,69 +193,80 @@ func TestPushOwnWithoutDequePanics(t *testing.T) {
 	pl.PushOwn(0, 1)
 }
 
+// TestPushWokenOrdering pins the one placement rule both engines use: a
+// woken thread is compared only against unowned deques, so it skips an
+// owned deque even when it outranks that deque's top.
 func TestPushWokenOrdering(t *testing.T) {
-	pl := intPool(4, 8)
+	pl := intSharedPool(4, 8)
 	pl.Seed(5)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	pl.PushOwn(0, 6)
-	pl.PushWoken(3) // higher priority than 6: must land left of it
-	pl.PushWoken(9) // lower: lands at the right end
-	if err := pl.CheckInvariants(func(w int) (int, bool) {
-		if w == 0 {
-			return 5, true
-		}
-		return 0, false
-	}); err != nil {
-		t.Fatal(err)
+	pl.PushWoken(1, 3) // outranks 6, but 6's deque is owned: right end
+	pl.PushWoken(1, 9) // below the unowned 3: right end
+	pl.PushWoken(1, 4) // outranks the unowned 9 only: left of it
+	if got, want := sharedLayout(pl), [][]int{{6}, {3}, {4}, {9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("R = %v, want %v", got, want)
 	}
-	// Highest-priority stealable thread overall should be 3: verify a
-	// leftmost-deque steal yields it.
-	for i := 0; i < 1000; i++ {
-		if x, ok := pl.Steal(1); ok {
-			if x != 3 && x != 6 && x != 9 {
-				t.Fatalf("stole unexpected %d", x)
-			}
-			return
-		}
+	// Once given up, 6's deque is compared: a woken 2 lands left of it.
+	pl.GiveUp(0)
+	pl.PushWoken(1, 2)
+	if got, want := sharedLayout(pl), [][]int{{2}, {6}, {3}, {4}, {9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("R = %v, want %v", got, want)
 	}
-	t.Fatal("no steal succeeded")
 }
 
 func TestMaxDequesTracksHighWater(t *testing.T) {
-	pl := intPool(8, 9)
+	pl := intSharedPool(8, 9)
 	pl.Seed(1)
-	stealUntil(t, pl, 0)
+	stealAt(t, pl, 0, 0, false)
 	for i := 2; i < 10; i++ {
 		pl.PushOwn(0, i)
 	}
 	pl.GiveUp(0)
 	for w := 1; w < 5; w++ {
-		stealUntil(t, pl, w)
+		stealAt(t, pl, w, 0, false)
 	}
-	if pl.MaxDeques() < 4 {
-		t.Fatalf("MaxDeques = %d, want ≥ 4", pl.MaxDeques())
+	if pl.MaxDeques() != 5 {
+		t.Fatalf("MaxDeques = %d, want 5 (the given-up deque and four thieves')", pl.MaxDeques())
+	}
+	for w := 1; w < 5; w++ {
+		for pl.Owns(w) {
+			pl.PopOwn(w)
+		}
+	}
+	if pl.Deques() != 1 || pl.MaxDeques() != 5 {
+		t.Fatalf("Deques = %d, MaxDeques = %d, want 1, 5", pl.Deques(), pl.MaxDeques())
 	}
 }
 
 // TestQuickRandomOpsInvariants drives the pool with random scripts of the
 // operations a legal scheduler performs — a forked child's priority sits
-// immediately above its parent's in the 1DF order, maintained with the
-// same order-maintenance list the runtimes use — and checks the Lemma 3.1
-// invariants after every step.
+// immediately above its parent's in the 1DF order, maintained with an
+// order-maintenance list — through both engines' entries: the runtime's
+// Steal and the simulator's rounds of StealFrom, from the bottom and, as
+// the ablation, from the top. After every step the Lemma 3.1 invariants
+// must hold, R must hold no empty unowned deque, and HasWork must be
+// exact. A steal from the top gives up the left-to-right order between
+// deques (clause 3) on purpose — that is what the ablation measures — so
+// once a script took one, only clause 3 may fail.
 func TestQuickRandomOpsInvariants(t *testing.T) {
 	f := func(script []uint8, seed int64) bool {
 		const p = 4
 		var prios om.List
-		pl := NewPool(p, om.Less, rand.New(rand.NewSource(seed)))
+		pl := NewSharedPool(p, om.Less, seed)
 		pl.Seed(prios.PushBack())
+		ready := 1                    // threads in R, counted independently
 		curr := make([]*om.Record, p) // nil = idle
+		ablated := false
+		rng := rand.New(rand.NewSource(seed))
 		for _, b := range script {
 			w := int(b) % p
-			switch (b / 4) % 4 {
+			switch (b / 4) % 7 {
 			case 0: // steal if idle and deque-less
 				if curr[w] == nil && !pl.Owns(w) {
 					if x, ok := pl.Steal(w); ok {
 						curr[w] = x
+						ready--
 					}
 				}
 			case 1: // fork: push the parent, run the child, whose priority
@@ -205,11 +274,13 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 				if curr[w] != nil && pl.Owns(w) {
 					pl.PushOwn(w, curr[w])
 					curr[w] = prios.InsertBefore(curr[w])
+					ready++
 				}
 			case 2: // terminate/suspend: pop own or go idle
 				if curr[w] != nil && pl.Owns(w) {
 					if x, ok := pl.PopOwn(w); ok {
 						curr[w] = x
+						ready--
 					} else {
 						curr[w] = nil
 					}
@@ -219,13 +290,30 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 					pl.PushOwn(w, curr[w])
 					pl.GiveUp(w)
 					curr[w] = nil
+					ready++
+				}
+			case 4: // a new simulator timestep
+				pl.BeginRound()
+			case 5, 6: // an arbitrated steal, from the bottom or the top,
+				// with a pick that may miss R
+				if curr[w] == nil && !pl.Owns(w) {
+					fromTop := b/4%7 == 6
+					if x, ok := pl.StealFrom(w, rng.Intn(p+1), fromTop); ok {
+						curr[w] = x
+						ready--
+						ablated = ablated || fromTop
+					}
 				}
 			}
 			err := pl.CheckInvariants(func(w int) (*om.Record, bool) {
 				return curr[w], curr[w] != nil
 			})
-			if err != nil {
+			if err != nil && !(ablated && strings.Contains(err.Error(), "lemma 3.1(3)")) {
 				t.Log(err)
+				return false
+			}
+			if n, emptyUnowned := census(pl); n != ready || emptyUnowned || pl.HasWork() != (ready > 0) {
+				t.Logf("R holds %d threads, want %d; empty unowned deque: %v; HasWork = %v", n, ready, emptyUnowned, pl.HasWork())
 				return false
 			}
 		}

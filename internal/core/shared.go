@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,10 +12,10 @@ import (
 	"dfdeques/internal/rtrace"
 )
 
-// SharedPool is the concurrency-safe counterpart of Pool: the same
-// DFDeques ready pool (the ordered deque list R plus the owner/thief
-// protocol of §3.2–3.3), but synchronized fine-grained instead of behind
-// one caller-supplied scheduler lock.
+// SharedPool is the DFDeques ready pool: the ordered deque list R plus the
+// owner/thief protocol of §3.2–3.3, synchronized fine-grained so the
+// runtime's workers drive it concurrently, while the simulator drives the
+// same code serially through BeginRound and StealFrom.
 //
 // Synchronization design (see DESIGN.md §5, "beyond the paper"):
 //
@@ -60,8 +62,9 @@ import (
 // The spine is a leaf lock: the less callback runs under it and takes
 // none (internal/grt reads the order off its fork tree). less is called
 // only by PushWoken — on frozen tops and the woken thread, both live —
-// and by the test-time CheckInvariants. All pool methods are safe for
-// concurrent use; methods taking a worker index w are worker w's alone.
+// and by CheckInvariants. All pool methods but the serial-engine entries
+// BeginRound and StealFrom are safe for concurrent use; methods taking a
+// worker index w are worker w's alone.
 type SharedPool[T comparable] struct {
 	p    int
 	less func(a, b T) bool
@@ -102,12 +105,18 @@ type SharedPool[T comparable] struct {
 	// steal would distort what the counter exists to explain).
 	timeWait   bool
 	listWaitNs atomic.Int64
+
+	// robbed holds the IDs of the deques StealFrom took from since the last
+	// BeginRound. IDs, not pointers: a deque retired and recycled within one
+	// round comes back as a different deque under a fresh ID.
+	robbed []int64
 }
 
-// NewSharedPool builds a concurrent pool for p workers; the parameters
-// mirror NewPool. less is invoked with the spine lock held and must not
-// block on anything a spine holder waits for. seed determines every worker's
-// private victim-selection stream.
+// NewSharedPool builds a pool for p workers. less reports whether a has
+// higher 1DF priority than b; it places woken threads (PushWoken) and
+// checks the order (CheckInvariants), and is invoked with the spine lock
+// held, so it must not block on anything a spine holder waits for. seed
+// determines every worker's private victim-selection stream.
 func NewSharedPool[T comparable](p int, less func(a, b T) bool, seed int64) *SharedPool[T] {
 	if p < 1 {
 		panic("core: pool needs at least one worker")
@@ -207,21 +216,25 @@ func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 	pl.free = append(pl.free, d)
 }
 
+// place inserts nd at index i of R and returns the ID of its left
+// neighbour, -1 at the left end. The caller holds the spine exclusively.
+func (pl *SharedPool[T]) place(i int, nd *deque.Deque[T]) (after int64) {
+	if i == 0 {
+		pl.r.PushLeftReuse(nd)
+		return -1
+	}
+	left := pl.r.Kth(i - 1)
+	pl.r.InsertRightReuse(left, nd)
+	return left.ID
+}
+
 // publish puts x alone in a fresh unowned deque at index i of R and
 // releases the spine, which the caller must hold exclusively: the one way
 // a thread enters R from outside a worker's own deque. Seed, Append and
 // PushWoken differ only in i and in midRun, the EvDequeCreate flag.
 func (pl *SharedPool[T]) publish(w, i int, midRun int64, x T) {
 	nd := pl.takeFree()
-	var after int64 = -1
-	if i == 0 {
-		pl.r.PushLeftReuse(nd)
-	} else {
-		left := pl.r.Kth(i - 1)
-		after = left.ID
-		pl.r.InsertRightReuse(left, nd)
-	}
-	pl.trace(w, rtrace.EvDequeCreate, nd.ID, after, midRun)
+	pl.trace(w, rtrace.EvDequeCreate, nd.ID, pl.place(i, nd), midRun)
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)
 	}
@@ -381,7 +394,7 @@ func (pl *SharedPool[T]) GiveUpSteal(w int) (x T, ok bool) {
 	}
 	for i := 0; i <= giveUpRedraws; i++ {
 		if c := pl.rng(w).Intn(pl.p); c < pl.r.Len() {
-			return pl.take(w, c)
+			return pl.take(w, c, false)
 		}
 		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
 		pl.failed.Add(1)
@@ -413,7 +426,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	if promising {
 		pl.lockList()
 		if c < pl.r.Len() { // else R shrank between the phases
-			x, ok = pl.take(w, c)
+			x, ok = pl.take(w, c, false)
 			pl.listMu.Unlock()
 			return x, ok
 		}
@@ -433,10 +446,18 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 // victim's owner is never blocked, not even for the duration of this
 // critical section, and can race the thief for the last item (the deque's
 // conflict arbitration decides; a CAS loss here is just a failed attempt).
-func (pl *SharedPool[T]) take(w, c int) (x T, ok bool) {
+// fromTop is StealFrom's ablation: pop the victim's top instead and place
+// the thief's deque to the victim's left.
+func (pl *SharedPool[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 	victim := pl.r.Kth(c)
 	pl.trace(w, rtrace.EvStealAttempt, victim.ID, 0, 0)
-	x, ok = victim.PopBottom()
+	at := c + 1
+	if fromTop {
+		x, ok = victim.PopTop()
+		at = c
+	} else {
+		x, ok = victim.PopBottom()
+	}
 	if !ok {
 		pl.failed.Add(1)
 		return x, false
@@ -444,7 +465,7 @@ func (pl *SharedPool[T]) take(w, c int) (x T, ok bool) {
 	pl.ready.Add(-1)
 	pl.steals.Add(1)
 	nd := pl.takeFree()
-	pl.r.InsertRightReuse(victim, nd)
+	pl.place(at, nd)
 	nd.Owner = w
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), victim.ID, nd.ID)
@@ -458,6 +479,40 @@ func (pl *SharedPool[T]) take(w, c int) (x T, ok bool) {
 	pl.noteR()
 	pl.own[w].Store(nd)
 	return x, true
+}
+
+// BeginRound starts a new steal round of the simulator's cost model: every
+// deque becomes stealable again (§4.1 allows at most one successful steal
+// per deque per timestep, arbitrated by StealFrom). A serial-engine entry,
+// like StealFrom: the caller serializes every call on the pool.
+func (pl *SharedPool[T]) BeginRound() { pl.robbed = pl.robbed[:0] }
+
+// StealFrom is the simulator's arbitrated steal, a serial-engine entry:
+// the caller names the victim as an index c from the left end of R (the
+// window, and the randomness, are in the caller's hands), and it fails if
+// that deque does not exist, is empty, or was already robbed since
+// BeginRound. Otherwise it is take. fromTop is the steal-from-top
+// ablation: the thief takes the victim's newest thread instead of its
+// bottom one, and its new deque goes to the victim's left to keep R
+// roughly ordered. The screening reads R without the spine, which only a
+// serial caller may; the steal itself takes it, as take requires. The
+// worker must not own a deque.
+func (pl *SharedPool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
+	if pl.own[w].Load() != nil {
+		panic("core: StealFrom while owning a deque")
+	}
+	if c >= pl.r.Len() {
+		return x, false
+	}
+	victim := pl.r.Kth(c)
+	if victim.Empty() || slices.Contains(pl.robbed, victim.ID) {
+		return x, false
+	}
+	pl.robbed = append(pl.robbed, victim.ID)
+	pl.lockList()
+	x, ok = pl.take(w, c, fromTop)
+	pl.listMu.Unlock()
+	return x, ok
 }
 
 // PushWoken places a thread woken by a blocking synchronization into a
@@ -519,27 +574,61 @@ func (pl *SharedPool[T]) noteR() {
 	}
 }
 
-// CheckInvariants verifies the Lemma 3.1 ordering over the pool's deques,
-// exactly as Pool.CheckInvariants does, from one Items snapshot per deque.
-// The spine lock freezes R's membership, every unowned deque and all
-// thieves, but nothing can freeze a running OWNER: the check is exact when
-// owners are quiescent or push-only (a pushed continuation ranks above its
-// own deque's previous top but below everything in deques to the left);
+// CheckInvariants verifies Lemma 3.1 over R from one Items snapshot per
+// deque: (1) every deque is priority-sorted top to bottom, (2) a running
+// thread outranks its worker's deque, (3) deques are ordered left to right
+// by decreasing priority; and no deque in R is both empty and unowned.
+// curr gives each worker's running thread (ok=false when idle). The spine
+// lock freezes R's membership, every unowned deque and all thieves, but
+// nothing can freeze a running OWNER: the check is exact when owners are
+// quiescent or push-only (a pushed continuation ranks above its own
+// deque's previous top but below everything in deques to the left);
 // concurrent owner POPS can yield transient false positives, so call it
-// from tests and quiescent moments.
+// from serial engines, tests and quiescent moments.
 func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 	pl.lockList()
 	defer pl.listMu.Unlock()
-	shadow := Pool[T]{p: pl.p, less: pl.less}
-	shadow.own = make([]*deque.Deque[T], pl.p)
-	for w := range shadow.own {
-		// Skip a deque already deleted from R (a worker between its
-		// empty-pop delete and clearing its own pointer): it no longer
-		// participates in R's ordering.
-		if d := pl.own[w].Load(); d != nil && d.InList() {
-			shadow.own[w] = d
+	snap := make([][]T, pl.r.Len()) // bottom to top, per deque of R
+	for i := range snap {
+		items := pl.r.Kth(i).Items()
+		for j := 1; j < len(items); j++ {
+			if !pl.less(items[j], items[j-1]) {
+				return fmt.Errorf("core: lemma 3.1(1): deque %d unsorted at %d", i, j)
+			}
+		}
+		snap[i] = items
+	}
+	for w := 0; w < pl.p; w++ {
+		// A deque already deleted from R (a worker between its empty-pop
+		// delete and clearing its own pointer) no longer takes part.
+		d := pl.own[w].Load()
+		if d == nil || !d.InList() {
+			continue
+		}
+		x, running := curr(w)
+		if !running {
+			continue
+		}
+		if items := snap[d.Pos()]; len(items) > 0 && !pl.less(x, items[len(items)-1]) {
+			return fmt.Errorf("core: lemma 3.1(2): worker %d below its deque top", w)
 		}
 	}
-	shadow.r = pl.r
-	return shadow.CheckInvariants(curr)
+	var havePrev bool
+	var prevBottom T
+	for i, items := range snap {
+		if len(items) == 0 {
+			// Every operation retires a deque it empties unless the owner
+			// keeps it; an empty unowned deque would be unstealable dead
+			// weight in R.
+			if pl.r.Kth(i).Owner == -1 {
+				return fmt.Errorf("core: empty deque %d in R is unowned", i)
+			}
+			continue
+		}
+		if havePrev && !pl.less(prevBottom, items[len(items)-1]) {
+			return fmt.Errorf("core: lemma 3.1(3): deque %d out of order", i)
+		}
+		prevBottom, havePrev = items[0], true
+	}
+	return nil
 }

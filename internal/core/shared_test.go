@@ -1,9 +1,8 @@
 package core
 
-// Tests for SharedPool, the fine-grained concurrent ready pool. The
-// sequential tests mirror core_test.go so the two pools are checked
-// against the same protocol expectations; the hammer tests exist for
-// the -race tier-1 run.
+// Tests for SharedPool's runtime entries. The sequential tests pin the
+// protocol through Steal and GiveUpSteal, as core_test.go does through the
+// simulator's StealFrom; the hammer tests exist for the -race tier-1 run.
 
 import (
 	"math/rand"

@@ -35,9 +35,10 @@ func BenchmarkListInsertDelete(b *testing.B) {
 				l.PushRight().PushTop(i)
 			}
 			victim := l.Kth(n / 2)
+			d := deque.NewDeque[int]()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := l.InsertRight(victim)
+				l.InsertRightReuse(victim, d)
 				l.Delete(d)
 			}
 		})

@@ -464,16 +464,9 @@ func (l *List[T]) Len() int { return len(l.deques) }
 // Kth returns the k-th deque from the left end (0-based).
 func (l *List[T]) Kth(k int) *Deque[T] { return l.deques[k] }
 
-// PushLeft creates a new deque at the left end of R and returns it.
-func (l *List[T]) PushLeft() *Deque[T] {
-	d := NewDeque[T]()
-	l.insertAt(0, d)
-	return d
-}
-
 // PushLeftReuse inserts d — a fresh or Reset freelist deque not in any
-// list — at the left end of R. Schedulers with deque freelists use the
-// *Reuse variants to keep membership changes allocation-free.
+// list — at the left end of R. The caller supplies the deque, so a
+// scheduler with a deque freelist changes membership without allocating.
 func (l *List[T]) PushLeftReuse(d *Deque[T]) {
 	if d.list != nil {
 		panic("deque: PushLeftReuse deque already in a list")
@@ -485,17 +478,6 @@ func (l *List[T]) PushLeftReuse(d *Deque[T]) {
 func (l *List[T]) PushRight() *Deque[T] {
 	d := NewDeque[T]()
 	l.insertAt(len(l.deques), d)
-	return d
-}
-
-// InsertRight creates a new deque immediately to the right of victim
-// (which must be in R) and returns it.
-func (l *List[T]) InsertRight(victim *Deque[T]) *Deque[T] {
-	if victim.list != l {
-		panic("deque: InsertRight victim not in this list")
-	}
-	d := NewDeque[T]()
-	l.insertAt(victim.pos+1, d)
 	return d
 }
 
@@ -535,14 +517,4 @@ func (l *List[T]) Delete(d *Deque[T]) {
 	}
 	d.list = nil
 	d.pos = -1
-}
-
-// Walk calls f on every deque from left to right, stopping early if f
-// returns false.
-func (l *List[T]) Walk(f func(*Deque[T]) bool) {
-	for _, d := range l.deques {
-		if !f(d) {
-			return
-		}
-	}
 }

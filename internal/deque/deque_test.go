@@ -101,15 +101,23 @@ func TestDequeMixedAgainstReference(t *testing.T) {
 
 func TestListInsertRightOrdering(t *testing.T) {
 	var r List[int]
-	a := r.PushLeft()
-	b := r.InsertRight(a)
-	c := r.InsertRight(a) // lands between a and b
+	a, b, c, z := NewDeque[int](), NewDeque[int](), NewDeque[int](), NewDeque[int]()
+	r.PushLeftReuse(a)
+	r.InsertRightReuse(a, b)
+	r.InsertRightReuse(a, c) // lands between a and b
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
 	if r.Kth(0) != a || r.Kth(1) != c || r.Kth(2) != b {
-		t.Fatal("InsertRight produced wrong order")
+		t.Fatal("InsertRightReuse produced wrong order")
 	}
+	mustPanic(t, func() { r.InsertRightReuse(a, b) }) // b is already in R
+	mustPanic(t, func() { r.PushLeftReuse(c) })
+	r.PushLeftReuse(z)
+	if r.Kth(0) != z || a.Pos() != 1 {
+		t.Fatal("PushLeftReuse did not insert at the left end")
+	}
+	r.Delete(z)
 	if a.Pos() != 0 || c.Pos() != 1 || b.Pos() != 2 {
 		t.Fatal("positions not maintained")
 	}
@@ -133,26 +141,11 @@ func TestListDelete(t *testing.T) {
 	mustPanic(t, func() { r.Delete(b) })
 }
 
-func TestListWalkEarlyStop(t *testing.T) {
-	var r List[int]
-	for i := 0; i < 5; i++ {
-		r.PushRight()
-	}
-	visited := 0
-	r.Walk(func(*Deque[int]) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Fatalf("Walk visited %d, want 3", visited)
-	}
-}
-
 func TestCrossListInsertPanics(t *testing.T) {
 	var r1, r2 List[int]
-	a := r1.PushLeft()
-	_ = r2.PushLeft()
-	mustPanic(t, func() { r2.InsertRight(a) })
+	a := r1.PushRight()
+	_ = r2.PushRight()
+	mustPanic(t, func() { r2.InsertRightReuse(a, NewDeque[int]()) })
 }
 
 // TestListPositionsQuick property-checks that after an arbitrary script of
@@ -165,12 +158,15 @@ func TestListPositionsQuick(t *testing.T) {
 		for _, b := range script {
 			switch {
 			case r.Len() == 0 || b%4 == 0:
-				all = append(all, r.PushLeft())
+				d := NewDeque[int]()
+				r.PushLeftReuse(d)
+				all = append(all, d)
 			case b%4 == 1:
 				all = append(all, r.PushRight())
 			case b%4 == 2:
-				victim := r.Kth(int(b) % r.Len())
-				all = append(all, r.InsertRight(victim))
+				d := NewDeque[int]()
+				r.InsertRightReuse(r.Kth(int(b)%r.Len()), d)
+				all = append(all, d)
 			default:
 				d := r.Kth(int(b) % r.Len())
 				r.Delete(d)
@@ -288,7 +284,7 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 // TestStaleThiefCASFailsAcrossReset).
 func TestResetClearsState(t *testing.T) {
 	var l List[int]
-	d := l.PushLeft()
+	d := l.PushRight()
 	d.Owner = 3
 	d.ID = 17
 	d.PushTop(1)

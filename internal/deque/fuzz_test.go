@@ -145,7 +145,8 @@ func FuzzDequeConcurrent(f *testing.F) {
 		// Seed: worker 0 runs the root thread from a fresh leftmost deque.
 		root := &item{id: -1}
 		oracle.order = []*item{root}
-		own[0] = r.PushLeft()
+		own[0] = deque.NewDeque[*item]()
+		r.PushLeftReuse(own[0])
 		own[0].Owner = 0
 		curr[0] = root
 
@@ -216,7 +217,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 				}
 				check(step, "terminate")
 
-			case 2: // steal: PopBottom a leftmost-p victim, InsertRight
+			case 2: // steal: PopBottom a leftmost-p victim, insert right of it
 				if curr[w] != nil || r.Len() == 0 {
 					continue
 				}
@@ -234,7 +235,8 @@ func FuzzDequeConcurrent(f *testing.F) {
 					check(step, "steal-miss")
 					continue
 				}
-				nd := r.InsertRight(victim)
+				nd := deque.NewDeque[*item]()
+				r.InsertRightReuse(victim, nd)
 				nd.Owner = w
 				own[w], curr[w] = nd, x
 				if victim.Empty() && victim.Owner < 0 {

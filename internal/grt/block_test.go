@@ -226,3 +226,77 @@ func TestBlockCancelRacesItsWake(t *testing.T) {
 		})
 	}
 }
+
+// TestReadyWorkNeverWaitsOnABusyWorker keeps one worker busy with a thread
+// that publishes nothing — a loop of uncontended Lock/Unlock — while ready
+// work is pending: the other players, the readers, the setters the readers
+// fork. A busy worker is not responsible for pending work: if the idle
+// workers all park on it — after a backoff, or after wakes the futile-wake
+// throttle skipped and the dispatch of the spinning thread did not make up
+// — the readers wait on setters nobody runs. Each job's reader cancels it
+// after a few reads, so a job that stops making progress never ends; one
+// that misses its deadline fails the test and is canceled from outside so
+// the runtime can shut down.
+func TestReadyWorkNeverWaitsOnABusyWorker(t *testing.T) {
+	jobs := 300
+	if testing.Short() {
+		jobs = 60
+	}
+	for _, k := range []Kind{DFDeques, FIFO} {
+		t.Run(k.String(), func(t *testing.T) {
+			rt, err := New(Config{Workers: 4, Sched: k, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < jobs; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				reads := int64(1 + i%16)
+				var done atomic.Int64
+				j, err := rt.Submit(ctx, func(r *T) {
+					var m Mutex
+					player := func(c *T) {
+						for {
+							m.Lock(c)
+							m.Unlock(c)
+						}
+					}
+					reader := func(c *T) {
+						for n := 1; ; n++ {
+							var f Future
+							h := c.Fork(func(s *T) { f.Set(s, n) })
+							f.Get(c)
+							c.Join(h)
+							if done.Add(1) == reads {
+								cancel()
+							}
+						}
+					}
+					a := r.Fork(player)
+					b := r.Fork(player)
+					c := r.Fork(reader)
+					reader(r) // returns only by unwinding
+					r.Join(c)
+					r.Join(b)
+					r.Join(a)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-j.Done():
+				case <-time.After(10 * time.Second):
+					t.Errorf("job %d stalled after %d of %d reads with ready work pending", i, done.Load(), reads)
+					cancel()
+					<-j.Done()
+				}
+				cancel()
+				if t.Failed() {
+					break
+				}
+			}
+			if err := rt.Shutdown(context.Background()); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+		})
+	}
+}

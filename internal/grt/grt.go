@@ -805,13 +805,14 @@ func (t *T) exit() {
 	}
 	next, ok := rt.pol.Terminate(w, woke, woke != nil)
 	if ok {
+		rt.wakeSuccessor()
 		rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
 	} else {
 		// The policy may have republished work (the dummy-thread give-up
 		// leaves the deque stealable); wake conservatively, now that the
 		// ready state the idlers re-check is raised.
 		next = nil
-		rt.wakeIdlers()
+		rt.wakeIdlers(true)
 	}
 	rt.yield[w] <- next
 }
@@ -845,7 +846,7 @@ func (t *T) fork(body func(*T), leaves int64) *T {
 	}
 	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
 	rt.pol.ForkCont(t.w, t, child)
-	rt.wakeIdlers()
+	rt.wakeIdlers(true)
 	return child
 }
 

@@ -51,6 +51,7 @@ func (rt *Runtime) worker(w int) {
 // blocked; nil sends the worker to acquire.
 func (rt *Runtime) next(w int) *T {
 	if x, ok := rt.pol.Next(w); ok {
+		rt.wakeSuccessor()
 		rt.trace(w, rtrace.EvDispatch, x.tid, rtrace.SrcNext, 0)
 		return x
 	}
@@ -77,11 +78,13 @@ func (rt *Runtime) next(w int) *T {
 // then Gosched, then parking even though work is nominally pending. The
 // last step is what stops a persistently unlucky thief from burning a
 // core (or, on few cores, stealing cycles from the worker that holds
-// the work), and it is safe under one rule: the last unparked worker
-// never abandons pending work. Everyone else may park with work in the
-// pool, because that one awake worker either takes the work or keeps
-// hunting — and every worker re-derives this rule under rt.mu, so two
-// late parkers cannot both slip out. A worker that was woken and parks
+// the work), and it is safe under one rule: the last acquiring worker
+// never parks on pending work; it sleeps briefly and hunts again. Everyone
+// else may park with work in the pool, because that one hunting worker
+// either takes the work or keeps hunting — and every worker re-derives
+// this rule under rt.mu, so two late parkers cannot both slip out. A
+// worker that is unparked but running a thread does not count: the
+// thread may never publish again. A worker that was woken and parks
 // again without having acquired anything counts the wake as futile
 // (rt.futileWakes), which is what lets wakeIdlers throttle wake storms
 // that find nothing.
@@ -143,9 +146,11 @@ func (rt *Runtime) acquire(w int) *T {
 			return nil
 		}
 		if hadWork {
-			// Backoff park: allowed only while some other worker stays
-			// unparked to be responsible for the pending work.
-			if rt.idleWaiters == rt.cfg.Workers {
+			// Backoff park: allowed only while another worker is still
+			// acquiring, and so responsible for the pending work. A worker
+			// that is merely unparked may be running a thread that never
+			// publishes, and nothing would wake the parked ones.
+			if rt.spinning.Load() == 0 {
 				rt.idleWaiters--
 				rt.idlers.Add(-1)
 				rt.spinning.Add(1)
@@ -190,11 +195,7 @@ func (rt *Runtime) acquire(w int) *T {
 // acquired is the epilogue of a successful Acquire on worker w, the
 // worker's own (acquire) or a frame's (resteal).
 func (rt *Runtime) acquired(w int, x *T, start time.Time) {
-	if rt.pol.HasWork() {
-		// Hand off spinner duty: more work is published and this worker is
-		// about to get busy, so wake a successor.
-		rt.wakeIdlers()
-	}
+	rt.wakeSuccessor()
 	if !start.IsZero() {
 		rt.stealWaitNs.Add(time.Since(start).Nanoseconds())
 	}
@@ -215,7 +216,7 @@ func (rt *Runtime) acquired(w int, x *T, start time.Time) {
 // step t, so t reads nothing step writes — t.w above all, hence w.
 func (t *T) resteal(w int) {
 	rt := t.rt
-	rt.wakeIdlers()
+	rt.wakeIdlers(true)
 	var start time.Time
 	if rt.cfg.MeasureContention {
 		start = time.Now()
@@ -294,21 +295,34 @@ const (
 // When recent wakes have all been futile — the publisher consumes its
 // own work before any thief can reach it, the pattern of a serial
 // fork-join chain — all but every wakeEvery-th wake is skipped. The
-// skipped wakes cannot strand work: a publisher is by definition awake,
-// and the last awake worker never parks while work is pending (see
-// acquire), so pending work always has an unparked worker hunting it;
-// the periodic forced wake only bounds how long the parked majority
-// stays out of the game if the workload turns parallel again.
-func (rt *Runtime) wakeIdlers() {
+// skipped wakes cannot strand work: a publisher is by definition awake
+// and comes back to the scheduler at its next block, exit or give-up,
+// where the dispatch it makes wakes a successor unthrottled if work is
+// left (wakeSuccessor); and the last acquiring worker never parks while
+// work is pending (see acquire). The periodic forced wake only bounds how
+// long the parked majority stays out of the game if the workload turns
+// parallel again. throttled is false only for wakeSuccessor.
+func (rt *Runtime) wakeIdlers(throttled bool) {
 	if rt.idlers.Load() == 0 || rt.spinning.Load() > 0 {
 		return
 	}
-	if rt.futileWakes.Load() >= futileWakeLimit && rt.wakeSkips.Add(1)%wakeEvery != 0 {
+	if throttled && rt.futileWakes.Load() >= futileWakeLimit && rt.wakeSkips.Add(1)%wakeEvery != 0 {
 		return
 	}
 	rt.mu.Lock()
 	rt.cond.Signal()
 	rt.mu.Unlock()
+}
+
+// wakeSuccessor is the hand-off every dispatch from the pool makes: this
+// worker is about to run a thread, so if ready work is left, nobody is
+// acquiring and a worker is parked, it wakes one. Never throttled: the
+// thread it dispatches may publish nothing again (a loop of uncontended
+// Lock/Unlock), and then no later publication makes up for a skipped wake.
+func (rt *Runtime) wakeSuccessor() {
+	if rt.pol.HasWork() {
+		rt.wakeIdlers(false)
+	}
 }
 
 // forceWake bypasses the futile-wake throttle — used where a wake is

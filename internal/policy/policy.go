@@ -5,7 +5,8 @@
 //
 //   - the serial machine simulator (internal/machine + internal/sched),
 //     whose schedulers are thin adapters over the primitives here (Quota,
-//     PrioQueue, FIFOQueue, WSPool, and core.Pool's arbitrated steal);
+//     PrioQueue, FIFOQueue, WSPool, and core.SharedPool's arbitrated
+//     StealFrom — the same pools the runtime drives);
 //   - the real concurrent runtime (internal/grt), whose workers drive a
 //     Policy implementation event by event.
 //

@@ -1,10 +1,10 @@
 // Package sched adapts the scheduling policies of internal/policy to the
-// machine simulator — the serial driver of the same policy layer the real
-// runtime (internal/grt) drives concurrently:
+// machine simulator — the serial driver of the same policy layer, and the
+// same ready pools, the real runtime (internal/grt) drives concurrently:
 //
 //   - DFDeques(K): the paper's contribution (§3) — globally ordered deques
-//     (core.Pool), per-steal memory quota K, steal-from-bottom among the
-//     leftmost p.
+//     (core.SharedPool, the runtime's pool, driven serially), per-steal
+//     memory quota K, steal-from-bottom among the leftmost p.
 //   - WS: the provably space-efficient work stealer of Blumofe & Leiserson
 //     ("Cilk" in the paper's figures), which DFDeques(∞) degenerates to
 //     (policy.WSPool).
@@ -81,7 +81,7 @@ type DFDeques struct {
 	MinK, MaxK int64
 
 	m     *machine.Machine
-	pool  *core.Pool[*machine.Thread] // the globally ordered list R
+	pool  *core.SharedPool[*machine.Thread] // the globally ordered list R
 	quota *policy.Quota
 	dummy []bool // processor executed a dummy action; force give-up at termination
 
@@ -115,7 +115,9 @@ func (s *DFDeques) Init(m *machine.Machine, root *machine.Thread) {
 	s.quota = policy.NewQuota(p)
 	s.dummy = make([]bool, p)
 	less := func(a, b *machine.Thread) bool { return a.HigherPriority(b) }
-	s.pool = core.NewPool(p, less, m.Rand)
+	// Victims are drawn from the machine's rng (StealRound); the pool's own
+	// per-worker streams, which the seed determines, serve only Steal.
+	s.pool = core.NewSharedPool(p, less, 0)
 	s.pool.Seed(root)
 }
 
@@ -208,9 +210,9 @@ func (s *DFDeques) OnTerminate(p int, t, woke *machine.Thread) *machine.Thread {
 // OnWake implements machine.Scheduler: a thread woken by a lock release is
 // placed in a new deque inserted at its priority position in R (§5's
 // extension for blocking synchronization; outside the nested-parallel
-// model).
+// model), by the runtime's rule: compared only against unowned deques.
 func (s *DFDeques) OnWake(p int, t *machine.Thread) {
-	s.pool.PushWoken(t)
+	s.pool.PushWoken(p, t)
 }
 
 // ChargeAlloc implements machine.Scheduler: K bounds the net bytes a
