@@ -165,7 +165,7 @@ func TestStealFromTopLandsLeft(t *testing.T) {
 	if got := stealAt(t, pl, 2, 1, true); got != 3 {
 		t.Fatalf("top thief got %d, want 3", got)
 	}
-	// The drained, given-up victim is retired; nothing is left to steal.
+	// The drained, given-up victim is w2's now; nothing is left to steal.
 	if pl.HasWork() || pl.Deques() != 2 {
 		t.Fatalf("HasWork = %v, Deques = %d, want false, 2", pl.HasWork(), pl.Deques())
 	}

@@ -43,13 +43,17 @@ import (
 //     nothing but a thief's PopBottom CAS reads a deque its owner is working.
 //   - A pool-wide atomic counter of ready threads makes HasWork lock-free,
 //     so idle workers can poll for work without touching any lock.
-//   - Deques deleted from R are Reset onto a freelist (guarded by the
-//     spine lock, which already covers every membership change) and reused
-//     by the next steal or wake, so the steady-state steal cycle
-//     allocates nothing. A deque only leaves R under the exclusive spine
-//     lock and only after its owner pointer is cleared; a thief that read
-//     the deque's state before the recycle is defeated by the tag bump in
-//     Reset, not by blocking it out.
+//   - A steal that drains an unowned victim takes the victim over in
+//     place, under a fresh ID, instead of placing a new deque beside it
+//     and retiring it: the common give-up-and-steal-back, an injected
+//     root's first steal and a woken thread's all leave R's membership
+//     alone. Only an owner retires a deque — its own, empty, under the
+//     exclusive spine and after clearing its own pointer — and the retired
+//     deque is Reset onto a freelist (guarded by the spine lock, which
+//     covers every membership change already) for the next publish or the
+//     next steal from a deque that keeps items, so neither allocates in
+//     the steady state. The tag bump in Reset keeps a recycled deque's new
+//     epoch apart from its old one.
 //
 // Trace linearization without locks: pushes are recorded BEFORE the item
 // is published (a thief can only steal x after the owner's top-store
@@ -87,8 +91,9 @@ type SharedPool[T comparable] struct {
 	// leave R under it, and only then may they be recycled.
 	free []*deque.Deque[T]
 
-	// Tracing (nil probe: disabled). deqID is the next deque id, advanced
-	// under the spine lock where every deque is created.
+	// Tracing (nil probe: disabled). deqID is the last deque ID drawn,
+	// advanced under the spine lock, where every deque gets its ID: a new
+	// or recycled one in takeFree, a victim taken over in take.
 	probe rtrace.Probe
 	tidOf func(T) int64
 	deqID int64
@@ -107,8 +112,9 @@ type SharedPool[T comparable] struct {
 	listWaitNs atomic.Int64
 
 	// robbed holds the IDs of the deques StealFrom took from since the last
-	// BeginRound. IDs, not pointers: a deque retired and recycled within one
-	// round comes back as a different deque under a fresh ID.
+	// BeginRound. IDs, not pointers: a victim taken over in place, or a
+	// deque retired and recycled within one round, is a different deque
+	// under a fresh ID.
 	robbed []int64
 }
 
@@ -204,11 +210,9 @@ func (pl *SharedPool[T]) takeFree() *deque.Deque[T] {
 	return d
 }
 
-// retire deletes d from R and recycles it. The caller must hold the spine
-// lock exclusively, and d must be empty and its own pointer already
-// cleared. A thief that loaded d's word before the recycle can still
-// attempt its CAS afterwards — the tag bump inside Reset makes that CAS
-// fail, so recycling needs no blocking handshake with in-flight thieves.
+// retire deletes d from R and recycles it: worker w's own deque, empty,
+// its own pointer already cleared. The caller must hold the spine lock
+// exclusively, so no thief is between its read of d and its CAS.
 func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 	pl.r.Delete(d)
 	pl.trace(w, rtrace.EvDequeRetire, d.ID, 0, 0)
@@ -301,12 +305,11 @@ func (pl *SharedPool[T]) PopOwn(w int) (x T, ok bool) {
 	}
 	// Empty: drop ownership and retire the deque. The own pointer is
 	// cleared before the spine unlocks so no reference to the recycled
-	// deque survives the critical section.
+	// deque survives the critical section. An owned deque is always in R:
+	// thieves retire or take over only unowned ones.
 	pl.lockList()
 	pl.own[w].Store(nil)
-	if d.InList() { // a thief may have deleted it after draining it
-		pl.retire(w, d)
-	}
+	pl.retire(w, d)
 	pl.listMu.Unlock()
 	return x, false
 }
@@ -360,9 +363,7 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 func (pl *SharedPool[T]) release(w int, d *deque.Deque[T]) {
 	pl.own[w].Store(nil)
 	if d.Empty() {
-		if d.InList() {
-			pl.retire(w, d)
-		}
+		pl.retire(w, d)
 	} else {
 		d.Owner = -1
 		pl.trace(w, rtrace.EvDequeRelease, d.ID, 0, 0)
@@ -440,7 +441,8 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 // take is the steal proper, on position c of R, which must exist; the
 // caller holds the spine exclusively and w owns no deque. It counts its
 // own outcome (the counters share ready's cache line). Pop-bottom and
-// insert-right form the steal's single linearization point, which is what
+// insert-right — or, when the pop drained an unowned victim, its takeover
+// in place — form the steal's single linearization point, which is what
 // keeps Lemma 3.1's left-to-right order intact when two thieves race on
 // one victim. The pop itself is the lock-free bottom-word CAS — the
 // victim's owner is never blocked, not even for the duration of this
@@ -464,19 +466,29 @@ func (pl *SharedPool[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 	}
 	pl.ready.Add(-1)
 	pl.steals.Add(1)
-	nd := pl.takeFree()
-	pl.place(at, nd)
+	old, nd := victim.ID, victim
+	if victim.Owner == -1 && victim.Empty() {
+		// An unowned victim this steal drained becomes the thief's deque
+		// in place, under a fresh ID: the new deque would sit next to it,
+		// and it would be retired, so R's order is the same either way.
+		// With the spine held no other thief can touch it, and Owner == -1
+		// means no owner-side op can be in flight, so the emptiness read is
+		// stable. The records are the ones a fresh deque and the victim's
+		// retirement make.
+		pl.deqID++
+		nd.ID = pl.deqID
+	} else {
+		nd = pl.takeFree()
+		pl.place(at, nd)
+		pl.noteR()
+	}
 	nd.Owner = w
 	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), victim.ID, nd.ID)
+		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), old, nd.ID)
 	}
-	// An abandoned victim drained by this steal is retired now. With the
-	// spine held no other thief can touch it, and Owner == -1 means no
-	// owner-side op can be in flight, so the emptiness read is stable.
-	if victim.Owner == -1 && victim.Empty() {
-		pl.retire(w, victim)
+	if nd == victim {
+		pl.trace(w, rtrace.EvDequeRetire, old, 0, 0)
 	}
-	pl.noteR()
 	pl.own[w].Store(nd)
 	return x, true
 }
@@ -599,10 +611,8 @@ func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 		snap[i] = items
 	}
 	for w := 0; w < pl.p; w++ {
-		// A deque already deleted from R (a worker between its empty-pop
-		// delete and clearing its own pointer) no longer takes part.
 		d := pl.own[w].Load()
-		if d == nil || !d.InList() {
+		if d == nil {
 			continue
 		}
 		x, running := curr(w)

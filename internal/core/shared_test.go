@@ -138,7 +138,7 @@ func TestSharedGiveUpStealIsOneSection(t *testing.T) {
 	}
 
 	// The thief's deque is empty: this give-up retires it, and the steal
-	// drains and retires the victim.
+	// drains the victim and takes it over.
 	if x, ok := pl.GiveUpSteal(0); !ok || x != 6 {
 		t.Fatalf("second GiveUpSteal = %d,%v, want 6", x, ok)
 	}
@@ -620,7 +620,7 @@ func TestStealCycleAllocs(t *testing.T) {
 	}
 	cycle := func() {
 		pl.Seed(10)
-		x := steal(0) // root deque drains and is retired inside Steal
+		x := steal(0) // root deque drains and is taken over inside Steal
 		pl.PushOwn(0, x+1)
 		pl.PushOwn(0, x+2)
 		steal(1)     // takes x+1 from the bottom of worker 0's deque

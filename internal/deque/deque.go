@@ -128,9 +128,13 @@ type Deque[T comparable] struct {
 	// Concurrent schedulers read and write it under their membership lock.
 	Owner int
 
-	// ID is scheduler bookkeeping for tracing: a stable identifier
-	// assigned once at creation (before the deque is shared) and never
-	// written again, so readers need no lock. The deque never reads it.
+	// ID is scheduler bookkeeping for tracing; the deque never reads it.
+	// It is not fixed for the deque's life: a scheduler draws a fresh one
+	// whenever the deque begins a new life in R — recycled from a
+	// freelist, or taken over in place by the thief that drained it. The
+	// rule is core.SharedPool's: ID is written only under the exclusive
+	// spine lock, while the deque is unowned or out of R, and read by its
+	// owner after the hand-off that made it the owner, or under the spine.
 	ID int64
 
 	list *List[T]

@@ -11,13 +11,21 @@ import (
 // K = 0 is DFDeques(∞), which behaves like WS up to victim selection (one
 // shared ordered list instead of per-worker deques).
 type DFD[T comparable] struct {
-	pool   *core.SharedPool[T]
-	quota  *Quota
-	k      int64
-	giveUp []bool // set by Dummy, consumed by Terminate; [w] touched only by worker w
-	// tried[w] is the steal attempt w's last give-up made inside its own
-	// spine section, until Acquire(w) hands it over; same single toucher.
-	tried []attempt[T]
+	pool  *core.SharedPool[T]
+	quota *Quota
+	k     int64
+	lanes []dfdLane[T] // [w] touched only by worker w
+}
+
+// dfdLane is one worker's give-up state. The trailing line of padding
+// keeps any two workers' fields off a common cache line, whatever T's
+// size.
+type dfdLane[T any] struct {
+	// tried is the steal attempt the worker's last give-up made inside its
+	// own spine section, until Acquire hands it over.
+	tried  attempt[T]
+	giveUp bool // set by Dummy, consumed by Terminate
+	_      [64]byte
 }
 
 // attempt is the outcome of one steal attempt, x valid iff ok; made tells
@@ -32,11 +40,10 @@ type attempt[T any] struct {
 // each worker's private victim-selection stream (core.WorkerSeed).
 func NewDFD[T comparable](p int, k int64, less func(a, b T) bool, seed int64) *DFD[T] {
 	return &DFD[T]{
-		pool:   core.NewSharedPool(p, less, seed),
-		quota:  NewQuota(p),
-		k:      k,
-		giveUp: make([]bool, p),
-		tried:  make([]attempt[T], p),
+		pool:  core.NewSharedPool(p, less, seed),
+		quota: NewQuota(p),
+		k:     k,
+		lanes: make([]dfdLane[T], p),
 	}
 }
 
@@ -98,7 +105,7 @@ func (d *DFD[T]) Preempt(w int, t T) {
 // w owning its new deque — for the Acquire(w) the engine calls next.
 func (d *DFD[T]) giveUpSteal(w int) {
 	x, ok := d.pool.GiveUpSteal(w)
-	d.tried[w] = attempt[T]{x, ok, true}
+	d.lanes[w].tried = attempt[T]{x, ok, true}
 }
 
 // Wake implements Policy.
@@ -115,8 +122,8 @@ func (d *DFD[T]) Next(w int) (T, bool) { return d.pool.PopOwn(w) }
 // here for nested-parallel programs — Lemma 3.1), or the deque top runs
 // next.
 func (d *DFD[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
-	if d.giveUp[w] {
-		d.giveUp[w] = false
+	if ln := &d.lanes[w]; ln.giveUp {
+		ln.giveUp = false
 		if hasWoke {
 			d.pool.PushOwn(w, woke)
 		}
@@ -131,15 +138,16 @@ func (d *DFD[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
 }
 
 // Dummy implements Policy.
-func (d *DFD[T]) Dummy(w int) { d.giveUp[w] = true }
+func (d *DFD[T]) Dummy(w int) { d.lanes[w].giveUp = true }
 
 // Acquire implements Policy: one steal attempt (random deque among the
 // leftmost p, pop its bottom) — the one w's give-up already made, if it
 // has not been reported yet; the quota refills on success.
 func (d *DFD[T]) Acquire(w int) (T, bool) {
-	a := d.tried[w]
+	ln := &d.lanes[w]
+	a := ln.tried
 	if a.made {
-		d.tried[w] = attempt[T]{}
+		ln.tried = attempt[T]{}
 	} else {
 		a.x, a.ok = d.pool.Steal(w)
 	}

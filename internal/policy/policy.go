@@ -171,17 +171,23 @@ func (l *queueLock) unlock() { l.mu.Unlock() }
 // quota (§3.3, footnote 14). The threshold k is passed per call so an
 // adaptive controller (§7) can move it between calls; k = 0 means no
 // quota. Entry w is only ever touched by worker/processor w, so the vector
-// needs no locking even in the concurrent runtime.
+// needs no locking even in the concurrent runtime, and each entry has a
+// cache line of its own: Charge and Credit write it on every allocation.
 type Quota struct {
-	rem []int64
+	rem []quotaLane
+}
+
+type quotaLane struct {
+	n int64
+	_ [56]byte
 }
 
 // NewQuota returns a quota vector for p workers, all exhausted until the
 // first Reset.
-func NewQuota(p int) *Quota { return &Quota{rem: make([]int64, p)} }
+func NewQuota(p int) *Quota { return &Quota{rem: make([]quotaLane, p)} }
 
 // Reset refills w's quota to k (on a successful steal or dispatch).
-func (q *Quota) Reset(w int, k int64) { q.rem[w] = k }
+func (q *Quota) Reset(w int, k int64) { q.rem[w].n = k }
 
 // Charge deducts n bytes from w's quota; false means exhausted (the
 // caller must preempt without allocating). k = 0 never vetoes.
@@ -189,8 +195,8 @@ func (q *Quota) Charge(w int, n, k int64) bool {
 	if k == 0 {
 		return true
 	}
-	if n <= q.rem[w] {
-		q.rem[w] -= n
+	if r := &q.rem[w].n; n <= *r {
+		*r -= n
 		return true
 	}
 	return false
@@ -202,14 +208,12 @@ func (q *Quota) Credit(w int, n, k int64) {
 	if k == 0 {
 		return
 	}
-	q.rem[w] += n
-	if q.rem[w] > k {
-		q.rem[w] = k
-	}
+	r := &q.rem[w].n
+	*r = min(*r+n, k)
 }
 
 // Remaining returns w's unspent quota.
-func (q *Quota) Remaining(w int) int64 { return q.rem[w] }
+func (q *Quota) Remaining(w int) int64 { return q.rem[w].n }
 
 // DummyLeaves returns the number of dummy threads the §3.3 big-allocation
 // transformation forks before an allocation of n > k bytes: ⌈n/k⌉, one

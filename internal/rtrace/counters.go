@@ -1,6 +1,9 @@
 package rtrace
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Counters is a Probe that maintains live aggregate counters instead of a
 // replayable stream: the always-on metrics half of the observability
@@ -27,12 +30,70 @@ import "sync/atomic"
 // events to both a Counters and a Recorder.
 type Counters struct {
 	lanes [counterLanes]counterLane
-	// liveDeques/maxDeques replay the deque population: EvSteal with a
-	// new deque (C>=0) and EvDequeCreate raise it, EvDequeRetire lowers it.
-	// Shared, not per lane: a gauge has no per-lane meaning, and all three
-	// kinds are recorded under the R spine, which serializes them already.
-	liveDeques atomic.Int64
-	maxDeques  atomic.Int64
+	// deques replays the deque population. Shared, not per lane: a gauge
+	// has no per-lane meaning, and its records are made under the R spine,
+	// which serializes them already — the lock is never contended.
+	dequesMu sync.Mutex
+	deques   dequeGauge
+}
+
+// dequeGauge replays the deque population, len(R), and its high-water
+// from a DFDeques stream's membership records: EvDequeCreate and EvSteal
+// with a new deque (C >= 0) add one, EvDequeRetire takes one away. A
+// steal that drains an unowned victim records its new deque before the
+// victim's retirement, but R never holds both — the pool makes the two
+// changes in one spine section and samples its high-water after it — so
+// a steal's new deque is held until the next membership record: if that
+// is the same worker retiring the steal's victim, the two cancel, and the
+// population never moved. Any other record settles the held deque first.
+// The pool emits membership records under its spine, so they arrive in
+// R's order.
+type dequeGauge struct {
+	live, max int64
+	held      bool  // a steal's new deque is not counted yet
+	heldW     int32 // that steal's worker
+	heldB     int64 // and its victim
+}
+
+// fold applies one record. It returns the population after each change
+// R went through: settled when a held steal's deque was counted (-1 if
+// not), now after the record's own change (-1 if the record made none,
+// or is held). Records other than membership ones are ignored.
+func (g *dequeGauge) fold(w int32, kind Kind, a, b, c int64) (settled, now int64) {
+	settled, now = -1, -1
+	switch {
+	case kind == EvDequeRetire && g.held && g.heldW == w && g.heldB == a:
+		g.held = false // the victim made way for the thief's deque
+		return
+	case kind == EvDequeCreate, kind == EvDequeRetire, kind == EvDequeRelease, kind == EvSteal && c >= 0:
+		settled = g.settle()
+	default:
+		return
+	}
+	switch kind {
+	case EvDequeCreate:
+		g.live++
+		now = g.live
+	case EvDequeRetire:
+		g.live--
+		now = g.live
+	case EvSteal:
+		g.held, g.heldW, g.heldB = true, w, b
+	}
+	g.max = max(g.max, now)
+	return
+}
+
+// settle counts a held steal's deque and returns the population it
+// brought, or -1 if no steal was held.
+func (g *dequeGauge) settle() int64 {
+	if !g.held {
+		return -1
+	}
+	g.held = false
+	g.live++
+	g.max = max(g.max, g.live)
+	return g.live
 }
 
 // counterLanes is a power of two: lane (w+1) mod counterLanes.
@@ -49,7 +110,8 @@ type counterLane struct {
 func NewCounters() *Counters { return &Counters{} }
 
 // Event implements Probe. Safe for concurrent use from any number of
-// workers: every update is a plain atomic add or max.
+// workers: every count is an atomic add, and the deque gauge takes its
+// own lock.
 func (c *Counters) Event(w int, kind Kind, a, b, cc int64) {
 	if int(kind) >= int(numKinds) {
 		return
@@ -61,23 +123,11 @@ func (c *Counters) Event(w int, kind Kind, a, b, cc int64) {
 		if cc == 1 {
 			ln.dummies.Add(1)
 		}
-	case EvSteal:
-		if cc >= 0 {
-			c.bumpDeques()
-		}
-	case EvDequeCreate:
-		c.bumpDeques()
-	case EvDequeRetire:
-		c.liveDeques.Add(-1)
-	}
-}
-
-func (c *Counters) bumpDeques() {
-	v := c.liveDeques.Add(1)
-	for {
-		m := c.maxDeques.Load()
-		if v <= m || c.maxDeques.CompareAndSwap(m, v) {
-			return
+	case EvSteal, EvDequeCreate, EvDequeRelease, EvDequeRetire:
+		if kind != EvSteal || cc >= 0 { // a WS steal makes no deque
+			c.dequesMu.Lock()
+			c.deques.fold(int32(w), kind, a, b, cc)
+			c.dequesMu.Unlock()
 		}
 	}
 }
@@ -96,7 +146,8 @@ func (c *Counters) Count(k Kind) int64 {
 
 // LiveSummary returns the counter-derivable slice of the Summary schema,
 // computed from the live atomics: thread/job/steal/dispatch/quota
-// counters and the derived rates. Stream-only fields (WallNs, PerWorker,
+// counters and the derived rates. DequeHighWater counts a steal's new
+// deque from the next membership record on (see dequeGauge). Stream-only fields (WallNs, PerWorker,
 // Cache, Policy/Workers/K metadata) are zero — the caller knows its own
 // configuration. Safe to call at any time; each field is atomically
 // read, though the set as a whole is not one consistent snapshot.
@@ -125,7 +176,9 @@ func (c *Counters) LiveSummary() Summary {
 	s.QuotaExhausts = n[EvQuotaExhaust]
 	s.DummySplits = n[EvAllocExempt]
 	s.Promotions = n[EvPromote]
-	s.DequeHighWater = int(c.maxDeques.Load())
+	c.dequesMu.Lock()
+	s.DequeHighWater = int(c.deques.max)
+	c.dequesMu.Unlock()
 	if s.StealAttempts > 0 {
 		s.StealSuccessRate = float64(s.Steals) / float64(s.StealAttempts)
 	}

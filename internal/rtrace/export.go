@@ -97,6 +97,7 @@ func Summarize(meta Meta, evs []Event, dropped uint64) Summary {
 			perW[w].Steals++
 		}
 	}
+	c.deques.settle() // a steal the stream ends on
 	s := c.LiveSummary()
 	s.Policy, s.Workers, s.K = meta.Policy, meta.Workers, meta.K
 	s.Dropped, s.WallNs = dropped, wallNs
@@ -223,11 +224,22 @@ func Export(w io.Writer, meta Meta, evs []Event, dropped uint64) error {
 	}
 
 	var heapLive int64
-	var liveDeques int64
+	var deques dequeGauge
+	var heldTS int64 // the held steal's timestamp (see dequeGauge)
 	lastTS := int64(0)
 	for _, e := range evs {
 		if e.TS > lastTS {
 			lastTS = e.TS
+		}
+		settled, now := deques.fold(e.W, e.Kind, e.A, e.B, e.C)
+		if settled >= 0 {
+			counter(heldTS, "deques", settled)
+		}
+		if now >= 0 {
+			counter(e.TS, "deques", now)
+		}
+		if e.Kind == EvSteal && e.C >= 0 {
+			heldTS = e.TS
 		}
 		switch e.Kind {
 		case EvFork:
@@ -252,10 +264,6 @@ func Export(w io.Writer, meta Meta, evs []Event, dropped uint64) error {
 			instant(e, "job-end", map[string]any{"job": e.A, "failed": e.B == 1})
 		case EvSteal:
 			instant(e, "steal", map[string]any{"tid": e.A, "victim_deque": e.B, "new_deque": e.C})
-			if e.C >= 0 {
-				liveDeques++
-				counter(e.TS, "deques", liveDeques)
-			}
 		case EvAllocExempt:
 			instant(e, "dummy-split", map[string]any{"tid": e.A, "bytes": e.B, "leaves": e.C})
 			heapLive += e.B
@@ -266,13 +274,10 @@ func Export(w io.Writer, meta Meta, evs []Event, dropped uint64) error {
 		case EvFree:
 			heapLive -= e.B
 			counter(e.TS, "heap", heapLive)
-		case EvDequeCreate:
-			liveDeques++
-			counter(e.TS, "deques", liveDeques)
-		case EvDequeRetire:
-			liveDeques--
-			counter(e.TS, "deques", liveDeques)
 		}
+	}
+	if n := deques.settle(); n >= 0 {
+		counter(heldTS, "deques", n)
 	}
 	for wk := range running {
 		closeSlice(wk, lastTS)

@@ -203,7 +203,9 @@ func TestSummarizeCounts(t *testing.T) {
 	if s.SchedGranularity != 3.0 {
 		t.Fatalf("SchedGranularity = %v, want 3", s.SchedGranularity)
 	}
-	if s.DequeHighWater != 2 {
-		t.Fatalf("DequeHighWater = %d, want 2", s.DequeHighWater)
+	// The steal drains the unowned root deque: its new deque takes the
+	// victim's place in the same spine section, so R never held two.
+	if s.DequeHighWater != 1 {
+		t.Fatalf("DequeHighWater = %d, want 1", s.DequeHighWater)
 	}
 }

@@ -51,16 +51,18 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # and counted), of the block tests (a wake or a cancel landing between a
 # thread's queuing as a waiter and its hand-back of the worker), of ready
 # work left while the one unparked worker runs a thread that publishes
-# nothing (idle workers must not all park on it), with the
-# pool's and the policy's own: thieves racing GiveUpSteal under the Lemma
-# 3.1 checker, the ready count never negative, the remembered steal handed
-# over exactly once.
+# nothing (idle workers must not all park on it), of the trace-derived
+# deque high-water against the pool's and the pinned one-worker streams,
+# with the pool's and the policy's own: thieves racing GiveUpSteal and the
+# first pushes and pops on a taken-over deque under the Lemma 3.1 checker,
+# the ready count never negative, the remembered steal handed over exactly
+# once.
 hogs=
 trap 'kill $hogs' EXIT
 for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestSharedGiveUpSteal|TestSharedPublish|TestDFDGiveUp' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/
 # Size gate (ROADMAP item 6): non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
