@@ -39,6 +39,8 @@
 //	-config FILE     JSON serve.Config (overrides the flags above except
 //	                 -addr); an unknown key is an error
 //	-drain D         max graceful-drain duration on SIGTERM (default 30s)
+//	-pprof A         serve net/http/pprof on its own listener at A
+//	                 (default off; never on the API address)
 //	-smoke URL       run the client-driven smoke sequence against a
 //	                 running dfdserve at URL and exit (uses -admin-key)
 //
@@ -54,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -78,6 +81,7 @@ func main() {
 		cfgPath  = flag.String("config", "", "JSON config file (overrides scheduler/tenant flags)")
 		drain    = flag.Duration("drain", 30*time.Second, "max graceful-drain duration")
 		smoke    = flag.String("smoke", "", "run the smoke sequence against a dfdserve at this URL and exit")
+		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
 	flag.Parse()
 
@@ -105,8 +109,17 @@ func main() {
 	}
 
 	hs := newHTTPServer(*addr, s.Handler())
-	errc := make(chan error, 1)
+	errc := make(chan error, 2)
 	go func() { errc <- hs.ListenAndServe() }()
+	if *pprofAt != "" {
+		ps := newHTTPServer(*pprofAt, pprofHandler())
+		defer ps.Close()
+		go func() {
+			if err := ps.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				errc <- fmt.Errorf("pprof: %w", err)
+			}
+		}()
+	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -162,6 +175,18 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// pprofHandler serves the runtime profiles under /debug/pprof/. It is a
+// mux of its own, for a listener of its own: the API mux never serves it.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // buildConfig assembles the serve.Config from either a JSON file or the

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"dfdeques/internal/serve"
 )
 
 // TestStalledRequestLineIsClosed drives the server main builds: a client
@@ -108,5 +112,29 @@ func TestTenantSpecRejectsRepeatedName(t *testing.T) {
 	tens, err := parseTenants("a:1:4096,b:1:0")
 	if err != nil || len(tens) != 2 || tens["a"].MemBudget != 4096 {
 		t.Fatalf("distinct tenants: %v %+v", err, tens)
+	}
+}
+
+// TestPprofOnlyOnItsOwnHandler: -pprof's handler serves the profiles;
+// the API handler does not.
+func TestPprofOnlyOnItsOwnHandler(t *testing.T) {
+	rec := httptest.NewRecorder()
+	pprofHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("pprof handler: /debug/pprof/cmdline = %d", rec.Code)
+	}
+	cfg, err := buildConfig("", 1, "dfd", 1024, 1, "default:1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("API handler: /debug/pprof/ = %d, want 404", rec.Code)
 	}
 }

@@ -105,10 +105,16 @@ func (b *B) Spec() *ThreadSpec {
 }
 
 // Par2 builds a thread that runs the two child specs in parallel: it forks
-// both, then joins both, with an optional preamble of work actions. This
-// is the canonical binary-fork building block of the paper's programs.
+// both, then joins both. This is the canonical binary-fork building block
+// of the paper's programs, and a served tree job builds one per level, so
+// it allocates the four instructions at once instead of through B.
 func Par2(label string, left, right *ThreadSpec) *ThreadSpec {
-	return NewThread(label).Fork(left).Fork(right).Join().Join().Spec()
+	if left == nil || right == nil {
+		panic("dag: Fork(nil)")
+	}
+	return &ThreadSpec{Label: label, Instrs: []Instr{
+		{Op: OpFork, Child: left}, {Op: OpFork, Child: right}, {Op: OpJoin}, {Op: OpJoin},
+	}}
 }
 
 // ParFor builds a balanced binary fork tree over n leaves, calling leaf(i)

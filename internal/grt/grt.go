@@ -432,32 +432,32 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	if opts.TenantTag != 0 || opts.JobTag != 0 {
 		rt.trace(-1, rtrace.EvJobAnnotate, j.id, opts.TenantTag, opts.JobTag)
 	}
+	if ctx.Done() != nil {
+		// The context watch: poison the job the moment ctx fires. It is
+		// registered before the root is published, so the worker whose
+		// finishJob stops it sees it; a ctx that has already fired runs
+		// the cancel once extMu is free.
+		j.stopWatch = context.AfterFunc(ctx, func() { j.cancel(ctx.Err()) })
+	}
 	rt.pol.Inject(rootT)
 	rt.extMu.Unlock()
 	rt.forceWake()
-
-	if ctx.Done() != nil {
-		// The context watcher: poison the job the moment ctx fires. It
-		// exits when the job drains, so Shutdown leaves no goroutine
-		// behind.
-		go func() {
-			select {
-			case <-ctx.Done():
-				j.cancel(ctx.Err())
-			case <-j.done:
-			}
-		}()
-	}
 	return j, nil
 }
 
 // finishJob retires a job whose last thread just completed on worker w.
 func (rt *Runtime) finishJob(w int, j *Job) {
 	var failed int64
-	if j.Err() != nil {
+	j.mu.Lock()
+	j.ended = true
+	if j.err != nil {
 		failed = 1
 	}
 	rt.trace(w, rtrace.EvJobEnd, j.id, failed, 0)
+	j.mu.Unlock()
+	if j.stopWatch != nil {
+		j.stopWatch()
+	}
 	if j.budget != nil {
 		j.budget.settle(j)
 	}

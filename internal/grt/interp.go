@@ -27,7 +27,11 @@ func RunSpec(cfg Config, spec *dag.ThreadSpec, workScale int) (Stats, error) {
 // SpecBody validates a declarative program and returns it as a root
 // thread body, so callers that need lifecycle control (Submit with a
 // deadline, several specs on one warm runtime) can feed specs through the
-// persistent API instead of the one-shot RunSpec.
+// persistent API instead of the one-shot RunSpec. The body is one run's
+// program: its lock instructions share Mutexes with no other body's. The
+// validation and the thread bodies of every distinct sub-program are done
+// here, once, so running the body validates nothing and a fork allocates
+// nothing.
 func SpecBody(spec *dag.ThreadSpec, workScale int) (func(*T), error) {
 	if err := dag.Validate(spec); err != nil {
 		return nil, err
@@ -35,16 +39,37 @@ func SpecBody(spec *dag.ThreadSpec, workScale int) (func(*T), error) {
 	if workScale <= 0 {
 		workScale = 8
 	}
-	in := &interp{scale: workScale, locks: make(map[dag.LockID]*Mutex)}
-	return func(t *T) { in.thread(t, spec) }, nil
+	in := &interp{scale: workScale, bodies: make(map[*dag.ThreadSpec]func(*T))}
+	return in.body(spec), nil
 }
 
 type interp struct {
 	scale int
 	mu    sync.Mutex
-	locks map[dag.LockID]*Mutex
+	locks map[dag.LockID]*Mutex // made at the first lock instruction
+
+	// bodies holds the thread body of each distinct (sub-)program, built
+	// by SpecBody and only read afterwards.
+	bodies map[*dag.ThreadSpec]func(*T)
 
 	sink uint64 // keeps the work loops' result live without ever being stored to (spin)
+}
+
+// body returns spec's thread body, building it and its forks' bodies on
+// first sight; shared subtrees (a fork tree reuses one spec per level)
+// get one body each.
+func (in *interp) body(spec *dag.ThreadSpec) func(*T) {
+	if b, ok := in.bodies[spec]; ok {
+		return b
+	}
+	b := func(t *T) { in.thread(t, spec) }
+	in.bodies[spec] = b
+	for _, instr := range spec.Instrs {
+		if instr.Op == dag.OpFork {
+			in.body(instr.Child)
+		}
+	}
+	return b
 }
 
 func (in *interp) lock(id dag.LockID) *Mutex {
@@ -52,6 +77,9 @@ func (in *interp) lock(id dag.LockID) *Mutex {
 	defer in.mu.Unlock()
 	m, ok := in.locks[id]
 	if !ok {
+		if in.locks == nil {
+			in.locks = make(map[dag.LockID]*Mutex)
+		}
 		m = &Mutex{}
 		in.locks[id] = m
 	}
@@ -73,8 +101,7 @@ func (in *interp) thread(t *T, spec *dag.ThreadSpec) {
 		case dag.OpFree:
 			t.Free(instr.N)
 		case dag.OpFork:
-			child := instr.Child
-			h := t.Fork(func(c *T) { in.thread(c, child) })
+			h := t.Fork(in.bodies[instr.Child])
 			joinStack = append(joinStack, h)
 		case dag.OpJoin:
 			h := joinStack[len(joinStack)-1]

@@ -1,6 +1,7 @@
 package grt_test
 
 import (
+	"context"
 	"testing"
 
 	"dfdeques/internal/dag"
@@ -125,10 +126,55 @@ func TestRunSpecLocksWork(t *testing.T) {
 	}
 }
 
-// TestRunSpecRejectsInvalid: validation errors surface.
+// TestRunSpecRejectsInvalid: validation errors surface, from RunSpec and
+// from SpecBody.
 func TestRunSpecRejectsInvalid(t *testing.T) {
 	bad := &dag.ThreadSpec{Instrs: []dag.Instr{{Op: dag.OpJoin}}}
 	if _, err := grt.RunSpec(grt.Config{Workers: 1, Sched: grt.FIFO}, bad, 1); err == nil {
 		t.Fatal("expected validation error")
 	}
+	unjoined := &dag.ThreadSpec{Instrs: []dag.Instr{{Op: dag.OpFork, Child: dag.NewThread("c").Work(1).Spec()}}}
+	if _, err := grt.SpecBody(unjoined, 1); err == nil {
+		t.Fatal("SpecBody accepted a fork that is never joined")
+	}
+}
+
+// TestSpecRunAllocsDoNotGrowWithForks: an interpreted fork tree
+// allocates per distinct sub-program (a tree has one per level), not per
+// fork. Depth 8 forks 240 more threads than depth 4; a closure per fork
+// would show as at least 240 more allocations.
+func TestSpecRunAllocsDoNotGrowWithForks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rt, err := grt.New(grt.Config{Workers: 1, Sched: grt.DFDeques, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background())
+	allocs := func(depth int) float64 {
+		spec := dag.NewThread("leaf").Work(1).Spec()
+		for d := 0; d < depth; d++ {
+			spec = dag.Par2("node", spec, spec)
+		}
+		return testing.AllocsPerRun(50, func() {
+			body, err := grt.SpecBody(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := rt.Submit(context.Background(), body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const perLevel = 4 // a body, and a share of its map's growth
+	a4, a8 := allocs(4), allocs(8)
+	if grown := a8 - a4; grown > 4*perLevel {
+		t.Fatalf("allocations per run: %.1f at depth 4, %.1f at depth 8 — %.1f more for 4 more levels", a4, a8, grown)
+	}
+	t.Logf("allocations per run: %.1f at depth 4, %.1f at depth 8", a4, a8)
 }

@@ -31,12 +31,21 @@ type Job struct {
 	// — at their next resume.
 	poisoned atomic.Bool
 
-	// mu guards err and blocked. It is a leaf under every Mutex/Future
-	// lock (registration runs as m.mu → j.mu); the cancel sweep never
-	// holds it while taking a synchronization object's lock.
+	// mu guards err, ended and blocked. It is a leaf under every
+	// Mutex/Future lock (registration runs as m.mu → j.mu); the cancel
+	// sweep never holds it while taking a synchronization object's lock.
+	// A job's end and a cancel each record their event under it, so a
+	// cancel either precedes the end (and is in the job's outcome) or
+	// finds ended set and does nothing.
 	mu      sync.Mutex
 	err     error
+	ended   bool
 	blocked map[*T]*blocker // lock/future-blocked threads, for the cancel sweep
+
+	// stopWatch unregisters the context watch (context.AfterFunc) that
+	// cancels the job when its submission context fires; nil for a
+	// context that never does. Written before the root is published.
+	stopWatch func() bool
 
 	// Per-job accounting (the runtime keeps only global counters needed
 	// for scheduling itself).
@@ -199,11 +208,6 @@ func (j *Job) unregisterBlocked(t *T) {
 // idempotent, reporting whether this call was the one that canceled the
 // job (false if it already finished or was already poisoned).
 func (j *Job) Cancel() bool {
-	select {
-	case <-j.done:
-		return false
-	default:
-	}
 	return j.cancel(context.Canceled)
 }
 
@@ -214,7 +218,9 @@ func (j *Job) Cancel() bool {
 // running and queued threads see the flag at their next scheduling event.
 // Join-parked threads need no sweep — their children all die, and each
 // death wakes its waiter through the normal join protocol. Idempotent;
-// reports whether this call was the one that poisoned the job.
+// reports whether this call was the one that poisoned the job: false
+// once the job is poisoned or has ended (a cancel that comes after the end
+// records nothing and leaves the job's error alone).
 func (j *Job) cancel(reason error) bool {
 	// Cancels serialize on extMu (which also makes them lane -1's single
 	// writer), and the record is drawn before the flag becomes visible, so
@@ -222,18 +228,21 @@ func (j *Job) cancel(reason error) bool {
 	// is sequenced after its EvJobCancel.
 	rt := j.rt
 	rt.extMu.Lock()
-	if j.poisoned.Load() {
+	j.mu.Lock()
+	if j.ended || j.poisoned.Load() {
+		j.mu.Unlock()
 		rt.extMu.Unlock()
 		return false
 	}
-	j.fail(reason)
+	if j.err == nil {
+		j.err = reason
+	}
 	rt.trace(-1, rtrace.EvJobCancel, j.id, 0, 0)
 	j.poisoned.Store(true)
 
 	// Snapshot the parked threads under j.mu, then republish outside it:
 	// cancelWait takes the synchronization object's lock, which is
 	// ordered *before* j.mu.
-	j.mu.Lock()
 	swept := make([]*T, 0, len(j.blocked))
 	objs := make([]*blocker, 0, len(j.blocked))
 	for t, b := range j.blocked {

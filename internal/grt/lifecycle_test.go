@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dfdeques/internal/grt"
+	"dfdeques/internal/rtrace"
 )
 
 // spinForever is a job that never finishes on its own: an endless stream
@@ -529,5 +530,148 @@ func TestDeadlockIdleRuntimeNeverCancels(t *testing.T) {
 			}
 			waitNoLeaks(t, base)
 		})
+	}
+}
+
+// TestCancelAfterFinishIsANoOp: a job's context canceled after the job
+// completed must leave it completed — no error, no EvJobCancel, not
+// counted as canceled. The submitter polls for the end without yielding
+// its P, so a context watch that has not run yet finds both its context
+// and the job's end ready when it does (a goroutine watch picked one of
+// the two at random).
+func TestCancelAfterFinishIsANoOp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	ctrs := rtrace.NewCounters()
+	rt, err := grt.New(grt.Config{Workers: 1, Sched: grt.DFDeques, Seed: 3, Probe: ctrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]*grt.Job, 300)
+	for i := range jobs {
+		ctx, cancel := context.WithCancel(context.Background())
+		j, err := rt.Submit(ctx, func(*grt.T) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for done := false; !done; {
+			select {
+			case <-j.Done():
+				done = true
+			default:
+			}
+		}
+		cancel()
+		if j.Cancel() {
+			t.Fatalf("job %d: Cancel after Done reported a cancel", i)
+		}
+		jobs[i] = j
+	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitNoLeaks(t, base) // every watch has acted
+	for i, j := range jobs {
+		if err := j.Err(); err != nil {
+			t.Fatalf("job %d: completed job reports %v after its context was canceled", i, err)
+		}
+	}
+	if n := ctrs.Count(rtrace.EvJobCancel); n != 0 {
+		t.Fatalf("%d EvJobCancel records for %d completed jobs", n, len(jobs))
+	}
+}
+
+// TestCancelRacesJobEnd: contexts canceled right after Submit, racing
+// jobs that end at once on another worker. Every job ends exactly one
+// way: completed with no error, or canceled with its context's error and
+// one EvJobCancel.
+func TestCancelRacesJobEnd(t *testing.T) {
+	ctrs := rtrace.NewCounters()
+	rt, err := grt.New(grt.Config{Workers: 2, Sched: grt.DFDeques, Seed: 5, Probe: ctrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 400
+	canceled := 0
+	for i := 0; i < jobs; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		j, err := rt.Submit(ctx, func(*grt.T) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		<-j.Done()
+		switch err := j.Err(); {
+		case err == nil:
+		case errors.Is(err, context.Canceled):
+			canceled++
+		default:
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := ctrs.Count(rtrace.EvJobCancel); n != int64(canceled) {
+		t.Fatalf("%d EvJobCancel records, %d jobs canceled", n, canceled)
+	}
+	t.Logf("%d of %d jobs canceled before their end", canceled, jobs)
+}
+
+// TestSubmitStartsNoWatcherGoroutine: a job submitted with a cancellable
+// context costs no goroutine beyond its threads'. Jobs park their roots
+// on a Future while a keeper job holds one worker busy (so the deadlock
+// detector stays out of it), then the keeper sets the Future.
+func TestSubmitStartsNoWatcherGoroutine(t *testing.T) {
+	rt, err := grt.New(grt.Config{Workers: 2, Sched: grt.DFDeques, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background())
+	var f grt.Future
+	var stop atomic.Bool
+	keeperUp := make(chan struct{})
+	keeper, err := rt.Submit(context.Background(), func(t *grt.T) {
+		close(keeperUp)
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+		f.Set(t, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-keeperUp
+	base := runtime.NumGoroutine()
+
+	const n = 100
+	var parked atomic.Int64
+	jobs := make([]*grt.Job, n)
+	for i := range jobs {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		jobs[i], err = rt.Submit(ctx, func(t *grt.T) {
+			parked.Add(1)
+			f.Get(t)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for parked.Load() < n {
+		runtime.Gosched()
+	}
+	// One goroutine per parked root thread, nothing per job besides.
+	if grown := runtime.NumGoroutine() - base; grown > n+2 {
+		t.Errorf("%d jobs parked on a Future: goroutines grew by %d, want at most %d (their threads)", n, grown, n+2)
+	}
+	stop.Store(true)
+	if _, err := keeper.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if _, err := j.Wait(); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 }

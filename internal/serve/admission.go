@@ -71,27 +71,21 @@ type job struct {
 	state     string // "pending" → "running" → "done" | "failed" | "canceled"
 	err       error
 	result    jobResult
-	startAt   time.Time
 	finishAt  time.Time
 	cancelReq bool   // DELETE arrived; run must be aborted
-	cancelFn  func() // cancels the running job's context (set by runJob)
+	cancelFn  func() // cancels the running job's context (set by runJob, dropped by finish)
 
 	done chan struct{}
 }
 
-func (j *job) setRunning() {
-	j.mu.Lock()
-	j.state = "running"
-	j.startAt = time.Now()
-	j.mu.Unlock()
-}
-
 // finish classifies the job's outcome, counts it against its tenant and
 // only then releases the waiters: a client that has seen the job finish
-// must find it in its tenant's accounting.
+// must find it in its tenant's accounting. It drops the compiled program
+// and the canceler: a retained job keeps only what status reports.
 func (j *job) finish(res jobResult, err error) {
 	j.mu.Lock()
 	j.finishAt = time.Now()
+	j.run, j.cancelFn = runnable{}, nil
 	switch {
 	case err == nil:
 		j.state, j.result = "done", res
@@ -113,10 +107,11 @@ func (j *job) stateNow() string {
 	return j.state
 }
 
-// attachCancel installs the running job's context canceler; if a cancel
-// request raced in while the job was leaving the queue, it fires now.
-func (j *job) attachCancel(fn func()) {
+// start marks the job running and installs its context canceler; if a
+// cancel request raced in while the job was leaving the queue, it fires now.
+func (j *job) start(fn func()) {
 	j.mu.Lock()
+	j.state = "running"
 	j.cancelFn = fn
 	requested := j.cancelReq
 	j.mu.Unlock()
@@ -211,10 +206,14 @@ func (t *tenant) atLimit() bool {
 	return lim > 0 && t.budget.HeapLive() >= lim
 }
 
-// admission is the dispatcher: tenant queues in, running jobs out.
+// admission is the dispatcher: tenant queues in, running jobs out. The
+// dispatcher hands each admitted job to one of maxInflight long-lived
+// runners, so a job starts no goroutine of its own.
 type admission struct {
-	rt      *grt.Runtime
-	baseCtx context.Context
+	rt         *grt.Runtime
+	baseCtx    context.Context // parent of every running job's context
+	cancelRuns func()          // aborts the running jobs (an expired drain)
+	runs       chan *job       // dispatcher → runners; closed when the dispatcher exits
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -227,15 +226,17 @@ type admission struct {
 	draining    bool
 	closed      bool
 
-	wg sync.WaitGroup // dispatcher + one runner per in-flight job
+	wg sync.WaitGroup // dispatcher + runners
 }
 
-func newAdmission(rt *grt.Runtime, baseCtx context.Context, cfg Config) *admission {
+func newAdmission(rt *grt.Runtime, cfg Config) *admission {
 	a := &admission{
-		rt: rt, baseCtx: baseCtx,
+		rt:          rt,
+		runs:        make(chan *job),
 		tenants:     make(map[string]*tenant, len(cfg.Tenants)),
 		maxInflight: cfg.MaxInflight,
 	}
+	a.baseCtx, a.cancelRuns = context.WithCancel(context.Background())
 	a.cond = sync.NewCond(&a.mu)
 	for name := range cfg.Tenants {
 		a.names = append(a.names, name)
@@ -247,8 +248,16 @@ func newAdmission(rt *grt.Runtime, baseCtx context.Context, cfg Config) *admissi
 		t.setContract(cfg.Tenants[name])
 		a.tenants[name] = t
 	}
-	a.wg.Add(1)
+	a.wg.Add(1 + a.maxInflight)
 	go a.dispatch()
+	for i := 0; i < a.maxInflight; i++ {
+		go func() {
+			defer a.wg.Done()
+			for j := range a.runs {
+				a.runJob(j)
+			}
+		}()
+	}
 	return a
 }
 
@@ -412,9 +421,12 @@ func (a *admission) pickLocked() *tenant {
 	return best
 }
 
-// dispatch is the admission loop: one goroutine, exits when closed.
+// dispatch is the admission loop: one goroutine, exits when closed and
+// then stops the runners. A job is handed on only while a slot is free,
+// so the send waits at most for a runner that is leaving its last job.
 func (a *admission) dispatch() {
 	defer a.wg.Done()
+	defer close(a.runs)
 	for {
 		a.mu.Lock()
 		var t *tenant
@@ -439,18 +451,15 @@ func (a *admission) dispatch() {
 		a.mu.Unlock()
 
 		t.admitted.Add(1)
-		a.wg.Add(1)
-		go a.runJob(j)
+		a.runs <- j
 	}
 }
 
 // runJob executes one admitted job through the tenant's budget-attaching
 // submitter and retires it, releasing its cost reservation.
 func (a *admission) runJob(j *job) {
-	defer a.wg.Done()
 	ctx, cancel := context.WithCancel(a.baseCtx)
-	j.attachCancel(cancel)
-	j.setRunning()
+	j.start(cancel)
 	t := j.tenant
 	res, err := j.run.run(ctx, tenantSubmitter{
 		rt: a.rt, budget: t.budget, tenantTag: t.tag, jobTag: j.seq,
@@ -471,8 +480,8 @@ func (a *admission) runJob(j *job) {
 // drain runs the admission side of graceful shutdown: refuse new
 // submissions, let pending and in-flight jobs run out, and join every
 // goroutine. If ctx expires first, still-pending jobs are failed with
-// ErrShutdown (running jobs are aborted by the caller canceling baseCtx
-// before rt.Shutdown poisons them). Idempotent.
+// ErrShutdown and running jobs are canceled (their contexts poison them;
+// each dies at its next scheduling point). Idempotent.
 func (a *admission) drain(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		a.mu.Lock()
@@ -489,8 +498,8 @@ func (a *admission) drain(ctx context.Context) error {
 	}
 	err := ctx.Err()
 	if err != nil {
-		// Abort: fail everything still queued; in-flight jobs are the
-		// caller's to cancel (baseCtx → job poison → runner exit).
+		// Abort: cancel what runs, fail everything still queued.
+		a.cancelRuns()
 		for _, name := range a.names {
 			t := a.tenants[name]
 			for _, j := range t.pending {
@@ -505,6 +514,7 @@ func (a *admission) drain(ctx context.Context) error {
 	a.mu.Unlock()
 
 	a.wg.Wait()
+	a.cancelRuns()
 	return err
 }
 
@@ -520,27 +530,14 @@ func (a *admission) idleLocked() bool {
 	return true
 }
 
-// pendingCount returns the total queued jobs across tenants.
-func (a *admission) pendingCount() (n int) {
+// load returns the running jobs and the queued ones across tenants.
+func (a *admission) load() (inflight, pending int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, t := range a.tenants {
-		n += len(t.pending)
+		pending += len(t.pending)
 	}
-	return n
-}
-
-func (a *admission) inflightCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight
-}
-
-// tenantPending returns one tenant's queue depth.
-func (a *admission) tenantPending(t *tenant) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(t.pending)
+	return a.inflight, pending
 }
 
 // tenantShape reads the mu-guarded parts of a tenant row for status

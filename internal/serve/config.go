@@ -54,8 +54,9 @@ type Config struct {
 	// Tenants maps tenant name → contract; at least one is required
 	// (every submission names its tenant).
 	Tenants map[string]TenantConfig
-	// MaxInflight bounds concurrently running jobs across all tenants;
-	// 0 means 4 × workers.
+	// MaxInflight bounds concurrently running jobs across all tenants,
+	// and is the number of runner goroutines that run them; 0 means
+	// 4 × workers.
 	MaxInflight int
 	// MaxBodyBytes bounds a submission's JSON body; 0 means 1 MiB.
 	MaxBodyBytes int64

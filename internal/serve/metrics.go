@@ -57,7 +57,7 @@ func (s *Server) writeRuntimeMetrics(b *strings.Builder) {
 		{"dfd_local_dispatches_total", "counter", "Dispatches off the worker's own deque top.", float64(sum.LocalDispatches)},
 		{"dfd_steals_total", "counter", "Successful steals.", float64(sum.Steals)},
 		{"dfd_steal_attempts_total", "counter", "Steal attempts.", float64(sum.StealAttempts)},
-		{"dfd_promotions_total", "counter", "Inline frames promoted to goroutines (work-first engine).", float64(sum.Promotions)},
+		{"dfd_promotions_total", "counter", "Threads given a goroutine: inline frames promoted at a block or give-up, and first dispatches of never-run threads.", float64(sum.Promotions)},
 		{"dfd_quota_exhausts_total", "counter", "Memory-quota preemptions (the paper's K).", float64(sum.QuotaExhausts)},
 		{"dfd_dummy_splits_total", "counter", "Big allocations split through dummy trees.", float64(sum.DummySplits)},
 		{"dfd_deque_high_water", "gauge", "Peak deque-list population.", float64(sum.DequeHighWater)},
@@ -77,6 +77,7 @@ func (s *Server) writeRuntimeMetrics(b *strings.Builder) {
 func (s *Server) writeServeMetrics(b *strings.Builder) {
 	uptime := time.Since(s.start).Seconds()
 	tenants := s.adm.snapshot()
+	inflight, pending := s.adm.load()
 
 	metric(b, "dfdserve_uptime_seconds", "gauge", "Seconds since the server started.", func(b *strings.Builder) {
 		fmt.Fprintf(b, "dfdserve_uptime_seconds %s\n", fmtFloat(uptime))
@@ -85,10 +86,10 @@ func (s *Server) writeServeMetrics(b *strings.Builder) {
 		fmt.Fprintf(b, "dfdserve_tenants %d\n", len(tenants))
 	})
 	metric(b, "dfdserve_inflight_jobs", "gauge", "Jobs currently running.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_inflight_jobs %d\n", s.adm.inflightCount())
+		fmt.Fprintf(b, "dfdserve_inflight_jobs %d\n", inflight)
 	})
 	metric(b, "dfdserve_pending_jobs", "gauge", "Jobs queued for admission across tenants.", func(b *strings.Builder) {
-		fmt.Fprintf(b, "dfdserve_pending_jobs %d\n", s.adm.pendingCount())
+		fmt.Fprintf(b, "dfdserve_pending_jobs %d\n", pending)
 	})
 	metric(b, "dfdserve_auth_failures_total", "counter", "Requests refused 401 (missing or wrong key).", func(b *strings.Builder) {
 		fmt.Fprintf(b, "dfdserve_auth_failures_total %d\n", s.authFailures.Load())
@@ -117,7 +118,7 @@ func (s *Server) writeServeMetrics(b *strings.Builder) {
 	perTenant("dfdserve_budget_kills_total", "counter", "Jobs killed for exceeding the tenant memory budget.",
 		func(t *tenant) string { return fmt.Sprint(t.budget.Kills()) })
 	perTenant("dfdserve_pending", "gauge", "Tenant's queued jobs.",
-		func(t *tenant) string { return fmt.Sprint(s.adm.tenantPending(t)) })
+		func(t *tenant) string { _, pending, _ := s.adm.tenantShape(t); return fmt.Sprint(pending) })
 	perTenant("dfdserve_budget_limit_bytes", "gauge", "Tenant memory budget (0 = no quota).",
 		func(t *tenant) string { return fmt.Sprint(t.budget.Limit()) })
 	perTenant("dfdserve_budget_live_bytes", "gauge", "Tenant live heap across in-flight jobs.",

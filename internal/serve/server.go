@@ -55,10 +55,9 @@ type Server struct {
 
 	bodyTimeout time.Duration // bodyReadTimeout; a field so tests run at their own scale
 
-	cancelJobs context.CancelFunc // aborts in-flight jobs on expired drain
-	draining   atomic.Bool
-	closeOnce  sync.Once
-	closeErr   error
+	draining  atomic.Bool
+	closeOnce sync.Once
+	closeErr  error
 
 	authFailures   atomic.Int64 // requests refused 401 (any route)
 	unknownTenants atomic.Int64 // submissions naming a non-tenant
@@ -96,9 +95,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.rt = rt
-	baseCtx, cancel := context.WithCancel(context.Background())
-	s.cancelJobs = cancel
-	s.adm = newAdmission(rt, baseCtx, cfg)
+	s.adm = newAdmission(rt, cfg)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -124,15 +121,9 @@ func (s *Server) Close(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
 		err := s.adm.drain(ctx)
-		if err != nil {
-			// Expired: abort whatever is still running, then drain the
-			// runtime (Shutdown waits for the poisoned jobs to die).
-			s.cancelJobs()
-		}
 		if serr := s.rt.Shutdown(context.Background()); serr != nil && err == nil {
 			err = serr
 		}
-		s.cancelJobs() // release the watcher even on the graceful path
 		s.closeErr = err
 	})
 	return s.closeErr
@@ -143,9 +134,7 @@ func (s *Server) Close(ctx context.Context) error {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeErr emits the unified v1 error envelope; 429s carry Retry-After.

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,6 +179,7 @@ func TestSubmitErrors(t *testing.T) {
 		{"work scale too large", JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 1}, WorkScale: maxWorkScale + 1}, http.StatusBadRequest},
 		{"spec bad op", JobRequest{Tenant: "alice", Spec: &SpecNode{Instrs: []SpecInstr{{Op: "frob"}}}}, http.StatusBadRequest},
 		{"spec join without fork", JobRequest{Tenant: "alice", Spec: &SpecNode{Instrs: []SpecInstr{{Op: "join"}}}}, http.StatusBadRequest},
+		{"spec fork never joined", JobRequest{Tenant: "alice", Spec: &SpecNode{Instrs: []SpecInstr{{Op: "fork", Child: &SpecNode{Instrs: []SpecInstr{{Op: "work", N: 1}}}}}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -686,5 +690,165 @@ func TestStalledBodyIsClosed(t *testing.T) {
 		if time.Since(t0) > 2*slow {
 			break
 		}
+	}
+}
+
+// TestAdmittedJobsStartNoGoroutines: an admitted job runs on one of the
+// long-lived runners and starts no goroutine of its own — neither a
+// runner nor a context watch — beyond its threads'. The in-flight jobs
+// park their roots on a Future while a keeper job holds a worker busy.
+func TestAdmittedJobsStartNoGoroutines(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxInflight = 8
+	s := newTestServer(t, cfg)
+	var f grt.Future
+	var stop atomic.Bool
+	keeperUp := make(chan struct{})
+	keeper, err := s.rt.Submit(context.Background(), func(t *grt.T) {
+		close(keeperUp)
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+		f.Set(t, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-keeperUp
+	base := runtime.NumGoroutine()
+
+	alice, _ := s.adm.lookup("alice")
+	var parked atomic.Int64
+	held := runnable{kind: "held", run: func(ctx context.Context, sub workload.Submitter) (jobResult, error) {
+		j, err := sub.Submit(ctx, func(t *grt.T) {
+			parked.Add(1)
+			f.Get(t)
+		})
+		if err != nil {
+			return jobResult{}, err
+		}
+		_, err = j.Wait()
+		return jobResult{}, err
+	}}
+	jobs := make([]*job, 3*cfg.MaxInflight)
+	for i := range jobs {
+		jobs[i] = &job{id: fmt.Sprintf("held%d", i), tenant: alice, kind: held.kind, run: held,
+			submitAt: time.Now(), state: "pending", done: make(chan struct{})}
+		if err := s.adm.enqueue(jobs[i]); err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+	}
+	for parked.Load() < int64(cfg.MaxInflight) {
+		runtime.Gosched()
+	}
+	if grown := runtime.NumGoroutine() - base; grown > cfg.MaxInflight+2 {
+		t.Errorf("%d jobs in flight, %d pending: goroutines grew by %d, want at most %d (their root threads)",
+			cfg.MaxInflight, len(jobs)-cfg.MaxInflight, grown, cfg.MaxInflight+2)
+	}
+	stop.Store(true)
+	if _, err := keeper.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		<-j.done
+		if st := j.status(); st.Status != "done" {
+			t.Fatalf("job %d: %+v", i, st)
+		}
+	}
+}
+
+// TestDrainFinishesOrFailsEveryJob: a drain runs every pending and
+// in-flight job to completion; an aborted drain cancels the in-flight
+// ones, fails the pending ones with ErrShutdown and returns promptly —
+// not after the running jobs' natural end — with no goroutine left.
+func TestDrainFinishesOrFailsEveryJob(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		t.Run(fmt.Sprintf("abort=%v", abort), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := testConfig()
+			cfg.MaxInflight = 2
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			req := JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: 3, Work: 4}}
+			timeout := 30 * time.Second
+			if abort {
+				// ~16k leaves of ~4M spin iterations each: a minute or
+				// more on two workers, unless canceled.
+				req = JobRequest{Tenant: "alice", Tree: &TreeSpec{Depth: maxTreeDepth, Work: 1000}, WorkScale: maxWorkScale}
+				timeout = 200 * time.Millisecond
+			}
+			var ids []string
+			for i := 0; i < 5; i++ {
+				code, st, ae := postJob(t, ts, req, false)
+				if code != http.StatusAccepted {
+					t.Fatalf("submit %d: %d %+v", i, code, ae)
+				}
+				ids = append(ids, st.ID)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			began := time.Now()
+			err = s.Close(ctx)
+			took := time.Since(began)
+			ts.Close()
+			if abort != (err != nil) {
+				t.Fatalf("Close = %v after %v", err, took)
+			}
+			if abort && took > 10*time.Second {
+				t.Fatalf("aborted drain took %v: it waited for the running jobs", took)
+			}
+			count := map[string]int{}
+			for _, id := range ids {
+				s.jmu.Lock()
+				st := s.jobs[id].status()
+				s.jmu.Unlock()
+				count[st.Status]++
+				switch {
+				case !abort && st.Status != "done":
+					t.Errorf("drain left %s %q (%s)", id, st.Status, st.Error)
+				case abort && st.Status == "failed" && st.Error != grt.ErrShutdown.Error():
+					t.Errorf("aborted drain failed %s with %q, want %q", id, st.Error, grt.ErrShutdown)
+				}
+			}
+			if abort && (count["canceled"] != cfg.MaxInflight || count["failed"] != len(ids)-cfg.MaxInflight) {
+				t.Errorf("aborted drain: %v, want %d canceled (in flight) and %d failed (pending)",
+					count, cfg.MaxInflight, len(ids)-cfg.MaxInflight)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base+2 { // httptest teardown slack
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: base %d, now %d", base, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestFinishedJobKeepsOnlyItsStatus: a finished job drops its compiled
+// program and its canceler, and its status still reports every field.
+func TestFinishedJobKeepsOnlyItsStatus(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, st, ae := postJob(t, ts, JobRequest{Tenant: "hog", Tree: &TreeSpec{Depth: 3, Alloc: 64, Work: 2}}, true)
+	if code != http.StatusOK || st.Status != "done" {
+		t.Fatalf("submit: %d %+v %+v", code, st, ae)
+	}
+	s.jmu.Lock()
+	j := s.jobs[st.ID]
+	s.jmu.Unlock()
+	j.mu.Lock()
+	kept := j.run.run != nil || j.cancelFn != nil
+	j.mu.Unlock()
+	if kept {
+		t.Errorf("finished job %s still holds its program or its canceler", st.ID)
+	}
+	if got := j.status(); got.Kind != "tree:d3" || got.Cost == 0 || got.Stats == nil ||
+		got.Stats.TotalThreads != 15 || got.LatencyMs <= 0 || !reflect.DeepEqual(got, st) {
+		t.Errorf("status after finish: %+v, the wait reply was %+v", got, st)
 	}
 }

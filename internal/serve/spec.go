@@ -133,7 +133,7 @@ func compileTree(req JobRequest, k int64) (runnable, error) {
 	for d := 0; d < tr.Depth; d++ {
 		spec = dag.Par2("node", spec, spec) // specs are immutable and shareable
 	}
-	return runnable{kind: fmt.Sprintf("tree:d%d", tr.Depth), cost: price(spec, k), run: specRunner(spec, req.WorkScale)}, nil
+	return specRunnable(fmt.Sprintf("tree:d%d", tr.Depth), spec, req.WorkScale, k)
 }
 
 func compileSpec(req JobRequest, k int64) (runnable, error) {
@@ -141,12 +141,7 @@ func compileSpec(req JobRequest, k int64) (runnable, error) {
 	if err != nil {
 		return runnable{}, err
 	}
-	// Structural validation (fork/join pairing, positive work) up front,
-	// so malformed programs are a 400, not a failed job.
-	if err := dag.Validate(spec); err != nil {
-		return runnable{}, err
-	}
-	return runnable{kind: "spec", cost: price(spec, k), run: specRunner(spec, req.WorkScale)}, nil
+	return specRunnable("spec", spec, req.WorkScale, k)
 }
 
 // lowerSpec converts the wire tree into a dag.ThreadSpec, enforcing the
@@ -203,13 +198,16 @@ func lowerSpec(node *SpecNode, depth, sofar int) (*dag.ThreadSpec, int, error) {
 	return spec, count, nil
 }
 
-// specRunner builds the one-job driver for a lowered program.
-func specRunner(spec *dag.ThreadSpec, workScale int) func(ctx context.Context, sub workload.Submitter) (jobResult, error) {
-	return func(ctx context.Context, sub workload.Submitter) (jobResult, error) {
-		body, err := grt.SpecBody(spec, workScale)
-		if err != nil {
-			return jobResult{}, err
-		}
+// specRunnable compiles a lowered program into the driver of its one
+// run. grt.SpecBody validates the structure (fork/join pairing, positive
+// work) here, so a malformed program is a 400, not a failed job, and the
+// run itself validates nothing.
+func specRunnable(kind string, spec *dag.ThreadSpec, workScale int, k int64) (runnable, error) {
+	body, err := grt.SpecBody(spec, workScale)
+	if err != nil {
+		return runnable{}, err
+	}
+	return runnable{kind: kind, cost: price(spec, k), run: func(ctx context.Context, sub workload.Submitter) (jobResult, error) {
 		j, err := sub.Submit(ctx, body)
 		if err != nil {
 			return jobResult{}, err
@@ -219,5 +217,5 @@ func specRunner(spec *dag.ThreadSpec, workScale int) func(ctx context.Context, s
 			return jobResult{}, err
 		}
 		return jobResult{Stats: &st}, nil
-	}
+	}}, nil
 }

@@ -56,13 +56,16 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # with the pool's and the policy's own: thieves racing GiveUpSteal and the
 # first pushes and pops on a taken-over deque under the Lemma 3.1 checker,
 # the ready count never negative, the remembered steal handed over exactly
-# once.
+# once; and of the job lifecycle without per-job goroutines: a context
+# canceled after its job ended (a no-op), a cancel racing a job that ends
+# at once, no goroutine per submitted or admitted job, and drains that
+# finish or fail every job.
 hogs=
 trap 'kill $hogs' EXIT
 for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp|TestCancelAfterFinishIsANoOp|TestCancelRacesJobEnd|TestSubmitStartsNoWatcherGoroutine|TestAdmittedJobsStartNoGoroutines|TestDrainFinishesOrFailsEveryJob' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/ ./internal/serve/
 # Size gate (ROADMAP item 6): non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
