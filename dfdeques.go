@@ -143,7 +143,8 @@ type SimConfig struct {
 	// CheckInvariants verifies Lemma 3.1 after every timestep (slow).
 	CheckInvariants bool
 
-	// DFDeques variants (apply to Scheduler "DFD" only):
+	// DFDeques variants (Scheduler "DFD" or "DFD-inf"; Simulate refuses
+	// them for the other schedulers):
 
 	// AdaptiveTarget enables the adaptive memory-threshold controller
 	// (§7 future work): K doubles/halves to keep the live heap near this
@@ -168,11 +169,12 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	if !ok {
 		return SimMetrics{}, fmt.Errorf("dfdeques: unknown scheduler %q", cfg.Scheduler)
 	}
-	if cfg.Scheduler == "DFD" {
-		d := s.(*sched.DFDeques)
+	if d, ok := s.(*sched.DFDeques); ok {
 		d.TargetSpace = cfg.AdaptiveTarget
 		d.StealFromTop = cfg.StealFromTop
 		d.FullWindow = cfg.FullWindow
+	} else if cfg.AdaptiveTarget != 0 || cfg.StealFromTop || cfg.FullWindow {
+		return SimMetrics{}, fmt.Errorf("dfdeques: AdaptiveTarget, StealFromTop and FullWindow are DFDeques variants; scheduler %q has none", cfg.Scheduler)
 	}
 	m := machine.New(machine.Config{
 		Procs:           cfg.Procs,

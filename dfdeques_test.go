@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfdeques"
+	"dfdeques/internal/workload"
 )
 
 func TestFacadeSimulate(t *testing.T) {
@@ -129,6 +130,30 @@ func TestFacadeVariants(t *testing.T) {
 	} {
 		if met.Actions < want.W {
 			t.Errorf("%s: actions %d below W %d", name, met.Actions, want.W)
+		}
+	}
+}
+
+// TestFacadeVariantFields: the DFDeques variant fields reach DFD-inf too —
+// Dense MM at p = 8 with StealFromTop makes the 382 steals pinned in
+// internal/sched, not the plain schedule's 84 — and are refused for the
+// schedulers that have no such variant.
+func TestFacadeVariantFields(t *testing.T) {
+	w, _ := workload.ByName("Dense MM")
+	prog := w.Build(workload.Fine)
+	met, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 8, Scheduler: "DFD-inf", Seed: 1, StealFromTop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Steals != 382 {
+		t.Errorf("DFD-inf with StealFromTop: %d steals, want 382", met.Steals)
+	}
+	for _, s := range []string{"WS", "ADF", "FIFO"} {
+		for _, cfg := range []dfdeques.SimConfig{{AdaptiveTarget: 1 << 20}, {StealFromTop: true}, {FullWindow: true}} {
+			cfg.Scheduler, cfg.K = s, 3000
+			if _, err := dfdeques.Simulate(prog, cfg); err == nil {
+				t.Errorf("%s accepted a DFDeques variant: %+v", s, cfg)
+			}
 		}
 	}
 }

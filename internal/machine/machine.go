@@ -83,7 +83,8 @@ type Config struct {
 	SpinLocks bool
 
 	// CheckInvariants runs the scheduler's invariant checker after every
-	// timestep (Lemma 3.1 for DFDeques). Slow; for tests.
+	// timestep (Lemma 3.1 for DFDeques). Slow; for tests. Run refuses it
+	// on a program that takes locks, which is outside the lemma.
 	CheckInvariants bool
 	// Trace, when non-nil, receives one line per scheduling event
 	// (steal, fork, join-suspend, terminate, preempt, dummy). For
@@ -219,6 +220,10 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	if err := dag.Validate(spec); err != nil {
 		return Metrics{}, err
 	}
+	if m.Cfg.CheckInvariants && takesLocks(spec, map[*dag.ThreadSpec]bool{}) {
+		return Metrics{}, errors.New("machine: CheckInvariants on a program that takes locks: " +
+			"Lemma 3.1 and the schedulers' invariants hold for nested-parallel programs only")
+	}
 	root := m.newThread(spec, nil, false)
 	root.Prio = m.prios.PushBack()
 	m.setReady(root)
@@ -283,6 +288,20 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	}
 	m.aggregateCaches()
 	return m.met, nil
+}
+
+// takesLocks reports whether any thread of the spec tree acquires a lock.
+func takesLocks(spec *dag.ThreadSpec, seen map[*dag.ThreadSpec]bool) bool {
+	if seen[spec] {
+		return false
+	}
+	seen[spec] = true
+	for _, in := range spec.Instrs {
+		if in.Op == dag.OpAcquire || in.Op == dag.OpFork && takesLocks(in.Child, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // aggregateCaches folds per-processor cache statistics into the metrics.

@@ -1,12 +1,14 @@
 package machine_test
 
 import (
+	"strings"
 	"testing"
 
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/sched"
+	"dfdeques/internal/workload"
 )
 
 // mkSchedulers returns fresh instances of every scheduler, keyed by name.
@@ -381,5 +383,19 @@ func TestInvalidSpecRejected(t *testing.T) {
 	m := machine.New(machine.Config{Procs: 1, Seed: 18}, sched.NewWS())
 	if _, err := m.Run(bad); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestCheckInvariantsRefusesLocks: Lemma 3.1 covers nested-parallel
+// programs only, so Run refuses invariant checking on Barnes Hut (the
+// benchmark with locks) before step 1, under every scheduler, instead of
+// reporting a broken lemma as a scheduler bug partway through.
+func TestCheckInvariantsRefusesLocks(t *testing.T) {
+	spec := workload.BarnesHut(workload.Fine)
+	for name, s := range mkSchedulers(3000) {
+		met, err := machine.New(machine.Config{Procs: 8, Seed: 1, CheckInvariants: true}, s).Run(spec)
+		if err == nil || !strings.Contains(err.Error(), "takes locks") || met.Steps != 0 {
+			t.Errorf("%s: Run = %d steps, %v; want a refusal naming the locks before step 1", name, met.Steps, err)
+		}
 	}
 }

@@ -68,6 +68,8 @@ type Scheduler interface {
 
 	// CheckInvariants verifies scheduler-internal invariants (for DFDeques,
 	// Lemma 3.1). Called after every timestep when Config.CheckInvariants
-	// is set; return nil when there is nothing to check.
+	// is set, which Run allows only for programs without locks (outside
+	// the nested-parallel model the lemma covers); return nil when there
+	// is nothing to check.
 	CheckInvariants() error
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // PrioQueue is the ADF ready queue: all ready threads in one list sorted
-// by 1DF priority, highest first. It is not synchronized — the simulator
-// uses it bare; the ADF runtime policy wraps it in its queue mutex.
+// by 1DF priority, highest first. It is not synchronized: the ADF policy
+// wraps it in its queue mutex.
 type PrioQueue[T any] struct {
 	less  func(a, b T) bool // higher priority first
 	items []T
@@ -108,6 +109,16 @@ func (a *ADF[T]) Inject(t T) { a.insert(-1, t) }
 // scheduled thread, and the running parent was already charged).
 func (a *ADF[T]) ForkCont(w int, parent, child T) { a.insert(w, child) }
 
+// ForkChildFirst is the simulator's fork, a serial-engine entry: the
+// parent enters the queue at its priority position and the child, which
+// holds the priority just above it, runs next on w with a fresh quota —
+// footnote 14 charges each scheduled thread, and the child is one. The
+// runtime forks parent-first (ForkCont), and the parent's dispatch goes on.
+func (a *ADF[T]) ForkChildFirst(w int, parent T) {
+	a.insert(w, parent)
+	a.quota.Reset(w, a.k)
+}
+
 // JoinPop implements Policy: the global queue has no owner-local claim —
 // an inline join would bypass the queue's priority order, so the parent
 // always parks and the child is dispatched normally.
@@ -151,6 +162,17 @@ func (a *ADF[T]) HasWork() bool { return a.ready.Load() > 0 }
 // Stats implements Policy.
 func (a *ADF[T]) Stats() Stats {
 	return Stats{Steals: a.steals.Load(), LockOps: a.mu.ops.Load(), LockWaitNs: a.mu.waitNs.Load(), MaxDeques: 1}
+}
+
+// CheckInvariants verifies that the ready queue is priority-sorted (serial
+// engines and tests only).
+func (a *ADF[T]) CheckInvariants() error {
+	for i := 1; i < a.q.Len(); i++ {
+		if !a.q.less(a.q.At(i-1), a.q.At(i)) {
+			return fmt.Errorf("policy: ADF ready queue unsorted at %d", i)
+		}
+	}
+	return nil
 }
 
 // insert publishes t on behalf of worker w (-1: pre-run seed). The ready

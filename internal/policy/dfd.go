@@ -11,10 +11,11 @@ import (
 // K = 0 is DFDeques(∞), which behaves like WS up to victim selection (one
 // shared ordered list instead of per-worker deques).
 type DFD[T comparable] struct {
-	pool  *core.SharedPool[T]
-	quota *Quota
-	k     int64
-	lanes []dfdLane[T] // [w] touched only by worker w
+	pool   *core.SharedPool[T]
+	quota  *Quota
+	k      int64
+	lanes  []dfdLane[T] // [w] touched only by worker w
+	serial bool         // driven by the simulator (NewSerialDFD)
 }
 
 // dfdLane is one worker's give-up state. The trailing line of padding
@@ -45,6 +46,17 @@ func NewDFD[T comparable](p int, k int64, less func(a, b T) bool, seed int64) *D
 		k:     k,
 		lanes: make([]dfdLane[T], p),
 	}
+}
+
+// NewSerialDFD builds the DFDeques(K) policy the machine simulator drives,
+// one event at a time. It differs from NewDFD's in one rule: the §4.1 cost
+// model puts the steal that follows a give-up in the next steal round, so
+// a give-up here only releases the deque, and the simulator steals through
+// BeginRound and StealFrom, which draw the victim from its own rng.
+func NewSerialDFD[T comparable](p int, k int64, less func(a, b T) bool) *DFD[T] {
+	d := NewDFD(p, k, less, 0)
+	d.serial = true
+	return d
 }
 
 // Instrument attaches a trace probe to the pool (see internal/rtrace).
@@ -102,8 +114,13 @@ func (d *DFD[T]) Preempt(w int, t T) {
 
 // giveUpSteal gives w's deque up, attempts the steal that follows in the
 // same spine section, and remembers the outcome — possibly a stolen thread,
-// w owning its new deque — for the Acquire(w) the engine calls next.
+// w owning its new deque — for the Acquire(w) the engine calls next. The
+// serial policy only gives up: its steal belongs to the next round.
 func (d *DFD[T]) giveUpSteal(w int) {
+	if d.serial {
+		d.pool.GiveUp(w)
+		return
+	}
 	x, ok := d.pool.GiveUpSteal(w)
 	d.lanes[w].tried = attempt[T]{x, ok, true}
 }
@@ -156,6 +173,29 @@ func (d *DFD[T]) Acquire(w int) (T, bool) {
 	}
 	return a.x, a.ok
 }
+
+// BeginRound starts a steal round of the simulator's cost model (see
+// core.SharedPool.BeginRound) with memory threshold k: the §7 adaptive
+// controller moves K between rounds. A serial-engine entry.
+func (d *DFD[T]) BeginRound(k int64) {
+	d.k = k
+	d.pool.BeginRound()
+}
+
+// StealFrom is the simulator's arbitrated steal of the deque c places from
+// the left end of R (see core.SharedPool.StealFrom); the quota refills on
+// success, as in Acquire. A serial-engine entry.
+func (d *DFD[T]) StealFrom(w, c int, fromTop bool) (T, bool) {
+	x, ok := d.pool.StealFrom(w, c, fromTop)
+	if ok {
+		d.quota.Reset(w, d.k)
+	}
+	return x, ok
+}
+
+// Deques returns the current number of deques in R: the victim window of
+// the simulator's full-window ablation.
+func (d *DFD[T]) Deques() int { return d.pool.Deques() }
 
 // HasWork implements Policy.
 func (d *DFD[T]) HasWork() bool { return d.pool.HasWork() }

@@ -7,8 +7,8 @@ import (
 )
 
 // FIFOQueue is the original Pthreads library's run queue: one global FIFO
-// with a compacting consumed prefix. Not synchronized — the simulator
-// uses it bare; the FIFO runtime policy wraps it in its queue mutex.
+// with a compacting consumed prefix. Not synchronized: the FIFO policy
+// wraps it in its queue mutex.
 type FIFOQueue[T any] struct {
 	items []T
 	head  int

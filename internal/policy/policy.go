@@ -1,20 +1,25 @@
 // Package policy is the single home of the scheduling policies the paper
 // studies — DFDeques(K) (§3.3), the WS work stealer of Blumofe & Leiserson
 // (DFDeques(∞), §3.3), the ADF depth-first scheduler, and the FIFO
-// baseline — factored out of the two engines that drive them:
+// baseline — factored out of the two engines that drive them, event by
+// event, through the same Policy values:
 //
+//   - the real concurrent runtime (internal/grt), which forks
+//     parent-first;
 //   - the serial machine simulator (internal/machine + internal/sched),
-//     whose schedulers are thin adapters over the primitives here (Quota,
-//     PrioQueue, FIFOQueue, WSPool, and core.SharedPool's arbitrated
-//     StealFrom — the same pools the runtime drives);
-//   - the real concurrent runtime (internal/grt), whose workers drive a
-//     Policy implementation event by event.
+//     which forks child-first (ForkCont with the roles swapped) and keeps
+//     only the §4.1 cost model: per-timestep steal arbitration, victim
+//     draws from its seeded rng, queue-latency stalls.
 //
-// The ready-pool protocol — the ordered deque list R with leftmost-p
-// bottom-steals, the per-steal memory quota K, the dummy-thread splitting
-// of large allocations, and the global-queue variants — therefore exists
-// exactly once; a new scheduler lands in one file here instead of one per
-// engine.
+// Where the cost model needs a rule of its own, the simulator calls a
+// serial-engine entry, never a setting: NewSerialDFD (a give-up leaves its
+// steal to the next round, which DFD.BeginRound and DFD.StealFrom run),
+// ADF.ForkChildFirst (the child-first fork refills the quota), and
+// WS.StealFrom (a victim drawn by the simulator). The ready-pool protocol
+// — the ordered deque list R with leftmost-p bottom-steals, the per-steal
+// memory quota K, the dummy give-up, the global-queue variants — therefore
+// exists exactly once; a new scheduler lands in one file here instead of
+// one per engine.
 //
 // Lock-order contract (shared with core.SharedPool and internal/grt): the
 // R spine is a leaf — the less callback runs under it and takes no lock.

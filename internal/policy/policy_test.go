@@ -410,3 +410,55 @@ func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
 		}
 	})
 }
+
+// TestSerialDFDGiveUpLeavesTheStealToTheRound pins the one rule in which
+// the simulator's DFDeques differs from the runtime's: a NewDFD give-up
+// makes exactly one steal attempt in its own spine section, and a
+// NewSerialDFD give-up makes none — §4.1 puts that steal in the next
+// round, which BeginRound and StealFrom run, refilling the quota.
+func TestSerialDFDGiveUpLeavesTheStealToTheRound(t *testing.T) {
+	const k = 100
+	less := func(a, b int) bool { return a < b }
+	for _, c := range []struct {
+		name     string
+		d        *policy.DFD[int]
+		attempts int64
+	}{
+		{"runtime", policy.NewDFD(1, k, less, 1), 1},
+		{"serial", policy.NewSerialDFD(1, k, less), 0},
+	} {
+		d := c.d
+		d.Seed(7)
+		if x, ok := d.Acquire(0); !ok || x != 7 {
+			t.Fatalf("%s: Acquire = %d,%v, want the root 7", c.name, x, ok)
+		}
+		for _, dummy := range []bool{false, true} {
+			before := d.Stats()
+			if dummy {
+				d.ForkCont(0, 7, 8)
+				d.Dummy(0)
+				if _, ok := d.Terminate(0, 0, false); ok {
+					t.Fatalf("%s: Terminate after a dummy handed a thread over", c.name)
+				}
+			} else {
+				d.Charge(0, k)
+				d.Preempt(0, 7)
+			}
+			after := d.Stats()
+			if got := after.Steals + after.FailedSteals - before.Steals - before.FailedSteals; got != c.attempts {
+				t.Fatalf("%s (dummy %v): the give-up made %d steal attempts, want %d", c.name, dummy, got, c.attempts)
+			}
+			if c.attempts == 1 {
+				d.Acquire(0) // hand the remembered attempt over
+				continue
+			}
+			d.BeginRound(k)
+			if _, ok := d.StealFrom(0, 0, false); !ok {
+				t.Fatalf("%s (dummy %v): the next round's steal failed", c.name, dummy)
+			}
+			if !d.Charge(0, k) {
+				t.Fatalf("%s (dummy %v): StealFrom did not refill the quota", c.name, dummy)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,8 @@ import (
 // trying a random steal.
 //
 // All methods are safe for concurrent use; methods taking an owner index
-// must only be called by that owner. The serial simulator drives the same
-// structure single-threaded.
+// must only be called by that owner. The simulator drives the same
+// structure single-threaded, through WS.
 type WSPool[T comparable] struct {
 	dq    []*deque.Deque[T]
 	inbox *deque.Deque[T]
@@ -218,11 +219,6 @@ func (pl *WSPool[T]) NoteFailed(w int) {
 // HasWork reports whether any deque holds a thread — one atomic load.
 func (pl *WSPool[T]) HasWork() bool { return pl.ready.Load() > 0 }
 
-// At returns worker i's deque for serial drivers and invariant checkers;
-// concurrent callers may only use what the deque offers foreigners
-// (PopBottom, Len).
-func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
-
 // Stats returns (steals, failed attempts, local dispatches, and injectMu
 // acquisitions — the pool's only lock outside tracing, taken exclusively
 // by injectors; the untraced worker hot paths are mutex-free).
@@ -347,6 +343,26 @@ func (s *WS[T]) Acquire(w int) (T, bool) {
 		return zero, false
 	}
 	return s.pool.StealFrom(w, v)
+}
+
+// StealFrom is the simulator's steal, a serial-engine entry: w takes the
+// bottom of victim v's deque, v drawn by the caller, whose §4.1 cost model
+// also allows one successful steal per victim per round.
+func (s *WS[T]) StealFrom(w, v int) (T, bool) { return s.pool.StealFrom(w, v) }
+
+// CheckInvariants verifies that every worker's deque is sorted top to
+// bottom by less, the priority order (the WS analogue of Lemma 3.1(1–2));
+// serial engines and tests only.
+func (s *WS[T]) CheckInvariants(less func(a, b T) bool) error {
+	for w, d := range s.pool.dq {
+		items := d.Items()
+		for j := 1; j < len(items); j++ {
+			if !less(items[j], items[j-1]) {
+				return fmt.Errorf("policy: WS deque %d not priority-sorted at %d", w, j)
+			}
+		}
+	}
+	return nil
 }
 
 // HasWork implements Policy.

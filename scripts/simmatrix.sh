@@ -1,0 +1,24 @@
+#!/bin/sh
+# The simulator's output matrix: `dfdsim -json` over 5 schedulers × 9
+# benchmarks × p {1,4,8,16} × seeds {1,2} × {plain, -realism}, one JSON line
+# per run, 720 lines on stdout. A change that is meant to keep the
+# simulator's schedules must leave this output byte-identical: run it here
+# and in a checkout of the parent commit and compare the two (sha256sum).
+set -eu
+
+cd "$(dirname "$0")/.."
+
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/dfdsim" ./cmd/dfdsim
+
+for s in DFD DFD-inf WS ADF FIFO; do
+    for b in "Vol. Rend." "Dense MM" "Sparse MVM" FFTW FMM "Barnes Hut" "Decision Tr." synthetic lowerbound; do
+        for p in 1 4 8 16; do
+            for seed in 1 2; do
+                "$bin/dfdsim" -json -sched "$s" -bench "$b" -procs "$p" -seed "$seed"
+                "$bin/dfdsim" -json -sched "$s" -bench "$b" -procs "$p" -seed "$seed" -realism
+            done
+        done
+    done
+done

@@ -23,6 +23,13 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test ./...
+# The simulator's output matrix (scripts/simmatrix.sh, 720 dfdsim -json
+# lines): a change meant to keep the simulator's schedules must leave this
+# hash at the parent commit's.
+matrix=$(mktemp)
+./scripts/simmatrix.sh > "$matrix"
+echo "simulator matrix: $(wc -l < "$matrix") lines, sha256 $(sha256sum < "$matrix" | cut -d' ' -f1)"
+rm -f "$matrix"
 go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
 # Serving-layer soak (short mode): 8 tenants over HTTP with one hog that
 # mixes never-fitting whales with jobs that fit its budget, asserting
