@@ -322,7 +322,9 @@ func (r realRun) writeTrace(path string) *rtrace.Summary {
 // prints its stats, including the contention counters; with -trace it
 // records every scheduling event and writes a Chrome trace_event file.
 func runReal(spec *dag.ThreadSpec, rc realCfg) {
-	sm := dag.Measure(spec)
+	// S1 in the runtime's own serial order: on one worker the run's heap
+	// high-water is exactly this.
+	sm := dag.Walk(spec, dag.ParentFirst)
 	if !rc.json {
 		fmt.Printf("benchmark: %s (%s grain)  W=%d D=%d S1=%d threads=%d\n",
 			rc.bench, rc.grain, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)

@@ -22,9 +22,8 @@ import (
 func TestNoUnreferencedInternalDefinitions(t *testing.T) {
 	// "dfdeques/internal/pkg.Name" → why it stays although nothing uses it.
 	allow := map[string]string{
-		"dfdeques/internal/dag.CompletionOrder": "the 1DF oracle machine's conformance tests compare against",
-		"dfdeques/internal/dag.SerialFor":       "builder pinned by TestSerialForIsFlat",
-		"dfdeques/internal/workload.Quicksort":  "the paper's §2.1 example, pinned by TestQuicksort*",
+		"dfdeques/internal/dag.SerialFor":      "builder pinned by TestSerialForIsFlat",
+		"dfdeques/internal/workload.Quicksort": "the paper's §2.1 example, pinned by TestQuicksort*",
 	}
 
 	fset := token.NewFileSet()

@@ -91,6 +91,53 @@ func TestMeasureHeap(t *testing.T) {
 	}
 }
 
+func TestMeasureHeapEndIsWhatLeaks(t *testing.T) {
+	if got := Measure(NewThread("leak").Alloc(100).Spec()).HeapEnd; got != 100 {
+		t.Errorf("leaking root: HeapEnd = %d, want 100", got)
+	}
+	// The child's allocation outlives it; the parent frees half of it.
+	child := NewThread("child").Alloc(300).Spec()
+	root := NewThread("root").Fork(child).Join().Free(150).Spec()
+	for _, o := range []Order{ChildFirst, ParentFirst} {
+		if m := Walk(root, o); m.HeapEnd != 150 || m.HeapHW != 300 {
+			t.Errorf("order %d: HeapEnd = %d, HeapHW = %d, want 150, 300", o, m.HeapEnd, m.HeapHW)
+		}
+	}
+}
+
+// TestWalkOrders: a fork whose branches differ reaches different peaks in
+// the two orders. Child-first, the child's 300 bytes come and go before
+// the parent's 1000; parent-first, the child runs at the join, on top of
+// them. Dag properties agree.
+func TestWalkOrders(t *testing.T) {
+	grand := NewThread("grand").Work(1).Spec()
+	child := NewThread("child").Alloc(300).Fork(grand).Join().Free(300).Spec()
+	root := NewThread("root").Fork(child).Alloc(1000).Join().Free(1000).Spec()
+	cf, pf := Walk(root, ChildFirst), Walk(root, ParentFirst)
+	if cf.HeapHW != 1000 || pf.HeapHW != 1300 {
+		t.Errorf("HeapHW child-first %d, parent-first %d; want 1000, 1300", cf.HeapHW, pf.HeapHW)
+	}
+	// Child-first the three threads nest; parent-first the child is live
+	// from its fork, and the grandchild from the child's.
+	if cf.MaxLiveSerial != 3 || pf.MaxLiveSerial != 3 {
+		t.Errorf("MaxLiveSerial child-first %d, parent-first %d; want 3, 3", cf.MaxLiveSerial, pf.MaxLiveSerial)
+	}
+	cf.HeapHW, cf.MaxLiveSerial, pf.HeapHW, pf.MaxLiveSerial = 0, 0, 0, 0
+	if cf != pf {
+		t.Errorf("dag properties differ: child-first %+v, parent-first %+v", cf, pf)
+	}
+	if cf.Nesting != 2 || cf.TotalThreads != 3 {
+		t.Errorf("Nesting = %d, TotalThreads = %d; want 2, 3", cf.Nesting, cf.TotalThreads)
+	}
+	// Two forks joined at the end are both live parent-first, never
+	// together child-first.
+	leaf := NewThread("leaf").Work(1).Spec()
+	par := Par2("par", leaf, leaf)
+	if cf, pf := Walk(par, ChildFirst).MaxLiveSerial, Walk(par, ParentFirst).MaxLiveSerial; cf != 2 || pf != 3 {
+		t.Errorf("Par2 live threads child-first %d, parent-first %d; want 2, 3", cf, pf)
+	}
+}
+
 func TestMeasureSiblingHeapNotConcurrent(t *testing.T) {
 	// Two siblings each allocate 100 then free it. In the 1DF execution
 	// they never coexist, so S1 = 100, not 200.

@@ -1,118 +1,121 @@
 package dag
 
 // SerialMetrics are the intrinsic measures of a nested-parallel
-// computation, obtained by the serial depth-first (1DF) execution that
-// treats every fork as a plain function call (§3.1): total work W, depth D
-// (critical-path length), the serial heap high-water mark S1, and thread
-// counts. These are the quantities the paper's bounds are stated in.
+// computation, obtained by a serial execution that runs each forked child
+// as a plain function call (§3.1): total work W, depth D (critical-path
+// length), the serial heap high-water mark S1, and thread counts. These
+// are the quantities the paper's bounds are stated in. W, D, TotalAlloc,
+// TotalThreads, HeapEnd and Nesting are properties of the dag; HeapHW and
+// MaxLiveSerial depend on the Order the serial execution runs a fork in.
 type SerialMetrics struct {
 	W int64 // work: total unit actions in the dag
 	D int64 // depth: longest path, in actions
 
-	HeapHW     int64 // S1: high-water mark of net heap allocation in the 1DF execution
+	HeapHW     int64 // S1: high-water mark of net heap allocation in the serial execution
 	HeapEnd    int64 // net heap allocation remaining at the end (0 for balanced programs)
 	TotalAlloc int64 // SA: sum of all allocation sizes, ignoring frees
 
 	TotalThreads  int64 // dynamic thread instances (forks + 1)
-	MaxLiveSerial int64 // max simultaneously live threads during the 1DF execution
+	MaxLiveSerial int64 // max simultaneously live threads during the serial execution
+	Nesting       int64 // fork-nesting depth: the longest chain of threads each forked by the last
 }
 
-// Measure runs the 1DF interpretation of the spec tree and returns its
-// metrics. Shared sub-specs are measured once per dynamic fork of them, as
-// the schedulers would execute them.
+// Order is the branch of a fork that a serial execution runs first.
+type Order uint8
+
+const (
+	// ChildFirst runs the forked child to completion at the fork, then
+	// the parent's continuation: the paper's 1DF execution, which the
+	// simulator and every figure measure against.
+	ChildFirst Order = iota
+	// ParentFirst keeps running the parent and runs the child when the
+	// parent's LIFO join reaches it: the live runtime's order on one
+	// worker (internal/grt's work-first fork and inline join).
+	ParentFirst
+)
+
+// Measure returns the metrics of the 1DF (ChildFirst) execution.
 func Measure(root *ThreadSpec) SerialMetrics {
-	ms := &measurer{}
-	end := ms.thread(root, 0)
-	ms.m.D = end
-	return ms.m
+	return Walk(root, ChildFirst)
 }
 
-type measurer struct {
-	m    SerialMetrics
-	cur  int64 // current net heap bytes
-	live int64 // currently live threads
+// Walk runs the serial execution of the spec tree in the given order and
+// returns its metrics. A shared sub-spec is walked once and counted once
+// per dynamic fork of it, as the engines execute it.
+func Walk(root *ThreadSpec, o Order) SerialMetrics {
+	w := walker{order: o, memo: map[*ThreadSpec]SerialMetrics{}}
+	return w.spec(root)
 }
 
-// thread interprets one dynamic thread instance. d0 is the depth of the
-// action that created the thread (the fork node; 0 for the root, whose
-// first action sits at depth 1). It returns the depth of the thread's last
-// action.
-func (ms *measurer) thread(s *ThreadSpec, d0 int64) int64 {
-	ms.m.TotalThreads++
-	ms.live++
-	if ms.live > ms.m.MaxLiveSerial {
-		ms.m.MaxLiveSerial = ms.live
+type walker struct {
+	order Order
+	memo  map[*ThreadSpec]SerialMetrics
+}
+
+// pendingFork is a forked, not yet joined child: its metrics and the depth
+// of its last action.
+type pendingFork struct {
+	m   SerialMetrics
+	end int64
+}
+
+// spec returns the metrics of s run as a root: its first action at depth
+// 1, the heap and the live-thread count relative to their values when it
+// starts (so HeapHW ≥ 0 even if s only frees). A thread's metrics are
+// composed from its children's, so each distinct spec is walked once.
+func (w *walker) spec(s *ThreadSpec) SerialMetrics {
+	if m, ok := w.memo[s]; ok {
+		return m
 	}
-	d := d0
-	var joinStack []int64
+	m := SerialMetrics{TotalThreads: 1, MaxLiveSerial: 1}
+	live := int64(1) // s and its forked children not yet finished
+	// run executes a child at the current point of s.
+	run := func(c SerialMetrics) {
+		m.HeapHW = max(m.HeapHW, m.HeapEnd+c.HeapHW)
+		m.HeapEnd += c.HeapEnd
+		m.MaxLiveSerial = max(m.MaxLiveSerial, live+c.MaxLiveSerial)
+	}
+	var few [4]pendingFork
+	pending := few[:0]
 	for _, in := range s.Instrs {
 		switch in.Op {
 		case OpWork:
-			d += in.N
-			ms.m.W += in.N
+			m.D += in.N
+			m.W += in.N
+			continue
 		case OpAlloc:
-			d++
-			ms.m.W++
-			ms.cur += in.N
-			ms.m.TotalAlloc += in.N
-			if ms.cur > ms.m.HeapHW {
-				ms.m.HeapHW = ms.cur
-			}
+			m.HeapEnd += in.N
+			m.TotalAlloc += in.N
+			m.HeapHW = max(m.HeapHW, m.HeapEnd)
 		case OpFree:
-			d++
-			ms.m.W++
-			ms.cur -= in.N
+			m.HeapEnd -= in.N
 		case OpFork:
-			d++ // the fork action itself
-			ms.m.W++
-			childEnd := ms.thread(in.Child, d)
-			joinStack = append(joinStack, childEnd)
-		case OpJoin:
-			childEnd := joinStack[len(joinStack)-1]
-			joinStack = joinStack[:len(joinStack)-1]
-			if childEnd > d {
-				d = childEnd
+			c := w.spec(in.Child)
+			m.W += c.W
+			m.TotalAlloc += c.TotalAlloc
+			m.TotalThreads += c.TotalThreads
+			m.Nesting = max(m.Nesting, 1+c.Nesting)
+			// The child's first action follows the fork action.
+			pending = append(pending, pendingFork{c, m.D + 1 + c.D})
+			if w.order == ChildFirst {
+				run(c)
+			} else {
+				live++
+				m.MaxLiveSerial = max(m.MaxLiveSerial, live)
 			}
-			d++ // the join action itself
-			ms.m.W++
-		case OpAcquire, OpRelease, OpDummy:
-			d++
-			ms.m.W++
+		case OpJoin:
+			p := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			m.D = max(m.D, p.end)
+			if w.order == ParentFirst {
+				live--
+				run(p.m)
+			}
 		}
+		// Every instruction but OpWork is one action.
+		m.D++
+		m.W++
 	}
-	ms.live--
-	return d
-}
-
-// CountThreads returns the number of dynamic thread instances in the spec
-// tree (the paper's "total threads expressed in the program", Fig. 11).
-func CountThreads(root *ThreadSpec) int64 {
-	return Measure(root).TotalThreads
-}
-
-// CompletionOrder returns the sequence of thread terminations in the 1DF
-// execution, with threads identified by their creation index (1 = root,
-// in creation order). Schedulers that claim depth-first semantics on one
-// processor must terminate threads in exactly this order — the oracle the
-// machine-simulator conformance tests compare against.
-func CompletionOrder(root *ThreadSpec) []int64 {
-	co := &orderWalker{}
-	co.thread(root)
-	return co.completions
-}
-
-type orderWalker struct {
-	nextID      int64
-	completions []int64
-}
-
-func (co *orderWalker) thread(s *ThreadSpec) {
-	co.nextID++
-	id := co.nextID
-	for _, in := range s.Instrs {
-		if in.Op == OpFork {
-			co.thread(in.Child)
-		}
-	}
-	co.completions = append(co.completions, id)
+	w.memo[s] = m
+	return m
 }

@@ -57,7 +57,8 @@ func crossSpecs() map[string]*dag.ThreadSpec {
 
 func TestCrossEngineInvariants(t *testing.T) {
 	for specName, spec := range crossSpecs() {
-		want := dag.Measure(spec)
+		// Each engine's serial floor is S1 in its own serial order.
+		want, wantRT := dag.Measure(spec), dag.Walk(spec, dag.ParentFirst)
 		for _, pol := range crossPolicies() {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", specName, pol.name, workers), func(t *testing.T) {
@@ -111,8 +112,8 @@ func TestCrossEngineInvariants(t *testing.T) {
 					if st.HeapLive != 0 {
 						t.Errorf("runtime heap leaked %d bytes", st.HeapLive)
 					}
-					if st.HeapHW < want.HeapHW {
-						t.Errorf("runtime heap HW %d below serial floor S1=%d", st.HeapHW, want.HeapHW)
+					if st.HeapHW < wantRT.HeapHW {
+						t.Errorf("runtime heap HW %d below serial floor S1=%d", st.HeapHW, wantRT.HeapHW)
 					}
 					if st.Steals+st.LocalDispatches > 2*st.TotalThreads+st.Preemptions {
 						t.Errorf("runtime dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",

@@ -1,8 +1,8 @@
 package grt_test
 
 // Differential tests of the runtime against references that do not share
-// its code: the engine-independent 1DF measurement of the dag (W, S1,
-// thread population), a closed-form result, and the runtime's own repeat
+// its code: the engine-independent serial walk of the dag (S1, thread
+// population), a closed-form result, and the runtime's own repeat
 // runs. Everything that is a workload invariant — computed results, thread
 // and dummy populations, a balanced heap — must agree exactly across runs
 // whose schedules differ; schedule-dependent quantities (steals,
@@ -19,7 +19,8 @@ import (
 // TestDifferentialSpecInvariants runs declarative workloads — including a
 // lock-using one, which the simulator cross-check cannot cover — twice
 // under every scheduler with different steal seeds, and compares the
-// invariant stats between the runs and against dag.Measure.
+// invariant stats between the runs and against the parent-first serial
+// walk, the runtime's own order on one worker.
 func TestDifferentialSpecInvariants(t *testing.T) {
 	specs := map[string]*dag.ThreadSpec{
 		"parfor": dag.ParFor("loop", 24, func(int) *dag.ThreadSpec {
@@ -29,7 +30,7 @@ func TestDifferentialSpecInvariants(t *testing.T) {
 		"treelock": workload.BarnesHutTreeBuild(workload.Medium),
 	}
 	for name, spec := range specs {
-		want := dag.Measure(spec) // W and S1: properties of the dag, not the engine
+		want := dag.Walk(spec, dag.ParentFirst) // threads, and S1 in the runtime's serial order
 		for _, kind := range kinds() {
 			var runs [2]grt.Stats
 			for i := range runs {

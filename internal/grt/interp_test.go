@@ -2,6 +2,8 @@ package grt_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"dfdeques/internal/dag"
@@ -12,8 +14,9 @@ import (
 )
 
 // TestRunSpecMatchesSerialMetrics: the real runtime must create exactly
-// the thread population the 1DF measurement predicts, and its heap
-// high-water must lie between S1 (the serial floor) and total allocation.
+// the thread population the serial walk predicts, and its heap high-water
+// must lie between S1 of its own serial order, parent-first (the serial
+// floor), and total allocation.
 func TestRunSpecMatchesSerialMetrics(t *testing.T) {
 	specs := map[string]*dag.ThreadSpec{
 		"parfor": dag.ParFor("loop", 32, func(int) *dag.ThreadSpec {
@@ -22,7 +25,7 @@ func TestRunSpecMatchesSerialMetrics(t *testing.T) {
 		"dnc": dncSpec(5, 1024),
 	}
 	for name, spec := range specs {
-		want := dag.Measure(spec)
+		want := dag.Walk(spec, dag.ParentFirst)
 		for _, kind := range []grt.Kind{grt.DFDeques, grt.ADF, grt.FIFO} {
 			st, err := grt.RunSpec(grt.Config{Workers: 4, Sched: kind, Seed: 1}, spec, 2)
 			if err != nil {
@@ -39,6 +42,72 @@ func TestRunSpecMatchesSerialMetrics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParentFirstWalkIsTheOneWorkerRun: on one worker with no quota
+// nothing is stolen or preempted, so the runtime runs a program exactly in
+// dag.ParentFirst order — every forked child when its parent's join
+// reaches it — and its heap high-water, live-thread peak and thread count
+// must equal the walk's.
+func TestParentFirstWalkIsTheOneWorkerRun(t *testing.T) {
+	specs := map[string]*dag.ThreadSpec{}
+	rng := rand.New(rand.NewSource(39))
+	for i := 0; i < 500; i++ {
+		specs[fmt.Sprintf("random%d", i)] = randomProgram(rng, 0)
+	}
+	for _, w := range workload.All() {
+		for _, g := range []workload.Grain{workload.Medium, workload.Fine} {
+			specs[w.Name+"/"+g.String()] = w.Build(g)
+		}
+	}
+	// The job service's tree jobs, at the benchmark's three shapes.
+	for _, tr := range []struct{ depth, alloc, work int64 }{{4, 128, 16}, {8, 512, 32}, {11, 2048, 64}} {
+		spec := dag.NewThread("leaf").Alloc(tr.alloc).Work(tr.work).Free(tr.alloc).Spec()
+		for d := int64(0); d < tr.depth; d++ {
+			spec = dag.Par2("node", spec, spec)
+		}
+		specs[fmt.Sprintf("tree%d", tr.depth)] = spec
+	}
+	for name, spec := range specs {
+		want := dag.Walk(spec, dag.ParentFirst)
+		st, err := grt.RunSpec(grt.Config{Workers: 1, Seed: 1}, spec, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.HeapHW != want.HeapHW || st.MaxLiveThreads != want.MaxLiveSerial || st.TotalThreads != want.TotalThreads {
+			t.Errorf("%s: run heap HW %d, live %d, threads %d; parent-first walk %d, %d, %d", name,
+				st.HeapHW, st.MaxLiveThreads, st.TotalThreads, want.HeapHW, want.MaxLiveSerial, want.TotalThreads)
+		}
+	}
+}
+
+// randomProgram draws a nested-parallel program whose joins fall anywhere
+// after their forks and whose frees need not match its allocations: a
+// child's allocation may outlive it, a parent may free what a child
+// allocated, and the live count may go negative.
+func randomProgram(rng *rand.Rand, depth int) *dag.ThreadSpec {
+	b := dag.NewThread("r")
+	pending := 0
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		switch r := rng.Intn(6); {
+		case r == 0:
+			b.Alloc(int64(rng.Intn(1000)))
+		case r == 1:
+			b.Free(int64(rng.Intn(1000)))
+		case r <= 3 && depth < 5:
+			b.Fork(randomProgram(rng, depth+1))
+			pending++
+		case r == 4 && pending > 0:
+			b.Join()
+			pending--
+		default:
+			b.Work(1)
+		}
+	}
+	for ; pending > 0; pending-- {
+		b.Join()
+	}
+	return b.Spec()
 }
 
 func dncSpec(levels int, space int64) *dag.ThreadSpec {

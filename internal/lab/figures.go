@@ -49,7 +49,7 @@ func Fig11ThreadCounts(o Options) *stats.Table {
 	for _, w := range o.benches() {
 		for _, g := range o.grains() {
 			spec := w.Build(g)
-			total := dag.CountThreads(spec)
+			total := dag.Measure(spec).TotalThreads // the program's threads
 			row := []string{w.Name, g.String(), stats.I(total)}
 			for _, s := range []string{"FIFO", "ADF", "DFD", "DFD-inf"} {
 				met := run(spec, s, o.K, machine.Realism(o.Procs, o.Seed))

@@ -31,6 +31,28 @@ func randomSpec(rng *rand.Rand, depth int) *dag.ThreadSpec {
 	return b.Spec()
 }
 
+// completionOrder returns the sequence of thread terminations in the 1DF
+// execution, with threads identified by their creation index (1 = root,
+// in creation order). Schedulers that claim depth-first semantics on one
+// processor must terminate threads in exactly this order.
+func completionOrder(root *dag.ThreadSpec) []int64 {
+	var nextID int64
+	var completions []int64
+	var thread func(s *dag.ThreadSpec)
+	thread = func(s *dag.ThreadSpec) {
+		nextID++
+		id := nextID
+		for _, in := range s.Instrs {
+			if in.Op == dag.OpFork {
+				thread(in.Child)
+			}
+		}
+		completions = append(completions, id)
+	}
+	thread(root)
+	return completions
+}
+
 // TestSingleProc1DFOrderConformance: on one processor, the depth-first
 // schedulers (DFD with any K large enough to avoid preemption, WS, ADF)
 // must terminate threads in exactly the serial 1DF completion order —
@@ -40,7 +62,7 @@ func TestSingleProc1DFOrderConformance(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		spec := randomSpec(rng, 4)
-		want := dag.CompletionOrder(spec)
+		want := completionOrder(spec)
 
 		for _, mk := range []func() machine.Scheduler{
 			func() machine.Scheduler { return sched.NewDFDeques(1 << 30) },
@@ -87,7 +109,7 @@ func TestFIFOSingleProcIsNot1DF(t *testing.T) {
 	a := dag.NewThread("A").Work(1).Fork(a1).Join().Spec()
 	bt := dag.NewThread("B").Work(1).Spec()
 	spec := dag.NewThread("root").Fork(a).Fork(bt).Join().Join().Spec()
-	want := dag.CompletionOrder(spec)
+	want := completionOrder(spec)
 	var got []int64
 	cfg := machine.Config{
 		Procs: 1,

@@ -5,40 +5,18 @@ import (
 	"testing"
 
 	"dfdeques/internal/dag"
+	"dfdeques/internal/grt"
 )
 
-// walkPrice is the price function as it was before the per-spec memo: the
-// child-first serial walk itself, one live counter threaded through every
-// node of the tree. The reference price is pinned against.
-func walkPrice(spec *dag.ThreadSpec, k int64) int64 {
-	var live, peak int64
-	var walk func(spec *dag.ThreadSpec, d int64) int64
-	walk = func(spec *dag.ThreadSpec, d int64) int64 {
-		maxD := d
-		for _, in := range spec.Instrs {
-			switch in.Op {
-			case dag.OpAlloc:
-				live += in.N
-				peak = max(peak, live)
-			case dag.OpFree:
-				live -= in.N
-			case dag.OpFork:
-				maxD = max(maxD, walk(in.Child, d+1))
-			}
-		}
-		return maxD
-	}
-	return peak + k*walk(spec, 0)
-}
-
 // randomSpec draws a wire program whose frees need not match its allocations
-// — the live counter goes negative, children free what parents allocated —
-// with forks joined at the end.
+// — the live counter goes negative, children free what parents allocated,
+// allocations outlive their thread — with each fork joined at a random
+// later point of its thread, and the rest at the end.
 func randomSpec(rng *rand.Rand, depth int) *SpecNode {
 	n := &SpecNode{Label: "n"}
 	forks := 0
 	for i, m := 0, 1+rng.Intn(6); i < m; i++ {
-		switch r := rng.Intn(4); {
+		switch r := rng.Intn(5); {
 		case r == 0:
 			n.Instrs = append(n.Instrs, SpecInstr{Op: "alloc", N: int64(rng.Intn(1000))})
 		case r == 1:
@@ -46,6 +24,9 @@ func randomSpec(rng *rand.Rand, depth int) *SpecNode {
 		case r == 2 && depth < 5:
 			n.Instrs = append(n.Instrs, SpecInstr{Op: "fork", Child: randomSpec(rng, depth+1)})
 			forks++
+		case r == 3 && forks > 0:
+			n.Instrs = append(n.Instrs, SpecInstr{Op: "join"})
+			forks--
 		default:
 			n.Instrs = append(n.Instrs, SpecInstr{Op: "work", N: 1})
 		}
@@ -56,31 +37,54 @@ func randomSpec(rng *rand.Rand, depth int) *SpecNode {
 	return n
 }
 
-// TestPriceEqualsTheSerialWalk pins price, which visits each distinct
-// *ThreadSpec once, to the walk that visits every node: on the benchmark's
-// three trees (bench/dfdbench/workloads.go), on the largest tree a request
-// may declare, and on random lowered programs.
+// oneWorkerHeapHW runs spec on the runtime itself — one worker, no quota,
+// so nothing is stolen or preempted — and returns its heap high-water.
+func oneWorkerHeapHW(t *testing.T, spec *dag.ThreadSpec) int64 {
+	t.Helper()
+	st, err := grt.RunSpec(grt.Config{Workers: 1, Seed: 1}, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.HeapHW
+}
+
+// benchTrees are the benchmark's three tree jobs (bench/dfdbench/workloads.go).
+var benchTrees = []TreeSpec{
+	{Depth: 4, Alloc: 128, Work: 16}, {Depth: 8, Alloc: 512, Work: 32}, {Depth: 11, Alloc: 2048, Work: 64},
+}
+
+// treeSpec is compileTree's lowering, kept: the tests below price and run
+// this spec, and check that compileTree prices it the same.
+func treeSpec(tr TreeSpec) *dag.ThreadSpec {
+	leaf := dag.NewThread("leaf").Alloc(tr.Alloc)
+	if tr.Work > 0 {
+		leaf.Work(tr.Work)
+	}
+	spec := leaf.Free(tr.Alloc).Spec()
+	for d := 0; d < tr.Depth; d++ {
+		spec = dag.Par2("node", spec, spec)
+	}
+	return spec
+}
+
+// TestPriceEqualsTheSerialWalk pins price's S1 term to the schedule it
+// stands for: at K = 0 it must equal the heap high-water of a one-worker
+// run of the same program, on the benchmark's three trees, on the largest
+// tree a request may declare, and on random lowered programs with joins
+// mid-thread. Trees price at leaf + K·depth.
 func TestPriceEqualsTheSerialWalk(t *testing.T) {
 	const k = 1024
-	for _, tr := range []TreeSpec{
-		{Depth: 4, Alloc: 128, Work: 16}, {Depth: 8, Alloc: 512, Work: 32},
-		{Depth: 11, Alloc: 2048, Work: 64}, {Depth: maxTreeDepth, Alloc: 64},
-	} {
-		// compileTree's lowering, kept: price must equal the walk of this spec.
-		leaf := dag.NewThread("leaf").Alloc(tr.Alloc)
-		if tr.Work > 0 {
-			leaf.Work(tr.Work)
-		}
-		spec := leaf.Free(tr.Alloc).Spec()
-		for d := 0; d < tr.Depth; d++ {
-			spec = dag.Par2("node", spec, spec)
-		}
+	for _, tr := range append(benchTrees, TreeSpec{Depth: maxTreeDepth, Alloc: 64}) {
 		run, err := compileTree(JobRequest{Tree: &tr}, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := walkPrice(spec, k); run.cost != want || want != tr.Alloc+k*int64(tr.Depth) {
-			t.Errorf("tree %+v: price %d, walk %d, leaf + K·depth %d", tr, run.cost, want, tr.Alloc+k*int64(tr.Depth))
+		spec := treeSpec(tr)
+		if want := tr.Alloc + k*int64(tr.Depth); run.cost != want || price(spec, k) != want {
+			t.Errorf("tree %+v: price %d (of the lowering here %d), leaf + K·depth %d", tr, run.cost, price(spec, k), want)
+		}
+		if got, want := price(spec, 0), oneWorkerHeapHW(t, spec); got != want {
+			t.Errorf("tree %+v: price at K = 0 %d, one-worker heap high-water %d", tr, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -89,8 +93,23 @@ func TestPriceEqualsTheSerialWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := price(spec, k), walkPrice(spec, k); got != want {
-			t.Fatalf("program %d: price %d, walk %d", i, got, want)
+		if got, want := price(spec, 0), oneWorkerHeapHW(t, spec); got != want {
+			t.Fatalf("program %d: price at K = 0 %d, one-worker heap high-water %d", i, got, want)
+		}
+	}
+}
+
+// TestPriceAllocations pins what pricing a tree job costs the allocator:
+// nothing on the benchmark's depth-4 tree, whose five distinct specs fit
+// the memo's first table, and at most three allocations on the deeper two.
+func TestPriceAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for i, want := range []float64{0, 3, 3} {
+		spec := treeSpec(benchTrees[i])
+		if got := testing.AllocsPerRun(100, func() { price(spec, 1024) }); got > want {
+			t.Errorf("tree %+v: price allocates %.1f times, want ≤ %.0f", benchTrees[i], got, want)
 		}
 	}
 }

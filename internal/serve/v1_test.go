@@ -372,8 +372,9 @@ func TestCancelJob(t *testing.T) {
 	}
 }
 
-// TestCostPricing pins the price function: S1 from the child-first
-// serial walk plus K per nesting level.
+// TestCostPricing pins the price function: S1 from the parent-first
+// serial walk, the runtime's own order on one worker, plus K per nesting
+// level.
 func TestCostPricing(t *testing.T) {
 	// Sequential siblings don't stack serially: peak is one child.
 	seq := &SpecNode{Label: "r", Instrs: []SpecInstr{
@@ -407,6 +408,21 @@ func TestCostPricing(t *testing.T) {
 	}
 	if run.cost != 600+100*2 {
 		t.Fatalf("nested: want %d, got %d", 600+200, run.cost)
+	}
+	// The parent runs on to its join before the child runs, so the child's
+	// 300 bytes come on top of the parent's 1000 (child-first they would
+	// not: 1000 + K).
+	asym := &SpecNode{Label: "r", Instrs: []SpecInstr{
+		{Op: "fork", Child: &SpecNode{Instrs: []SpecInstr{
+			{Op: "alloc", N: 300}, {Op: "free", N: 300}}}},
+		{Op: "alloc", N: 1000}, {Op: "join"}, {Op: "free", N: 1000},
+	}}
+	run, err = compileSpec(JobRequest{Spec: asym}, 100)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if run.cost != 1300+100*1 {
+		t.Fatalf("asymmetric fork: want %d, got %d", 1300+100, run.cost)
 	}
 	// Trees price at leaf size + K·depth (leaves free before siblings).
 	runTree, err := compileTree(JobRequest{Tree: &TreeSpec{Depth: 3, Alloc: 128}}, 50)

@@ -1,9 +1,12 @@
 #!/bin/sh
 # The simulator's output matrix: `dfdsim -json` over 5 schedulers × 9
 # benchmarks × p {1,4,8,16} × seeds {1,2} × {plain, -realism}, one JSON line
-# per run, 720 lines on stdout. A change that is meant to keep the
-# simulator's schedules must leave this output byte-identical: run it here
-# and in a checkout of the parent commit and compare the two (sha256sum).
+# per run (the first 720 lines on stdout), then `dfdlab -csv` for the 12
+# simulated experiments (92 lines; xcheck and scenarios run the live
+# runtime and are left out), 812 lines in all. A change that is meant to
+# keep the simulator's schedules must leave this output byte-identical: run
+# it here and in a checkout of the parent commit and compare the two
+# (sha256sum).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,6 +14,7 @@ cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/dfdsim" ./cmd/dfdsim
+go build -o "$bin/dfdlab" ./cmd/dfdlab
 
 for s in DFD DFD-inf WS ADF FIFO; do
     for b in "Vol. Rend." "Dense MM" "Sparse MVM" FFTW FMM "Barnes Hut" "Decision Tr." synthetic lowerbound; do
@@ -22,3 +26,4 @@ for s in DFD DFD-inf WS ADF FIFO; do
         done
     done
 done
+"$bin/dfdlab" -csv fig1 fig11 fig12 fig13 fig14 fig15 fig16 fig17 thm45 ablation adaptive profile

@@ -23,9 +23,9 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
 go test ./...
-# The simulator's output matrix (scripts/simmatrix.sh, 720 dfdsim -json
-# lines): a change meant to keep the simulator's schedules must leave this
-# hash at the parent commit's.
+# The simulator's output matrix (scripts/simmatrix.sh: 720 dfdsim -json
+# lines, then 92 lines of dfdlab -csv): a change meant to keep the
+# simulator's schedules must leave this hash at the parent commit's.
 matrix=$(mktemp)
 ./scripts/simmatrix.sh > "$matrix"
 echo "simulator matrix: $(wc -l < "$matrix") lines, sha256 $(sha256sum < "$matrix" | cut -d' ' -f1)"
