@@ -372,7 +372,8 @@ func (pl *SharedPool[T]) release(w int, d *deque.Deque[T]) {
 
 // giveUpRedraws bounds GiveUpSteal's redraws: each costs a random number,
 // not a lock, and with R shorter than p a single draw misses R with
-// probability 1 - len(R)/p — every second give-up of a chain on two workers.
+// probability 1 - len(R)/p — every second give-up of a chain on two workers,
+// and as often when the other worker's deque is in R, drained.
 const giveUpRedraws = 3
 
 // GiveUpSteal is GiveUp and the steal attempt that §3.3 has follow it, in
@@ -381,11 +382,13 @@ const giveUpRedraws = 3
 // spine's order: every other membership change falls before both or after
 // both, so R passes through the same states as under GiveUp then Steal with
 // nothing scheduled in between, and Lemma 3.1 cannot tell the difference.
-// No screening: the released deque is in R and non-empty, so the section
-// would be taken anyway. A draw that names a position R does not have is a
-// failed attempt, counted and traced like Steal's, and is redrawn in place,
-// at most giveUpRedraws times; an existing victim is one attempt, as in
-// Steal. w need not own a deque (then this is an unscreened Steal).
+// No screening first: the released deque is in R and non-empty, so the
+// section would be taken anyway. Inside it, a draw that names a position R
+// does not have, or an empty deque (another worker's, which Steal's screen
+// would pass over without a section), is a failed attempt, counted and
+// traced like Steal's, and is redrawn in place, at most giveUpRedraws
+// times; a non-empty victim is one attempt, as in Steal. w need not own a
+// deque (then this is Steal with its screen under the spine).
 func (pl *SharedPool[T]) GiveUpSteal(w int) (x T, ok bool) {
 	d := pl.own[w].Load()
 	pl.lockList()
@@ -394,7 +397,7 @@ func (pl *SharedPool[T]) GiveUpSteal(w int) (x T, ok bool) {
 		pl.release(w, d)
 	}
 	for i := 0; i <= giveUpRedraws; i++ {
-		if c := pl.rng(w).Intn(pl.p); c < pl.r.Len() {
+		if c := pl.rng(w).Intn(pl.p); c < pl.r.Len() && !pl.r.Kth(c).Empty() {
 			return pl.take(w, c, false)
 		}
 		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)

@@ -190,8 +190,45 @@ func TestSharedGiveUpStealRedraws(t *testing.T) {
 	}
 }
 
+// TestSharedGiveUpStealRedrawsPastAnEmptyDeque: another worker's deque in
+// R, owned and drained, is a draw Steal's screen would pass over without a
+// section. Inside the give-up's section it is a failed attempt redrawn in
+// place, like a miss, not the section's one attempt: the give-up fails
+// only when every draw failed.
+func TestSharedGiveUpStealRedrawsPastAnEmptyDeque(t *testing.T) {
+	const rounds = 400
+	pl := intSharedPool(2, 15)
+	pl.Seed(1)
+	sharedStealUntil(t, pl, 1) // worker 1 takes the drained deque over
+	pl.Append(2)
+	x := sharedStealUntil(t, pl, 0)
+	var redrew int
+	for i := 0; i < rounds; i++ {
+		pl.PushOwn(0, x)
+		_, failed0, _ := pl.Stats()
+		y, ok := pl.GiveUpSteal(0)
+		_, failed1, _ := pl.Stats()
+		switch misses := failed1 - failed0; {
+		case ok && y != x:
+			t.Fatalf("round %d: stole %d, want %d", i, y, x)
+		case ok && misses > 0:
+			redrew++
+		case !ok && misses != giveUpRedraws+1:
+			t.Fatalf("round %d: gave up after %d failed draws, want %d", i, misses, giveUpRedraws+1)
+		case !ok:
+			x = sharedStealUntil(t, pl, 0)
+		}
+		if got := sharedLayout(pl); len(got) != 2 || len(got[0]) != 0 {
+			t.Fatalf("round %d: R = %v, want worker 1's empty deque and worker 0's", i, got)
+		}
+	}
+	if redrew == 0 {
+		t.Errorf("no give-up in %d rounds redrew past the empty deque", rounds)
+	}
+}
+
 // TestSharedGiveUpStealWithoutADeque: a worker that owns nothing releases
-// nothing and just steals, unscreened.
+// nothing and just steals.
 func TestSharedGiveUpStealWithoutADeque(t *testing.T) {
 	pl := intSharedPool(1, 6)
 	if _, ok := pl.GiveUpSteal(0); ok {

@@ -231,9 +231,9 @@ func TestBlockCancelRacesItsWake(t *testing.T) {
 // that publishes nothing — a loop of uncontended Lock/Unlock — while ready
 // work is pending: the other players, the readers, the setters the readers
 // fork. A busy worker is not responsible for pending work: if the idle
-// workers all park on it — after a backoff, or after wakes the futile-wake
-// throttle skipped and the dispatch of the spinning thread did not make up
-// — the readers wait on setters nobody runs. Each job's reader cancels it
+// workers all park on it — after a backoff that counted it, or after a
+// take from the pool that handed off to nobody — the readers wait on
+// setters nobody runs. Each job's reader cancels it
 // after a few reads, so a job that stops making progress never ends; one
 // that misses its deadline fails the test and is canceled from outside so
 // the runtime can shut down.

@@ -78,7 +78,7 @@ func (f *Future) Set(t *T, v any) {
 		rt.pol.Wake(t.w, wt)
 	}
 	if len(woken) > 0 {
-		rt.wakeIdlers(true)
+		rt.idle.signal()
 	}
 }
 

@@ -256,21 +256,21 @@ type Runtime struct {
 	// serialized by extMu.
 	probe rtrace.Probe
 
-	// mu only parks and wakes idle workers (with cond) and arbitrates the
-	// deadlock check — it is never held while consulting the policy.
-	mu   sync.Mutex
-	cond *sync.Cond
+	// idle parks and wakes idle workers and arbitrates the deadlock check
+	// (idle.go); its mu is never held while consulting the policy.
+	idle idle
 
 	// extMu serializes every scheduler interaction that does not come
 	// from a worker: Submit's publication, the cancel sweep's
 	// republications, and the deadlock confirmation. It gives lane -1 of
 	// the trace a single writer mid-run, and it is what makes a Submit
 	// atomic against the deadlock detector (counters and publication
-	// become visible together). Order: extMu → rt.mu.
+	// become visible together). Order: extMu → idle.mu → jobsMu.
 	extMu sync.Mutex
 
 	// jobsMu guards the job registry and the draining flag; it is a leaf
-	// lock (taken under extMu by Submit, bare by job completion).
+	// lock (taken under extMu by Submit, under idle.mu by a park's view,
+	// bare by job completion).
 	jobsMu   sync.Mutex
 	jobs     map[int64]*Job
 	draining bool
@@ -288,19 +288,7 @@ type Runtime struct {
 	// w is its only receiver.
 	yield []chan *T
 
-	// Idle parking (guarded by mu) plus a lock-free mirror of the waiter
-	// count so publishers can skip the wake-up lock when nobody sleeps.
-	// spinning counts workers awake inside acquire but not yet holding a
-	// thread: publishers skip the wake-up while one exists, and a
-	// successful spinner wakes its own successor — the single-spinner
-	// protocol that keeps a fork burst from broadcasting to every
-	// sleeper (see acquire and wakeIdlers for the ordering argument).
-	idleWaiters int
-	idlers      atomic.Int64
-	spinning    atomic.Int64
-	futileWakes atomic.Int64 // consecutive wakes that acquired nothing
-	wakeSkips   atomic.Int64 // publications skipped while throttled
-	stopped     atomic.Bool
+	stopped atomic.Bool
 
 	wg sync.WaitGroup
 
@@ -326,7 +314,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Workers = 1
 	}
 	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
-	rt.cond = sync.NewCond(&rt.mu)
+	rt.idle.cond.L = &rt.idle.mu
 	rt.handoffs = make([]paddedCount, cfg.Workers)
 	rt.yield = make([]chan *T, cfg.Workers)
 	switch cfg.Sched {
@@ -441,7 +429,7 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	}
 	rt.pol.Inject(rootT)
 	rt.extMu.Unlock()
-	rt.forceWake()
+	rt.idle.signal()
 	return j, nil
 }
 
@@ -511,9 +499,9 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 	}
 
 	rt.stopped.Store(true)
-	rt.mu.Lock()
-	rt.cond.Broadcast()
-	rt.mu.Unlock()
+	rt.idle.mu.Lock()
+	rt.idle.cond.Broadcast()
+	rt.idle.mu.Unlock()
 	rt.wg.Wait()
 	rt.shutdown = true
 	return ctxErr
@@ -805,14 +793,15 @@ func (t *T) exit() {
 	}
 	next, ok := rt.pol.Terminate(w, woke, woke != nil)
 	if ok {
-		rt.wakeSuccessor()
+		// The pick publishes nothing (FIFO's pushes the woken parent and
+		// takes the head: no net change), so it owes no wake.
 		rt.trace(w, rtrace.EvDispatch, next.tid, rtrace.SrcTerminate, 0)
 	} else {
 		// The policy may have republished work (the dummy-thread give-up
-		// leaves the deque stealable); wake conservatively, now that the
-		// ready state the idlers re-check is raised.
+		// leaves the deque stealable); signal now that the ready state the
+		// parkers re-check is raised.
 		next = nil
-		rt.wakeIdlers(true)
+		rt.idle.signal()
 	}
 	rt.yield[w] <- next
 }
@@ -846,7 +835,7 @@ func (t *T) fork(body func(*T), leaves int64) *T {
 	}
 	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
 	rt.pol.ForkCont(t.w, t, child)
-	rt.wakeIdlers(true)
+	rt.idle.signal()
 	return child
 }
 

@@ -261,6 +261,6 @@ func (j *Job) cancel(reason error) bool {
 		rt.pol.Inject(t)
 	}
 	rt.extMu.Unlock()
-	rt.forceWake()
+	rt.idle.signal()
 	return true
 }

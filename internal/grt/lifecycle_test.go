@@ -442,11 +442,11 @@ func TestCancelBeforeSubmitFailsFast(t *testing.T) {
 // TestGrtParkBackoffBursts hammers the worker park/backoff protocol: a
 // persistent runtime is left to go fully idle between bursts of
 // concurrently submitted tiny jobs, so every burst must cross the
-// park→wake transition — Submit's forced wake racing workers that are
-// mid-backoff or already on the condvar, with the futile-wake throttle
-// engaged from previous bursts. A lost wakeup strands a job forever;
-// the watchdog turns that hang into a failure. Run under -race this
-// also certifies the ordering edges of the single-spinner gate.
+// park→wake transition — Submit's one signal racing workers that are
+// mid-backoff or already on the condvar, the rest of the pool revived by
+// one hunter's hand-off after another. A lost wakeup strands a job
+// forever; the watchdog turns that hang into a failure. Run under -race
+// this also certifies the ordering edges of the single-spinner gate.
 func TestGrtParkBackoffBursts(t *testing.T) {
 	const bursts, submitters, depth = 30, 4, 3
 	rt, err := grt.New(grt.Config{Workers: 4, Sched: grt.DFDeques, Seed: 9})

@@ -89,6 +89,6 @@ func (m *Mutex) Unlock(t *T) {
 	}
 	if next != nil {
 		rt.pol.Wake(t.w, next)
-		rt.wakeIdlers(true)
+		rt.idle.signal()
 	}
 }

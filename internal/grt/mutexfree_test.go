@@ -78,8 +78,8 @@ func forkPathLock(stack []string) string {
 	}
 	for i, frame := range stack {
 		switch {
-		case has(frame, "grt.(*Runtime).wakeIdlers", "sync.(*Pool)"):
-			// Idle parking (rt.mu, taken only when a worker sleeps and
+		case has(frame, "grt.(*idle).wakeOne", "sync.(*Pool)"):
+			// Idle parking (idle.mu, taken only when a worker sleeps and
 			// nobody spins) and the frame pool re-registering with the Go
 			// runtime after a GC: neither is per fork.
 			return ""

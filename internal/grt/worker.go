@@ -22,9 +22,9 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // the queue mutex on a queue take, nothing at all for fork, own-deque pops,
 // or alloc/free — deque item operations are lock-free end to end. Those
 // locks are leaves (see core.SharedPool; deques carry no lock): the
-// priority comparison called under them (prioLess) takes no lock. rt.mu is
-// only ever held to park or wake idle workers, never while consulting the
-// policy.
+// priority comparison called under them (prioLess) takes no lock. The idle
+// protocol's mu is only ever held to park or wake idle workers (idle.go),
+// never while consulting the policy.
 //
 // Cancellation costs one atomic load at each scheduling point, on the
 // thread: a poisoned thread has no further effects — no child is created,
@@ -48,10 +48,10 @@ func (rt *Runtime) worker(w int) {
 }
 
 // next picks the worker's next thread after its current one suspended or
-// blocked; nil sends the worker to acquire.
+// blocked; nil sends the worker to acquire. A pop of its own deque
+// publishes nothing, so it owes no wake (TestIdleProtocolExplorer).
 func (rt *Runtime) next(w int) *T {
 	if x, ok := rt.pol.Next(w); ok {
-		rt.wakeSuccessor()
 		rt.trace(w, rtrace.EvDispatch, x.tid, rtrace.SrcNext, 0)
 		return x
 	}
@@ -59,56 +59,31 @@ func (rt *Runtime) next(w int) *T {
 }
 
 // acquire blocks until it can hand the worker a thread (a steal for the
-// deque policies; a queue take otherwise) or the runtime shuts down
-// (nil). Work polling is lock-free (the policies' atomic ready counters);
-// rt.mu and the cond are only touched to park when there is provably
-// nothing to do. In a persistent runtime an empty pool is the normal idle
-// state — workers park here between jobs and Submit's wakeIdlers revives
-// them.
-//
-// An acquiring worker counts itself in rt.spinning for the whole hunt.
-// Publishers skip the wake-up entirely while a spinner exists (see
-// wakeIdlers); in exchange, a spinner that decides to park decrements
-// the counter *before* its final has-work re-check, and one that
-// succeeds wakes a successor if work remains — so published work always
-// has an awake worker responsible for it.
-//
-// Failed attempts back off exponentially: a brief hot spin (the common
-// transient — the victim drained between the size hint and the lock),
-// then Gosched, then parking even though work is nominally pending. The
-// last step is what stops a persistently unlucky thief from burning a
-// core (or, on few cores, stealing cycles from the worker that holds
-// the work), and it is safe under one rule: the last acquiring worker
-// never parks on pending work; it sleeps briefly and hunts again. Everyone
-// else may park with work in the pool, because that one hunting worker
-// either takes the work or keeps hunting — and every worker re-derives
-// this rule under rt.mu, so two late parkers cannot both slip out. A
-// worker that is unparked but running a thread does not count: the
-// thread may never publish again. A worker that was woken and parks
-// again without having acquired anything counts the wake as futile
-// (rt.futileWakes), which is what lets wakeIdlers throttle wake storms
-// that find nothing.
+// deque policies; a queue take otherwise) or the runtime shuts down (nil).
+// Work polling is lock-free (the policies' atomic ready counters); the
+// worker hunts counted in idle.spinning and takes idle.mu only to park. In
+// a persistent runtime an empty pool is the normal idle state: workers
+// park here between jobs and Submit's signal revives them. Failed attempts
+// back off: a brief hot spin (the victim drained between the size hint and
+// the lock), then Gosched, then parking even though work is pending, so a
+// persistently unlucky thief stops burning a core the worker holding the
+// work may need; parkRule says when that is safe.
 func (rt *Runtime) acquire(w int) *T {
 	var start time.Time
 	if rt.cfg.MeasureContention {
 		start = time.Now()
 	}
 	rt.trace(w, rtrace.EvIdle, 0, 0, 0)
-	rt.spinning.Add(1)
+	id := &rt.idle
+	id.spinning.Add(1)
 	spins := 0
-	woken := false
 	for {
 		if rt.stopped.Load() {
-			rt.spinning.Add(-1)
+			id.spinning.Add(-1)
 			return nil
 		}
-		x, ok := rt.pol.Acquire(w)
-		if ok {
-			rt.spinning.Add(-1)
-			if woken {
-				// The wake produced work: wakes are useful again.
-				rt.futileWakes.Store(0)
-			}
+		if x, ok := rt.pol.Acquire(w); ok {
+			id.spinning.Add(-1)
 			rt.acquired(w, x, start)
 			return x
 		}
@@ -122,80 +97,51 @@ func (rt *Runtime) acquire(w int) *T {
 				runtime.Gosched()
 				continue
 			}
-			// Long unlucky streak: fall through and try to park despite
-			// the pending work (refused below if this is the last unparked
-			// worker).
 		}
-		// Park. The idlers counter is raised before the re-check of the
-		// ready state, and publishers raise the ready state before
-		// checking idlers (both are sequentially consistent atomics), so
-		// either we see the fresh work here or the publisher sees us and
-		// wakes — a lost wake-up would require both loads to happen
-		// before both stores. The spinning decrement precedes the re-check
-		// for the same reason: a publisher that skipped the wake because
-		// it saw this spinner must have published before the decrement,
-		// so the re-check sees its work.
-		rt.mu.Lock()
-		rt.idleWaiters++
-		rt.idlers.Add(1)
-		rt.spinning.Add(-1)
-		if rt.stopped.Load() {
-			rt.idleWaiters--
-			rt.idlers.Add(-1)
-			rt.mu.Unlock()
+		// Park. The counts move before the view re-reads the ready
+		// state, and publishers raise the ready state before reading the
+		// counts (sequentially consistent atomics): either the view sees
+		// the fresh work or the publisher sees this worker parked and not
+		// spinning, and signals. A lost wake-up needs both loads before
+		// both stores.
+		id.mu.Lock()
+		id.parked.Add(1)
+		id.spinning.Add(-1)
+		act := parkRule(rt.idleView(hadWork))
+		if act == parkWait {
+			id.cond.Wait()
+			spins = 0
+		}
+		id.parked.Add(-1)
+		if act != parkConfirm && act != parkStop {
+			id.spinning.Add(1)
+		}
+		id.mu.Unlock()
+		switch act {
+		case parkStop:
 			return nil
-		}
-		if hadWork {
-			// Backoff park: allowed only while another worker is still
-			// acquiring, and so responsible for the pending work. A worker
-			// that is merely unparked may be running a thread that never
-			// publishes, and nothing would wake the parked ones.
-			if rt.spinning.Load() == 0 {
-				rt.idleWaiters--
-				rt.idlers.Add(-1)
-				rt.spinning.Add(1)
-				rt.mu.Unlock()
-				time.Sleep(time.Duration(1<<min(spins-64, 9)) * time.Microsecond)
-				continue
-			}
-		} else if rt.pol.HasWork() {
-			// Fresh work appeared between the poll and the park: retry.
-			rt.idleWaiters--
-			rt.idlers.Add(-1)
-			rt.spinning.Add(1)
-			rt.mu.Unlock()
-			continue
-		} else if rt.idleWaiters == rt.cfg.Workers && rt.jobsInFlight() {
-			// Deadlock candidate: every worker is parked, nothing is
-			// published, and a job is unfinished. Confirm before acting.
-			rt.idleWaiters--
-			rt.idlers.Add(-1)
-			rt.mu.Unlock()
+		case parkBackoff:
+			time.Sleep(time.Duration(1<<min(spins-64, 9)) * time.Microsecond)
+		case parkConfirm:
 			if rt.confirmDeadlock() {
 				return nil
 			}
-			rt.spinning.Add(1)
-			continue
+			id.spinning.Add(1)
 		}
-		if woken {
-			// Woken for nothing: this worker parked, was signaled, hunted,
-			// and is parking again empty-handed.
-			rt.futileWakes.Add(1)
-		}
-		rt.cond.Wait()
-		woken = true
-		rt.idleWaiters--
-		rt.idlers.Add(-1)
-		rt.spinning.Add(1)
-		rt.mu.Unlock()
-		spins = 0
 	}
+}
+
+// idleView snapshots what rt.idle's rules decide on. Called under idle.mu.
+func (rt *Runtime) idleView(hadWork bool) idleView {
+	return idleView{parked: rt.idle.parked.Load(), spinning: rt.idle.spinning.Load(),
+		workers: int64(rt.cfg.Workers), hadWork: hadWork, hasWork: rt.pol.HasWork(),
+		jobsInFlight: rt.jobsInFlight(), stopped: rt.stopped.Load()}
 }
 
 // acquired is the epilogue of a successful Acquire on worker w, the
 // worker's own (acquire) or a frame's (resteal).
 func (rt *Runtime) acquired(w int, x *T, start time.Time) {
-	rt.wakeSuccessor()
+	rt.idle.handOff(rt.pol.HasWork())
 	if !start.IsZero() {
 		rt.stealWaitNs.Add(time.Since(start).Nanoseconds())
 	}
@@ -216,7 +162,7 @@ func (rt *Runtime) acquired(w int, x *T, start time.Time) {
 // step t, so t reads nothing step writes — t.w above all, hence w.
 func (t *T) resteal(w int) {
 	rt := t.rt
-	rt.wakeIdlers(true)
+	rt.idle.signal()
 	var start time.Time
 	if rt.cfg.MeasureContention {
 		start = time.Now()
@@ -242,98 +188,37 @@ func (rt *Runtime) jobsInFlight() bool {
 }
 
 // confirmDeadlock re-checks a deadlock candidate under extMu — Submit
-// registers a job and publishes its root atomically under the same
-// lock, so a Submit racing the candidate either already published work
-// (the re-check sees it: no deadlock) or has not started (its job is not
-// in the table). On confirmation every in-flight job is canceled
-// with errDeadlock: the poison sweep republishes the lock/future-blocked
-// threads, workers retire them, and the jobs drain — the runtime survives
-// a deadlocked program (possible only outside the nested-parallel model,
-// e.g. lock cycles or a Future nobody sets) with no abandoned goroutines.
-// Returns true when this worker should exit (shutdown), false to retry.
+// registers a job and publishes its root atomically under the same lock,
+// so a Submit racing the candidate either already published work (the
+// re-check sees it: no deadlock) or has not started; the jobs to cancel are
+// read under extMu too, so a job submitted after the check is not among
+// them. On confirmation every in-flight job is canceled with errDeadlock:
+// the poison sweep republishes the lock/future-blocked threads, workers
+// retire them, and the jobs drain — the runtime survives a deadlocked
+// program (possible only outside the nested-parallel model, e.g. lock
+// cycles or a Future nobody sets) with no abandoned goroutines. Returns
+// true when this worker should exit (shutdown), false to retry.
 func (rt *Runtime) confirmDeadlock() bool {
 	rt.extMu.Lock()
-	rt.mu.Lock()
-	confirmed := rt.idleWaiters == rt.cfg.Workers-1 && !rt.pol.HasWork() &&
-		rt.jobsInFlight() && !rt.stopped.Load()
-	rt.mu.Unlock()
+	rt.idle.mu.Lock()
+	confirmed := deadlockRule(rt.idleView(false))
+	rt.idle.mu.Unlock()
+	var jobs []*Job
+	if confirmed {
+		rt.jobsMu.Lock()
+		for _, j := range rt.jobs {
+			jobs = append(jobs, j)
+		}
+		rt.jobsMu.Unlock()
+	}
 	rt.extMu.Unlock()
 	if !confirmed {
 		return rt.stopped.Load()
 	}
-	rt.jobsMu.Lock()
-	jobs := make([]*Job, 0, len(rt.jobs))
-	for _, j := range rt.jobs {
-		jobs = append(jobs, j)
-	}
-	rt.jobsMu.Unlock()
 	for _, j := range jobs {
 		j.cancel(errDeadlock)
 	}
 	// The sweep republished the blocked threads; go back to the acquire
 	// loop and help retire them.
 	return false
-}
-
-// futileWakeLimit is the number of consecutive futile wakes (a woken
-// worker re-parked empty-handed) after which wakeIdlers throttles to one
-// wake per wakeEvery publications. Any woken worker that does acquire
-// resets the count.
-const (
-	futileWakeLimit = 3
-	wakeEvery       = 64
-)
-
-// wakeIdlers wakes one parked worker after new work was published. The
-// atomic pre-checks keep the publish path lock-free in the common cases:
-// every worker busy (no idlers), or a worker already hunting for work (a
-// spinner). A single wake per publication is enough because an acquiring
-// worker that succeeds while more work remains wakes a successor itself
-// (the handoff in acquire), so a burst of publications unparks workers
-// one by one instead of stampeding every sleeper at every fork.
-//
-// When recent wakes have all been futile — the publisher consumes its
-// own work before any thief can reach it, the pattern of a serial
-// fork-join chain — all but every wakeEvery-th wake is skipped. The
-// skipped wakes cannot strand work: a publisher is by definition awake
-// and comes back to the scheduler at its next block, exit or give-up,
-// where the dispatch it makes wakes a successor unthrottled if work is
-// left (wakeSuccessor); and the last acquiring worker never parks while
-// work is pending (see acquire). The periodic forced wake only bounds how
-// long the parked majority stays out of the game if the workload turns
-// parallel again. throttled is false only for wakeSuccessor.
-func (rt *Runtime) wakeIdlers(throttled bool) {
-	if rt.idlers.Load() == 0 || rt.spinning.Load() > 0 {
-		return
-	}
-	if throttled && rt.futileWakes.Load() >= futileWakeLimit && rt.wakeSkips.Add(1)%wakeEvery != 0 {
-		return
-	}
-	rt.mu.Lock()
-	rt.cond.Signal()
-	rt.mu.Unlock()
-}
-
-// wakeSuccessor is the hand-off every dispatch from the pool makes: this
-// worker is about to run a thread, so if ready work is left, nobody is
-// acquiring and a worker is parked, it wakes one. Never throttled: the
-// thread it dispatches may publish nothing again (a loop of uncontended
-// Lock/Unlock), and then no later publication makes up for a skipped wake.
-func (rt *Runtime) wakeSuccessor() {
-	if rt.pol.HasWork() {
-		rt.wakeIdlers(false)
-	}
-}
-
-// forceWake bypasses the futile-wake throttle — used where a wake is
-// load-bearing rather than advisory: a new job's root (nothing else will
-// republish if it is skipped) and the cancel sweep's republications.
-func (rt *Runtime) forceWake() {
-	rt.futileWakes.Store(0)
-	if rt.idlers.Load() == 0 {
-		return
-	}
-	rt.mu.Lock()
-	rt.cond.Broadcast()
-	rt.mu.Unlock()
 }

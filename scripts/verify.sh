@@ -58,7 +58,9 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # and counted), of the block tests (a wake or a cancel landing between a
 # thread's queuing as a waiter and its hand-back of the worker), of ready
 # work left while the one unparked worker runs a thread that publishes
-# nothing (idle workers must not all park on it), of the trace-derived
+# nothing (idle workers must not all park on it), of the lost-wakeup
+# hammer (bursts of Submits into a pool gone fully idle, each revived by
+# one signal and the hunters' hand-offs), of the trace-derived
 # deque high-water against the pool's and the pinned one-worker streams,
 # with the pool's and the policy's own: thieves racing GiveUpSteal and the
 # first pushes and pops on a taken-over deque under the Lemma 3.1 checker,
@@ -73,6 +75,6 @@ for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp|TestCancelAfterFinishIsANoOp|TestCancelRacesJobEnd|TestSubmitStartsNoWatcherGoroutine|TestAdmittedJobsStartNoGoroutines|TestDrainFinishesOrFailsEveryJob' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/ ./internal/serve/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestGrtParkBackoffBursts|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp|TestCancelAfterFinishIsANoOp|TestCancelRacesJobEnd|TestSubmitStartsNoWatcherGoroutine|TestAdmittedJobsStartNoGoroutines|TestDrainFinishesOrFailsEveryJob' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/ ./internal/serve/
 # Size gate (ROADMAP item 6): non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
