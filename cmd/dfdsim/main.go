@@ -24,8 +24,8 @@
 //	              "sim" or "real"), suppressing the text report
 //	-real         run on the real runtime (goroutine workers) instead of
 //	              the simulator; prints grt.Stats with the contention
-//	              counters. DFD-inf maps to DFDeques with K=∞; WS runs the
-//	              per-worker-deque work stealer.
+//	              counters. DFD-inf and WS both map to DFDeques with K=∞
+//	              (on nested-parallel programs WS is DFDeques(∞), §3.3).
 //	-workers N    real mode: worker count (default: -procs)
 //	-measure      real mode: time scheduler-lock waits and steal waits
 //	-trace FILE   real mode: record every scheduling event and write a
@@ -164,7 +164,7 @@ func main() {
 	}
 	if *jsonOut {
 		emitJSON(map[string]any{
-			"op":                fmt.Sprintf("dfdsim/%s/%s", *bench, s.Name()),
+			"op":                fmt.Sprintf("dfdsim/%s/%s", *bench, *schedName),
 			"workers":           *procs,
 			"engine":            "sim",
 			"k":                 *k,
@@ -186,7 +186,7 @@ func main() {
 		return
 	}
 	fmt.Printf("scheduler: %s  p=%d  K=%d  seed=%d  realism=%v\n\n",
-		s.Name(), *procs, *k, *seed, *realism)
+		*schedName, *procs, *k, *seed, *realism)
 	fmt.Printf("time (steps):        %d\n", met.Steps)
 	fmt.Printf("actions:             %d\n", met.Actions)
 	fmt.Printf("heap high-water:     %d bytes (%.2f × S1)\n", met.HeapHW, float64(met.HeapHW)/max(1, float64(sm.HeapHW)))
@@ -228,7 +228,7 @@ func realKind(rc realCfg) (grt.Kind, int64) {
 	case "DFD-inf":
 		return grt.DFDeques, 0 // DFDeques(∞): ordered deque list, no quota
 	case "WS":
-		return grt.WS, 0 // per-worker fixed deques, random-victim bottom steal
+		return grt.WS, 0 // the same policy under its work-stealing name
 	case "ADF":
 		return grt.ADF, rc.k
 	case "FIFO":

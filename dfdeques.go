@@ -143,12 +143,13 @@ type SimConfig struct {
 	// CheckInvariants verifies Lemma 3.1 after every timestep (slow).
 	CheckInvariants bool
 
-	// DFDeques variants (Scheduler "DFD" or "DFD-inf"; Simulate refuses
-	// them for the other schedulers):
+	// DFDeques variants (Scheduler "DFD", "DFD-inf" or "WS", which is
+	// DFDeques(∞); Simulate refuses them for the other schedulers):
 
 	// AdaptiveTarget enables the adaptive memory-threshold controller
 	// (§7 future work): K doubles/halves to keep the live heap near this
-	// byte budget.
+	// byte budget. It needs a finite starting K: Simulate refuses it when
+	// the threshold is ∞ ("DFD-inf", "WS", or "DFD" with K = 0).
 	AdaptiveTarget int64
 	// StealFromTop and FullWindow are the design-choice ablations (see
 	// EXPERIMENTS.md); production use wants both false.
@@ -170,6 +171,9 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 		return SimMetrics{}, fmt.Errorf("dfdeques: unknown scheduler %q", cfg.Scheduler)
 	}
 	if d, ok := s.(*sched.DFDeques); ok {
+		if cfg.AdaptiveTarget != 0 && d.K == 0 {
+			return SimMetrics{}, fmt.Errorf("dfdeques: AdaptiveTarget adapts a finite K; scheduler %q runs with K = ∞", cfg.Scheduler)
+		}
 		d.TargetSpace = cfg.AdaptiveTarget
 		d.StealFromTop = cfg.StealFromTop
 		d.FullWindow = cfg.FullWindow

@@ -134,21 +134,41 @@ func TestFacadeVariants(t *testing.T) {
 	}
 }
 
-// TestFacadeVariantFields: the DFDeques variant fields reach DFD-inf too —
-// Dense MM at p = 8 with StealFromTop makes the 382 steals pinned in
-// internal/sched, not the plain schedule's 84 — and are refused for the
-// schedulers that have no such variant.
+// TestFacadeVariantFields: the DFDeques variant fields reach DFD-inf and
+// WS, which is DFDeques(∞) — Dense MM at p = 8 with StealFromTop makes the
+// 382 steals pinned in internal/sched, not the plain schedule's 84 — and
+// are refused for the schedulers that have no such variant. The adaptive
+// controller adapts a finite K, so AdaptiveTarget is refused wherever the
+// threshold is ∞.
 func TestFacadeVariantFields(t *testing.T) {
 	w, _ := workload.ByName("Dense MM")
 	prog := w.Build(workload.Fine)
-	met, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 8, Scheduler: "DFD-inf", Seed: 1, StealFromTop: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []string{"DFD-inf", "WS"} {
+		met, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 8, Scheduler: s, Seed: 1, StealFromTop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.Steals != 382 {
+			t.Errorf("%s with StealFromTop: %d steals, want 382", s, met.Steals)
+		}
+		if _, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 8, Scheduler: s, Seed: 1, FullWindow: true}); err != nil {
+			t.Errorf("%s refused FullWindow: %v", s, err)
+		}
 	}
-	if met.Steals != 382 {
-		t.Errorf("DFD-inf with StealFromTop: %d steals, want 382", met.Steals)
+	for _, cfg := range []dfdeques.SimConfig{
+		{Scheduler: "DFD-inf", K: 3000, AdaptiveTarget: 1 << 16},
+		{Scheduler: "WS", K: 3000, AdaptiveTarget: 1 << 16},
+		{Scheduler: "DFD", K: 0, AdaptiveTarget: 1 << 16},
+	} {
+		cfg.Procs = 8
+		if _, err := dfdeques.Simulate(prog, cfg); err == nil {
+			t.Errorf("%s at K = ∞ accepted AdaptiveTarget: %+v", cfg.Scheduler, cfg)
+		}
 	}
-	for _, s := range []string{"WS", "ADF", "FIFO"} {
+	if _, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 8, Scheduler: "DFD", K: 3000, AdaptiveTarget: 1 << 16}); err != nil {
+		t.Errorf("DFD at a finite K refused AdaptiveTarget: %v", err)
+	}
+	for _, s := range []string{"ADF", "FIFO"} {
 		for _, cfg := range []dfdeques.SimConfig{{AdaptiveTarget: 1 << 20}, {StealFromTop: true}, {FullWindow: true}} {
 			cfg.Scheduler, cfg.K = s, 3000
 			if _, err := dfdeques.Simulate(prog, cfg); err == nil {

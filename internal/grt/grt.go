@@ -85,9 +85,9 @@ const (
 	// FIFO is a single global FIFO run queue; forked children are
 	// enqueued and the parent keeps running (breadth-first).
 	FIFO
-	// WS is the Blumofe & Leiserson work stealer — one deque per worker,
-	// steal-from-bottom of a uniformly random victim, no memory quota:
-	// the DFDeques(∞) specialization of §3.3. K is ignored.
+	// WS is the Blumofe & Leiserson work stealer, which on nested-parallel
+	// programs is DFDeques(∞) (§3.3): the runtime builds exactly that —
+	// the DFDeques policy with no memory quota. K is ignored.
 	WS
 )
 
@@ -113,7 +113,7 @@ type Config struct {
 	Sched Kind
 	// K is the memory threshold in bytes; 0 means no quota (∞). For
 	// DFDeques it bounds net allocation per steal; for ADF, per thread
-	// dispatch. WS ignores it (that is its definition: DFDeques(∞)).
+	// dispatch. WS ignores it (WS is DFDeques(∞)).
 	K int64
 	// Seed drives steal-victim randomness.
 	Seed int64
@@ -140,13 +140,13 @@ type Stats struct {
 	Preemptions     int64 // quota preemptions
 	HeapHW          int64 // high-water of Alloc−Free bytes
 	HeapLive        int64 // final Alloc−Free balance (0 when frees match)
-	MaxDeques       int64 // high-water of the ready structure (len(R); p for WS; 1 for queues)
+	MaxDeques       int64 // high-water of the ready structure (len(R); ≤ Workers under WS; 1 for queues)
 	Handoffs        int64 // times a worker resumed a thread's goroutine and slept until the role came back
 
 	// Contention counters. SchedLockOps counts exclusive acquisitions of
-	// the policy's serializing lock: the R spine for DFDeques, the queue
-	// mutex for ADF and FIFO, the injectors' inbox lock for WS. The *Ns
-	// counters are populated only under MeasureContention.
+	// the policy's serializing lock: the R spine for DFDeques and WS, the
+	// queue mutex for ADF and FIFO. The *Ns counters are populated only
+	// under MeasureContention.
 	SchedLockOps int64
 	SchedLockNs  int64 // total ns workers spent waiting to acquire that lock
 	StealWaitNs  int64 // total ns spent acquiring a thread: idle workers, and threads re-stealing after a give-up
@@ -320,19 +320,19 @@ func New(cfg Config) (*Runtime, error) {
 	switch cfg.Sched {
 	case DFDeques:
 		rt.pol = policy.NewDFD(cfg.Workers, cfg.K, prioLess, cfg.Seed)
+	case WS:
+		rt.pol = policy.NewDFD(cfg.Workers, 0, prioLess, cfg.Seed)
 	case ADF:
 		rt.pol = policy.NewADF(cfg.Workers, cfg.K, prioLess)
 	case FIFO:
 		rt.pol = policy.NewFIFO[*T](cfg.K)
-	case WS:
-		rt.pol = policy.NewWS[*T](cfg.Workers, cfg.Seed)
 	default:
 		return nil, fmt.Errorf("grt: unknown scheduler kind %d", cfg.Sched)
 	}
 	rt.threshold = rt.pol.Threshold()
 	if cfg.MeasureContention {
-		// DFDeques, ADF and FIFO time the waits on their serializing lock;
-		// WS has no lock a worker ever takes.
+		// Every policy times the waits on its serializing lock; the
+		// interface assertion keeps Policy itself free of measurement.
 		if mp, ok := rt.pol.(interface{ MeasureLockWait() }); ok {
 			mp.MeasureLockWait()
 		}

@@ -286,9 +286,9 @@ func TestGrtRaceRepeatedRuns(t *testing.T) {
 }
 
 // TestGrtStatsContention checks the contention counters are wired: every
-// policy counts its serializing lock's acquisitions, and the policies
-// whose workers take such a lock (the R spine, the ADF/FIFO queue mutex)
-// report the time spent waiting for it exactly when measurement is on.
+// policy counts its serializing lock's acquisitions (the R spine, the
+// ADF/FIFO queue mutex) and reports the time spent waiting for it exactly
+// when measurement is on.
 func TestGrtStatsContention(t *testing.T) {
 	run := func(kind grt.Kind, measure bool) grt.Stats {
 		st, err := grt.Run(grt.Config{
@@ -321,8 +321,8 @@ func TestGrtStatsContention(t *testing.T) {
 		if on.StealWaitNs == 0 {
 			t.Errorf("%v: measured run reports no steal wait: %+v", kind, on)
 		}
-		if wantWait := kind != grt.WS; (on.SchedLockNs > 0) != wantWait {
-			t.Errorf("%v: measured lock wait = %d ns, want >0 is %v", kind, on.SchedLockNs, wantWait)
+		if on.SchedLockNs == 0 {
+			t.Errorf("%v: measured run reports no lock wait: %+v", kind, on)
 		}
 	}
 }

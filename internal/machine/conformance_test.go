@@ -66,7 +66,7 @@ func TestSingleProc1DFOrderConformance(t *testing.T) {
 
 		for _, mk := range []func() machine.Scheduler{
 			func() machine.Scheduler { return sched.NewDFDeques(1 << 30) },
-			func() machine.Scheduler { return sched.NewWS() },
+			func() machine.Scheduler { return sched.NewDFDeques(0) },
 			func() machine.Scheduler { return sched.NewADF(1 << 30) },
 		} {
 			var got []int64

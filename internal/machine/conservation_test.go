@@ -18,7 +18,6 @@ import (
 func TestQuickActionConservation(t *testing.T) {
 	mk := []func() machine.Scheduler{
 		func() machine.Scheduler { return sched.NewDFDeques(0) },
-		func() machine.Scheduler { return sched.NewWS() },
 		func() machine.Scheduler { return sched.NewFIFO() },
 		func() machine.Scheduler { return sched.NewADF(0) },
 	}
@@ -103,7 +102,7 @@ func TestQuickSerialSpaceExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randomSpec(rng, 4)
 		want := dag.Measure(spec)
-		for _, s := range []machine.Scheduler{sched.NewDFDeques(0), sched.NewWS(), sched.NewADF(0)} {
+		for _, s := range []machine.Scheduler{sched.NewDFDeques(0), sched.NewADF(0)} {
 			m := machine.New(machine.Config{Procs: 1, Seed: seed}, s)
 			met, err := m.Run(spec)
 			if err != nil || met.HeapHW != want.HeapHW {
@@ -130,7 +129,7 @@ func TestQuickFastForwardEquivalence(t *testing.T) {
 			case 0:
 				return sched.NewDFDeques(200)
 			case 1:
-				return sched.NewWS()
+				return sched.NewDFDeques(0)
 			default:
 				return sched.NewFIFO()
 			}

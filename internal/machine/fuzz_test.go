@@ -27,12 +27,10 @@ func FuzzScheduleConservation(f *testing.F) {
 			t.Skip("program too large")
 		}
 		var s machine.Scheduler
-		switch pick % 4 {
+		switch pick % 3 {
 		case 0:
 			s = sched.NewDFDeques(0)
 		case 1:
-			s = sched.NewWS()
-		case 2:
 			s = sched.NewADF(0)
 		default:
 			s = sched.NewFIFO()

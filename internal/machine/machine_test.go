@@ -16,7 +16,6 @@ func mkSchedulers(k int64) map[string]machine.Scheduler {
 	return map[string]machine.Scheduler{
 		"DFD":     sched.NewDFDeques(k),
 		"DFD-inf": sched.NewDFDeques(0),
-		"WS":      sched.NewWS(),
 		"ADF":     sched.NewADF(k),
 		"FIFO":    sched.NewFIFO(),
 	}
@@ -66,7 +65,7 @@ func TestSingleProcessorIsSerialTime(t *testing.T) {
 	// one action per timestep with no idling except the initial dispatch.
 	spec := fibSpec(6)
 	want := dag.Measure(spec)
-	for _, name := range []string{"DFD", "WS", "ADF"} {
+	for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
 		s := mkSchedulers(1 << 20)[name]
 		m := machine.New(machine.Config{Procs: 1, Seed: 2}, s)
 		met, err := m.Run(spec)
@@ -81,11 +80,11 @@ func TestSingleProcessorIsSerialTime(t *testing.T) {
 }
 
 func TestSerialSpaceMatchesS1OnDepthFirstSchedulers(t *testing.T) {
-	// On p=1, DFD/ADF/WS all execute in exact depth-first order, so the
-	// heap high-water must equal S1.
+	// On p=1, DFD (at any K, ∞ included) and ADF execute in exact
+	// depth-first order, so the heap high-water must equal S1.
 	spec := allocTree(5, 1000)
 	want := dag.Measure(spec)
-	for _, name := range []string{"DFD", "DFD-inf", "WS", "ADF"} {
+	for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
 		s := mkSchedulers(1 << 30)[name] // quota too large to preempt
 		m := machine.New(machine.Config{Procs: 1, Seed: 3}, s)
 		met, err := m.Run(spec)
@@ -173,7 +172,7 @@ func TestDummyTransformationRuns(t *testing.T) {
 
 func TestNoDummiesWithoutQuota(t *testing.T) {
 	spec := dag.NewThread("big").Alloc(1 << 20).Work(10).Free(1 << 20).Spec()
-	for _, name := range []string{"WS", "FIFO", "DFD-inf"} {
+	for _, name := range []string{"FIFO", "DFD-inf"} {
 		s := mkSchedulers(0)[name]
 		m := machine.New(machine.Config{Procs: 2, Seed: 7}, s)
 		met, err := m.Run(spec)
@@ -246,7 +245,7 @@ func TestLocksSpinMode(t *testing.T) {
 		return dag.NewThread("crit").Acquire(1).Work(50).Release(1).Spec()
 	}
 	root := dag.Par2("locks", crit(), crit())
-	m := machine.New(machine.Config{Procs: 2, Seed: 11, SpinLocks: true}, sched.NewWS())
+	m := machine.New(machine.Config{Procs: 2, Seed: 11, SpinLocks: true}, sched.NewDFDeques(0))
 	met, err := m.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +267,7 @@ func TestCacheModelChargesMisses(t *testing.T) {
 		MissPenalty: 10,
 		Cache:       cache.Config{CapacityBytes: 8192, LineBytes: 64},
 	}
-	m := machine.New(cfg, sched.NewWS())
+	m := machine.New(cfg, sched.NewDFDeques(0))
 	met, err := m.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +280,7 @@ func TestCacheModelChargesMisses(t *testing.T) {
 	}
 	// Compare with a no-cache run: time must be strictly larger with
 	// penalties.
-	m2 := machine.New(machine.Config{Procs: 2, Seed: 12}, sched.NewWS())
+	m2 := machine.New(machine.Config{Procs: 2, Seed: 12}, sched.NewDFDeques(0))
 	met2, err := m2.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +371,7 @@ func TestQueueLatencyHurtsGlobalQueueSchedulers(t *testing.T) {
 
 func TestMaxStepsGuard(t *testing.T) {
 	spec := fibSpec(12)
-	m := machine.New(machine.Config{Procs: 2, Seed: 17, MaxSteps: 10}, sched.NewWS())
+	m := machine.New(machine.Config{Procs: 2, Seed: 17, MaxSteps: 10}, sched.NewDFDeques(0))
 	if _, err := m.Run(spec); err == nil {
 		t.Fatal("expected MaxSteps error")
 	}
@@ -380,7 +379,7 @@ func TestMaxStepsGuard(t *testing.T) {
 
 func TestInvalidSpecRejected(t *testing.T) {
 	bad := &dag.ThreadSpec{Instrs: []dag.Instr{{Op: dag.OpJoin}}}
-	m := machine.New(machine.Config{Procs: 1, Seed: 18}, sched.NewWS())
+	m := machine.New(machine.Config{Procs: 1, Seed: 18}, sched.NewDFDeques(0))
 	if _, err := m.Run(bad); err == nil {
 		t.Fatal("expected validation error")
 	}

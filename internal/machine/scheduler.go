@@ -10,7 +10,7 @@ package machine
 // StealRound). The machine marks the returned thread Running; any other
 // thread the scheduler keeps becomes Ready.
 type Scheduler interface {
-	// Name identifies the scheduler in reports ("DFD", "WS", "ADF", "FIFO").
+	// Name identifies the scheduler in reports ("DFD", "DFD-inf", "ADF", "FIFO").
 	Name() string
 
 	// Init is called once before the run with the machine and the root

@@ -8,8 +8,9 @@ import (
 // DFD is algorithm DFDeques(K) (§3.3) as a runtime policy: the globally
 // ordered deque list R (core.SharedPool) with leftmost-p bottom-steals,
 // plus the per-steal memory quota and the dummy-termination give-up rule.
-// K = 0 is DFDeques(∞), which behaves like WS up to victim selection (one
-// shared ordered list instead of per-worker deques).
+// K = 0 is DFDeques(∞), which is the WS work stealer on nested-parallel
+// programs (§3.3): with no quota a worker never gives its deque up, so R
+// holds at most one deque per worker.
 type DFD[T comparable] struct {
 	pool   *core.SharedPool[T]
 	quota  *Quota

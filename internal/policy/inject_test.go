@@ -4,8 +4,8 @@ package policy_test
 // worker — the path a submitted job root or a canceled job's republished
 // thread takes (PR 4). These tests pin down the placement contract per
 // policy: appended at the right end of R for DFD (where a root minted at
-// the back of the order belongs), priority-positioned for ADF,
-// arrival-ordered for FIFO, the shared FIFO inbox for WS.
+// the back of the order belongs; WS is DFD with K = ∞), priority-positioned
+// for ADF, arrival-ordered for FIFO.
 
 import (
 	"testing"
@@ -164,38 +164,6 @@ func TestFIFOInjectArrivalOrder(t *testing.T) {
 	}
 	if f.HasWork() {
 		t.Error("queue reports work after draining")
-	}
-}
-
-// TestWSInjectInbox: WS has no global priority order, so Inject queues
-// the thread in the shared inbox (like the seed) — no worker's own deque
-// sees it, and any worker's Acquire drains it in FIFO injection order.
-// (Under the old biased protocol Inject pushed straight into worker 0's
-// deque by taking its Mu; the lock-free deque admits only one owner-side
-// writer, so injectors own the inbox instead.)
-func TestWSInjectInbox(t *testing.T) {
-	s := policy.NewWS[int](2, 1)
-	s.Inject(10)
-	s.Inject(20)
-
-	for w := 0; w < 2; w++ {
-		if _, ok := s.Next(w); ok {
-			t.Fatalf("injected thread landed in worker %d's own deque", w)
-		}
-	}
-	if !s.HasWork() {
-		t.Fatal("pool reports no work with two injected threads queued")
-	}
-	// Either worker's Acquire reaches the inbox; FIFO order holds across
-	// workers because the inbox is drained from its bottom.
-	if got, ok := s.Acquire(1); !ok || got != 10 {
-		t.Fatalf("first inbox drain = (%d, %v), want 10 (FIFO)", got, ok)
-	}
-	if got, ok := s.Acquire(0); !ok || got != 20 {
-		t.Fatalf("second inbox drain = (%d, %v), want 20 (FIFO)", got, ok)
-	}
-	if s.HasWork() {
-		t.Error("pool reports work after draining")
 	}
 }
 

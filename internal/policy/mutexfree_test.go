@@ -7,13 +7,13 @@ package policy_test
 //   - structurally, deque.Deque contains no sync.Mutex or sync.RWMutex
 //     anywhere in its type graph (the old Mu field is gone, not merely
 //     bypassed), checked by reflection so a reintroduction fails here;
-//   - behaviorally, a WS hammer run under a 1-in-1 mutex profile must
-//     record no contention sample with a frame in internal/deque or in
-//     the WSPool worker paths (Push/Pop/PopIf/StealFrom/popInbox). The
-//     profile only samples contended acquisitions, which is exactly the
-//     claim: whatever blocking remains in the binary (the R spine, the
-//     inject mutex, test harness locks), none of it is reached from a
-//     worker's push, pop, or steal.
+//   - behaviorally, a bare-deque hammer — one owner doing PushTop, PopTop
+//     and PopTopIf while thieves PopBottom — run under a 1-in-1 mutex
+//     profile must record no contention sample with a frame in
+//     internal/deque. The profile only samples contended acquisitions,
+//     which is exactly the claim: whatever blocking remains in the binary
+//     (the R spine, the queue policies' mutex, test harness locks), none
+//     of it is reached from an owner's push or pop or a thief's steal.
 //
 // CI runs this under -race with GOMAXPROCS 2 and 8 (the deque-stress
 // job), so the assertion covers both the preemption-heavy and the truly
@@ -26,10 +26,10 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dfdeques/internal/deque"
-	"dfdeques/internal/policy"
 )
 
 func TestStealPathMutexFree(t *testing.T) {
@@ -59,27 +59,34 @@ func TestStealPathMutexFree(t *testing.T) {
 	scan(reflect.TypeOf(deque.Deque[int]{}), "Deque")
 
 	// Behavioral half: sample every contended mutex acquisition during a
-	// storm of owner ops and steals, then assert none of the samples
-	// passes through the deque or the worker-side pool paths.
+	// storm of owner ops and steals on one deque, then assert none of the
+	// samples passes through the deque.
 	old := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(old)
 
-	const workers = 4
-	pl := policy.NewWSPool[int](workers)
+	const thieves = 3
+	d := deque.NewDeque[int]()
+	var done atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range thieves {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 20000; i++ {
-				pl.Push(w, i)
-				if i&1 == 1 {
-					pl.Pop(w)
-				}
-				pl.StealFrom(w, (w+1)%workers)
+			for !done.Load() {
+				d.PopBottom()
 			}
-		}(w)
+		}()
 	}
+	for i := 0; i < 60000; i++ {
+		d.PushTop(i)
+		switch i % 3 {
+		case 1:
+			d.PopTop()
+		case 2:
+			d.PopTopIf(i)
+		}
+	}
+	done.Store(true)
 	wg.Wait()
 
 	var buf bytes.Buffer
@@ -87,15 +94,7 @@ func TestStealPathMutexFree(t *testing.T) {
 		t.Fatalf("mutex profile: %v", err)
 	}
 	profile := buf.String()
-	for _, frame := range []string{
-		"internal/deque.",
-		"WSPool).Push",
-		"WSPool).Pop", // also matches PopIf
-		"WSPool).StealFrom",
-		"WSPool).popInbox",
-	} {
-		if strings.Contains(profile, frame) {
-			t.Errorf("mutex profile records contention through %q:\n%s", frame, profile)
-		}
+	if strings.Contains(profile, "internal/deque.") {
+		t.Errorf("mutex profile records contention through internal/deque:\n%s", profile)
 	}
 }

@@ -1,8 +1,10 @@
 // Package policy is the single home of the scheduling policies the paper
-// studies — DFDeques(K) (§3.3), the WS work stealer of Blumofe & Leiserson
-// (DFDeques(∞), §3.3), the ADF depth-first scheduler, and the FIFO
-// baseline — factored out of the two engines that drive them, event by
-// event, through the same Policy values:
+// studies — DFDeques(K) (§3.3), the ADF depth-first scheduler, and the
+// FIFO baseline — factored out of the two engines that drive them, event
+// by event, through the same Policy values. The WS work stealer of
+// Blumofe & Leiserson has no type of its own: on nested-parallel programs
+// it is DFDeques(∞) (§3.3), so both engines build DFD with K = 0 for it.
+// The two engines are:
 //
 //   - the real concurrent runtime (internal/grt), which forks
 //     parent-first;
@@ -14,12 +16,11 @@
 // Where the cost model needs a rule of its own, the simulator calls a
 // serial-engine entry, never a setting: NewSerialDFD (a give-up leaves its
 // steal to the next round, which DFD.BeginRound and DFD.StealFrom run),
-// ADF.ForkChildFirst (the child-first fork refills the quota), and
-// WS.StealFrom (a victim drawn by the simulator). The ready-pool protocol
-// — the ordered deque list R with leftmost-p bottom-steals, the per-steal
-// memory quota K, the dummy give-up, the global-queue variants — therefore
-// exists exactly once; a new scheduler lands in one file here instead of
-// one per engine.
+// and ADF.ForkChildFirst (the child-first fork refills the quota). The
+// ready-pool protocol — the ordered deque list R with leftmost-p
+// bottom-steals, the per-steal memory quota K, the dummy give-up, the
+// global-queue variants — therefore exists exactly once; a new scheduler
+// lands in one file here instead of one per engine.
 //
 // Lock-order contract (shared with core.SharedPool and internal/grt): the
 // R spine is a leaf — the less callback runs under it and takes no lock.
@@ -27,10 +28,8 @@
 // Deques themselves carry no lock: every item operation is nonblocking
 // (the ABP-style tag/bottom protocol in internal/deque), so owners and
 // thieves never serialize on anything but the spine for membership
-// changes — WS adds only the tiny injector-side inbox mutex, which no
-// worker path touches. The queue policies (ADF, FIFO) use a single
-// internal mutex that is likewise a leaf (less runs inside it). See
-// DESIGN.md §5.
+// changes. The queue policies (ADF, FIFO) use a single internal mutex
+// that is likewise a leaf (less runs inside it). See DESIGN.md §5.
 package policy
 
 import (
@@ -42,22 +41,21 @@ import (
 // Stats is the counter set every runtime policy reports.
 type Stats struct {
 	// Steals counts successful shared acquisitions: deque steals for
-	// DFDeques and WS, global-queue takes for ADF and FIFO.
+	// DFDeques, global-queue takes for ADF and FIFO.
 	Steals int64
 	// FailedSteals counts steal attempts that found no victim.
 	FailedSteals int64
-	// LocalDispatches counts own-deque pops (DFDeques and WS only).
+	// LocalDispatches counts own-deque pops (DFDeques only).
 	LocalDispatches int64
 	// LockOps counts exclusive acquisitions of the policy's serializing
-	// lock: the R spine for the deque policies, the queue mutex for the
+	// lock: the R spine for DFDeques, the queue mutex for the
 	// global-queue policies.
 	LockOps int64
 	// LockWaitNs is the total time workers spent waiting to acquire that
-	// lock; 0 unless the policy's MeasureLockWait was called (WS has no
-	// lock a worker takes, and no such method).
+	// lock; 0 unless the policy's MeasureLockWait was called.
 	LockWaitNs int64
 	// MaxDeques is the high-water mark of the ready structure: len(R) for
-	// DFDeques, the (fixed) per-worker deque count for WS, 1 for the
+	// DFDeques (at most the worker count when K = ∞, §3.3), 1 for the
 	// global-queue policies.
 	MaxDeques int
 }
@@ -68,10 +66,11 @@ type Stats struct {
 // must only be called by worker w. The engine owns parking, accounting and
 // the join protocol; the policy owns every ready-thread decision.
 type Policy[T any] interface {
-	// Name identifies the policy ("DFDeques", "ADF", "FIFO", "WS").
+	// Name identifies the policy ("DFDeques", "ADF", "FIFO").
 	Name() string
 	// Threshold is the memory threshold K in bytes for the dummy-thread
-	// transformation of large allocations; 0 disables it (WS: always 0).
+	// transformation of large allocations; 0 disables it (DFDeques(∞),
+	// which is WS).
 	Threshold() int64
 	// Seed publishes the root thread before any worker runs.
 	Seed(t T)

@@ -2,7 +2,6 @@ package policy_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"dfdeques/internal/om"
@@ -100,79 +99,6 @@ func TestFIFOQueueOrderAndCompaction(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Errorf("len = %d after draining", q.Len())
-	}
-}
-
-// TestWSPoolConcurrent hammers a WSPool from p goroutines, each acting as
-// its owner — pushing and popping its own deque — while also stealing from
-// random victims. Conservation: every pushed token is consumed exactly
-// once (checked by summing), and the pool ends empty.
-func TestWSPoolConcurrent(t *testing.T) {
-	const (
-		workers = 8
-		pushes  = 2000
-	)
-	pl := policy.NewWSPool[int](workers)
-	var consumed sync.Map // token → true
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			take := func(x int) {
-				if _, dup := consumed.LoadOrStore(x, true); dup {
-					t.Errorf("token %d consumed twice", x)
-				}
-			}
-			for i := 0; i < pushes; i++ {
-				pl.Push(w, w*pushes+i)
-				if rng.Intn(2) == 0 {
-					if x, ok := pl.Pop(w); ok {
-						take(x)
-					}
-				}
-				if v := rng.Intn(workers); v != w {
-					if x, ok := pl.StealFrom(w, v); ok {
-						take(x)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Drain what is left.
-	rest := 0
-	for w := 0; w < workers; w++ {
-		for {
-			x, ok := pl.Pop(w)
-			if !ok {
-				break
-			}
-			rest++
-			if _, dup := consumed.LoadOrStore(x, true); dup {
-				t.Errorf("token %d consumed twice", x)
-			}
-		}
-	}
-	if pl.HasWork() {
-		t.Error("pool reports work after draining")
-	}
-	n := 0
-	consumed.Range(func(_, _ any) bool { n++; return true })
-	if n != workers*pushes {
-		t.Errorf("consumed %d tokens, want %d", n, workers*pushes)
-	}
-	steals, _, local, lockOps := pl.Stats()
-	if steals+local != int64(n) {
-		t.Errorf("steals(%d)+local(%d) != consumed(%d)", steals, local, n)
-	}
-	// The lock-free protocol's contract: owner pushes/pops and steals
-	// acquire no mutex at all. lockOps counts only injectMu, which this
-	// test never touches — so across 16000 pushes, thousands of steals,
-	// and the contested drain it must stay exactly zero.
-	if lockOps != 0 {
-		t.Errorf("lockOps = %d, want 0 (steal and owner paths are mutex-free)", lockOps)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestCacheComplexitySameWorker(t *testing.T) {
 
 // TestCacheComplexityNoTouches: streams without EvTouch produce no report.
 func TestCacheComplexityNoTouches(t *testing.T) {
-	meta := rtrace.Meta{Policy: "WS", Workers: 1}
+	meta := rtrace.Meta{Policy: "DFDeques", Workers: 1}
 	evs := []rtrace.Event{ev(1, 0, rtrace.EvFork, 1, 2, 0)}
 	if cs := rtrace.CacheComplexity(meta, evs, cache.Config{}); cs != nil {
 		t.Fatalf("expected nil report, got %+v", cs)

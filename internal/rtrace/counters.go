@@ -39,7 +39,7 @@ type Counters struct {
 
 // dequeGauge replays the deque population, len(R), and its high-water
 // from a DFDeques stream's membership records: EvDequeCreate and EvSteal
-// with a new deque (C >= 0) add one, EvDequeRetire takes one away. A
+// (its new deque) add one, EvDequeRetire takes one away. A
 // steal that drains an unowned victim records its new deque before the
 // victim's retirement, but R never holds both — the pool makes the two
 // changes in one spine section and samples its high-water after it — so
@@ -59,13 +59,13 @@ type dequeGauge struct {
 // R went through: settled when a held steal's deque was counted (-1 if
 // not), now after the record's own change (-1 if the record made none,
 // or is held). Records other than membership ones are ignored.
-func (g *dequeGauge) fold(w int32, kind Kind, a, b, c int64) (settled, now int64) {
+func (g *dequeGauge) fold(w int32, kind Kind, a, b int64) (settled, now int64) {
 	settled, now = -1, -1
 	switch {
 	case kind == EvDequeRetire && g.held && g.heldW == w && g.heldB == a:
 		g.held = false // the victim made way for the thief's deque
 		return
-	case kind == EvDequeCreate, kind == EvDequeRetire, kind == EvDequeRelease, kind == EvSteal && c >= 0:
+	case kind == EvDequeCreate, kind == EvDequeRetire, kind == EvDequeRelease, kind == EvSteal:
 		settled = g.settle()
 	default:
 		return
@@ -124,11 +124,9 @@ func (c *Counters) Event(w int, kind Kind, a, b, cc int64) {
 			ln.dummies.Add(1)
 		}
 	case EvSteal, EvDequeCreate, EvDequeRelease, EvDequeRetire:
-		if kind != EvSteal || cc >= 0 { // a WS steal makes no deque
-			c.dequesMu.Lock()
-			c.deques.fold(int32(w), kind, a, b, cc)
-			c.dequesMu.Unlock()
-		}
+		c.dequesMu.Lock()
+		c.deques.fold(int32(w), kind, a, b)
+		c.dequesMu.Unlock()
 	}
 }
 

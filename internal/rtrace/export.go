@@ -114,12 +114,9 @@ func Summarize(meta Meta, evs []Event, dropped uint64) Summary {
 		}
 	}
 	s.PerWorker = perW
-	// Only DFDeques creates and retires deques; the other policies'
-	// ready structures have a fixed size the stream does not spell out.
-	switch meta.Policy {
-	case "WS":
-		s.DequeHighWater = meta.Workers
-	case "ADF", "FIFO":
+	// Only DFDeques creates and retires deques; the queue policies' one
+	// queue is a ready structure the stream does not spell out.
+	if meta.Policy == "ADF" || meta.Policy == "FIFO" {
 		s.DequeHighWater = 1
 	}
 	return s
@@ -231,14 +228,14 @@ func Export(w io.Writer, meta Meta, evs []Event, dropped uint64) error {
 		if e.TS > lastTS {
 			lastTS = e.TS
 		}
-		settled, now := deques.fold(e.W, e.Kind, e.A, e.B, e.C)
+		settled, now := deques.fold(e.W, e.Kind, e.A, e.B)
 		if settled >= 0 {
 			counter(heldTS, "deques", settled)
 		}
 		if now >= 0 {
 			counter(e.TS, "deques", now)
 		}
-		if e.Kind == EvSteal && e.C >= 0 {
+		if e.Kind == EvSteal {
 			heldTS = e.TS
 		}
 		switch e.Kind {

@@ -69,8 +69,7 @@ const (
 	// deque id, or -1 if the pick found no deque.
 	EvStealAttempt
 	// EvSteal: worker W stole thread A from the bottom of deque B; C is
-	// the new deque created for W immediately right of B (-1 for pools
-	// with fixed deques, i.e. WS).
+	// the new deque created for W immediately right of B.
 	EvSteal
 	// EvDequeCreate: deque A entered R immediately right of deque B (B=-1:
 	// at the left end). C=1 when the deque was created mid-run, to hold a

@@ -131,11 +131,11 @@ func TestExportChromeSchema(t *testing.T) {
 }
 
 func TestExportLoadRoundTrip(t *testing.T) {
-	meta := Meta{Policy: "WS", Workers: 3, K: 0, Seed: 42}
+	meta := Meta{Policy: "DFDeques", Workers: 3, K: 0, Seed: 42}
 	r := NewRecorder(3, 64)
 	r.Event(-1, EvPush, 1, 0, 0)
 	r.Event(1, EvStealAttempt, 0, 0, 0)
-	r.Event(1, EvSteal, 1, 0, -1)
+	r.Event(1, EvSteal, 1, 0, 1)
 	r.Event(1, EvDispatch, 1, SrcAcquire, 0)
 	r.Event(1, EvComplete, 1, 0, 0)
 	want := r.Events()

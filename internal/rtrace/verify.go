@@ -48,9 +48,6 @@ import (
 // thread of that job completed, and EvJobCancel marks a poison-canceled
 // job — canceled threads still drain through ordinary dispatches and
 // completions, so conservation and quota checks hold for them unchanged.
-// Under WS a second job's root is appended to deque 0 regardless of
-// priority (WS has no priority order to keep), so multi-job WS streams
-// disable the ordering checks like lock programs do.
 //
 // Engine. The model is the work-first continuation engine's, the only
 // one this runtime has: a fork pushes the never-dispatched child while the
@@ -71,7 +68,7 @@ func Verify(meta Meta, evs []Event, dropped uint64) (Report, error) {
 		return v.rep, fmt.Errorf("rtrace: empty event stream")
 	}
 	switch meta.Policy {
-	case "DFDeques", "WS", "ADF", "FIFO":
+	case "DFDeques", "ADF", "FIFO":
 	default:
 		return v.rep, fmt.Errorf("rtrace: unknown policy %q in trace metadata", meta.Policy)
 	}
@@ -153,8 +150,7 @@ type verifier struct {
 	threads map[int64]*vthread
 	jobs    map[int64]*vjob
 
-	// DFDeques: the ordered list R. WS: fixed per-worker deques (no R
-	// order). ADF/FIFO: the global queue.
+	// DFDeques: the ordered list R. ADF/FIFO: the global queue.
 	deques map[int64]*vdeque
 	r      []int64 // deque ids left (highest priority) to right
 	queue  []int64 // tids in arrival order (FIFO) / checked by priority (ADF)
@@ -180,14 +176,6 @@ func (v *verifier) init() {
 		v.running[i], v.owned[i] = -1, -1
 	}
 	v.ordered = true
-	if v.meta.Policy == "WS" {
-		for i := 0; i < v.meta.Workers; i++ {
-			v.deques[int64(i)] = &vdeque{owner: i}
-		}
-		// The shared inbox: injectors (recorded as w=-1) push seed and
-		// mid-run roots here; any worker may claim its bottom.
-		v.deques[int64(v.meta.Workers)] = &vdeque{owner: -1}
-	}
 }
 
 func (v *verifier) fail(e *Event, format string, args ...any) error {
@@ -435,12 +423,6 @@ func (v *verifier) step(e *Event) error {
 		v.rep.Threads++
 		v.jobs[e.A] = &vjob{root: e.B}
 		v.rep.Jobs++
-		if len(v.jobs) > 1 && v.meta.Policy == "WS" && v.ordered {
-			v.ordered = false
-			v.rep.OrderingExact = false
-			v.rep.Notes = append(v.rep.Notes,
-				"multiple jobs under WS: late roots join the shared inbox regardless of priority; ordering checks disabled from "+e.String())
-		}
 
 	case EvJobAnnotate:
 		if w != -1 {
@@ -502,23 +484,21 @@ func (v *verifier) step(e *Event) error {
 		}
 		t.state, t.on = tInflight, w
 		v.rep.Steals++
-		if v.meta.Policy == "DFDeques" {
-			if v.owned[w] != -1 {
-				return v.fail(e, "w%d stole while owning deque %d", w, v.owned[w])
-			}
-			if e.C < 0 {
-				return v.fail(e, "DFDeques steal without a new deque")
-			}
-			if _, dup := v.deques[e.C]; dup {
-				return v.fail(e, "new deque %d already exists", e.C)
-			}
-			v.deques[e.C] = &vdeque{owner: w}
-			if err := v.insertRight(e, e.B, e.C); err != nil {
-				return err
-			}
-			v.owned[w] = e.C
-			v.quota[w] = v.meta.K // fresh quota per steal (§3.3)
+		if v.owned[w] != -1 {
+			return v.fail(e, "w%d stole while owning deque %d", w, v.owned[w])
 		}
+		if e.C < 0 {
+			return v.fail(e, "steal without a new deque")
+		}
+		if _, dup := v.deques[e.C]; dup {
+			return v.fail(e, "new deque %d already exists", e.C)
+		}
+		v.deques[e.C] = &vdeque{owner: w}
+		if err := v.insertRight(e, e.B, e.C); err != nil {
+			return err
+		}
+		v.owned[w] = e.C
+		v.quota[w] = v.meta.K // fresh quota per steal (§3.3)
 		return v.checkOrdering(e)
 
 	case EvDequeCreate:
@@ -699,38 +679,37 @@ func (v *verifier) checkOrdering(e *Event) error {
 			}
 		}
 	}
-	if v.meta.Policy == "DFDeques" {
-		// R sorted left to right: everything in a deque has higher
-		// priority than everything right of it. Comparing each deque's
-		// lowest-priority item (its bottom) with the next non-empty
-		// deque's highest-priority item (its top) covers all pairs.
-		prevLowest := int64(-1)
-		for _, did := range v.r {
-			d := v.deques[did]
-			if len(d.items) == 0 {
-				continue
-			}
-			highest, lowest := d.items[len(d.items)-1], d.items[0]
-			if prevLowest >= 0 && !v.before(prevLowest, highest) {
-				return v.fail(e, "R out of order: t%d (left) does not precede t%d (right)", prevLowest, highest)
-			}
-			prevLowest = lowest
+	// R sorted left to right (the queue policies have no deques): every
+	// thread in a deque has higher priority than everything right of it.
+	// Comparing each deque's lowest-priority item (its bottom) with the
+	// next non-empty deque's highest-priority item (its top) covers all
+	// pairs.
+	prevLowest := int64(-1)
+	for _, did := range v.r {
+		d := v.deques[did]
+		if len(d.items) == 0 {
+			continue
 		}
-		// An executing thread has higher priority than everything in its
-		// worker's deque (the deque holds the closures it and its
-		// ancestors forked, each the 1DF successor of its forker).
-		for w, tid := range v.running {
-			if tid < 0 || v.owned[w] < 0 {
-				continue
-			}
-			d := v.deques[v.owned[w]]
-			if len(d.items) == 0 {
-				continue
-			}
-			top := d.items[len(d.items)-1]
-			if !v.before(tid, top) {
-				return v.fail(e, "running t%d on w%d under-prioritizes its deque top t%d", tid, w, top)
-			}
+		highest, lowest := d.items[len(d.items)-1], d.items[0]
+		if prevLowest >= 0 && !v.before(prevLowest, highest) {
+			return v.fail(e, "R out of order: t%d (left) does not precede t%d (right)", prevLowest, highest)
+		}
+		prevLowest = lowest
+	}
+	// An executing thread has higher priority than everything in its
+	// worker's deque (the deque holds the closures it and its ancestors
+	// forked, each the 1DF successor of its forker).
+	for w, tid := range v.running {
+		if tid < 0 || v.owned[w] < 0 {
+			continue
+		}
+		d := v.deques[v.owned[w]]
+		if len(d.items) == 0 {
+			continue
+		}
+		top := d.items[len(d.items)-1]
+		if !v.before(tid, top) {
+			return v.fail(e, "running t%d on w%d under-prioritizes its deque top t%d", tid, w, top)
 		}
 	}
 	return nil
@@ -756,7 +735,7 @@ func (v *verifier) final() error {
 			return fmt.Errorf("rtrace: deque %d still holds %d threads at end of run", did, len(d.items))
 		}
 	}
-	if v.meta.Policy == "DFDeques" && len(v.deques) != 0 {
+	if len(v.deques) != 0 {
 		return fmt.Errorf("rtrace: %d deques never retired", len(v.deques))
 	}
 	if len(v.queue) != 0 {

@@ -6,8 +6,8 @@ import (
 )
 
 // DFDeques is algorithm DFDeques(K) of §3.3. K is the memory threshold in
-// bytes; K = 0 means infinity, which makes the algorithm equivalent to the
-// WS work stealer for nested-parallel programs (§3.3).
+// bytes; K = 0 means infinity, which makes the algorithm the WS work
+// stealer for nested-parallel programs (§3.3): New builds it for "WS".
 type DFDeques struct {
 	K int64
 

@@ -12,9 +12,11 @@ import (
 // TestSimulatorSchedulesArePinned pins the simulator's schedules exactly:
 // every lock-free benchmark dag (fine grain) under DFD (K = 3000, dfdsim's
 // default) and DFD-inf, plain and under each ablation switch, then under
-// WS, ADF and FIFO, and all five under machine.Realism, at p = 8 and seed 1. The experiment tables all read these schedules, so a
-// change to the pool, the quota or the steal arbitration that moves one
-// of them must update this table on purpose and re-record the tables.
+// ADF and FIFO, and all four under machine.Realism, at p = 8 and seed 1
+// ("WS" is DFD-inf, so it has no rows of its own). The experiment tables
+// all read these schedules, so a change to the pool, the quota or the
+// steal arbitration that moves one of them must update this table on
+// purpose and re-record the tables.
 func TestSimulatorSchedulesArePinned(t *testing.T) {
 	dags := map[string]*dag.ThreadSpec{
 		"synthetic":  workload.Synthetic(workload.DefaultSynthetic()),
@@ -95,7 +97,7 @@ func TestSimulatorSchedulesArePinned(t *testing.T) {
 				c.bench, c.variant, c.k, got, want)
 		}
 	}
-	// The other three schedulers at K = 3000 in the pure model, and all five
+	// The two queue schedulers at K = 3000 in the pure model, and all four
 	// under machine.Realism: the one configuration where the global-queue
 	// stalls (QueueLatency) and the steal latency move the schedule.
 	for _, c := range []struct {
@@ -104,68 +106,52 @@ func TestSimulatorSchedulesArePinned(t *testing.T) {
 
 		steps, steals, maxLive, heapHW int64
 	}{
-		{"Vol. Rend.", "WS", false, 9467, 73, 54, 0},
 		{"Vol. Rend.", "ADF", false, 9538, 511, 58, 0},
 		{"Vol. Rend.", "FIFO", false, 9518, 766, 414, 0},
-		{"Dense MM", "WS", false, 18957, 113, 76, 442368},
 		{"Dense MM", "ADF", false, 19394, 1671, 82, 237568},
 		{"Dense MM", "FIFO", false, 18694, 1680, 887, 917504},
-		{"Sparse MVM", "WS", false, 9801, 107, 62, 0},
 		{"Sparse MVM", "ADF", false, 9885, 1023, 69, 0},
 		{"Sparse MVM", "FIFO", false, 9783, 1534, 822, 0},
-		{"FFTW", "WS", false, 8096, 146, 45, 9536},
 		{"FFTW", "ADF", false, 8618, 472, 53, 10112},
 		{"FFTW", "FIFO", false, 7960, 723, 233, 14336},
-		{"FMM", "WS", false, 73195, 88, 123, 89824},
 		{"FMM", "ADF", false, 73967, 9556, 141, 105792},
 		{"FMM", "FIFO", false, 73606, 15016, 7719, 3277632},
-		{"Decision Tr.", "WS", false, 11935, 395, 47, 1166000},
 		{"Decision Tr.", "ADF", false, 11964, 2238, 61, 1176352},
 		{"Decision Tr.", "FIFO", false, 11730, 1231, 117, 1492880},
-		{"synthetic", "WS", false, 55064, 131, 111, 1487930},
 		{"synthetic", "ADF", false, 59372, 66839, 281, 1452643},
 		{"synthetic", "FIFO", false, 59111, 98304, 42176, 3980580},
-		{"lowerbound", "WS", false, 224, 86, 10, 600000},
 		{"lowerbound", "ADF", false, 228, 306, 37, 720000},
 		{"lowerbound", "FIFO", false, 190, 193, 10, 720000},
 		{"Vol. Rend.", "DFD", true, 42773, 98, 53, 0},
 		{"Vol. Rend.", "DFD-inf", true, 42773, 98, 53, 0},
-		{"Vol. Rend.", "WS", true, 38089, 72, 55, 0},
 		{"Vol. Rend.", "ADF", true, 128589, 511, 53, 0},
 		{"Vol. Rend.", "FIFO", true, 108466, 767, 461, 0},
 		{"Dense MM", "DFD", true, 198830, 1458, 90, 278528},
 		{"Dense MM", "DFD-inf", true, 157235, 108, 76, 458752},
-		{"Dense MM", "WS", true, 154516, 81, 78, 442368},
 		{"Dense MM", "ADF", true, 206041, 1671, 74, 229376},
 		{"Dense MM", "FIFO", true, 205392, 1683, 979, 917504},
 		{"Sparse MVM", "DFD", true, 85858, 98, 62, 0},
 		{"Sparse MVM", "DFD-inf", true, 85858, 98, 62, 0},
-		{"Sparse MVM", "WS", true, 85194, 94, 62, 0},
 		{"Sparse MVM", "ADF", true, 99515, 1023, 63, 0},
 		{"Sparse MVM", "FIFO", true, 104726, 1535, 913, 0},
 		{"FFTW", "DFD", true, 91276, 122, 45, 9536},
 		{"FFTW", "DFD-inf", true, 89219, 126, 45, 9600},
-		{"FFTW", "WS", true, 88916, 121, 44, 9728},
 		{"FFTW", "ADF", true, 111259, 472, 47, 9664},
 		{"FFTW", "FIFO", true, 101160, 723, 226, 14336},
 		{"FMM", "DFD", true, 631011, 6866, 171, 101056},
 		{"FMM", "DFD-inf", true, 536756, 199, 122, 89728},
-		{"FMM", "WS", true, 536743, 179, 123, 89728},
 		{"FMM", "ADF", true, 706260, 9556, 138, 100992},
 		{"FMM", "FIFO", true, 744515, 15018, 8675, 3277664},
 		{"Decision Tr.", "DFD", true, 107475, 2036, 86, 1275920},
 		{"Decision Tr.", "DFD-inf", true, 94267, 256, 50, 1310560},
-		{"Decision Tr.", "WS", true, 91372, 206, 48, 1295312},
 		{"Decision Tr.", "ADF", true, 108533, 2238, 57, 1153024},
 		{"Decision Tr.", "FIFO", true, 119046, 1235, 135, 1564992},
 		{"synthetic", "DFD", true, 184878, 4345, 148, 1337024},
 		{"synthetic", "DFD-inf", true, 540764, 120, 111, 1487908},
-		{"synthetic", "WS", true, 540907, 94, 111, 1487842},
 		{"synthetic", "ADF", true, 196103, 66839, 220, 1381174},
 		{"synthetic", "FIFO", true, 623847, 98304, 45116, 4018240},
 		{"lowerbound", "DFD", true, 805, 303, 38, 540000},
 		{"lowerbound", "DFD-inf", true, 391, 80, 10, 540000},
-		{"lowerbound", "WS", true, 409, 89, 10, 540000},
 		{"lowerbound", "ADF", true, 695, 306, 36, 540000},
 		{"lowerbound", "FIFO", true, 415, 193, 12, 540000},
 	} {

@@ -1,13 +1,13 @@
-// Package sched drives the runtime's four scheduling policies
-// (internal/policy) on the machine simulator: the serial driver of the same
-// policy values the real runtime (internal/grt) drives concurrently.
+// Package sched drives the runtime's scheduling policies (internal/policy)
+// on the machine simulator: the serial driver of the same policy values the
+// real runtime (internal/grt) drives concurrently.
 //
 //   - DFDeques(K): the paper's contribution (§3) — globally ordered deques,
 //     a per-steal memory quota K, steal-from-bottom among the leftmost p
-//     (policy.DFD, built by policy.NewSerialDFD).
-//   - WS: the provably space-efficient work stealer of Blumofe & Leiserson
-//     ("Cilk" in the paper's figures), which DFDeques(∞) degenerates to
-//     (policy.WS).
+//     (policy.DFD, built by policy.NewSerialDFD). "DFD-inf" and "WS" both
+//     name DFDeques(∞): on nested-parallel programs it is the provably
+//     space-efficient work stealer of Blumofe & Leiserson ("Cilk" in the
+//     paper's figures, §3.3).
 //   - ADF(K): the asynchronous depth-first scheduler of Narlikar &
 //     Blelloch — a globally ordered ready queue with a per-thread quota
 //     (policy.ADF).
@@ -39,10 +39,8 @@ func New(name string, k int64) (machine.Scheduler, bool) {
 	switch name {
 	case "DFD":
 		return NewDFDeques(k), true
-	case "DFD-inf":
+	case "DFD-inf", "WS":
 		return NewDFDeques(0), true
-	case "WS":
-		return NewWS(), true
 	case "ADF":
 		return NewADF(k), true
 	case "FIFO":

@@ -95,12 +95,13 @@ func TestLemma31InvariantsDnc(t *testing.T) {
 	}
 }
 
-// TestWSInvariants runs the WS checker over the same battery.
+// TestWSInvariants runs the Lemma 3.1 checker over the same battery under
+// "WS", which is DFDeques(∞).
 func TestWSInvariants(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		spec := irregularDag(rng, 5)
-		s := sched.NewWS()
+		s, _ := sched.New("WS", 0)
 		cfg := machine.Config{Procs: 1 + rng.Intn(8), Seed: int64(trial), CheckInvariants: true}
 		m := machine.New(cfg, s)
 		if _, err := m.Run(spec); err != nil {
@@ -194,17 +195,7 @@ func TestGreedyLowerBounds(t *testing.T) {
 	spec := dncDag(6, 0, 128)
 	sm := dag.Measure(spec)
 	for _, name := range []string{"DFD", "WS", "ADF", "FIFO"} {
-		var s machine.Scheduler
-		switch name {
-		case "DFD":
-			s = sched.NewDFDeques(1024)
-		case "WS":
-			s = sched.NewWS()
-		case "ADF":
-			s = sched.NewADF(1024)
-		case "FIFO":
-			s = sched.NewFIFO()
-		}
+		s, _ := sched.New(name, 1024)
 		met := run(t, s, spec, machine.Config{Procs: 4, Seed: 9})
 		if met.Steps < sm.W/4 || met.Steps < sm.D {
 			t.Errorf("%s: time %d beats greedy lower bound max(%d, %d)", name, met.Steps, sm.W/4, sm.D)
@@ -238,29 +229,6 @@ func TestDFDSmallKExceedsPDeques(t *testing.T) {
 	}
 }
 
-// TestDFDInfMatchesWSStatistically: DFDeques(∞) and WS should behave
-// alike on time and space (same algorithm, different code paths).
-func TestDFDInfMatchesWSStatistically(t *testing.T) {
-	spec := dncDag(9, 2048, 32)
-	var dfdSteps, wsSteps, dfdSpace, wsSpace int64
-	const seeds = 10
-	for seed := int64(0); seed < seeds; seed++ {
-		a := run(t, sched.NewDFDeques(0), spec, machine.Config{Procs: 4, Seed: seed})
-		b := run(t, sched.NewWS(), spec, machine.Config{Procs: 4, Seed: seed})
-		dfdSteps += a.Steps
-		wsSteps += b.Steps
-		dfdSpace += a.HeapHW
-		wsSpace += b.HeapHW
-	}
-	ratio := func(x, y int64) float64 { return float64(x) / float64(y) }
-	if r := ratio(dfdSteps, wsSteps); r < 0.8 || r > 1.25 {
-		t.Errorf("DFD(∞)/WS mean time ratio = %.2f, want ≈ 1", r)
-	}
-	if r := ratio(dfdSpace, wsSpace); r < 0.5 || r > 2 {
-		t.Errorf("DFD(∞)/WS mean space ratio = %.2f, want ≈ 1", r)
-	}
-}
-
 // TestSpaceOrdering reproduces the paper's central qualitative claim
 // (§1, §7): on allocation-heavy fine-grained d&c programs,
 // space(ADF) ≤ space(DFD(K)) ≤ space(DFD(∞) ≈ WS).
@@ -282,7 +250,7 @@ func TestSpaceOrdering(t *testing.T) {
 	}
 	adf := avg(func() machine.Scheduler { return sched.NewADF(1000) })
 	dfd := avg(func() machine.Scheduler { return sched.NewDFDeques(1000) })
-	ws := avg(func() machine.Scheduler { return sched.NewWS() })
+	ws := avg(func() machine.Scheduler { return sched.NewDFDeques(0) })
 	if adf > dfd*12/10 {
 		t.Errorf("ADF space %d should be ≤≈ DFD %d", adf, dfd)
 	}
@@ -307,7 +275,7 @@ func TestGranularityOrdering(t *testing.T) {
 	adf := gran(func() machine.Scheduler { return sched.NewADF(1024) })
 	small := gran(func() machine.Scheduler { return sched.NewDFDeques(1024) })
 	large := gran(func() machine.Scheduler { return sched.NewDFDeques(65536) })
-	ws := gran(func() machine.Scheduler { return sched.NewWS() })
+	ws := gran(func() machine.Scheduler { return sched.NewDFDeques(0) })
 	if !(small < large) {
 		t.Errorf("granularity should grow with K: DFD(1k)=%.1f DFD(64k)=%.1f", small, large)
 	}
@@ -378,8 +346,8 @@ func TestSchedulerNames(t *testing.T) {
 	if sched.NewDFDeques(0).Name() != "DFD-inf" {
 		t.Error("DFD-inf name")
 	}
-	if sched.NewWS().Name() != "WS" {
-		t.Error("WS name")
+	if s, _ := sched.New("WS", 3000); s == nil || s.(*sched.DFDeques).K != 0 {
+		t.Error(`"WS" must build DFDeques(∞)`)
 	}
 	if sched.NewADF(1).Name() != "ADF" {
 		t.Error("ADF name")

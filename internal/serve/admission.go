@@ -465,8 +465,10 @@ func (a *admission) runJob(j *job) {
 		rt: a.rt, budget: t.budget, tenantTag: t.tag, jobTag: j.seq,
 	})
 	cancel()
-	j.finish(res, err)
+	// The latency sample is part of the tenant's accounting, so it lands
+	// before finish releases the job's waiters.
 	t.lat.record(time.Since(j.submitAt))
+	j.finish(res, err)
 
 	a.mu.Lock()
 	a.inflight--

@@ -3,10 +3,12 @@
 # benchmarks × p {1,4,8,16} × seeds {1,2} × {plain, -realism}, one JSON line
 # per run (the first 720 lines on stdout), then `dfdlab -csv` for the 12
 # simulated experiments (92 lines; xcheck and scenarios run the live
-# runtime and are left out), 812 lines in all. A change that is meant to
-# keep the simulator's schedules must leave this output byte-identical: run
-# it here and in a checkout of the parent commit and compare the two
-# (sha256sum).
+# runtime and are left out), 812 lines in all. WS is DFDeques(∞), so its
+# 144 lines equal the DFD-inf lines by construction except for the `op`
+# label; they stay so that the count and the layout do not move. A change
+# that is meant to keep the simulator's schedules must leave this output
+# byte-identical: run it here and in a checkout of the parent commit and
+# compare the two (sha256sum).
 set -eu
 
 cd "$(dirname "$0")/.."
