@@ -167,7 +167,7 @@ func main() {
 			"op":                fmt.Sprintf("dfdsim/%s/%s", *bench, *schedName),
 			"workers":           *procs,
 			"engine":            "sim",
-			"k":                 *k,
+			"k":                 s.MemThreshold(),
 			"seed":              *seed,
 			"steps":             met.Steps,
 			"actions":           met.Actions,
@@ -186,7 +186,7 @@ func main() {
 		return
 	}
 	fmt.Printf("scheduler: %s  p=%d  K=%d  seed=%d  realism=%v\n\n",
-		*schedName, *procs, *k, *seed, *realism)
+		*schedName, *procs, s.MemThreshold(), *seed, *realism)
 	fmt.Printf("time (steps):        %d\n", met.Steps)
 	fmt.Printf("actions:             %d\n", met.Actions)
 	fmt.Printf("heap high-water:     %d bytes (%.2f × S1)\n", met.HeapHW, float64(met.HeapHW)/max(1, float64(sm.HeapHW)))

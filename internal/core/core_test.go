@@ -28,11 +28,10 @@ func stealAt(t *testing.T, pl *SharedPool[int], w, c int, fromTop bool) int {
 // census counts the threads in R and reports whether R holds an empty
 // unowned deque. Quiescent callers only.
 func census(pl *SharedPool[*om.Record]) (n int, emptyUnowned bool) {
-	for i := 0; i < pl.r.Len(); i++ {
-		d := pl.r.Kth(i)
+	for _, d := range pl.r {
 		k := len(d.Items())
 		n += k
-		emptyUnowned = emptyUnowned || (k == 0 && d.Owner == -1)
+		emptyUnowned = emptyUnowned || (k == 0 && d.owner == -1)
 	}
 	return n, emptyUnowned
 }
@@ -135,7 +134,7 @@ func TestStealFromBottom(t *testing.T) {
 	}
 	// Each thief's deque sits right of its victim: worker 2's, then
 	// worker 1's.
-	if pl.r.Kth(1) != pl.own[2].Load() || pl.r.Kth(2) != pl.own[1].Load() {
+	if pl.r[1] != pl.own[2].Load() || pl.r[2] != pl.own[1].Load() {
 		t.Fatal("thieves' deques are not right of the victim, latest first")
 	}
 }
@@ -152,7 +151,7 @@ func TestStealFromTopLandsLeft(t *testing.T) {
 	if got := stealAt(t, pl, 1, 0, true); got != 2 {
 		t.Fatalf("top thief got %d, want the newest thread 2", got)
 	}
-	if pl.r.Kth(0) != pl.own[1].Load() || pl.r.Kth(1) != pl.own[0].Load() {
+	if pl.r[0] != pl.own[1].Load() || pl.r[1] != pl.own[0].Load() {
 		t.Fatal("the thief's deque is not left of its victim")
 	}
 	if got, want := sharedLayout(pl), [][]int{nil, {3}}; !reflect.DeepEqual(got, want) {

@@ -37,7 +37,7 @@ import (
 //     thieves against each other and against membership changes, never
 //     against an owner's push/pop: the steady-state owner hot path
 //     acquires zero mutexes.
-//   - The exclusive spine FREEZES unowned deques (Owner == -1): no owner
+//   - The exclusive spine FREEZES unowned deques (owner == -1): no owner
 //     pushes and thieves are excluded, so the contents are exact and every
 //     item is a ready thread. Placement in R compares only against those;
 //     nothing but a thief's PopBottom CAS reads a deque its owner is working.
@@ -73,9 +73,12 @@ type SharedPool[T comparable] struct {
 	p    int
 	less func(a, b T) bool
 
+	// r is R, left (highest priority) to right, guarded by listMu. Steals
+	// index it in O(1); a membership change shifts the tail, O(len R),
+	// which stays near p for small K and never passes p for K = ∞ (§3.3).
 	listMu sync.RWMutex
-	r      deque.List[T]
-	own    []atomic.Pointer[deque.Deque[T]] // own[w] written only by worker w
+	r      []*rdeque[T]
+	own    []atomic.Pointer[rdeque[T]] // own[w] written only by worker w
 
 	// rngs[w] is worker w's private victim-selection stream, derived
 	// deterministically from (run seed, w) by WorkerSeed: same-seed runs
@@ -89,7 +92,7 @@ type SharedPool[T comparable] struct {
 
 	// free is the deque freelist, guarded by the spine lock: deques only
 	// leave R under it, and only then may they be recycled.
-	free []*deque.Deque[T]
+	free []*rdeque[T]
 
 	// Tracing (nil probe: disabled). deqID is the last deque ID drawn,
 	// advanced under the spine lock, where every deque gets its ID: a new
@@ -118,6 +121,21 @@ type SharedPool[T comparable] struct {
 	robbed []int64
 }
 
+// rdeque is a member of R: one processor's deque plus the pool's
+// bookkeeping for it, which the deque itself never reads. owner is the
+// worker that owns it, or -1; it is read and written under the spine. id
+// names the deque in traces, and it is not fixed for the deque's life: the
+// pool draws a fresh one whenever the deque begins a new life in R —
+// recycled from the freelist, or taken over in place by the thief that
+// drained it. id is written only under the exclusive spine, while the
+// deque is unowned or out of R, and read by its owner after the hand-off
+// that made it the owner, or under the spine.
+type rdeque[T comparable] struct {
+	deque.Deque[T]
+	owner int
+	id    int64
+}
+
 // NewSharedPool builds a pool for p workers. less reports whether a has
 // higher 1DF priority than b; it places woken threads (PushWoken) and
 // checks the order (CheckInvariants), and is invoked with the spine lock
@@ -130,7 +148,7 @@ func NewSharedPool[T comparable](p int, less func(a, b T) bool, seed int64) *Sha
 	return &SharedPool[T]{
 		p:    p,
 		less: less,
-		own:  make([]atomic.Pointer[deque.Deque[T]], p),
+		own:  make([]atomic.Pointer[rdeque[T]], p),
 		rngs: make([]*rand.Rand, p),
 		seed: seed,
 	}
@@ -193,43 +211,42 @@ func (pl *SharedPool[T]) lockList() {
 	pl.listOps.Add(1)
 }
 
-// takeFree returns a reusable deque with a fresh ID. The caller must hold
-// the spine lock exclusively and insert the deque into R before releasing
-// it.
-func (pl *SharedPool[T]) takeFree() *deque.Deque[T] {
-	var d *deque.Deque[T]
+// takeFree returns an unowned reusable deque with a fresh ID. The caller
+// must hold the spine lock exclusively and insert the deque into R before
+// releasing it.
+func (pl *SharedPool[T]) takeFree() *rdeque[T] {
+	var d *rdeque[T]
 	if n := len(pl.free); n > 0 {
 		d = pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
 	} else {
-		d = deque.NewDeque[T]()
+		d = new(rdeque[T])
 	}
 	pl.deqID++
-	d.ID = pl.deqID
+	d.owner, d.id = -1, pl.deqID
 	return d
 }
 
 // retire deletes d from R and recycles it: worker w's own deque, empty,
 // its own pointer already cleared. The caller must hold the spine lock
 // exclusively, so no thief is between its read of d and its CAS.
-func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
-	pl.r.Delete(d)
-	pl.trace(w, rtrace.EvDequeRetire, d.ID, 0, 0)
+func (pl *SharedPool[T]) retire(w int, d *rdeque[T]) {
+	i := slices.Index(pl.r, d)
+	pl.r = slices.Delete(pl.r, i, i+1)
+	pl.trace(w, rtrace.EvDequeRetire, d.id, 0, 0)
 	d.Reset()
 	pl.free = append(pl.free, d)
 }
 
 // place inserts nd at index i of R and returns the ID of its left
 // neighbour, -1 at the left end. The caller holds the spine exclusively.
-func (pl *SharedPool[T]) place(i int, nd *deque.Deque[T]) (after int64) {
+func (pl *SharedPool[T]) place(i int, nd *rdeque[T]) (after int64) {
+	pl.r = slices.Insert(pl.r, i, nd)
 	if i == 0 {
-		pl.r.PushLeftReuse(nd)
 		return -1
 	}
-	left := pl.r.Kth(i - 1)
-	pl.r.InsertRightReuse(left, nd)
-	return left.ID
+	return pl.r[i-1].id
 }
 
 // publish puts x alone in a fresh unowned deque at index i of R and
@@ -238,9 +255,9 @@ func (pl *SharedPool[T]) place(i int, nd *deque.Deque[T]) (after int64) {
 // PushWoken differ only in i and in midRun, the EvDequeCreate flag.
 func (pl *SharedPool[T]) publish(w, i int, midRun int64, x T) {
 	nd := pl.takeFree()
-	pl.trace(w, rtrace.EvDequeCreate, nd.ID, pl.place(i, nd), midRun)
+	pl.trace(w, rtrace.EvDequeCreate, nd.id, pl.place(i, nd), midRun)
 	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)
+		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.id, 0)
 	}
 	nd.PushTop(x)
 	pl.noteR()
@@ -263,7 +280,7 @@ func (pl *SharedPool[T]) Seed(root T) {
 // order) or whose position is moot (a canceled job's swept thread).
 func (pl *SharedPool[T]) Append(x T) {
 	pl.lockList()
-	pl.publish(-1, pl.r.Len(), 1, x)
+	pl.publish(-1, len(pl.r), 1, x)
 }
 
 // PushOwn pushes x onto worker w's deque top (the fork and preemption
@@ -277,7 +294,7 @@ func (pl *SharedPool[T]) PushOwn(w int, x T) {
 		panic("core: PushOwn without an owned deque")
 	}
 	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvPush, pl.tidOf(x), d.ID, 0)
+		pl.trace(w, rtrace.EvPush, pl.tidOf(x), d.id, 0)
 	}
 	d.PushTop(x)
 	pl.ready.Add(1)
@@ -297,7 +314,7 @@ func (pl *SharedPool[T]) PopOwn(w int) (x T, ok bool) {
 	x, ok = d.PopTop()
 	if ok {
 		if pl.tidOf != nil {
-			pl.trace(w, rtrace.EvPop, pl.tidOf(x), d.ID, 0)
+			pl.trace(w, rtrace.EvPop, pl.tidOf(x), d.id, 0)
 		}
 		pl.ready.Add(-1)
 		pl.local.Add(1)
@@ -333,7 +350,7 @@ func (pl *SharedPool[T]) PopOwnIf(w int, want T) bool {
 	ok := d.PopTopIf(want)
 	if ok {
 		if pl.tidOf != nil {
-			pl.trace(w, rtrace.EvPop, pl.tidOf(want), d.ID, 0)
+			pl.trace(w, rtrace.EvPop, pl.tidOf(want), d.id, 0)
 		}
 		pl.ready.Add(-1)
 		pl.local.Add(1)
@@ -360,13 +377,13 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 // d is w's deque. The emptiness read is stable: thieves pop bottoms only
 // inside a spine-held section, and the one goroutine that pushes without
 // the spine — the owner — is the caller itself.
-func (pl *SharedPool[T]) release(w int, d *deque.Deque[T]) {
+func (pl *SharedPool[T]) release(w int, d *rdeque[T]) {
 	pl.own[w].Store(nil)
 	if d.Empty() {
 		pl.retire(w, d)
 	} else {
-		d.Owner = -1
-		pl.trace(w, rtrace.EvDequeRelease, d.ID, 0, 0)
+		d.owner = -1
+		pl.trace(w, rtrace.EvDequeRelease, d.id, 0, 0)
 	}
 }
 
@@ -397,7 +414,7 @@ func (pl *SharedPool[T]) GiveUpSteal(w int) (x T, ok bool) {
 		pl.release(w, d)
 	}
 	for i := 0; i <= giveUpRedraws; i++ {
-		if c := pl.rng(w).Intn(pl.p); c < pl.r.Len() && !pl.r.Kth(c).Empty() {
+		if c := pl.rng(w).Intn(pl.p); c < len(pl.r) && !pl.r[c].Empty() {
 			return pl.take(w, c, false)
 		}
 		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
@@ -425,11 +442,11 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	}
 	c := pl.rng(w).Intn(pl.p)
 	pl.listMu.RLock()
-	promising := c < pl.r.Len() && pl.r.Kth(c).Len() > 0
+	promising := c < len(pl.r) && pl.r[c].Len() > 0
 	pl.listMu.RUnlock()
 	if promising {
 		pl.lockList()
-		if c < pl.r.Len() { // else R shrank between the phases
+		if c < len(pl.r) { // else R shrank between the phases
 			x, ok = pl.take(w, c, false)
 			pl.listMu.Unlock()
 			return x, ok
@@ -454,8 +471,8 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 // fromTop is StealFrom's ablation: pop the victim's top instead and place
 // the thief's deque to the victim's left.
 func (pl *SharedPool[T]) take(w, c int, fromTop bool) (x T, ok bool) {
-	victim := pl.r.Kth(c)
-	pl.trace(w, rtrace.EvStealAttempt, victim.ID, 0, 0)
+	victim := pl.r[c]
+	pl.trace(w, rtrace.EvStealAttempt, victim.id, 0, 0)
 	at := c + 1
 	if fromTop {
 		x, ok = victim.PopTop()
@@ -469,25 +486,25 @@ func (pl *SharedPool[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 	}
 	pl.ready.Add(-1)
 	pl.steals.Add(1)
-	old, nd := victim.ID, victim
-	if victim.Owner == -1 && victim.Empty() {
+	old, nd := victim.id, victim
+	if victim.owner == -1 && victim.Empty() {
 		// An unowned victim this steal drained becomes the thief's deque
 		// in place, under a fresh ID: the new deque would sit next to it,
 		// and it would be retired, so R's order is the same either way.
-		// With the spine held no other thief can touch it, and Owner == -1
+		// With the spine held no other thief can touch it, and owner == -1
 		// means no owner-side op can be in flight, so the emptiness read is
 		// stable. The records are the ones a fresh deque and the victim's
 		// retirement make.
 		pl.deqID++
-		nd.ID = pl.deqID
+		nd.id = pl.deqID
 	} else {
 		nd = pl.takeFree()
 		pl.place(at, nd)
 		pl.noteR()
 	}
-	nd.Owner = w
+	nd.owner = w
 	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), old, nd.ID)
+		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), old, nd.id)
 	}
 	if nd == victim {
 		pl.trace(w, rtrace.EvDequeRetire, old, 0, 0)
@@ -516,14 +533,14 @@ func (pl *SharedPool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
 	if pl.own[w].Load() != nil {
 		panic("core: StealFrom while owning a deque")
 	}
-	if c >= pl.r.Len() {
+	if c >= len(pl.r) {
 		return x, false
 	}
-	victim := pl.r.Kth(c)
-	if victim.Empty() || slices.Contains(pl.robbed, victim.ID) {
+	victim := pl.r[c]
+	if victim.Empty() || slices.Contains(pl.robbed, victim.id) {
 		return x, false
 	}
-	pl.robbed = append(pl.robbed, victim.ID)
+	pl.robbed = append(pl.robbed, victim.id)
 	pl.lockList()
 	x, ok = pl.take(w, c, fromTop)
 	pl.listMu.Unlock()
@@ -541,8 +558,8 @@ func (pl *SharedPool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
 func (pl *SharedPool[T]) PushWoken(w int, x T) {
 	pl.lockList()
 	at := 0
-	for ; at < pl.r.Len(); at++ {
-		if d := pl.r.Kth(at); d.Owner == -1 {
+	for ; at < len(pl.r); at++ {
+		if d := pl.r[at]; d.owner == -1 {
 			if top, ok := d.PeekTop(); ok && pl.less(x, top) {
 				break
 			}
@@ -562,7 +579,7 @@ func (pl *SharedPool[T]) Owns(w int) bool { return pl.own[w].Load() != nil }
 func (pl *SharedPool[T]) Deques() int {
 	pl.listMu.RLock()
 	defer pl.listMu.RUnlock()
-	return pl.r.Len()
+	return len(pl.r)
 }
 
 // MaxDeques returns the high-water mark of len(R).
@@ -584,7 +601,7 @@ func (pl *SharedPool[T]) ListLockWaitNs() int64 { return pl.listWaitNs.Load() }
 // noteR records the R-length high-water mark. The caller must hold the
 // spine exclusively, so it is maxR's only writer.
 func (pl *SharedPool[T]) noteR() {
-	if n := int64(pl.r.Len()); n > pl.maxR.Load() {
+	if n := int64(len(pl.r)); n > pl.maxR.Load() {
 		pl.maxR.Store(n)
 	}
 }
@@ -603,9 +620,9 @@ func (pl *SharedPool[T]) noteR() {
 func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 	pl.lockList()
 	defer pl.listMu.Unlock()
-	snap := make([][]T, pl.r.Len()) // bottom to top, per deque of R
+	snap := make([][]T, len(pl.r)) // bottom to top, per deque of R
 	for i := range snap {
-		items := pl.r.Kth(i).Items()
+		items := pl.r[i].Items()
 		for j := 1; j < len(items); j++ {
 			if !pl.less(items[j], items[j-1]) {
 				return fmt.Errorf("core: lemma 3.1(1): deque %d unsorted at %d", i, j)
@@ -622,7 +639,7 @@ func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 		if !running {
 			continue
 		}
-		if items := snap[d.Pos()]; len(items) > 0 && !pl.less(x, items[len(items)-1]) {
+		if items := snap[slices.Index(pl.r, d)]; len(items) > 0 && !pl.less(x, items[len(items)-1]) {
 			return fmt.Errorf("core: lemma 3.1(2): worker %d below its deque top", w)
 		}
 	}
@@ -633,7 +650,7 @@ func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 			// Every operation retires a deque it empties unless the owner
 			// keeps it; an empty unowned deque would be unstealable dead
 			// weight in R.
-			if pl.r.Kth(i).Owner == -1 {
+			if pl.r[i].owner == -1 {
 				return fmt.Errorf("core: empty deque %d in R is unowned", i)
 			}
 			continue

@@ -255,9 +255,9 @@ func TestSharedStealFromBottom(t *testing.T) {
 // sharedLayout returns R as the test sees it: each deque's items, bottom
 // to top, left to right. Quiescent callers only.
 func sharedLayout(pl *SharedPool[int]) [][]int {
-	out := make([][]int, pl.r.Len())
+	out := make([][]int, len(pl.r))
 	for i := range out {
-		out[i] = pl.r.Kth(i).Items()
+		out[i] = pl.r[i].Items()
 	}
 	return out
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dfdeques/internal/deque"
 	"dfdeques/internal/rtrace"
 )
 
@@ -48,17 +47,17 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, rec := newPool()
-			before := [3]*deque.Deque[int]{pl.r.Kth(0), pl.r.Kth(1), pl.r.Kth(2)}
+			before := [3]*rdeque[int]{pl.r[0], pl.r[1], pl.r[2]}
 			mark := rec.Len()
 			x := tc.steal(pl)
 			c := map[int]int{1: 0, 30: 1, 40: 2}[x]
 			victim, old := before[c], int64(c+1)
-			if pl.r.Kth(c) != victim || pl.own[0].Load() != victim || victim.Owner != 0 || pl.Deques() != 3 {
+			if pl.r[c] != victim || pl.own[0].Load() != victim || victim.owner != 0 || pl.Deques() != 3 {
 				t.Fatalf("R[%d] = %p owned by %d, w0 owns %p, %d deques: want the victim %p, owned by w0, and 3",
-					c, pl.r.Kth(c), pl.r.Kth(c).Owner, pl.own[0].Load(), pl.Deques(), victim)
+					c, pl.r[c], pl.r[c].owner, pl.own[0].Load(), pl.Deques(), victim)
 			}
-			if victim.ID != 4 {
-				t.Errorf("ID = %d, want 4, the next one drawn", victim.ID)
+			if victim.id != 4 {
+				t.Errorf("ID = %d, want 4, the next one drawn", victim.id)
 			}
 			var got [][4]int64
 			for _, e := range rec.Events()[mark:] {
@@ -98,15 +97,15 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 		pl.PushOwn(0, 33)
 		pl.PushOwn(0, 32)
 		// Owned: w1's steal of the bottom puts a fresh deque right of w0's.
-		owned := pl.r.Kth(1)
+		owned := pl.r[1]
 		if x := stealAt(t, pl, 1, 1, false); x != 33 {
 			t.Fatalf("stole %d from the owned deque, want 33", x)
 		}
-		nd := pl.r.Kth(2)
-		if nd == owned || pl.own[1].Load() != nd || nd.Owner != 1 || nd.ID != 5 ||
-			pl.r.Kth(1) != owned || pl.own[0].Load() != owned || owned.Owner != 0 {
+		nd := pl.r[2]
+		if nd == owned || pl.own[1].Load() != nd || nd.owner != 1 || nd.id != 5 ||
+			pl.r[1] != owned || pl.own[0].Load() != owned || owned.owner != 0 {
 			t.Fatalf("w1 owns %p (ID %d) at R[2], w0 owns %p at R[1]: want a fresh deque, ID 5, right of w0's %p",
-				pl.own[1].Load(), nd.ID, pl.r.Kth(1), owned)
+				pl.own[1].Load(), nd.id, pl.r[1], owned)
 		}
 		// Kept: w1 forks two and gives its deque up; w2's steal of the
 		// bottom leaves one behind, so the unowned victim stays, and w2's
@@ -117,9 +116,9 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 		if x := stealAt(t, pl, 2, 2, false); x != 35 {
 			t.Fatalf("stole %d from the given-up deque, want 35", x)
 		}
-		if nw := pl.r.Kth(3); pl.r.Kth(2) != nd || nd.Owner != -1 || pl.own[2].Load() != nw || nw.ID != 6 {
+		if nw := pl.r[3]; pl.r[2] != nd || nd.owner != -1 || pl.own[2].Load() != nw || nw.id != 6 {
 			t.Fatalf("R[2] = %p owned by %d, w2 owns %p: want the victim %p left unowned, and a fresh deque, ID 6, at R[3]",
-				pl.r.Kth(2), nd.Owner, pl.own[2].Load(), nd)
+				pl.r[2], nd.owner, pl.own[2].Load(), nd)
 		}
 		if got, want := sharedLayout(pl), [][]int{{1}, {32}, {34}, nil, {40}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("R = %v, want %v", got, want)

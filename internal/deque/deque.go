@@ -1,16 +1,11 @@
-// Package deque provides the two scheduling data structures of algorithm
-// DFDeques (Narlikar, SPAA '99, §3.2):
-//
-//   - Deque: a doubly-ended queue of ready threads. The owner processor
-//     treats it as a LIFO stack (PushTop/PopTop); thief processors steal
-//     from the bottom (PopBottom), which holds the thread with the lowest
-//     1DF priority in the deque — typically the coarsest thread.
-//
-//   - List: the global list R of deques, ordered by thread priority from
-//     left (highest) to right (lowest). It supports inserting a new deque
-//     immediately to the right of a victim, deleting a deque, and indexing
-//     the k-th deque from the left end — the operation steals use to pick
-//     a victim among the leftmost p deques.
+// Package deque provides one processor's deque of algorithm DFDeques
+// (Narlikar, SPAA '99, §3.2): a doubly-ended queue of ready threads. The
+// owner processor treats it as a LIFO stack (PushTop/PopTop); thief
+// processors steal from the bottom (PopBottom), which holds the thread
+// with the lowest 1DF priority in the deque — typically the coarsest
+// thread. The ordered list R of deques, and which processor owns which
+// deque, are the scheduler's (core.SharedPool); a Deque knows nothing of
+// them.
 package deque
 
 import (
@@ -122,39 +117,19 @@ type Deque[T comparable] struct {
 	// slot below it holds no stale reference. Only the owner (or a Reset
 	// caller with external happens-before) touches it.
 	cleaned int
-
-	// Owner is scheduler bookkeeping: the processor that currently owns
-	// this deque, or -1 if unowned. The deque itself never reads it.
-	// Concurrent schedulers read and write it under their membership lock.
-	Owner int
-
-	// ID is scheduler bookkeeping for tracing; the deque never reads it.
-	// It is not fixed for the deque's life: a scheduler draws a fresh one
-	// whenever the deque begins a new life in R — recycled from a
-	// freelist, or taken over in place by the thief that drained it. The
-	// rule is core.SharedPool's: ID is written only under the exclusive
-	// spine lock, while the deque is unowned or out of R, and read by its
-	// owner after the hand-off that made it the owner, or under the spine.
-	ID int64
-
-	list *List[T]
-	pos  int // index within list.deques, maintained by List
 }
 
-// NewDeque returns an empty, unowned, stand-alone deque.
-func NewDeque[T comparable]() *Deque[T] {
-	return &Deque[T]{Owner: -1, pos: -1}
-}
+// NewDeque returns an empty deque. The zero Deque is one too.
+func NewDeque[T comparable]() *Deque[T] { return &Deque[T]{} }
 
-// Reset reinitializes d for reuse from a freelist: empty, unowned, out of
-// any list, with every slot scrubbed so no stale references survive into
-// the next incarnation. The slot array is retained, so recycled deques
-// stay amortized alloc-free. The generation tag is *kept and bumped*, not
-// zeroed: a thief still holding a pointer to this deque from its previous
-// life fails its CAS against the new epoch — Reset is itself an ABA
-// barrier. The caller must guarantee no goroutine still legitimately owns
-// d; schedulers recycle a deque only after deleting it from R under the
-// spine lock.
+// Reset reinitializes d for reuse from a freelist: empty, with every slot
+// scrubbed so no stale references survive into the next incarnation. The
+// slot array is retained, so recycled deques stay amortized alloc-free.
+// The generation tag is *kept and bumped*, not zeroed: a thief still
+// holding a pointer to this deque from its previous life fails its CAS
+// against the new epoch — Reset is itself an ABA barrier. The caller must
+// guarantee no goroutine still legitimately owns d; schedulers recycle a
+// deque only after deleting it from R under the spine lock.
 func (d *Deque[T]) Reset() {
 	_, bot := unpack(d.bottom.Load())
 	hi := int(d.top.Load())
@@ -164,10 +139,6 @@ func (d *Deque[T]) Reset() {
 	d.top.Store(0)
 	d.scrub(hi)
 	d.bumpEpoch()
-	d.Owner = -1
-	d.ID = 0
-	d.list = nil
-	d.pos = -1
 }
 
 // bumpEpoch plain-stores a fresh (tag+1, 0) bottom word. Owner-only, and
@@ -434,91 +405,4 @@ func (d *Deque[T]) Items() []T {
 			runtime.Gosched()
 		}
 	}
-}
-
-// InList reports whether the deque is currently a member of a List.
-func (d *Deque[T]) InList() bool { return d.list != nil }
-
-// Pos returns the deque's index from the left end of its List, or -1 if it
-// is not in a list.
-func (d *Deque[T]) Pos() int {
-	if d.list == nil {
-		return -1
-	}
-	return d.pos
-}
-
-// List is the globally ordered list R of deques.
-//
-// Cost model: the slice backing makes Kth — the steal hot path's
-// k-th-from-left victim indexing — O(1), at the price of O(n) membership
-// changes (insertAt and Delete shift the tail and renumber positions).
-// That is the right trade for DFDeques: every steal attempt indexes into
-// the leftmost-p window, while the list only changes on successful steals
-// and give-ups, and len(R) stays near the processor count for small K
-// (and never exceeds p for K = ∞, §3.3). BenchmarkListKth and
-// BenchmarkListInsertDelete in this package keep both costs measured.
-type List[T comparable] struct {
-	deques []*Deque[T]
-}
-
-// Len reports the number of deques in R.
-func (l *List[T]) Len() int { return len(l.deques) }
-
-// Kth returns the k-th deque from the left end (0-based).
-func (l *List[T]) Kth(k int) *Deque[T] { return l.deques[k] }
-
-// PushLeftReuse inserts d — a fresh or Reset freelist deque not in any
-// list — at the left end of R. The caller supplies the deque, so a
-// scheduler with a deque freelist changes membership without allocating.
-func (l *List[T]) PushLeftReuse(d *Deque[T]) {
-	if d.list != nil {
-		panic("deque: PushLeftReuse deque already in a list")
-	}
-	l.insertAt(0, d)
-}
-
-// PushRight creates a new deque at the right end of R and returns it.
-func (l *List[T]) PushRight() *Deque[T] {
-	d := NewDeque[T]()
-	l.insertAt(len(l.deques), d)
-	return d
-}
-
-// InsertRightReuse inserts d — a fresh or Reset freelist deque not in any
-// list — immediately to the right of victim (which must be in R).
-func (l *List[T]) InsertRightReuse(victim, d *Deque[T]) {
-	if victim.list != l {
-		panic("deque: InsertRightReuse victim not in this list")
-	}
-	if d.list != nil {
-		panic("deque: InsertRightReuse deque already in a list")
-	}
-	l.insertAt(victim.pos+1, d)
-}
-
-func (l *List[T]) insertAt(i int, d *Deque[T]) {
-	l.deques = append(l.deques, nil)
-	copy(l.deques[i+1:], l.deques[i:])
-	l.deques[i] = d
-	d.list = l
-	for j := i; j < len(l.deques); j++ {
-		l.deques[j].pos = j
-	}
-}
-
-// Delete removes d from R. The deque must be in R.
-func (l *List[T]) Delete(d *Deque[T]) {
-	if d.list != l {
-		panic("deque: Delete on deque not in this list")
-	}
-	i := d.pos
-	copy(l.deques[i:], l.deques[i+1:])
-	l.deques[len(l.deques)-1] = nil
-	l.deques = l.deques[:len(l.deques)-1]
-	for j := i; j < len(l.deques); j++ {
-		l.deques[j].pos = j
-	}
-	d.list = nil
-	d.pos = -1
 }

@@ -3,7 +3,6 @@ package deque
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDequeLIFOTop(t *testing.T) {
@@ -50,9 +49,6 @@ func TestDequeEmptyOps(t *testing.T) {
 	if _, ok := d.PeekTop(); ok {
 		t.Fatal("PeekTop on empty succeeded")
 	}
-	if d.InList() || d.Pos() != -1 {
-		t.Fatal("stand-alone deque claims list membership")
-	}
 }
 
 // TestDequeMixedAgainstReference runs a random op sequence against a slice
@@ -97,107 +93,6 @@ func TestDequeMixedAgainstReference(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", d.Len(), len(ref))
 		}
 	}
-}
-
-func TestListInsertRightOrdering(t *testing.T) {
-	var r List[int]
-	a, b, c, z := NewDeque[int](), NewDeque[int](), NewDeque[int](), NewDeque[int]()
-	r.PushLeftReuse(a)
-	r.InsertRightReuse(a, b)
-	r.InsertRightReuse(a, c) // lands between a and b
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	if r.Kth(0) != a || r.Kth(1) != c || r.Kth(2) != b {
-		t.Fatal("InsertRightReuse produced wrong order")
-	}
-	mustPanic(t, func() { r.InsertRightReuse(a, b) }) // b is already in R
-	mustPanic(t, func() { r.PushLeftReuse(c) })
-	r.PushLeftReuse(z)
-	if r.Kth(0) != z || a.Pos() != 1 {
-		t.Fatal("PushLeftReuse did not insert at the left end")
-	}
-	r.Delete(z)
-	if a.Pos() != 0 || c.Pos() != 1 || b.Pos() != 2 {
-		t.Fatal("positions not maintained")
-	}
-}
-
-func TestListDelete(t *testing.T) {
-	var r List[int]
-	a := r.PushRight()
-	b := r.PushRight()
-	c := r.PushRight()
-	r.Delete(b)
-	if r.Len() != 2 || r.Kth(0) != a || r.Kth(1) != c {
-		t.Fatal("Delete broke order")
-	}
-	if c.Pos() != 1 {
-		t.Fatalf("c.Pos = %d, want 1", c.Pos())
-	}
-	if b.InList() {
-		t.Fatal("deleted deque still claims membership")
-	}
-	mustPanic(t, func() { r.Delete(b) })
-}
-
-func TestCrossListInsertPanics(t *testing.T) {
-	var r1, r2 List[int]
-	a := r1.PushRight()
-	_ = r2.PushRight()
-	mustPanic(t, func() { r2.InsertRightReuse(a, NewDeque[int]()) })
-}
-
-// TestListPositionsQuick property-checks that after an arbitrary script of
-// inserts and deletes, each deque's recorded position matches its actual
-// index.
-func TestListPositionsQuick(t *testing.T) {
-	f := func(script []uint8) bool {
-		var r List[int]
-		var all []*Deque[int]
-		for _, b := range script {
-			switch {
-			case r.Len() == 0 || b%4 == 0:
-				d := NewDeque[int]()
-				r.PushLeftReuse(d)
-				all = append(all, d)
-			case b%4 == 1:
-				all = append(all, r.PushRight())
-			case b%4 == 2:
-				d := NewDeque[int]()
-				r.InsertRightReuse(r.Kth(int(b)%r.Len()), d)
-				all = append(all, d)
-			default:
-				d := r.Kth(int(b) % r.Len())
-				r.Delete(d)
-			}
-		}
-		for i := 0; i < r.Len(); i++ {
-			if r.Kth(i).Pos() != i {
-				return false
-			}
-		}
-		inList := 0
-		for _, d := range all {
-			if d.InList() {
-				inList++
-			}
-		}
-		return inList == r.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	f()
 }
 
 func BenchmarkPushPopTop(b *testing.B) {
@@ -279,21 +174,15 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 }
 
 // TestResetClearsState pins Reset's freelist contract: a recycled deque
-// is empty, scrubbed, unowned, and detached — and its generation tag is
-// bumped, not zeroed, so Reset itself is an ABA barrier (see
-// TestStaleThiefCASFailsAcrossReset).
+// is empty and scrubbed — and its generation tag is bumped, not zeroed, so
+// Reset itself is an ABA barrier (see TestStaleThiefCASFailsAcrossReset).
 func TestResetClearsState(t *testing.T) {
-	var l List[int]
-	d := l.PushRight()
-	d.Owner = 3
-	d.ID = 17
+	d := NewDeque[int]()
 	d.PushTop(1)
 	tagBefore, _ := unpack(d.bottom.Load())
-	l.Delete(d)
 	d.Reset()
-	if d.Len() != 0 || d.Owner != -1 || d.ID != 0 || d.InList() || d.Pos() != -1 {
-		t.Fatalf("Reset left state behind: len=%d owner=%d id=%d inlist=%v pos=%d",
-			d.Len(), d.Owner, d.ID, d.InList(), d.Pos())
+	if d.Len() != 0 {
+		t.Fatalf("Reset left %d items behind", d.Len())
 	}
 	if got := liveSlots(d); got != 0 {
 		t.Fatalf("Reset left %d live slots behind", got)

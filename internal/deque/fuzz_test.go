@@ -1,9 +1,10 @@
 package deque_test
 
-// FuzzDequeConcurrent drives a Deque/List pair through random
-// interleavings of the operations the DFDeques scheduler performs —
-// owner PushTop/PopTop, thief PopBottom with InsertRight, give-up and
-// Delete — while an oracle (a simple total order standing in for the
+// FuzzDequeConcurrent drives deques in a model of R (a slice, left to
+// right, plus an owner map) through random interleavings of the operations
+// the DFDeques scheduler performs — owner PushTop/PopTop, thief PopBottom
+// with a new deque inserted right of the victim, give-up and deletion —
+// while an oracle (a simple total order standing in for the
 // om-list) checks the Lemma 3.1 priority-ordering invariant after every
 // single step: reading R left to right and each deque top to bottom
 // yields strictly decreasing priorities.
@@ -28,6 +29,7 @@ package deque_test
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,33 +139,38 @@ func FuzzDequeConcurrent(f *testing.F) {
 			data = data[:512]
 		}
 
+		type dq = *deque.Deque[*item]
 		oracle := &fuzzOracle{}
-		r := &deque.List[*item]{}
-		curr := make([]*item, p)              // running thread per worker
-		own := make([]*deque.Deque[*item], p) // owned deque per worker
+		var r []dq               // R, left to right
+		owner := map[dq]int{}    // owned deques of R; absent means unowned
+		curr := make([]*item, p) // running thread per worker
+		own := make([]dq, p)     // owned deque per worker
+		remove := func(d dq) {
+			i := slices.Index(r, d)
+			r = slices.Delete(r, i, i+1)
+			delete(owner, d)
+		}
 
 		// Seed: worker 0 runs the root thread from a fresh leftmost deque.
 		root := &item{id: -1}
 		oracle.order = []*item{root}
 		own[0] = deque.NewDeque[*item]()
-		r.PushLeftReuse(own[0])
-		own[0].Owner = 0
+		r = append(r, own[0])
+		owner[own[0]] = 0
 		curr[0] = root
 
 		check := func(step int, op string) {
-			// Structural bookkeeping: positions and membership.
-			for i := 0; i < r.Len(); i++ {
-				d := r.Kth(i)
-				if !d.InList() || d.Pos() != i {
-					t.Fatalf("step %d (%s): deque at index %d has InList=%v Pos=%d",
-						step, op, i, d.InList(), d.Pos())
+			// Ownership: exactly the workers' deques are owned, by them.
+			for w, d := range own {
+				if d != nil && (owner[d] != w || !slices.Contains(r, d)) {
+					t.Fatalf("step %d (%s): worker %d's deque is not in R as its own", step, op, w)
 				}
 			}
 			// Lemma 3.1: left-to-right, top-to-bottom is strictly
 			// decreasing priority (strictly increasing oracle index).
 			last := -1
-			for i := 0; i < r.Len(); i++ {
-				items := r.Kth(i).Items() // bottom → top
+			for i, d := range r {
+				items := d.Items() // bottom → top
 				for j := len(items) - 1; j >= 0; j-- {
 					idx := oracle.idx(items[j])
 					if idx < 0 {
@@ -212,35 +219,33 @@ func FuzzDequeConcurrent(f *testing.F) {
 				if x, ok := own[w].PopTop(); ok {
 					curr[w] = x
 				} else {
-					r.Delete(own[w])
+					remove(own[w])
 					own[w], curr[w] = nil, nil
 				}
 				check(step, "terminate")
 
 			case 2: // steal: PopBottom a leftmost-p victim, insert right of it
-				if curr[w] != nil || r.Len() == 0 {
+				if curr[w] != nil || len(r) == 0 {
 					continue
 				}
-				win := r.Len()
-				if p < win {
-					win = p
-				}
-				victim := r.Kth((int(data[step+1]) / p) % win)
+				c := (int(data[step+1]) / p) % min(p, len(r))
+				victim := r[c]
+				_, owned := owner[victim]
 				x, ok := victim.PopBottom()
 				if !ok {
 					// Empty victim: delete it if abandoned, else retry later.
-					if victim.Owner < 0 {
-						r.Delete(victim)
+					if !owned {
+						remove(victim)
 					}
 					check(step, "steal-miss")
 					continue
 				}
 				nd := deque.NewDeque[*item]()
-				r.InsertRightReuse(victim, nd)
-				nd.Owner = w
+				r = slices.Insert(r, c+1, nd)
+				owner[nd] = w
 				own[w], curr[w] = nd, x
-				if victim.Empty() && victim.Owner < 0 {
-					r.Delete(victim)
+				if victim.Empty() && !owned {
+					remove(victim)
 				}
 				check(step, "steal")
 
@@ -250,18 +255,18 @@ func FuzzDequeConcurrent(f *testing.F) {
 				}
 				oracle.remove(curr[w])
 				if own[w].Empty() {
-					r.Delete(own[w])
+					remove(own[w])
 				} else {
-					own[w].Owner = -1
+					delete(owner, own[w])
 				}
 				own[w], curr[w] = nil, nil
 				check(step, "giveup")
 
 			case 4: // probe: a snapshot of some deque, taking nothing
-				if r.Len() == 0 {
+				if len(r) == 0 {
 					continue
 				}
-				d := r.Kth(int(data[step+1]) % r.Len())
+				d := r[int(data[step+1])%len(r)]
 				if items := d.Items(); len(items) != d.Len() {
 					t.Fatalf("step %d: Items has %d entries, Len says %d", step, len(items), d.Len())
 				}

@@ -37,10 +37,9 @@ type List struct {
 	n          int
 
 	// free chains deleted records (linked through next) for reuse by the
-	// next insertion. Scheduler workloads delete and insert records at the
-	// fork/terminate rate, so recycling here removes one allocation per
-	// thread from the runtime's hot path. Freed records are detached from
-	// the head walk, so invariant checks never see them.
+	// next insertion: the simulator and the replay verifier delete and
+	// insert records at the fork/terminate rate. Freed records are
+	// detached from the head walk, so invariant checks never see them.
 	free *Record
 }
 

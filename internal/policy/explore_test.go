@@ -1,0 +1,343 @@
+package policy_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"dfdeques/internal/om"
+	"dfdeques/internal/policy"
+)
+
+// TestDFDExhaustive drives policy.DFD through every event sequence up to a
+// fixed length on two workers, where TestDFDPolicyInvariants samples
+// random ones. A sequence is a list of moves; a move is one scheduling
+// event on one worker — fork (ForkCont), join (JoinPop, else park or end),
+// quota preemption (Preempt), a dummy's end (Dummy + Terminate), a steal
+// (Acquire), a lock block and a lock wake (PushWoken) — or one from
+// outside the workers: a job root's Inject and the cancel sweep, after
+// which every thread joins its children and ends without making more
+// work. Each sequence is replayed from a fresh policy, and after every
+// move it checks:
+//   - Lemma 3.1 over R (CheckInvariants), except its order across deques
+//     once a wake or the sweep has published a thread (see unordered);
+//   - every thread a call hands out was published and not yet handed
+//     out, and HasWork agrees with the test's count of published
+//     threads still in the pool;
+//   - the steal a give-up made in its own spine section is handed over by
+//     the worker's next Acquire, exactly once and without touching the
+//     pool, and the Acquire after that makes an attempt of its own.
+//
+// Then the sequence's end state is drained (the cancel sweep, then joins,
+// ends and steals round-robin), and no thread may be left stranded.
+func TestDFDExhaustive(t *testing.T) {
+	const depth = 7
+	for seed := int64(1); seed <= 2; seed++ {
+		var seqs, moves, relaxed int
+		var path []int
+		var walk func()
+		walk = func() {
+			x := newExplore(t, seed)
+			for _, i := range path {
+				x.apply(x.enabled()[i])
+			}
+			moves += len(path)
+			seqs++
+			next := len(x.enabled())
+			x.drain()
+			relaxed += x.relaxed
+			if len(path) == depth {
+				return
+			}
+			for i := 0; i < next; i++ {
+				path = append(path, i)
+				walk()
+				path = path[:len(path)-1]
+			}
+		}
+		walk()
+		t.Logf("seed %d: %d sequences up to %d moves, %d moves replayed; Lemma 3.1(3) off in %d checks after a wake or a sweep",
+			seed, seqs, depth, moves, relaxed)
+	}
+}
+
+// exMove is one event: op on worker w (w is -1 for Inject and cancel).
+type exMove struct {
+	op string
+	w  int
+}
+
+type explore struct {
+	t    *testing.T
+	l    om.List
+	d    *policy.DFD[*dfdThread]
+	curr [2]*dfdThread
+	// tried[w] is what the test saw w's last give-up steal: 0 nothing
+	// pending, 1 a steal, -1 a miss.
+	tried    [2]int
+	ready    map[*dfdThread]bool // published and not yet handed out
+	blocked  []*dfdThread        // parked on the lock
+	live     int
+	injected bool
+	canceled bool
+	trail    []exMove
+	drainAt  int // index in trail where drain began, -1 before
+	// unordered is set once a wake or the cancel sweep has published a
+	// thread: those land in R by a rule outside the nested-parallel model
+	// (PushWoken compares only unowned tops, the sweep appends), so from
+	// then on only Lemma 3.1(3), the order across deques, may fail, and
+	// relaxed counts the checks where it did.
+	unordered bool
+	relaxed   int
+}
+
+func newExplore(t *testing.T, seed int64) *explore {
+	x := &explore{t: t, ready: map[*dfdThread]bool{}, drainAt: -1}
+	less := func(a, b *dfdThread) bool { return om.Less(a.rec, b.rec) }
+	x.d = policy.NewDFD(2, 1, less, seed)
+	root := &dfdThread{rec: x.l.PushFront()}
+	x.d.Seed(root)
+	x.ready[root] = true
+	x.live = 1
+	return x
+}
+
+// enabled lists the moves the runtime could issue next, in a fixed order.
+func (x *explore) enabled() []exMove {
+	var ms []exMove
+	for w, c := range x.curr {
+		if c == nil {
+			if x.live > 0 || x.tried[w] != 0 {
+				ms = append(ms, exMove{"acquire", w})
+			}
+			continue
+		}
+		ms = append(ms, exMove{"join", w})
+		if x.canceled {
+			continue
+		}
+		ms = append(ms, exMove{"fork", w}, exMove{"preempt", w})
+		if len(c.unjoined) == 0 {
+			ms = append(ms, exMove{"dummy", w})
+		}
+		if len(x.blocked) == 0 {
+			ms = append(ms, exMove{"block", w})
+		} else {
+			ms = append(ms, exMove{"wake", w})
+		}
+	}
+	if !x.canceled {
+		if !x.injected {
+			ms = append(ms, exMove{"inject", -1})
+		}
+		ms = append(ms, exMove{"cancel", -1})
+	}
+	return ms
+}
+
+func (x *explore) fail(format string, args ...any) {
+	var b strings.Builder
+	for i, m := range x.trail {
+		if i == x.drainAt {
+			b.WriteString(" | drain:")
+		}
+		fmt.Fprintf(&b, " %s%d", m.op, m.w)
+	}
+	x.t.Fatalf("after%s: %s", b.String(), fmt.Sprintf(format, args...))
+}
+
+// take checks that a thread a policy call handed out was published and not
+// yet handed out, and marks it running.
+func (x *explore) take(th *dfdThread) {
+	if !x.ready[th] {
+		x.fail("handed out a thread that is not published")
+	}
+	delete(x.ready, th)
+	th.started = true
+}
+
+func (x *explore) publish(th *dfdThread) { x.ready[th] = true }
+
+// dispatch runs what Next, Terminate or Acquire returned on w.
+func (x *explore) dispatch(w int, th *dfdThread, ok bool) {
+	x.curr[w] = nil
+	if ok {
+		x.take(th)
+		x.curr[w] = th
+	}
+}
+
+// giveUp records the outcome of the steal a give-up made in its spine
+// section.
+func (x *explore) giveUp(w int, before policy.Stats) {
+	if x.d.Stats().Steals > before.Steals {
+		x.tried[w] = 1
+	} else {
+		x.tried[w] = -1
+	}
+	x.curr[w] = nil
+}
+
+// end finishes curr[w], which has joined all its children.
+func (x *explore) end(w int, dummy bool) {
+	th := x.curr[w]
+	th.done = true
+	x.l.Delete(th.rec)
+	x.live--
+	woke := th.waiter
+	if th.inlineOf != nil {
+		woke = th.inlineOf
+	}
+	if !dummy {
+		if th.inlineOf != nil {
+			x.curr[w] = th.inlineOf // the claiming parent resumes in its own frame
+			return
+		}
+		nx, ok := x.d.Terminate(w, woke, woke != nil)
+		if ok && nx == woke {
+			x.curr[w] = woke // the joined parent, handed off directly
+			return
+		}
+		x.dispatch(w, nx, ok)
+		return
+	}
+	before := x.d.Stats()
+	x.d.Dummy(w)
+	if _, ok := x.d.Terminate(w, woke, woke != nil); ok {
+		x.fail("Terminate after a dummy handed a thread over")
+	}
+	if woke != nil {
+		x.publish(woke)
+	}
+	x.giveUp(w, before)
+}
+
+func (x *explore) apply(m exMove) {
+	x.trail = append(x.trail, m)
+	w := m.w
+	th := (*dfdThread)(nil)
+	if w >= 0 {
+		th = x.curr[w]
+	}
+	switch m.op {
+	case "acquire":
+		before := x.d.Stats()
+		nx, ok := x.d.Acquire(w)
+		after := x.d.Stats()
+		switch x.tried[w] {
+		case 0:
+			if after.Steals+after.FailedSteals != before.Steals+before.FailedSteals+1 {
+				x.fail("Acquire on w%d made no attempt of its own", w)
+			}
+		default:
+			if after != before {
+				x.fail("handing w%d's remembered attempt over touched the pool", w)
+			}
+			if ok != (x.tried[w] == 1) {
+				x.fail("Acquire on w%d reported %v for a give-up steal that was %v", w, ok, x.tried[w] == 1)
+			}
+			x.tried[w] = 0
+		}
+		x.dispatch(w, nx, ok)
+	case "fork":
+		c := &dfdThread{rec: x.l.InsertAfter(th.rec)}
+		th.unjoined = append(th.unjoined, c)
+		x.publish(c)
+		x.d.ForkCont(w, th, c)
+		x.live++
+	case "join":
+		if len(th.unjoined) == 0 {
+			x.end(w, false)
+			break
+		}
+		c := th.unjoined[len(th.unjoined)-1]
+		th.unjoined = th.unjoined[:len(th.unjoined)-1]
+		switch {
+		case c.done:
+		case !c.started && x.d.JoinPop(w, c):
+			x.take(c)
+			c.inlineOf = th
+			x.curr[w] = c
+		default:
+			c.waiter = th
+			nx, ok := x.d.Next(w)
+			x.dispatch(w, nx, ok)
+		}
+	case "preempt":
+		before := x.d.Stats()
+		x.publish(th)
+		x.d.Preempt(w, th)
+		x.giveUp(w, before)
+	case "dummy":
+		x.end(w, true)
+	case "block":
+		x.blocked = append(x.blocked, th)
+		nx, ok := x.d.Next(w)
+		x.dispatch(w, nx, ok)
+	case "wake":
+		y := x.blocked[0]
+		x.blocked = x.blocked[1:]
+		x.publish(y)
+		x.unordered = true
+		x.d.Wake(w, y)
+	case "inject":
+		r := &dfdThread{rec: x.l.PushBack()}
+		x.injected = true
+		x.live++
+		x.publish(r)
+		x.d.Inject(r)
+	case "cancel":
+		x.canceled = true
+		for _, y := range x.blocked {
+			x.publish(y)
+			x.unordered = true
+			x.d.Inject(y)
+		}
+		x.blocked = nil
+	}
+	x.check()
+}
+
+func (x *explore) check() {
+	running := func(w int) (*dfdThread, bool) { return x.curr[w], x.curr[w] != nil }
+	if err := x.d.CheckInvariants(running); err != nil {
+		if !x.unordered || !strings.Contains(err.Error(), "lemma 3.1(3)") {
+			x.fail("%v", err)
+		}
+		x.relaxed++
+	}
+	// A give-up's steal has left the pool but is not handed out yet.
+	n := len(x.ready)
+	for _, tr := range x.tried {
+		if tr == 1 {
+			n--
+		}
+	}
+	if x.d.HasWork() != (n > 0) {
+		x.fail("HasWork %v with %d threads published", x.d.HasWork(), n)
+	}
+}
+
+// drain cancels, then runs every worker round-robin — joins and ends on a
+// running worker, Acquire on an idle one — until no thread is left, and
+// fails if that does not happen.
+func (x *explore) drain() {
+	x.drainAt = len(x.trail)
+	if !x.canceled {
+		x.apply(exMove{"cancel", -1})
+	}
+	for i := 0; x.live > 0 || x.tried[0] != 0 || x.tried[1] != 0; i++ {
+		if i > 10000 {
+			x.fail("threads stranded: %d live, %d published", x.live, len(x.ready))
+		}
+		w := i % 2
+		if x.curr[w] == nil {
+			x.apply(exMove{"acquire", w})
+		} else {
+			x.apply(exMove{"join", w})
+		}
+	}
+	if len(x.ready) != 0 || x.d.HasWork() {
+		x.fail("drained with %d threads still published", len(x.ready))
+	}
+}

@@ -102,8 +102,9 @@ func TestFIFOQueueOrderAndCompaction(t *testing.T) {
 	}
 }
 
-// dfdThread is one thread of the deterministic DFD driver below: its 1DF
-// priority, its fork/join bookkeeping, and how it is currently running.
+// dfdThread is one thread of the deterministic DFD walks (driveDFD
+// below and TestDFDExhaustive): its 1DF priority, its fork/join
+// bookkeeping, and how it is currently running.
 type dfdThread struct {
 	rec      *om.Record
 	unjoined []*dfdThread // forked, not yet joined (LIFO)

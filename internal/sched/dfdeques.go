@@ -30,18 +30,21 @@ type DFDeques struct {
 	// system to keep statistics to dynamically set K to an appropriate
 	// value during the execution"). The scheduler doubles K while the
 	// live heap stays under TargetSpace/2 and halves it when the live
-	// heap exceeds TargetSpace, clamping to [MinK, MaxK]. The K field is
+	// heap exceeds TargetSpace, clamping to [minK, maxK]. The K field is
 	// the starting value.
 	TargetSpace int64
-	// MinK and MaxK clamp the adaptive controller (defaults 64 bytes and
-	// 16 MB).
-	MinK, MaxK int64
 
 	engine
 	dfd *policy.DFD[*machine.Thread]
 
 	adaptTick int64 // damping counter for the adaptive controller
 }
+
+// minK and maxK clamp the adaptive controller's threshold, in bytes.
+const (
+	minK = 64
+	maxK = 16 << 20
+)
 
 // NewDFDeques returns a DFDeques scheduler with memory threshold k bytes
 // (0 = infinity).
@@ -97,13 +100,6 @@ func (s *DFDeques) adaptK() {
 	s.adaptTick++
 	if s.adaptTick%64 != 0 {
 		return
-	}
-	minK, maxK := s.MinK, s.MaxK
-	if minK <= 0 {
-		minK = 64
-	}
-	if maxK <= 0 {
-		maxK = 16 << 20
 	}
 	live := s.m.HeapLive()
 	switch {

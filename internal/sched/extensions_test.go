@@ -113,20 +113,25 @@ func TestAdaptiveDisabledWithoutTarget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveClampsAtMinMax: the controller must respect its clamps and
-// still complete.
+// TestAdaptiveClampsAtMinMax: the controller must respect its clamps, 64
+// bytes and 16 MB, and still complete. An absurdly small target drives K
+// down onto the lower clamp; an absurdly large one, from near the top,
+// drives it up onto the upper clamp and no further.
 func TestAdaptiveClampsAtMinMax(t *testing.T) {
 	spec := workload.DenseMM(workload.Medium)
-	s := sched.NewDFDeques(512)
-	s.TargetSpace = 1 // absurdly small: K is pushed to MinK immediately
-	s.MinK = 256
-	s.MaxK = 1024
-	m := machine.New(machine.Config{Procs: 4, Seed: 6}, s)
-	if _, err := m.Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	if s.K < 256 || s.K > 1024 {
-		t.Errorf("K = %d escaped clamps [256, 1024]", s.K)
+	for _, tc := range []struct{ k, target, want int64 }{
+		{512, 1, 64},
+		{12 << 20, 1 << 62, 16 << 20},
+	} {
+		s := sched.NewDFDeques(tc.k)
+		s.TargetSpace = tc.target
+		m := machine.New(machine.Config{Procs: 4, Seed: 6}, s)
+		if _, err := m.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		if s.K != tc.want {
+			t.Errorf("K from %d with target %d = %d, want the clamp %d", tc.k, tc.target, s.K, tc.want)
+		}
 	}
 }
 

@@ -5,10 +5,11 @@
 # simulated experiments (92 lines; xcheck and scenarios run the live
 # runtime and are left out), 812 lines in all. WS is DFDeques(∞), so its
 # 144 lines equal the DFD-inf lines by construction except for the `op`
-# label; they stay so that the count and the layout do not move. A change
-# that is meant to keep the simulator's schedules must leave this output
-# byte-identical: run it here and in a checkout of the parent commit and
-# compare the two (sha256sum).
+# label; they stay so that the count and the layout do not move. The
+# output's sha256 is pinned in scripts/simmatrix.sha256, which verify.sh
+# and CI check: a change meant to keep the simulator's schedules leaves it
+# byte-identical, and one that moves lines on purpose updates the pin and
+# names the lines (diff against a checkout of the parent commit).
 set -eu
 
 cd "$(dirname "$0")/.."

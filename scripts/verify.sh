@@ -17,6 +17,13 @@ if go list -f '{{join .Imports "\n"}}' ./internal/grt | grep -q 'internal/om$'; 
     echo "internal/grt imports internal/om" >&2
     exit 1
 fi
+# The deque is one processor's deque and nothing else: R, ownership and
+# trace IDs are core.SharedPool's. An import of another package of this
+# module means scheduler state is creeping back into it.
+if go list -f '{{join .Imports "\n"}}' ./internal/deque | grep -q '^dfdeques/'; then
+    echo "internal/deque imports a package of this module" >&2
+    exit 1
+fi
 # staticcheck when available (CI installs it; local runs skip silently so
 # the script stays dependency-free).
 if command -v staticcheck >/dev/null 2>&1; then
@@ -24,12 +31,19 @@ if command -v staticcheck >/dev/null 2>&1; then
 fi
 go test ./...
 # The simulator's output matrix (scripts/simmatrix.sh: 720 dfdsim -json
-# lines, then 92 lines of dfdlab -csv): a change meant to keep the
-# simulator's schedules must leave this hash at the parent commit's.
+# lines, then 92 lines of dfdlab -csv) is pinned by its sha256 in
+# scripts/simmatrix.sha256. A change meant to keep the simulator's
+# schedules must leave it as it is; a change that moves lines on purpose
+# updates the file and says which lines moved and why.
 matrix=$(mktemp)
 ./scripts/simmatrix.sh > "$matrix"
-echo "simulator matrix: $(wc -l < "$matrix") lines, sha256 $(sha256sum < "$matrix" | cut -d' ' -f1)"
+sum=$(sha256sum < "$matrix" | cut -d' ' -f1)
+echo "simulator matrix: $(wc -l < "$matrix") lines, sha256 $sum"
 rm -f "$matrix"
+if [ "$sum" != "$(cat scripts/simmatrix.sha256)" ]; then
+    echo "simulator matrix differs from scripts/simmatrix.sha256" >&2
+    exit 1
+fi
 go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
 # Serving-layer soak (short mode): 8 tenants over HTTP with one hog that
 # mixes never-fitting whales with jobs that fit its budget, asserting
