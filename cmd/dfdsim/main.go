@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +58,6 @@ import (
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/rtrace"
-	"dfdeques/internal/sched"
 	"dfdeques/internal/stats"
 	"dfdeques/internal/workload"
 )
@@ -84,11 +84,12 @@ func main() {
 
 	// Scheduler names are case-insensitive; canonicalize to the printed
 	// spellings.
-	for _, name := range sched.Names {
-		if strings.EqualFold(*schedName, name) {
-			*schedName = name
-		}
+	i := slices.IndexFunc(machine.Names, func(name string) bool { return strings.EqualFold(*schedName, name) })
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "dfdsim: unknown scheduler %q\n", *schedName)
+		os.Exit(2)
 	}
+	*schedName = machine.Names[i]
 
 	g := workload.Fine
 	if *grain == "medium" {
@@ -138,17 +139,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	s, ok := sched.New(*schedName, *k)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dfdsim: unknown scheduler %q\n", *schedName)
-		os.Exit(2)
-	}
-
 	cfg := machine.Config{Procs: *procs, Seed: *seed}
 	if *realism {
 		cfg = machine.Realism(*procs, *seed)
 	}
-	cfg.CheckInvariants = *check
+	cfg.Scheduler, cfg.K, cfg.CheckInvariants = *schedName, *k, *check
 
 	sm := dag.Measure(spec)
 	if !*jsonOut {
@@ -156,7 +151,7 @@ func main() {
 			*bench, g, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)
 	}
 
-	m := machine.New(cfg, s)
+	m := machine.New(cfg)
 	met, err := m.Run(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
@@ -167,7 +162,7 @@ func main() {
 			"op":                fmt.Sprintf("dfdsim/%s/%s", *bench, *schedName),
 			"workers":           *procs,
 			"engine":            "sim",
-			"k":                 s.MemThreshold(),
+			"k":                 m.Threshold(),
 			"seed":              *seed,
 			"steps":             met.Steps,
 			"actions":           met.Actions,
@@ -186,7 +181,7 @@ func main() {
 		return
 	}
 	fmt.Printf("scheduler: %s  p=%d  K=%d  seed=%d  realism=%v\n\n",
-		*schedName, *procs, s.MemThreshold(), *seed, *realism)
+		*schedName, *procs, m.Threshold(), *seed, *realism)
 	fmt.Printf("time (steps):        %d\n", met.Steps)
 	fmt.Printf("actions:             %d\n", met.Actions)
 	fmt.Printf("heap high-water:     %d bytes (%.2f × S1)\n", met.HeapHW, float64(met.HeapHW)/max(1, float64(sm.HeapHW)))
@@ -220,7 +215,7 @@ func emitJSON(obj map[string]any) {
 }
 
 // realKind maps the canonical scheduler name to the runtime kind; the
-// threshold is forced to 0 (∞) for DFD-inf and WS.
+// threshold is forced to 0 (∞) for DFD-inf, WS and FIFO.
 func realKind(rc realCfg) (grt.Kind, int64) {
 	switch rc.sched {
 	case "DFD":
@@ -231,12 +226,8 @@ func realKind(rc realCfg) (grt.Kind, int64) {
 		return grt.WS, 0 // the same policy under its work-stealing name
 	case "ADF":
 		return grt.ADF, rc.k
-	case "FIFO":
-		return grt.FIFO, rc.k
 	}
-	fmt.Fprintf(os.Stderr, "dfdsim: unknown scheduler %q\n", rc.sched)
-	os.Exit(2)
-	panic("unreachable")
+	return grt.FIFO, 0 // no threshold in either engine
 }
 
 type realCfg struct {

@@ -41,7 +41,6 @@ import (
 	"dfdeques/internal/gantt"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/rtrace"
-	"dfdeques/internal/sched"
 )
 
 // limitWriter stops writing after n lines.
@@ -104,13 +103,15 @@ func main() {
 	cfg := machine.Config{
 		Procs:           *procs,
 		Seed:            *seed,
+		Scheduler:       "DFD",
+		K:               *k,
 		CheckInvariants: true,
 		Trace:           &limitWriter{w: out, left: *maxLines},
 	}
 	if *wantGantt {
 		cfg.Observer = gb.Event
 	}
-	m := machine.New(cfg, sched.NewDFDeques(*k))
+	m := machine.New(cfg)
 
 	met, err := m.Run(spec)
 	if err != nil {

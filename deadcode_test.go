@@ -23,7 +23,6 @@ func TestNoUnreferencedInternalDefinitions(t *testing.T) {
 	// "dfdeques/internal/pkg.Name" → why it stays although nothing uses it.
 	allow := map[string]string{
 		"dfdeques/internal/dag.SerialFor":      "builder pinned by TestSerialForIsFlat",
-		"dfdeques/internal/deque.NewDeque":     "bench/probes/deque builds its deques with it; the pool embeds a zero Deque",
 		"dfdeques/internal/workload.Quicksort": "the paper's §2.1 example, pinned by TestQuicksort*",
 	}
 

@@ -46,13 +46,10 @@
 package dfdeques
 
 import (
-	"fmt"
-
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 )
 
 // ---- Real execution (the user-level thread runtime) ---------------------
@@ -158,7 +155,8 @@ type SimConfig struct {
 }
 
 // Simulate runs the program on the machine simulator and returns its
-// metrics.
+// metrics. It refuses an unknown scheduler and a DFDeques variant on a
+// scheduler that has none (see machine.Config).
 func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = 1
@@ -166,23 +164,14 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "DFD"
 	}
-	s, ok := sched.New(cfg.Scheduler, cfg.K)
-	if !ok {
-		return SimMetrics{}, fmt.Errorf("dfdeques: unknown scheduler %q", cfg.Scheduler)
-	}
-	if d, ok := s.(*sched.DFDeques); ok {
-		if cfg.AdaptiveTarget != 0 && d.K == 0 {
-			return SimMetrics{}, fmt.Errorf("dfdeques: AdaptiveTarget adapts a finite K; scheduler %q runs with K = ∞", cfg.Scheduler)
-		}
-		d.TargetSpace = cfg.AdaptiveTarget
-		d.StealFromTop = cfg.StealFromTop
-		d.FullWindow = cfg.FullWindow
-	} else if cfg.AdaptiveTarget != 0 || cfg.StealFromTop || cfg.FullWindow {
-		return SimMetrics{}, fmt.Errorf("dfdeques: AdaptiveTarget, StealFromTop and FullWindow are DFDeques variants; scheduler %q has none", cfg.Scheduler)
-	}
-	m := machine.New(machine.Config{
+	return machine.New(machine.Config{
 		Procs:           cfg.Procs,
 		Seed:            cfg.Seed,
+		Scheduler:       cfg.Scheduler,
+		K:               cfg.K,
+		StealFromTop:    cfg.StealFromTop,
+		FullWindow:      cfg.FullWindow,
+		AdaptiveTarget:  cfg.AdaptiveTarget,
 		MissPenalty:     cfg.MissPenalty,
 		Cache:           cfg.Cache,
 		StackBytes:      cfg.StackBytes,
@@ -190,6 +179,5 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 		QueueLatency:    cfg.QueueLatency,
 		SpinLocks:       cfg.SpinLocks,
 		CheckInvariants: cfg.CheckInvariants,
-	}, s)
-	return m.Run(p)
+	}).Run(p)
 }

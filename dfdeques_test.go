@@ -136,7 +136,7 @@ func TestFacadeVariants(t *testing.T) {
 
 // TestFacadeVariantFields: the DFDeques variant fields reach DFD-inf and
 // WS, which is DFDeques(∞) — Dense MM at p = 8 with StealFromTop makes the
-// 382 steals pinned in internal/sched, not the plain schedule's 84 — and
+// 382 steals pinned in internal/machine, not the plain schedule's 84 — and
 // are refused for the schedulers that have no such variant. The adaptive
 // controller adapts a finite K, so AdaptiveTarget is refused wherever the
 // threshold is ∞.

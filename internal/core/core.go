@@ -6,10 +6,10 @@
 //   - the concurrent runtime's DFDeques policy (internal/policy) drives it
 //     from every worker at once, through the fine-grained protocol
 //     described on SharedPool;
-//   - the machine simulator's DFDeques scheduler (internal/sched) drives
-//     it serially, using BeginRound/StealFrom for the §4.1 per-timestep
-//     steal arbitration (at most one successful steal per deque per
-//     round) and its ablation switches.
+//   - the machine simulator (internal/machine), through the same policy,
+//     drives it serially, using BeginRound/StealFrom for the §4.1
+//     per-timestep steal arbitration (at most one successful steal per
+//     deque per round) and its ablation switches.
 //
 // Tests drive it directly to property-check the Lemma 3.1 ordering
 // invariants (CheckInvariants) without a machine in the loop.

@@ -48,7 +48,7 @@ func snapCommit(d *Deque[int], s thiefSnap) bool {
 // numeric value and the stale CAS would steal a thread from the deque's
 // NEXT life; the tag bump in Reset must make it fail.
 func TestStaleThiefCASFailsAcrossReset(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	d.PushTop(101)
 	d.PushTop(102)
 
@@ -77,7 +77,7 @@ func TestStaleThiefCASFailsAcrossReset(t *testing.T) {
 // deque and pushes fresh work (no Reset involved); the empty transition's
 // tag bump must still fence out the stale thief.
 func TestStaleThiefCASFailsAcrossEmptyTransition(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	d.PushTop(1)
 	s := snapRead(d)
 	if !s.valid {
@@ -99,7 +99,7 @@ func TestStaleThiefCASFailsAcrossEmptyTransition(t *testing.T) {
 // CAS lands first wins the item and the owner's conflict CAS must report
 // empty — the double-claim arbitration.
 func TestOwnerConflictLosesToCommittedThief(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	d.PushTop(7)
 	s := snapRead(d)
 	if !snapCommit(d, s) {
@@ -121,7 +121,7 @@ func TestOwnerConflictLosesToCommittedThief(t *testing.T) {
 // holding the pre-compaction word must fail even though its captured
 // bottom index is once again within the live window.
 func TestStaleThiefCASFailsAcrossClaimAll(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	for i := 1; i <= minCap; i++ {
 		d.PushTop(100 + i)
 	}
@@ -150,7 +150,7 @@ func TestStaleThiefCASFailsAcrossClaimAll(t *testing.T) {
 // ordinary empty transition, and checks both the arithmetic and that a
 // pre-wrap stale thief still fails.
 func TestTagWraparound(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	d.PushTop(1)
 	d.PushTop(2)
 	// Park the tag at its maximum, preserving geometry (bot stays 0, the
@@ -204,7 +204,7 @@ func FuzzDequeStaleThief(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 5, 0, 5, 1, 3, 0}) // popIf around a frozen thief
 	f.Add([]byte{4, 200, 2, 0, 4, 3, 0, 0, 3, 0})     // refill storms
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDeque[int]()
+		d := new(Deque[int])
 		var model []int
 		next := 1
 		var snaps [4]thiefSnap

@@ -107,7 +107,8 @@ func unpack(w uint64) (tag, bot uint32) { return uint32(w >> 32), uint32(w) }
 // lock). PopBottom may spuriously fail under contention — callers treat
 // that as a failed steal. T must be a non-interface comparable type
 // (atomic.Value cannot store nil interfaces); every scheduler
-// instantiates deques with pointer element types.
+// instantiates deques with pointer element types. The zero Deque is an
+// empty deque.
 type Deque[T comparable] struct {
 	bottom atomic.Uint64                  // (tag << 32) | bot — the thief word
 	top    atomic.Int64                   // owner-written; live window is [bot, top)
@@ -118,9 +119,6 @@ type Deque[T comparable] struct {
 	// caller with external happens-before) touches it.
 	cleaned int
 }
-
-// NewDeque returns an empty deque. The zero Deque is one too.
-func NewDeque[T comparable]() *Deque[T] { return &Deque[T]{} }
 
 // Reset reinitializes d for reuse from a freelist: empty, with every slot
 // scrubbed so no stale references survive into the next incarnation. The

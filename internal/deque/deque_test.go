@@ -6,7 +6,7 @@ import (
 )
 
 func TestDequeLIFOTop(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	for i := 0; i < 5; i++ {
 		d.PushTop(i)
 	}
@@ -22,7 +22,7 @@ func TestDequeLIFOTop(t *testing.T) {
 }
 
 func TestDequeBottomIsOldest(t *testing.T) {
-	d := NewDeque[string]()
+	d := new(Deque[string])
 	d.PushTop("oldest")
 	d.PushTop("middle")
 	d.PushTop("newest")
@@ -39,7 +39,7 @@ func TestDequeBottomIsOldest(t *testing.T) {
 }
 
 func TestDequeEmptyOps(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	if !d.Empty() || d.Len() != 0 {
 		t.Fatal("new deque not empty")
 	}
@@ -55,7 +55,7 @@ func TestDequeEmptyOps(t *testing.T) {
 // reference model.
 func TestDequeMixedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	var ref []int
 	for step := 0; step < 20000; step++ {
 		switch rng.Intn(3) {
@@ -96,7 +96,7 @@ func TestDequeMixedAgainstReference(t *testing.T) {
 }
 
 func BenchmarkPushPopTop(b *testing.B) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	for i := 0; i < b.N; i++ {
 		d.PushTop(i)
 		if i%2 == 1 {
@@ -130,7 +130,7 @@ func liveSlots[T comparable](d *Deque[T]) int {
 // transition of a final PopTop. Retention in the backing array would
 // directly skew the paper's space measurements.
 func TestPopZeroesVacatedSlots(t *testing.T) {
-	d := NewDeque[*int]()
+	d := new(Deque[*int])
 	const n = 8
 	for i := 0; i < n; i++ {
 		d.PushTop(new(int))
@@ -160,7 +160,7 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 		t.Errorf("%d vacated slots still hold live pointers after the owner's empty transition", got)
 	}
 	// A push after steals also sweeps everything below the new bottom.
-	d2 := NewDeque[*int]()
+	d2 := new(Deque[*int])
 	for i := 0; i < 4; i++ {
 		d2.PushTop(new(int))
 	}
@@ -177,7 +177,7 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 // is empty and scrubbed — and its generation tag is bumped, not zeroed, so
 // Reset itself is an ABA barrier (see TestStaleThiefCASFailsAcrossReset).
 func TestResetClearsState(t *testing.T) {
-	d := NewDeque[int]()
+	d := new(Deque[int])
 	d.PushTop(1)
 	tagBefore, _ := unpack(d.bottom.Load())
 	d.Reset()

@@ -154,7 +154,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 		// Seed: worker 0 runs the root thread from a fresh leftmost deque.
 		root := &item{id: -1}
 		oracle.order = []*item{root}
-		own[0] = deque.NewDeque[*item]()
+		own[0] = new(deque.Deque[*item])
 		r = append(r, own[0])
 		owner[own[0]] = 0
 		curr[0] = root
@@ -240,7 +240,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 					check(step, "steal-miss")
 					continue
 				}
-				nd := deque.NewDeque[*item]()
+				nd := new(deque.Deque[*item])
 				r = slices.Insert(r, c+1, nd)
 				owner[nd] = w
 				own[w], curr[w] = nd, x
@@ -285,7 +285,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 // deque's mutable state.
 func TestDequeConcurrentHammer(t *testing.T) {
 	const pushes = 20000
-	d := deque.NewDeque[int]()
+	d := new(deque.Deque[int])
 	var popped, stolen atomic.Int64
 	done := make(chan struct{})
 	stop := make(chan struct{})
@@ -357,7 +357,7 @@ func TestDequeConcurrentHammer(t *testing.T) {
 // conflict CAS would produce.
 func TestDequeStealStormHammer(t *testing.T) {
 	const pushes = 20000
-	d := deque.NewDeque[int]()
+	d := new(deque.Deque[int])
 	taken := make([]atomic.Int32, pushes) // claim count per item identity
 	var popped, stolen atomic.Int64
 	done := make(chan struct{})

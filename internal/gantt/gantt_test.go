@@ -6,7 +6,6 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 )
 
 func TestSyntheticTimeline(t *testing.T) {
@@ -155,8 +154,8 @@ func TestEndToEndWithMachine(t *testing.T) {
 	})
 	const procs = 4
 	b := NewBuilder(procs)
-	cfg := machine.Config{Procs: procs, Seed: 1, Observer: b.Event}
-	m := machine.New(cfg, sched.NewDFDeques(0))
+	cfg := machine.Config{Procs: procs, Seed: 1, Scheduler: "DFD-inf", Observer: b.Event}
+	m := machine.New(cfg)
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)

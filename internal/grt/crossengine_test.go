@@ -1,7 +1,7 @@
 package grt_test
 
 // Cross-engine differential tests: the same declarative workload runs on
-// the serial simulator (internal/machine + internal/sched) and on the real
+// the serial simulator (internal/machine) and on the real
 // goroutine runtime (internal/grt). Both engines drive the shared policy
 // layer (internal/policy), so everything that is a policy or workload
 // invariant — thread and dummy populations, a balanced heap, the serial
@@ -18,7 +18,6 @@ import (
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/rtrace"
-	"dfdeques/internal/sched"
 )
 
 // crossK is the memory threshold shared by both engines in these tests;
@@ -26,20 +25,23 @@ import (
 // transformation fires on both sides.
 const crossK = 600
 
+// crossPolicy runs one scheduler on both engines, each given the same K:
+// the simulator under sim, one of machine.Names, and the runtime as kind.
 type crossPolicy struct {
-	name string
-	sim  func() machine.Scheduler
-	kind grt.Kind
-	k    int64
+	name, sim string
+	kind      grt.Kind
+	k         int64
 }
 
 func crossPolicies() []crossPolicy {
 	return []crossPolicy{
-		{"DFD", func() machine.Scheduler { return sched.NewDFDeques(crossK) }, grt.DFDeques, crossK},
-		{"DFD-inf", func() machine.Scheduler { return sched.NewDFDeques(0) }, grt.DFDeques, 0},
-		{"WS", func() machine.Scheduler { return sched.NewDFDeques(0) }, grt.WS, 0},
-		{"ADF", func() machine.Scheduler { return sched.NewADF(crossK) }, grt.ADF, crossK},
-		{"FIFO", func() machine.Scheduler { return sched.NewFIFO() }, grt.FIFO, 0},
+		{"DFD", "DFD", grt.DFDeques, crossK},
+		{"DFD-inf", "DFD-inf", grt.DFDeques, 0},
+		{"WS", "WS", grt.WS, 0},
+		{"ADF", "ADF", grt.ADF, crossK},
+		{"FIFO", "FIFO", grt.FIFO, 0},
+		// FIFO has no threshold in either engine, whatever K says.
+		{"FIFO-K", "FIFO", grt.FIFO, crossK},
 	}
 }
 
@@ -62,8 +64,7 @@ func TestCrossEngineInvariants(t *testing.T) {
 		for _, pol := range crossPolicies() {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", specName, pol.name, workers), func(t *testing.T) {
-					simSched := pol.sim()
-					m := machine.New(machine.Config{Procs: workers, Seed: 42}, simSched)
+					m := machine.New(machine.Config{Procs: workers, Seed: 42, Scheduler: pol.sim, K: pol.k})
 					sm, err := m.Run(spec)
 					if err != nil {
 						t.Fatalf("sim: %v", err)
@@ -84,11 +85,9 @@ func TestCrossEngineInvariants(t *testing.T) {
 						t.Errorf("sim dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",
 							sm.Steals, sm.LocalDispatches, sm.TotalThreads, sm.Preemptions)
 					}
-					if d, ok := simSched.(*sched.DFDeques); ok && pol.k == 0 {
-						// DFDeques(∞) ≡ WS: R never outgrows p (§3.3).
-						if d.MaxDeques() > workers {
-							t.Errorf("sim DFD-inf max deques = %d > p = %d", d.MaxDeques(), workers)
-						}
+					// DFDeques(∞) ≡ WS: R never outgrows p (§3.3).
+					if m.Threshold() == 0 && m.MaxDeques() > workers {
+						t.Errorf("sim %s max deques = %d > p = %d", pol.name, m.MaxDeques(), workers)
 					}
 
 					rec := rtrace.NewRecorder(workers, 1<<16)
@@ -140,7 +139,7 @@ func TestCrossEngineQuotaPreempts(t *testing.T) {
 		Alloc(500).Work(2).
 		Free(1500).Spec()
 
-	m := machine.New(machine.Config{Procs: 2, Seed: 7}, sched.NewDFDeques(crossK))
+	m := machine.New(machine.Config{Procs: 2, Seed: 7, Scheduler: "DFD", K: crossK})
 	sm, err := m.Run(spec)
 	if err != nil {
 		t.Fatalf("sim: %v", err)

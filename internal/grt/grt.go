@@ -5,8 +5,8 @@
 // algorithm, §3), WS (the Blumofe & Leiserson work stealer — DFDeques(∞),
 // §3.3), ADF(K) (the depth-first baseline), or FIFO (the original library
 // scheduler). The engine is policy-agnostic — one engine drives whatever
-// policy Config selects; the same policies, through thin
-// adapters, also drive the machine simulator (internal/sched).
+// policy Config selects; the machine simulator (internal/machine) drives
+// the same policies.
 //
 // The paper's implementation serializes all scheduling state — the deque
 // list R, the global queue, thread priorities — behind a single lock (§5:
@@ -113,7 +113,8 @@ type Config struct {
 	Sched Kind
 	// K is the memory threshold in bytes; 0 means no quota (∞). For
 	// DFDeques it bounds net allocation per steal; for ADF, per thread
-	// dispatch. WS ignores it (WS is DFDeques(∞)).
+	// dispatch. WS ignores it (WS is DFDeques(∞)), and so does FIFO,
+	// which has no threshold.
 	K int64
 	// Seed drives steal-victim randomness.
 	Seed int64
@@ -325,7 +326,7 @@ func New(cfg Config) (*Runtime, error) {
 	case ADF:
 		rt.pol = policy.NewADF(cfg.Workers, cfg.K, prioLess)
 	case FIFO:
-		rt.pol = policy.NewFIFO[*T](cfg.K)
+		rt.pol = policy.NewFIFO[*T]()
 	default:
 		return nil, fmt.Errorf("grt: unknown scheduler kind %d", cfg.Sched)
 	}

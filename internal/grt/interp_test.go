@@ -9,7 +9,6 @@ import (
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 	"dfdeques/internal/workload"
 )
 
@@ -134,7 +133,7 @@ func TestRunSpecQuotaAgreesWithSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(machine.Config{Procs: 1, Seed: 1}, sched.NewDFDeques(100))
+	m := machine.New(machine.Config{Procs: 1, Seed: 1, Scheduler: "DFD", K: 100})
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestRunSpecDummiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(machine.Config{Procs: 2, Seed: 2}, sched.NewDFDeques(100))
+	m := machine.New(machine.Config{Procs: 2, Seed: 2, Scheduler: "DFD", K: 100})
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 	"dfdeques/internal/stats"
 	"dfdeques/internal/workload"
 )
@@ -58,11 +57,9 @@ func Ablations(o Options) *stats.Table {
 			var steps, space, steals int64
 			var gran float64
 			for seed := int64(0); seed < seeds; seed++ {
-				s := sched.NewDFDeques(c.k)
-				s.StealFromTop = v.top
-				s.FullWindow = v.fullWin
-				m := machine.New(pure(c.procs, o.Seed+seed), s)
-				met, err := m.Run(c.spec)
+				cfg := withSched(pure(c.procs, o.Seed+seed), "DFD", c.k)
+				cfg.StealFromTop, cfg.FullWindow = v.top, v.fullWin
+				met, err := machine.New(cfg).Run(c.spec)
 				if err != nil {
 					panic("lab: ablation: " + err.Error())
 				}
@@ -101,7 +98,7 @@ func SpaceProfile(o Options) *stats.Table {
 		cfg := pure(o.Procs, o.Seed)
 		cfg.SampleEvery = 64
 		cfg.StackBytes = 8192 // count thread stacks so FIFO's population shows
-		m := machine.New(cfg, mkSched(name, o.K))
+		m := machine.New(withSched(cfg, name, o.K))
 		met, err := m.Run(spec)
 		if err != nil {
 			panic("lab: profile: " + err.Error())
@@ -130,8 +127,7 @@ func CrossCheck(o Options) *stats.Table {
 		w, _ := workload.ByName(name)
 		spec := w.Build(workload.Medium)
 		sm := dag.Measure(spec)
-		mm := machine.New(pure(o.Procs, o.Seed), sched.NewDFDeques(o.K))
-		simMet, err := mm.Run(spec)
+		simMet, err := machine.New(withSched(pure(o.Procs, o.Seed), "DFD", o.K)).Run(spec)
 		if err != nil {
 			panic("lab: xcheck sim: " + err.Error())
 		}
@@ -165,10 +161,10 @@ func AdaptiveK(o Options) *stats.Table {
 	}
 	spec := workload.DenseMM(grain)
 
-	runOne := func(name string, mk func() *sched.DFDeques) {
-		s := mk()
-		m := machine.New(pure(o.Procs, o.Seed), s)
-		met, err := m.Run(spec)
+	runOne := func(name string, k, target int64) {
+		cfg := withSched(pure(o.Procs, o.Seed), "DFD", k)
+		cfg.AdaptiveTarget = target
+		met, err := machine.New(cfg).Run(spec)
 		if err != nil {
 			panic("lab: adaptive: " + err.Error())
 		}
@@ -177,16 +173,10 @@ func AdaptiveK(o Options) *stats.Table {
 	}
 
 	for _, k := range []int64{500, 3000, 50_000} {
-		k := k
-		runOne("fixed K="+stats.I(k), func() *sched.DFDeques { return sched.NewDFDeques(k) })
+		runOne("fixed K="+stats.I(k), k, 0)
 	}
 	for _, target := range []int64{256 << 10, 384 << 10} {
-		target := target
-		runOne("adaptive target="+stats.KB(target)+"KB", func() *sched.DFDeques {
-			s := sched.NewDFDeques(1024)
-			s.TargetSpace = target
-			return s
-		})
+		runOne("adaptive target="+stats.KB(target)+"KB", 1024, target)
 	}
 	return t
 }

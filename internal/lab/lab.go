@@ -8,7 +8,6 @@ package lab
 import (
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 	"dfdeques/internal/workload"
 )
 
@@ -40,23 +39,20 @@ func pure(procs int, seed int64) machine.Config {
 	return machine.Config{Procs: procs, Seed: seed}
 }
 
-// mkSched builds a fresh scheduler by report name (sched.New); "Cilk", the
-// paper's figure name for work stealing, is WS.
-func mkSched(name string, k int64) machine.Scheduler {
+// withSched returns cfg running the named scheduler (one of
+// machine.Names) at threshold k; "Cilk", the paper's figure name for work
+// stealing, is WS.
+func withSched(cfg machine.Config, name string, k int64) machine.Config {
 	if name == "Cilk" {
 		name = "WS"
 	}
-	s, ok := sched.New(name, k)
-	if !ok {
-		panic("lab: unknown scheduler " + name)
-	}
-	return s
+	cfg.Scheduler, cfg.K = name, k
+	return cfg
 }
 
 // run executes spec under the named scheduler and config.
 func run(spec *dag.ThreadSpec, name string, k int64, cfg machine.Config) machine.Metrics {
-	m := machine.New(cfg, mkSched(name, k))
-	met, err := m.Run(spec)
+	met, err := machine.New(withSched(cfg, name, k)).Run(spec)
 	if err != nil {
 		panic("lab: " + name + ": " + err.Error())
 	}

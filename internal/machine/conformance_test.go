@@ -6,7 +6,6 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 )
 
 // randomSpec builds a deterministic pseudo-random nested-parallel program.
@@ -64,33 +63,29 @@ func TestSingleProc1DFOrderConformance(t *testing.T) {
 		spec := randomSpec(rng, 4)
 		want := completionOrder(spec)
 
-		for _, mk := range []func() machine.Scheduler{
-			func() machine.Scheduler { return sched.NewDFDeques(1 << 30) },
-			func() machine.Scheduler { return sched.NewDFDeques(0) },
-			func() machine.Scheduler { return sched.NewADF(1 << 30) },
-		} {
+		for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
 			var got []int64
 			cfg := machine.Config{
-				Procs: 1,
-				Seed:  int64(trial),
+				Procs:     1,
+				Seed:      int64(trial),
+				Scheduler: name,
+				K:         1 << 30,
 				Observer: func(step int64, proc int, kind string, threadID int64) {
 					if kind == "terminate" {
 						got = append(got, threadID)
 					}
 				},
 			}
-			s := mk()
-			m := machine.New(cfg, s)
-			if _, err := m.Run(spec); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, s.Name(), err)
+			if _, err := machine.New(cfg).Run(spec); err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d %s: %d terminations, want %d", trial, s.Name(), len(got), len(want))
+				t.Fatalf("trial %d %s: %d terminations, want %d", trial, name, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d %s: termination %d = thread %d, want %d (1DF order violated)",
-						trial, s.Name(), i, got[i], want[i])
+						trial, name, i, got[i], want[i])
 				}
 			}
 		}
@@ -112,15 +107,16 @@ func TestFIFOSingleProcIsNot1DF(t *testing.T) {
 	want := completionOrder(spec)
 	var got []int64
 	cfg := machine.Config{
-		Procs: 1,
-		Seed:  1,
+		Procs:     1,
+		Seed:      1,
+		Scheduler: "FIFO",
 		Observer: func(step int64, proc int, kind string, threadID int64) {
 			if kind == "terminate" {
 				got = append(got, threadID)
 			}
 		},
 	}
-	m := machine.New(cfg, sched.NewFIFO())
+	m := machine.New(cfg)
 	if _, err := m.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +144,10 @@ func TestObserverSeesForkPerThread(t *testing.T) {
 	terms := map[int64]int{}
 	var forkEvents int64
 	cfg := machine.Config{
-		Procs: 4,
-		Seed:  3,
+		Procs:     4,
+		Seed:      3,
+		Scheduler: "DFD",
+		K:         1 << 30,
 		Observer: func(step int64, proc int, kind string, threadID int64) {
 			switch kind {
 			case "terminate":
@@ -159,7 +157,7 @@ func TestObserverSeesForkPerThread(t *testing.T) {
 			}
 		},
 	}
-	m := machine.New(cfg, sched.NewDFDeques(1<<30))
+	m := machine.New(cfg)
 	if _, err := m.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +188,17 @@ func TestParallelTerminationsRespectHierarchy(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
 		var last int64
 		cfg := machine.Config{
-			Procs: procs,
-			Seed:  int64(procs),
+			Procs:     procs,
+			Seed:      int64(procs),
+			Scheduler: "DFD",
+			K:         2000,
 			Observer: func(step int64, proc int, kind string, threadID int64) {
 				if kind == "terminate" {
 					last = threadID
 				}
 			},
 		}
-		m := machine.New(cfg, sched.NewDFDeques(2000))
+		m := machine.New(cfg)
 		if _, err := m.Run(spec); err != nil {
 			t.Fatal(err)
 		}

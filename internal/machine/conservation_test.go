@@ -7,7 +7,6 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 )
 
 // TestQuickActionConservation: for arbitrary nested-parallel programs and
@@ -16,18 +15,13 @@ import (
 // heap balanced, and must create exactly the program's thread population
 // (plus dummy threads). This is the simulator's conservation law.
 func TestQuickActionConservation(t *testing.T) {
-	mk := []func() machine.Scheduler{
-		func() machine.Scheduler { return sched.NewDFDeques(0) },
-		func() machine.Scheduler { return sched.NewFIFO() },
-		func() machine.Scheduler { return sched.NewADF(0) },
-	}
+	names := []string{"DFD-inf", "FIFO", "ADF"}
 	f := func(seed int64, procs uint8, pick uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randomSpec(rng, 4)
 		want := dag.Measure(spec)
 		p := int(procs%8) + 1
-		s := mk[int(pick)%len(mk)]()
-		m := machine.New(machine.Config{Procs: p, Seed: seed}, s)
+		m := machine.New(machine.Config{Procs: p, Seed: seed, Scheduler: names[int(pick)%len(names)]})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Log(err)
@@ -65,8 +59,7 @@ func TestQuickConservationWithQuota(t *testing.T) {
 		spec := randomSpec(rng, 4)
 		want := dag.Measure(spec)
 		k := int64(kSel%64)*16 + 16
-		s := sched.NewDFDeques(k)
-		m := machine.New(machine.Config{Procs: 4, Seed: seed}, s)
+		m := machine.New(machine.Config{Procs: 4, Seed: seed, Scheduler: "DFD", K: k})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Log(err)
@@ -102,8 +95,8 @@ func TestQuickSerialSpaceExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randomSpec(rng, 4)
 		want := dag.Measure(spec)
-		for _, s := range []machine.Scheduler{sched.NewDFDeques(0), sched.NewADF(0)} {
-			m := machine.New(machine.Config{Procs: 1, Seed: seed}, s)
+		for _, name := range []string{"DFD-inf", "ADF"} {
+			m := machine.New(machine.Config{Procs: 1, Seed: seed, Scheduler: name})
 			met, err := m.Run(spec)
 			if err != nil || met.HeapHW != want.HeapHW {
 				return false
@@ -124,25 +117,23 @@ func TestQuickFastForwardEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randomSpec(rng, 4)
 		p := int(procs%8) + 1
-		mkSched := func() machine.Scheduler {
-			switch pick % 3 {
-			case 0:
-				return sched.NewDFDeques(200)
-			case 1:
-				return sched.NewDFDeques(0)
-			default:
-				return sched.NewFIFO()
-			}
-		}
 		cfg := machine.Config{Procs: p, Seed: seed}
+		switch pick % 3 {
+		case 0:
+			cfg.Scheduler, cfg.K = "DFD", 200
+		case 1:
+			cfg.Scheduler = "DFD-inf"
+		default:
+			cfg.Scheduler = "FIFO"
+		}
 		if penalize {
 			cfg.StealLatency = 5
 			cfg.QueueLatency = 2
 		}
-		m1 := machine.New(cfg, mkSched())
+		m1 := machine.New(cfg)
 		a, err1 := m1.Run(spec)
 		cfg.DisableFastForward = true
-		m2 := machine.New(cfg, mkSched())
+		m2 := machine.New(cfg)
 		b, err2 := m2.Run(spec)
 		if (err1 == nil) != (err2 == nil) {
 			return false

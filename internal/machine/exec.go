@@ -8,8 +8,8 @@ import (
 
 // stepProc advances processor p's current thread by one unit of execution.
 // All scheduling events (fork, join-suspend, terminate, lock-block,
-// quota-preemption) are detected here and routed to the scheduler, which
-// returns the thread the processor runs next.
+// quota-preemption) are detected here and routed to the policy, which
+// picks the thread the processor runs next.
 func (m *Machine) stepProc(p *proc) {
 	t := p.curr
 	if t.AtEnd() {
@@ -42,21 +42,22 @@ func (m *Machine) stepProc(p *proc) {
 		}
 
 	case dag.OpAlloc:
-		if k := m.Sched.MemThreshold(); !in.Exempt && k > 0 && in.N > k {
+		if k := m.pol.Threshold(); !in.Exempt && k > 0 && in.N > k {
 			// Runtime big-allocation transformation (§3.3): delay the
 			// allocation behind ⌈N/K⌉ dummy threads. The rewrite consumes
 			// this timestep; the dummy tree's fork executes next.
 			m.spliceDummies(t, in.N, k)
 			return
 		}
-		if !in.Exempt && !m.Sched.ChargeAlloc(p.id, t, in.N) {
+		if !in.Exempt && !m.pol.Charge(p.id, in.N) {
 			// Memory quota exhausted: preempt without executing the
 			// allocation (§3.3 pseudocode, case "memory quota exhausted").
 			m.met.Preemptions++
 			m.trace(p.id, "preempt", t)
 			p.curr = nil
 			m.setReady(t)
-			m.Sched.OnPreempt(p.id, t)
+			m.pol.Preempt(p.id, t)
+			m.queueAccess(p.id)
 			return
 		}
 		m.heapLive += in.N
@@ -67,7 +68,7 @@ func (m *Machine) stepProc(p *proc) {
 
 	case dag.OpFree:
 		m.heapLive -= in.N
-		m.Sched.CreditFree(p.id, t, in.N)
+		m.pol.Credit(p.id, in.N)
 		m.met.Actions++
 		t.PC++
 		m.afterAdvance(p, t)
@@ -86,7 +87,7 @@ func (m *Machine) stepProc(p *proc) {
 		m.setReady(child) // provisional; resolve returns below
 		m.setReady(t)
 		p.curr = nil
-		next := m.Sched.OnFork(p.id, t, child)
+		next := m.fork(p.id, t, child)
 		m.resume(p, next)
 
 	case dag.OpJoin:
@@ -103,8 +104,8 @@ func (m *Machine) stepProc(p *proc) {
 		child.Waiter = t
 		m.setSuspended(t)
 		p.curr = nil
-		next := m.Sched.OnSuspend(p.id)
-		m.resume(p, next)
+		next, ok := m.pol.Next(p.id)
+		m.resume(p, m.took(p.id, next, ok))
 
 	case dag.OpAcquire:
 		l := m.lock(in.Lock)
@@ -125,8 +126,8 @@ func (m *Machine) stepProc(p *proc) {
 		l.waiters = append(l.waiters, t)
 		m.setBlocked(t)
 		p.curr = nil
-		next := m.Sched.OnSuspend(p.id)
-		m.resume(p, next)
+		next, ok := m.pol.Next(p.id)
+		m.resume(p, m.took(p.id, next, ok))
 
 	case dag.OpRelease:
 		l := m.lock(in.Lock)
@@ -141,7 +142,8 @@ func (m *Machine) stepProc(p *proc) {
 			// The waiter resumes *after* its acquire instruction.
 			w.PC++
 			m.setReady(w)
-			m.Sched.OnWake(p.id, w)
+			m.pol.Wake(p.id, w)
+			m.queueAccess(p.id)
 		}
 		m.met.Actions++
 		t.PC++
@@ -151,7 +153,7 @@ func (m *Machine) stepProc(p *proc) {
 		m.trace(p.id, "dummy", t)
 		m.met.Actions++
 		t.PC++
-		m.Sched.OnDummy(p.id)
+		m.pol.Dummy(p.id)
 		m.afterAdvance(p, t)
 
 	default:
@@ -175,18 +177,17 @@ func (m *Machine) afterAdvance(p *proc, t *Thread) {
 		woke = w
 	}
 	p.curr = nil
-	next := m.Sched.OnTerminate(p.id, t, woke)
-	m.resume(p, next)
+	m.resume(p, m.terminate(p.id, woke))
 }
 
-// resume installs the scheduler's chosen next thread on processor p, or
+// resume installs the policy's chosen next thread on processor p, or
 // leaves it idle when next is nil.
 func (m *Machine) resume(p *proc, next *Thread) {
 	if next == nil {
 		return
 	}
 	if next.State != Ready {
-		panic(fmt.Sprintf("machine: scheduler resumed thread %d in state %v", next.ID, next.State))
+		panic(fmt.Sprintf("machine: policy resumed thread %d in state %v", next.ID, next.State))
 	}
 	p.curr = next
 	m.setRunning(next)

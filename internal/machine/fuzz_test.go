@@ -5,7 +5,6 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 )
 
 // FuzzScheduleConservation decodes arbitrary bytes into a nested-parallel
@@ -26,29 +25,21 @@ func FuzzScheduleConservation(f *testing.F) {
 		if want.W > 200_000 {
 			t.Skip("program too large")
 		}
-		var s machine.Scheduler
-		switch pick % 3 {
-		case 0:
-			s = sched.NewDFDeques(0)
-		case 1:
-			s = sched.NewADF(0)
-		default:
-			s = sched.NewFIFO()
-		}
+		name := []string{"DFD-inf", "ADF", "FIFO"}[pick%3]
 		p := int(procs%8) + 1
-		m := machine.New(machine.Config{Procs: p, Seed: seed, MaxSteps: 10_000_000}, s)
+		m := machine.New(machine.Config{Procs: p, Seed: seed, MaxSteps: 10_000_000, Scheduler: name})
 		met, err := m.Run(spec)
 		if err != nil {
-			t.Fatalf("%s p=%d: %v", s.Name(), p, err)
+			t.Fatalf("%s p=%d: %v", name, p, err)
 		}
 		if met.Actions != want.W {
-			t.Fatalf("%s: actions %d != W %d", s.Name(), met.Actions, want.W)
+			t.Fatalf("%s: actions %d != W %d", name, met.Actions, want.W)
 		}
 		if met.TotalThreads != want.TotalThreads {
-			t.Fatalf("%s: threads %d != %d", s.Name(), met.TotalThreads, want.TotalThreads)
+			t.Fatalf("%s: threads %d != %d", name, met.TotalThreads, want.TotalThreads)
 		}
 		if m.HeapLive() != want.HeapEnd {
-			t.Fatalf("%s: heap imbalance %d != %d", s.Name(), m.HeapLive(), want.HeapEnd)
+			t.Fatalf("%s: heap imbalance %d != %d", name, m.HeapLive(), want.HeapEnd)
 		}
 	})
 }

@@ -9,6 +9,14 @@
 //     same timestep;
 //   - empty deques are deleted as soon as their owner goes idle.
 //
+// The machine drives the live runtime's own scheduling policies
+// (internal/policy: DFDeques, which is WS at K = ∞; ADF; FIFO), named by
+// Config.Scheduler, calling the policy at every scheduling event. It adds
+// only what belongs to the cost model: the steal round and its victim
+// draws from the machine's seeded rng, the queue-latency stalls, the
+// steal and local-dispatch counts, DFDeques' two ablation switches and
+// the §7 adaptive-K controller.
+//
 // On top of the pure model, optional realism extensions reproduce the
 // effects the paper measures on real hardware (§5): a per-processor LRU
 // cache with a miss penalty (locality → running time), latencies for
@@ -25,6 +33,7 @@ import (
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/om"
+	"dfdeques/internal/policy"
 )
 
 // Realism is the §5 cost model: per-processor caches with a miss penalty
@@ -51,6 +60,32 @@ func Realism(procs int, seed int64) Config {
 type Config struct {
 	Procs int   // number of processors (p ≥ 1)
 	Seed  int64 // seed for all scheduling randomness
+
+	// The scheduler, under the names dfdeques.SimConfig gives it.
+
+	// Scheduler is one of Names. "DFD-inf" and "WS" both name
+	// DFDeques(∞). Run refuses any other name.
+	Scheduler string
+	// K is the memory threshold in bytes of DFD and ADF (0 = ∞);
+	// DFD-inf, WS and FIFO have none and ignore it.
+	K int64
+	// StealFromTop, FullWindow and AdaptiveTarget are DFDeques variants;
+	// Run refuses them for ADF and FIFO. StealFromTop is an ablation:
+	// thieves pop the victim deque's top (its newest, finest thread)
+	// instead of the bottom, which the paper argues is "typically the
+	// coarsest thread in the queue" (§1). FullWindow is an ablation too:
+	// victims are drawn from all of R instead of the leftmost p deques,
+	// the window that keeps stolen threads close to the 1DF order and the
+	// Theorem 4.4 bound in force.
+	StealFromTop bool
+	FullWindow   bool
+	// AdaptiveTarget, when positive, turns on the controller the paper
+	// sketches as future work (§7: "dynamically set K to an appropriate
+	// value during the execution"): K doubles while the live heap stays
+	// under AdaptiveTarget/2 and halves while it exceeds AdaptiveTarget,
+	// clamped to [64 B, 16 MB]. K is the starting value, so Run refuses a
+	// target when the threshold is ∞.
+	AdaptiveTarget int64
 
 	// Cost-model extensions; all zero values give the paper's pure §4.1
 	// model.
@@ -164,9 +199,16 @@ type lockState struct {
 
 // Machine simulates one run of a computation under one scheduler.
 type Machine struct {
-	Cfg   Config
-	Rand  *rand.Rand
-	Sched Scheduler
+	Cfg Config
+
+	// The scheduler: pol is the policy the live runtime runs too. When it
+	// is DFDeques or ADF, dfd or adf holds it as well, for the
+	// serial-engine entries the steal round and the fork call.
+	pol       policy.Policy[*Thread]
+	dfd       *policy.DFD[*Thread]
+	adf       *policy.ADF[*Thread]
+	rng       *rand.Rand
+	adaptTick int64 // damping counter of the adaptive controller
 
 	procs []*proc
 	locks map[dag.LockID]*lockState
@@ -189,16 +231,14 @@ type Machine struct {
 // Config.SampleEvery intervals (nil if sampling was off).
 func (m *Machine) SpaceProfile() []int64 { return m.profile }
 
-// New builds a machine for the given scheduler and configuration. The
-// scheduler instance must not be shared between machines.
-func New(cfg Config, s Scheduler) *Machine {
+// New builds a machine for one run under cfg.
+func New(cfg Config) *Machine {
 	if cfg.Procs < 1 {
 		panic("machine: Procs must be ≥ 1")
 	}
 	m := &Machine{
 		Cfg:   cfg,
-		Rand:  rand.New(rand.NewSource(cfg.Seed)),
-		Sched: s,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		locks: make(map[dag.LockID]*lockState),
 	}
 	m.maxSteps = cfg.MaxSteps
@@ -212,12 +252,16 @@ func New(cfg Config, s Scheduler) *Machine {
 }
 
 // Run executes the computation rooted at spec to completion and returns
-// the run's metrics. Under a scheduler with a finite memory threshold,
+// the run's metrics. It refuses an unknown scheduler name and a DFDeques
+// variant on a scheduler that has none. Under a finite memory threshold,
 // allocations larger than the (possibly adaptive) current threshold are
 // rewritten at runtime with the dummy-thread transformation (§3.3: "this
 // transformation takes place at runtime").
 func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	if err := dag.Validate(spec); err != nil {
+		return Metrics{}, err
+	}
+	if err := m.newPolicy(); err != nil {
 		return Metrics{}, err
 	}
 	if m.Cfg.CheckInvariants && takesLocks(spec, map[*dag.ThreadSpec]bool{}) {
@@ -227,7 +271,7 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	root := m.newThread(spec, nil, false)
 	root.Prio = m.prios.PushBack()
 	m.setReady(root)
-	m.Sched.Init(m, root)
+	m.pol.Seed(root)
 
 	for m.liveThreads > 0 {
 		if m.met.Steps >= m.maxSteps {
@@ -243,7 +287,7 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 			}
 		}
 		if len(idle) > 0 {
-			m.Sched.StealRound(idle)
+			m.stealRound(idle)
 		}
 
 		// Execute phase: each processor advances one unit.
@@ -271,7 +315,7 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 		}
 
 		if m.Cfg.CheckInvariants {
-			if err := m.Sched.CheckInvariants(); err != nil {
+			if err := m.checkInvariants(); err != nil {
 				return m.met, fmt.Errorf("machine: after step %d: %w", m.met.Steps, err)
 			}
 		}
@@ -422,49 +466,7 @@ func (m *Machine) adjustCounts(from, to State) {
 	}
 }
 
-// --- services for schedulers -------------------------------------------
-
-// Assign gives thread t to processor p during a StealRound. It counts as a
-// successful steal and applies the configured steal latency.
-func (m *Machine) Assign(p int, t *Thread) {
-	pr := m.procs[p]
-	if pr.curr != nil {
-		panic("machine: Assign to a busy processor")
-	}
-	pr.curr = t
-	m.setRunning(t)
-	m.trace(p, "steal", t)
-	m.met.Steals++
-	pr.stall += m.Cfg.StealLatency
-}
-
-// NoteSteal records a successful shared acquisition that happened outside
-// a StealRound (global-queue schedulers dispatch from their shared queue
-// inside event hooks; those dispatches count toward the steal total used
-// for the scheduling-granularity measure).
-func (m *Machine) NoteSteal() { m.met.Steals++ }
-
-// Curr returns processor p's current thread (nil if idle). For invariant
-// checkers and tests.
-func (m *Machine) Curr(p int) *Thread { return m.procs[p].curr }
-
-// Stall adds n timesteps of stall to processor p (schedulers use this to
-// charge queue-contention latencies).
-func (m *Machine) Stall(p int, n int64) {
-	if n > 0 {
-		m.procs[p].stall += n
-	}
-}
-
-// NoteLocalDispatch records that processor p took a thread from its own
-// deque (for the §5.3 granularity ratio).
-func (m *Machine) NoteLocalDispatch() { m.met.LocalDispatches++ }
-
-// Procs returns the number of processors.
-func (m *Machine) Procs() int { return m.Cfg.Procs }
-
-// HeapLive returns the current net heap allocation in bytes (for the
-// adaptive-threshold controller).
+// HeapLive returns the current net heap allocation in bytes.
 func (m *Machine) HeapLive() int64 { return m.heapLive }
 
 // trace logs a scheduling event to the trace writer and the observer.

@@ -7,19 +7,11 @@ import (
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
-	"dfdeques/internal/sched"
 	"dfdeques/internal/workload"
 )
 
-// mkSchedulers returns fresh instances of every scheduler, keyed by name.
-func mkSchedulers(k int64) map[string]machine.Scheduler {
-	return map[string]machine.Scheduler{
-		"DFD":     sched.NewDFDeques(k),
-		"DFD-inf": sched.NewDFDeques(0),
-		"ADF":     sched.NewADF(k),
-		"FIFO":    sched.NewFIFO(),
-	}
-}
+// schedulers names every scheduler (DFDeques(∞) once: "WS" is "DFD-inf").
+var schedulers = []string{"DFD", "DFD-inf", "ADF", "FIFO"}
 
 func fibSpec(n int) *dag.ThreadSpec {
 	if n < 2 {
@@ -42,8 +34,8 @@ func allocTree(depth int, bytes int64) *dag.ThreadSpec {
 func TestAllSchedulersRunToCompletion(t *testing.T) {
 	spec := fibSpec(8)
 	want := dag.Measure(spec)
-	for name, s := range mkSchedulers(1 << 20) {
-		m := machine.New(machine.Config{Procs: 4, Seed: 1}, s)
+	for _, name := range schedulers {
+		m := machine.New(machine.Config{Procs: 4, Seed: 1, Scheduler: name, K: 1 << 20})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -66,8 +58,7 @@ func TestSingleProcessorIsSerialTime(t *testing.T) {
 	spec := fibSpec(6)
 	want := dag.Measure(spec)
 	for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
-		s := mkSchedulers(1 << 20)[name]
-		m := machine.New(machine.Config{Procs: 1, Seed: 2}, s)
+		m := machine.New(machine.Config{Procs: 1, Seed: 2, Scheduler: name, K: 1 << 20})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -85,8 +76,8 @@ func TestSerialSpaceMatchesS1OnDepthFirstSchedulers(t *testing.T) {
 	spec := allocTree(5, 1000)
 	want := dag.Measure(spec)
 	for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
-		s := mkSchedulers(1 << 30)[name] // quota too large to preempt
-		m := machine.New(machine.Config{Procs: 1, Seed: 3}, s)
+		// A quota too large to preempt.
+		m := machine.New(machine.Config{Procs: 1, Seed: 3, Scheduler: name, K: 1 << 30})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -99,10 +90,9 @@ func TestSerialSpaceMatchesS1OnDepthFirstSchedulers(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	spec := fibSpec(9)
-	for name := range mkSchedulers(50000) {
+	for _, name := range schedulers {
 		run := func() machine.Metrics {
-			s := mkSchedulers(50000)[name]
-			m := machine.New(machine.Config{Procs: 8, Seed: 77}, s)
+			m := machine.New(machine.Config{Procs: 8, Seed: 77, Scheduler: name, K: 50000})
 			met, err := m.Run(spec)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -120,7 +110,7 @@ func TestSeedChangesSchedule(t *testing.T) {
 	spec := fibSpec(10)
 	results := map[int64]machine.Metrics{}
 	for seed := int64(0); seed < 4; seed++ {
-		m := machine.New(machine.Config{Procs: 8, Seed: seed}, sched.NewDFDeques(100))
+		m := machine.New(machine.Config{Procs: 8, Seed: seed, Scheduler: "DFD", K: 100})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -138,8 +128,8 @@ func TestSeedChangesSchedule(t *testing.T) {
 
 func TestHeapBalancedAtEnd(t *testing.T) {
 	spec := allocTree(4, 500)
-	for name, s := range mkSchedulers(200) {
-		m := machine.New(machine.Config{Procs: 4, Seed: 5}, s)
+	for _, name := range schedulers {
+		m := machine.New(machine.Config{Procs: 4, Seed: 5, Scheduler: name, K: 200})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -153,7 +143,7 @@ func TestHeapBalancedAtEnd(t *testing.T) {
 func TestDummyTransformationRuns(t *testing.T) {
 	// One huge allocation: K=100, alloc 1000 → 10 dummy leaves.
 	spec := dag.NewThread("big").Alloc(1000).Work(10).Free(1000).Spec()
-	m := machine.New(machine.Config{Procs: 2, Seed: 6}, sched.NewDFDeques(100))
+	m := machine.New(machine.Config{Procs: 2, Seed: 6, Scheduler: "DFD", K: 100})
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +163,7 @@ func TestDummyTransformationRuns(t *testing.T) {
 func TestNoDummiesWithoutQuota(t *testing.T) {
 	spec := dag.NewThread("big").Alloc(1 << 20).Work(10).Free(1 << 20).Spec()
 	for _, name := range []string{"FIFO", "DFD-inf"} {
-		s := mkSchedulers(0)[name]
-		m := machine.New(machine.Config{Procs: 2, Seed: 7}, s)
+		m := machine.New(machine.Config{Procs: 2, Seed: 7, Scheduler: name})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -196,7 +185,7 @@ func TestQuotaPreemption(t *testing.T) {
 	// frees within one thread to drain it:
 	chain := dag.NewThread("chain").Alloc(60).Alloc(60).Free(60).Free(60).Spec()
 	_ = leaf
-	m := machine.New(machine.Config{Procs: 1, Seed: 8}, sched.NewDFDeques(100))
+	m := machine.New(machine.Config{Procs: 1, Seed: 8, Scheduler: "DFD", K: 100})
 	met, err := m.Run(chain)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +201,7 @@ func TestNetQuotaCreditsFrees(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Alloc(60).Free(60)
 	}
-	m := machine.New(machine.Config{Procs: 1, Seed: 9}, sched.NewDFDeques(100))
+	m := machine.New(machine.Config{Procs: 1, Seed: 9, Scheduler: "DFD", K: 100})
 	met, err := m.Run(b.Spec())
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +217,8 @@ func TestLocksBlockingMode(t *testing.T) {
 		return dag.NewThread("crit").Acquire(1).Work(20).Release(1).Spec()
 	}
 	root := dag.Par2("locks", crit(), crit())
-	for name, s := range mkSchedulers(1 << 20) {
-		m := machine.New(machine.Config{Procs: 2, Seed: 10}, s)
+	for _, name := range schedulers {
+		m := machine.New(machine.Config{Procs: 2, Seed: 10, Scheduler: name, K: 1 << 20})
 		met, err := m.Run(root)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -245,7 +234,7 @@ func TestLocksSpinMode(t *testing.T) {
 		return dag.NewThread("crit").Acquire(1).Work(50).Release(1).Spec()
 	}
 	root := dag.Par2("locks", crit(), crit())
-	m := machine.New(machine.Config{Procs: 2, Seed: 11, SpinLocks: true}, sched.NewDFDeques(0))
+	m := machine.New(machine.Config{Procs: 2, Seed: 11, SpinLocks: true, Scheduler: "DFD-inf"})
 	met, err := m.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +255,9 @@ func TestCacheModelChargesMisses(t *testing.T) {
 		Seed:        12,
 		MissPenalty: 10,
 		Cache:       cache.Config{CapacityBytes: 8192, LineBytes: 64},
+		Scheduler:   "DFD-inf",
 	}
-	m := machine.New(cfg, sched.NewDFDeques(0))
+	m := machine.New(cfg)
 	met, err := m.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +270,7 @@ func TestCacheModelChargesMisses(t *testing.T) {
 	}
 	// Compare with a no-cache run: time must be strictly larger with
 	// penalties.
-	m2 := machine.New(machine.Config{Procs: 2, Seed: 12}, sched.NewDFDeques(0))
+	m2 := machine.New(machine.Config{Procs: 2, Seed: 12, Scheduler: "DFD-inf"})
 	met2, err := m2.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +282,7 @@ func TestCacheModelChargesMisses(t *testing.T) {
 
 func TestStackBytesCharged(t *testing.T) {
 	spec := fibSpec(7)
-	m := machine.New(machine.Config{Procs: 4, Seed: 13, StackBytes: 8192}, sched.NewFIFO())
+	m := machine.New(machine.Config{Procs: 4, Seed: 13, StackBytes: 8192, Scheduler: "FIFO"})
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -308,16 +298,16 @@ func TestFIFOIsBreadthFirst(t *testing.T) {
 	leaf := func(int) *dag.ThreadSpec { return dag.NewThread("leaf").Work(20).Spec() }
 	root := dag.ParFor("wide", 256, leaf)
 
-	run := func(s machine.Scheduler) int64 {
-		m := machine.New(machine.Config{Procs: 4, Seed: 14}, s)
+	run := func(name string, k int64) int64 {
+		m := machine.New(machine.Config{Procs: 4, Seed: 14, Scheduler: name, K: k})
 		met, err := m.Run(root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return met.MaxLiveThreads
 	}
-	fifoLive := run(sched.NewFIFO())
-	dfdLive := run(sched.NewDFDeques(50000))
+	fifoLive := run("FIFO", 0)
+	dfdLive := run("DFD", 50000)
 	if fifoLive < 4*dfdLive {
 		t.Errorf("FIFO live=%d vs DFD live=%d: expected breadth-first blowup", fifoLive, dfdLive)
 	}
@@ -339,11 +329,11 @@ func TestMissRateAndGranularityHelpers(t *testing.T) {
 
 func TestStealLatencyDelaysStart(t *testing.T) {
 	spec := fibSpec(6)
-	base, err := machine.New(machine.Config{Procs: 4, Seed: 15}, sched.NewDFDeques(50000)).Run(spec)
+	base, err := machine.New(machine.Config{Procs: 4, Seed: 15, Scheduler: "DFD", K: 50000}).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := machine.New(machine.Config{Procs: 4, Seed: 15, StealLatency: 20}, sched.NewDFDeques(50000)).Run(spec)
+	slow, err := machine.New(machine.Config{Procs: 4, Seed: 15, StealLatency: 20, Scheduler: "DFD", K: 50000}).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,16 +344,16 @@ func TestStealLatencyDelaysStart(t *testing.T) {
 
 func TestQueueLatencyHurtsGlobalQueueSchedulers(t *testing.T) {
 	spec := fibSpec(9)
-	run := func(s machine.Scheduler, ql int64) int64 {
-		m := machine.New(machine.Config{Procs: 8, Seed: 16, QueueLatency: ql}, s)
+	run := func(ql int64) int64 {
+		m := machine.New(machine.Config{Procs: 8, Seed: 16, QueueLatency: ql, Scheduler: "FIFO"})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return met.Steps
 	}
-	fifoSlow := run(sched.NewFIFO(), 8)
-	fifoFast := run(sched.NewFIFO(), 0)
+	fifoSlow := run(8)
+	fifoFast := run(0)
 	if fifoSlow <= fifoFast {
 		t.Errorf("queue latency did not slow FIFO: %d vs %d", fifoSlow, fifoFast)
 	}
@@ -371,7 +361,7 @@ func TestQueueLatencyHurtsGlobalQueueSchedulers(t *testing.T) {
 
 func TestMaxStepsGuard(t *testing.T) {
 	spec := fibSpec(12)
-	m := machine.New(machine.Config{Procs: 2, Seed: 17, MaxSteps: 10}, sched.NewDFDeques(0))
+	m := machine.New(machine.Config{Procs: 2, Seed: 17, MaxSteps: 10, Scheduler: "DFD-inf"})
 	if _, err := m.Run(spec); err == nil {
 		t.Fatal("expected MaxSteps error")
 	}
@@ -379,7 +369,7 @@ func TestMaxStepsGuard(t *testing.T) {
 
 func TestInvalidSpecRejected(t *testing.T) {
 	bad := &dag.ThreadSpec{Instrs: []dag.Instr{{Op: dag.OpJoin}}}
-	m := machine.New(machine.Config{Procs: 1, Seed: 18}, sched.NewDFDeques(0))
+	m := machine.New(machine.Config{Procs: 1, Seed: 18, Scheduler: "DFD-inf"})
 	if _, err := m.Run(bad); err == nil {
 		t.Fatal("expected validation error")
 	}
@@ -391,10 +381,45 @@ func TestInvalidSpecRejected(t *testing.T) {
 // reporting a broken lemma as a scheduler bug partway through.
 func TestCheckInvariantsRefusesLocks(t *testing.T) {
 	spec := workload.BarnesHut(workload.Fine)
-	for name, s := range mkSchedulers(3000) {
-		met, err := machine.New(machine.Config{Procs: 8, Seed: 1, CheckInvariants: true}, s).Run(spec)
+	for _, name := range schedulers {
+		met, err := machine.New(machine.Config{Procs: 8, Seed: 1, Scheduler: name, K: 3000, CheckInvariants: true}).Run(spec)
 		if err == nil || !strings.Contains(err.Error(), "takes locks") || met.Steps != 0 {
 			t.Errorf("%s: Run = %d steps, %v; want a refusal naming the locks before step 1", name, met.Steps, err)
+		}
+	}
+}
+
+// TestRunRefusesUnknownSchedulersAndVariants: Run refuses, before step 1,
+// a scheduler name outside machine.Names, each DFDeques variant on ADF and
+// on FIFO, and AdaptiveTarget where the threshold is ∞; the variants
+// themselves run on DFDeques.
+func TestRunRefusesUnknownSchedulersAndVariants(t *testing.T) {
+	spec := fibSpec(6)
+	refused := []machine.Config{{Scheduler: ""}, {Scheduler: "nope"}, {Scheduler: "dfd"}, {Scheduler: "Cilk"}}
+	for _, name := range []string{"ADF", "FIFO"} {
+		refused = append(refused,
+			machine.Config{Scheduler: name, K: 3000, StealFromTop: true},
+			machine.Config{Scheduler: name, K: 3000, FullWindow: true},
+			machine.Config{Scheduler: name, K: 3000, AdaptiveTarget: 1 << 16})
+	}
+	refused = append(refused,
+		machine.Config{Scheduler: "DFD-inf", K: 3000, AdaptiveTarget: 1 << 16},
+		machine.Config{Scheduler: "WS", K: 3000, AdaptiveTarget: 1 << 16},
+		machine.Config{Scheduler: "DFD", AdaptiveTarget: 1 << 16})
+	for _, cfg := range refused {
+		cfg.Procs = 2
+		if met, err := machine.New(cfg).Run(spec); err == nil || met.Steps != 0 {
+			t.Errorf("%+v: Run = %d steps, %v; want a refusal before step 1", cfg, met.Steps, err)
+		}
+	}
+	for _, cfg := range []machine.Config{
+		{Scheduler: "DFD", K: 3000, StealFromTop: true, FullWindow: true, AdaptiveTarget: 1 << 16},
+		{Scheduler: "DFD-inf", StealFromTop: true, FullWindow: true},
+		{Scheduler: "WS", StealFromTop: true, FullWindow: true},
+	} {
+		cfg.Procs = 2
+		if _, err := machine.New(cfg).Run(spec); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 		}
 	}
 }

@@ -43,15 +43,13 @@ func (q *FIFOQueue[T]) Pop() (T, bool) {
 // breadth-first — which is what blows up the number of simultaneously
 // live threads (Fig. 11).
 //
-// FIFO has no memory quota (Charge never vetoes: nothing would ever
-// replenish a vetoed dispatch's quota, so a veto would requeue the thread
-// forever), but it keeps the dummy-thread Threshold so the big-allocation
-// transformation still delays large allocations uniformly across
-// policies.
+// FIFO has no memory threshold, as in the paper's Pthreads library: Charge
+// never vetoes (nothing would ever replenish a vetoed dispatch's quota, so
+// a veto would requeue the thread forever), and Threshold is 0, so no
+// allocation is delayed behind dummy threads. Both engines run it so.
 type FIFO[T any] struct {
 	mu queueLock
 	q  FIFOQueue[T]
-	k  int64
 
 	// Tracing (nil probe: disabled); queue events are recorded under mu.
 	probe rtrace.Probe
@@ -61,8 +59,8 @@ type FIFO[T any] struct {
 	steals atomic.Int64
 }
 
-// NewFIFO builds a FIFO policy with dummy-thread threshold k.
-func NewFIFO[T any](k int64) *FIFO[T] { return &FIFO[T]{k: k} }
+// NewFIFO builds a FIFO policy.
+func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
 
 // Instrument attaches a trace probe (see internal/rtrace). Call before
 // the policy is shared.
@@ -78,8 +76,8 @@ func (f *FIFO[T]) MeasureLockWait() { f.mu.timeWait = true }
 // Name implements Policy.
 func (f *FIFO[T]) Name() string { return "FIFO" }
 
-// Threshold implements Policy.
-func (f *FIFO[T]) Threshold() int64 { return f.k }
+// Threshold implements Policy: no threshold.
+func (f *FIFO[T]) Threshold() int64 { return 0 }
 
 // Seed implements Policy.
 func (f *FIFO[T]) Seed(t T) { f.push(-1, t) }

@@ -152,7 +152,7 @@ func TestADFInjectPriorityOrder(t *testing.T) {
 // injected roots join the tail and come back in arrival order, like any
 // forked thread.
 func TestFIFOInjectArrivalOrder(t *testing.T) {
-	f := policy.NewFIFO[int](0)
+	f := policy.NewFIFO[int]()
 	for _, v := range []int{20, 30, 10} {
 		f.Inject(v)
 	}

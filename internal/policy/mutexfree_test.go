@@ -65,7 +65,7 @@ func TestStealPathMutexFree(t *testing.T) {
 	defer runtime.SetMutexProfileFraction(old)
 
 	const thieves = 3
-	d := deque.NewDeque[int]()
+	d := new(deque.Deque[int])
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for range thieves {

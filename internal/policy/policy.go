@@ -8,10 +8,10 @@
 //
 //   - the real concurrent runtime (internal/grt), which forks
 //     parent-first;
-//   - the serial machine simulator (internal/machine + internal/sched),
-//     which forks child-first (ForkCont with the roles swapped) and keeps
-//     only the §4.1 cost model: per-timestep steal arbitration, victim
-//     draws from its seeded rng, queue-latency stalls.
+//   - the serial machine simulator (internal/machine), which forks
+//     child-first (ForkCont with the roles swapped) and adds only the
+//     §4.1 cost model: per-timestep steal arbitration, victim draws from
+//     its seeded rng, queue-latency stalls.
 //
 // Where the cost model needs a rule of its own, the simulator calls a
 // serial-engine entry, never a setting: NewSerialDFD (a give-up leaves its

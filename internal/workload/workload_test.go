@@ -236,7 +236,7 @@ func TestQuicksortSpaceOrderingAcrossSchedulers(t *testing.T) {
 	// The §2.1 example behaves like the other d&c benchmarks: quota
 	// schedulers bound its buffer blow-up.
 	spec := Quicksort(Fine)
-	// (runs through the machine simulator in internal/sched tests; here
+	// (runs through the machine simulator in internal/machine tests; here
 	// just pin determinism)
 	a, b := dag.Measure(spec), dag.Measure(Quicksort(Fine))
 	if a != b {

@@ -20,7 +20,8 @@ type RuntimeConfig struct {
 	// K is the memory threshold in bytes; 0 means no quota (∞). For
 	// DFDeques it bounds net allocation per steal; for ADF, per thread
 	// dispatch. WS takes no K — it is DFDeques(∞) by definition, so a
-	// nonzero K with SchedWS is a configuration error.
+	// nonzero K with SchedWS is a configuration error. FIFO has no
+	// threshold and ignores K.
 	K int64
 	// Seed drives steal-victim randomness.
 	Seed int64
