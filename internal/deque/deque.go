@@ -4,7 +4,7 @@
 // processors steal from the bottom (PopBottom), which holds the thread
 // with the lowest 1DF priority in the deque — typically the coarsest
 // thread. The ordered list R of deques, and which processor owns which
-// deque, are the scheduler's (core.SharedPool); a Deque knows nothing of
+// deque, are the scheduler's (policy.DFD); a Deque knows nothing of
 // them.
 package deque
 

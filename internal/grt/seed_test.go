@@ -3,8 +3,8 @@ package grt_test
 import (
 	"testing"
 
-	"dfdeques/internal/core"
 	"dfdeques/internal/grt"
+	"dfdeques/internal/policy"
 )
 
 // seedWorkload is an irregular divide-and-conquer tree: enough fork
@@ -62,13 +62,13 @@ func TestSeedDeterminism(t *testing.T) {
 // seed-sensitive, and distinct across workers (so workers do not march
 // through one shared victim sequence in lockstep).
 func TestWorkerSeedStreams(t *testing.T) {
-	if a, b := core.WorkerSeed(7, 3), core.WorkerSeed(7, 3); a != b {
+	if a, b := policy.WorkerSeed(7, 3), policy.WorkerSeed(7, 3); a != b {
 		t.Fatalf("WorkerSeed is not a pure function: %d vs %d", a, b)
 	}
 	seen := map[int64]bool{}
 	for _, seed := range []int64{0, 1, 7, -5} {
 		for w := 0; w < 8; w++ {
-			s := core.WorkerSeed(seed, w)
+			s := policy.WorkerSeed(seed, w)
 			if seen[s] {
 				t.Fatalf("WorkerSeed(%d, %d) = %d collides with an earlier stream", seed, w, s)
 			}

@@ -19,9 +19,9 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 //
 // Each decision takes only the locks the policy internally needs: the R
 // spine on a steal or a give-up (one section for a give-up and its steal),
-// the queue mutex on a queue take, nothing at all for fork, own-deque pops,
+// the queue lock on a queue take, nothing at all for fork, own-deque pops,
 // or alloc/free — deque item operations are lock-free end to end. Those
-// locks are leaves (see core.SharedPool; deques carry no lock): the
+// locks are leaves (see policy.DFD; deques carry no lock): the
 // priority comparison called under them (prioLess) takes no lock. The idle
 // protocol's mu is only ever held to park or wake idle workers (idle.go),
 // never while consulting the policy.

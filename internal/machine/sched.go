@@ -197,7 +197,7 @@ func (m *Machine) took(p int, t *Thread, ok bool) *Thread {
 }
 
 // checkInvariants checks the scheduler's invariants: Lemma 3.1 over R
-// (core.SharedPool.CheckInvariants) for DFDeques, a priority-sorted ready
+// (policy.DFD.CheckInvariants) for DFDeques, a priority-sorted ready
 // queue for ADF, nothing for FIFO.
 func (m *Machine) checkInvariants() error {
 	switch {

@@ -61,7 +61,7 @@ func TestDummyArithmetic(t *testing.T) {
 }
 
 func TestPrioQueueOrders(t *testing.T) {
-	q := policy.NewPrioQueue(func(a, b int) bool { return a < b })
+	q := policy.NewQueue(func(a, b int) bool { return a < b })
 	for _, v := range []int{5, 1, 4, 1, 3, 9, 2} {
 		q.Insert(v)
 	}
@@ -82,15 +82,16 @@ func TestPrioQueueOrders(t *testing.T) {
 }
 
 func TestFIFOQueueOrderAndCompaction(t *testing.T) {
-	var q policy.FIFOQueue[int]
+	// FIFO's order: nothing ranks above anything, so every insert appends.
+	q := policy.NewQueue(func(a, b int) bool { return false })
 	// Enough traffic to trigger the consumed-prefix compaction (> 1024).
 	next := 0
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 100; i++ {
-			q.Push(round*100 + i)
+			q.Insert(round*100 + i)
 		}
 		for i := 0; i < 100; i++ {
-			v, ok := q.Pop()
+			v, ok := q.Take()
 			if !ok || v != next {
 				t.Fatalf("pop = (%d, %v), want %d", v, ok, next)
 			}

@@ -18,10 +18,17 @@ if go list -f '{{join .Imports "\n"}}' ./internal/grt | grep -q 'internal/om$'; 
     exit 1
 fi
 # The deque is one processor's deque and nothing else: R, ownership and
-# trace IDs are core.SharedPool's. An import of another package of this
-# module means scheduler state is creeping back into it.
+# trace IDs are policy.DFD's. An import of another package of this module
+# means scheduler state is creeping back into it.
 if go list -f '{{join .Imports "\n"}}' ./internal/deque | grep -q '^dfdeques/'; then
     echo "internal/deque imports a package of this module" >&2
+    exit 1
+fi
+# R's members are the policy's: no package but internal/policy builds
+# deques into a ready structure of its own (tests aside).
+importers=$(go list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep ' dfdeques/internal/deque\( \|$\)' | cut -d' ' -f1 | grep -v '^dfdeques/internal/policy$' || true)
+if [ -n "$importers" ]; then
+    echo "internal/deque imported outside internal/policy: $importers" >&2
     exit 1
 fi
 # staticcheck when available (CI installs it; local runs skip silently so
@@ -45,7 +52,7 @@ if [ "$sum" != "$(cat scripts/simmatrix.sha256)" ]; then
     echo "simulator matrix differs from scripts/simmatrix.sha256" >&2
     exit 1
 fi
-go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
+go test -race ./internal/grt/... ./internal/deque/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
 # Serving-layer soak (short mode): 8 tenants over HTTP with one hog that
 # mixes never-fitting whales with jobs that fit its budget, asserting
 # isolation (cost-shed 429s for the hog only, its fitting jobs still
@@ -77,7 +84,7 @@ go test -race -run 'Cancel|Shutdown|Drain' -count=5 ./internal/grt/...
 # hammer (bursts of Submits into a pool gone fully idle, each revived by
 # one signal and the hunters' hand-offs), of the trace-derived
 # deque high-water against the pool's and the pinned one-worker streams,
-# with the pool's and the policy's own: thieves racing GiveUpSteal and the
+# with the policy's own: thieves racing GiveUpSteal and the
 # first pushes and pops on a taken-over deque under the Lemma 3.1 checker,
 # the ready count never negative, the remembered steal handed over exactly
 # once; and of the job lifecycle without per-job goroutines: a context
@@ -90,6 +97,6 @@ for i in 1 2; do
     sh -c 'while :; do :; done' &
     hogs="$hogs $!"
 done
-GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestGrtParkBackoffBursts|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp|TestCancelAfterFinishIsANoOp|TestCancelRacesJobEnd|TestSubmitStartsNoWatcherGoroutine|TestAdmittedJobsStartNoGoroutines|TestDrainFinishesOrFailsEveryJob' ./internal/rtrace/ ./internal/grt/ ./internal/core/ ./internal/policy/ ./internal/serve/
+GOMAXPROCS=8 go test -race -count=20 -run 'TestVerify|TestScenario|TestSubmitConcurrentWithRunningJob|TestForkPathMutexFree|TestCancelNeverPoolsPoisonedFrames|Deadlock|TestGiveUp|TestBlockRacesItsWake|TestBlockCancelRacesItsWake|TestReadyWorkNeverWaitsOnABusyWorker|TestGrtParkBackoffBursts|TestTraceDequeHighWater|TestOneWorkerTraceIsPinned|TestSharedGiveUpSteal|TestSharedPublish|TestSharedTakeover|TestDFDGiveUp|TestCancelAfterFinishIsANoOp|TestCancelRacesJobEnd|TestSubmitStartsNoWatcherGoroutine|TestAdmittedJobsStartNoGoroutines|TestDrainFinishesOrFailsEveryJob' ./internal/rtrace/ ./internal/grt/ ./internal/policy/ ./internal/serve/
 # Size gate (ROADMAP item 6): non-test Go outside bench/.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
