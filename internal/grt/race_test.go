@@ -287,7 +287,7 @@ func TestGrtRaceRepeatedRuns(t *testing.T) {
 
 // TestGrtStatsContention checks the contention counters are wired: every
 // policy counts its serializing lock's acquisitions (the R spine, the
-// ADF/FIFO queue mutex) and reports the time spent waiting for it exactly
+// ADF/FIFO queue lock) and reports the time spent waiting for it exactly
 // when measurement is on.
 func TestGrtStatsContention(t *testing.T) {
 	run := func(kind grt.Kind, measure bool) grt.Stats {

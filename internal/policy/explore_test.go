@@ -14,7 +14,7 @@ import (
 // random ones. A sequence is a list of moves; a move is one scheduling
 // event on one worker — fork (ForkCont), join (JoinPop, else park or end),
 // quota preemption (Preempt), a dummy's end (Dummy + Terminate), a steal
-// (Acquire), a lock block and a lock wake (PushWoken) — or one from
+// (Acquire), a lock block and a lock wake (Wake) — or one from
 // outside the workers: a job root's Inject and the cancel sweep, after
 // which every thread joins its children and ends without making more
 // work. Each sequence is replayed from a fresh policy, and after every
@@ -84,9 +84,9 @@ type explore struct {
 	drainAt  int // index in trail where drain began, -1 before
 	// unordered is set once a wake or the cancel sweep has published a
 	// thread: those land in R by a rule outside the nested-parallel model
-	// (PushWoken compares only unowned tops, the sweep appends), so from
-	// then on only Lemma 3.1(3), the order across deques, may fail, and
-	// relaxed counts the checks where it did.
+	// (Wake compares only unowned tops and the waker's own, the sweep
+	// appends), so from then on only Lemma 3.1(3), the order across
+	// deques, may fail, and relaxed counts the checks where it did.
 	unordered bool
 	relaxed   int
 }
