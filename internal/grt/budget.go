@@ -13,6 +13,12 @@ import (
 // the last of them retires.
 var ErrBudget = errors.New("grt: memory budget exceeded")
 
+// ErrUncoveredFree is the error of budgeted jobs canceled because a Free
+// would have taken their live heap below zero: bytes the job does not
+// hold. The free is not applied, so the job lends its Budget no credit;
+// the job is poisoned like an ErrBudget kill, but not counted as one.
+var ErrUncoveredFree = errors.New("grt: free of bytes the job does not hold")
+
 // Budget is a shared memory-accounting group: every job submitted with
 // one (SubmitWith) charges its Alloc/Free traffic against the group's
 // live-heap balance in addition to its own JobStats. It is the serving

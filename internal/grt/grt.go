@@ -123,8 +123,9 @@ type Config struct {
 	// critical section costs two clock reads per scheduling event, which
 	// would distort the very benchmarks the counters exist to explain.
 	MeasureContention bool
-	// Probe receives one event per scheduling action (see internal/rtrace
-	// for the event model); nil disables recording. Pass an
+	// Probe receives one record, or one burst of records (rtrace.Expand),
+	// per scheduling decision (see internal/rtrace for the event model);
+	// nil disables recording. Pass an
 	// *rtrace.Recorder to capture a run for export or replay verification
 	// — Run stamps the recorder's metadata automatically.
 	Probe rtrace.Probe
@@ -346,7 +347,7 @@ func New(cfg Config) (*Runtime, error) {
 				K: rt.threshold, Seed: cfg.Seed, Engine: rtrace.EngineCont,
 			})
 		}
-		rt.pol.Instrument(cfg.Probe, func(t *T) int64 { return t.tid })
+		rt.pol.Instrument(cfg.Probe, func(t *T) int64 { return t.tid }, func(t *T) bool { return t.leaves == 1 })
 	}
 
 	for w := 0; w < cfg.Workers; w++ {
@@ -693,12 +694,18 @@ func (t *T) promote(flavor int64) bool {
 	if t.started.Load() {
 		return false
 	}
+	t.rt.trace(t.w, rtrace.EvPromote, t.tid, flavor, 0)
+	t.start()
+	return true
+}
+
+// start is promote's change without its record: a resume channel if no
+// earlier life left t one, and the started mark.
+func (t *T) start() {
 	if t.resume == nil {
 		t.resume = make(chan struct{}, 1)
 	}
-	t.rt.trace(t.w, rtrace.EvPromote, t.tid, flavor, 0)
 	t.started.Store(true)
-	return true
 }
 
 // handBack returns worker w's role to it with next, the thread w runs
@@ -820,12 +827,7 @@ func (t *T) fork(body func(*T), leaves int64) *T {
 	}
 	rt := t.rt
 	rt.noteFork(t, child)
-	var isDummy int64
-	if leaves == 1 {
-		isDummy = 1
-	}
-	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, isDummy)
-	rt.pol.ForkCont(t.w, t, child)
+	rt.pol.ForkCont(t.w, t, child) // records the fork
 	rt.idle.signal()
 	return child
 }
@@ -861,12 +863,10 @@ func (t *T) Join(h *T) {
 		if t.job.poisoned.Load() {
 			panic(poisonSentinel)
 		}
-		if !h.started.Load() && rt.pol.JoinPop(t.w, h) {
+		if !h.started.Load() && rt.pol.JoinPop(t.w, t, h) {
 			// The parent logically suspends and the child is dispatched
-			// in its place — the same block/dispatch pair a suspended
-			// join emits, so dispatch conservation holds.
-			rt.trace(t.w, rtrace.EvBlock, t.tid, rtrace.BlockJoin, h.tid)
-			rt.trace(t.w, rtrace.EvDispatch, h.tid, rtrace.SrcInline, 0)
+			// in its place — JoinPop records the same block/dispatch pair
+			// a suspended join emits, so dispatch conservation holds.
 			t.joinInline(h)
 			// The child ran to completion in this frame; skip the
 			// loop-top re-check and release it directly.
@@ -900,15 +900,17 @@ func (t *T) joinInline(c *T) {
 		// worker mid-body; its w is then the chain's current worker, and
 		// the parent inherits it.
 		t.w = c.w
-		rt.trace(c.w, rtrace.EvComplete, c.tid, 0, 0)
-		// finish() minus the waiter hand-off: an inline child has none.
+		// finish() minus the waiter hand-off: an inline child has none, so
+		// no other worker observes its end, and its completion and the
+		// parent's dispatch are one burst.
 		c.done.Store(true)
 		c.job.live.Add(-1)
 		w := t.w
 		if c.leaves != 1 {
-			rt.trace(w, rtrace.EvDispatch, t.tid, rtrace.SrcTerminate, 0)
+			rt.trace(w, rtrace.BurstReturnInline, c.tid, t.tid, 0)
 			return
 		}
+		rt.trace(w, rtrace.EvComplete, c.tid, 0, 0)
 		rt.trace(w, rtrace.EvIdle, 0, 0, 0) // ahead of the steal the give-up makes
 		if next, ok := rt.pol.Terminate(w, t, true); !ok {
 			t.resteal(w) // DFDeques: t is pushed, the deque given up, a steal tried
@@ -961,11 +963,14 @@ func (t *T) Alloc(n int64) {
 			return
 		}
 		w := t.w
-		t.promote(1)
+		// A first stop promotes t (flavor 1); Preempt records that with
+		// the veto, and the turn to stealing ahead of its steal.
+		promoted := !t.started.Load()
+		if promoted {
+			t.start()
+		}
 		t.job.preempts.Add(1)
-		rt.trace(w, rtrace.EvQuotaExhaust, t.tid, n, 0)
-		rt.trace(w, rtrace.EvIdle, 0, 0, 0) // ahead of the steal Preempt makes
-		rt.pol.Preempt(w, t)
+		rt.pol.Preempt(w, t, n, promoted)
 		t.resteal(w)
 	}
 }

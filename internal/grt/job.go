@@ -164,11 +164,19 @@ func (j *Job) fail(err error) {
 
 // charge adjusts the job's heap accounting, and its budget's when it has
 // one; a charge that overruns the budget cancels the job with ErrBudget.
-// Lock-free unless it kills (cancel takes extMu); callers hold no lock.
+// A budgeted job's free that would take its live heap below zero is
+// undone before the budget sees it, and cancels the job with
+// ErrUncoveredFree: credit the job does not hold would raise the limit for
+// its tenant's other jobs. Lock-free unless it kills (cancel takes extMu);
+// callers hold no lock.
 func (j *Job) charge(n int64) {
 	v := j.heapLive.Add(n)
 	if n > 0 {
 		atomicMax(&j.heapHW, v)
+	} else if v < 0 && j.budget != nil {
+		j.heapLive.Add(-n)
+		j.cancel(ErrUncoveredFree)
+		return
 	}
 	if j.budget != nil && j.budget.charge(n) {
 		j.budget.kill(j)

@@ -56,7 +56,7 @@ func (m *Machine) stepProc(p *proc) {
 			m.trace(p.id, "preempt", t)
 			p.curr = nil
 			m.setReady(t)
-			m.pol.Preempt(p.id, t)
+			m.pol.Preempt(p.id, t, in.N, false)
 			m.queueAccess(p.id)
 			return
 		}

@@ -34,13 +34,6 @@ func (a *ADF[T]) Seed(t T) { a.insert(-1, t) }
 // mid-run injection.
 func (a *ADF[T]) Inject(t T) { a.insert(-1, t) }
 
-// ForkCont implements Policy: the child enters the queue at its priority
-// position and the parent keeps running.
-// The quota is NOT reset — the parent's dispatch continues; only a real
-// dispatch out of the queue refills it (footnote 14 charges per
-// scheduled thread, and the running parent was already charged).
-func (a *ADF[T]) ForkCont(w int, parent, child T) { a.insert(w, child) }
-
 // ForkChildFirst is the simulator's fork, a serial-engine entry: the
 // parent enters the queue at its priority position and the child, which
 // holds the priority just above it, runs next on w with a fresh quota —
@@ -51,19 +44,11 @@ func (a *ADF[T]) ForkChildFirst(w int, parent T) {
 	a.quota.Reset(w, a.k)
 }
 
-// JoinPop implements Policy: the global queue has no owner-local claim —
-// an inline join would bypass the queue's priority order, so the parent
-// always parks and the child is dispatched normally.
-func (a *ADF[T]) JoinPop(w int, child T) bool { return false }
-
 // Charge implements Policy.
 func (a *ADF[T]) Charge(w int, n int64) bool { return a.quota.Charge(w, n, a.k) }
 
 // Credit implements Policy.
 func (a *ADF[T]) Credit(w int, n int64) { a.quota.Credit(w, n, a.k) }
-
-// Preempt implements Policy: back to the queue at its priority position.
-func (a *ADF[T]) Preempt(w int, t T) { a.insert(w, t) }
 
 // Wake implements Policy.
 func (a *ADF[T]) Wake(w int, t T) { a.insert(w, t) }

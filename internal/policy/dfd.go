@@ -63,7 +63,12 @@ import (
 // an earlier global sequence number than the EvSteal of the same thread);
 // pops and steals are recorded AFTER the claim succeeds. Steal and
 // membership events are recorded under the exclusive spine, which
-// linearizes R's structural history.
+// linearizes R's structural history. Those are also the points where a
+// decision's records can be written as one burst (rtrace's Burst kinds):
+// the fork with its push and the preemption with its push before the
+// push publishes, the inline join's claim with its block and dispatch
+// after the claim, and a steal's attempt, steal and takeover inside its
+// spine section.
 //
 // The spine is a leaf lock: the less callback runs under it and takes
 // none (internal/grt reads the order off its fork tree). less is called
@@ -228,19 +233,34 @@ func (d *DFD[T]) Inject(t T) {
 // forked after it — goes on top of the owned deque. PopBottom therefore
 // still takes the deque's lowest-priority, coarsest thread (§3.3). Quota
 // is untouched: it spans steals, not forks.
-func (d *DFD[T]) ForkCont(w int, parent, child T) { d.pushOwn(w, child) }
+func (d *DFD[T]) ForkCont(w int, parent, child T) {
+	dq := d.ownDeque(w)
+	d.traceFork(w, rtrace.BurstForkPush, parent, child, dq.id)
+	d.pushTop(dq, child)
+}
 
-// pushOwn pushes x onto worker w's deque top (the fork and preemption
-// path). Entirely nonblocking: a single owner-side PushTop, no mutex in
-// any state. The worker must own a deque. The trace is recorded before
-// the push publishes x — a thief can only steal x afterwards, so the
-// steal's event sequences after this one.
+// pushOwn pushes x onto worker w's deque top: a woken parent at a
+// give-up. The worker must own a deque.
 func (d *DFD[T]) pushOwn(w int, x T) {
+	dq := d.ownDeque(w)
+	d.traceThread(w, rtrace.EvPush, x, dq.id, 0)
+	d.pushTop(dq, x)
+}
+
+// ownDeque returns worker w's deque, which it must own.
+func (d *DFD[T]) ownDeque(w int) *rdeque[T] {
 	dq := d.own[w].Load()
 	if dq == nil {
 		panic("policy: push without an owned deque")
 	}
-	d.traceThread(w, rtrace.EvPush, x, dq.id, 0)
+	return dq
+}
+
+// pushTop pushes x onto dq, its caller's own deque (the fork, preemption
+// and give-up path). Entirely nonblocking: a single owner-side PushTop, no
+// mutex in any state. The caller records the push first — a thief can
+// only steal x afterwards, so the steal's event sequences after it.
+func (d *DFD[T]) pushTop(dq *rdeque[T], x T) {
 	dq.PushTop(x)
 	d.ready.Add(1)
 }
@@ -253,12 +273,12 @@ func (d *DFD[T]) pushOwn(w int, x T) {
 // can never double-claim the thread). A miss leaves R untouched: unlike
 // Next, an empty deque is NOT retired here, because the caller is still
 // running and will push or pop again.
-func (d *DFD[T]) JoinPop(w int, child T) bool {
+func (d *DFD[T]) JoinPop(w int, parent, child T) bool {
 	dq := d.own[w].Load()
 	if dq == nil || !dq.PopTopIf(child) {
 		return false
 	}
-	d.traceThread(w, rtrace.EvPop, child, dq.id, 0)
+	d.traceThreads(w, rtrace.BurstJoinInline, child, parent, dq.id)
 	d.ready.Add(-1)
 	d.local.Add(1)
 	return true
@@ -275,8 +295,14 @@ func (d *DFD[T]) Credit(w int, n int64) { d.quota.Credit(w, n, d.k) }
 // w steals with a fresh quota (§3.3, "memory quota exhausted"). The steal
 // is attempted here, inside the give-up's spine section; the next
 // Acquire(w) reports how it went.
-func (d *DFD[T]) Preempt(w int, t T) {
-	d.pushOwn(w, t)
+func (d *DFD[T]) Preempt(w int, t T, n int64, promoted bool) {
+	dq := d.ownDeque(w)
+	burst := rtrace.BurstPreemptPush
+	if promoted {
+		burst = rtrace.BurstPromotePreempt
+	}
+	d.traceThread(w, burst, t, n, dq.id)
+	d.pushTop(dq, t)
 	d.giveUpSteal(w)
 }
 
@@ -478,7 +504,6 @@ func (d *DFD[T]) steal(w int) (x T, ok bool) {
 // the thief's deque to the victim's left.
 func (d *DFD[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 	victim := d.r[c]
-	d.trace(w, rtrace.EvStealAttempt, victim.id, 0, 0)
 	at := c + 1
 	if fromTop {
 		x, ok = victim.PopTop()
@@ -487,6 +512,7 @@ func (d *DFD[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 		x, ok = victim.PopBottom()
 	}
 	if !ok {
+		d.trace(w, rtrace.EvStealAttempt, victim.id, 0, 0)
 		d.failed.Add(1)
 		return x, false
 	}
@@ -509,10 +535,11 @@ func (d *DFD[T]) take(w, c int, fromTop bool) (x T, ok bool) {
 		d.noteR()
 	}
 	nd.owner = w
-	d.traceThread(w, rtrace.EvSteal, x, old, nd.id)
+	burst := rtrace.BurstSteal
 	if nd == victim {
-		d.trace(w, rtrace.EvDequeRetire, old, 0, 0)
+		burst = rtrace.BurstTakeover
 	}
+	d.traceThread(w, burst, x, old, nd.id)
 	d.own[w].Store(nd)
 	d.quota.Reset(w, d.k)
 	return x, true

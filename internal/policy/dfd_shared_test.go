@@ -21,6 +21,12 @@ func intDFD(p int, seed int64) *DFD[int] {
 	return NewDFD(p, 0, func(a, b int) bool { return a < b }, seed)
 }
 
+// instrument attaches probe to an intDFD: a thread's id is its value, and
+// no thread is a dummy.
+func instrument(pl *DFD[int], probe rtrace.Probe) {
+	pl.Instrument(probe, func(x int) int64 { return int64(x) }, func(int) bool { return false })
+}
+
 // owns reports whether worker w owns a deque.
 func owns[T comparable](pl *DFD[T], w int) bool { return pl.own[w].Load() != nil }
 
@@ -130,7 +136,7 @@ func TestSharedGiveUpEmptyDequeDeletes(t *testing.T) {
 func TestSharedGiveUpStealIsOneSection(t *testing.T) {
 	rec := rtrace.NewRecorder(1, 64)
 	pl := intDFD(1, 3)
-	pl.Instrument(rec, func(x int) int64 { return int64(x) })
+	instrument(pl, rec)
 	pl.Seed(1)
 	sharedStealUntil(t, pl, 0)
 	pl.pushOwn(0, 7)

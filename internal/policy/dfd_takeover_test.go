@@ -28,7 +28,7 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 	newPool := func() (*DFD[int], *rtrace.Recorder) {
 		rec := rtrace.NewRecorder(3, 64)
 		pl := intDFD(3, 1)
-		pl.Instrument(rec, func(x int) int64 { return int64(x) })
+		instrument(pl, rec)
 		pl.Seed(1)
 		pl.Inject(30)
 		pl.Inject(40)
@@ -135,19 +135,24 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 
 // takeovers is a probe that counts the steals that took their victim over:
 // the thief's EvSteal followed, on its lane, by the victim's retirement.
-// Lane w is written by worker w alone.
+// It reads records, so it expands the policy's bursts. Lane w is written
+// by worker w alone.
 type takeovers struct {
 	victim []int64 // the last victim per lane
 	n      atomic.Int64
 }
 
 func (p *takeovers) Event(w int, k rtrace.Kind, a, b, c int64) {
-	switch {
-	case w < 0:
-	case k == rtrace.EvSteal:
-		p.victim[w] = b
-	case k == rtrace.EvDequeRetire && p.victim[w] == a:
-		p.n.Add(1)
+	if w < 0 {
+		return
+	}
+	for _, e := range rtrace.Expand(nil, rtrace.Event{Kind: k, W: int32(w), A: a, B: b, C: c}) {
+		switch {
+		case e.Kind == rtrace.EvSteal:
+			p.victim[w] = e.B
+		case e.Kind == rtrace.EvDequeRetire && p.victim[w] == e.A:
+			p.n.Add(1)
+		}
 	}
 }
 
@@ -164,7 +169,7 @@ func TestSharedTakeoverRacesThieves(t *testing.T) {
 	const workers = adopters + thieves
 	pl := intDFD(workers, 16)
 	probe := &takeovers{victim: make([]int64, workers)}
-	pl.Instrument(probe, func(x int) int64 { return int64(x) })
+	instrument(pl, probe)
 	// A thread's children rank between it and everything left of it, and
 	// each below the ones it forked before: a thread taken from under its
 	// child forks its next one on a deque right of the first.
@@ -205,7 +210,7 @@ func TestSharedTakeoverRacesThieves(t *testing.T) {
 				child := x - gap + int(forked.Add(1))
 				pl.pushOwn(w, child)
 				runtime.Gosched() // the child's window: let a thief in
-				if pl.JoinPop(w, child) {
+				if pl.JoinPop(w, x, child) {
 					joined.Add(1)
 				}
 				if y, ok := pl.Next(w); !ok {

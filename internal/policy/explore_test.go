@@ -254,7 +254,7 @@ func (x *explore) apply(m exMove) {
 		th.unjoined = th.unjoined[:len(th.unjoined)-1]
 		switch {
 		case c.done:
-		case !c.started && x.d.JoinPop(w, c):
+		case !c.started && x.d.JoinPop(w, th, c):
 			x.take(c)
 			c.inlineOf = th
 			x.curr[w] = c
@@ -266,7 +266,7 @@ func (x *explore) apply(m exMove) {
 	case "preempt":
 		before := x.d.Stats()
 		x.publish(th)
-		x.d.Preempt(w, th)
+		x.d.Preempt(w, th, 0, false)
 		x.giveUp(w, before)
 	case "dummy":
 		x.end(w, true)

@@ -36,22 +36,11 @@ func (f *FIFO[T]) Seed(t T) { f.insert(-1, t) }
 // runnable thread.
 func (f *FIFO[T]) Inject(t T) { f.insert(-1, t) }
 
-// ForkCont implements Policy: the child is enqueued, the parent continues
-// (breadth-first).
-func (f *FIFO[T]) ForkCont(w int, parent, child T) { f.insert(w, child) }
-
-// JoinPop implements Policy: the global FIFO has no owner-local claim;
-// the parent parks and the child drains through the queue in order.
-func (f *FIFO[T]) JoinPop(w int, child T) bool { return false }
-
 // Charge implements Policy: never vetoes.
 func (f *FIFO[T]) Charge(w int, n int64) bool { return true }
 
 // Credit implements Policy.
 func (f *FIFO[T]) Credit(w int, n int64) {}
-
-// Preempt implements Policy (unreachable: Charge never vetoes).
-func (f *FIFO[T]) Preempt(w int, t T) { f.insert(w, t) }
 
 // Wake implements Policy.
 func (f *FIFO[T]) Wake(w int, t T) { f.insert(w, t) }

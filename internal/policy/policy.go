@@ -100,15 +100,19 @@ type Policy[T any] interface {
 	// deque exactly as §3.3 pushes the parent: the top stays the deque's
 	// highest priority and the steal end its lowest. Global-queue
 	// policies insert the child at its priority position. Per-dispatch
-	// quotas are NOT reset: the parent's dispatch continues.
+	// quotas are NOT reset: the parent's dispatch continues. The policy
+	// records the fork (EvFork) as well as the publish, so that the deque
+	// policies can write both as one burst (rtrace.BurstForkPush).
 	ForkCont(w int, parent, child T)
-	// JoinPop claims child for an inline join on worker w: remove child
-	// from the ready structure iff it is still exactly where ForkCont
-	// published it (the top of w's own deque), reporting success. The
-	// check and the removal must be one linearization point so a racing
-	// steal cannot double-claim the thread. Global-queue policies always
-	// return false — an inline claim would bypass the queue's order.
-	JoinPop(w int, child T) bool
+	// JoinPop claims child for parent's inline join on worker w: remove
+	// child from the ready structure iff it is still exactly where
+	// ForkCont published it (the top of w's own deque), reporting success.
+	// The check and the removal must be one linearization point so a
+	// racing steal cannot double-claim the thread. A claim is recorded
+	// with the parent's join block and the child's inline dispatch, as one
+	// burst (rtrace.BurstJoinInline). Global-queue policies always return
+	// false — an inline claim would bypass the queue's order.
+	JoinPop(w int, parent, child T) bool
 	// Charge deducts n bytes from w's memory quota; false means the quota
 	// is exhausted and the engine must preempt the thread without
 	// performing the allocation (§3.3). Policies without a quota always
@@ -117,11 +121,16 @@ type Policy[T any] interface {
 	// Credit returns n freed bytes to w's quota (quota bounds *net*
 	// allocation).
 	Credit(w int, n int64)
-	// Preempt republishes a thread the engine preempted after a Charge
-	// veto. Only reachable on policies whose Charge can return false. The
-	// engine's next call on w is Acquire; a policy may make that attempt
-	// here, in the section that republishes t, and have Acquire report it.
-	Preempt(w int, t T)
+	// Preempt republishes a thread the engine preempted after Charge
+	// vetoed its allocation of n bytes. Only reachable on policies whose
+	// Charge can return false. Ahead of the republish it records the veto
+	// (EvQuotaExhaust) and the worker's turn to stealing (EvIdle), led by
+	// t's promotion (EvPromote, B = 1) if the engine promoted t to stop
+	// here — DFDeques as one burst with its push (rtrace.BurstPreemptPush,
+	// BurstPromotePreempt). The engine's next call on w is Acquire; a
+	// policy may make that attempt here, in the section that republishes
+	// t, and have Acquire report it.
+	Preempt(w int, t T, n int64, promoted bool)
 	// Wake publishes a thread woken by a lock release or future write at
 	// its priority position (§5's extension beyond nested parallelism).
 	Wake(w int, t T)
@@ -150,9 +159,10 @@ type Policy[T any] interface {
 	// Stats returns the policy's counters; called once, after the run.
 	Stats() Stats
 	// Instrument attaches a trace probe (see internal/rtrace); tid
-	// extracts a thread's stable id for the event payloads. Call before
+	// extracts a thread's stable id for the event payloads, and dummy
+	// whether a forked thread is a dummy leaf (EvFork's flag). Call before
 	// the policy is shared.
-	Instrument(p rtrace.Probe, tid func(T) int64)
+	Instrument(p rtrace.Probe, tid func(T) int64, dummy func(T) bool)
 	// MeasureLockWait turns on timing of the waits for the policy's
 	// serializing lock (Stats.LockWaitNs). Call before the policy is
 	// shared.
@@ -188,16 +198,17 @@ func (l *countedLock) lock() {
 
 func (l *countedLock) unlock() { l.mu.Unlock() }
 
-// tracer is a policy's trace probe (nil: tracing off) and the thread-id
-// extractor its event payloads use.
+// tracer is a policy's trace probe (nil: tracing off) and the
+// extractors its event payloads use.
 type tracer[T any] struct {
-	probe rtrace.Probe
-	tidOf func(T) int64
+	probe   rtrace.Probe
+	tidOf   func(T) int64
+	dummyOf func(T) bool
 }
 
 // Instrument implements Policy.
-func (tr *tracer[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
-	tr.probe, tr.tidOf = p, tid
+func (tr *tracer[T]) Instrument(p rtrace.Probe, tid func(T) int64, dummy func(T) bool) {
+	tr.probe, tr.tidOf, tr.dummyOf = p, tid, dummy
 }
 
 // trace records one event when a probe is attached.
@@ -218,6 +229,35 @@ func (tr *tracer[T]) traceThread(w int, k rtrace.Kind, x T, b, c int64) {
 
 func (tr *tracer[T]) record(w int, k rtrace.Kind, x T, b, c int64) {
 	tr.probe.Event(w, k, tr.tidOf(x), b, c)
+}
+
+// traceThreads records one event about threads x and y (A and B) when a
+// probe is attached.
+func (tr *tracer[T]) traceThreads(w int, k rtrace.Kind, x, y T, c int64) {
+	if tr.probe != nil {
+		tr.recordPair(w, k, x, y, c)
+	}
+}
+
+func (tr *tracer[T]) recordPair(w int, k rtrace.Kind, x, y T, c int64) {
+	tr.probe.Event(w, k, tr.tidOf(x), tr.tidOf(y), c)
+}
+
+// traceFork records parent's fork of child when a probe is attached: k
+// is EvFork, with id 0, or BurstForkPush, with the id of the deque the
+// child is pushed on. C is the id above the child's dummy flag.
+func (tr *tracer[T]) traceFork(w int, k rtrace.Kind, parent, child T, id int64) {
+	if tr.probe != nil {
+		tr.recordFork(w, k, parent, child, id)
+	}
+}
+
+func (tr *tracer[T]) recordFork(w int, k rtrace.Kind, parent, child T, id int64) {
+	c := id << 1
+	if tr.dummyOf(child) {
+		c |= 1
+	}
+	tr.recordPair(w, k, parent, child, c)
 }
 
 // Quota is the per-worker memory-quota vector shared by every K-bounded

@@ -175,7 +175,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 		x.unjoined = x.unjoined[:len(x.unjoined)-1]
 		switch {
 		case h.done:
-		case !h.started && d.JoinPop(w, h):
+		case !h.started && d.JoinPop(w, x, h):
 			h.inlineOf = x
 			curr[w] = h
 			claims++
@@ -204,7 +204,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 			// Quota exhaustion: back on top of the deque, deque given up.
 			// Parking promotes a frame that was running inline.
 			x.started = true
-			d.Preempt(w, x)
+			d.Preempt(w, x, 0, false)
 			curr[w] = nil
 		case len(x.unjoined) > 0:
 			join(w)
@@ -255,7 +255,7 @@ func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
 			t.Fatal("quota did not run out as scripted")
 		}
 		before := d.Stats()
-		d.Preempt(0, 7)
+		d.Preempt(0, 7, 0, false)
 		mid := d.Stats()
 		if mid.LockOps-before.LockOps != 1 || mid.Steals-before.Steals != 1 {
 			t.Fatalf("Preempt took the spine %d times and stole %d, want 1 and 1",
@@ -284,7 +284,7 @@ func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
 			if i == 1000 {
 				t.Fatal("no give-up ever missed")
 			}
-			d.Preempt(0, 7)
+			d.Preempt(0, 7, 0, false)
 			mid := d.Stats()
 			if _, ok := d.Acquire(0); ok {
 				continue
@@ -316,7 +316,7 @@ func TestDFDGiveUpRemembersItsSteal(t *testing.T) {
 			t.Fatalf("worker 1 stole %d, want the bottom 9", x)
 		}
 		d.ForkCont(1, 9, 10)
-		if !d.JoinPop(0, 6) {
+		if !d.JoinPop(0, 5, 6) {
 			t.Fatal("worker 0 could not claim the dummy at its join")
 		}
 		d.Dummy(0)
@@ -370,7 +370,7 @@ func TestSerialDFDGiveUpLeavesTheStealToTheRound(t *testing.T) {
 				}
 			} else {
 				d.Charge(0, k)
-				d.Preempt(0, 7)
+				d.Preempt(0, 7, 0, false)
 			}
 			after := d.Stats()
 			if got := after.Steals + after.FailedSteals - before.Steals - before.FailedSteals; got != c.attempts {

@@ -100,6 +100,34 @@ func (q *queued[T]) take(w int) (T, bool) {
 	return x, true
 }
 
+// ForkCont implements Policy for ADF and FIFO: the fork is recorded and
+// the child enters the queue, at its priority position under ADF, at the
+// tail under FIFO; the parent keeps running. ADF's quota is NOT reset —
+// the parent's dispatch continues; only a real dispatch out of the queue
+// refills it (footnote 14 charges per scheduled thread, and the running
+// parent was already charged).
+func (q *queued[T]) ForkCont(w int, parent, child T) {
+	q.traceFork(w, rtrace.EvFork, parent, child, 0)
+	q.insert(w, child)
+}
+
+// JoinPop implements Policy: the global queue has no owner-local claim —
+// an inline join would bypass the queue's order, so the parent always
+// parks and the child is dispatched from the queue.
+func (q *queued[T]) JoinPop(w int, parent, child T) bool { return false }
+
+// Preempt implements Policy: the promotion, the veto and the turn to
+// stealing are recorded, and the thread goes back to the queue.
+// Unreachable under FIFO, whose Charge never vetoes.
+func (q *queued[T]) Preempt(w int, t T, n int64, promoted bool) {
+	if promoted {
+		q.traceThread(w, rtrace.EvPromote, t, 1, 0)
+	}
+	q.traceThread(w, rtrace.EvQuotaExhaust, t, n, 0)
+	q.trace(w, rtrace.EvIdle, 0, 0, 0)
+	q.insert(w, t)
+}
+
 // HasWork implements Policy.
 func (q *queued[T]) HasWork() bool { return q.ready.Load() > 0 }
 

@@ -99,47 +99,83 @@ func (g *dequeGauge) settle() int64 {
 // counterLanes is a power of two: lane (w+1) mod counterLanes.
 const counterLanes = 32
 
-// counterLane is one recording worker's counts, padded to whole cache lines.
+// counterLane is one recording worker's counts, padded to whole cache
+// lines: one count per kind, bursts included. A burst is counted once,
+// as itself, and its records are credited when the counts are read
+// (records).
 type counterLane struct {
-	counts  [numKinds]atomic.Int64
-	dummies atomic.Int64 // EvFork with C=1: dummy leaves
-	_       [(64 - (int(numKinds)+1)*8%64) % 64]byte
+	counts  [numKinds + numBursts]atomic.Int64
+	dummies atomic.Int64 // EvFork or BurstForkPush with C&1 = 1: dummy leaves
+	_       [(64 - (int(numKinds+numBursts)+1)*8%64) % 64]byte
 }
+
+// burstRecords[b][k] is how many records of kind k the burst numKinds+b
+// stands for, read off Expand.
+var burstRecords = func() (n [numBursts][numKinds]int64) {
+	for b := range n {
+		for _, e := range Expand(nil, Event{Kind: numKinds + Kind(b)}) {
+			n[b][e.Kind]++
+		}
+	}
+	return n
+}()
 
 // NewCounters returns a zeroed counter set.
 func NewCounters() *Counters { return &Counters{} }
 
 // Event implements Probe. Safe for concurrent use from any number of
 // workers: every count is an atomic add, and the deque gauge takes its
-// own lock.
+// own lock (a steal burst's records are folded into it one by one,
+// through Expand). Numbers that are no kind are ignored.
 func (c *Counters) Event(w int, kind Kind, a, b, cc int64) {
-	if int(kind) >= int(numKinds) {
+	if kind >= numKinds+numBursts {
 		return
 	}
 	ln := &c.lanes[(w+1)&(counterLanes-1)]
 	ln.counts[kind].Add(1)
 	switch kind {
-	case EvFork:
-		if cc == 1 {
+	case EvFork, BurstForkPush:
+		if cc&1 == 1 {
 			ln.dummies.Add(1)
 		}
 	case EvSteal, EvDequeCreate, EvDequeRelease, EvDequeRetire:
 		c.dequesMu.Lock()
 		c.deques.fold(int32(w), kind, a, b)
 		c.dequesMu.Unlock()
+	case BurstSteal, BurstTakeover:
+		var buf [maxBurst]Event
+		c.dequesMu.Lock()
+		for _, e := range Expand(buf[:0], Event{Kind: kind, W: int32(w), A: a, B: b, C: cc}) {
+			c.deques.fold(e.W, e.Kind, e.A, e.B)
+		}
+		c.dequesMu.Unlock()
 	}
 }
 
-// Count returns the number of events of one kind observed so far.
-func (c *Counters) Count(k Kind) int64 {
-	if int(k) >= int(numKinds) {
-		return 0
-	}
-	var n int64
+// records returns the records observed so far, by kind: every lane's
+// count of the kind, plus those of the bursts it is part of.
+func (c *Counters) records() (n [numKinds]int64) {
+	var all [numKinds + numBursts]int64
 	for i := range c.lanes {
-		n += c.lanes[i].counts[k].Load()
+		for k := range all {
+			all[k] += c.lanes[i].counts[k].Load()
+		}
+	}
+	copy(n[:], all[:numKinds])
+	for b, per := range burstRecords {
+		for k, m := range per {
+			n[k] += m * all[numKinds+Kind(b)]
+		}
 	}
 	return n
+}
+
+// Count returns the number of records of one kind observed so far.
+func (c *Counters) Count(k Kind) int64 {
+	if k >= numKinds {
+		return 0
+	}
+	return c.records()[k]
 }
 
 // LiveSummary returns the counter-derivable slice of the Summary schema,
@@ -151,13 +187,9 @@ func (c *Counters) Count(k Kind) int64 {
 // read, though the set as a whole is not one consistent snapshot.
 func (c *Counters) LiveSummary() Summary {
 	var s Summary
-	var n [numKinds]int64
+	n := c.records()
 	for i := range c.lanes {
-		ln := &c.lanes[i]
-		for k := range n {
-			n[k] += ln.counts[k].Load()
-		}
-		s.DummyThreads += ln.dummies.Load()
+		s.DummyThreads += c.lanes[i].dummies.Load()
 	}
 	for _, v := range n {
 		s.Events += int(v)

@@ -2,11 +2,17 @@
 // low-overhead event recorder for real executions (internal/grt), the
 // concurrent analogue of the simulator's per-event trace (cmd/dfdtrace).
 //
-// Each worker writes fixed-size binary event records — dispatches, steal
+// Each worker writes fixed-size binary records — dispatches, steal
 // attempts and successes, quota exhaustions, deque creation/retirement,
 // dummy splits, thread completions — into a private ring buffer: the hot
 // path takes no locks and touches no shared memory except one atomic
 // sequence counter, which is what makes the merged stream totally ordered.
+// A scheduling decision that is a run of records no other worker can
+// observe in between — a fork and its push, an inline join's claim, a
+// preemption's republish, a steal — is written as one burst (the Burst*
+// kinds): one ring slot, and one add on the counter that reserves the
+// sequence numbers of all its records. Events expands every burst back
+// into its records (Expand), so no consumer sees a burst.
 // Structural events (anything that mutates the deque list R or a ready
 // queue) are recorded while the mutating lock is held, so the sequence
 // order is a true linearization of the structure's history; that is what
@@ -16,12 +22,12 @@
 // trace_event JSON (chrome://tracing, Perfetto) plus a metrics summary.
 //
 // Recording is gated by a nil Probe: one predictable branch per
-// scheduling event.
+// scheduling decision.
 package rtrace
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -128,6 +134,45 @@ const (
 	numKinds
 )
 
+// Burst kinds. A burst is one Probe call, and one ring slot, for a run of
+// records on one lane that no other worker can observe anything between:
+// before a push publishes, after an inline claim, or inside one exclusive
+// spine section. The payload carries what its records need, and Expand
+// lays them out. Bursts exist only between a recorder and Expand — a
+// stream (Recorder.Events, a trace file) holds their records, never a
+// burst — so their numbers are free to move.
+const (
+	// BurstForkPush: EvFork{A, B, C&1}, then EvPush{B, C>>1}: thread A
+	// forked B (a dummy leaf if C&1 = 1) and pushed it on deque C>>1.
+	BurstForkPush Kind = numKinds + iota
+	// BurstJoinInline: EvPop{A, C}, EvBlock{B, BlockJoin, A},
+	// EvDispatch{A, SrcInline}: parent B claimed its child A off the top
+	// of deque C at its Join and runs it inline.
+	BurstJoinInline
+	// BurstReturnInline: EvComplete{A}, EvDispatch{B, SrcTerminate}: the
+	// inline child A completed and its parent B resumes.
+	BurstReturnInline
+	// BurstPreemptPush: EvQuotaExhaust{A, B}, EvIdle, EvPush{A, C}: the
+	// quota vetoed thread A's allocation of B bytes, the worker turns to
+	// stealing, and A goes back on top of deque C.
+	BurstPreemptPush
+	// BurstPromotePreempt: EvPromote{A, 1}, then BurstPreemptPush's
+	// records: A, running inline, was promoted to stop.
+	BurstPromotePreempt
+	// BurstSteal: EvStealAttempt{B}, EvSteal{A, B, C}: an attempt on
+	// deque B that stole thread A into deque C.
+	BurstSteal
+	// BurstTakeover: BurstSteal's records, then EvDequeRetire{B}: the
+	// steal drained the unowned victim B and took it over as C.
+	BurstTakeover
+
+	numBursts = BurstTakeover - numKinds + 1
+)
+
+// maxBurst is the longest burst's record count: a buffer of this many
+// Events holds any expansion.
+const maxBurst = 4
+
 // Dispatch sources (EvDispatch payload B).
 const (
 	_ int64 = iota // reserved: exported traces carry the numbers below
@@ -148,12 +193,15 @@ const (
 	BlockFuture
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [numKinds + numBursts]string{
 	"fork", "dispatch", "block", "complete", "alloc", "alloc-exempt",
 	"free", "quota-exhaust", "dummy", "idle", "steal-attempt", "steal",
 	"deque-create", "deque-release", "deque-retire", "push", "pop",
 	"queue-push", "queue-take", "job-begin", "job-cancel", "job-end",
 	"touch", "promote", "job-annotate",
+	"fork+push", "pop+block+dispatch", "complete+dispatch",
+	"quota-exhaust+idle+push", "promote+quota-exhaust+idle+push",
+	"steal-attempt+steal", "steal-attempt+steal+deque-retire",
 }
 
 func (k Kind) String() string {
@@ -184,11 +232,13 @@ func (e Event) String() string {
 
 // Probe is the hook interface the runtime and the policy layer record
 // through. A nil Probe disables recording at every hook site; *Recorder is
-// the real implementation. Event must be safe for concurrent use under the
-// runtime's discipline: each worker index is used by one goroutine at a
-// time, and every w = -1 record (submission, cancellation, and any other
-// scheduler-side action) is serialized behind the runtime's submission
-// lock.
+// the real implementation. Each call is one record or one burst (the
+// Burst* kinds); a probe that reads records rather than storing calls
+// passes a burst through Expand. Event must be safe for concurrent use
+// under the runtime's discipline: each worker index is used by one
+// goroutine at a time, and every w = -1 record (submission, cancellation,
+// and any other scheduler-side action) is serialized behind the runtime's
+// submission lock.
 type Probe interface {
 	Event(w int, kind Kind, a, b, c int64)
 }
@@ -216,11 +266,59 @@ const EngineCont = "cont"
 // lane's most recent timestamp — dispatch, which follows the previous
 // segment's close or a steal within the same scheduling burst, and idle,
 // which follows a segment's close the same way, so an idle stretch still
-// runs from a clock read to a clock read. Replay verification orders by
-// Seq, never TS.
+// runs from a clock read to a clock read. A burst reads the clock once if
+// any of its records would, and all its records carry that timestamp.
+// Replay verification orders by Seq, never TS.
 const exactTS = 1<<EvBlock | 1<<EvComplete |
 	1<<EvQuotaExhaust | 1<<EvSteal | 1<<EvAllocExempt |
-	1<<EvJobBegin | 1<<EvJobCancel | 1<<EvJobEnd | 1<<EvJobAnnotate
+	1<<EvJobBegin | 1<<EvJobCancel | 1<<EvJobEnd | 1<<EvJobAnnotate |
+	1<<BurstJoinInline | 1<<BurstReturnInline | 1<<BurstPreemptPush |
+	1<<BurstPromotePreempt | 1<<BurstSteal | 1<<BurstTakeover
+
+// Expand appends the records e stands for to dst: e itself for a stream
+// kind; for a burst, its records in order, on e's lane, with e's
+// timestamp and Seqs counting up from e.Seq. It is the one place a
+// burst's layout is read: Recorder.Events, Counters.Event and any other
+// probe that reads records go through it.
+func Expand(dst []Event, e Event) []Event {
+	switch e.Kind {
+	case BurstForkPush:
+		return append(dst, e.at(0, EvFork, e.A, e.B, e.C&1), e.at(1, EvPush, e.B, e.C>>1, 0))
+	case BurstJoinInline:
+		return append(dst, e.at(0, EvPop, e.A, e.C, 0),
+			e.at(1, EvBlock, e.B, BlockJoin, e.A), e.at(2, EvDispatch, e.A, SrcInline, 0))
+	case BurstReturnInline:
+		return append(dst, e.at(0, EvComplete, e.A, 0, 0), e.at(1, EvDispatch, e.B, SrcTerminate, 0))
+	case BurstPreemptPush:
+		return append(dst, e.at(0, EvQuotaExhaust, e.A, e.B, 0),
+			e.at(1, EvIdle, 0, 0, 0), e.at(2, EvPush, e.A, e.C, 0))
+	case BurstPromotePreempt:
+		return append(dst, e.at(0, EvPromote, e.A, 1, 0), e.at(1, EvQuotaExhaust, e.A, e.B, 0),
+			e.at(2, EvIdle, 0, 0, 0), e.at(3, EvPush, e.A, e.C, 0))
+	case BurstSteal:
+		return append(dst, e.at(0, EvStealAttempt, e.B, 0, 0), e.at(1, EvSteal, e.A, e.B, e.C))
+	case BurstTakeover:
+		return append(dst, e.at(0, EvStealAttempt, e.B, 0, 0), e.at(1, EvSteal, e.A, e.B, e.C),
+			e.at(2, EvDequeRetire, e.B, 0, 0))
+	}
+	return append(dst, e)
+}
+
+// at is record i of burst e: kind k with payload a, b, c.
+func (e *Event) at(i uint64, k Kind, a, b, c int64) Event {
+	return Event{Seq: e.Seq + i, TS: e.TS, Kind: k, W: e.W, A: a, B: b, C: c}
+}
+
+// width is how many records each kind stands for: 1 for a stream kind
+// (and for any number that is no kind), a burst's length for a burst.
+// Read off Expand, so the two cannot disagree; indexed by any uint8, so
+// the hot path has no bounds check.
+var width = func() (n [256]uint8) {
+	for k := range n {
+		n[k] = uint8(len(Expand(nil, Event{Kind: Kind(k)})))
+	}
+	return n
+}()
 
 // lane is one worker's private ring buffer. Only that worker writes it;
 // the merger reads it after the run (the runtime's WaitGroup provides the
@@ -228,16 +326,25 @@ const exactTS = 1<<EvBlock | 1<<EvComplete |
 // padded to its own cache lines so workers never false-share.
 type lane struct {
 	buf []Event
-	n   uint64 // total events ever written; n > len(buf) means wrapped
+	n   uint64 // total slots ever written; n > len(buf) means wrapped
 	ts  int64  // last exact timestamp, reused by non-exactTS kinds
 	_   [88]byte
 }
 
+// retained returns the lane's slots still in the ring, oldest first:
+// buf[i&mask] for i in [from, n).
+func (ln *lane) retained() (from, n uint64) {
+	if ln.n > uint64(len(ln.buf)) {
+		return ln.n - uint64(len(ln.buf)), ln.n
+	}
+	return 0, ln.n
+}
+
 // Recorder collects events into per-worker ring buffers. Create one with
 // NewRecorder, hand it to grt.Config.Probe, and read it back with Events
-// after the run completes. When a lane overflows, the oldest records are
-// overwritten and Dropped reports how many — a stream with drops cannot be
-// replay-verified.
+// after the run completes. A ring slot holds one record or one burst.
+// When a lane overflows, the oldest slots are overwritten and Dropped
+// reports how many — a stream with drops cannot be replay-verified.
 type Recorder struct {
 	seq   atomic.Uint64
 	start time.Time
@@ -246,8 +353,8 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder for p workers with the given per-worker
-// ring capacity (rounded up to a power of two; 0 picks a default of 1<<17
-// events, ~6 MB per worker).
+// ring capacity in slots (rounded up to a power of two; 0 picks a default
+// of 1<<17 slots, ~6 MB per worker).
 func NewRecorder(p, perWorker int) *Recorder {
 	if p < 1 {
 		p = 1
@@ -273,16 +380,17 @@ func (r *Recorder) SetMeta(m Meta) { r.meta = m }
 // Meta returns the attached run metadata.
 func (r *Recorder) Meta() Meta { return r.meta }
 
-// Event implements Probe. It is the hot path: one atomic add, a clock
-// read for boundary kinds (see exactTS), one store into the caller's
-// private ring.
+// Event implements Probe. It is the hot path: one atomic add, which
+// reserves the Seqs of all of a burst's records at once, a clock read for
+// boundary kinds (see exactTS), one store into the caller's private ring.
 func (r *Recorder) Event(w int, kind Kind, a, b, c int64) {
 	ln := &r.lanes[w+1]
 	if exactTS&(1<<kind) != 0 {
 		ln.ts = time.Since(r.start).Nanoseconds()
 	}
+	n := uint64(width[kind])
 	ln.buf[ln.n&uint64(len(ln.buf)-1)] = Event{
-		Seq:  r.seq.Add(1),
+		Seq:  r.seq.Add(n) - n + 1,
 		TS:   ln.ts,
 		Kind: kind,
 		W:    int32(w),
@@ -291,46 +399,71 @@ func (r *Recorder) Event(w int, kind Kind, a, b, c int64) {
 	ln.n++
 }
 
-// Dropped reports how many events were overwritten by ring wrap-around.
+// Dropped reports how many ring slots were overwritten by wrap-around.
+// A slot holds one record or a burst of several, so it counts slots, not
+// records: at most as many as were lost, and non-zero exactly when
+// something was.
 func (r *Recorder) Dropped() uint64 {
 	var d uint64
 	for i := range r.lanes {
-		ln := &r.lanes[i]
-		if ln.n > uint64(len(ln.buf)) {
-			d += ln.n - uint64(len(ln.buf))
-		}
+		from, _ := r.lanes[i].retained()
+		d += from
 	}
 	return d
 }
 
-// Len reports the total number of retained events.
+// Len reports how many records the retained slots hold, bursts expanded:
+// len(Events()).
 func (r *Recorder) Len() int {
 	var n int
 	for i := range r.lanes {
 		ln := &r.lanes[i]
-		if ln.n > uint64(len(ln.buf)) {
-			n += len(ln.buf)
-		} else {
-			n += int(ln.n)
+		from, to := ln.retained()
+		for j := from; j < to; j++ {
+			n += int(width[ln.buf[j&uint64(len(ln.buf)-1)].Kind])
 		}
 	}
 	return n
 }
 
-// Events merges every lane into one stream sorted by Seq. Call only after
-// the run has completed (all workers joined).
+// Events merges every lane into one stream in Seq order, every burst
+// expanded into its records. A lane is written in Seq order already, and
+// a burst's Seqs are reserved at once, so this is a merge of the lanes'
+// runs, not a sort. Call only after the run has completed (all workers
+// joined).
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.Len())
+	type run struct {
+		ln       *lane
+		from, to uint64
+	}
+	head := func(x *run) *Event { return &x.ln.buf[x.from&uint64(len(x.ln.buf)-1)] }
+	runs := make([]run, 0, len(r.lanes))
 	for i := range r.lanes {
-		ln := &r.lanes[i]
-		kept := ln.n
-		if kept > uint64(len(ln.buf)) {
-			kept = uint64(len(ln.buf))
-		}
-		for j := uint64(0); j < kept; j++ {
-			out = append(out, ln.buf[(ln.n-kept+j)&uint64(len(ln.buf)-1)])
+		if from, to := r.lanes[i].retained(); from < to {
+			runs = append(runs, run{&r.lanes[i], from, to})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out := make([]Event, 0, r.Len())
+	for len(runs) > 0 {
+		// The run with the lowest head goes until it passes the next
+		// lowest.
+		m, next := 0, uint64(math.MaxUint64)
+		for i := 1; i < len(runs); i++ {
+			if s := head(&runs[i]).Seq; s < head(&runs[m]).Seq {
+				m, next = i, head(&runs[m]).Seq
+			} else if s < next {
+				next = s
+			}
+		}
+		x := &runs[m]
+		for x.from < x.to && head(x).Seq < next {
+			out = Expand(out, *head(x))
+			x.from++
+		}
+		if x.from == x.to {
+			runs[m] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+	}
 	return out
 }

@@ -47,6 +47,10 @@ const (
 	CodeDraining ErrorCode = "draining"
 	// CodeInternal (500): unexpected server-side failure.
 	CodeInternal ErrorCode = "internal"
+	// CodeUncoveredFree (a failed job's JobStatus.Code): the job freed
+	// bytes it did not hold. The free was refused, so the job lent its
+	// tenant's budget no credit, and the job failed.
+	CodeUncoveredFree ErrorCode = "uncovered_free"
 )
 
 // ErrorBody is the unified v1 error envelope: every non-2xx response
@@ -136,6 +140,8 @@ type JobStatus struct {
 	// Status is "pending" → "running" → "done" | "failed" | "canceled".
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
+	// Code classifies a failure the runtime types (CodeUncoveredFree).
+	Code ErrorCode `json:"code,omitempty"`
 	// Cost is the admission cost gate's predicted live-memory price of
 	// the job (S1 + K·D from the declared bounds; 0 for scenario jobs,
 	// which are cost-exempt).

@@ -157,6 +157,9 @@ func (j *job) status() JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
+	if errors.Is(j.err, grt.ErrUncoveredFree) {
+		st.Code = api.CodeUncoveredFree
+	}
 	if !j.finishAt.IsZero() {
 		st.LatencyMs = float64(j.finishAt.Sub(j.submitAt)) / float64(time.Millisecond)
 	}

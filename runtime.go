@@ -31,8 +31,8 @@ type RuntimeConfig struct {
 	// Off by default — the clock reads would distort the benchmarks the
 	// counters explain.
 	MeasureContention bool
-	// Probe receives one event per scheduling action; nil disables
-	// recording. Pass a *TraceRecorder (see NewTraceRecorder) to capture
+	// Probe receives one record, or one burst of records, per scheduling
+	// decision (see TraceProbe); nil disables recording. Pass a *TraceRecorder (see NewTraceRecorder) to capture
 	// the run for ExportTrace, SummarizeTrace, or VerifyTrace — the
 	// runtime stamps the recorder's metadata automatically.
 	Probe TraceProbe
@@ -104,6 +104,11 @@ var ErrShutdown = grt.ErrShutdown
 // ErrBudget is the error of jobs killed because an allocation pushed
 // their MemBudget's live heap past its limit (see SubmitIn).
 var ErrBudget = grt.ErrBudget
+
+// ErrUncoveredFree is the error of jobs in a MemBudget canceled because a
+// Free would have taken their live heap below zero. The free is not
+// applied, so no job lends its tenant budget credit.
+var ErrUncoveredFree = grt.ErrUncoveredFree
 
 // MemBudget is a shared memory-accounting group: jobs submitted into one
 // (SubmitIn) charge their Alloc/Free traffic against the group's live

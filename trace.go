@@ -12,9 +12,14 @@ import (
 // independent model of the paper's scheduler. The cmd/dfdtrace tool wraps
 // the same machinery for files on disk.
 
-// TraceProbe receives one low-level event per scheduling action; plug one
-// into RuntimeConfig.Probe. The only production implementation is
-// *TraceRecorder; tests may supply their own.
+// TraceProbe receives the runtime's scheduling records; plug one into
+// RuntimeConfig.Probe. A call is one record, or one burst: the records of
+// one scheduling decision that no other worker can observe anything
+// between (a fork and its push, an inline join, a preemption, a steal),
+// which rtrace.Expand lays out as the records it stands for. The only
+// production implementation is *TraceRecorder, which stores a burst in
+// one slot and expands it when read; tests may supply their own, and
+// pass what they are handed through rtrace.Expand.
 type TraceProbe = rtrace.Probe
 
 // TraceRecorder is a lock-free in-memory recorder of scheduling events,
