@@ -494,3 +494,64 @@ func TestGiveUpOneSpineSectionPerSteal(t *testing.T) {
 		t.Errorf("%d exclusive spine acquisitions for %d steals: %.3f per steal, want <= 1.2", st.SchedLockOps, st.Steals, ratio)
 	}
 }
+
+// slotLog is a probe that keeps the kind of every call worker 0 makes:
+// the ring slots a Recorder beside it writes on that lane.
+type slotLog struct {
+	mu    sync.Mutex
+	kinds []rtrace.Kind
+}
+
+func (l *slotLog) Event(w int, k rtrace.Kind, a, b, c int64) {
+	if w == 0 {
+		l.mu.Lock()
+		l.kinds = append(l.kinds, k)
+		l.mu.Unlock()
+	}
+}
+
+// TestGiveUpWritesOneBurstPair reads the give-ups off the slots a
+// one-worker run writes, where every give-up steals and the stream is a
+// function of the program: the pinned chain and tree. A quota give-up is
+// exactly two slots, its lead burst (veto, idle, push, release) and the
+// steal's burst, and reads the clock once, in the lead. A dummy's give-up
+// is three: the dummy's complete, which reads the clock, then its lead and
+// the steal's burst, which do not. Every preemption and every dummy leaf
+// is one of them.
+func TestGiveUpWritesOneBurstPair(t *testing.T) {
+	for _, tc := range pinnedRuns {
+		t.Run(tc.name, func(t *testing.T) {
+			log := new(slotLog)
+			st, err := Run(Config{Workers: 1, Sched: DFDeques, K: chainK, Seed: 1, Probe: log}, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steal := func(k rtrace.Kind) bool {
+				return k == rtrace.BurstGiveUpSteal || k == rtrace.BurstGiveUpTakeover
+			}
+			var quota, dummy int64
+			ks := log.kinds
+			for i, k := range ks {
+				switch k {
+				case rtrace.BurstGiveUp, rtrace.BurstPromoteGiveUp:
+					quota++
+					if i+1 == len(ks) || !steal(ks[i+1]) || !k.ReadsClock() || ks[i+1].ReadsClock() {
+						t.Fatalf("slot %d: quota give-up %v then %v, want a clock-reading lead and an unclocked steal", i, k, ks[min(i+1, len(ks)-1)])
+					}
+				case rtrace.BurstDummyGiveUp:
+					dummy++
+					if i == 0 || i+1 == len(ks) || ks[i-1] != rtrace.EvComplete || !steal(ks[i+1]) ||
+						!ks[i-1].ReadsClock() || k.ReadsClock() || ks[i+1].ReadsClock() {
+						t.Fatalf("slot %d: dummy give-up %v, %v, %v, want complete (clocked), then an unclocked lead and steal", i, ks[max(i-1, 0)], k, ks[min(i+1, len(ks)-1)])
+					}
+				case rtrace.BurstDummyRelease, rtrace.BurstDummyRetire, rtrace.EvDequeRelease:
+					t.Fatalf("slot %d: %v on one worker, where every dummy is claimed inline and every give-up republishes", i, k)
+				}
+			}
+			if quota != st.Preemptions || dummy != st.DummyThreads || quota == 0 || (tc.name == "chain" && dummy == 0) {
+				t.Errorf("%d quota and %d dummy give-ups, for %d preemptions and %d dummies", quota, dummy, st.Preemptions, st.DummyThreads)
+			}
+			t.Logf("%d quota give-ups, 2 slots each; %d dummy give-ups, 3 slots each; one clock read a give-up", quota, dummy)
+		})
+	}
+}

@@ -61,8 +61,8 @@ func TestPushPopOwnLIFO(t *testing.T) {
 	pl := intDFD(2, 2)
 	pl.Seed(1)
 	stealAt(t, pl, 0, 0, false)
-	pl.pushOwn(0, 5)
-	pl.pushOwn(0, 4) // higher priority pushed later (deeper fork)
+	pushOwn(pl, 0, 5)
+	pushOwn(pl, 0, 4) // higher priority pushed later (deeper fork)
 	if x, ok := pl.Next(0); !ok || x != 4 {
 		t.Fatalf("Next = %d,%v want 4", x, ok)
 	}
@@ -85,7 +85,7 @@ func TestGiveUpLeavesDequeStealable(t *testing.T) {
 	pl := intDFD(2, 3)
 	pl.Seed(1)
 	stealAt(t, pl, 0, 0, false)
-	pl.pushOwn(0, 7)
+	pushOwn(pl, 0, 7)
 	giveUp(pl, 0)
 	if owns(pl, 0) {
 		t.Fatal("giveUp did not release ownership")
@@ -120,8 +120,8 @@ func TestStealFromBottom(t *testing.T) {
 	pl := intDFD(3, 5)
 	pl.Seed(1)
 	stealAt(t, pl, 0, 0, false)
-	pl.pushOwn(0, 3)
-	pl.pushOwn(0, 2)
+	pushOwn(pl, 0, 3)
+	pushOwn(pl, 0, 2)
 	// Worker 1 steals: must get the bottom (lowest-priority) thread, 3.
 	if got := stealAt(t, pl, 1, 0, false); got != 3 {
 		t.Fatalf("thief got %d, want bottom thread 3", got)
@@ -134,7 +134,7 @@ func TestStealFromBottom(t *testing.T) {
 	}
 	// Each thief's deque sits right of its victim: worker 2's, then
 	// worker 1's.
-	if pl.r[1] != pl.own[2].Load() || pl.r[2] != pl.own[1].Load() {
+	if pl.r[1] != pl.lanes[2].own || pl.r[2] != pl.lanes[1].own {
 		t.Fatal("thieves' deques are not right of the victim, latest first")
 	}
 }
@@ -146,12 +146,12 @@ func TestStealFromTopLandsLeft(t *testing.T) {
 	pl := intDFD(3, 6)
 	pl.Seed(1)
 	stealAt(t, pl, 0, 0, false)
-	pl.pushOwn(0, 3)
-	pl.pushOwn(0, 2)
+	pushOwn(pl, 0, 3)
+	pushOwn(pl, 0, 2)
 	if got := stealAt(t, pl, 1, 0, true); got != 2 {
 		t.Fatalf("top thief got %d, want the newest thread 2", got)
 	}
-	if pl.r[0] != pl.own[1].Load() || pl.r[1] != pl.own[0].Load() {
+	if pl.r[0] != pl.lanes[1].own || pl.r[1] != pl.lanes[0].own {
 		t.Fatal("the thief's deque is not left of its victim")
 	}
 	if got, want := sharedLayout(pl), [][]int{nil, {3}}; !reflect.DeepEqual(got, want) {
@@ -189,7 +189,7 @@ func TestPushOwnWithoutDequePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	pl.pushOwn(0, 1)
+	pushOwn(pl, 0, 1)
 }
 
 // TestPushWokenOrdering pins the one placement rule both engines use: a
@@ -200,7 +200,7 @@ func TestPushWokenOrdering(t *testing.T) {
 	pl := intDFD(4, 8)
 	pl.Seed(5)
 	stealAt(t, pl, 0, 0, false)
-	pl.pushOwn(0, 6)
+	pushOwn(pl, 0, 6)
 	pl.Wake(1, 3) // outranks 6, but 6's deque is owned: right end
 	pl.Wake(1, 9) // below the unowned 3: right end
 	pl.Wake(1, 4) // outranks the unowned 9 only: left of it
@@ -220,7 +220,7 @@ func TestMaxDequesTracksHighWater(t *testing.T) {
 	pl.Seed(1)
 	stealAt(t, pl, 0, 0, false)
 	for i := 2; i < 10; i++ {
-		pl.pushOwn(0, i)
+		pushOwn(pl, 0, i)
 	}
 	giveUp(pl, 0)
 	for w := 1; w < 5; w++ {
@@ -272,7 +272,7 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 			case 1: // fork: push the parent, run the child, whose priority
 				// is immediately above the parent's
 				if curr[w] != nil && owns(pl, w) {
-					pl.pushOwn(w, curr[w])
+					pushOwn(pl, w, curr[w])
 					curr[w] = prios.InsertBefore(curr[w])
 					ready++
 				}
@@ -287,7 +287,7 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 				}
 			case 3: // quota exhaustion: push back and give up
 				if curr[w] != nil && owns(pl, w) {
-					pl.pushOwn(w, curr[w])
+					pushOwn(pl, w, curr[w])
 					giveUp(pl, w)
 					curr[w] = nil
 					ready++

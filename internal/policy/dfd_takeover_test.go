@@ -52,9 +52,9 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 			x := tc.steal(pl)
 			c := map[int]int{1: 0, 30: 1, 40: 2}[x]
 			victim, old := before[c], int64(c+1)
-			if pl.r[c] != victim || pl.own[0].Load() != victim || victim.owner != 0 || pl.Deques() != 3 {
+			if pl.r[c] != victim || pl.lanes[0].own != victim || victim.owner != 0 || pl.Deques() != 3 {
 				t.Fatalf("R[%d] = %p owned by %d, w0 owns %p, %d deques: want the victim %p, owned by w0, and 3",
-					c, pl.r[c], pl.r[c].owner, pl.own[0].Load(), pl.Deques(), victim)
+					c, pl.r[c], pl.r[c].owner, pl.lanes[0].own, pl.Deques(), victim)
 			}
 			if victim.id != 4 {
 				t.Errorf("ID = %d, want 4, the next one drawn", victim.id)
@@ -69,6 +69,7 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 				{int64(rtrace.EvStealAttempt), old, 0, 0},
 				{int64(rtrace.EvSteal), int64(x), old, 4},
 				{int64(rtrace.EvDequeRetire), old, 0, 0},
+				{int64(rtrace.EvDispatch), int64(x), rtrace.SrcAcquire, 0},
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("records = %v, want %v", got, want)
@@ -80,8 +81,8 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 				t.Errorf("steals %d, ready %d, MaxDeques %d: want 1, 2, 3", st.Steals, pl.ready.Load(), st.MaxDeques)
 			}
 			// The adopter works its deque from where the thief left it.
-			pl.pushOwn(0, x+2)
-			pl.pushOwn(0, x+1)
+			pushOwn(pl, 0, x+2)
+			pushOwn(pl, 0, x+1)
 			if y, ok := pl.Next(0); !ok || y != x+1 {
 				t.Fatalf("Next = %d,%v, want %d", y, ok, x+1)
 			}
@@ -94,31 +95,31 @@ func TestSharedTakeoverKeepsTheDeque(t *testing.T) {
 	t.Run("owned-or-kept", func(t *testing.T) {
 		pl, _ := newPool()
 		stealAt(t, pl, 0, 1, false) // w0 takes {30} over
-		pl.pushOwn(0, 33)
-		pl.pushOwn(0, 32)
+		pushOwn(pl, 0, 33)
+		pushOwn(pl, 0, 32)
 		// Owned: w1's steal of the bottom puts a fresh deque right of w0's.
 		owned := pl.r[1]
 		if x := stealAt(t, pl, 1, 1, false); x != 33 {
 			t.Fatalf("stole %d from the owned deque, want 33", x)
 		}
 		nd := pl.r[2]
-		if nd == owned || pl.own[1].Load() != nd || nd.owner != 1 || nd.id != 5 ||
-			pl.r[1] != owned || pl.own[0].Load() != owned || owned.owner != 0 {
+		if nd == owned || pl.lanes[1].own != nd || nd.owner != 1 || nd.id != 5 ||
+			pl.r[1] != owned || pl.lanes[0].own != owned || owned.owner != 0 {
 			t.Fatalf("w1 owns %p (ID %d) at R[2], w0 owns %p at R[1]: want a fresh deque, ID 5, right of w0's %p",
-				pl.own[1].Load(), nd.id, pl.r[1], owned)
+				pl.lanes[1].own, nd.id, pl.r[1], owned)
 		}
 		// Kept: w1 forks two and gives its deque up; w2's steal of the
 		// bottom leaves one behind, so the unowned victim stays, and w2's
 		// fresh deque goes to its right.
-		pl.pushOwn(1, 35)
-		pl.pushOwn(1, 34)
+		pushOwn(pl, 1, 35)
+		pushOwn(pl, 1, 34)
 		giveUp(pl, 1)
 		if x := stealAt(t, pl, 2, 2, false); x != 35 {
 			t.Fatalf("stole %d from the given-up deque, want 35", x)
 		}
-		if nw := pl.r[3]; pl.r[2] != nd || nd.owner != -1 || pl.own[2].Load() != nw || nw.id != 6 {
+		if nw := pl.r[3]; pl.r[2] != nd || nd.owner != -1 || pl.lanes[2].own != nw || nw.id != 6 {
 			t.Fatalf("R[2] = %p owned by %d, w2 owns %p: want the victim %p left unowned, and a fresh deque, ID 6, at R[3]",
-				pl.r[2], nd.owner, pl.own[2].Load(), nd)
+				pl.r[2], nd.owner, pl.lanes[2].own, nd)
 		}
 		if got, want := sharedLayout(pl), [][]int{{1}, {32}, {34}, nil, {40}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("R = %v, want %v", got, want)
@@ -201,14 +202,14 @@ func TestSharedTakeoverRacesThieves(t *testing.T) {
 					have = false
 					continue
 				}
-				pl.pushOwn(w, x)
+				pushOwn(pl, w, x)
 				if w >= adopters {
 					giveUp(pl, w)
 					have = false
 					continue
 				}
 				child := x - gap + int(forked.Add(1))
-				pl.pushOwn(w, child)
+				pushOwn(pl, w, child)
 				runtime.Gosched() // the child's window: let a thief in
 				if pl.JoinPop(w, x, child) {
 					joined.Add(1)
@@ -219,11 +220,11 @@ func TestSharedTakeoverRacesThieves(t *testing.T) {
 				} else if y != x {
 					t.Errorf("w%d popped %d, want its thread %d", w, y, x)
 				}
-				pl.pushOwn(w, x)
+				pushOwn(pl, w, x)
 				x, have = giveUpSteal(pl, w)
 			}
 			if have {
-				pl.pushOwn(w, x)
+				pushOwn(pl, w, x)
 				giveUp(pl, w)
 			}
 		}(w)

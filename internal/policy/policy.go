@@ -126,10 +126,14 @@ type Policy[T any] interface {
 	// Charge can return false. Ahead of the republish it records the veto
 	// (EvQuotaExhaust) and the worker's turn to stealing (EvIdle), led by
 	// t's promotion (EvPromote, B = 1) if the engine promoted t to stop
-	// here — DFDeques as one burst with its push (rtrace.BurstPreemptPush,
-	// BurstPromotePreempt). The engine's next call on w is Acquire; a
-	// policy may make that attempt here, in the section that republishes
-	// t, and have Acquire report it.
+	// here. The engine's next call on w is Acquire; a policy may make that
+	// attempt here, in the section that republishes t, and have Acquire
+	// report it. DFDeques does, and records the whole give-up at the end
+	// of that section: one burst for the veto, the turn to stealing, the
+	// push, the release and the failed redraws (rtrace.BurstGiveUp,
+	// BurstPromoteGiveUp), which reads the clock, and one for the steal
+	// and the stolen thread's dispatch, which takes the same timestamp —
+	// so the give-up's idle stretch is zero-length in the trace.
 	Preempt(w int, t T, n int64, promoted bool)
 	// Wake publishes a thread woken by a lock release or future write at
 	// its priority position (§5's extension beyond nested parallelism).
@@ -141,7 +145,13 @@ type Policy[T any] interface {
 	// Terminate picks w's next thread after its current one terminated,
 	// waking woke (the joined parent) if hasWoke. It owns the §3.3
 	// dummy-termination give-up and FIFO's requeue-the-parent rule. On
-	// false the engine's next call on w is Acquire, as after Preempt.
+	// false the engine's next call on w is Acquire, as after Preempt. A
+	// dummy's give-up is recorded as Preempt's is, after the engine's
+	// record of the dummy's completion, which reads the clock: the turn
+	// to stealing, the republished woke, the release and the failed
+	// redraws as one burst (rtrace.BurstDummyGiveUp, or
+	// BurstDummyRelease and BurstDummyRetire with nothing to republish),
+	// then the steal's, both on the completion's timestamp.
 	Terminate(w int, woke T, hasWoke bool) (T, bool)
 	// Dummy records that w executed a dummy thread; DFDeques gives up the
 	// deque at the dummy's termination (§3.3).
@@ -150,9 +160,15 @@ type Policy[T any] interface {
 	// worker (a steal, or a queue take) — or reports, exactly once, the
 	// attempt w's last give-up already made: every route out of a give-up
 	// leads here, for canceled jobs too, so a thread taken there is never
-	// stranded. On success the policy resets w's quota. The engine loops,
-	// spins and parks around it.
+	// stranded. On success the policy resets w's quota and records the
+	// thread's dispatch (EvDispatch, SrcAcquire; DFDeques in the steal's
+	// burst). The engine loops, spins and parks around it.
 	Acquire(w int) (T, bool)
+	// Pause tells the policy that w stops hunting for now: it parks,
+	// backs off or leaves the acquire loop. DFDeques counts a hunt's
+	// failed attempts instead of recording each, and writes them here as
+	// one burst (rtrace.BurstMisses) if its next steal has not.
+	Pause(w int)
 	// HasWork reports (lock-free where possible) whether any thread is
 	// published; the engine's park protocol re-checks it.
 	HasWork() bool

@@ -93,6 +93,10 @@ func TestRecorderMergeMatchesSort(t *testing.T) {
 func FuzzRecorderExpand(f *testing.F) {
 	f.Add(uint8(2), uint8(2), []byte{0, 0, 1, 1, 25, 2, 2, 27, 3, 0, 30, 4, 1, 11, 5})
 	f.Add(uint8(1), uint8(0), []byte{1, 26, 9, 1, 28, 9, 0, 19, 1, 1, 29, 3})
+	// Every give-up and steal burst, with tails of 0 to 7 attempts and a
+	// burst of misses of 1 and 256.
+	f.Add(uint8(3), uint8(3), []byte{1, 28, 6, 2, 29, 7, 3, 30, 0, 1, 31, 1, 2, 32, 2,
+		3, 33, 253, 1, 33, 254, 2, 34, 3, 3, 35, 4, 1, 36, 5, 2, 37, 6, 0, 28, 14})
 	f.Fuzz(func(t *testing.T, p, ringLog uint8, ops []byte) {
 		procs := 1 + int(p)%8
 		r := NewRecorder(procs, 1<<(ringLog%7))
@@ -101,54 +105,67 @@ func FuzzRecorderExpand(f *testing.F) {
 	})
 }
 
-// TestBurstsExpandToStreamKinds: every burst expands to two or more
-// stream records (never to a burst), at most maxBurst, with consecutive
-// Seqs and its lane and timestamp; width agrees; a burst reads the clock
-// iff one of its records would; and every kind has a name.
+// TestBurstsExpandToStreamKinds: every burst expands to stream records
+// (never to a burst) with consecutive Seqs and its lane and timestamp —
+// at most maxBurst of them ahead of its tail, then the tail's failed
+// attempts, C&tail of them, for every tail length — and records agrees;
+// a burst reads the clock iff one of its records would, but for the
+// give-up's steal bursts, which take the stamp of the lead burst written
+// in the same section; and every kind has a name.
 func TestBurstsExpandToStreamKinds(t *testing.T) {
-	exact := func(k Kind) bool { return exactTS&(1<<k) != 0 }
+	unclocked := map[Kind]bool{BurstGiveUpSteal: true, BurstGiveUpTakeover: true}
 	for k := Kind(0); k < allKinds; k++ {
 		if k.String() == "" || k.String()[0] == 'k' {
 			t.Errorf("kind %d has no name: %q", k, k.String())
 		}
-		e := Event{Seq: 10, TS: 77, Kind: k, W: 3, A: 5, B: 6, C: 7<<1 | 1}
-		recs := Expand(nil, e)
-		if int(width[k]) != len(recs) {
-			t.Errorf("%v: width %d, Expand gives %d records", k, width[k], len(recs))
-		}
-		if k < numKinds {
-			if len(recs) != 1 || recs[0] != e {
-				t.Errorf("%v: a stream kind expands to %v", k, recs)
+		fixed := int(width[k])
+		for n := 0; n <= int(tail[k]); n++ {
+			e := Event{Seq: 10, TS: 77, Kind: k, W: 3, A: 5, B: 6, C: 9<<8 | int64(n)}
+			recs := Expand(nil, e)
+			if int(records(k, e.C)) != len(recs) || len(recs) != fixed+n {
+				t.Errorf("%v, tail %d: records says %d, Expand gives %d, want %d", k, n, records(k, e.C), len(recs), fixed+n)
+				continue
 			}
-			continue
-		}
-		if len(recs) < 2 || len(recs) > maxBurst {
-			t.Errorf("%v expands to %d records, want 2 to %d", k, len(recs), maxBurst)
-		}
-		anyExact := false
-		for i, x := range recs {
-			if x.Kind >= numKinds || x.Seq != e.Seq+uint64(i) || x.W != e.W || x.TS != e.TS {
-				t.Errorf("%v: record %d is %v", k, i, x)
+			if k < numKinds {
+				if len(recs) != 1 || recs[0] != e {
+					t.Errorf("%v: a stream kind expands to %v", k, recs)
+				}
+				continue
 			}
-			anyExact = anyExact || exact(x.Kind)
-		}
-		if exact(k) != anyExact {
-			t.Errorf("%v reads the clock: %v; one of its records would: %v", k, exact(k), anyExact)
+			if fixed > maxBurst || fixed+n < 2 && tail[k] == 0 {
+				t.Errorf("%v expands to %d records ahead of its tail, want 2 to %d (1 with a tail)", k, fixed, maxBurst)
+			}
+			anyExact := false
+			for i, x := range recs {
+				if x.Kind >= numKinds || x.Seq != e.Seq+uint64(i) || x.W != e.W || x.TS != e.TS {
+					t.Errorf("%v: record %d is %v", k, i, x)
+				}
+				if i >= fixed && (x.Kind != EvStealAttempt || x.A != -1) {
+					t.Errorf("%v: tail record %d is %v, want a failed steal attempt", k, i, x)
+				}
+				anyExact = anyExact || x.Kind.ReadsClock()
+			}
+			if want := anyExact && !unclocked[k]; k.ReadsClock() != want {
+				t.Errorf("%v reads the clock: %v, want %v", k, k.ReadsClock(), want)
+			}
 		}
 	}
 }
 
 // TestEventHotPathsAllocateNothing: the recorder and the live counters
-// take every kind, bursts included, without an allocation.
+// take every kind, bursts included, with an empty tail and a full one,
+// without an allocation.
 func TestEventHotPathsAllocateNothing(t *testing.T) {
 	r := NewRecorder(2, 64)
 	c := NewCounters()
 	for k := Kind(0); k < allKinds; k++ {
-		if n := testing.AllocsPerRun(100, func() { r.Event(1, k, 1, 2, 3) }); n != 0 {
-			t.Errorf("Recorder.Event(%v) allocates %.1f times", k, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { c.Event(1, k, 1, 2, 3) }); n != 0 {
-			t.Errorf("Counters.Event(%v) allocates %.1f times", k, n)
+		for _, cc := range []int64{3 << 8, 3<<8 | int64(tail[k])} {
+			if n := testing.AllocsPerRun(100, func() { r.Event(1, k, 1, 2, cc) }); n != 0 {
+				t.Errorf("Recorder.Event(%v, C = %#x) allocates %.1f times", k, cc, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { c.Event(1, k, 1, 2, cc) }); n != 0 {
+				t.Errorf("Counters.Event(%v, C = %#x) allocates %.1f times", k, cc, n)
+			}
 		}
 	}
 }
