@@ -155,48 +155,62 @@ func SerialFor(label string, n int, leaf func(i int) *ThreadSpec) *ThreadSpec {
 
 // Validate walks the spec tree and reports structural violations that the
 // builder cannot catch when specs are assembled by hand: nil children,
-// joins without forks, unjoined forks.
+// joins without forks, unjoined forks, and frees a thread does not cover.
+// The heap rule is the nested-parallel discipline: a thread frees at most
+// what it has allocated, plus what its joined children left live.
 func Validate(spec *ThreadSpec) error {
-	seen := map[*ThreadSpec]bool{}
-	return validate(spec, seen)
+	_, err := validate(spec, map[*ThreadSpec]int64{})
+	return err
 }
 
-func validate(spec *ThreadSpec, seen map[*ThreadSpec]bool) error {
+// validate checks spec and returns the bytes it leaves live, memoized in
+// net per shared sub-spec.
+func validate(spec *ThreadSpec, net map[*ThreadSpec]int64) (int64, error) {
 	if spec == nil {
-		return fmt.Errorf("dag: nil ThreadSpec")
+		return 0, fmt.Errorf("dag: nil ThreadSpec")
 	}
-	if seen[spec] {
-		return nil // shared subtree already validated
+	if n, ok := net[spec]; ok {
+		return n, nil // shared subtree already validated
 	}
-	seen[spec] = true
-	pending := 0
+	net[spec] = 0
+	var live int64
+	var few [4]int64
+	pending := few[:0] // forked, not yet joined children's net bytes
 	for i, in := range spec.Instrs {
 		switch in.Op {
 		case OpFork:
 			if in.Child == nil {
-				return fmt.Errorf("dag: thread %q instr %d: fork with nil child", spec.Label, i)
+				return 0, fmt.Errorf("dag: thread %q instr %d: fork with nil child", spec.Label, i)
 			}
-			if err := validate(in.Child, seen); err != nil {
-				return err
+			n, err := validate(in.Child, net)
+			if err != nil {
+				return 0, err
 			}
-			pending++
+			pending = append(pending, n)
 		case OpJoin:
-			if pending == 0 {
-				return fmt.Errorf("dag: thread %q instr %d: join without pending fork", spec.Label, i)
+			if len(pending) == 0 {
+				return 0, fmt.Errorf("dag: thread %q instr %d: join without pending fork", spec.Label, i)
 			}
-			pending--
+			live += pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 		case OpWork:
 			if in.N <= 0 {
-				return fmt.Errorf("dag: thread %q instr %d: work with N=%d", spec.Label, i, in.N)
+				return 0, fmt.Errorf("dag: thread %q instr %d: work with N=%d", spec.Label, i, in.N)
 			}
 		case OpAlloc, OpFree:
 			if in.N < 0 {
-				return fmt.Errorf("dag: thread %q instr %d: %v with negative bytes", spec.Label, i, in.Op)
+				return 0, fmt.Errorf("dag: thread %q instr %d: %v with negative bytes", spec.Label, i, in.Op)
+			}
+			if in.Op == OpAlloc {
+				live += in.N
+			} else if live -= in.N; live < 0 {
+				return 0, fmt.Errorf("dag: thread %q instr %d: free of %d bytes with %d covered", spec.Label, i, in.N, live+in.N)
 			}
 		}
 	}
-	if pending != 0 {
-		return fmt.Errorf("dag: thread %q leaves %d forks unjoined", spec.Label, pending)
+	if len(pending) != 0 {
+		return 0, fmt.Errorf("dag: thread %q leaves %d forks unjoined", spec.Label, len(pending))
 	}
-	return nil
+	net[spec] = live
+	return live, nil
 }

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +56,37 @@ func TestValidateCatchesHandAssembledErrors(t *testing.T) {
 	bad4 := &ThreadSpec{Instrs: []Instr{{Op: OpFork, Child: &ThreadSpec{}}}}
 	if Validate(bad4) == nil {
 		t.Fatal("unjoined fork not caught")
+	}
+}
+
+// TestValidateRefusesUncoveredFrees: a thread frees at most what it has
+// allocated plus what its joined children left live — not its parent's
+// bytes, not a child's before the join — and a shared sub-spec covers its
+// net bytes once per fork.
+func TestValidateRefusesUncoveredFrees(t *testing.T) {
+	leak := NewThread("leak").Alloc(100).Spec()
+	ok := map[string]*ThreadSpec{
+		"own bytes":            NewThread("x").Alloc(100).Free(60).Free(40).Spec(),
+		"a joined child's":     NewThread("x").Fork(leak).Join().Free(100).Spec(),
+		"a shared child twice": NewThread("x").Fork(leak).Fork(leak).Join().Join().Free(200).Spec(),
+		"a grandchild's":       NewThread("x").ForkJoin(NewThread("c").ForkJoin(leak).Spec()).Free(100).Spec(),
+	}
+	for name, s := range ok {
+		if err := Validate(s); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	bad := map[string]*ThreadSpec{
+		"free before alloc":         NewThread("x").Free(1).Alloc(1).Spec(),
+		"more than allocated":       NewThread("x").Alloc(100).Free(101).Spec(),
+		"the parent's bytes":        NewThread("x").Alloc(100).ForkJoin(NewThread("c").Free(100).Spec()).Spec(),
+		"a child's before a join":   NewThread("x").Fork(leak).Free(100).Join().Spec(),
+		"past a shared child twice": NewThread("x").Fork(leak).Fork(leak).Join().Join().Free(201).Spec(),
+	}
+	for name, s := range bad {
+		if err := Validate(s); err == nil || !strings.Contains(err.Error(), "covered") {
+			t.Errorf("%s: Validate = %v, want an uncovered free", name, err)
+		}
 	}
 }
 

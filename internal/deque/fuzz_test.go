@@ -4,8 +4,8 @@ package deque_test
 // right, plus an owner map) through random interleavings of the operations
 // the DFDeques scheduler performs — owner PushTop/PopTop, thief PopBottom
 // with a new deque inserted right of the victim, give-up and deletion —
-// while an oracle (a simple total order standing in for the
-// om-list) checks the Lemma 3.1 priority-ordering invariant after every
+// while an oracle (a simple total order standing in for the 1DF
+// order) checks the Lemma 3.1 priority-ordering invariant after every
 // single step: reading R left to right and each deque top to bottom
 // yields strictly decreasing priorities.
 //

@@ -94,6 +94,30 @@ func TestBudgetSettlesOnJobEnd(t *testing.T) {
 	}
 }
 
+// TestBudgetRefusesAnUncoveredFree: dag.Validate keeps uncovered frees out
+// of spec programs, but a closure is never validated. A budgeted job whose
+// free would take its live heap below zero fails with ErrUncoveredFree,
+// the free is undone, and its budget never goes below zero — so it lends
+// its group no credit.
+func TestBudgetRefusesAnUncoveredFree(t *testing.T) {
+	rt := newTestRT(t, 1)
+	b := NewBudget(10_000)
+	j, err := rt.SubmitWith(context.Background(), func(tt *T) {
+		tt.Alloc(100)
+		tt.Free(1 << 30)
+		tt.Alloc(1 << 20)
+	}, SubmitOpts{Budget: b})
+	if err != nil {
+		t.Fatalf("SubmitWith: %v", err)
+	}
+	if _, err := j.Wait(); !errors.Is(err, ErrUncoveredFree) {
+		t.Errorf("Wait = %v, want ErrUncoveredFree", err)
+	}
+	if live, hw := b.HeapLive(), b.HeapHW(); live != 0 || hw != 100 {
+		t.Errorf("budget live %d, high-water %d; want 0 (settled), 100 (the covered alloc)", live, hw)
+	}
+}
+
 // TestJobHeapHWConcurrent pins the atomicMax high-water accounting under
 // racing allocations: many threads of one job allocate and free
 // concurrently, and HeapHW must land between one thread's peak and the

@@ -70,6 +70,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dfdeques/internal/dag"
 	"dfdeques/internal/policy"
 	"dfdeques/internal/rtrace"
 )
@@ -624,40 +625,21 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// prioLess reports whether a precedes b in the 1DF order, reading it off
-// the fork tree with no lock: an ancestor precedes its descendants, of two
-// siblings the later-forked comes first (each fork lands immediately after
-// its forker), and of two job roots the earlier job. O(nesting depth). Every
-// frame the walk reaches is live or, in a poisoned job, held by the GC —
-// an ancestor cannot terminate before its descendants are joined, and
+// prioLess reports whether a precedes b in the 1DF order: dag.Before in
+// ParentFirst polarity (each fork lands right after its forker, each job
+// root after every earlier job), read off the fork tree with no lock.
+// Every frame the walk reaches is live or, in a poisoned job, held by the
+// GC — an ancestor cannot terminate before its descendants are joined, and
 // releaseT pools nothing of a job whose parents unwind without joining.
-func prioLess(a, b *T) bool {
-	x, y := a, b
-	for x.depth > y.depth {
-		x = x.up()
-	}
-	for y.depth > x.depth {
-		y = y.up()
-	}
-	if x == y {
-		return a.depth < b.depth // one is the other's ancestor (or a == b)
-	}
-	for x.parent != y.parent {
-		x, y = x.up(), y.up()
-	}
-	if x.parent == nil {
-		return x.index < y.index
-	}
-	return x.index > y.index
-}
+func prioLess(a, b *T) bool { return dag.Before(a, b, (*T).up, dag.ParentFirst) }
 
-// up is one step of prioLess's walk; it names a broken tree rather than
-// dereferencing a recycled ancestor.
-func (t *T) up() *T {
-	if t.parent == nil || t.parent.job != t.job {
+// up is prioLess's accessor of t's place in the fork tree; it names a
+// broken tree rather than dereferencing a recycled ancestor.
+func (t *T) up() (*T, int, int64) {
+	if t.depth > 0 && (t.parent == nil || t.parent.job != t.job) {
 		panic("grt: prioLess reached a recycled ancestor (frame pooled while a descendant was live)")
 	}
-	return t.parent
+	return t.parent, t.depth, t.index
 }
 
 // ---- Thread-side API -----------------------------------------------------

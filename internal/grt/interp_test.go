@@ -52,7 +52,7 @@ func TestParentFirstWalkIsTheOneWorkerRun(t *testing.T) {
 	specs := map[string]*dag.ThreadSpec{}
 	rng := rand.New(rand.NewSource(39))
 	for i := 0; i < 500; i++ {
-		specs[fmt.Sprintf("random%d", i)] = randomProgram(rng, 0)
+		specs[fmt.Sprintf("random%d", i)], _ = randomProgram(rng, 0)
 	}
 	for _, w := range workload.All() {
 		for _, g := range []workload.Grain{workload.Medium, workload.Fine} {
@@ -82,31 +82,43 @@ func TestParentFirstWalkIsTheOneWorkerRun(t *testing.T) {
 
 // randomProgram draws a nested-parallel program whose joins fall anywhere
 // after their forks and whose frees need not match its allocations: a
-// child's allocation may outlive it, a parent may free what a child
-// allocated, and the live count may go negative.
-func randomProgram(rng *rand.Rand, depth int) *dag.ThreadSpec {
+// child's allocation may outlive it and a parent may free what a joined
+// child left. A free is clamped to what dag.Validate lets the thread free
+// (its own bytes and its joined children's), so the live count never goes
+// negative. It returns the program and the bytes it leaves live.
+func randomProgram(rng *rand.Rand, depth int) (*dag.ThreadSpec, int64) {
 	b := dag.NewThread("r")
-	pending := 0
+	var live int64
+	var pending []int64 // forked children's live bytes, last first
+	join := func() {
+		b.Join()
+		live += pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+	}
 	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 		switch r := rng.Intn(6); {
 		case r == 0:
-			b.Alloc(int64(rng.Intn(1000)))
+			n := int64(rng.Intn(1000))
+			b.Alloc(n)
+			live += n
 		case r == 1:
-			b.Free(int64(rng.Intn(1000)))
+			n := min(int64(rng.Intn(1000)), live)
+			b.Free(n)
+			live -= n
 		case r <= 3 && depth < 5:
-			b.Fork(randomProgram(rng, depth+1))
-			pending++
-		case r == 4 && pending > 0:
-			b.Join()
-			pending--
+			c, n := randomProgram(rng, depth+1)
+			b.Fork(c)
+			pending = append(pending, n)
+		case r == 4 && len(pending) > 0:
+			join()
 		default:
 			b.Work(1)
 		}
 	}
-	for ; pending > 0; pending-- {
-		b.Join()
+	for len(pending) > 0 {
+		join()
 	}
-	return b.Spec()
+	return b.Spec(), live
 }
 
 func dncSpec(levels int, space int64) *dag.ThreadSpec {

@@ -4,48 +4,37 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dfdeques/internal/om"
 )
 
 // orderScript drives the runtime's own fork bookkeeping (newT, noteFork,
 // releaseT, the root fields Submit writes) through a random nested-parallel
-// history on one goroutine, next to the structure prioLess replaced: an
-// om.List with InsertAfter(forker) per fork, PushBack per root and Delete
-// per death.
+// history on one goroutine, next to an oracle that is not a tree walk: the
+// live threads kept in 1DF order in a plain slice, each fork inserted right
+// after its forker, each root appended, each death removed.
 type orderScript struct {
 	rt      Runtime
-	list    om.List
-	live    []*T
-	rec     []*om.Record // rec[i] is live[i]'s oracle record
+	live    []*T // in birth order
+	order   []*T // the oracle: live, first in 1DF order first
 	jobs    int64
 	pooled  map[*T]bool // frames handed to releaseT so far
 	reused  int
 	maxDeep int
 }
 
-func (s *orderScript) born(t *T, r *om.Record) {
+func (s *orderScript) born(t *T, at int) {
 	if s.pooled[t] {
 		s.reused++
 		delete(s.pooled, t)
 	}
 	s.live = append(s.live, t)
-	s.rec = append(s.rec, r)
+	s.order = slices.Insert(s.order, at, t)
 	s.maxDeep = max(s.maxDeep, t.depth)
-}
-
-func (s *orderScript) indexOf(t *T) int {
-	for i, x := range s.live {
-		if x == t {
-			return i
-		}
-	}
-	panic("not live")
 }
 
 func (s *orderScript) newRoot() {
@@ -54,7 +43,7 @@ func (s *orderScript) newRoot() {
 	t.job = &Job{id: s.jobs}
 	t.root = true
 	t.index = t.job.id
-	s.born(t, s.list.PushBack())
+	s.born(t, len(s.order))
 }
 
 func (s *orderScript) fork(t *T) {
@@ -62,16 +51,16 @@ func (s *orderScript) fork(t *T) {
 	c.job = t.job
 	t.unjoined = append(t.unjoined, c)
 	s.rt.noteFork(t, c)
-	s.born(c, s.list.InsertAfter(s.rec[s.indexOf(t)]))
+	s.born(c, slices.Index(s.order, t)+1)
 }
 
 // die terminates a thread with no unjoined children: a root's frame is
 // released on the spot (its exit), any other waits for its parent's join.
 func (s *orderScript) die(t *T) {
-	i := s.indexOf(t)
-	s.list.Delete(s.rec[i])
-	s.live = append(s.live[:i], s.live[i+1:]...)
-	s.rec = append(s.rec[:i], s.rec[i+1:]...)
+	i := slices.Index(s.live, t)
+	s.live = slices.Delete(s.live, i, i+1)
+	i = slices.Index(s.order, t)
+	s.order = slices.Delete(s.order, i, i+1)
 	t.done.Store(true)
 	if t.root {
 		s.release(t)
@@ -91,10 +80,10 @@ func (s *orderScript) release(t *T) {
 }
 
 func (s *orderScript) check(t *testing.T, seed int64, step int, op string) {
-	for i, a := range s.live {
-		for j, b := range s.live {
-			if got, want := prioLess(a, b), om.Less(s.rec[i], s.rec[j]); got != want {
-				t.Fatalf("seed %d step %d (%s): prioLess(live[%d], live[%d]) = %v, om.Less = %v (depths %d, %d)", seed, step, op, i, j, got, want, a.depth, b.depth)
+	for i, a := range s.order {
+		for j, b := range s.order {
+			if got := prioLess(a, b); got != (i < j) {
+				t.Fatalf("seed %d step %d (%s): prioLess(order[%d], order[%d]) = %v, want %v (depths %d, %d)", seed, step, op, i, j, got, i < j, a.depth, b.depth)
 			}
 		}
 	}
@@ -165,9 +154,11 @@ func (s *orderScript) run(t *testing.T, seed int64, spine, steps, maxLive int, c
 }
 
 // TestPrioLessMatchesOMList: the order read off the fork tree is the order
-// the om-list kept — on every pair of live threads after every step of
-// 1000 random scripts (several roots, unbalanced trees, recycled frames)
-// and of a handful that nest past depth 64.
+// an insertion list keeps — on every pair of live threads after every step
+// of 1000 random scripts (several roots, unbalanced trees, recycled frames)
+// and of a handful that nest past depth 64. The list was an
+// order-maintenance list (internal/om) when the test was written; it is now
+// the slice orderScript keeps, which shares no code with dag.Before.
 func TestPrioLessMatchesOMList(t *testing.T) {
 	reused := 0
 	play := func(seed int64, spine, steps, maxLive int, chain float64) *orderScript {

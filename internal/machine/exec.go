@@ -80,7 +80,8 @@ func (m *Machine) stepProc(p *proc) {
 			p.stall += m.Cfg.MemPressurePenalty
 		}
 		child := m.newThread(in.Child, t, in.DummyFork)
-		child.Prio = m.prios.InsertBefore(t.Prio)
+		child.depth, child.index = t.depth+1, t.forks
+		t.forks++
 		t.unjoined = append(t.unjoined, child)
 		t.PC++
 		m.met.Actions++

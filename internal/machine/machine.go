@@ -32,7 +32,6 @@ import (
 
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
-	"dfdeques/internal/om"
 	"dfdeques/internal/policy"
 )
 
@@ -212,7 +211,6 @@ type Machine struct {
 
 	procs []*proc
 	locks map[dag.LockID]*lockState
-	prios om.List
 
 	heapLive     int64
 	liveThreads  int64
@@ -269,7 +267,6 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 			"Lemma 3.1 and the schedulers' invariants hold for nested-parallel programs only")
 	}
 	root := m.newThread(spec, nil, false)
-	root.Prio = m.prios.PushBack()
 	m.setReady(root)
 	m.pol.Seed(root)
 
@@ -447,8 +444,6 @@ func (m *Machine) setDead(t *Thread) {
 	m.adjustCounts(t.State, Dead)
 	t.State = Dead
 	m.liveThreads--
-	m.prios.Delete(t.Prio)
-	t.Prio = nil
 }
 
 func (m *Machine) adjustCounts(from, to State) {

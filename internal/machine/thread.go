@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"dfdeques/internal/dag"
-	"dfdeques/internal/om"
-)
+import "dfdeques/internal/dag"
 
 // State is the lifecycle state of a simulated thread (§3.1: a thread is
 // active from creation to termination; an active thread is ready when it
@@ -55,17 +52,18 @@ type Thread struct {
 	// instruction; 0 means the instruction at PC has not started.
 	workLeft int64
 
-	Parent *Thread
+	// Parent (the forker), depth and index (among the forker's forks) place
+	// the thread in the fork tree HigherPriority reads; the root's are nil,
+	// 0, 0. forks counts the thread's own forks.
+	Parent       *Thread
+	depth        int
+	index, forks int64
 	// unjoined is the LIFO stack of forked, not-yet-joined children.
 	unjoined []*Thread
 	// Waiter is the parent suspended at a join on this thread, if any.
 	Waiter *Thread
 
 	State State
-
-	// Prio is the thread's position in the global 1DF priority order:
-	// earlier in the order = higher priority.
-	Prio *om.Record
 
 	// Dummy marks the no-op threads inserted by the large-allocation
 	// transformation (§3.3): after executing one, the processor must give
@@ -79,5 +77,10 @@ func (t *Thread) Instr() dag.Instr { return t.Spec.Instrs[t.PC] }
 // AtEnd reports whether the thread has executed all its instructions.
 func (t *Thread) AtEnd() bool { return t.PC >= len(t.Spec.Instrs) }
 
-// HigherPriority reports whether t precedes u in the 1DF order.
-func (t *Thread) HigherPriority(u *Thread) bool { return om.Less(t.Prio, u.Prio) }
+// HigherPriority reports whether t precedes u in the 1DF order: a forked
+// child comes before its parent's continuation (dag.ChildFirst).
+func (t *Thread) HigherPriority(u *Thread) bool {
+	return dag.Before(t, u, (*Thread).pos, dag.ChildFirst)
+}
+
+func (t *Thread) pos() (*Thread, int, int64) { return t.Parent, t.depth, t.index }

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"dfdeques/internal/om"
 )
 
 // stealAt starts a new round and has worker w steal from position c of R,
@@ -27,7 +25,7 @@ func stealAt(t *testing.T, pl *DFD[int], w, c int, fromTop bool) int {
 
 // census counts the threads in R and reports whether R holds an empty
 // unowned deque. Quiescent callers only.
-func census(pl *DFD[*om.Record]) (n int, emptyUnowned bool) {
+func census(pl *DFD[*PrioNode]) (n int, emptyUnowned bool) {
 	for _, d := range pl.r {
 		k := len(d.Items())
 		n += k
@@ -241,8 +239,8 @@ func TestMaxDequesTracksHighWater(t *testing.T) {
 
 // TestQuickRandomOpsInvariants drives the pool with random scripts of the
 // operations a legal scheduler performs — a forked child's priority sits
-// immediately above its parent's in the 1DF order, maintained with an
-// order-maintenance list — through both engines' entries: the runtime's
+// immediately above its parent's in the 1DF order, read off the script's
+// fork tree by dag.Before — through both engines' entries: the runtime's
 // Acquire and the simulator's rounds of StealFrom, from the bottom and, as
 // the ablation, from the top. After every step the Lemma 3.1 invariants
 // must hold, R must hold no empty unowned deque, and HasWork must be
@@ -252,11 +250,11 @@ func TestMaxDequesTracksHighWater(t *testing.T) {
 func TestQuickRandomOpsInvariants(t *testing.T) {
 	f := func(script []uint8, seed int64) bool {
 		const p = 4
-		var prios om.List
-		pl := NewDFD(p, 0, om.Less, seed)
-		pl.Seed(prios.PushBack())
-		ready := 1                    // threads in R, counted independently
-		curr := make([]*om.Record, p) // nil = idle
+		var prios Prios // ChildFirst: a fork lands right before its forker
+		pl := NewDFD(p, 0, prios.Less, seed)
+		pl.Seed(prios.Root())
+		ready := 1                   // threads in R, counted independently
+		curr := make([]*PrioNode, p) // nil = idle
 		ablated := false
 		rng := rand.New(rand.NewSource(seed))
 		for _, b := range script {
@@ -273,7 +271,7 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 				// is immediately above the parent's
 				if curr[w] != nil && owns(pl, w) {
 					pushOwn(pl, w, curr[w])
-					curr[w] = prios.InsertBefore(curr[w])
+					curr[w] = prios.Fork(curr[w])
 					ready++
 				}
 			case 2: // terminate/suspend: pop own or go idle
@@ -305,7 +303,7 @@ func TestQuickRandomOpsInvariants(t *testing.T) {
 					}
 				}
 			}
-			err := pl.CheckInvariants(func(w int) (*om.Record, bool) {
+			err := pl.CheckInvariants(func(w int) (*PrioNode, bool) {
 				return curr[w], curr[w] != nil
 			})
 			if err != nil && !(ablated && strings.Contains(err.Error(), "lemma 3.1(3)")) {

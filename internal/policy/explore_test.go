@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"dfdeques/internal/om"
+	"dfdeques/internal/dag"
 	"dfdeques/internal/policy"
 )
 
@@ -69,7 +69,7 @@ type exMove struct {
 
 type explore struct {
 	t    *testing.T
-	l    om.List
+	l    policy.Prios
 	d    *policy.DFD[*dfdThread]
 	curr [2]*dfdThread
 	// tried[w] is what the test saw w's last give-up steal: 0 nothing
@@ -92,10 +92,10 @@ type explore struct {
 }
 
 func newExplore(t *testing.T, seed int64) *explore {
-	x := &explore{t: t, ready: map[*dfdThread]bool{}, drainAt: -1}
-	less := func(a, b *dfdThread) bool { return om.Less(a.rec, b.rec) }
+	x := &explore{t: t, l: policy.Prios{Order: dag.ParentFirst}, ready: map[*dfdThread]bool{}, drainAt: -1}
+	less := func(a, b *dfdThread) bool { return x.l.Less(a.rec, b.rec) }
 	x.d = policy.NewDFD(2, 1, less, seed)
-	root := &dfdThread{rec: x.l.PushFront()}
+	root := &dfdThread{rec: x.l.Root()}
 	x.d.Seed(root)
 	x.ready[root] = true
 	x.live = 1
@@ -182,7 +182,6 @@ func (x *explore) giveUp(w int, before policy.Stats) {
 func (x *explore) end(w int, dummy bool) {
 	th := x.curr[w]
 	th.done = true
-	x.l.Delete(th.rec)
 	x.live--
 	woke := th.waiter
 	if th.inlineOf != nil {
@@ -240,7 +239,7 @@ func (x *explore) apply(m exMove) {
 		}
 		x.dispatch(w, nx, ok)
 	case "fork":
-		c := &dfdThread{rec: x.l.InsertAfter(th.rec)}
+		c := &dfdThread{rec: x.l.Fork(th.rec)}
 		th.unjoined = append(th.unjoined, c)
 		x.publish(c)
 		x.d.ForkCont(w, th, c)
@@ -281,7 +280,7 @@ func (x *explore) apply(m exMove) {
 		x.unordered = true
 		x.d.Wake(w, y)
 	case "inject":
-		r := &dfdThread{rec: x.l.PushBack()}
+		r := &dfdThread{rec: x.l.Root()}
 		x.injected = true
 		x.live++
 		x.publish(r)

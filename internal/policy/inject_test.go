@@ -10,7 +10,7 @@ package policy_test
 import (
 	"testing"
 
-	"dfdeques/internal/om"
+	"dfdeques/internal/dag"
 	"dfdeques/internal/policy"
 )
 
@@ -20,27 +20,27 @@ import (
 // stays Lemma 3.1-ordered with no comparison and a single worker acquires
 // the roots in 1DF priority order.
 func TestDFDInjectPriorityOrder(t *testing.T) {
-	var l om.List
+	l := policy.Prios{Order: dag.ParentFirst}
 	// One worker: the leftmost-p steal window has width 1, so the victim
 	// choice is deterministic and the acquire order is exactly R's order.
 	injecting := false
-	d := policy.NewDFD(1, 0, func(a, b *om.Record) bool {
+	d := policy.NewDFD(1, 0, func(a, b *policy.PrioNode) bool {
 		if injecting {
 			t.Error("Inject reached the priority order")
 		}
-		return om.Less(a, b)
+		return l.Less(a, b)
 	}, 1)
 
-	var roots []*om.Record
+	var roots []*policy.PrioNode
 	injecting = true
 	for i := 0; i < 3; i++ {
-		r := l.PushBack() // grt.Submit: each root lower than everything minted before
+		r := l.Root() // grt.Submit: each root lower than everything minted before
 		roots = append(roots, r)
 		d.Inject(r)
 	}
 	injecting = false
 
-	idle := func(int) (*om.Record, bool) { return nil, false }
+	idle := func(int) (*policy.PrioNode, bool) { return nil, false }
 	if err := d.CheckInvariants(idle); err != nil {
 		t.Fatalf("after injection: %v", err)
 	}
@@ -56,7 +56,6 @@ func TestDFDInjectPriorityOrder(t *testing.T) {
 		if _, ok := d.Terminate(0, nil, false); ok {
 			t.Fatalf("acquire %d: unexpected local work after a lone injected root", i)
 		}
-		l.Delete(got)
 	}
 	if d.HasWork() {
 		t.Error("pool reports work after all injected roots terminated")
@@ -68,10 +67,10 @@ func TestDFDInjectPriorityOrder(t *testing.T) {
 // still runs first and the injected root is acquired last — the Lemma 3.1
 // ordering the Inject doc comment promises for mid-run injection.
 func TestDFDInjectMidRun(t *testing.T) {
-	var l om.List
-	d := policy.NewDFD(1, 0, om.Less, 1)
+	l := policy.Prios{Order: dag.ParentFirst}
+	d := policy.NewDFD(1, 0, l.Less, 1)
 
-	root := l.PushFront()
+	root := l.Root()
 	d.Seed(root)
 	curr, ok := d.Acquire(0)
 	if !ok || curr != root {
@@ -80,23 +79,23 @@ func TestDFDInjectMidRun(t *testing.T) {
 
 	// Fork: the root keeps running and the child — its 1DF successor —
 	// goes on the worker's deque.
-	child := l.InsertAfter(curr)
+	child := l.Fork(curr)
 	d.ForkCont(0, curr, child)
 
-	// A job arrives mid-run: its root priority is the back of the om list
-	// (lower than everything live, matching the runtime's submit rule).
-	late := l.PushBack()
+	// A job arrives mid-run: its root comes after every earlier root and
+	// its descendants (lower than everything live, the runtime's submit
+	// rule).
+	late := l.Root()
 	d.Inject(late)
 
-	running := func(int) (*om.Record, bool) { return curr, curr != nil }
+	running := func(int) (*policy.PrioNode, bool) { return curr, curr != nil }
 	if err := d.CheckInvariants(running); err != nil {
 		t.Fatalf("after mid-run injection: %v", err)
 	}
 
 	// The worker drains its own deque (root, then child) before the
 	// injected root is reachable.
-	for _, want := range []*om.Record{child, late} {
-		dead := curr
+	for _, want := range []*policy.PrioNode{child, late} {
 		next, ok := d.Terminate(0, nil, false)
 		if !ok {
 			next, ok = d.Acquire(0)
@@ -107,10 +106,8 @@ func TestDFDInjectMidRun(t *testing.T) {
 		if next != want {
 			t.Fatal("injected root ran before higher-priority local work")
 		}
-		l.Delete(dead)
 		curr = next
 	}
-	l.Delete(curr)
 	if _, ok := d.Terminate(0, nil, false); ok {
 		t.Error("work left after the injected root terminated")
 	}
@@ -120,12 +117,12 @@ func TestDFDInjectMidRun(t *testing.T) {
 // insert as every other publish, so scrambled injection order must come
 // back out of the shared queue in 1DF priority order.
 func TestADFInjectPriorityOrder(t *testing.T) {
-	var l om.List
-	a := policy.NewADF(2, 0, om.Less)
+	l := policy.Prios{Order: dag.ParentFirst}
+	a := policy.NewADF(2, 0, l.Less)
 
-	r1 := l.PushBack()
-	r2 := l.PushBack()
-	r3 := l.PushBack()
+	r1 := l.Root()
+	r2 := l.Root()
+	r3 := l.Root()
 
 	a.Inject(r2)
 	a.Inject(r3)
@@ -134,7 +131,7 @@ func TestADFInjectPriorityOrder(t *testing.T) {
 		t.Fatal("no work after injecting three roots")
 	}
 
-	for i, want := range []*om.Record{r1, r2, r3} {
+	for i, want := range []*policy.PrioNode{r1, r2, r3} {
 		got, ok := a.Acquire(i % 2) // either worker sees the same global order
 		if !ok || got != want {
 			t.Fatalf("acquire %d: wrong record or empty queue (ok=%v)", i, ok)
@@ -169,20 +166,20 @@ func TestFIFOInjectArrivalOrder(t *testing.T) {
 
 // TestDFDInjectAdmissionOrder pins the contract the serving layer's
 // weighted-fair admission relies on: roots injected one at a time in
-// admission order (each taking a fresh back-of-list priority record, the
-// grt.Submit path) are acquired in exactly that order. A weighted-fair
+// admission order (each a fresh root, after everything minted before it:
+// the grt.Submit path) are acquired in exactly that order. A weighted-fair
 // dispatcher therefore controls execution priority among job roots
 // purely by choosing its Inject order — here a 2:1 interleave of tenants
 // A and B survives into the acquire order.
 func TestDFDInjectAdmissionOrder(t *testing.T) {
-	var l om.List
-	d := policy.NewDFD(1, 0, om.Less, 1)
+	l := policy.Prios{Order: dag.ParentFirst}
+	d := policy.NewDFD(1, 0, l.Less, 1)
 
 	// Admission order out of a weight-2:1 fair queue: A A B A A B.
 	admitted := []string{"A", "A", "B", "A", "A", "B"}
-	byRec := make(map[*om.Record]string, len(admitted))
+	byRec := make(map[*policy.PrioNode]string, len(admitted))
 	for _, tenant := range admitted {
-		r := l.PushBack() // grt.Submit: new root at back-of-priority
+		r := l.Root() // grt.Submit: new root at back-of-priority
 		byRec[r] = tenant
 		d.Inject(r)
 	}
@@ -197,7 +194,6 @@ func TestDFDInjectAdmissionOrder(t *testing.T) {
 		if _, ok := d.Terminate(0, nil, false); ok {
 			t.Fatal("unexpected local work after a lone injected root")
 		}
-		l.Delete(r)
 	}
 	for i, want := range admitted {
 		if got[i] != want {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"dfdeques/internal/om"
+	"dfdeques/internal/dag"
 	"dfdeques/internal/policy"
 )
 
@@ -107,7 +107,7 @@ func TestFIFOQueueOrderAndCompaction(t *testing.T) {
 // below and TestDFDExhaustive): its 1DF priority, its fork/join
 // bookkeeping, and how it is currently running.
 type dfdThread struct {
-	rec      *om.Record
+	rec      *policy.PrioNode
 	unjoined []*dfdThread // forked, not yet joined (LIFO)
 	waiter   *dfdThread   // parent parked on this thread's termination
 	inlineOf *dfdThread   // parent whose frame runs this thread after a JoinPop claim
@@ -120,7 +120,8 @@ type dfdThread struct {
 // the child the 1DF successor of its parent, JoinPop inline claims, parked
 // joins handed off at Terminate, Preempt give-ups, Acquire steals — as a
 // seeded random walk over 2–4 workers, and checks Lemma 3.1 in the paper's
-// polarity (om.Record priorities are the real 1DF oracle) after every
+// polarity (the priorities are dag.Before over the test's own fork tree)
+// after every
 // step. No runtime, no goroutines, no locks: a fork-priority or
 // deque-geometry mistake fails here deterministically.
 func TestDFDPolicyInvariants(t *testing.T) {
@@ -134,10 +135,10 @@ func TestDFDPolicyInvariants(t *testing.T) {
 func driveDFD(t *testing.T, workers int, seed int64) {
 	const steps, maxLive = 4000, 64
 	rng := rand.New(rand.NewSource(seed))
-	var l om.List
-	less := func(a, b *dfdThread) bool { return om.Less(a.rec, b.rec) }
+	l := policy.Prios{Order: dag.ParentFirst}
+	less := func(a, b *dfdThread) bool { return l.Less(a.rec, b.rec) }
 	d := policy.NewDFD(workers, 0, less, seed)
-	root := &dfdThread{rec: l.PushFront()}
+	root := &dfdThread{rec: l.Root()}
 	d.Seed(root)
 
 	curr := make([]*dfdThread, workers)
@@ -159,7 +160,6 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 	terminate := func(w int) {
 		x := curr[w]
 		x.done = true
-		l.Delete(x.rec)
 		live--
 		if p := x.inlineOf; p != nil {
 			curr[w] = p // the claiming parent resumes in its own frame
@@ -196,7 +196,7 @@ func driveDFD(t *testing.T, workers int, seed int64) {
 			}
 		case !draining && live < maxLive && (op < 4 || x == root && len(x.unjoined) == 0):
 			// (The root forks rather than ending the walk early.)
-			child := &dfdThread{rec: l.InsertAfter(x.rec)}
+			child := &dfdThread{rec: l.Fork(x.rec)}
 			x.unjoined = append(x.unjoined, child)
 			d.ForkCont(w, x, child)
 			live++

@@ -2,8 +2,9 @@ package rtrace
 
 import (
 	"fmt"
+	"slices"
 
-	"dfdeques/internal/om"
+	"dfdeques/internal/dag"
 )
 
 // Verify replays a recorded event stream against an independent model of
@@ -14,10 +15,11 @@ import (
 //     right, every deque is internally sorted (top = highest 1DF
 //     priority), and a worker's executing thread has higher priority than
 //     everything in its own deque. The 1DF order itself is reconstructed
-//     from the fork events: the runtime runs the parent first, so a forked
-//     thread is the immediate 1DF successor of its forker (it is what the
-//     paper calls the pushed parent) — exactly the runtime's om-list
-//     discipline.
+//     from the fork and job-begin events, as a fork tree of the stream's
+//     own that dag.Before reads in parent-first polarity: the runtime runs
+//     the parent first, so a forked thread is the immediate 1DF successor
+//     of its forker (it is what the paper calls the pushed parent). The
+//     runtime's own tree fields are never read.
 //   - Dispatch conservation: every thread is dispatched exactly
 //     1 + suspensions times (a suspension is a join/lock/future block or
 //     a quota preemption), threads only run from a legal source (own-deque
@@ -43,8 +45,8 @@ import (
 // quota checks continue.
 //
 // Persistent-runtime streams carry job lifecycle events: each EvJobBegin
-// introduces a root thread (lowest 1DF priority — the runtime appends new
-// roots at the tail of its order-maintenance list), EvJobEnd asserts every
+// introduces a root thread (lowest 1DF priority — a root comes after every
+// earlier root and its descendants), EvJobEnd asserts every
 // thread of that job completed, and EvJobCancel marks a poison-canceled
 // job — canceled threads still drain through ordinary dispatches and
 // completions, so conservation and quota checks hold for them unchanged.
@@ -125,10 +127,17 @@ type vthread struct {
 	dummy      bool
 	promoted   bool  // goroutine frame exists
 	waitee     int64 // tid being joined (tBlocked on join), else -1
-	rec        *om.Record
 	dispatches int64
 	suspends   int64 // blocks + preemptions
+	// The thread's place in the fork tree, rebuilt from the stream's fork
+	// and job-begin records (a root: no parent, index in begin order);
+	// forks counts the thread's own forks.
+	parent       *vthread
+	depth        int
+	index, forks int64
 }
+
+func (t *vthread) pos() (*vthread, int, int64) { return t.parent, t.depth, t.index }
 
 // vjob tracks one submitted job's lifecycle through the replay.
 type vjob struct {
@@ -146,7 +155,7 @@ type verifier struct {
 	meta meta2
 	rep  Report
 
-	prios   om.List
+	roots   int64 // job roots begun so far
 	threads map[int64]*vthread
 	jobs    map[int64]*vjob
 
@@ -198,9 +207,10 @@ func (v *verifier) deque(e *Event, did int64) (*vdeque, error) {
 	return d, nil
 }
 
-// before reports whether thread a has higher 1DF priority than b.
+// before reports whether thread a has higher 1DF priority than b, in the
+// runtime's parent-first order.
 func (v *verifier) before(a, b int64) bool {
-	return om.Less(v.threads[a].rec, v.threads[b].rec)
+	return dag.Before(v.threads[a], v.threads[b], (*vthread).pos, dag.ParentFirst)
 }
 
 // hasQuota reports whether the traced policy runs a memory quota.
@@ -237,8 +247,9 @@ func (v *verifier) step(e *Event) error {
 		}
 		v.threads[e.B] = &vthread{
 			state: tNew, on: -1, waitee: -1, dummy: e.C == 1, job: parent.job,
-			rec: v.prios.InsertAfter(parent.rec),
+			parent: parent, depth: parent.depth + 1, index: parent.forks,
 		}
+		parent.forks++
 		v.rep.Threads++
 		if e.C == 1 {
 			v.rep.DummyThreads++
@@ -416,9 +427,10 @@ func (v *verifier) step(e *Event) error {
 		if _, dup := v.threads[e.B]; dup {
 			return v.fail(e, "job %d root t%d already exists", e.A, e.B)
 		}
-		// A root is minted at the back of the 1DF order: lowest priority.
+		// A root comes after everything begun before it: lowest priority.
+		v.roots++
 		v.threads[e.B] = &vthread{
-			state: tNew, on: -1, waitee: -1, job: e.A, rec: v.prios.PushBack(),
+			state: tNew, on: -1, waitee: -1, job: e.A, index: v.roots,
 		}
 		v.rep.Threads++
 		v.jobs[e.A] = &vjob{root: e.B}
@@ -539,12 +551,7 @@ func (v *verifier) step(e *Event) error {
 			v.owned[d.owner] = -1
 		}
 		delete(v.deques, e.A)
-		for i, id := range v.r {
-			if id == e.A {
-				v.r = append(v.r[:i], v.r[i+1:]...)
-				break
-			}
-		}
+		v.r = slices.DeleteFunc(v.r, func(id int64) bool { return id == e.A })
 
 	case EvPush:
 		t, err := v.thread(e, e.A)
@@ -614,13 +621,7 @@ func (v *verifier) step(e *Event) error {
 		if err != nil {
 			return err
 		}
-		idx := -1
-		for i, tid := range v.queue {
-			if tid == e.A {
-				idx = i
-				break
-			}
-		}
+		idx := slices.Index(v.queue, e.A)
 		if idx < 0 {
 			return v.fail(e, "take of t%d which is not queued", e.A)
 		}
@@ -652,15 +653,12 @@ func (v *verifier) step(e *Event) error {
 
 // insertRight places deque did immediately to the right of after in R.
 func (v *verifier) insertRight(e *Event, after, did int64) error {
-	for i, id := range v.r {
-		if id == after {
-			v.r = append(v.r, 0)
-			copy(v.r[i+2:], v.r[i+1:])
-			v.r[i+1] = did
-			return nil
-		}
+	i := slices.Index(v.r, after)
+	if i < 0 {
+		return v.fail(e, "insert right of deque %d which is not in R", after)
 	}
-	return v.fail(e, "insert right of deque %d which is not in R", after)
+	v.r = slices.Insert(v.r, i+1, did)
+	return nil
 }
 
 // checkOrdering verifies the Lemma 3.1 invariants over the replayed

@@ -49,7 +49,9 @@ const (
 	CodeInternal ErrorCode = "internal"
 	// CodeUncoveredFree (a failed job's JobStatus.Code): the job freed
 	// bytes it did not hold. The free was refused, so the job lent its
-	// tenant's budget no credit, and the job failed.
+	// tenant's budget no credit, and the job failed. Spec and tree jobs do
+	// not reach it: compile refuses a program with an uncovered free
+	// (dag.Validate) with CodeBadRequest. It is the runtime's backstop.
 	CodeUncoveredFree ErrorCode = "uncovered_free"
 )
 

@@ -8,33 +8,46 @@ import (
 	"dfdeques/internal/grt"
 )
 
-// randomSpec draws a wire program whose frees need not match its allocations
-// — the live counter goes negative, children free what parents allocated,
-// allocations outlive their thread — with each fork joined at a random
-// later point of its thread, and the rest at the end.
-func randomSpec(rng *rand.Rand, depth int) *SpecNode {
+// randomSpec draws a wire program whose frees need not match its
+// allocations — allocations outlive their thread, parents free what joined
+// children left — with each fork joined at a random later point of its
+// thread, and the rest at the end. A free is clamped to what the thread
+// covers (dag.Validate's rule: its own bytes and its joined children's),
+// or compile would refuse the program. It returns the program and the
+// bytes it leaves live.
+func randomSpec(rng *rand.Rand, depth int) (*SpecNode, int64) {
 	n := &SpecNode{Label: "n"}
-	forks := 0
+	var live int64
+	var pending []int64 // forked children's live bytes, last first
+	join := func() {
+		n.Instrs = append(n.Instrs, SpecInstr{Op: "join"})
+		live += pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+	}
 	for i, m := 0, 1+rng.Intn(6); i < m; i++ {
 		switch r := rng.Intn(5); {
 		case r == 0:
-			n.Instrs = append(n.Instrs, SpecInstr{Op: "alloc", N: int64(rng.Intn(1000))})
+			b := int64(rng.Intn(1000))
+			n.Instrs = append(n.Instrs, SpecInstr{Op: "alloc", N: b})
+			live += b
 		case r == 1:
-			n.Instrs = append(n.Instrs, SpecInstr{Op: "free", N: int64(rng.Intn(1000))})
+			b := min(int64(rng.Intn(1000)), live)
+			n.Instrs = append(n.Instrs, SpecInstr{Op: "free", N: b})
+			live -= b
 		case r == 2 && depth < 5:
-			n.Instrs = append(n.Instrs, SpecInstr{Op: "fork", Child: randomSpec(rng, depth+1)})
-			forks++
-		case r == 3 && forks > 0:
-			n.Instrs = append(n.Instrs, SpecInstr{Op: "join"})
-			forks--
+			c, b := randomSpec(rng, depth+1)
+			n.Instrs = append(n.Instrs, SpecInstr{Op: "fork", Child: c})
+			pending = append(pending, b)
+		case r == 3 && len(pending) > 0:
+			join()
 		default:
 			n.Instrs = append(n.Instrs, SpecInstr{Op: "work", N: 1})
 		}
 	}
-	for ; forks > 0; forks-- {
-		n.Instrs = append(n.Instrs, SpecInstr{Op: "join"})
+	for len(pending) > 0 {
+		join()
 	}
-	return n
+	return n, live
 }
 
 // oneWorkerHeapHW runs spec on the runtime itself — one worker, no quota,
@@ -89,7 +102,8 @@ func TestPriceEqualsTheSerialWalk(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 500; i++ {
-		spec, _, err := lowerSpec(randomSpec(rng, 0), 0, 0)
+		prog, _ := randomSpec(rng, 0)
+		spec, _, err := lowerSpec(prog, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
