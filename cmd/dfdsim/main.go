@@ -18,7 +18,9 @@
 //	-grain G      medium | fine (default fine)
 //	-seed S       randomness seed (default 1)
 //	-realism      enable the §5 cost-model extensions (cache, latencies)
-//	-check        verify Lemma 3.1 invariants per timestep
+//	-check        record the run and replay-verify it (rtrace.Verify:
+//	              Lemma 3.1 ordering, dispatch conservation, quota
+//	              accounting); exits nonzero if the replay fails
 //	-json         emit the run's metrics as one JSON object on stdout
 //	              (op/workers/engine plus snake_case metrics; engine is
 //	              "sim" or "real"), suppressing the text report
@@ -70,7 +72,7 @@ func main() {
 	grain := flag.String("grain", "fine", "thread granularity: medium|fine")
 	seed := flag.Int64("seed", 1, "seed")
 	realism := flag.Bool("realism", false, "enable §5 cost-model extensions")
-	check := flag.Bool("check", false, "check Lemma 3.1 invariants per timestep")
+	check := flag.Bool("check", false, "record the run and replay-verify it")
 	jsonOut := flag.Bool("json", false, "emit metrics as a single JSON object")
 	real := flag.Bool("real", false, "run on the real runtime instead of the simulator")
 	workers := flag.Int("workers", 0, "real mode: workers (default -procs)")
@@ -143,7 +145,7 @@ func main() {
 	if *realism {
 		cfg = machine.Realism(*procs, *seed)
 	}
-	cfg.Scheduler, cfg.K, cfg.CheckInvariants = *schedName, *k, *check
+	cfg.Scheduler, cfg.K, cfg.Record = *schedName, *k, *check
 
 	sm := dag.Measure(spec)
 	if !*jsonOut {
@@ -153,6 +155,11 @@ func main() {
 
 	m := machine.New(cfg)
 	met, err := m.Run(spec)
+	var rep rtrace.Report
+	if err == nil && *check {
+		meta, evs := m.Stream()
+		rep, err = rtrace.Verify(meta, evs, 0)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
 		os.Exit(1)
@@ -195,13 +202,12 @@ func main() {
 	if met.CacheHits+met.CacheMisses > 0 {
 		fmt.Printf("cache miss rate:     %.1f%%\n", met.MissRate())
 	}
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
+	if *check {
+		fmt.Printf("replay verified:     %d events, %d checks\n", rep.Events, rep.Checks)
+		for _, n := range rep.Notes {
+			fmt.Println("  " + n)
+		}
 	}
-	return b
 }
 
 // emitJSON writes one object on stdout — the machine-readable twin of the
@@ -399,25 +405,8 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 		for _, w := range sum.PerWorker {
 			fmt.Printf("  worker %d: busy %.1f%%, %d steals\n", w.Worker, 100*w.BusyFrac, w.Steals)
 		}
-		printCache(sum)
+		sum.Cache.Print(os.Stdout)
 	}
-}
-
-// printCache renders the parallel cache-complexity section of a trace
-// summary, when the stream carried data touches.
-func printCache(sum *rtrace.Summary) {
-	c := sum.Cache
-	if c == nil {
-		return
-	}
-	fmt.Printf("\ncache complexity (simulated %d KB/worker, %d B lines):\n",
-		c.CapacityBytes>>10, c.LineBytes)
-	fmt.Printf("  touches:           %d (%d bytes)\n", c.Touches, c.TouchedBytes)
-	fmt.Printf("  parallel misses:   %d (%.1f%%)\n", c.ParMisses, 100*c.ParMissRate)
-	fmt.Printf("  1DF serial misses: %d (%.1f%%)\n", c.SeqMisses, 100*c.SeqMissRate)
-	fmt.Printf("  extra misses:      %d\n", c.ExtraMisses)
-	fmt.Printf("  deviations:        %d (%d steals + %d queue takes + %d migrations)\n",
-		c.Deviations, c.Steals, c.QueueTakes, c.Migrations)
 }
 
 // runScenario executes one irregular-workload scenario (internal/workload)
@@ -478,6 +467,6 @@ func runScenario(name string, scale int, rc realCfg) {
 			sum.Promotions, sum.Threads)
 		fmt.Printf("  steal success:     %.1f%%\n", 100*sum.StealSuccessRate)
 		fmt.Printf("  sched granularity: %.2f dispatches/shared-acquire\n", sum.SchedGranularity)
-		printCache(sum)
+		sum.Cache.Print(os.Stdout)
 	}
 }

@@ -1,13 +1,17 @@
-// Command dfdtrace runs a small computation under DFDeques with full
-// per-event tracing and per-timestep Lemma 3.1 invariant checking, and
-// dumps the schedule — a debugging lens on the algorithm.
+// Command dfdtrace runs a small computation under DFDeques on the
+// simulator, records its schedule as an rtrace stream, prints the stream's
+// scheduling records and replay-verifies it — a debugging lens on the
+// algorithm.
 //
-// Two modes:
+// Two modes, one checking path (rtrace.Summarize, the cache block, then
+// rtrace.Verify's report):
 //
-//	default        simulator: per-event trace + per-timestep invariant
-//	               checks (the machine's deterministic lens)
-//	-verify FILE   replay-verify a real-runtime trace file (Lemma 3.1
-//	               ordering, dispatch conservation, quota accounting);
+//	default        simulator: one line per dispatch (steal or resume),
+//	               fork, block (join suspend or lock), complete, quota
+//	               exhaustion and dummy, then the replay of the whole
+//	               stream (Lemma 3.1 ordering, dispatch conservation,
+//	               quota accounting)
+//	-verify FILE   replay-verify a real-runtime trace file the same way;
 //	               exits nonzero if any invariant fails
 //
 // Real runs are recorded by `dfdsim -real -trace FILE`.
@@ -34,7 +38,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"dfdeques/internal/dag"
@@ -43,34 +46,13 @@ import (
 	"dfdeques/internal/rtrace"
 )
 
-// limitWriter stops writing after n lines.
-type limitWriter struct {
-	w     io.Writer
-	left  int
-	muted bool
-}
-
-func (lw *limitWriter) Write(p []byte) (int, error) {
-	if lw.left <= 0 {
-		if !lw.muted {
-			lw.muted = true
-			fmt.Fprintln(lw.w, "... (trace truncated; raise -max)")
-		}
-		return len(p), nil
-	}
-	lw.left--
-	return lw.w.Write(p)
-}
-
 func tree(depth int, alloc int64) *dag.ThreadSpec {
 	if depth == 0 {
 		return dag.NewThread("leaf").Alloc(alloc).Work(3).Free(alloc).Spec()
 	}
-	l := tree(depth-1, alloc)
-	r := tree(depth-1, alloc)
 	return dag.NewThread("node").
 		Alloc(alloc).
-		Fork(l).Fork(r).Join().Join().
+		Fork(tree(depth-1, alloc)).Fork(tree(depth-1, alloc)).Join().Join().
 		Free(alloc).
 		Spec()
 }
@@ -97,59 +79,75 @@ func main() {
 	fmt.Printf("program: fork tree depth %d, alloc %d/node: W=%d D=%d S1=%d\n\n",
 		*depth, *alloc, sm.W, sm.D, sm.HeapHW)
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	gb := gantt.NewBuilder(*procs)
-	cfg := machine.Config{
-		Procs:           *procs,
-		Seed:            *seed,
-		Scheduler:       "DFD",
-		K:               *k,
-		CheckInvariants: true,
-		Trace:           &limitWriter{w: out, left: *maxLines},
-	}
-	if *wantGantt {
-		cfg.Observer = gb.Event
-	}
-	m := machine.New(cfg)
-
+	m := machine.New(machine.Config{Procs: *procs, Seed: *seed, Scheduler: "DFD", K: *k, Record: true})
 	met, err := m.Run(spec)
 	if err != nil {
-		out.Flush()
 		fmt.Fprintf(os.Stderr, "dfdtrace: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(out, "\ncompleted in %d steps: %d steals, %d preemptions, %d dummies, heap HW %d\n",
+	meta, evs := m.Stream()
+	printSchedule(evs, *maxLines)
+	fmt.Printf("\ncompleted in %d steps: %d steals, %d preemptions, %d dummies, heap HW %d\n",
 		met.Steps, met.Steals, met.Preemptions, met.DummyThreads, met.HeapHW)
-	fmt.Fprintln(out, "Lemma 3.1 invariants held at every timestep.")
+	check(meta, evs, 0)
 	if *wantGantt {
-		gb.Finish()
-		fmt.Fprintln(out)
-		fmt.Fprint(out, gb.Render(*width))
+		fmt.Print("\n", gantt.Build(*procs, evs).Render(*width))
 	}
 }
 
-// printSummary renders the trace-summary lens on a recorded stream: the
-// work-first engine's promotion count and, when the stream carried data
-// touches, the parallel cache-complexity block (the paper's §4 locality
-// story, mirrored from dfdsim).
-func printSummary(sum *rtrace.Summary) {
+// printSchedule writes one line per record of the six kinds that carry a
+// thread's schedule, at most max lines: a dispatch, from a steal or a
+// resume; a fork and its child; a block, a join's suspend on a child or a
+// lock's; a complete; a quota exhaustion and its bytes; a dummy.
+func printSchedule(evs []rtrace.Event, max int) {
+	n := 0
+	for _, e := range evs {
+		var what string
+		switch e.Kind {
+		case rtrace.EvDispatch:
+			what = " resume"
+			if e.B == rtrace.SrcAcquire {
+				what = " steal"
+			}
+		case rtrace.EvFork:
+			what = fmt.Sprintf(" child=%d", e.B)
+			if e.C == 1 {
+				what += " dummy"
+			}
+		case rtrace.EvBlock:
+			what = " lock"
+			if e.B == rtrace.BlockJoin {
+				what = fmt.Sprintf(" join child=%d", e.C)
+			}
+		case rtrace.EvQuotaExhaust:
+			what = fmt.Sprintf(" bytes=%d", e.B)
+		case rtrace.EvComplete, rtrace.EvDummy:
+		default:
+			continue
+		}
+		if n++; n > max {
+			fmt.Println("... (trace truncated; raise -max)")
+			return
+		}
+		fmt.Printf("step=%d proc=%d %-13s thread=%d%s\n", e.TS, e.W, e.Kind, e.A, what)
+	}
+}
+
+// check is the one path both modes take through a stream: its summary,
+// the work-first engine's promotion count, the parallel cache-complexity
+// block when the stream carried data touches (the paper's §4 locality
+// story, mirrored from dfdsim), then the replay verdict, which exits
+// nonzero on failure.
+func check(meta rtrace.Meta, evs []rtrace.Event, dropped uint64) {
+	sum := rtrace.Summarize(meta, evs, dropped)
 	fmt.Printf("\ntrace summary: %d events, steal success %.1f%%, deque high-water %d\n",
 		sum.Events, 100*sum.StealSuccessRate, sum.DequeHighWater)
-	fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
-		sum.Promotions, sum.Threads)
-	c := sum.Cache
-	if c == nil {
-		return
+	if meta.Engine == rtrace.EngineCont {
+		fmt.Printf("  promotions:        %d of %d threads grew a goroutine frame\n",
+			sum.Promotions, sum.Threads)
 	}
-	fmt.Printf("\ncache complexity (simulated %d KB/worker, %d B lines):\n",
-		c.CapacityBytes>>10, c.LineBytes)
-	fmt.Printf("  touches:           %d (%d bytes)\n", c.Touches, c.TouchedBytes)
-	fmt.Printf("  parallel misses:   %d (%.1f%%)\n", c.ParMisses, 100*c.ParMissRate)
-	fmt.Printf("  1DF serial misses: %d (%.1f%%)\n", c.SeqMisses, 100*c.SeqMissRate)
-	fmt.Printf("  extra misses:      %d\n", c.ExtraMisses)
-	fmt.Printf("  deviations:        %d (%d steals + %d queue takes + %d migrations)\n",
-		c.Deviations, c.Steals, c.QueueTakes, c.Migrations)
+	sum.Cache.Print(os.Stdout)
+	report(rtrace.Verify(meta, evs, dropped))
 }
 
 // verifyTrace replays a trace file through the invariant verifier.
@@ -167,9 +165,7 @@ func verifyTrace(path string) {
 	}
 	fmt.Printf("%s: %s p=%d K=%d seed=%d, %d events (%d dropped)\n",
 		path, meta.Policy, meta.Workers, meta.K, meta.Seed, len(evs), dropped)
-	sum := rtrace.Summarize(meta, evs, dropped)
-	printSummary(&sum)
-	report(rtrace.Verify(meta, evs, dropped))
+	check(meta, evs, dropped)
 }
 
 // report prints a Verify outcome and exits nonzero on failure.

@@ -50,6 +50,7 @@ import (
 	"dfdeques/internal/dag"
 	"dfdeques/internal/grt"
 	"dfdeques/internal/machine"
+	"dfdeques/internal/rtrace"
 )
 
 // ---- Real execution (the user-level thread runtime) ---------------------
@@ -137,7 +138,10 @@ type SimConfig struct {
 	QueueLatency int64
 	SpinLocks    bool
 
-	// CheckInvariants verifies Lemma 3.1 after every timestep (slow).
+	// CheckInvariants records the run's schedule and replay-verifies it
+	// (Lemma 3.1, dispatch conservation, quota accounting; see
+	// VerifyTrace); Simulate fails if the replay does. On a program that
+	// takes locks the ordering checks stop at the first lock block. Slow.
 	CheckInvariants bool
 
 	// DFDeques variants (Scheduler "DFD", "DFD-inf" or "WS", which is
@@ -164,20 +168,26 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "DFD"
 	}
-	return machine.New(machine.Config{
-		Procs:           cfg.Procs,
-		Seed:            cfg.Seed,
-		Scheduler:       cfg.Scheduler,
-		K:               cfg.K,
-		StealFromTop:    cfg.StealFromTop,
-		FullWindow:      cfg.FullWindow,
-		AdaptiveTarget:  cfg.AdaptiveTarget,
-		MissPenalty:     cfg.MissPenalty,
-		Cache:           cfg.Cache,
-		StackBytes:      cfg.StackBytes,
-		StealLatency:    cfg.StealLatency,
-		QueueLatency:    cfg.QueueLatency,
-		SpinLocks:       cfg.SpinLocks,
-		CheckInvariants: cfg.CheckInvariants,
-	}).Run(p)
+	m := machine.New(machine.Config{
+		Procs:          cfg.Procs,
+		Seed:           cfg.Seed,
+		Scheduler:      cfg.Scheduler,
+		K:              cfg.K,
+		StealFromTop:   cfg.StealFromTop,
+		FullWindow:     cfg.FullWindow,
+		AdaptiveTarget: cfg.AdaptiveTarget,
+		MissPenalty:    cfg.MissPenalty,
+		Cache:          cfg.Cache,
+		StackBytes:     cfg.StackBytes,
+		StealLatency:   cfg.StealLatency,
+		QueueLatency:   cfg.QueueLatency,
+		SpinLocks:      cfg.SpinLocks,
+		Record:         cfg.CheckInvariants,
+	})
+	met, err := m.Run(p)
+	if err == nil && cfg.CheckInvariants {
+		meta, evs := m.Stream()
+		_, err = rtrace.Verify(meta, evs, 0)
+	}
+	return met, err
 }

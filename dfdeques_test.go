@@ -13,7 +13,7 @@ func TestFacadeSimulate(t *testing.T) {
 		return dfdeques.NewProgram("leaf").Alloc(100).Work(50).Free(100).Spec()
 	})
 	for _, s := range []string{"DFD", "DFD-inf", "WS", "ADF", "FIFO"} {
-		met, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 4, Scheduler: s, K: 1000, Seed: 2})
+		met, err := dfdeques.Simulate(prog, dfdeques.SimConfig{Procs: 4, Scheduler: s, K: 1000, Seed: 2, CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -119,7 +119,7 @@ func TestFacadeVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	adaptive, err := dfdeques.Simulate(prog, dfdeques.SimConfig{
-		Procs: 8, Scheduler: "DFD", K: 1000, Seed: 4, AdaptiveTarget: 64 << 10,
+		Procs: 8, Scheduler: "DFD", K: 1000, Seed: 4, AdaptiveTarget: 64 << 10, CheckInvariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)

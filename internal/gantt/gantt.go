@@ -1,12 +1,15 @@
-// Package gantt reconstructs per-processor occupancy timelines from the
-// machine simulator's observer events and renders them as ASCII Gantt
-// charts — a quick visual read on a schedule: who ran what, where the
-// steals happened, how long processors idled.
+// Package gantt reconstructs per-processor occupancy timelines from a
+// recorded rtrace stream (the machine simulator's, whose TS is the
+// timestep) and renders them as ASCII Gantt charts — a quick visual read
+// on a schedule: who ran what, where the steals happened, how long
+// processors idled.
 package gantt
 
 import (
 	"fmt"
 	"strings"
+
+	"dfdeques/internal/rtrace"
 )
 
 // segment is a half-open [from, to) interval during which one thread
@@ -16,51 +19,54 @@ type segment struct {
 	thread   int64
 }
 
-// Builder accumulates observer events. Feed its Event method to
-// machine.Config.Observer, then Render after the run.
-type Builder struct {
-	procs    int
+// Chart holds the reconstructed timelines of one run; Build makes one.
+type Chart struct {
 	open     []int64 // currently running thread per proc; -1 if idle
 	openFrom []int64
 	rows     [][]segment
 	lastStep int64
 }
 
-// NewBuilder creates a builder for p processors.
-func NewBuilder(p int) *Builder {
-	b := &Builder{
-		procs:    p,
-		open:     make([]int64, p),
-		openFrom: make([]int64, p),
-		rows:     make([][]segment, p),
-	}
+// Build reconstructs the timelines of a run on p processors from its
+// records, in stream order, closing the segments still open at the last
+// step.
+func Build(p int, evs []rtrace.Event) *Chart {
+	b := &Chart{open: make([]int64, p), openFrom: make([]int64, p), rows: make([][]segment, p)}
 	for i := range b.open {
 		b.open[i] = -1
+	}
+	for _, e := range evs {
+		b.event(e)
+	}
+	for p := range b.rows {
+		b.close(p, b.lastStep+1)
 	}
 	return b
 }
 
-// Event consumes one observer event. Kinds "steal" and "resume" open a
-// segment; "terminate", "suspend", "preempt" and "block" close it; other
-// kinds only advance the clock.
-func (b *Builder) Event(step int64, proc int, kind string, threadID int64) {
-	if proc < 0 || proc >= b.procs {
+// event consumes one record, at time e.TS on processor e.W. A dispatch
+// opens a segment for its thread; a complete, a block and a quota
+// exhaustion close it; other kinds only advance the clock, and records
+// off the processors (W = -1) are ignored.
+func (b *Chart) event(e rtrace.Event) {
+	proc, step := int(e.W), e.TS
+	if proc < 0 || proc >= len(b.rows) {
 		return
 	}
 	if step > b.lastStep {
 		b.lastStep = step
 	}
-	switch kind {
-	case "steal", "resume":
+	switch e.Kind {
+	case rtrace.EvDispatch:
 		b.close(proc, step)
-		b.open[proc] = threadID
+		b.open[proc] = e.A
 		b.openFrom[proc] = step
-	case "terminate", "suspend", "preempt", "block":
+	case rtrace.EvComplete, rtrace.EvBlock, rtrace.EvQuotaExhaust:
 		b.close(proc, step)
 	}
 }
 
-func (b *Builder) close(proc int, step int64) {
+func (b *Chart) close(proc int, step int64) {
 	if b.open[proc] < 0 {
 		return
 	}
@@ -72,15 +78,8 @@ func (b *Builder) close(proc int, step int64) {
 	b.open[proc] = -1
 }
 
-// Finish closes any still-open segments at the final observed step.
-func (b *Builder) Finish() {
-	for p := 0; p < b.procs; p++ {
-		b.close(p, b.lastStep+1)
-	}
-}
-
 // Busy returns the total occupied timesteps of processor p.
-func (b *Builder) Busy(p int) int64 {
+func (b *Chart) Busy(p int) int64 {
 	var n int64
 	for _, s := range b.rows[p] {
 		n += s.to - s.from
@@ -91,7 +90,7 @@ func (b *Builder) Busy(p int) int64 {
 // Render draws the timelines with the given chart width in characters.
 // Each cell shows the thread occupying the processor at that time bin
 // (digits cycle through thread IDs mod 62 as 0-9a-zA-Z), '.' for idle.
-func (b *Builder) Render(width int) string {
+func (b *Chart) Render(width int) string {
 	if width < 10 {
 		width = 10
 	}
@@ -107,7 +106,7 @@ func (b *Builder) Render(width int) string {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "time 0 .. %d (each column = %d steps; '.' idle)\n", b.lastStep, binSize)
-	for p := 0; p < b.procs; p++ {
+	for p := range b.rows {
 		fmt.Fprintf(&sb, "P%-3d ", p)
 		row := make([]byte, bins)
 		for i := range row {

@@ -6,17 +6,23 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
+	"dfdeques/internal/rtrace"
 )
 
+// rec is a record of kind k about thread tid on processor proc at step.
+func rec(step int64, proc int32, k rtrace.Kind, tid int64) rtrace.Event {
+	return rtrace.Event{TS: step, W: proc, Kind: k, A: tid}
+}
+
 func TestSyntheticTimeline(t *testing.T) {
-	b := NewBuilder(2)
-	b.Event(0, 0, "steal", 1)
-	b.Event(10, 0, "terminate", 1)
-	b.Event(3, 1, "steal", 2)
-	b.Event(7, 1, "suspend", 2)
-	b.Event(8, 1, "resume", 3)
-	b.Event(12, 1, "terminate", 3)
-	b.Finish()
+	b := Build(2, []rtrace.Event{
+		rec(0, 0, rtrace.EvDispatch, 1),
+		rec(10, 0, rtrace.EvComplete, 1),
+		rec(3, 1, rtrace.EvDispatch, 2),
+		rec(7, 1, rtrace.EvBlock, 2),
+		rec(8, 1, rtrace.EvDispatch, 3),
+		rec(12, 1, rtrace.EvComplete, 3),
+	})
 	if got := b.Busy(0); got != 10 {
 		t.Errorf("P0 busy = %d, want 10", got)
 	}
@@ -40,30 +46,30 @@ func TestSyntheticTimeline(t *testing.T) {
 }
 
 func TestZeroLengthSegmentsGetOneStep(t *testing.T) {
-	b := NewBuilder(1)
-	b.Event(5, 0, "steal", 7)
-	b.Event(5, 0, "terminate", 7) // same-step steal+terminate
-	b.Finish()
+	b := Build(1, []rtrace.Event{
+		rec(5, 0, rtrace.EvDispatch, 7),
+		rec(5, 0, rtrace.EvComplete, 7), // same-step dispatch+complete
+	})
 	if got := b.Busy(0); got != 1 {
 		t.Errorf("busy = %d, want 1", got)
 	}
 }
 
 func TestIgnoresUnknownProcsAndKinds(t *testing.T) {
-	b := NewBuilder(1)
-	b.Event(0, 5, "steal", 1) // out of range: ignored
-	b.Event(0, 0, "fork", 1)  // non-transition kind: ignored
-	b.Finish()
+	b := Build(1, []rtrace.Event{
+		rec(0, 5, rtrace.EvDispatch, 1), // out of range: ignored
+		rec(0, 0, rtrace.EvFork, 1),     // non-transition kind: ignored
+	})
 	if b.Busy(0) != 0 {
 		t.Error("unexpected occupancy")
 	}
 }
 
 func TestFinishClosesOpenSegments(t *testing.T) {
-	b := NewBuilder(1)
-	b.Event(0, 0, "steal", 1)
-	b.Event(9, 0, "fork", 1) // advances the clock only
-	b.Finish()
+	b := Build(1, []rtrace.Event{
+		rec(0, 0, rtrace.EvDispatch, 1),
+		rec(9, 0, rtrace.EvFork, 1), // advances the clock only
+	})
 	if got := b.Busy(0); got != 10 {
 		t.Errorf("busy = %d, want 10", got)
 	}
@@ -72,8 +78,7 @@ func TestFinishClosesOpenSegments(t *testing.T) {
 // TestEmptySchedule: a builder that saw no events must still render a
 // well-formed chart — all-idle rows, zero busy time, no panics.
 func TestEmptySchedule(t *testing.T) {
-	b := NewBuilder(2)
-	b.Finish()
+	b := Build(2, nil)
 	for p := 0; p < 2; p++ {
 		if got := b.Busy(p); got != 0 {
 			t.Errorf("P%d busy = %d, want 0", p, got)
@@ -98,10 +103,10 @@ func TestEmptySchedule(t *testing.T) {
 // TestRenderWidthClamp: zero or one-column widths clamp to the 10-column
 // minimum instead of dividing by zero or emitting unreadable charts.
 func TestRenderWidthClamp(t *testing.T) {
-	b := NewBuilder(1)
-	b.Event(0, 0, "steal", 1)
-	b.Event(20, 0, "terminate", 1)
-	b.Finish()
+	b := Build(1, []rtrace.Event{
+		rec(0, 0, rtrace.EvDispatch, 1),
+		rec(20, 0, rtrace.EvComplete, 1),
+	})
 	want := b.Render(10)
 	for _, width := range []int{0, 1, -3} {
 		if got := b.Render(width); got != want {
@@ -119,12 +124,12 @@ func TestRenderWidthClamp(t *testing.T) {
 // binned, never truncated — the full span stays visible and occupancy
 // lands in the right bins.
 func TestRenderLongRunBins(t *testing.T) {
-	b := NewBuilder(1)
-	b.Event(0, 0, "steal", 1)
-	b.Event(500, 0, "terminate", 1) // busy 0..499
-	b.Event(900, 0, "steal", 2)
-	b.Event(1000, 0, "terminate", 2) // busy 900..999
-	b.Finish()
+	b := Build(1, []rtrace.Event{
+		rec(0, 0, rtrace.EvDispatch, 1),
+		rec(500, 0, rtrace.EvComplete, 1), // busy 0..499
+		rec(900, 0, rtrace.EvDispatch, 2),
+		rec(1000, 0, rtrace.EvComplete, 2), // busy 900..999
+	})
 	out := b.Render(10)
 	if !strings.Contains(out, "time 0 .. 1000") {
 		t.Fatalf("header lost the span:\n%s", out)
@@ -146,27 +151,26 @@ func TestRenderLongRunBins(t *testing.T) {
 	}
 }
 
-// TestEndToEndWithMachine wires the builder into a real simulation and
+// TestEndToEndWithMachine builds the chart from a recorded simulation and
 // sanity-checks the reconstructed occupancy against the metrics.
 func TestEndToEndWithMachine(t *testing.T) {
 	spec := dag.ParFor("loop", 32, func(int) *dag.ThreadSpec {
 		return dag.NewThread("leaf").Work(20).Spec()
 	})
 	const procs = 4
-	b := NewBuilder(procs)
-	cfg := machine.Config{Procs: procs, Seed: 1, Scheduler: "DFD-inf", Observer: b.Event}
-	m := machine.New(cfg)
+	m := machine.New(machine.Config{Procs: procs, Seed: 1, Scheduler: "DFD-inf", Record: true})
 	met, err := m.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Finish()
+	_, evs := m.Stream()
+	b := Build(procs, evs)
 	var busy int64
 	for p := 0; p < procs; p++ {
 		busy += b.Busy(p)
 	}
 	// Reconstructed busy time must cover at least the executed actions
-	// (it may exceed them slightly: a terminate and the next resume can
+	// (it may exceed them slightly: a complete and the next dispatch can
 	// share a timestep) and never exceed procs × makespan.
 	if busy < met.Actions {
 		t.Errorf("busy %d below actions %d", busy, met.Actions)

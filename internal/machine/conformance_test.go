@@ -6,6 +6,7 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
+	"dfdeques/internal/rtrace"
 )
 
 // randomSpec builds a deterministic pseudo-random nested-parallel program.
@@ -64,21 +65,8 @@ func TestSingleProc1DFOrderConformance(t *testing.T) {
 		want := completionOrder(spec)
 
 		for _, name := range []string{"DFD", "DFD-inf", "ADF"} {
-			var got []int64
-			cfg := machine.Config{
-				Procs:     1,
-				Seed:      int64(trial),
-				Scheduler: name,
-				K:         1 << 30,
-				Observer: func(step int64, proc int, kind string, threadID int64) {
-					if kind == "terminate" {
-						got = append(got, threadID)
-					}
-				},
-			}
-			if _, err := machine.New(cfg).Run(spec); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
+			cfg := machine.Config{Procs: 1, Seed: int64(trial), Scheduler: name, K: 1 << 30}
+			got := threadsOf(record(t, cfg, spec), rtrace.EvComplete)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: %d terminations, want %d", trial, name, len(got), len(want))
 			}
@@ -105,21 +93,7 @@ func TestFIFOSingleProcIsNot1DF(t *testing.T) {
 	bt := dag.NewThread("B").Work(1).Spec()
 	spec := dag.NewThread("root").Fork(a).Fork(bt).Join().Join().Spec()
 	want := completionOrder(spec)
-	var got []int64
-	cfg := machine.Config{
-		Procs:     1,
-		Seed:      1,
-		Scheduler: "FIFO",
-		Observer: func(step int64, proc int, kind string, threadID int64) {
-			if kind == "terminate" {
-				got = append(got, threadID)
-			}
-		},
-	}
-	m := machine.New(cfg)
-	if _, err := m.Run(spec); err != nil {
-		t.Fatal(err)
-	}
+	got := threadsOf(record(t, machine.Config{Procs: 1, Seed: 1, Scheduler: "FIFO"}, spec), rtrace.EvComplete)
 	same := len(got) == len(want)
 	if same {
 		for i := range want {
@@ -135,32 +109,18 @@ func TestFIFOSingleProcIsNot1DF(t *testing.T) {
 }
 
 // TestObserverSeesForkPerThread: every thread except the root must appear
-// in exactly one fork event, and every thread in exactly one terminate
-// event — the schedule is complete and consistent.
+// in exactly one fork record, and every thread in exactly one complete
+// record — the schedule is complete and consistent.
 func TestObserverSeesForkPerThread(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	spec := randomSpec(rng, 4)
 	want := dag.Measure(spec)
+	evs := record(t, machine.Config{Procs: 4, Seed: 3, Scheduler: "DFD", K: 1 << 30}, spec)
 	terms := map[int64]int{}
-	var forkEvents int64
-	cfg := machine.Config{
-		Procs:     4,
-		Seed:      3,
-		Scheduler: "DFD",
-		K:         1 << 30,
-		Observer: func(step int64, proc int, kind string, threadID int64) {
-			switch kind {
-			case "terminate":
-				terms[threadID]++
-			case "fork":
-				forkEvents++
-			}
-		},
+	for _, id := range threadsOf(evs, rtrace.EvComplete) {
+		terms[id]++
 	}
-	m := machine.New(cfg)
-	if _, err := m.Run(spec); err != nil {
-		t.Fatal(err)
-	}
+	forkEvents := int64(len(threadsOf(evs, rtrace.EvFork)))
 	if int64(len(terms)) != want.TotalThreads {
 		t.Errorf("distinct terminated threads = %d, want %d", len(terms), want.TotalThreads)
 	}
@@ -186,23 +146,8 @@ func TestParallelTerminationsRespectHierarchy(t *testing.T) {
 	// creation order is nontrivial for p > 1 (creation interleaves), so
 	// use the simplest sound property: the root (ID 1) terminates last.
 	for _, procs := range []int{2, 4, 8} {
-		var last int64
-		cfg := machine.Config{
-			Procs:     procs,
-			Seed:      int64(procs),
-			Scheduler: "DFD",
-			K:         2000,
-			Observer: func(step int64, proc int, kind string, threadID int64) {
-				if kind == "terminate" {
-					last = threadID
-				}
-			},
-		}
-		m := machine.New(cfg)
-		if _, err := m.Run(spec); err != nil {
-			t.Fatal(err)
-		}
-		if last != 1 {
+		done := threadsOf(record(t, machine.Config{Procs: procs, Seed: int64(procs), Scheduler: "DFD", K: 2000}, spec), rtrace.EvComplete)
+		if last := done[len(done)-1]; last != 1 {
 			t.Errorf("p=%d: last terminated thread = %d, want root (1)", procs, last)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"dfdeques/internal/dag"
+	"dfdeques/internal/policy"
+	"dfdeques/internal/rtrace"
 )
 
 // stepProc advances processor p's current thread by one unit of execution.
@@ -23,6 +25,9 @@ func (m *Machine) stepProc(p *proc) {
 		if t.workLeft == 0 {
 			// Instruction start: touch the data footprint once.
 			t.workLeft = in.N
+			if in.Blk != 0 && in.TouchBytes > 0 {
+				m.record(p.id, rtrace.EvTouch, t.ID, int64(in.Blk), int64(in.TouchBytes))
+			}
 			if misses := p.cache.Touch(int32(in.Blk), int64(in.TouchBytes)); misses > 0 {
 				p.stall += misses * m.Cfg.MissPenalty
 			}
@@ -53,12 +58,16 @@ func (m *Machine) stepProc(p *proc) {
 			// Memory quota exhausted: preempt without executing the
 			// allocation (§3.3 pseudocode, case "memory quota exhausted").
 			m.met.Preemptions++
-			m.trace(p.id, "preempt", t)
 			p.curr = nil
-			m.setReady(t)
+			m.set(t, Ready)
 			m.pol.Preempt(p.id, t, in.N, false)
 			m.queueAccess(p.id)
 			return
+		}
+		if !in.Exempt {
+			m.record(p.id, rtrace.EvAlloc, t.ID, in.N, 0)
+		} else if m.Cfg.Record { // only a dummy tree pre-pays: K > 0
+			m.record(p.id, rtrace.EvAllocExempt, t.ID, in.N, policy.DummyLeaves(in.N, m.pol.Threshold()))
 		}
 		m.heapLive += in.N
 		m.noteSpace()
@@ -67,6 +76,7 @@ func (m *Machine) stepProc(p *proc) {
 		m.afterAdvance(p, t)
 
 	case dag.OpFree:
+		m.record(p.id, rtrace.EvFree, t.ID, in.N, 0)
 		m.heapLive -= in.N
 		m.pol.Credit(p.id, in.N)
 		m.met.Actions++
@@ -74,7 +84,6 @@ func (m *Machine) stepProc(p *proc) {
 		m.afterAdvance(p, t)
 
 	case dag.OpFork:
-		m.trace(p.id, "fork", t)
 		if m.Cfg.MemPressureBytes > 0 &&
 			m.heapLive+m.Cfg.StackBytes*m.liveThreads > m.Cfg.MemPressureBytes {
 			p.stall += m.Cfg.MemPressurePenalty
@@ -85,11 +94,12 @@ func (m *Machine) stepProc(p *proc) {
 		t.unjoined = append(t.unjoined, child)
 		t.PC++
 		m.met.Actions++
-		m.setReady(child) // provisional; resolve returns below
-		m.setReady(t)
-		p.curr = nil
-		next := m.fork(p.id, t, child)
-		m.resume(p, next)
+		m.set(child, Ready)
+		if next := m.fork(p.id, t, child); next != t {
+			m.set(t, Ready)
+			p.curr = nil
+			m.resume(p, next, rtrace.SrcNext)
+		} // else FIFO: the parent runs on
 
 	case dag.OpJoin:
 		child := t.unjoined[len(t.unjoined)-1]
@@ -101,12 +111,12 @@ func (m *Machine) stepProc(p *proc) {
 			return
 		}
 		// Suspend: the join action itself executes after the child dies.
-		m.trace(p.id, "suspend", t)
+		m.record(p.id, rtrace.EvBlock, t.ID, rtrace.BlockJoin, child.ID)
 		child.Waiter = t
-		m.setSuspended(t)
+		m.set(t, SuspendedJoin)
 		p.curr = nil
 		next, ok := m.pol.Next(p.id)
-		m.resume(p, m.took(p.id, next, ok))
+		m.resume(p, m.took(p.id, next, ok), rtrace.SrcNext)
 
 	case dag.OpAcquire:
 		l := m.lock(in.Lock)
@@ -123,12 +133,12 @@ func (m *Machine) stepProc(p *proc) {
 			m.met.SpinActions++
 			return
 		}
-		m.trace(p.id, "block", t)
+		m.record(p.id, rtrace.EvBlock, t.ID, rtrace.BlockLock, 0)
 		l.waiters = append(l.waiters, t)
-		m.setBlocked(t)
+		m.set(t, BlockedLock)
 		p.curr = nil
 		next, ok := m.pol.Next(p.id)
-		m.resume(p, m.took(p.id, next, ok))
+		m.resume(p, m.took(p.id, next, ok), rtrace.SrcNext)
 
 	case dag.OpRelease:
 		l := m.lock(in.Lock)
@@ -142,7 +152,7 @@ func (m *Machine) stepProc(p *proc) {
 			l.holder = w
 			// The waiter resumes *after* its acquire instruction.
 			w.PC++
-			m.setReady(w)
+			m.set(w, Ready)
 			m.pol.Wake(p.id, w)
 			m.queueAccess(p.id)
 		}
@@ -151,7 +161,7 @@ func (m *Machine) stepProc(p *proc) {
 		m.afterAdvance(p, t)
 
 	case dag.OpDummy:
-		m.trace(p.id, "dummy", t)
+		m.record(p.id, rtrace.EvDummy, t.ID, 0, 0)
 		m.met.Actions++
 		t.PC++
 		m.pol.Dummy(p.id)
@@ -168,22 +178,25 @@ func (m *Machine) afterAdvance(p *proc, t *Thread) {
 	if !t.AtEnd() {
 		return
 	}
-	m.setDead(t)
-	m.trace(p.id, "terminate", t)
+	m.set(t, Dead)
+	m.record(p.id, rtrace.EvComplete, t.ID, 0, 0)
+	if t.Parent == nil {
+		m.record(p.id, rtrace.EvJobEnd, 1, 0, 0)
+	}
 	var woke *Thread
 	if w := t.Waiter; w != nil {
 		t.Waiter = nil
 		// The parent was suspended at its join on t; it is runnable again.
-		m.setReady(w)
+		m.set(w, Ready)
 		woke = w
 	}
 	p.curr = nil
-	m.resume(p, m.terminate(p.id, woke))
+	m.resume(p, m.terminate(p.id, woke), rtrace.SrcTerminate)
 }
 
-// resume installs the policy's chosen next thread on processor p, or
-// leaves it idle when next is nil.
-func (m *Machine) resume(p *proc, next *Thread) {
+// resume installs the policy's chosen next thread on processor p and
+// records its dispatch from src, or leaves p idle when next is nil.
+func (m *Machine) resume(p *proc, next *Thread, src int64) {
 	if next == nil {
 		return
 	}
@@ -191,8 +204,8 @@ func (m *Machine) resume(p *proc, next *Thread) {
 		panic(fmt.Sprintf("machine: policy resumed thread %d in state %v", next.ID, next.State))
 	}
 	p.curr = next
-	m.setRunning(next)
-	m.trace(p.id, "resume", next)
+	m.set(next, Running)
+	m.record(p.id, rtrace.EvDispatch, next.ID, src, 0)
 }
 
 func (m *Machine) lock(id dag.LockID) *lockState {

@@ -5,13 +5,15 @@ import (
 
 	"dfdeques/internal/dag"
 	"dfdeques/internal/machine"
+	"dfdeques/internal/rtrace"
 )
 
 // FuzzScheduleConservation decodes arbitrary bytes into a nested-parallel
 // program and a machine configuration, runs it under every scheduler, and
 // checks the conservation laws: exact action and thread counts, balanced
-// heap, and clean termination. Anything else is a scheduler or interpreter
-// bug.
+// heap, clean termination, and a recorded stream that replay-verifies
+// (rtrace.Verify, Lemma 3.1 ordering exact). Anything else is a scheduler
+// or interpreter bug.
 func FuzzScheduleConservation(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, int64(1), uint8(4), uint8(0))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3}, int64(9), uint8(1), uint8(1))
@@ -27,7 +29,8 @@ func FuzzScheduleConservation(f *testing.F) {
 		}
 		name := []string{"DFD-inf", "ADF", "FIFO"}[pick%3]
 		p := int(procs%8) + 1
-		m := machine.New(machine.Config{Procs: p, Seed: seed, MaxSteps: 10_000_000, Scheduler: name})
+		// MaxSteps bounds a livelock's recorded stream (see recordRun).
+		m := machine.New(machine.Config{Procs: p, Seed: seed, MaxSteps: 4*want.W + 1000, Scheduler: name, Record: true})
 		met, err := m.Run(spec)
 		if err != nil {
 			t.Fatalf("%s p=%d: %v", name, p, err)
@@ -40,6 +43,10 @@ func FuzzScheduleConservation(f *testing.F) {
 		}
 		if m.HeapLive() != want.HeapEnd {
 			t.Fatalf("%s: heap imbalance %d != %d", name, m.HeapLive(), want.HeapEnd)
+		}
+		meta, evs := m.Stream()
+		if rep, err := rtrace.Verify(meta, evs, 0); err != nil || !rep.OrderingExact {
+			t.Fatalf("%s p=%d: replay: %v %v", name, p, err, rep.Notes)
 		}
 	})
 }

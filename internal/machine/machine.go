@@ -27,12 +27,12 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"dfdeques/internal/cache"
 	"dfdeques/internal/dag"
 	"dfdeques/internal/policy"
+	"dfdeques/internal/rtrace"
 )
 
 // Realism is the §5 cost model: per-processor caches with a miss penalty
@@ -116,19 +116,13 @@ type Config struct {
 	// timestep) instead of blocking, as Cilk's locks do (Fig. 17).
 	SpinLocks bool
 
-	// CheckInvariants runs the scheduler's invariant checker after every
-	// timestep (Lemma 3.1 for DFDeques). Slow; for tests. Run refuses it
-	// on a program that takes locks, which is outside the lemma.
-	CheckInvariants bool
-	// Trace, when non-nil, receives one line per scheduling event
-	// (steal, fork, join-suspend, terminate, preempt, dummy). For
-	// debugging and cmd/dfdtrace; slows simulation considerably.
-	Trace io.Writer
-	// Observer, when non-nil, receives every scheduling event in
-	// structured form: the timestep, the processor, the event kind, and
-	// the thread's creation-ordered ID. Conformance tests use it to audit
-	// whole schedules (e.g. 1DF-order equivalence on one processor).
-	Observer func(step int64, proc int, kind string, threadID int64)
+	// Record keeps the run's schedule as an rtrace stream, the one the
+	// live runtime records: the policy's half of every decision through
+	// its probe, and the machine's own (job begin and end, dispatch, the
+	// suspend at a join, a lock's block, complete, alloc, free, touch,
+	// dummy, each move of the adaptive K), stamped with the timestep.
+	// Read it with Stream; rtrace.Verify replays it.
+	Record bool
 	// MaxSteps aborts runs longer than this many timesteps (safety net for
 	// scheduling bugs). 0 means 1e9.
 	MaxSteps int64
@@ -212,10 +206,9 @@ type Machine struct {
 	procs []*proc
 	locks map[dag.LockID]*lockState
 
-	heapLive     int64
-	liveThreads  int64
-	readyCount   int64
-	runningCount int64
+	heapLive    int64
+	liveThreads int64
+	readyCount  int64
 
 	met        Metrics
 	nextID     int64
@@ -223,6 +216,7 @@ type Machine struct {
 	dummyTrees map[int64]*dag.ThreadSpec
 	profile    []int64
 	nextSample int64
+	rec        stream // empty unless Config.Record
 }
 
 // SpaceProfile returns the live-space samples recorded at
@@ -262,12 +256,9 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	if err := m.newPolicy(); err != nil {
 		return Metrics{}, err
 	}
-	if m.Cfg.CheckInvariants && takesLocks(spec, map[*dag.ThreadSpec]bool{}) {
-		return Metrics{}, errors.New("machine: CheckInvariants on a program that takes locks: " +
-			"Lemma 3.1 and the schedulers' invariants hold for nested-parallel programs only")
-	}
 	root := m.newThread(spec, nil, false)
-	m.setReady(root)
+	m.set(root, Ready)
+	m.record(-1, rtrace.EvJobBegin, 1, root.ID, 0)
 	m.pol.Seed(root)
 
 	for m.liveThreads > 0 {
@@ -311,12 +302,6 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 			return m.met, errors.New("machine: deadlock — live threads but none ready or running")
 		}
 
-		if m.Cfg.CheckInvariants {
-			if err := m.checkInvariants(); err != nil {
-				return m.met, fmt.Errorf("machine: after step %d: %w", m.met.Steps, err)
-			}
-		}
-
 		if n := m.Cfg.SampleEvery; n > 0 && m.met.Steps >= m.nextSample {
 			// Live space is constant across fast-forwarded stretches, so
 			// one sample per crossed boundary loses nothing.
@@ -329,20 +314,6 @@ func (m *Machine) Run(spec *dag.ThreadSpec) (Metrics, error) {
 	}
 	m.aggregateCaches()
 	return m.met, nil
-}
-
-// takesLocks reports whether any thread of the spec tree acquires a lock.
-func takesLocks(spec *dag.ThreadSpec, seen map[*dag.ThreadSpec]bool) bool {
-	if seen[spec] {
-		return false
-	}
-	seen[spec] = true
-	for _, in := range spec.Instrs {
-		if in.Op == dag.OpAcquire || in.Op == dag.OpFork && takesLocks(in.Child, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // aggregateCaches folds per-processor cache statistics into the metrics.
@@ -418,67 +389,46 @@ func (m *Machine) noteSpace() {
 	}
 }
 
-// --- state-count bookkeeping -------------------------------------------
-
-func (m *Machine) setReady(t *Thread) {
-	m.adjustCounts(t.State, Ready)
-	t.State = Ready
-}
-
-func (m *Machine) setRunning(t *Thread) {
-	m.adjustCounts(t.State, Running)
-	t.State = Running
-}
-
-func (m *Machine) setSuspended(t *Thread) {
-	m.adjustCounts(t.State, SuspendedJoin)
-	t.State = SuspendedJoin
-}
-
-func (m *Machine) setBlocked(t *Thread) {
-	m.adjustCounts(t.State, BlockedLock)
-	t.State = BlockedLock
-}
-
-func (m *Machine) setDead(t *Thread) {
-	m.adjustCounts(t.State, Dead)
-	t.State = Dead
-	m.liveThreads--
-}
-
-func (m *Machine) adjustCounts(from, to State) {
-	if from == Ready {
+// set moves t to state s, keeping the counts of ready and live threads.
+func (m *Machine) set(t *Thread, s State) {
+	if t.State == Ready {
 		m.readyCount--
 	}
-	if from == Running {
-		m.runningCount--
-	}
-	if to == Ready {
+	if s == Ready {
 		m.readyCount++
+	} else if s == Dead {
+		m.liveThreads--
 	}
-	if to == Running {
-		m.runningCount++
-	}
+	t.State = s
 }
 
 // HeapLive returns the current net heap allocation in bytes.
 func (m *Machine) HeapLive() int64 { return m.heapLive }
 
-// trace logs a scheduling event to the trace writer and the observer.
-func (m *Machine) trace(p int, ev string, t *Thread) {
-	if m.Cfg.Trace == nil && m.Cfg.Observer == nil {
-		return
-	}
-	id := int64(-1)
-	label := "-"
-	if t != nil {
-		id = t.ID
-		label = t.Spec.Label
-	}
-	if m.Cfg.Observer != nil {
-		m.Cfg.Observer(m.met.Steps, p, ev, id)
-	}
-	if m.Cfg.Trace != nil {
-		fmt.Fprintf(m.Cfg.Trace, "step=%d proc=%d %-9s thread=%d (%s)\n", m.met.Steps, p, ev, id, label)
+// stream is the machine's rtrace.Probe: one serial lane, each record
+// stamped with the timestep and numbered in call order, bursts laid out
+// as their records.
+type stream struct {
+	meta rtrace.Meta
+	step *int64
+	evs  []rtrace.Event
+}
+
+func (s *stream) Event(w int, k rtrace.Kind, a, b, c int64) {
+	s.evs = rtrace.Expand(s.evs, rtrace.Event{
+		Seq: uint64(len(s.evs)) + 1, TS: *s.step, Kind: k, W: int32(w), A: a, B: b, C: c,
+	})
+}
+
+// record writes one of the machine's own records when Config.Record is
+// set.
+func (m *Machine) record(w int, k rtrace.Kind, a, b, c int64) {
+	if m.Cfg.Record {
+		m.rec.Event(w, k, a, b, c)
 	}
 }
+
+// Stream returns the run's recorded stream and its metadata (Engine
+// rtrace.EngineSim, K the threshold the run started with); both are zero
+// unless Config.Record was set.
+func (m *Machine) Stream() (rtrace.Meta, []rtrace.Event) { return m.rec.meta, m.rec.evs }

@@ -376,15 +376,20 @@ func TestInvalidSpecRejected(t *testing.T) {
 }
 
 // TestCheckInvariantsRefusesLocks: Lemma 3.1 covers nested-parallel
-// programs only, so Run refuses invariant checking on Barnes Hut (the
-// benchmark with locks) before step 1, under every scheduler, instead of
-// reporting a broken lemma as a scheduler bug partway through.
+// programs only, so the replay of Barnes Hut (the benchmark with locks)
+// stops its ordering checks at the first lock block and says so in a
+// note, under every scheduler, while dispatch conservation and quota
+// accounting still hold for the whole run.
 func TestCheckInvariantsRefusesLocks(t *testing.T) {
 	spec := workload.BarnesHut(workload.Fine)
 	for _, name := range schedulers {
-		met, err := machine.New(machine.Config{Procs: 8, Seed: 1, Scheduler: name, K: 3000, CheckInvariants: true}).Run(spec)
-		if err == nil || !strings.Contains(err.Error(), "takes locks") || met.Steps != 0 {
-			t.Errorf("%s: Run = %d steps, %v; want a refusal naming the locks before step 1", name, met.Steps, err)
+		_, rep, err := verifyRun(t, machine.Config{Procs: 8, Seed: 1, Scheduler: name, K: 3000}, spec)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if rep.OrderingExact || len(rep.Notes) != 1 || !strings.Contains(rep.Notes[0], "lock/future blocks") {
+			t.Errorf("%s: OrderingExact = %v, notes %q; want the ordering checks stopped at a lock block", name, rep.OrderingExact, rep.Notes)
 		}
 	}
 }

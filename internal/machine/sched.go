@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dfdeques/internal/policy"
+	"dfdeques/internal/rtrace"
 )
 
 // Names lists the scheduler names Config.Scheduler accepts.
@@ -39,7 +40,6 @@ func (m *Machine) newPolicy() error {
 		}
 		m.dfd = policy.NewSerialDFD(c.Procs, k, less)
 		m.pol = m.dfd
-		return nil
 	case "ADF":
 		m.adf = policy.NewADF(c.Procs, c.K, less)
 		m.pol = m.adf
@@ -48,8 +48,15 @@ func (m *Machine) newPolicy() error {
 	default:
 		return fmt.Errorf("machine: unknown scheduler %q", c.Scheduler)
 	}
-	if c.AdaptiveTarget != 0 || c.StealFromTop || c.FullWindow {
+	if m.dfd == nil && (c.AdaptiveTarget != 0 || c.StealFromTop || c.FullWindow) {
 		return fmt.Errorf("machine: AdaptiveTarget, StealFromTop and FullWindow are DFDeques variants; scheduler %q has none", c.Scheduler)
+	}
+	if c.Record {
+		m.rec = stream{step: &m.met.Steps, meta: rtrace.Meta{
+			Policy: m.pol.Name(), Workers: c.Procs, K: m.pol.Threshold(),
+			Seed: c.Seed, Engine: rtrace.EngineSim,
+		}}
+		m.pol.Instrument(&m.rec, func(t *Thread) int64 { return t.ID }, func(t *Thread) bool { return t.Dummy })
 	}
 	return nil
 }
@@ -82,7 +89,11 @@ func (m *Machine) stealRound(idle []int) {
 		}
 		return
 	}
-	m.dfd.BeginRound(m.adaptK())
+	k := m.adaptK()
+	if k != m.dfd.Threshold() {
+		m.record(-1, rtrace.EvThreshold, k, 0, 0)
+	}
+	m.dfd.BeginRound(k)
 	for _, p := range idle {
 		window := m.Cfg.Procs
 		if m.Cfg.FullWindow {
@@ -120,8 +131,7 @@ func (m *Machine) adaptK() int64 {
 func (m *Machine) assign(p int, t *Thread) {
 	pr := m.procs[p]
 	pr.curr = t
-	m.setRunning(t)
-	m.trace(p, "steal", t)
+	m.set(t, Running)
 	m.met.Steals++
 	pr.stall += m.Cfg.StealLatency
 }
@@ -143,17 +153,17 @@ func (m *Machine) queueAccess(p int) {
 
 // fork publishes one of parent and child on processor p and returns the
 // one p runs next. The machine forks child-first, as the paper does;
-// the runtime forks parent-first. So DFDeques pushes the parent through
-// ForkCont with the roles swapped, ADF queues the parent and refills the
-// quota for the child (ForkChildFirst), and FIFO queues the child while
-// the parent runs on, breadth-first.
+// the runtime forks parent-first. So DFDeques pushes the parent and ADF
+// queues it and refills the quota for the child (each policy's
+// ForkChildFirst), and FIFO queues the child while the parent runs on,
+// breadth-first.
 func (m *Machine) fork(p int, parent, child *Thread) *Thread {
 	switch {
 	case m.dfd != nil:
-		m.dfd.ForkCont(p, child, parent)
+		m.dfd.ForkChildFirst(p, parent, child)
 		return child
 	case m.adf != nil:
-		m.adf.ForkChildFirst(p, parent)
+		m.adf.ForkChildFirst(p, parent, child)
 		m.queueAccess(p)
 		return child
 	}
@@ -194,20 +204,4 @@ func (m *Machine) took(p int, t *Thread, ok bool) *Thread {
 		m.met.LocalDispatches++
 	}
 	return t
-}
-
-// checkInvariants checks the scheduler's invariants: Lemma 3.1 over R
-// (policy.DFD.CheckInvariants) for DFDeques, a priority-sorted ready
-// queue for ADF, nothing for FIFO.
-func (m *Machine) checkInvariants() error {
-	switch {
-	case m.dfd != nil:
-		return m.dfd.CheckInvariants(func(w int) (*Thread, bool) {
-			t := m.procs[w].curr
-			return t, t != nil
-		})
-	case m.adf != nil:
-		return m.adf.CheckInvariants()
-	}
-	return nil
 }

@@ -56,8 +56,8 @@ func run(t *testing.T, spec *dag.ThreadSpec, cfg machine.Config) machine.Metrics
 	return met
 }
 
-// TestLemma31InvariantsRandomDags runs DFDeques with full invariant
-// checking over a battery of random nested-parallel dags, processor
+// TestLemma31InvariantsRandomDags records DFDeques runs and replay-verifies
+// them (rtrace.Verify, Lemma 3.1 ordering exact) over a battery of random nested-parallel dags, processor
 // counts, memory thresholds, and seeds.
 func TestLemma31InvariantsRandomDags(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
@@ -68,49 +68,51 @@ func TestLemma31InvariantsRandomDags(t *testing.T) {
 		if trial%2 == 0 {
 			k = 1000
 		}
-		cfg := machine.Config{Procs: p, Seed: int64(trial), Scheduler: "DFD", K: k, CheckInvariants: true}
-		if _, err := machine.New(cfg).Run(spec); err != nil {
-			t.Fatalf("trial %d (p=%d K=%d): %v", trial, p, k, err)
+		cfg := machine.Config{Procs: p, Seed: int64(trial), Scheduler: "DFD", K: k}
+		if _, rep, err := verifyRun(t, cfg, spec); err != nil || !rep.OrderingExact {
+			t.Fatalf("trial %d (p=%d K=%d): %v %v", trial, p, k, err, rep.Notes)
 		}
 	}
 }
 
-// TestLemma31InvariantsDnc checks the invariants on the structured d&c dag
+// TestLemma31InvariantsDnc replay-verifies the recorded runs on the structured d&c dag
 // with small K, where preemptions and dummy threads exercise every code
 // path.
 func TestLemma31InvariantsDnc(t *testing.T) {
 	spec := dncDag(7, 4096, 64)
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, k := range []int64{64, 512, 8192, 0} {
-			cfg := machine.Config{Procs: p, Seed: 42, Scheduler: "DFD", K: k, CheckInvariants: true}
-			if _, err := machine.New(cfg).Run(spec); err != nil {
-				t.Fatalf("p=%d K=%d: %v", p, k, err)
+			cfg := machine.Config{Procs: p, Seed: 42, Scheduler: "DFD", K: k}
+			if _, rep, err := verifyRun(t, cfg, spec); err != nil || !rep.OrderingExact {
+				t.Fatalf("p=%d K=%d: %v %v", p, k, err, rep.Notes)
 			}
 		}
 	}
 }
 
-// TestWSInvariants runs the Lemma 3.1 checker over the same battery under
-// "WS", which is DFDeques(∞).
+// TestWSInvariants replay-verifies the same battery under "WS", which is
+// DFDeques(∞).
 func TestWSInvariants(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		spec := irregularDag(rng, 5)
-		cfg := machine.Config{Procs: 1 + rng.Intn(8), Seed: int64(trial), Scheduler: "WS", CheckInvariants: true}
-		if _, err := machine.New(cfg).Run(spec); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		cfg := machine.Config{Procs: 1 + rng.Intn(8), Seed: int64(trial), Scheduler: "WS"}
+		if _, rep, err := verifyRun(t, cfg, spec); err != nil || !rep.OrderingExact {
+			t.Fatalf("trial %d: %v %v", trial, err, rep.Notes)
 		}
 	}
 }
 
-// TestADFInvariants runs the ADF ready-queue order checker.
+// TestADFInvariants replay-verifies ADF runs: every queue take is the
+// highest-priority ready thread, and the quota refills at every dispatch,
+// the child-first fork's included.
 func TestADFInvariants(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
 		spec := irregularDag(rng, 5)
-		cfg := machine.Config{Procs: 1 + rng.Intn(8), Seed: int64(trial), Scheduler: "ADF", K: 100, CheckInvariants: true}
-		if _, err := machine.New(cfg).Run(spec); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		cfg := machine.Config{Procs: 1 + rng.Intn(8), Seed: int64(trial), Scheduler: "ADF", K: 100}
+		if _, rep, err := verifyRun(t, cfg, spec); err != nil || !rep.OrderingExact {
+			t.Fatalf("trial %d: %v %v", trial, err, rep.Notes)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package policy
 
-import "fmt"
+import "dfdeques/internal/rtrace"
 
 // ADF is the asynchronous depth-first scheduler of Narlikar & Blelloch as
 // a runtime policy: one global queue ordered by 1DF priority, each
@@ -34,12 +34,14 @@ func (a *ADF[T]) Seed(t T) { a.insert(-1, t) }
 // mid-run injection.
 func (a *ADF[T]) Inject(t T) { a.insert(-1, t) }
 
-// ForkChildFirst is the simulator's fork, a serial-engine entry: the
-// parent enters the queue at its priority position and the child, which
-// holds the priority just above it, runs next on w with a fresh quota —
-// footnote 14 charges each scheduled thread, and the child is one. The
-// runtime forks parent-first (ForkCont), and the parent's dispatch goes on.
-func (a *ADF[T]) ForkChildFirst(w int, parent T) {
+// ForkChildFirst is the simulator's fork, a serial-engine entry: the fork
+// is recorded, the parent enters the queue at its priority position and
+// the child, which holds the priority just above it, runs next on w with
+// a fresh quota — footnote 14 charges each scheduled thread, and the
+// child is one. The runtime forks parent-first (ForkCont), and the
+// parent's dispatch goes on.
+func (a *ADF[T]) ForkChildFirst(w int, parent, child T) {
+	a.traceFork(w, rtrace.EvFork, parent, child, 0)
 	a.insert(w, parent)
 	a.quota.Reset(w, a.k)
 }
@@ -74,18 +76,6 @@ func (a *ADF[T]) Dummy(w int) { a.quota.Reset(w, 0) }
 func (a *ADF[T]) Acquire(w int) (T, bool) {
 	x, ok := a.dispatch(w)
 	return a.acquired(w, x, ok)
-}
-
-// CheckInvariants verifies that the ready queue is priority-sorted (serial
-// engines and tests only).
-func (a *ADF[T]) CheckInvariants() error {
-	live := a.q.items[a.q.head:]
-	for i := 1; i < len(live); i++ {
-		if !a.q.less(live[i-1], live[i]) {
-			return fmt.Errorf("policy: ADF ready queue unsorted at %d", i)
-		}
-	}
-	return nil
 }
 
 // dispatch takes the highest-priority ready thread for worker w and

@@ -75,7 +75,7 @@ import (
 // The spine is a leaf lock: the less callback runs under it and takes
 // none (internal/grt reads the order off its fork tree). less is called
 // only by Wake — on frozen tops and the woken thread, all live — and by
-// CheckInvariants.
+// CheckInvariants, which the policy tests run.
 type DFD[T comparable] struct {
 	p      int
 	less   func(a, b T) bool
@@ -246,6 +246,17 @@ func (d *DFD[T]) ForkCont(w int, parent, child T) {
 	dq := d.ownDeque(w)
 	d.traceFork(w, rtrace.BurstForkPush, parent, child, dq.id)
 	d.pushTop(dq, child)
+}
+
+// ForkChildFirst is the simulator's fork, a serial-engine entry: the
+// child runs next on w and the parent's continuation goes on top of w's
+// deque, as §3.3 pushes it. The fork is recorded with its true roles,
+// then the push. The runtime forks parent-first (ForkCont).
+func (d *DFD[T]) ForkChildFirst(w int, parent, child T) {
+	dq := d.ownDeque(w)
+	d.traceFork(w, rtrace.EvFork, parent, child, 0)
+	d.traceThread(w, rtrace.EvPush, parent, dq.id, 0)
+	d.pushTop(dq, parent)
 }
 
 // ownDeque returns worker w's deque, which it must own.
@@ -640,7 +651,8 @@ func (d *DFD[T]) BeginRound(k int64) {
 // the caller names the victim as an index c from the left end of R (the
 // window, and the randomness, are in the caller's hands), and it fails if
 // that deque does not exist, is empty, or was already robbed since
-// BeginRound. Otherwise it is take. fromTop is the steal-from-top
+// BeginRound; a failure is recorded as one steal attempt. Otherwise it is
+// take. fromTop is the steal-from-top
 // ablation: the thief takes the victim's newest thread instead of its
 // bottom one, and its new deque goes to the victim's left to keep R
 // roughly ordered. The screening reads R without the spine, which only a
@@ -651,10 +663,12 @@ func (d *DFD[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
 		panic("policy: StealFrom while owning a deque")
 	}
 	if c >= len(d.r) {
+		d.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
 		return x, false
 	}
 	victim := d.r[c]
 	if victim.Empty() || slices.Contains(d.robbed, victim.id) {
+		d.trace(w, rtrace.EvStealAttempt, victim.id, 0, 0)
 		return x, false
 	}
 	d.robbed = append(d.robbed, victim.id)
@@ -763,7 +777,8 @@ func (d *DFD[T]) noteR() {
 // quiescent or push-only (a pushed continuation ranks above its own
 // deque's previous top but below everything in deques to the left);
 // concurrent owner POPS can yield transient false positives, so call it
-// from serial engines, tests and quiescent moments.
+// from tests and quiescent moments. (The simulator's runs are checked by
+// replaying their recorded stream, rtrace.Verify.)
 func (d *DFD[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 	d.lock()
 	defer d.unlock()

@@ -9,14 +9,17 @@
 //   - the real concurrent runtime (internal/grt), which forks
 //     parent-first;
 //   - the serial machine simulator (internal/machine), which forks
-//     child-first (ForkCont with the roles swapped) and adds only the
-//     §4.1 cost model: per-timestep steal arbitration, victim draws from
-//     its seeded rng, queue-latency stalls.
+//     child-first under DFDeques and ADF and adds only the §4.1 cost
+//     model: per-timestep steal arbitration, victim draws from its seeded
+//     rng, queue-latency stalls.
 //
 // Where the cost model needs a rule of its own, the simulator calls a
 // serial-engine entry, never a setting: NewSerialDFD (a give-up leaves its
 // steal to the next round, which DFD.BeginRound and DFD.StealFrom run),
-// and ADF.ForkChildFirst (the child-first fork refills the quota).
+// DFD.ForkChildFirst (the child runs next, the parent is pushed), and
+// ADF.ForkChildFirst (the child-first fork refills the quota). Both
+// record the fork with its true roles, so the simulator's stream replays
+// through rtrace.Verify as the runtime's does.
 //
 // DFD owns R: the globally ordered deque list of §3.2–3.3, its owner and
 // thief protocol, the leftmost-p bottom steal, the per-steal memory quota

@@ -1,6 +1,9 @@
 package rtrace
 
 import (
+	"fmt"
+	"io"
+
 	"dfdeques/internal/cache"
 )
 
@@ -58,6 +61,22 @@ type CacheSummary struct {
 	Migrations int64 `json:"migrations"`
 
 	WorkerMisses []int64 `json:"worker_misses"`
+}
+
+// Print writes the cache block of a trace report, as dfdsim and dfdtrace
+// show it; a nil summary (no touches in the stream) writes nothing.
+func (c *CacheSummary) Print(w io.Writer) {
+	if c == nil {
+		return
+	}
+	fmt.Fprintf(w, "\ncache complexity (simulated %d KB/worker, %d B lines):\n",
+		c.CapacityBytes>>10, c.LineBytes)
+	fmt.Fprintf(w, "  touches:           %d (%d bytes)\n", c.Touches, c.TouchedBytes)
+	fmt.Fprintf(w, "  parallel misses:   %d (%.1f%%)\n", c.ParMisses, 100*c.ParMissRate)
+	fmt.Fprintf(w, "  1DF serial misses: %d (%.1f%%)\n", c.SeqMisses, 100*c.SeqMissRate)
+	fmt.Fprintf(w, "  extra misses:      %d\n", c.ExtraMisses)
+	fmt.Fprintf(w, "  deviations:        %d (%d steals + %d queue takes + %d migrations)\n",
+		c.Deviations, c.Steals, c.QueueTakes, c.Migrations)
 }
 
 // cacheConfig aliases cache.Config so Summarize can request the default

@@ -1,6 +1,7 @@
-// Package rtrace is the concurrent runtime's observability subsystem: a
-// low-overhead event recorder for real executions (internal/grt), the
-// concurrent analogue of the simulator's per-event trace (cmd/dfdtrace).
+// Package rtrace is the scheduling event stream of both engines: a
+// low-overhead event recorder for real executions (internal/grt), and the
+// record format the machine simulator (internal/machine) writes its
+// schedule in, one timestep per TS unit, through a serial probe of its own.
 //
 // Each worker writes fixed-size binary records — dispatches, steal
 // attempts and successes, quota exhaustions, deque creation/retirement,
@@ -131,6 +132,12 @@ const (
 	// job-annotate instant carrying the tenant and job tags. Appended
 	// after EvPromote so older trace files keep loading unchanged.
 	EvJobAnnotate
+	// EvThreshold: the memory threshold K became A bytes, moved by the
+	// simulator's §7 adaptive controller between two steal rounds.
+	// Recorded on the scheduler lane (W = -1); replay reads the quota
+	// against the new K from here on. Appended after EvJobAnnotate so
+	// older trace files keep loading unchanged.
+	EvThreshold
 
 	numKinds
 )
@@ -232,7 +239,7 @@ var kindNames = [numKinds + numBursts]string{
 	"free", "quota-exhaust", "dummy", "idle", "steal-attempt", "steal",
 	"deque-create", "deque-release", "deque-retire", "push", "pop",
 	"queue-push", "queue-take", "job-begin", "job-cancel", "job-end",
-	"touch", "promote", "job-annotate",
+	"touch", "promote", "job-annotate", "threshold",
 	"fork+push", "pop+block+dispatch", "complete+dispatch",
 	"quota-exhaust+idle+push+deque-release+steal-attempts",
 	"promote+quota-exhaust+idle+push+deque-release+steal-attempts",
@@ -254,8 +261,8 @@ func (k Kind) String() string {
 // (drawn from one atomic counter, assigned under the mutating lock for
 // structural events); TS is nanoseconds since the recorder started —
 // exact for boundary kinds, and the worker's last boundary timestamp for
-// the chatty interior kinds (see exactTS). Ordering semantics always come
-// from Seq, never TS.
+// the chatty interior kinds (see exactTS) — or, in a simulator stream, the
+// timestep. Ordering semantics always come from Seq, never TS.
 type Event struct {
 	Seq     uint64
 	TS      int64
@@ -265,7 +272,7 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("#%-6d %9dns w%-2d %-13s a=%d b=%d c=%d",
+	return fmt.Sprintf("#%-6d ts=%-9d w%-2d %-13s a=%d b=%d c=%d",
 		e.Seq, e.TS, e.W, e.Kind, e.A, e.B, e.C)
 }
 
@@ -289,13 +296,18 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	K       int64  `json:"k"`
 	Seed    int64  `json:"seed"`
-	// Engine identifies the execution core the stream was recorded from.
-	// The runtime stamps EngineCont; Verify rejects anything else.
+	// Engine identifies the execution core the stream was recorded from:
+	// the runtime stamps EngineCont, the simulator EngineSim. Verify
+	// rejects anything else.
 	Engine string `json:"engine,omitempty"`
 }
 
-// EngineCont is Meta.Engine for the work-first continuation engine.
-const EngineCont = "cont"
+// Meta.Engine values: the runtime's work-first continuation engine, and
+// the machine simulator (internal/machine), whose TS is the timestep.
+const (
+	EngineCont = "cont"
+	EngineSim  = "sim"
+)
 
 // exactTS is the set of kinds that read the monotonic clock when
 // recorded. Reading the clock costs ~4× the rest of the hot path, so only

@@ -8,24 +8,24 @@ import (
 )
 
 // Verify replays a recorded event stream against an independent model of
-// the scheduler and checks, on the *real* runtime's history, the three
-// properties the simulator's per-timestep checker proves per step:
+// the scheduler and checks three properties on the recorded history of
+// either engine, the live runtime's or the simulator's:
 //
 //   - Lemma 3.1 ordering: the deque list R stays priority-sorted left to
 //     right, every deque is internally sorted (top = highest 1DF
-//     priority), and a worker's executing thread has higher priority than
-//     everything in its own deque. The 1DF order itself is reconstructed
-//     from the fork and job-begin events, as a fork tree of the stream's
-//     own that dag.Before reads in parent-first polarity: the runtime runs
-//     the parent first, so a forked thread is the immediate 1DF successor
-//     of its forker (it is what the paper calls the pushed parent). The
-//     runtime's own tree fields are never read.
+//     priority), a worker's executing thread has higher priority than
+//     everything in its own deque, and a steal takes the bottom of a deque
+//     among the leftmost p of R (§3.3). The 1DF order itself is
+//     reconstructed from the fork and job-begin events, as a fork tree of
+//     the stream's own that dag.Before reads in the engine's polarity
+//     (see Engine below); the engines' own tree fields are never read.
 //   - Dispatch conservation: every thread is dispatched exactly
-//     1 + suspensions times (a suspension is a join/lock/future block or
-//     a quota preemption), threads only run from a legal source (own-deque
-//     pop or inline claim, steal, queue take, join wake-up of a completed
-//     child's waiter), never on two workers at once, and every thread
-//     completes exactly once.
+//     1 + suspensions times (a suspension is a join/lock/future block, a
+//     quota preemption or a child-first fork), threads only run from a
+//     legal source (own-deque pop or inline claim, steal, queue take, join
+//     wake-up of a completed child's waiter, the child of a child-first
+//     fork), never on two workers at once, and every thread completes
+//     exactly once.
 //   - Quota accounting: replaying the per-worker K-byte quota (reset on
 //     steal for DFDeques, on dispatch for ADF; credits clamped to K),
 //     every recorded allocation must fit the modeled remainder and every
@@ -33,7 +33,7 @@ import (
 //     trees must carry exactly ⌈n/K⌉ leaves.
 //
 // The quota and deque models here are deliberately *reimplementations*,
-// not imports of internal/policy: the verifier proves the runtime and the
+// not imports of internal/policy: the verifier proves the engines and the
 // policy layer did what the paper says, so it must not share their code.
 //
 // Structural events are recorded while the mutating lock is held and
@@ -51,17 +51,27 @@ import (
 // job — canceled threads still drain through ordinary dispatches and
 // completions, so conservation and quota checks hold for them unchanged.
 //
-// Engine. The model is the work-first continuation engine's, the only
-// one this runtime has: a fork pushes the never-dispatched child while the
+// Engine. Meta.Engine names the model; a stream stamped otherwise, or not
+// at all, is rejected rather than replayed under the wrong one. EngineCont
+// is the runtime's work-first continuation engine: parent-first, so a
+// forked thread is the immediate 1DF successor of its forker (the paper's
+// pushed parent), a fork pushes the never-dispatched child while the
 // parent keeps running, EvPromote marks a thread's unique transition to a
 // goroutine-backed frame, and inline-claimed children are dispatched with
-// SrcInline. Meta.Engine must say so (EngineCont); a stream stamped
-// otherwise, or not at all, is rejected rather than replayed under the
-// wrong model.
+// SrcInline. EngineSim is the simulator, read in the paper's child-first
+// order. Under DFDeques and ADF its fork suspends the parent, which the
+// policy publishes next, and dispatches the child on the forking worker
+// (under ADF with a dispatch's fresh quota: ADF.ForkChildFirst's refill);
+// its FIFO forks parent-first. Its joins only suspend, and its give-up
+// leaves the steal to the next round (§4.1): both are runtime paths too.
 func Verify(meta Meta, evs []Event, dropped uint64) (Report, error) {
-	v := &verifier{meta: meta, rep: Report{Events: len(evs), OrderingExact: true}}
-	if meta.Engine != EngineCont {
-		return v.rep, fmt.Errorf("rtrace: stream was recorded by engine %q, which this build no longer models (only %q streams can be replayed)", meta.Engine, EngineCont)
+	v := &verifier{meta: meta, rep: Report{Events: len(evs), OrderingExact: true}, order: dag.ParentFirst}
+	switch meta.Engine {
+	case EngineCont:
+	case EngineSim:
+		v.order, v.childFirst = dag.ChildFirst, meta.Policy != "FIFO"
+	default:
+		return v.rep, fmt.Errorf("rtrace: stream was recorded by engine %q, which this build no longer models (only %q and %q streams can be replayed)", meta.Engine, EngineCont, EngineSim)
 	}
 	if dropped > 0 {
 		return v.rep, fmt.Errorf("rtrace: %d events dropped by ring wrap-around; raise the trace buffer to verify this run", dropped)
@@ -115,7 +125,7 @@ const (
 	tReady                  // in a deque or queue
 	tRunning                // executing on a worker
 	tBlocked                // suspended on a join/lock/future
-	tPreempt                // preempted by a quota veto, not yet republished
+	tPreempt                // preempted by a quota veto or a child-first fork, not yet republished
 	tInflight               // removed from a structure, dispatch pending
 	tDone
 )
@@ -152,7 +162,7 @@ type vdeque struct {
 }
 
 type verifier struct {
-	meta meta2
+	meta Meta
 	rep  Report
 
 	roots   int64 // job roots begun so far
@@ -169,10 +179,12 @@ type verifier struct {
 	quota   []int64 // modeled remaining quota per worker
 
 	ordered bool // ordering checks active
-}
 
-// meta2 aliases Meta so verifier literals stay short.
-type meta2 = Meta
+	// order is the engine's 1DF polarity; childFirst is set when its forks
+	// run the child first and republish the parent.
+	order      dag.Order
+	childFirst bool
+}
 
 func (v *verifier) init() {
 	v.threads = map[int64]*vthread{}
@@ -199,6 +211,16 @@ func (v *verifier) thread(e *Event, tid int64) (*vthread, error) {
 	return t, nil
 }
 
+// runningThread returns thread e.A, which must be running on e's worker; what
+// names the record in the error ("fork by", "block of", ...).
+func (v *verifier) runningThread(e *Event, what string) (*vthread, error) {
+	t, err := v.thread(e, e.A)
+	if err == nil && (t.state != tRunning || t.on != int(e.W)) {
+		err = v.fail(e, "%s t%d which is not running on w%d", what, e.A, e.W)
+	}
+	return t, err
+}
+
 func (v *verifier) deque(e *Event, did int64) (*vdeque, error) {
 	d, ok := v.deques[did]
 	if !ok {
@@ -208,9 +230,9 @@ func (v *verifier) deque(e *Event, did int64) (*vdeque, error) {
 }
 
 // before reports whether thread a has higher 1DF priority than b, in the
-// runtime's parent-first order.
+// engine's order.
 func (v *verifier) before(a, b int64) bool {
-	return dag.Before(v.threads[a], v.threads[b], (*vthread).pos, dag.ParentFirst)
+	return dag.Before(v.threads[a], v.threads[b], (*vthread).pos, v.order)
 }
 
 // hasQuota reports whether the traced policy runs a memory quota.
@@ -218,10 +240,11 @@ func (v *verifier) hasQuota() bool {
 	return v.meta.K > 0 && (v.meta.Policy == "DFDeques" || v.meta.Policy == "ADF")
 }
 
-// offWorker is the set of kinds the runtime records on lane -1, outside
-// any worker: submission and cancellation (under the submission lock) and
-// the injectors' publishes. Every other kind indexes per-worker state.
-const offWorker = 1<<EvJobBegin | 1<<EvJobAnnotate | 1<<EvJobCancel |
+// offWorker is the set of kinds the engines record on lane -1, outside
+// any worker: submission and cancellation (under the submission lock),
+// the injectors' publishes and the simulator's threshold moves. Every
+// other kind indexes per-worker state.
+const offWorker = 1<<EvJobBegin | 1<<EvJobAnnotate | 1<<EvJobCancel | 1<<EvThreshold |
 	1<<EvDequeCreate | 1<<EvPush | 1<<EvQueuePush
 
 func (v *verifier) step(e *Event) error {
@@ -235,21 +258,27 @@ func (v *verifier) step(e *Event) error {
 	v.rep.Checks++
 	switch e.Kind {
 	case EvFork:
-		parent, err := v.thread(e, e.A)
+		parent, err := v.runningThread(e, "fork by")
 		if err != nil {
 			return err
-		}
-		if parent.state != tRunning || parent.on != w {
-			return v.fail(e, "fork by t%d which is not running on w%d", e.A, w)
 		}
 		if _, dup := v.threads[e.B]; dup {
 			return v.fail(e, "forked thread t%d already exists", e.B)
 		}
-		v.threads[e.B] = &vthread{
+		child := &vthread{
 			state: tNew, on: -1, waitee: -1, dummy: e.C == 1, job: parent.job,
 			parent: parent, depth: parent.depth + 1, index: parent.forks,
 		}
+		v.threads[e.B] = child
 		parent.forks++
+		if v.childFirst {
+			// The parent stops until the policy republishes it; the child
+			// is dispatched on w next.
+			parent.state = tPreempt
+			parent.suspends++
+			child.state, child.on = tInflight, w
+			v.running[w] = -1
+		}
 		v.rep.Threads++
 		if e.C == 1 {
 			v.rep.DummyThreads++
@@ -283,12 +312,9 @@ func (v *verifier) step(e *Event) error {
 		return v.checkOrdering(e)
 
 	case EvBlock:
-		t, err := v.thread(e, e.A)
+		t, err := v.runningThread(e, "block of")
 		if err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "block of t%d which is not running on w%d", e.A, w)
 		}
 		t.state = tBlocked
 		t.suspends++
@@ -306,23 +332,16 @@ func (v *verifier) step(e *Event) error {
 		v.running[w] = -1
 
 	case EvComplete:
-		t, err := v.thread(e, e.A)
+		t, err := v.runningThread(e, "completion of")
 		if err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "completion of t%d which is not running on w%d", e.A, w)
 		}
 		t.state = tDone
 		v.running[w] = -1
 
 	case EvAlloc:
-		t, err := v.thread(e, e.A)
-		if err != nil {
+		if _, err := v.runningThread(e, "alloc by"); err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "alloc by t%d which is not running on w%d", e.A, w)
 		}
 		if v.hasQuota() {
 			if e.B > v.quota[w] {
@@ -332,12 +351,8 @@ func (v *verifier) step(e *Event) error {
 		}
 
 	case EvAllocExempt:
-		t, err := v.thread(e, e.A)
-		if err != nil {
+		if _, err := v.runningThread(e, "exempt alloc by"); err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "exempt alloc by t%d which is not running on w%d", e.A, w)
 		}
 		if k := v.meta.K; k > 0 {
 			if want := (e.B + k - 1) / k; e.C != want {
@@ -354,12 +369,9 @@ func (v *verifier) step(e *Event) error {
 		}
 
 	case EvQuotaExhaust:
-		t, err := v.thread(e, e.A)
+		t, err := v.runningThread(e, "preemption of")
 		if err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "preemption of t%d which is not running on w%d", e.A, w)
 		}
 		if !v.hasQuota() {
 			return v.fail(e, "quota exhaustion under policy %s with K=%d, which has no quota", v.meta.Policy, v.meta.K)
@@ -373,12 +385,8 @@ func (v *verifier) step(e *Event) error {
 		v.rep.QuotaExhausts++
 
 	case EvTouch:
-		t, err := v.thread(e, e.A)
-		if err != nil {
+		if _, err := v.runningThread(e, "touch by"); err != nil {
 			return err
-		}
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "touch by t%d which is not running on w%d", e.A, w)
 		}
 		if e.B == 0 || e.C <= 0 {
 			return v.fail(e, "touch with empty footprint (blk=%d bytes=%d)", e.B, e.C)
@@ -397,20 +405,17 @@ func (v *verifier) step(e *Event) error {
 		}
 
 	case EvPromote:
-		t, err := v.thread(e, e.A)
-		if err != nil {
-			return err
-		}
-		if t.promoted {
-			return v.fail(e, "t%d promoted twice", e.A)
-		}
 		// Both flavors — B=0, the dispatching worker spawning the frame's
 		// goroutine; B=1, an inline frame borrowing its chain base's
 		// channels to block — happen while the thread runs on the
 		// recording worker: dispatch precedes the B=0 promote, and an
 		// inline frame only parks from inside its own body.
-		if t.state != tRunning || t.on != w {
-			return v.fail(e, "promotion of t%d which is not running on w%d", e.A, w)
+		t, err := v.runningThread(e, "promotion of")
+		if err != nil {
+			return err
+		}
+		if t.promoted {
+			return v.fail(e, "t%d promoted twice", e.A)
 		}
 		if e.B != 0 && e.B != 1 {
 			return v.fail(e, "promotion with unknown flavor %d", e.B)
@@ -445,6 +450,9 @@ func (v *verifier) step(e *Event) error {
 		}
 		// Tags are opaque submitter metadata; nothing further to model.
 
+	case EvThreshold:
+		v.meta.K = e.A
+
 	case EvJobCancel:
 		j, ok := v.jobs[e.A]
 		if !ok {
@@ -472,11 +480,8 @@ func (v *verifier) step(e *Event) error {
 			}
 		}
 
-	case EvIdle:
-		// Informational only.
-
-	case EvStealAttempt:
-		// Informational only (success is a separate EvSteal).
+	case EvIdle, EvStealAttempt:
+		// Informational only (a steal's success is a separate EvSteal).
 
 	case EvSteal:
 		t, err := v.thread(e, e.A)
@@ -486,6 +491,9 @@ func (v *verifier) step(e *Event) error {
 		victim, err := v.deque(e, e.B)
 		if err != nil {
 			return err
+		}
+		if i := slices.Index(v.r, e.B); i >= v.meta.Workers {
+			return v.fail(e, "steal from deque %d at position %d of R, outside the leftmost p = %d", e.B, i, v.meta.Workers)
 		}
 		if len(victim.items) == 0 || victim.items[0] != e.A {
 			return v.fail(e, "steal of t%d which is not the bottom of deque %d", e.A, e.B)

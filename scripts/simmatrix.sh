@@ -3,9 +3,11 @@
 # benchmarks × p {1,4,8,16} × seeds {1,2} × {plain, -realism}, one JSON line
 # per run (the first 720 lines on stdout), then `dfdlab -csv` for the 12
 # simulated experiments (92 lines; xcheck and scenarios run the live
-# runtime and are left out), then two `dfdtrace -gantt` schedules, every
-# DFDeques event with Lemma 3.1 checked after each timestep (95 lines at
-# the defaults, 667 at p = 4, K = 100, depth 4), 1,574 lines in all. WS
+# runtime and are left out), then two `dfdtrace -gantt` schedules: each
+# run's recorded stream, one line per dispatch, fork, block, complete,
+# quota exhaustion and dummy record, then its summary, its replay through
+# rtrace.Verify and its Gantt chart (99 lines at the defaults, 671 at
+# p = 4, K = 100, depth 4), 1,582 lines in all. WS
 # is DFDeques(∞), so its 144 lines equal the DFD-inf lines by construction
 # except for the `op` label; they stay so that the count and the layout do
 # not move. The

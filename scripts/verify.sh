@@ -39,8 +39,8 @@ if command -v staticcheck >/dev/null 2>&1; then
 fi
 go test ./...
 # The simulator's output matrix (scripts/simmatrix.sh: 720 dfdsim -json
-# lines, 92 lines of dfdlab -csv, then 762 lines of two dfdtrace -gantt
-# schedules) is pinned by its sha256 in
+# lines, 92 lines of dfdlab -csv, then 770 lines of two dfdtrace -gantt
+# schedules, each replay-verified) is pinned by its sha256 in
 # scripts/simmatrix.sha256. A change meant to keep the simulator's
 # schedules must leave it as it is; a change that moves lines on purpose
 # updates the file and says which lines moved and why.
